@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigError, GridShareError
 from .grid import (
@@ -21,9 +21,10 @@ from .grid import (
     ResourceGrid,
     count_labels,
     make_grid,
+    place,
 )
-from .lte import CRS_SYMBOLS_P01, CRS_SYMBOLS_P23, LteCellConfig, crs_symbols
-from .nr import SIGNAL_ORDER, NrOverlaySet, apply_nr, nr_dss_slot
+from .lte import LteCellConfig, apply_lte, crs_bearing_symbols, crs_re_per_symbol
+from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, apply_nr, dss_control_rows
 from .rounding import pct, round_half_up
 
 
@@ -75,26 +76,6 @@ class OverheadReport:
     downlink_re: int
 
 
-def ports_on_symbol(crs_ports: int, symbol: int) -> int:
-    """Number of CRS ports transmitting on a subframe symbol (0 allowed)."""
-    if crs_ports == 0:
-        return 0
-    if symbol in CRS_SYMBOLS_P01:
-        return min(crs_ports, 2)
-    if symbol in CRS_SYMBOLS_P23 and crs_ports == 4:
-        return 2
-    return 0
-
-
-def crs_bearing_symbols(crs_ports: int) -> frozenset:
-    if crs_ports == 0:
-        return frozenset()
-    symbols = set(CRS_SYMBOLS_P01)
-    if crs_ports == 4:
-        symbols.update(CRS_SYMBOLS_P23)
-    return frozenset(symbols)
-
-
 def default_dmrs_symbols(crs_ports: int, control_end: int, dmrs_count: int) -> Tuple[int, ...]:
     """Front+back DMRS placement avoiding CRS-bearing and control symbols.
 
@@ -125,11 +106,13 @@ def dss_pool_per_prb(
     dmrs_symbols: Sequence[int],
 ) -> int:
     """Closed-form schedulable NR data REs per PRB in a DSS slot."""
-    ctrl_end = lte_pdcch + nr_pdcch
+    crs = crs_re_per_symbol(crs_ports)
     dmrs = set(dmrs_symbols)
-    data_symbols = [s for s in range(ctrl_end, SYMBOLS_PER_SLOT) if s not in dmrs]
-    crs_in_data = sum(2 * ports_on_symbol(crs_ports, s) for s in data_symbols)
-    return len(data_symbols) * SC_PER_PRB - crs_in_data
+    return sum(
+        SC_PER_PRB - crs[s]
+        for s in range(lte_pdcch + nr_pdcch, SYMBOLS_PER_SLOT)
+        if s not in dmrs
+    )
 
 
 def nr_pool_per_prb(nr_pdcch: int, dmrs_count: int) -> int:
@@ -139,10 +122,8 @@ def nr_pool_per_prb(nr_pdcch: int, dmrs_count: int) -> int:
 
 def lte_pool_per_prb(crs_ports: int, lte_pdcch: int) -> int:
     """Pure-LTE subframe data REs per PRB (after control, minus CRS)."""
-    crs_in_data = sum(
-        2 * ports_on_symbol(crs_ports, s) for s in range(lte_pdcch, SYMBOLS_PER_SLOT)
-    )
-    return (SYMBOLS_PER_SLOT - lte_pdcch) * SC_PER_PRB - crs_in_data
+    crs = crs_re_per_symbol(crs_ports)
+    return sum(SC_PER_PRB - crs[s] for s in range(lte_pdcch, SYMBOLS_PER_SLOT))
 
 
 def dss_pool_by_grid(
@@ -152,35 +133,21 @@ def dss_pool_by_grid(
     dmrs_symbols: Sequence[int],
     n_prb: int = 1,
 ) -> int:
-    """Brute-force route: build the labeled slot and count the data pool."""
+    """Brute-force route: build the labeled slot and count the data pool.
+
+    crs_ports 0 is a pure NR slot: no LTE overlay, NR control from lte_pdcch.
+    """
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
     grid = make_grid(carrier)
-    ctrl_end = lte_pdcch + nr_pdcch
     if crs_ports > 0:
-        from .lte import apply_lte
-
         if lte_pdcch == 0:
             raise ConfigError("lte_pdcch=0 requires crs_ports=0 (no incumbent)")
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
         grid = apply_lte(grid, cfg, include_sync=False)
-        if nr_pdcch == 1:
-            grid = nr_dss_slot(grid, cfg, dmrs_symbols, lte_pdcch)
-        else:
-            arr = grid.writable_labels()
-            for sym in range(lte_pdcch, ctrl_end):
-                row = arr[:, sym, :]
-                row[row == ReLabel.UNLABELED] = ReLabel.NR_PDCCH_CORESET1
-            for s in dmrs_symbols:
-                row = arr[:, s, :]
-                row[row == ReLabel.UNLABELED] = ReLabel.NR_DMRS
-            grid = ResourceGrid(carrier, arr)
-    else:
-        arr = grid.writable_labels()
-        arr[:, lte_pdcch:ctrl_end, :] = ReLabel.NR_PDCCH_CORESET1
-        for s in dmrs_symbols:
-            arr[:, s, :] = ReLabel.NR_DMRS
-        grid = ResourceGrid(carrier, arr)
-    counts = count_labels(grid)
+    arr = grid.writable_labels()
+    rows = dss_control_rows(range(lte_pdcch, lte_pdcch + nr_pdcch), dmrs_symbols)
+    place(arr, (0,), rows, rate_match=True)
+    counts = count_labels(ResourceGrid(carrier, arr))
     return counts.get(ReLabel.UNLABELED, 0) // n_prb
 
 
@@ -301,16 +268,8 @@ def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport
 
 def verify_overhead_by_grid(carrier: CarrierConfig, overlay: NrOverlaySet) -> Dict[str, int]:
     """Grid route for the overhead table: place every footprint and count."""
-    grid = apply_nr(make_grid(carrier), overlay)
-    counts = count_labels(grid)
-    return {
-        "SSB": counts.get(ReLabel.NR_SSB, 0),
-        "CORESET 0": counts.get(ReLabel.NR_PDCCH_CORESET0, 0),
-        "SIB1": counts.get(ReLabel.NR_SIB1, 0),
-        "CORESET 1": counts.get(ReLabel.NR_PDCCH_CORESET1, 0),
-        "CSI-RS": counts.get(ReLabel.NR_CSI_RS, 0),
-        "TRS": counts.get(ReLabel.NR_TRS, 0),
-    }
+    counts = count_labels(apply_nr(make_grid(carrier), overlay))
+    return {name: counts.get(label, 0) for name, label in NR_LABELS.items()}
 
 
 def dominance_share(report: OverheadReport, signal_name: str) -> float:

@@ -70,7 +70,9 @@ def _json_text(obj: object) -> str:
 
 def build_grid(scenario: Scenario) -> ResourceGrid:
     grid = make_grid(scenario.carrier)
-    if scenario.lte is not None and scenario.carrier.numerology.scs_khz == 15:
+    if scenario.lte is not None:
+        if scenario.carrier.numerology.scs_khz != 15:
+            raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
         grid = apply_lte(grid, scenario.lte)
     if scenario.nr is not None:
         grid = apply_nr(grid, scenario.nr)

@@ -2,14 +2,17 @@
 
 The grid is a dense (slot, symbol, subcarrier) lattice where every resource
 element carries exactly one label. All operations are pure: they validate,
-copy, and return new grids, so grids behave as immutable values.
+copy, and return new grids, so grids behave as immutable values. Inside a
+stage, every label write goes through `place`, on the stage's one writable
+copy, so no write relabels a cell (MBSFN muting aside) or touches an
+uplink/guard cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,10 +81,6 @@ class Numerology:
     def __post_init__(self):
         if self.scs_khz not in (15, 30):
             raise ConfigError(f"scs_khz must be 15 or 30, got {self.scs_khz}")
-
-    @property
-    def symbols_per_slot(self) -> int:
-        return SYMBOLS_PER_SLOT
 
     @property
     def slots_per_ms(self) -> int:
@@ -209,50 +208,76 @@ def make_grid(config: CarrierConfig) -> ResourceGrid:
     return ResourceGrid(config, arr)
 
 
+def _grid_cell(where: Tuple, local: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Grid index of a cell given as an index into the view arr[where]."""
+    rest = iter(local)
+    cell = [int(w) if not isinstance(w, slice) else (w.start or 0) + int(next(rest)) for w in where]
+    return tuple(cell) + tuple(int(i) for i in rest)
+
+
+def place(arr: np.ndarray, where: Tuple, footprint, rate_match: bool = False) -> None:
+    """Write a footprint into the view arr[where] of a stage's writable copy.
+
+    This is the one write path into a label array. ``where`` holds ints and
+    slices; ``footprint`` holds one label per cell of the view, broadcast to
+    it, with UNLABELED marking cells outside the footprint. Only UNLABELED
+    cells are written; uplink and guard cells are never written. A strict
+    footprint needs all its downlink cells free and otherwise raises
+    ConflictError naming the first taken cell, before writing anything;
+    with ``rate_match`` it fills the free cells and skips the rest.
+    """
+    if not all(isinstance(w, (int, np.integer, slice)) for w in where):
+        raise ConfigError("placement needs an index of ints and slices")
+    view = arr[where]
+    footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
+    want = footprint != ReLabel.UNLABELED
+    free = view == ReLabel.UNLABELED
+    if not rate_match:
+        # GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: one comparison
+        # tells downlink cells apart.
+        taken = want & ~free & (view < ReLabel.GUARD_SYMBOL)
+        if taken.any():
+            local = tuple(np.argwhere(taken)[0])
+            raise ConflictError(
+                f"conflict at cell {_grid_cell(where, local)}: existing "
+                f"{ReLabel(int(view[local])).name}, new {ReLabel(int(footprint[local])).name}"
+            )
+    np.copyto(view, footprint, where=want & free)
+
+
 def apply_overlay(
     grid: ResourceGrid,
-    cells: Iterable[Tuple[int, int, int]],
+    mask: np.ndarray,
     label: ReLabel,
     override_policy: OverridePolicy = OverridePolicy.ERROR_ON_CONFLICT,
 ) -> ResourceGrid:
-    """Label a cell set atomically.
+    """Label the cells of a grid-shaped boolean mask atomically.
 
-    Under ERROR_ON_CONFLICT any already-labeled cell aborts the whole
-    application and the input grid is returned unchanged (it is never
-    mutated). OVERWRITE is restricted to MBSFN muting semantics:
-    LteData/Unlabeled -> LteMbsfnMuted.
+    Under ERROR_ON_CONFLICT this is a strict `place`: an already-labeled
+    downlink cell aborts the whole application, and uplink/guard cells are
+    skipped. OVERWRITE is restricted to MBSFN muting semantics:
+    LteData/Unlabeled -> LteMbsfnMuted. The input grid is never mutated.
     """
-    cfg = grid.config
-    ordered = sorted(set(cells))
-    for slot, symbol, sc in ordered:
-        if not (0 <= slot < cfg.n_slots and 0 <= symbol < SYMBOLS_PER_SLOT and 0 <= sc < cfg.n_subcarriers):
-            raise ConfigError(f"cell index out of range: {(slot, symbol, sc)}")
-
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != grid.labels.shape:
+        raise ConfigError(f"mask shape {mask.shape} != grid shape {grid.labels.shape}")
+    arr = grid.writable_labels()
     if override_policy is OverridePolicy.OVERWRITE:
         if label is not ReLabel.LTE_MBSFN_MUTED:
             raise ConflictError(
                 "Overwrite is only permitted for MBSFN muting (target LteMbsfnMuted), "
                 f"got {label.name}"
             )
-        allowed = {ReLabel.LTE_DATA, ReLabel.UNLABELED}
-        for cell in ordered:
-            existing = ReLabel(grid.labels[cell])
-            if existing not in allowed:
-                raise ConflictError(
-                    f"cannot mute cell {cell}: existing label {existing.name}"
-                )
+        blocked = mask & (arr != ReLabel.LTE_DATA) & (arr != ReLabel.UNLABELED)
+        if blocked.any():
+            cell = tuple(int(i) for i in np.argwhere(blocked)[0])
+            raise ConflictError(
+                f"cannot mute cell {cell}: existing label {ReLabel(int(arr[cell])).name}"
+            )
+        arr[mask] = label
     else:
-        for cell in ordered:
-            existing = ReLabel(grid.labels[cell])
-            if existing is not ReLabel.UNLABELED:
-                raise ConflictError(
-                    f"conflict at cell {cell}: existing {existing.name}, new {label.name}"
-                )
-
-    arr = grid.writable_labels()
-    for cell in ordered:
-        arr[cell] = label
-    return ResourceGrid(cfg, arr)
+        place(arr, (), np.where(mask, np.uint8(label), np.uint8(ReLabel.UNLABELED)))
+    return ResourceGrid(grid.config, arr)
 
 
 def count_labels(
@@ -274,10 +299,6 @@ def count_labels(
     window = grid.labels[s0:s1, :, p0 * SC_PER_PRB : p1 * SC_PER_PRB]
     values, counts = np.unique(window, return_counts=True)
     return {ReLabel(int(v)): int(c) for v, c in zip(values, counts)}
-
-
-def count_label(grid: ResourceGrid, label: ReLabel) -> int:
-    return int(np.count_nonzero(grid.labels == label))
 
 
 def crs_count(counts: Dict[ReLabel, int]) -> int:

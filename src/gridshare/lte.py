@@ -1,16 +1,17 @@
 """LTE incumbent footprints: CRS combs, PDCCH region, sync/PBCH, MBSFN.
 
-CRS mapping (normal CP, per 14-symbol subframe, v_shift = cell_id mod 6):
-ports 0/1 sit on subframe symbols {0, 4, 7, 11}, ports 2/3 on {1, 8}; each
-port contributes a period-6 comb with two cells per PRB per symbol. Port 0
-uses subcarrier offset v at symbols 0/7 and v+3 at symbols 4/11; port 1
-swaps the two offsets; port 2 uses v, port 3 uses v+3 (offsets mod 6).
+`crs_mask` is the single source of the CRS rule (TS 36.211 §6.10.1.2,
+normal CP). Every other CRS fact is derived from it: the cell sets of
+`crs_cells`, the per-symbol counts behind the closed forms in `budget`, the
+DMRS check of `nr.nr_dss_slot`, the masks of `mrss.neighbor_interference`,
+and the subframe templates that `apply_lte` places on the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import FrozenSet, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -18,17 +19,14 @@ from .errors import ConfigError
 from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
-    CarrierConfig,
     ReLabel,
     ResourceGrid,
+    place,
 )
 
-CRS_SYMBOLS_P01 = (0, 4, 7, 11)
-CRS_SYMBOLS_P23 = (1, 8)
-
 SYNC_SUBCARRIERS = 72  # center 6 PRBs
-PSS_SSS_SYMBOLS = (5, 6)  # last two symbols of slot 0
-PBCH_SYMBOLS = (7, 8, 9, 10)  # first four symbols of slot 1
+PSS_SSS_SYMBOLS = slice(5, 7)  # last two symbols of slot 0
+PBCH_SYMBOLS = slice(7, 11)  # first four symbols of slot 1
 
 
 @dataclass(frozen=True)
@@ -57,50 +55,85 @@ class LteCellConfig:
         return self.cell_id % 6
 
 
-def _port_symbol_offsets(cfg: LteCellConfig, port: int) -> Dict[int, int]:
-    """Map subframe symbol -> in-PRB comb offset (0..5) for one CRS port."""
-    k0 = cfg.v_shift % 6
-    k1 = (cfg.v_shift + 3) % 6
-    if port == 0:
-        return {0: k0, 4: k1, 7: k0, 11: k1}
-    if port == 1:
-        return {0: k1, 4: k0, 7: k1, 11: k0}
-    if port == 2:
-        return {1: k0, 8: k0}
-    if port == 3:
-        return {1: k1, 8: k1}
-    raise ConfigError(f"CRS port must be 0..3, got {port}")
+# v (mod 6) per port, indexed by l != 0 for ports 0/1 and by n_s mod 2 for ports 2/3.
+_CRS_V = {0: (0, 3), 1: (3, 0), 2: (0, 3), 3: (3, 0)}
 
 
-def crs_symbols(cfg: LteCellConfig) -> FrozenSet[int]:
-    """Subframe symbols that carry CRS for this port configuration."""
-    symbols = set(CRS_SYMBOLS_P01)
-    if cfg.crs_ports == 4:
-        symbols.update(CRS_SYMBOLS_P23)
-    return frozenset(symbols)
+@lru_cache(maxsize=None)
+def crs_mask(crs_ports: int, v_shift: int = 0) -> np.ndarray:
+    """CRS of one PRB over one subframe: a read-only 14x12 array of port + 1 (0: no CRS).
+
+    Ports 0/1 sit on symbols l = 0 and 4 of each slot n_s, ports 2/3 on
+    l = 1, at subcarriers k = 6m + (v + v_shift) mod 6 with v = 0 (port 0,
+    l = 0), 3 (port 0, l = 4; port 1, l = 0), 0 (port 1, l = 4),
+    3 (n_s mod 2) (port 2) and 3 + 3 (n_s mod 2) (port 3). crs_ports 0
+    (no incumbent) gives an empty mask.
+    """
+    if crs_ports not in (0, 1, 2, 4):
+        raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {crs_ports}")
+    mask = np.zeros((SYMBOLS_PER_SLOT, SC_PER_PRB), dtype=np.uint8)
+    half = SYMBOLS_PER_SLOT // 2
+    for port in range(crs_ports):
+        for n_s in (0, 1):
+            for l in (0, 4) if port < 2 else (1,):
+                v = _CRS_V[port][l != 0 if port < 2 else n_s]
+                mask[n_s * half + l, (v + v_shift) % 6 :: 6] = port + 1
+    mask.setflags(write=False)
+    return mask
 
 
-def crs_cells(
-    cfg: LteCellConfig, n_prb: int, subframe_index: int = 0
-) -> Set[Tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def crs_re_per_symbol(crs_ports: int) -> Tuple[int, ...]:
+    """CRS cells per PRB on each subframe symbol (independent of v_shift)."""
+    return tuple(int(n) for n in np.count_nonzero(crs_mask(crs_ports), axis=1))
+
+
+def crs_bearing_symbols(crs_ports: int) -> FrozenSet[int]:
+    """Subframe symbols that carry CRS for a port count (0: none)."""
+    return frozenset(s for s, n in enumerate(crs_re_per_symbol(crs_ports)) if n)
+
+
+def crs_cells(cfg: LteCellConfig, n_prb: int) -> Set[Tuple[int, int, int]]:
     """CRS cell set as (symbol, subcarrier, port) tuples for one subframe.
 
     The pattern repeats every subframe; 8/16/24 cells per PRB for 1/2/4 ports.
     """
-    del subframe_index  # pattern is subframe-invariant
-    cells: Set[Tuple[int, int, int]] = set()
-    for port in range(cfg.crs_ports):
-        for symbol, offset in _port_symbol_offsets(cfg, port).items():
-            for prb in range(n_prb):
-                base = prb * SC_PER_PRB
-                cells.add((symbol, base + offset, port))
-                cells.add((symbol, base + offset + 6, port))
-    return cells
+    tiled = np.tile(crs_mask(cfg.crs_ports, cfg.v_shift), (1, n_prb))
+    return {(int(s), int(k), int(tiled[s, k]) - 1) for s, k in zip(*np.nonzero(tiled))}
 
 
-def crs_positions_per_prb(cfg: LteCellConfig) -> Set[Tuple[int, int]]:
-    """(symbol, subcarrier 0..11) CRS positions inside a single PRB."""
-    return {(sym, sc) for (sym, sc, _port) in crs_cells(cfg, 1)}
+def _fill(region: np.ndarray, label: ReLabel) -> None:
+    region[region == ReLabel.UNLABELED] = label
+
+
+def _subframe_templates(
+    cfg: LteCellConfig, n_prb: int, sync: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """14 x n_sc label templates: (normal, MBSFN, subframe 0, subframe 5) mod 10.
+
+    CRS takes precedence inside the control region so control-region CRS
+    stays countable; PBCH is rate-matched around CRS.
+    """
+    crs = np.tile(crs_mask(cfg.crs_ports, cfg.v_shift), (1, n_prb))
+    crs = np.where(crs > 0, crs + (ReLabel.LTE_CRS_P0 - 1), ReLabel.UNLABELED).astype(np.uint8)
+
+    normal = crs.copy()
+    _fill(normal[: cfg.pdcch_symbols], ReLabel.LTE_PDCCH)
+
+    region = cfg.non_mbsfn_region_len
+    mbsfn = crs.copy()
+    mbsfn[region:] = ReLabel.LTE_MBSFN_MUTED
+    _fill(mbsfn[:region], ReLabel.LTE_PDCCH)
+
+    if not sync:
+        return normal, mbsfn, normal, normal
+    lo = (n_prb * SC_PER_PRB - SYNC_SUBCARRIERS) // 2
+    center = slice(lo, lo + SYNC_SUBCARRIERS)
+    sf5 = normal.copy()
+    _fill(sf5[PSS_SSS_SYMBOLS, center], ReLabel.LTE_PSS_SSS_PBCH)
+    sf0 = sf5.copy()
+    _fill(sf0[PBCH_SYMBOLS, center], ReLabel.LTE_PSS_SSS_PBCH)
+    return normal, mbsfn, sf0, sf5
 
 
 def apply_lte(
@@ -111,12 +144,13 @@ def apply_lte(
 ) -> ResourceGrid:
     """Overlay one LTE cell's downlink structure onto a 15 kHz grid.
 
-    CRS takes label precedence inside the PDCCH region so control-region vs
-    data-region CRS stays countable. In MBSFN subframes the control region is
-    non_mbsfn_region_len symbols and everything after it is muted, with no
-    CRS beyond the non-MBSFN region. PSS/SSS sit in subframes 0 and 5 mod 10
-    and PBCH in subframe 0 mod 10, on the center 72 subcarriers (requires
-    n_prb >= 6; skipped when include_sync is False).
+    In MBSFN subframes the control region is non_mbsfn_region_len symbols
+    and everything after it is muted, with no CRS beyond the non-MBSFN
+    region. PSS/SSS sit in subframes 0 and 5 mod 10 and PBCH in subframe 0
+    mod 10, on the center 72 subcarriers (requires n_prb >= 6; skipped when
+    include_sync is False). Each subframe's template is placed strictly, so
+    an already-labeled downlink cell raises ConflictError; TDD uplink and
+    guard cells are left as they are.
     """
     carrier = grid.config
     if carrier.numerology.scs_khz != 15:
@@ -127,30 +161,16 @@ def apply_lte(
         if not 0 <= sf < carrier.n_slots:
             raise ConfigError(f"subframe index {sf} out of range")
 
+    normal, mbsfn, sf0, sf5 = _subframe_templates(
+        cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
+    )
     arr = grid.writable_labels()
-    n_sc = carrier.n_subcarriers
-    cells = crs_cells(cfg, carrier.n_prb)
-    for sf in subframes:
-        mbsfn = sf in cfg.mbsfn_subframes
-        ctrl_len = cfg.non_mbsfn_region_len if mbsfn else cfg.pdcch_symbols
-        crs_limit = cfg.non_mbsfn_region_len if mbsfn else SYMBOLS_PER_SLOT
-        for symbol, sc, port in cells:
-            if symbol < crs_limit:
-                arr[sf, symbol, sc] = ReLabel.lte_crs(port)
-        control = arr[sf, 0:ctrl_len, :]
-        control[control == ReLabel.UNLABELED] = ReLabel.LTE_PDCCH
-        if mbsfn:
-            muted = arr[sf, cfg.non_mbsfn_region_len :, :]
-            muted[muted == ReLabel.UNLABELED] = ReLabel.LTE_MBSFN_MUTED
-        elif include_sync and carrier.n_prb >= 6:
-            lo = (n_sc - SYNC_SUBCARRIERS) // 2
-            hi = lo + SYNC_SUBCARRIERS
-            if sf % 5 == 0:  # PSS/SSS in subframes 0 and 5 of each frame
-                for symbol in PSS_SSS_SYMBOLS:
-                    row = arr[sf, symbol, lo:hi]
-                    row[row == ReLabel.UNLABELED] = ReLabel.LTE_PSS_SSS_PBCH
-            if sf % 10 == 0:  # PBCH in subframe 0, rate-matched around CRS
-                for symbol in PBCH_SYMBOLS:
-                    row = arr[sf, symbol, lo:hi]
-                    row[row == ReLabel.UNLABELED] = ReLabel.LTE_PSS_SSS_PBCH
+    for sf in sorted(set(subframes)):
+        if sf in cfg.mbsfn_subframes:
+            template = mbsfn
+        elif sf % 10 == 0:
+            template = sf0
+        else:
+            template = sf5 if sf % 5 == 0 else normal
+        place(arr, (sf,), template)
     return ResourceGrid(carrier, arr)

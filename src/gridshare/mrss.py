@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .budget import DssLayout, default_dmrs_symbols, dss_pool_per_prb, ports_on_symbol
+from .budget import DssLayout, default_dmrs_symbols, dss_pool_per_prb, lte_pool_per_prb
 from .errors import ConfigError, ConflictError, PlacementError
 from .grid import (
     SC_PER_PRB,
@@ -21,8 +22,9 @@ from .grid import (
     CarrierConfig,
     ReLabel,
     ResourceGrid,
+    place,
 )
-from .lte import LteCellConfig, crs_positions_per_prb
+from .lte import LteCellConfig, crs_mask, crs_re_per_symbol
 
 # Category codes of the MRSS partition lattice.
 CAT_NON_DL = 0
@@ -66,12 +68,13 @@ class ControlMode:
             raise ConfigError(f"{self.kind.value} takes no shared_fraction")
 
     @property
-    def footprint_factor(self) -> float:
+    def footprint_factor(self) -> Fraction:
+        """Exact control footprint multiplier; shared_fraction is read as its decimal text."""
         if self.kind is ControlModeKind.FULLY_OVERLAPPING:
-            return 1.0
+            return Fraction(1)
         if self.kind is ControlModeKind.SEPARATE:
-            return 2.0
-        return 2.0 - self.shared_fraction
+            return Fraction(2)
+        return 2 - Fraction(str(self.shared_fraction))
 
 
 class SchedPolicy(Enum):
@@ -253,7 +256,7 @@ def classify_mrss(
     categories[control] = CAT_CONTROL
 
     footprint = int(np.count_nonzero(control))
-    extra = int(footprint * (control_mode.footprint_factor - 1.0))
+    extra = int(footprint * (control_mode.footprint_factor - 1))
     if extra > 0:
         flat = categories.reshape(-1)
         shared_idx = np.flatnonzero(flat == CAT_SHARED)
@@ -291,8 +294,9 @@ def reserve_iot(
 
     categories = cmap.categories.copy()
     labels = cmap.labels.copy()
+    prbs = slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
     for s in slot_list:
-        window = categories[s, :, p0 * SC_PER_PRB : p1 * SC_PER_PRB]
+        window = categories[s, :, prbs]
         dl = window != CAT_NON_DL
         if np.any(window[dl] != CAT_SHARED):
             bad = np.argwhere(dl & (window != CAT_SHARED))[0]
@@ -301,8 +305,8 @@ def reserve_iot(
                 "is not in the shared pool"
             )
         window[dl] = CAT_RESERVED
-        lw = labels[s, :, p0 * SC_PER_PRB : p1 * SC_PER_PRB]
-        lw[dl] = ReLabel.RESERVED_IOT
+        # Incumbent-labeled shared cells (LTE CRS, PDCCH) keep their label.
+        place(labels, (s, slice(None), prbs), ReLabel.RESERVED_IOT, rate_match=True)
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
@@ -325,15 +329,15 @@ def place_6g_ssb(
         if not (0 <= slot < cfg.n_slots and 0 <= symbol and symbol + symbols <= SYMBOLS_PER_SLOT and 0 <= prb and prb + prbs <= cfg.n_prb):
             raise ConfigError(f"6G SSB occasion {(slot, symbol, prb)} out of range")
         sl = slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB)
-        cat = categories[slot, symbol : symbol + symbols, sl]
-        lab = labels[slot, symbol : symbol + symbols, sl]
-        if np.any(cat != CAT_SHARED) or np.any(lab != ReLabel.UNLABELED):
+        where = (slot, slice(symbol, symbol + symbols), sl)
+        cat = categories[where]
+        if np.any(cat != CAT_SHARED) or np.any(labels[where] != ReLabel.UNLABELED):
             raise PlacementError(
                 f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
                 "collides with a 5G footprint or leaves the shared pool"
             )
         cat[:] = CAT_RESERVED
-        lab[:] = ReLabel.SIXG_SSB
+        place(labels, where, ReLabel.SIXG_SSB)
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
@@ -447,12 +451,10 @@ def dss_mechanism_budget(
     """Per-PRB usable REs for NR and LTE under one DSS sharing mechanism."""
     if mechanism.kind == "CrsRateMatch":
         dmrs = default_dmrs_symbols(lte_cfg.crs_ports, layout.control_end, layout.dmrs_count)
-        nr = dss_pool_per_prb(lte_cfg.crs_ports, layout.lte_pdcch, layout.nr_pdcch, dmrs)
-        lte = (SYMBOLS_PER_SLOT - layout.lte_pdcch) * SC_PER_PRB - sum(
-            2 * ports_on_symbol(lte_cfg.crs_ports, s)
-            for s in range(layout.lte_pdcch, SYMBOLS_PER_SLOT)
+        return MechanismBudget(
+            nr_usable_re=dss_pool_per_prb(lte_cfg.crs_ports, layout.lte_pdcch, layout.nr_pdcch, dmrs),
+            lte_usable_re=lte_pool_per_prb(lte_cfg.crs_ports, layout.lte_pdcch),
         )
-        return MechanismBudget(nr_usable_re=nr, lte_usable_re=lte)
 
     if mechanism.kind == "MbsfnShare":
         # LTE mutes its data region; NR places control + DMRS inside the
@@ -469,22 +471,19 @@ def dss_mechanism_budget(
     # MiniSlot: NR occupies mini-slots after the LTE control region, paying
     # one DMRS burden per mini-slot; CRS cells are still rate-matched.
     start = lte_cfg.pdcch_symbols
-    run = SYMBOLS_PER_SLOT - start
-    n_mini = run // mechanism.minislot_len
-    remainder = run - n_mini * mechanism.minislot_len
-    usable = 0
-    for m in range(n_mini):
-        first = start + m * mechanism.minislot_len
-        for offset in range(mechanism.minislot_len):
-            sym = first + offset
-            if offset < mechanism.dmrs_per_minislot:
-                continue  # DMRS symbol, no data
-            usable += SC_PER_PRB - 2 * ports_on_symbol(lte_cfg.crs_ports, sym)
-    lte = (SYMBOLS_PER_SLOT - lte_cfg.pdcch_symbols) * SC_PER_PRB - sum(
-        2 * ports_on_symbol(lte_cfg.crs_ports, s)
-        for s in range(lte_cfg.pdcch_symbols, SYMBOLS_PER_SLOT)
+    n_mini, remainder = divmod(SYMBOLS_PER_SLOT - start, mechanism.minislot_len)
+    crs = crs_re_per_symbol(lte_cfg.crs_ports)
+    # The first dmrs_per_minislot symbols of each mini-slot carry DMRS, no data.
+    usable = sum(
+        SC_PER_PRB - crs[start + m * mechanism.minislot_len + offset]
+        for m in range(n_mini)
+        for offset in range(mechanism.dmrs_per_minislot, mechanism.minislot_len)
     )
-    return MechanismBudget(nr_usable_re=usable, lte_usable_re=lte, unused_symbols=remainder)
+    return MechanismBudget(
+        nr_usable_re=usable,
+        lte_usable_re=lte_pool_per_prb(lte_cfg.crs_ports, lte_cfg.pdcch_symbols),
+        unused_symbols=remainder,
+    )
 
 
 def neighbor_interference(
@@ -499,34 +498,25 @@ def neighbor_interference(
     trade dirty cells against sacrificed pool cells; clean + sacrificed +
     dirty always equals the original pool size.
     """
-    dmrs = set(default_dmrs_symbols(serving.crs_ports, layout.control_end, layout.dmrs_count))
-    serving_crs = crs_positions_per_prb(serving)
-    pool = {
-        (sym, sc)
-        for sym in range(layout.control_end, SYMBOLS_PER_SLOT)
-        if sym not in dmrs
-        for sc in range(SC_PER_PRB)
-    } - serving_crs
-    neighbor_crs: Set[Tuple[int, int]] = set()
+    dmrs = default_dmrs_symbols(serving.crs_ports, layout.control_end, layout.dmrs_count)
+    data_symbols = [[s >= layout.control_end and s not in dmrs] for s in range(SYMBOLS_PER_SLOT)]
+    pool = np.array(data_symbols) & (crs_mask(serving.crs_ports, serving.v_shift) == 0)
+    neighbor_crs = np.zeros((SYMBOLS_PER_SLOT, SC_PER_PRB), dtype=bool)
     for n in neighbors:
-        neighbor_crs |= crs_positions_per_prb(n)
-    dirty_cells = pool & neighbor_crs
+        neighbor_crs |= crs_mask(n.crs_ports, n.v_shift) != 0
 
-    pool_n = len(pool)
+    pool_n = int(np.count_nonzero(pool))
+    dirty = int(np.count_nonzero(pool & neighbor_crs))
     if mitigation.kind == "ServingOnlyRateMatch":
-        dirty = len(dirty_cells)
         return InterferenceReport(pool_n, pool_n - dirty, 0, dirty)
     if mitigation.kind == "NeighborAwareRateMatch":
-        sacrificed = len(dirty_cells)
-        return InterferenceReport(pool_n, pool_n - sacrificed, sacrificed, 0)
+        return InterferenceReport(pool_n, pool_n - dirty, dirty, 0)
     if mitigation.kind == "SymbolLevelMute":
         # Broad avoidance: any symbol carrying any neighbor CRS is muted,
         # whether or not its cells collide with the serving pattern.
-        mute_symbols = {sym for (sym, _sc) in neighbor_crs}
-        sacrificed = sum(1 for (sym, _sc) in pool if sym in mute_symbols)
+        sacrificed = int(np.count_nonzero(pool & neighbor_crs.any(axis=1, keepdims=True)))
         return InterferenceReport(pool_n, pool_n - sacrificed, sacrificed, 0)
     # ReceiverCancellation: a deterministic count-level fraction of dirty
     # cells becomes clean (floor), nothing is sacrificed.
-    dirty = len(dirty_cells)
     reclaimed = int(mitigation.effectiveness * dirty)
     return InterferenceReport(pool_n, pool_n - dirty + reclaimed, 0, dirty - reclaimed)

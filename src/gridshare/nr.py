@@ -8,7 +8,7 @@ layout where NR rate-matches around an incumbent LTE cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,8 +19,9 @@ from .grid import (
     CarrierConfig,
     ReLabel,
     ResourceGrid,
+    place,
 )
-from .lte import LteCellConfig, crs_symbols
+from .lte import LteCellConfig, crs_bearing_symbols
 
 SIGNAL_SSB = "SSB"
 SIGNAL_CORESET0 = "CORESET 0"
@@ -131,14 +132,10 @@ class NrOverlaySet:
     coreset1: Optional[Coreset1Spec] = None
     csi_rs: Optional[CsiRsSpec] = None
     trs: Optional[TrsSpec] = None
-    dmrs_symbols: FrozenSet[int] = frozenset({3, 12})
 
     def __post_init__(self):
-        object.__setattr__(self, "dmrs_symbols", frozenset(self.dmrs_symbols))
         if self.period_ms < 1:
             raise ConfigError("period_ms must be >= 1")
-        if any(s < 0 or s >= SYMBOLS_PER_SLOT for s in self.dmrs_symbols):
-            raise ConfigError("dmrs_symbols must lie in 0..13")
 
     def check_fits(self, carrier: CarrierConfig) -> None:
         for name, prbs in (
@@ -165,7 +162,7 @@ class NrOverlaySet:
         }
 
 
-_NR_LABELS = {
+NR_LABELS = {
     SIGNAL_SSB: ReLabel.NR_SSB,
     SIGNAL_CORESET0: ReLabel.NR_PDCCH_CORESET0,
     SIGNAL_SIB1: ReLabel.NR_SIB1,
@@ -175,12 +172,7 @@ _NR_LABELS = {
 }
 
 _SIXG_LABELS = {
-    SIGNAL_SSB: ReLabel.SIXG_SSB,
-    SIGNAL_CORESET0: ReLabel.SIXG_CONTROL,
-    SIGNAL_SIB1: ReLabel.SIXG_CONTROL,
-    SIGNAL_CORESET1: ReLabel.SIXG_CONTROL,
-    SIGNAL_CSI_RS: ReLabel.SIXG_CONTROL,
-    SIGNAL_TRS: ReLabel.SIXG_CONTROL,
+    name: ReLabel.SIXG_SSB if name == SIGNAL_SSB else ReLabel.SIXG_CONTROL for name in SIGNAL_ORDER
 }
 
 
@@ -202,7 +194,7 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> Reso
     overlay.check_fits(carrier)
     if rat not in ("5g", "6g"):
         raise ConfigError(f"rat must be '5g' or '6g', got {rat!r}")
-    labels = _NR_LABELS if rat == "5g" else _SIXG_LABELS
+    labels = NR_LABELS if rat == "5g" else _SIXG_LABELS
 
     arr = grid.writable_labels()
     dl_slots = list(carrier.dl_bearing_slots())
@@ -220,10 +212,11 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> Reso
                 raise PlacementError(
                     f"{SIGNAL_CORESET1}: {overlay.coreset1.symbols} symbols do not fit slot {slot}"
                 )
-            block = arr[slot, : overlay.coreset1.symbols, : overlay.coreset1.prbs * SC_PER_PRB]
-            if np.any(block != ReLabel.UNLABELED):
-                raise PlacementError(f"{SIGNAL_CORESET1}: collision in slot {slot}")
-            block[:] = labels[SIGNAL_CORESET1]
+            place(
+                arr,
+                (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
+                labels[SIGNAL_CORESET1],
+            )
     monitored_set = set(monitored)
     ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
 
@@ -256,22 +249,27 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> Reso
         if kind == "block":
             if base + amount > dl_syms:
                 raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
-            block = arr[slot, base : base + amount, : prbs * SC_PER_PRB]
-            if np.any(block != ReLabel.UNLABELED):
-                raise PlacementError(f"{name}: collision in slot {slot}")
-            block[:] = labels[name]
+            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), labels[name])
         else:
             if amount > (dl_syms - base) * SC_PER_PRB:
                 raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
-            for prb in range(prbs):
-                lo = prb * SC_PER_PRB
-                sub = arr[slot, base:dl_syms, lo : lo + SC_PER_PRB]
-                free = np.flatnonzero(sub == ReLabel.UNLABELED)
-                if free.size < amount:
-                    raise PlacementError(f"{name}: collision in slot {slot}, PRB {prb}")
-                rows, cols = np.unravel_index(free[:amount], sub.shape)
-                sub[rows, cols] = labels[name]
+            where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
+            pick = _first_free_per_prb(arr[where], amount, f"{name}: collision in slot {slot}")
+            place(arr, where, np.where(pick, labels[name], ReLabel.UNLABELED))
     return ResourceGrid(carrier, arr)
+
+
+def _first_free_per_prb(view: np.ndarray, amount: int, what: str) -> np.ndarray:
+    """Mask of the first `amount` free cells of each PRB, in symbol-major order."""
+    n_sym, n_sc = view.shape
+    by_prb = (view == ReLabel.UNLABELED).reshape(n_sym, -1, SC_PER_PRB).transpose(1, 0, 2)
+    free = by_prb.reshape(by_prb.shape[0], -1)
+    rank = np.cumsum(free, axis=1)
+    short = np.flatnonzero(rank[:, -1] < amount)
+    if short.size:
+        raise PlacementError(f"{what}, PRB {int(short[0])}")
+    pick = (free & (rank <= amount)).reshape(by_prb.shape)
+    return pick.transpose(1, 0, 2).reshape(n_sym, n_sc)
 
 
 def nr_dss_slot(
@@ -297,7 +295,7 @@ def nr_dss_slot(
         )
     if nr_pdcch_symbol >= SYMBOLS_PER_SLOT:
         raise ConfigError(f"NR PDCCH symbol {nr_pdcch_symbol} out of range")
-    blocked = crs_symbols(lte_cfg)
+    blocked = crs_bearing_symbols(lte_cfg.crs_ports)
     for s in dmrs:
         if not 0 <= s < SYMBOLS_PER_SLOT:
             raise ConfigError(f"DMRS symbol {s} out of range")
@@ -309,10 +307,15 @@ def nr_dss_slot(
     if slots is None:
         slots = range(carrier.n_slots)
     arr = grid.writable_labels()
+    rows = dss_control_rows((nr_pdcch_symbol,), dmrs)
     for slot in slots:
-        row = arr[slot, nr_pdcch_symbol, :]
-        row[row == ReLabel.UNLABELED] = ReLabel.NR_PDCCH_CORESET1
-        for s in dmrs:
-            row = arr[slot, s, :]
-            row[row == ReLabel.UNLABELED] = ReLabel.NR_DMRS
+        place(arr, (slot,), rows, rate_match=True)
     return ResourceGrid(carrier, arr)
+
+
+def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> np.ndarray:
+    """14x1 footprint of NR control and DMRS symbols, rate-matched around CRS on placement."""
+    rows = np.zeros((SYMBOLS_PER_SLOT, 1), dtype=np.uint8)
+    rows[list(pdcch_symbols)] = ReLabel.NR_PDCCH_CORESET1
+    rows[list(dmrs_symbols)] = ReLabel.NR_DMRS
+    return rows

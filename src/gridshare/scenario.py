@@ -177,7 +177,7 @@ def _parse_beam(obj: dict, path: str) -> BeamSignal:
 
 def _parse_nr(obj: dict, path: str = "nr") -> NrOverlaySet:
     _check_keys(obj, path, ["period_ms", "ssb", "coreset0", "sib1", "coreset1",
-                            "csi_rs", "trs", "dmrs_symbols"], ["period_ms"])
+                            "csi_rs", "trs"], ["period_ms"])
     kwargs = {"period_ms": _req_int(obj, "period_ms", path, minimum=1)}
     for key in ("ssb", "coreset0", "sib1"):
         if obj.get(key) is not None:
@@ -209,11 +209,6 @@ def _parse_nr(obj: dict, path: str = "nr") -> NrOverlaySet:
         _check_keys(c, cpath, keys, keys)
         with _wrap_config(cpath):
             kwargs["trs"] = TrsSpec(*(_req_int(c, k, cpath, minimum=0) for k in keys))
-    if obj.get("dmrs_symbols") is not None:
-        d = obj["dmrs_symbols"]
-        if not isinstance(d, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in d):
-            raise ScenarioError("must be a list of integers", f"{path}.dmrs_symbols")
-        kwargs["dmrs_symbols"] = frozenset(d)
     with _wrap_config(path):
         return NrOverlaySet(**kwargs)
 
@@ -444,7 +439,6 @@ def emit_scenario(scenario: Scenario) -> dict:
                 "beams": nr.trs.beams,
                 "occasions_per_period": nr.trs.occasions_per_period,
             }
-        nr_doc["dmrs_symbols"] = sorted(nr.dmrs_symbols)
         doc["nr"] = nr_doc
     doc["budget"] = {
         "lte_pdcch": scenario.budget.layout.lte_pdcch,

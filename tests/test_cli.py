@@ -182,6 +182,18 @@ class TestErrors:
         assert code == 2
         assert "CORESET 1" in err
 
+    def test_lte_on_30khz_carrier_rejected(self, capsys, tmp_path):
+        doc = {
+            "carrier": {"scs_khz": 30, "n_prb": 10, "duplex": "FDD", "span_ms": 1},
+            "lte": {"crs_ports": 4},
+        }
+        path = tmp_path / "lte30.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", "-s", str(path))
+        assert code == 1
+        assert out == ""
+        assert "lte: " in err
+
     def test_byte_identical_reports(self, capsys):
         for name in ("table1.json", "table3.json"):
             path = str(SCENARIOS / name)

@@ -15,10 +15,18 @@ from gridshare import (
     count_labels,
     make_grid,
 )
+from gridshare.grid import place
 
 
 def fdd(n_prb=1, span_ms=1, scs=15):
     return CarrierConfig(Numerology(scs), n_prb=n_prb, duplex="FDD", span_ms=span_ms)
+
+
+def mask_of(grid, cells):
+    mask = np.zeros(grid.labels.shape, dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
 
 
 def wideband_tdd_carrier():
@@ -97,45 +105,45 @@ class TestApplyOverlay:
     def test_label_symbol(self):
         grid = make_grid(fdd())
         cells = [(0, 2, sc) for sc in range(12)]
-        out = apply_overlay(grid, cells, ReLabel.NR_PDCCH_CORESET1)
+        out = apply_overlay(grid, mask_of(grid, cells), ReLabel.NR_PDCCH_CORESET1)
         assert count_labels(out)[ReLabel.NR_PDCCH_CORESET1] == 12
 
     def test_conflict_is_atomic(self):
         grid = make_grid(fdd())
         cells = [(0, 2, sc) for sc in range(12)]
-        out = apply_overlay(grid, cells, ReLabel.NR_PDCCH_CORESET1)
+        out = apply_overlay(grid, mask_of(grid, cells), ReLabel.NR_PDCCH_CORESET1)
         before = out.labels.copy()
         with pytest.raises(ConflictError):
-            apply_overlay(out, cells, ReLabel.NR_DATA)
+            apply_overlay(out, mask_of(out, cells), ReLabel.NR_DATA)
         assert np.array_equal(out.labels, before)
 
     def test_conflict_reports_first_cell_and_labels(self):
         grid = make_grid(fdd())
-        out = apply_overlay(grid, [(0, 2, 5)], ReLabel.NR_SSB)
+        out = apply_overlay(grid, mask_of(grid, [(0, 2, 5)]), ReLabel.NR_SSB)
         with pytest.raises(ConflictError, match=r"\(0, 2, 5\).*NR_SSB.*NR_DATA"):
-            apply_overlay(out, [(0, 2, 7), (0, 2, 5)], ReLabel.NR_DATA)
+            apply_overlay(out, mask_of(out, [(0, 2, 7), (0, 2, 5)]), ReLabel.NR_DATA)
 
     def test_out_of_range_index(self):
         grid = make_grid(fdd())
         with pytest.raises(ConfigError):
-            apply_overlay(grid, [(0, 14, 0)], ReLabel.NR_DATA)
+            apply_overlay(grid, np.ones((1, 15, 12), dtype=bool), ReLabel.NR_DATA)
 
     def test_overwrite_only_for_mbsfn_muting(self):
         grid = make_grid(fdd())
         with pytest.raises(ConflictError):
-            apply_overlay(grid, [(0, 2, 0)], ReLabel.NR_DATA, OverridePolicy.OVERWRITE)
+            apply_overlay(grid, mask_of(grid, [(0, 2, 0)]), ReLabel.NR_DATA, OverridePolicy.OVERWRITE)
 
     def test_mbsfn_mute_over_data_region(self):
         grid = make_grid(fdd())
         cells = [(0, sym, sc) for sym in range(2, 14) for sc in range(12)]
-        out = apply_overlay(grid, cells, ReLabel.LTE_MBSFN_MUTED, OverridePolicy.OVERWRITE)
+        out = apply_overlay(grid, mask_of(grid, cells), ReLabel.LTE_MBSFN_MUTED, OverridePolicy.OVERWRITE)
         assert count_labels(out)[ReLabel.LTE_MBSFN_MUTED] == 144
 
     def test_overwrite_rejects_non_data_labels(self):
         grid = make_grid(fdd())
-        out = apply_overlay(grid, [(0, 3, 0)], ReLabel.NR_SSB)
+        out = apply_overlay(grid, mask_of(grid, [(0, 3, 0)]), ReLabel.NR_SSB)
         with pytest.raises(ConflictError):
-            apply_overlay(out, [(0, 3, 0)], ReLabel.LTE_MBSFN_MUTED, OverridePolicy.OVERWRITE)
+            apply_overlay(out, mask_of(out, [(0, 3, 0)]), ReLabel.LTE_MBSFN_MUTED, OverridePolicy.OVERWRITE)
 
 
 class TestCountLabels:
@@ -173,3 +181,46 @@ class TestCountLabels:
             for k, v in part.items():
                 merged[k] = merged.get(k, 0) + v
         assert merged == whole
+
+
+class TestPlace:
+    def tdd_arr(self):
+        carrier = CarrierConfig(Numerology(30), n_prb=2, duplex="TDD", span_ms=1,
+                                tdd_pattern=TddPattern("DS"))
+        return make_grid(carrier).writable_labels()
+
+    def test_strict_skips_uplink_and_guard(self):
+        arr = self.tdd_arr()
+        before = arr.copy()
+        place(arr, (1,), ReLabel.NR_DATA)
+        assert (arr[1, :6] == ReLabel.NR_DATA).all()
+        assert np.array_equal(arr[1, 6:], before[1, 6:])
+        assert np.array_equal(arr[0], before[0])
+
+    def test_conflict_names_grid_cell_of_a_view(self):
+        arr = self.tdd_arr()
+        arr[1, 4, 15] = ReLabel.NR_SSB
+        before = arr.copy()
+        with pytest.raises(ConflictError, match=r"\(1, 4, 15\).*NR_SSB.*NR_DATA"):
+            place(arr, (1, slice(3, 6), slice(12, 24)), ReLabel.NR_DATA)
+        assert np.array_equal(arr, before)
+
+    def test_rate_match_fills_free_cells_only(self):
+        arr = self.tdd_arr()
+        arr[0, 2, ::6] = ReLabel.LTE_CRS_P0
+        place(arr, (0, 2), ReLabel.NR_PDCCH_CORESET1, rate_match=True)
+        assert (arr[0, 2, ::6] == ReLabel.LTE_CRS_P0).all()
+        assert np.count_nonzero(arr[0, 2] == ReLabel.NR_PDCCH_CORESET1) == 24 - 4
+
+    def test_template_footprint_leaves_unlabeled_cells_out(self):
+        arr = self.tdd_arr()
+        arr[0, 0, 1] = ReLabel.NR_SSB
+        template = np.zeros((14, 1), dtype=np.uint8)
+        template[3] = ReLabel.NR_DMRS
+        place(arr, (0,), template)
+        assert np.count_nonzero(arr[0] == ReLabel.NR_DMRS) == 24
+        assert arr[0, 0, 1] == ReLabel.NR_SSB
+
+    def test_fancy_index_rejected(self):
+        with pytest.raises(ConfigError):
+            place(self.tdd_arr(), ([0, 1],), ReLabel.NR_DATA)

@@ -1,17 +1,23 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridshare import (
     CarrierConfig,
     ConfigError,
+    ConflictError,
     LteCellConfig,
     Numerology,
     ReLabel,
+    TddPattern,
     apply_lte,
     count_labels,
     crs_cells,
     make_grid,
 )
 from gridshare.grid import crs_count
+from gridshare.lte import crs_mask
 
 
 def fdd15(n_prb=1, span_ms=1):
@@ -136,3 +142,100 @@ class TestApplyLte:
     def test_subframe_out_of_range(self):
         with pytest.raises(ConfigError):
             apply_lte(make_grid(fdd15()), LteCellConfig(), subframes=[1])
+
+
+# TS 36.211 §6.10.1.2 (normal CP): CRS symbol l within each slot, and v, per
+# port, as functions of l and the slot parity n_s mod 2.
+SPEC_SYMBOLS = {0: (0, 4), 1: (0, 4), 2: (1,), 3: (1,)}
+SPEC_V = {
+    0: lambda l, ns: 0 if l == 0 else 3,
+    1: lambda l, ns: 3 if l == 0 else 0,
+    2: lambda l, ns: 3 * ns,
+    3: lambda l, ns: 3 + 3 * ns,
+}
+
+
+class TestCrsMaskReference:
+    @pytest.mark.parametrize("ports", [1, 2, 4])
+    @pytest.mark.parametrize("v_shift", range(6))
+    def test_mask_matches_ts_36_211(self, ports, v_shift):
+        expected = np.zeros((14, 12), dtype=np.uint8)
+        for port in range(ports):
+            for ns in (0, 1):
+                for l in SPEC_SYMBOLS[port]:
+                    for m in range(2):
+                        k = 6 * m + (SPEC_V[port](l, ns) + v_shift) % 6
+                        assert expected[7 * ns + l, k] == 0
+                        expected[7 * ns + l, k] = port + 1
+        np.testing.assert_array_equal(crs_mask(ports, v_shift), expected)
+        cells = crs_cells(LteCellConfig(cell_id=v_shift, crs_ports=ports), 1)
+        assert cells == {(s, k, int(expected[s, k]) - 1) for s, k in zip(*np.nonzero(expected))}
+
+
+def dl_symbols(carrier, sf):
+    if carrier.duplex == "FDD":
+        return 14
+    kind = carrier.tdd_pattern.cycle_str[sf % len(carrier.tdd_pattern.cycle)]
+    return {"D": 14, "S": carrier.tdd_pattern.special_split[0], "U": 0}[kind]
+
+
+@st.composite
+def lte_carriers(draw):
+    n_prb = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=draw(st.integers(1, 12)))
+    cycle = draw(st.text("DSU", min_size=1, max_size=5))
+    dl = draw(st.integers(0, 14))
+    guard = draw(st.integers(0, 14 - dl))
+    return CarrierConfig(
+        Numerology(15), n_prb=n_prb, duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 3)),
+        tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
+    )
+
+
+class TestCrsCountProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        carrier=lte_carriers(),
+        ports=st.sampled_from([1, 2, 4]),
+        cell_id=st.integers(0, 503),
+        pdcch=st.integers(1, 3),
+        region=st.integers(1, 2),
+        mbsfn=st.frozensets(st.integers(0, 14)),
+        include_sync=st.booleans(),
+    )
+    def test_per_port_count_closed_form(self, carrier, ports, cell_id, pdcch, region, mbsfn,
+                                        include_sync):
+        cfg = LteCellConfig(cell_id=cell_id, crs_ports=ports, pdcch_symbols=pdcch,
+                            mbsfn_subframes=mbsfn, non_mbsfn_region_len=region)
+        counts = count_labels(apply_lte(make_grid(carrier), cfg, include_sync=include_sync))
+        # Two cells per PRB on each CRS symbol of a port that is downlink and,
+        # in an MBSFN subframe, inside the non-MBSFN region.
+        for port in range(4):
+            symbols = (0, 4, 7, 11) if port < 2 else (1, 8)
+            expected = 0
+            if port < ports:
+                for sf in range(carrier.n_slots):
+                    limit = dl_symbols(carrier, sf)
+                    if sf in mbsfn:
+                        limit = min(limit, region)
+                    expected += 2 * carrier.n_prb * sum(1 for l in symbols if l < limit)
+            assert counts.get(ReLabel.lte_crs(port), 0) == expected
+
+
+class TestPlacementInvariants:
+    def test_second_apply_lte_conflicts(self):
+        grid = apply_lte(make_grid(fdd15(n_prb=6, span_ms=10)), LteCellConfig())
+        before = grid.labels.copy()
+        with pytest.raises(ConflictError, match=r"\(0, 0, 0\).*LTE_CRS_P0"):
+            apply_lte(grid, LteCellConfig())
+        assert np.array_equal(grid.labels, before)
+
+    @pytest.mark.parametrize("ports", [1, 2, 4])
+    def test_tdd_uplink_and_guard_untouched(self, ports):
+        carrier = CarrierConfig(Numerology(15), n_prb=10, duplex="TDD", span_ms=5,
+                                tdd_pattern=TddPattern("DDDSU"))
+        before = count_labels(make_grid(carrier))
+        after = count_labels(apply_lte(make_grid(carrier), LteCellConfig(crs_ports=ports)))
+        for label in (ReLabel.UPLINK_SYMBOL, ReLabel.GUARD_SYMBOL):
+            assert after[label] == before[label]

@@ -94,6 +94,12 @@ class TestClassify:
         assert cmap.control_region_size == 207_360 + 103_680
         assert cmap.shared_pool_size == 1_023_872 - 103_680
 
+    @pytest.mark.parametrize("fraction,extra", [(0.6, 82_944), (0.1, 186_624)])
+    def test_partial_overlap_extra_is_exact(self, fraction, extra):
+        # 207,360 x (1 - fraction), computed from the decimal text, not a float.
+        mode = ControlMode(ControlModeKind.PARTIALLY_OVERLAPPING, shared_fraction=fraction)
+        assert wideband_map(mode).control_region_size == 207_360 + extra
+
     def test_no_overlay_all_shared(self):
         grid = make_grid(wideband_tdd_carrier())
         cmap = classify_mrss(grid)

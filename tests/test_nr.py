@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridshare import (
     BeamSignal,
@@ -20,6 +22,7 @@ from gridshare import (
     make_grid,
     nr_dss_slot,
 )
+from gridshare.nr import _first_free_per_prb
 
 
 def wideband_tdd_carrier():
@@ -161,3 +164,31 @@ class TestNrDssSlot:
             grid = nr_dss_slot(grid, cfg, {3, 12}, 2)
             pools.append(count_labels(grid)[ReLabel.UNLABELED])
         assert pools[0] > pools[1] > pools[2]
+
+
+class TestFirstFreePerPrb:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sym=st.integers(1, 14),
+        prbs=st.integers(1, 5),
+        amount=st.integers(0, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_prb_scan(self, n_sym, prbs, amount, seed):
+        rng = np.random.default_rng(seed)
+        view = np.where(rng.random((n_sym, prbs * 12)) < 0.3, ReLabel.LTE_CRS_P0, 0).astype(np.uint8)
+        expected = np.zeros(view.shape, dtype=bool)
+        short = None
+        for prb in range(prbs):
+            sub = view[:, prb * 12 : (prb + 1) * 12]
+            free = np.flatnonzero(sub == ReLabel.UNLABELED)
+            if free.size < amount:
+                short = prb
+                break
+            rows, cols = np.unravel_index(free[:amount], sub.shape)
+            expected[rows, prb * 12 + cols] = True
+        if short is not None:
+            with pytest.raises(PlacementError, match=f"PRB {short}$"):
+                _first_free_per_prb(view, amount, "TRS")
+        else:
+            np.testing.assert_array_equal(_first_free_per_prb(view, amount, "TRS"), expected)

@@ -93,6 +93,12 @@ class TestParse:
         with pytest.raises(ScenarioError, match="unknown key 'neighbors'"):
             parse_scenario(doc)
 
+    def test_nr_dmrs_symbols_key_rejected(self):
+        doc = dict(MINIMAL, nr={"period_ms": 1, "dmrs_symbols": [3, 12]})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == "nr.dmrs_symbols"
+
     def test_bad_policy(self):
         doc = dict(MINIMAL, policy="RoundRobin")
         with pytest.raises(ScenarioError) as err:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import itertools
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .budget import dss_table, nr_overhead
 from .errors import GridShareError, ScenarioError
@@ -66,6 +68,12 @@ def _csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+# Scenario sections the MRSS map is built from.
+MAP_SECTIONS = ("carrier", "lte", "nr", "mrss")
+
+MapBuilder = Callable[[Scenario], MrssCategoryMap]
 
 
 def build_grid(scenario: Scenario) -> ResourceGrid:
@@ -157,8 +165,8 @@ def run_overhead(scenario: Scenario, fmt: str) -> str:
     )
 
 
-def run_classify(scenario: Scenario, fmt: str) -> str:
-    cmap = build_map(scenario)
+def run_classify(scenario: Scenario, fmt: str, maps: MapBuilder = build_map) -> str:
+    cmap = maps(scenario)
     data = {
         "shared_pool": cmap.shared_pool_size,
         "reserved": cmap.reserved_size,
@@ -173,16 +181,11 @@ def run_classify(scenario: Scenario, fmt: str) -> str:
     return _md_table(("Category", "Cells"), [(k, f"{v:,}") for k, v in data.items()])
 
 
-def run_simulate(scenario: Scenario, fmt: str, seed_override: Optional[int] = None) -> str:
+def run_simulate(scenario: Scenario, fmt: str, maps: MapBuilder = build_map) -> str:
     if scenario.traffic is None or scenario.policy is None:
         raise ScenarioError("simulate command requires 'traffic' and 'policy' sections")
     traffic = scenario.traffic
-    if seed_override is not None:
-        from .mrss import TrafficModel
-
-        traffic = TrafficModel(traffic.demand_5g, traffic.demand_6g, seed_override)
-    cmap = build_map(scenario)
-    result = simulate(cmap, traffic, scenario.policy)
+    result = simulate(maps(scenario), traffic, scenario.policy)
     summary = {
         "policy": scenario.policy.value,
         "seed": traffic.seed,
@@ -257,30 +260,44 @@ def _flatten(obj: object, prefix: str, out: Dict[str, object]) -> None:
         out[prefix] = obj
 
 
-def run_sweep(scenario: Scenario, fmt: str, seed_override: Optional[int]) -> str:
+def _runners(maps: MapBuilder = build_map) -> Dict[str, Callable[[Scenario, str], str]]:
+    """Report command name -> runner(scenario, fmt); `maps` builds MRSS maps."""
+    return {
+        "budget": run_budget,
+        "overhead": run_overhead,
+        "classify": functools.partial(run_classify, maps=maps),
+        "simulate": functools.partial(run_simulate, maps=maps),
+        "interference": run_interference,
+    }
+
+
+def run_sweep(scenario: Scenario, fmt: str) -> str:
     if scenario.sweep is None:
         raise ScenarioError("sweep command requires a 'sweep' section", "sweep")
     base = emit_scenario(scenario)
     base.pop("sweep", None)
     params = scenario.sweep.parameters
-    runner = {
-        "budget": run_budget,
-        "overhead": run_overhead,
-        "classify": run_classify,
-        "interference": run_interference,
-    }
+    # The last map built, keyed by the canonical JSON of the point document's
+    # MAP_SECTIONS: a map is a read-only value, so points with equal sections
+    # share it, and a sweep over those sections holds one map at a time.
+    last_map: Dict[str, MrssCategoryMap] = {}
     records: List[Dict[str, object]] = []
     for index, combo in enumerate(itertools.product(*(p.values for p in params))):
         doc = json.loads(json.dumps(base))
         for p, v in zip(params, combo):
             _set_path(doc, p.path, v)
         point = parse_scenario(doc)
-        if scenario.sweep.command == "simulate":
-            text = run_simulate(point, "json", seed_override)
-        else:
-            text = runner[scenario.sweep.command](point, "json")
+        key = json.dumps([doc.get(section) for section in MAP_SECTIONS], sort_keys=True)
+
+        def maps(point: Scenario, key: str = key) -> MrssCategoryMap:
+            if key not in last_map:
+                last_map.clear()
+                last_map[key] = build_map(point)
+            return last_map[key]
+
+        run = _runners(maps)[scenario.sweep.command]
         flat: Dict[str, object] = {}
-        _flatten(json.loads(text), "", flat)
+        _flatten(json.loads(run(point, "json")), "", flat)
         record: Dict[str, object] = {"point": index}
         record.update({p.path: v for p, v in zip(params, combo)})
         record.update(flat)
@@ -297,6 +314,28 @@ def run_sweep(scenario: Scenario, fmt: str, seed_override: Optional[int]) -> str
     if fmt == "csv":
         return _csv_text(columns, rows)
     return _md_table(columns, [[str(v) for v in row] for row in rows])
+
+
+def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:
+    """The scenario with its traffic seed overridden (`--seed`).
+
+    For a sweep, a parameter that sets the points' traffic seed is rejected:
+    the override would replace the swept values. That is `traffic.seed`,
+    `traffic`, or any `traffic.*` path when the scenario has no traffic
+    section, since the sweep then builds the section with its default seed.
+    """
+    if sweep and scenario.sweep is not None:
+        for i, p in enumerate(scenario.sweep.parameters):
+            if p.path in ("traffic", "traffic.seed") or (
+                scenario.traffic is None and p.path.startswith("traffic.")
+            ):
+                raise ScenarioError(
+                    f"--seed cannot override the traffic seed that the sweep sets via {p.path!r}",
+                    f"sweep.parameters[{i}].path",
+                )
+    if scenario.traffic is None:
+        return scenario
+    return dataclasses.replace(scenario, traffic=dataclasses.replace(scenario.traffic, seed=seed))
 
 
 def _style(text: str, out_path: Optional[str]) -> str:
@@ -334,18 +373,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        if args.command == "budget":
-            text = run_budget(scenario, args.format)
-        elif args.command == "overhead":
-            text = run_overhead(scenario, args.format)
-        elif args.command == "classify":
-            text = run_classify(scenario, args.format)
-        elif args.command == "simulate":
-            text = run_simulate(scenario, args.format, args.seed)
-        elif args.command == "interference":
-            text = run_interference(scenario, args.format)
+        if args.seed is not None:
+            scenario = _with_seed(scenario, args.seed, sweep=args.command == "sweep")
+        if args.command == "sweep":
+            text = run_sweep(scenario, args.format)
         else:
-            text = run_sweep(scenario, args.format, args.seed)
+            text = _runners()[args.command](scenario, args.format)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

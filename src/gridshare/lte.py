@@ -28,6 +28,10 @@ SYNC_SUBCARRIERS = 72  # center 6 PRBs
 PSS_SSS_SYMBOLS = slice(5, 7)  # last two symbols of slot 0
 PBCH_SYMBOLS = slice(7, 11)  # first four symbols of slot 1
 
+# Subframes (mod 10) that may carry MBSFN, per duplex (TS 36.331
+# MBSFN-SubframeConfig): FDD keeps 0, 4, 5 and 9 for sync and paging.
+MBSFN_ALLOWED = {"FDD": frozenset({1, 2, 3, 6, 7, 8}), "TDD": frozenset({3, 4, 7, 8, 9})}
+
 
 @dataclass(frozen=True)
 class LteCellConfig:

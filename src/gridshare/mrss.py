@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -105,6 +106,35 @@ class Mitigation:
             raise ConfigError(f"{self.kind} takes no effectiveness")
 
 
+# Largest per-slot demand in REs. A slot pool below 2**16 cells (every carrier
+# up to 390 PRB; NR's largest, 275 PRB, has 46,200) then keeps pool x demand
+# exact in int64; `simulate` uses Python ints for a larger pool.
+MAX_DEMAND = 2**47
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_demand(d: object) -> object:
+    """A per-slot demand as TrafficModel stores it: an int or an (lo, hi)
+    tuple of ints, within [0, MAX_DEMAND]. Raises ConfigError otherwise."""
+    if isinstance(d, (list, tuple)):
+        if len(d) != 2 or not all(map(_is_int, d)) or d[0] < 0 or d[1] < d[0]:
+            raise ConfigError("range must be (lo, hi) ints with 0 <= lo <= hi")
+        d = tuple(d)
+        top = d[1]
+    elif _is_int(d):
+        if d < 0:
+            raise ConfigError("must be >= 0")
+        top = d
+    else:
+        raise ConfigError("must be an int or a (lo, hi) pair")
+    if top > MAX_DEMAND:
+        raise ConfigError(f"must not exceed 2**47 = {MAX_DEMAND} REs per slot, got {top}")
+    return d
+
+
 @dataclass(frozen=True)
 class TrafficModel:
     """Per-RAT offered load in REs per slot; constant or seeded uniform."""
@@ -114,16 +144,11 @@ class TrafficModel:
     seed: int = 0
 
     def __post_init__(self):
-        for name, d in (("demand_5g", self.demand_5g), ("demand_6g", self.demand_6g)):
-            if isinstance(d, (list, tuple)):
-                if len(d) != 2 or d[0] < 0 or d[1] < d[0]:
-                    raise ConfigError(f"{name} range must be (lo, hi) with 0 <= lo <= hi")
-                object.__setattr__(self, name, (int(d[0]), int(d[1])))
-            elif isinstance(d, int) and not isinstance(d, bool):
-                if d < 0:
-                    raise ConfigError(f"{name} must be >= 0")
-            else:
-                raise ConfigError(f"{name} must be an int or a (lo, hi) pair")
+        for name in ("demand_5g", "demand_6g"):
+            try:
+                object.__setattr__(self, name, check_demand(getattr(self, name)))
+            except ConfigError as exc:
+                raise ConfigError(f"{name} {exc}") from None
 
     def demands(self, n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-slot demand sequences; identical seed yields identical draws."""
@@ -137,18 +162,28 @@ class TrafficModel:
         return draw(self.demand_5g), draw(self.demand_6g)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MrssCategoryMap:
-    """Partition of the downlink-capable cells into shared/reserved/control."""
+    """Partition of the downlink-capable cells into shared/reserved/control.
+
+    An immutable value: both arrays are read-only, so one map can serve many
+    `simulate` calls; `reserve_iot` and `place_6g_ssb` return new maps. The
+    constructor takes ownership of `categories` and `labels` and marks the
+    passed arrays themselves read-only; pass copies of arrays you still write.
+    """
 
     grid: ResourceGrid
     categories: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     control_mode: ControlMode = field(default_factory=ControlMode)
 
+    def __post_init__(self):
+        self.categories.setflags(write=False)
+        self.labels.setflags(write=False)
+
     @property
     def shared_pool_size(self) -> int:
-        return int(np.count_nonzero(self.categories == CAT_SHARED))
+        return int(self.shared_cells_per_slot().sum())
 
     @property
     def reserved_size(self) -> int:
@@ -162,8 +197,15 @@ class MrssCategoryMap:
     def downlink_size(self) -> int:
         return int(np.count_nonzero(self.categories != CAT_NON_DL))
 
+    @cached_property
+    def _shared_per_slot(self) -> np.ndarray:
+        pools = np.count_nonzero(self.categories == CAT_SHARED, axis=(1, 2)).astype(np.int64)
+        pools.setflags(write=False)
+        return pools
+
     def shared_cells_per_slot(self) -> np.ndarray:
-        return (self.categories == CAT_SHARED).sum(axis=(1, 2)).astype(np.int64)
+        """Shared-pool cells of each slot; read-only, counted once per map."""
+        return self._shared_per_slot
 
     def cell_sets(self) -> Dict[str, Set[Tuple[int, int, int]]]:
         """Explicit cell sets; intended for small grids and invariant checks."""
@@ -268,7 +310,7 @@ def classify_mrss(
     return MrssCategoryMap(
         grid=grid,
         categories=categories,
-        labels=grid.writable_labels(),
+        labels=grid.labels,
         control_mode=control_mode,
     )
 
@@ -341,32 +383,29 @@ def place_6g_ssb(
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
-def _grant_slot(pool: int, d5: int, d6: int, policy: SchedPolicy) -> Tuple[int, int]:
+def _grants(
+    pool: np.ndarray, d5: np.ndarray, d6: np.ndarray, policy: SchedPolicy
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot (5G, 6G) grants for arrays of slot pools and demands."""
     if policy is SchedPolicy.PRIORITY_5G:
-        g5 = min(d5, pool)
-        return g5, min(d6, pool - g5)
+        g5 = np.minimum(d5, pool)
+        return g5, np.minimum(d6, pool - g5)
     if policy is SchedPolicy.PRIORITY_6G:
-        g6 = min(d6, pool)
-        return min(d5, pool - g6), g6
-    # ProportionalShare
+        g6 = np.minimum(d6, pool)
+        return np.minimum(d5, pool - g6), g6
+    # ProportionalShare: an overloaded slot gives each RAT the floor of its
+    # demand's share of the pool. The two remainders sum to less than 2, so at
+    # most one cell is left over. It goes to the larger-demand RAT; ties favor
+    # 5G. A leftover cell means both demands are positive, and then each share
+    # is below its demand, so neither RAT is full yet.
     total = d5 + d6
-    if total <= pool:
-        return d5, d6
-    g5 = pool * d5 // total
-    g6 = pool * d6 // total
-    leftover = pool - g5 - g6
-    # Leftover cells go to the larger-demand RAT first; ties favor 5G.
+    over = total > pool
+    divisor = np.where(over, total, 1)
+    g5 = np.where(over, pool * d5 // divisor, d5)
+    g6 = np.where(over, pool * d6 // divisor, d6)
+    left = over & (g5 + g6 < pool)
     first_5g = d5 >= d6
-    for _ in range(leftover):
-        if first_5g and g5 < d5:
-            g5 += 1
-        elif g6 < d6:
-            g6 += 1
-        elif g5 < d5:
-            g5 += 1
-        else:
-            break
-    return g5, g6
+    return g5 + (left & first_5g).astype(g5.dtype), g6 + (left & ~first_5g).astype(g6.dtype)
 
 
 def simulate(
@@ -386,38 +425,28 @@ def simulate(
         n_slots = per_slot.size
     if not 0 < n_slots <= per_slot.size:
         raise ConfigError(f"n_slots {n_slots} outside grid window of {per_slot.size}")
-    per_slot = per_slot[:n_slots]
-    d5s, d6s = traffic.demands(n_slots)
+    pool = per_slot[:n_slots]
+    d5, d6 = traffic.demands(n_slots)
+    if pool.max() >= 2**16:
+        # pool x demand could leave int64 (demands reach 2**47): Python ints.
+        pool, d5, d6 = pool.astype(object), d5.astype(object), d6.astype(object)
 
-    g5s: List[int] = []
-    g6s: List[int] = []
-    unused: List[int] = []
-    drop5: List[int] = []
-    drop6: List[int] = []
-    pure5 = 0
-    pure6 = 0
-    for pool, d5, d6 in zip(per_slot.tolist(), d5s.tolist(), d6s.tolist()):
-        g5, g6 = _grant_slot(pool, d5, d6, policy)
-        g5s.append(g5)
-        g6s.append(g6)
-        unused.append(pool - g5 - g6)
-        drop5.append(d5 - g5)
-        drop6.append(d6 - g6)
-        pure5 += min(d5, pool)
-        pure6 += min(d6, pool)
-
-    total5 = sum(g5s)
-    total6 = sum(g6s)
+    g5, g6 = _grants(pool, d5, d6, policy)
+    unused = pool - g5 - g6
+    total5 = int(g5.sum())
+    total6 = int(g6.sum())
+    pure5 = int(np.minimum(d5, pool).sum())
+    pure6 = int(np.minimum(d6, pool).sum())
     return SimResult(
-        grants_5g=tuple(g5s),
-        grants_6g=tuple(g6s),
-        unused=tuple(unused),
-        dropped_5g=tuple(drop5),
-        dropped_6g=tuple(drop6),
-        shared_pool_size=int(per_slot.sum()),
+        grants_5g=tuple(g5.tolist()),
+        grants_6g=tuple(g6.tolist()),
+        unused=tuple(unused.tolist()),
+        dropped_5g=tuple((d5 - g5).tolist()),
+        dropped_6g=tuple((d6 - g6).tolist()),
+        shared_pool_size=int(pool.sum()),
         total_5g=total5,
         total_6g=total6,
-        unused_shared=sum(unused),
+        unused_shared=int(unused.sum()),
         efficiency_vs_pure_5g=(total5 / pure5) if pure5 else 1.0,
         efficiency_vs_pure_6g=(total6 / pure6) if pure6 else 1.0,
     )

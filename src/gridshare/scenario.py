@@ -12,9 +12,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .budget import DssLayout
 from .errors import ConfigError, ScenarioError
-from .grid import CarrierConfig, Numerology, TddPattern
-from .lte import LteCellConfig
-from .mrss import ControlMode, ControlModeKind, Mitigation, SchedPolicy, TrafficModel
+from .grid import CarrierConfig, Numerology, SlotKind, TddPattern
+from .lte import MBSFN_ALLOWED, LteCellConfig
+from .mrss import (
+    ControlMode,
+    ControlModeKind,
+    Mitigation,
+    SchedPolicy,
+    TrafficModel,
+    check_demand,
+)
 from .nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
 
 
@@ -147,14 +154,34 @@ def _parse_carrier(obj: dict, path: str = "carrier") -> CarrierConfig:
         )
 
 
-def _parse_lte_cell(obj: dict, path: str, allow_neighbors: bool = False) -> LteCellConfig:
+def _parse_lte_cell(
+    obj: dict, path: str, carrier: CarrierConfig, allow_neighbors: bool = False
+) -> LteCellConfig:
     allowed = ["cell_id", "crs_ports", "pdcch_symbols", "mbsfn_subframes", "non_mbsfn_region_len"]
     if allow_neighbors:
         allowed.append("neighbors")
     _check_keys(obj, path, allowed)
     mbsfn = obj.get("mbsfn_subframes", [])
+    mpath = f"{path}.mbsfn_subframes"
     if not isinstance(mbsfn, list) or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in mbsfn):
-        raise ScenarioError("must be a list of non-negative integers", f"{path}.mbsfn_subframes")
+        raise ScenarioError("must be a list of non-negative integers", mpath)
+    n_subframes = carrier.n_slots // carrier.numerology.slots_per_ms
+    allowed_sf = MBSFN_ALLOWED[carrier.duplex]
+    for sf in sorted(set(mbsfn)):
+        if sf >= n_subframes:
+            raise ScenarioError(f"subframe {sf} is beyond the {n_subframes}-subframe carrier span", mpath)
+        if sf % 10 not in allowed_sf:
+            raise ScenarioError(
+                f"subframe {sf} cannot carry MBSFN on {carrier.duplex}: "
+                f"only subframes {sorted(allowed_sf)} mod 10 can (TS 36.331)",
+                mpath,
+            )
+        kind = carrier.slot_kind(sf * carrier.numerology.slots_per_ms)
+        if kind is not SlotKind.DOWNLINK:
+            raise ScenarioError(
+                f"subframe {sf} cannot carry MBSFN: the TDD pattern makes it {kind.name.lower()}",
+                mpath,
+            )
     with _wrap_config(path):
         return LteCellConfig(
             cell_id=_int(obj, "cell_id", path, default=0, minimum=0),
@@ -282,10 +309,8 @@ def _parse_traffic(obj: dict, path: str = "traffic") -> TrafficModel:
     _check_keys(obj, path, ["demand_5g", "demand_6g", "seed"], ["demand_5g", "demand_6g"])
 
     def demand(key):
-        v = obj[key]
-        if isinstance(v, list):
-            v = tuple(v)
-        return v
+        with _wrap_config(f"{path}.{key}"):
+            return check_demand(obj[key])
 
     with _wrap_config(path):
         return TrafficModel(
@@ -342,11 +367,11 @@ def parse_scenario(document: Union[str, dict]) -> Scenario:
     neighbors: Tuple[LteCellConfig, ...] = ()
     if raw.get("lte") is not None:
         neigh_raw = raw["lte"].get("neighbors", [])
-        lte = _parse_lte_cell(raw["lte"], "lte", allow_neighbors=True)
+        lte = _parse_lte_cell(raw["lte"], "lte", carrier, allow_neighbors=True)
         if not isinstance(neigh_raw, list):
             raise ScenarioError("must be a list", "lte.neighbors")
         neighbors = tuple(
-            _parse_lte_cell(n, f"lte.neighbors[{i}]") for i, n in enumerate(neigh_raw)
+            _parse_lte_cell(n, f"lte.neighbors[{i}]", carrier) for i, n in enumerate(neigh_raw)
         )
 
     nr = _parse_nr(raw["nr"]) if raw.get("nr") is not None else None

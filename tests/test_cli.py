@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
-from gridshare.cli import main
+from gridshare import cli
+from gridshare.cli import _flatten, build_grid, main
+from gridshare.mrss import simulate
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -201,3 +203,105 @@ class TestErrors:
             _, a, _ = run(capsys, command, "-s", path, "-f", "md")
             _, b, _ = run(capsys, command, "-s", path, "-f", "md")
             assert a == b
+
+
+def write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def mrss_sweep_doc():
+    return json.loads((SCENARIOS / "mrss_sweep.json").read_text())
+
+
+class TestSweepMapCache:
+    def test_grid_and_traffic_sweep_matches_standalone_runs(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["sweep"]["parameters"] = [
+            {"path": "mrss.control_mode", "values": ["FullyOverlapping", "Separate"]},
+            {"path": "nr.coreset1.symbols", "values": [1, 2]},
+            {"path": "traffic.demand_6g", "values": [0, 20000]},
+        ]
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert code == 0, err
+        records = json.loads(out)
+        assert len(records) == 8
+        for record in records:
+            point = json.loads(json.dumps(doc))
+            del point["sweep"]
+            point["mrss"]["control_mode"] = record["mrss.control_mode"]
+            point["nr"]["coreset1"]["symbols"] = record["nr.coreset1.symbols"]
+            point["traffic"]["demand_6g"] = record["traffic.demand_6g"]
+            code, alone, _ = run(capsys, "simulate", "-f", "json",
+                                 "-s", write_doc(tmp_path, point, "point.json"))
+            assert code == 0
+            flat = {}
+            _flatten(json.loads(alone), "", flat)
+            swept = {k: v for k, v in record.items()
+                     if k != "point" and not k.startswith(("mrss.", "nr.", "traffic."))}
+            assert swept == flat, record["point"]
+        pools = {(r["mrss.control_mode"], r["nr.coreset1.symbols"]):
+                 r["summary.shared_pool_size"] for r in records}
+        # Both swept map inputs take effect: one CORESET1 symbol frees 103,680
+        # cells, and Separate control doubles the control region.
+        assert pools == {("FullyOverlapping", 1): 1_127_552, ("FullyOverlapping", 2): 1_023_872,
+                         ("Separate", 1): 1_023_872, ("Separate", 2): 816_512}
+
+    def test_traffic_policy_sweep_builds_grid_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counted(scenario):
+            builds.append(scenario.carrier)
+            return build_grid(scenario)
+
+        monkeypatch.setattr(cli, "build_grid", counted)
+        code, out, _ = run(capsys, "sweep", "-s", str(SCENARIOS / "mrss_sweep.json"), "-f", "csv")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 18
+        assert len(builds) == 1
+
+    def test_sweep_shares_one_read_only_map(self, capsys, monkeypatch):
+        maps = []
+
+        def recorded(cmap, traffic, policy):
+            maps.append(cmap)
+            return simulate(cmap, traffic, policy)
+
+        monkeypatch.setattr(cli, "simulate", recorded)
+        code, _, err = run(capsys, "sweep", "-s", str(SCENARIOS / "mrss_sweep.json"), "-f", "csv")
+        assert code == 0, err
+        assert len(maps) == 18
+        assert all(cmap is maps[0] for cmap in maps)
+        for arr in (maps[0].categories, maps[0].labels, maps[0].grid.labels):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 0
+
+
+class TestSeedOverride:
+    def test_sweep_over_traffic_seed_rejected(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["sweep"]["parameters"].append({"path": "traffic.seed", "values": [1, 2]})
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "sweep", "-s", path, "-f", "csv", "--seed", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sweep.parameters[2].path: --seed")
+        code, _, _ = run(capsys, "sweep", "-s", path, "-f", "csv")
+        assert code == 0
+
+    def test_sweep_building_the_traffic_section_rejected(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        del doc["traffic"]
+        doc["sweep"]["parameters"] = [
+            {"path": "traffic", "values": [{"demand_5g": 100, "demand_6g": 0}]},
+        ]
+        code, _, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "--seed", "5")
+        assert code == 1
+        assert "sweep.parameters[0].path" in err
+
+    def test_seed_applies_to_every_sweep_point(self, capsys):
+        path = str(SCENARIOS / "mrss_sweep.json")
+        code, out, _ = run(capsys, "sweep", "-s", path, "-f", "json", "--seed", "99")
+        assert code == 0
+        assert {r["summary.seed"] for r in json.loads(out)} == {99}

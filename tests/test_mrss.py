@@ -15,10 +15,12 @@ from gridshare import (
     DssMechanism,
     LteCellConfig,
     Mitigation,
+    MrssCategoryMap,
     Numerology,
     NrOverlaySet,
     PlacementError,
     SchedPolicy,
+    SimResult,
     TddPattern,
     TrafficModel,
     TrsSpec,
@@ -32,7 +34,7 @@ from gridshare import (
     reserve_iot,
     simulate,
 )
-from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED
+from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED, MAX_DEMAND
 
 
 def wideband_tdd_carrier():
@@ -411,3 +413,162 @@ class TestNeighborInterference:
             Mitigation("ReceiverCancellation")
         with pytest.raises(ConfigError):
             Mitigation("SymbolLevelMute", effectiveness=0.5)
+
+
+def _reference_grant_slot(pool, d5, d6, policy):
+    """The per-slot scheduler `simulate` vectorizes, kept as its reference."""
+    if policy is SchedPolicy.PRIORITY_5G:
+        g5 = min(d5, pool)
+        return g5, min(d6, pool - g5)
+    if policy is SchedPolicy.PRIORITY_6G:
+        g6 = min(d6, pool)
+        return min(d5, pool - g6), g6
+    total = d5 + d6
+    if total <= pool:
+        return d5, d6
+    g5 = pool * d5 // total
+    g6 = pool * d6 // total
+    leftover = pool - g5 - g6
+    first_5g = d5 >= d6
+    for _ in range(leftover):
+        if first_5g and g5 < d5:
+            g5 += 1
+        elif g6 < d6:
+            g6 += 1
+        elif g5 < d5:
+            g5 += 1
+        else:
+            break
+    return g5, g6
+
+
+def _reference_simulate(pools, d5s, d6s, policy):
+    g5s, g6s, unused, drop5, drop6 = [], [], [], [], []
+    pure5 = pure6 = 0
+    for pool, d5, d6 in zip(pools, d5s, d6s):
+        g5, g6 = _reference_grant_slot(pool, d5, d6, policy)
+        g5s.append(g5)
+        g6s.append(g6)
+        unused.append(pool - g5 - g6)
+        drop5.append(d5 - g5)
+        drop6.append(d6 - g6)
+        pure5 += min(d5, pool)
+        pure6 += min(d6, pool)
+    total5, total6 = sum(g5s), sum(g6s)
+    return SimResult(
+        grants_5g=tuple(g5s), grants_6g=tuple(g6s), unused=tuple(unused),
+        dropped_5g=tuple(drop5), dropped_6g=tuple(drop6),
+        shared_pool_size=sum(pools), total_5g=total5, total_6g=total6,
+        unused_shared=sum(unused),
+        efficiency_vs_pure_5g=(total5 / pure5) if pure5 else 1.0,
+        efficiency_vs_pure_6g=(total6 / pure6) if pure6 else 1.0,
+    )
+
+
+class FixedDemands:
+    """Stands in for TrafficModel with chosen per-slot demands."""
+
+    def __init__(self, d5s, d6s):
+        self.d5s, self.d6s = d5s, d6s
+
+    def demands(self, n_slots):
+        return (np.array(self.d5s[:n_slots], dtype=np.int64),
+                np.array(self.d6s[:n_slots], dtype=np.int64))
+
+
+def map_with_pools(pools, n_prb):
+    """A category map whose slot i has exactly pools[i] shared cells."""
+    grid = make_grid(CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD",
+                                   span_ms=len(pools)))
+    categories = np.full(grid.labels.shape, CAT_RESERVED, dtype=np.uint8)
+    flat = categories.reshape(len(pools), -1)
+    for slot, pool in enumerate(pools):
+        flat[slot, :pool] = CAT_SHARED
+    return MrssCategoryMap(grid, categories, grid.labels)
+
+
+@st.composite
+def slot_loads(draw):
+    """Per-slot (pool, d5, d6) with ties, zero demand, total == pool and pool + 1."""
+    n_prb = draw(st.integers(1, 3))
+    cap = 12 * 14 * n_prb
+    pools, d5s, d6s = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        pool = draw(st.integers(0, cap))
+        kind = draw(st.sampled_from(["any", "tie", "zero", "exact", "exact+1", "huge"]))
+        if kind == "any":
+            d5, d6 = draw(st.integers(0, 2 * cap)), draw(st.integers(0, 2 * cap))
+        elif kind == "tie":
+            d5 = d6 = draw(st.integers(0, 2 * cap))
+        elif kind == "zero":
+            d5, d6 = 0, draw(st.integers(0, 2 * cap))
+            if draw(st.booleans()):
+                d5, d6 = d6, d5
+        elif kind == "huge":
+            d5, d6 = draw(st.integers(0, MAX_DEMAND)), draw(st.integers(0, MAX_DEMAND))
+        else:
+            total = pool + (kind == "exact+1")
+            d5 = draw(st.integers(0, total))
+            d6 = total - d5
+        pools.append(pool)
+        d5s.append(d5)
+        d6s.append(d6)
+    return n_prb, pools, d5s, d6s
+
+
+class TestVectorizedScheduler:
+    @settings(max_examples=300, deadline=None)
+    @given(load=slot_loads())
+    def test_matches_per_slot_reference(self, load):
+        n_prb, pools, d5s, d6s = load
+        cmap = map_with_pools(pools, n_prb)
+        assert cmap.shared_cells_per_slot().tolist() == pools
+        for policy in SchedPolicy:
+            got = simulate(cmap, FixedDemands(d5s, d6s), policy)
+            assert got == _reference_simulate(pools, d5s, d6s, policy), policy
+            assert all(type(g) is int for g in got.grants_5g + got.dropped_6g)
+
+    def test_pool_beyond_int64_products_stays_exact(self):
+        # 400 PRB: 67,200 shared cells a slot, and 67,200 x 2**47 > 2**63.
+        pools = [12 * 14 * 400, 12 * 14 * 400 - 1]
+        cmap = map_with_pools(pools, 400)
+        d5s, d6s = [MAX_DEMAND, MAX_DEMAND - 3], [MAX_DEMAND - 1, 7]
+        for policy in SchedPolicy:
+            got = simulate(cmap, FixedDemands(d5s, d6s), policy)
+            assert got == _reference_simulate(pools, d5s, d6s, policy), policy
+
+    def test_n_slots_window(self):
+        pools, d5s, d6s = [10, 20, 30], [15, 15, 15], [5, 25, 0]
+        cmap = map_with_pools(pools, 1)
+        got = simulate(cmap, FixedDemands(d5s, d6s), SchedPolicy.PROPORTIONAL_SHARE, n_slots=2)
+        assert got == _reference_simulate(pools[:2], d5s[:2], d6s[:2],
+                                          SchedPolicy.PROPORTIONAL_SHARE)
+
+
+class TestImmutableMap:
+    def test_arrays_are_read_only(self):
+        cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)])
+        for arr in (cmap.categories, cmap.labels, cmap.shared_cells_per_slot()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_pool_counted_once(self):
+        cmap = fdd_map(n_prb=2, span_ms=3)
+        assert cmap.shared_cells_per_slot() is cmap.shared_cells_per_slot()
+        assert cmap.shared_cells_per_slot().tolist() == [336, 336, 336]
+        assert cmap.shared_pool_size == 1008
+
+
+class TestTrafficBounds:
+    def test_max_demand_accepted(self):
+        assert TrafficModel(MAX_DEMAND, (0, MAX_DEMAND)).demand_6g == (0, MAX_DEMAND)
+
+    @pytest.mark.parametrize("demand", [MAX_DEMAND + 1, 2**64, (0, 2**64), [1, MAX_DEMAND + 1]])
+    def test_oversized_demand_rejected(self, demand):
+        with pytest.raises(ConfigError, match="demand_6g must not exceed 2\\*\\*47"):
+            TrafficModel(0, demand)
+
+    @pytest.mark.parametrize("demand", [("a", 1), (1.5, 3), (True, 2), (1, 2, 3), 2.0])
+    def test_non_integer_demand_rejected(self, demand):
+        with pytest.raises(ConfigError, match="demand_5g"):
+            TrafficModel(demand, 0)

@@ -140,3 +140,75 @@ class TestRoundTrip:
         for path in sorted(scenarios.glob("*.json")):
             s = parse_scenario(path.read_text())
             assert parse_scenario(emit_scenario(s)) == s, path.name
+
+
+class TestTrafficDemandBound:
+    @pytest.mark.parametrize("key, value", [
+        ("demand_5g", 18446744073709551616),
+        ("demand_6g", [0, 18446744073709551616]),
+        ("demand_5g", [5, 2**47 + 1]),
+    ])
+    def test_oversized_demand_rejected_at_its_path(self, key, value):
+        traffic = {"demand_5g": 0, "demand_6g": 0, key: value}
+        with pytest.raises(ScenarioError, match="2\\*\\*47") as err:
+            parse_scenario(dict(MINIMAL, traffic=traffic))
+        assert err.value.path == f"traffic.{key}"
+
+    def test_largest_demand_accepted(self):
+        s = parse_scenario(dict(MINIMAL, traffic={"demand_5g": 2**47, "demand_6g": [0, 2**47]}))
+        assert s.traffic.demand_5g == 2**47
+
+    def test_non_integer_range_rejected(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(dict(MINIMAL, traffic={"demand_5g": ["a", 1], "demand_6g": 0}))
+        assert err.value.path == "traffic.demand_5g"
+
+
+def lte_doc(mbsfn, duplex="FDD", span_ms=10):
+    carrier = {"scs_khz": 15, "n_prb": 6, "duplex": duplex, "span_ms": span_ms}
+    if duplex == "TDD":
+        carrier["tdd_pattern"] = {"cycle": "DDDDD"}
+    return {"carrier": carrier, "lte": {"crs_ports": 2, "mbsfn_subframes": mbsfn}}
+
+
+class TestMbsfnSubframes:
+    @pytest.mark.parametrize("mbsfn", [[0, 5], [4], [9], [19], [1, 10]])
+    def test_fdd_sync_and_paging_subframes_rejected(self, mbsfn):
+        with pytest.raises(ScenarioError, match="cannot carry MBSFN") as err:
+            parse_scenario(lte_doc(mbsfn, span_ms=20))
+        assert err.value.path == "lte.mbsfn_subframes"
+
+    @pytest.mark.parametrize("mbsfn", [[12], [10], [3, 100]])
+    def test_subframe_beyond_span_rejected(self, mbsfn):
+        with pytest.raises(ScenarioError, match="beyond the 10-subframe") as err:
+            parse_scenario(lte_doc(mbsfn))
+        assert err.value.path == "lte.mbsfn_subframes"
+
+    @pytest.mark.parametrize("mbsfn", [[0], [1], [2], [5], [6], [10]])
+    def test_tdd_outside_allowed_set_rejected(self, mbsfn):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(lte_doc(mbsfn, duplex="TDD", span_ms=20))
+        assert err.value.path == "lte.mbsfn_subframes"
+
+    @pytest.mark.parametrize("cycle,mbsfn,kind", [
+        ("DSUUU", [3], "uplink"), ("DSUUU", [4, 7], "uplink"), ("DDDSU", [8], "special"),
+    ])
+    def test_tdd_non_downlink_subframe_rejected(self, cycle, mbsfn, kind):
+        doc = lte_doc(mbsfn, duplex="TDD", span_ms=10)
+        doc["carrier"]["tdd_pattern"] = {"cycle": cycle}
+        with pytest.raises(ScenarioError, match=f"makes it {kind}") as err:
+            parse_scenario(doc)
+        assert err.value.path == "lte.mbsfn_subframes"
+
+    def test_allowed_subframes_accepted(self):
+        fdd = parse_scenario(lte_doc([1, 2, 3, 6, 7, 8, 11, 18], span_ms=20))
+        assert fdd.lte.mbsfn_subframes == {1, 2, 3, 6, 7, 8, 11, 18}
+        tdd = parse_scenario(lte_doc([3, 4, 7, 8, 9, 13], duplex="TDD", span_ms=20))
+        assert tdd.lte.mbsfn_subframes == {3, 4, 7, 8, 9, 13}
+
+    def test_neighbor_cells_checked_too(self):
+        doc = lte_doc([])
+        doc["lte"]["neighbors"] = [{"cell_id": 1}, {"cell_id": 2, "mbsfn_subframes": [5]}]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.path == "lte.neighbors[1].mbsfn_subframes"

@@ -324,6 +324,8 @@ def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:
     `traffic`, or any `traffic.*` path when the scenario has no traffic
     section, since the sweep then builds the section with its default seed.
     """
+    if seed < 0:
+        raise ScenarioError(f"must be >= 0, got {seed}", "--seed")
     if sweep and scenario.sweep is not None:
         for i, p in enumerate(scenario.sweep.parameters):
             if p.path in ("traffic", "traffic.seed") or (

@@ -224,12 +224,18 @@ def place(arr: np.ndarray, where: Tuple, footprint, rate_match: bool = False) ->
     cells are written; uplink and guard cells are never written. A strict
     footprint needs all its downlink cells free and otherwise raises
     ConflictError naming the first taken cell, before writing anything;
-    with ``rate_match`` it fills the free cells and skips the rest.
+    with ``rate_match`` it fills the free cells and skips the rest. A view
+    with no labeled cell is written verbatim, in one pass.
     """
     if not all(isinstance(w, (int, np.integer, slice)) for w in where):
         raise ConfigError("placement needs an index of ints and slices")
     view = arr[where]
     footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
+    if not view.any():
+        # An all-free view (UNLABELED is 0) takes the footprint verbatim: its
+        # UNLABELED cells write 0 over 0, and there is no uplink/guard cell.
+        np.copyto(view, footprint)
+        return
     want = footprint != ReLabel.UNLABELED
     free = view == ReLabel.UNLABELED
     if not rate_match:

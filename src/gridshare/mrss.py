@@ -7,6 +7,7 @@ CRS interference with its mitigation strategies.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -99,8 +100,11 @@ class Mitigation:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown mitigation {self.kind!r}")
+        eff = self.effectiveness
+        if eff is not None and (isinstance(eff, bool) or not isinstance(eff, numbers.Real)):
+            raise ConfigError(f"effectiveness must be a real number, got {eff!r}")
         if self.kind == "ReceiverCancellation":
-            if self.effectiveness is None or not 0.0 <= self.effectiveness <= 1.0:
+            if eff is None or not 0.0 <= eff <= 1.0:
                 raise ConfigError("ReceiverCancellation needs effectiveness in [0, 1]")
         elif self.effectiveness is not None:
             raise ConfigError(f"{self.kind} takes no effectiveness")
@@ -149,6 +153,8 @@ class TrafficModel:
                 object.__setattr__(self, name, check_demand(getattr(self, name)))
             except ConfigError as exc:
                 raise ConfigError(f"{name} {exc}") from None
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def demands(self, n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-slot demand sequences; identical seed yields identical draws."""
@@ -199,7 +205,12 @@ class MrssCategoryMap:
 
     @cached_property
     def _shared_per_slot(self) -> np.ndarray:
-        pools = np.count_nonzero(self.categories == CAT_SHARED, axis=(1, 2)).astype(np.int64)
+        # Slot by slot: one slot's comparison at a time, not a grid-sized one.
+        pools = np.fromiter(
+            (np.count_nonzero(c == CAT_SHARED) for c in self.categories),
+            dtype=np.int64,
+            count=len(self.categories),
+        )
         pools.setflags(write=False)
         return pools
 
@@ -288,25 +299,33 @@ def classify_mrss(
         if not result.aligned:
             raise ConfigError(f"5G/6G carriers misaligned: {result.reason}")
 
+    # One label -> category table; later groups win, so control beats
+    # reserved beats non-downlink.
+    table = np.full(len(ReLabel), CAT_SHARED, dtype=np.uint8)
+    for group, cat in (
+        (_NON_DL_LABELS, CAT_NON_DL),
+        (reserved_labels, CAT_RESERVED),
+        (CONTROL_LABELS, CAT_CONTROL),
+    ):
+        table[[int(l) for l in group]] = cat
     labels = grid.labels
-    categories = np.full(labels.shape, CAT_SHARED, dtype=np.uint8)
-    non_dl = np.isin(labels, [int(l) for l in _NON_DL_LABELS])
-    categories[non_dl] = CAT_NON_DL
-    reserved = np.isin(labels, [int(l) for l in reserved_labels])
-    categories[reserved] = CAT_RESERVED
-    control = np.isin(labels, [int(l) for l in CONTROL_LABELS])
-    categories[control] = CAT_CONTROL
+    categories = np.empty(labels.shape, dtype=np.uint8)
+    # Slot by slot, so the gather's index temporaries stay one slot in size.
+    for s in range(labels.shape[0]):
+        np.take(table, labels[s], out=categories[s])
 
-    footprint = int(np.count_nonzero(control))
-    extra = int(footprint * (control_mode.footprint_factor - 1))
-    if extra > 0:
-        flat = categories.reshape(-1)
-        shared_idx = np.flatnonzero(flat == CAT_SHARED)
-        if extra > shared_idx.size:
-            raise PlacementError(
-                f"separate control needs {extra} cells but only {shared_idx.size} are shared"
-            )
-        flat[shared_idx[:extra]] = CAT_CONTROL
+    grow = control_mode.footprint_factor - 1
+    if grow:
+        footprint = int(np.count_nonzero(categories == CAT_CONTROL))
+        extra = int(footprint * grow)
+        if extra > 0:
+            flat = categories.reshape(-1)
+            shared_idx = np.flatnonzero(flat == CAT_SHARED)
+            if extra > shared_idx.size:
+                raise PlacementError(
+                    f"separate control needs {extra} cells but only {shared_idx.size} are shared"
+                )
+            flat[shared_idx[:extra]] = CAT_CONTROL
     return MrssCategoryMap(
         grid=grid,
         categories=categories,
@@ -546,6 +565,7 @@ def neighbor_interference(
         sacrificed = int(np.count_nonzero(pool & neighbor_crs.any(axis=1, keepdims=True)))
         return InterferenceReport(pool_n, pool_n - sacrificed, sacrificed, 0)
     # ReceiverCancellation: a deterministic count-level fraction of dirty
-    # cells becomes clean (floor), nothing is sacrificed.
-    reclaimed = int(mitigation.effectiveness * dirty)
+    # cells becomes clean (exact floor; effectiveness is read as its decimal
+    # text), nothing is sacrificed.
+    reclaimed = int(Fraction(str(mitigation.effectiveness)) * dirty)
     return InterferenceReport(pool_n, pool_n - dirty + reclaimed, 0, dirty - reclaimed)

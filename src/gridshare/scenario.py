@@ -270,7 +270,10 @@ def _parse_mrss(obj: dict, path: str = "mrss") -> MrssSpec:
     with _wrap_config(f"{path}.control_mode"):
         mode = ControlMode(kind=kind, shared_fraction=fraction)
     reservations: List[IotReservation] = []
-    for i, r in enumerate(obj.get("iot_reservations", [])):
+    iot = obj.get("iot_reservations", [])
+    if not isinstance(iot, list):
+        raise ScenarioError("must be a list", f"{path}.iot_reservations")
+    for i, r in enumerate(iot):
         rpath = f"{path}.iot_reservations[{i}]"
         _check_keys(r, rpath, ["prb_start", "prb_stop", "slots"], ["prb_start", "prb_stop"])
         slots = None
@@ -316,7 +319,7 @@ def _parse_traffic(obj: dict, path: str = "traffic") -> TrafficModel:
         return TrafficModel(
             demand_5g=demand("demand_5g"),
             demand_6g=demand("demand_6g"),
-            seed=_int(obj, "seed", path, default=0),
+            seed=_int(obj, "seed", path, default=0, minimum=0),
         )
 
 
@@ -334,6 +337,8 @@ def _parse_sweep(obj: dict, path: str = "sweep") -> SweepSpec:
     command = obj["command"]
     if command not in ("budget", "overhead", "classify", "simulate", "interference"):
         raise ScenarioError(f"unknown sweep command {command!r}", f"{path}.command")
+    if not isinstance(obj["parameters"], list):
+        raise ScenarioError("must be a list", f"{path}.parameters")
     params: List[SweepParameter] = []
     for i, p in enumerate(obj["parameters"]):
         ppath = f"{path}.parameters[{i}]"
@@ -366,8 +371,8 @@ def parse_scenario(document: Union[str, dict]) -> Scenario:
     lte = None
     neighbors: Tuple[LteCellConfig, ...] = ()
     if raw.get("lte") is not None:
-        neigh_raw = raw["lte"].get("neighbors", [])
         lte = _parse_lte_cell(raw["lte"], "lte", carrier, allow_neighbors=True)
+        neigh_raw = raw["lte"].get("neighbors", [])
         if not isinstance(neigh_raw, list):
             raise ScenarioError("must be a list", "lte.neighbors")
         neighbors = tuple(

@@ -196,6 +196,29 @@ class TestErrors:
         assert out == ""
         assert "lte: " in err
 
+    def test_non_object_lte_exits_1(self, capsys, tmp_path):
+        doc = {"carrier": {"scs_khz": 15, "n_prb": 6, "duplex": "FDD", "span_ms": 1}, "lte": 5}
+        code, out, err = run(capsys, "budget", "-s", write_doc(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err == "error: lte: expected an object, got int\n"
+
+    def test_negative_traffic_seed_exits_1(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["traffic"]["seed"] = -1
+        code, out, err = run(capsys, "simulate", "-s", write_doc(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: traffic.seed: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_negative_seed_option_exits_1(self, capsys, command):
+        path = str(SCENARIOS / "mrss_sweep.json")
+        code, out, err = run(capsys, command, "-s", path, "--seed", "-3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed: must be >= 0, got -3\n"
+
     def test_byte_identical_reports(self, capsys):
         for name in ("table1.json", "table3.json"):
             path = str(SCENARIOS / name)

@@ -15,7 +15,7 @@ from gridshare import (
     count_labels,
     make_grid,
 )
-from gridshare.grid import place
+from gridshare.grid import _grid_cell, place
 
 
 def fdd(n_prb=1, span_ms=1, scs=15):
@@ -224,3 +224,98 @@ class TestPlace:
     def test_fancy_index_rejected(self):
         with pytest.raises(ConfigError):
             place(self.tdd_arr(), ([0, 1],), ReLabel.NR_DATA)
+
+
+def _reference_place(arr, where, footprint, rate_match=False):
+    """The masked write of `place` on any view, kept as the reference its
+    all-free fast path must match."""
+    view = arr[where]
+    footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
+    want = footprint != ReLabel.UNLABELED
+    free = view == ReLabel.UNLABELED
+    if not rate_match:
+        taken = want & ~free & (view < ReLabel.GUARD_SYMBOL)
+        if taken.any():
+            local = tuple(np.argwhere(taken)[0])
+            raise ConflictError(
+                f"conflict at cell {_grid_cell(where, local)}: existing "
+                f"{ReLabel(int(view[local])).name}, new {ReLabel(int(footprint[local])).name}"
+            )
+    np.copyto(view, footprint, where=want & free)
+
+
+# Labels a downlink footprint can carry: everything but UNLABELED, guard and uplink.
+DOWNLINK_LABELS = np.arange(ReLabel.UNLABELED + 1, ReLabel.GUARD_SYMBOL, dtype=np.uint8)
+
+
+def _random_labels(rng, shape, density):
+    """Downlink labels on a `density` share of the cells, UNLABELED elsewhere."""
+    labels = rng.choice(DOWNLINK_LABELS, size=shape)
+    return np.where(rng.random(shape) < density, labels, ReLabel.UNLABELED).astype(np.uint8)
+
+
+def _index(draw, size):
+    """An int, a slice, or a slice with open ends into an axis of `size`."""
+    kind = draw(st.sampled_from(["int", "slice", "open"]))
+    if kind == "int":
+        return draw(st.integers(0, size - 1))
+    if kind == "open":
+        return slice(None)
+    start = draw(st.integers(0, size - 1))
+    return slice(start, draw(st.integers(start + 1, size)))
+
+
+@st.composite
+def placements(draw):
+    """(label array, where, footprint, rate_match) over FDD and TDD grids whose
+    downlink cells are all free, partly taken or all taken."""
+    cycle = draw(st.sampled_from(["FDD", "D", "DS", "DSU", "SU", "DDDSU"]))
+    n_prb = draw(st.integers(1, 2))
+    if cycle == "FDD":
+        carrier = fdd(n_prb=n_prb, span_ms=draw(st.integers(1, 3)))
+    else:
+        dl = draw(st.integers(0, 14))
+        guard = draw(st.integers(0, 14 - dl))
+        carrier = CarrierConfig(
+            Numerology(30), n_prb=n_prb, duplex="TDD", span_ms=len(cycle),
+            tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
+        )
+    arr = make_grid(carrier).writable_labels()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taken = _random_labels(rng, arr.shape, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    arr = np.where(arr == ReLabel.UNLABELED, taken, arr)
+
+    where = tuple(_index(draw, size) for size in arr.shape[: draw(st.integers(0, 3))])
+    if len(where) == 3 and all(isinstance(w, int) for w in where):
+        # Three ints name a scalar, not a view; placement takes views.
+        where = where[:2] + (slice(where[2], where[2] + 1),)
+    view_shape = arr[where].shape
+    shape = draw(st.sampled_from(["scalar", "view", "column"]))
+    if shape == "scalar":
+        footprint = draw(st.sampled_from(DOWNLINK_LABELS.tolist()))
+    else:
+        fp_shape = view_shape if shape == "view" or not view_shape else view_shape[:-1] + (1,)
+        footprint = _random_labels(rng, fp_shape, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return arr, where, footprint, draw(st.booleans())
+
+
+class TestPlaceReference:
+    @settings(max_examples=400, deadline=None)
+    @given(placements())
+    def test_place_matches_the_masked_write(self, case):
+        arr, where, footprint, rate_match = case
+        expected, actual = arr.copy(), arr.copy()
+        try:
+            _reference_place(expected, where, footprint, rate_match)
+            expected_error = None
+        except ConflictError as exc:
+            expected_error = str(exc)
+        try:
+            place(actual, where, footprint, rate_match)
+            error = None
+        except ConflictError as exc:
+            error = str(exc)
+        assert error == expected_error
+        assert np.array_equal(actual, expected)
+        if error is not None:
+            assert np.array_equal(actual, arr)

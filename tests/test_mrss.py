@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,15 @@ from gridshare import (
     Numerology,
     NrOverlaySet,
     PlacementError,
+    ReLabel,
+    ResourceGrid,
     SchedPolicy,
     SimResult,
     TddPattern,
     TrafficModel,
     TrsSpec,
     alignment_check,
+    apply_lte,
     apply_nr,
     classify_mrss,
     dss_mechanism_budget,
@@ -34,7 +39,15 @@ from gridshare import (
     reserve_iot,
     simulate,
 )
-from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED, MAX_DEMAND
+from gridshare.mrss import (
+    _NON_DL_LABELS,
+    CAT_CONTROL,
+    CAT_NON_DL,
+    CAT_RESERVED,
+    CAT_SHARED,
+    CONTROL_LABELS,
+    MAX_DEMAND,
+)
 
 
 def wideband_tdd_carrier():
@@ -406,6 +419,16 @@ class TestNeighborInterference:
         assert report.clean_re + report.sacrificed_re + report.dirty_re == report.pool_re
         assert min(report.clean_re, report.sacrificed_re, report.dirty_re) >= 0
 
+    def test_cancellation_floor_is_exact(self):
+        # 10 dirty cells x 0.8999999999999999 is 8.999999999999999 cells, so
+        # 8 are reclaimed; the float product rounds up to 9.0.
+        report = neighbor_interference(
+            self.serving(), [LteCellConfig(cell_id=3, crs_ports=4)],
+            Mitigation("ReceiverCancellation", 0.8999999999999999),
+        )
+        assert report.dirty_re == 10 - 8
+        assert report.clean_re == report.pool_re - 2
+
     def test_mitigation_validation(self):
         with pytest.raises(ConfigError):
             Mitigation("Nothing")
@@ -413,6 +436,11 @@ class TestNeighborInterference:
             Mitigation("ReceiverCancellation")
         with pytest.raises(ConfigError):
             Mitigation("SymbolLevelMute", effectiveness=0.5)
+
+    @pytest.mark.parametrize("eff", [True, "0.5", None])
+    def test_cancellation_effectiveness_must_be_real(self, eff):
+        with pytest.raises(ConfigError):
+            Mitigation("ReceiverCancellation", eff)
 
 
 def _reference_grant_slot(pool, d5, d6, policy):
@@ -572,3 +600,88 @@ class TestTrafficBounds:
     def test_non_integer_demand_rejected(self, demand):
         with pytest.raises(ConfigError, match="demand_5g"):
             TrafficModel(demand, 0)
+
+
+def _reference_classify(grid, reserved_labels, control_mode):
+    """The three-pass partition `classify_mrss` gathers from one table, kept as
+    its reference: (categories, shared cells per slot)."""
+    labels = grid.labels
+    categories = np.full(labels.shape, CAT_SHARED, dtype=np.uint8)
+    non_dl = np.isin(labels, [int(l) for l in _NON_DL_LABELS])
+    categories[non_dl] = CAT_NON_DL
+    reserved = np.isin(labels, [int(l) for l in reserved_labels])
+    categories[reserved] = CAT_RESERVED
+    control = np.isin(labels, [int(l) for l in CONTROL_LABELS])
+    categories[control] = CAT_CONTROL
+
+    footprint = int(np.count_nonzero(control))
+    extra = int(footprint * (control_mode.footprint_factor - 1))
+    if extra > 0:
+        flat = categories.reshape(-1)
+        shared_idx = np.flatnonzero(flat == CAT_SHARED)
+        if extra > shared_idx.size:
+            raise PlacementError(
+                f"separate control needs {extra} cells but only {shared_idx.size} are shared"
+            )
+        flat[shared_idx[:extra]] = CAT_CONTROL
+    return categories, np.count_nonzero(categories == CAT_SHARED, axis=(1, 2))
+
+
+@st.composite
+def label_lattices(draw):
+    """(grid, reserved labels, control mode): random lattices over the whole
+    alphabet, with the control labels from absent to dense."""
+    n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_slots, 14, 12 * n_prb)
+    control_labels = [int(l) for l in CONTROL_LABELS]
+    labels = rng.integers(0, len(ReLabel), size=shape, dtype=np.uint8)
+    # Control cells come only from control_share.
+    labels[np.isin(labels, control_labels)] = ReLabel.UNLABELED
+    control_share = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95]))
+    control = rng.choice(control_labels, size=shape)
+    labels = np.where(rng.random(shape) < control_share, control, labels).astype(np.uint8)
+    reserved = draw(st.frozensets(st.sampled_from(sorted(set(ReLabel) - CONTROL_LABELS))))
+    kind = draw(st.sampled_from(list(ControlModeKind)))
+    fraction = None
+    if kind is ControlModeKind.PARTIALLY_OVERLAPPING:
+        fraction = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.6, 1.0]), st.floats(0.0, 1.0)))
+    return ResourceGrid(carrier, labels), reserved, ControlMode(kind, fraction)
+
+
+class TestClassifyReference:
+    @settings(max_examples=300, deadline=None)
+    @given(label_lattices())
+    def test_classify_matches_the_three_pass_partition(self, case):
+        grid, reserved, mode = case
+        try:
+            expected, per_slot = _reference_classify(grid, reserved, mode)
+        except PlacementError as exc:
+            with pytest.raises(PlacementError) as err:
+                classify_mrss(grid, reserved_labels=reserved, control_mode=mode)
+            assert str(err.value) == str(exc)
+            return
+        cmap = classify_mrss(grid, reserved_labels=reserved, control_mode=mode)
+        assert np.array_equal(cmap.categories, expected)
+        assert np.array_equal(cmap.shared_cells_per_slot(), per_slot)
+
+    def test_peak_memory_is_about_two_lattices(self):
+        # 100 PRB x 100 subframes of 4-port LTE: the three np.isin passes
+        # peaked at about 6x the label lattice.
+        carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=100)
+        grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
+        tracemalloc.start()
+        try:
+            cmap = classify_mrss(grid)
+            cmap.shared_cells_per_slot()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid.labels.nbytes
+
+
+class TestTrafficSeed:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrafficModel(demand_5g=1, demand_6g=1, seed=-1)

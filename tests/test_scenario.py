@@ -212,3 +212,28 @@ class TestMbsfnSubframes:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(doc)
         assert err.value.path == "lte.neighbors[1].mbsfn_subframes"
+
+
+class TestSectionTypes:
+    @pytest.mark.parametrize("value", [5, "lte", [1], True])
+    def test_non_object_lte_rejected_at_lte(self, value):
+        with pytest.raises(ScenarioError, match="expected an object") as err:
+            parse_scenario(dict(MINIMAL, lte=value))
+        assert err.value.path == "lte"
+
+    @pytest.mark.parametrize("section, key", [
+        ("mrss", "iot_reservations"), ("sweep", "parameters"),
+    ])
+    @pytest.mark.parametrize("value", [5, {"prb_start": 0}])
+    def test_non_list_rejected_at_its_path(self, section, key, value):
+        doc = full_doc()
+        doc[section][key] = value
+        with pytest.raises(ScenarioError, match="must be a list") as err:
+            parse_scenario(doc)
+        assert err.value.path == f"{section}.{key}"
+
+    def test_negative_traffic_seed_rejected(self):
+        doc = dict(MINIMAL, traffic={"demand_5g": 1, "demand_6g": 1, "seed": -1})
+        with pytest.raises(ScenarioError, match=">= 0") as err:
+            parse_scenario(doc)
+        assert err.value.path == "traffic.seed"

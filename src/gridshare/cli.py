@@ -5,6 +5,9 @@
 Commands: budget, overhead, classify, simulate, interference, sweep.
 Exit codes: 0 success, 1 scenario/validation error, 2 computation error.
 Set GRIDSHARE_NO_COLOR to disable ANSI styling on terminals.
+
+`run` is the process entry (the `gridshare` script, `python -m
+gridshare.cli`); `main` is the in-process one.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import itertools
 import json
@@ -100,51 +104,64 @@ def build_map(scenario: Scenario) -> MrssCategoryMap:
     return cmap
 
 
-def run_budget(scenario: Scenario, fmt: str) -> str:
+# Each report command has one record builder: the JSON-ready object that
+# `-f json` prints. Its `run_<command>` renders md, csv and json from that
+# record, and a sweep flattens each point's record into one row.
+
+
+def budget_record(scenario: Scenario) -> List[Dict[str, object]]:
     rows = dss_table(
         dmrs_count=scenario.budget.layout.dmrs_count,
         lte_pdcch=scenario.budget.layout.lte_pdcch,
         nr_pdcch=scenario.budget.layout.nr_pdcch,
         ports=scenario.budget.ports,
     )
+    return [dataclasses.asdict(r) for r in rows]
+
+
+def run_budget(scenario: Scenario, fmt: str) -> str:
+    rows = budget_record(scenario)
     if fmt == "json":
-        return _json_text([r.__dict__ for r in rows])
+        return _json_text(rows)
     if fmt == "csv":
         return _csv_text(
             BUDGET_CSV_HEADERS,
-            [(r.crs_ports, r.dss_re, r.nr_re, r.lte_re,
-              f"{r.loss_vs_nr_pct:.2f}", f"{r.loss_vs_lte_pct:.2f}") for r in rows],
+            [(r["crs_ports"], r["dss_re"], r["nr_re"], r["lte_re"],
+              f"{r['loss_vs_nr_pct']:.2f}", f"{r['loss_vs_lte_pct']:.2f}") for r in rows],
         )
     return _md_table(
         BUDGET_MD_HEADERS,
         [
-            (str(r.crs_ports), str(r.dss_re), str(r.nr_re), str(r.lte_re),
-             f"{r.loss_vs_nr_pct:.2f}%", f"{r.loss_vs_lte_pct:.2f}%")
+            (str(r["crs_ports"]), str(r["dss_re"]), str(r["nr_re"]), str(r["lte_re"]),
+             f"{r['loss_vs_nr_pct']:.2f}%", f"{r['loss_vs_lte_pct']:.2f}%")
             for r in rows
         ],
     )
 
 
-def run_overhead(scenario: Scenario, fmt: str) -> str:
+def overhead_record(scenario: Scenario) -> Dict[str, object]:
     if scenario.nr is None:
         raise ScenarioError("overhead command requires an 'nr' section", "nr")
     report = nr_overhead(scenario.carrier, scenario.nr)
-    all_rows = list(report.rows) + [report.total_row]
+    return {
+        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "total": dataclasses.asdict(report.total_row),
+        "total_re": report.total_re,
+        "downlink_re": report.downlink_re,
+    }
+
+
+def run_overhead(scenario: Scenario, fmt: str) -> str:
+    record = overhead_record(scenario)
     if fmt == "json":
-        return _json_text(
-            {
-                "rows": [r.__dict__ for r in report.rows],
-                "total": report.total_row.__dict__,
-                "total_re": report.total_re,
-                "downlink_re": report.downlink_re,
-            }
-        )
+        return _json_text(record)
+    all_rows = record["rows"] + [record["total"]]
     if fmt == "csv":
         return _csv_text(
             OVERHEAD_CSV_HEADERS,
             [
-                (r.signal_name, r.config_summary, r.re_count,
-                 f"{r.pct_of_total:.2f}", f"{r.pct_of_downlink:.2f}")
+                (r["signal_name"], r["config_summary"], r["re_count"],
+                 f"{r['pct_of_total']:.2f}", f"{r['pct_of_downlink']:.2f}")
                 for r in all_rows
             ],
         )
@@ -158,85 +175,100 @@ def run_overhead(scenario: Scenario, fmt: str) -> str:
     return _md_table(
         headers,
         [
-            (r.signal_name, r.config_summary, f"{r.re_count:,}",
-             f"{r.pct_of_total:.2f}%", f"{r.pct_of_downlink:.2f}%")
+            (r["signal_name"], r["config_summary"], f"{r['re_count']:,}",
+             f"{r['pct_of_total']:.2f}%", f"{r['pct_of_downlink']:.2f}%")
             for r in all_rows
         ],
     )
 
 
-def run_classify(scenario: Scenario, fmt: str, maps: MapBuilder = build_map) -> str:
+def classify_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
     cmap = maps(scenario)
-    data = {
+    return {
         "shared_pool": cmap.shared_pool_size,
         "reserved": cmap.reserved_size,
         "control_region": cmap.control_region_size,
         "downlink_cells": cmap.downlink_size,
         "total_cells": cmap.grid.n_cells,
     }
+
+
+def run_classify(scenario: Scenario, fmt: str) -> str:
+    record = classify_record(scenario)
     if fmt == "json":
-        return _json_text(data)
+        return _json_text(record)
     if fmt == "csv":
-        return _csv_text(("category", "cells"), list(data.items()))
-    return _md_table(("Category", "Cells"), [(k, f"{v:,}") for k, v in data.items()])
+        return _csv_text(("category", "cells"), list(record.items()))
+    return _md_table(("Category", "Cells"), [(k, f"{v:,}") for k, v in record.items()])
 
 
-def run_simulate(scenario: Scenario, fmt: str, maps: MapBuilder = build_map) -> str:
+def simulate_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
     if scenario.traffic is None or scenario.policy is None:
         raise ScenarioError("simulate command requires 'traffic' and 'policy' sections")
-    traffic = scenario.traffic
-    result = simulate(maps(scenario), traffic, scenario.policy)
-    summary = {
-        "policy": scenario.policy.value,
-        "seed": traffic.seed,
-        "n_slots": len(result.grants_5g),
-        "shared_pool_size": result.shared_pool_size,
-        "total_5g": result.total_5g,
-        "total_6g": result.total_6g,
-        "unused_shared": result.unused_shared,
-        "dropped_5g": sum(result.dropped_5g),
-        "dropped_6g": sum(result.dropped_6g),
-        "efficiency_vs_pure_5g": round(result.efficiency_vs_pure_5g, 4),
-        "efficiency_vs_pure_6g": round(result.efficiency_vs_pure_6g, 4),
-    }
-    if fmt == "json":
-        return _json_text({"summary": summary, "per_slot": {
+    result = simulate(maps(scenario), scenario.traffic, scenario.policy)
+    return {
+        "summary": {
+            "policy": scenario.policy.value,
+            "seed": scenario.traffic.seed,
+            "n_slots": len(result.grants_5g),
+            "shared_pool_size": result.shared_pool_size,
+            "total_5g": result.total_5g,
+            "total_6g": result.total_6g,
+            "unused_shared": result.unused_shared,
+            "dropped_5g": sum(result.dropped_5g),
+            "dropped_6g": sum(result.dropped_6g),
+            "efficiency_vs_pure_5g": round(result.efficiency_vs_pure_5g, 4),
+            "efficiency_vs_pure_6g": round(result.efficiency_vs_pure_6g, 4),
+        },
+        "per_slot": {
             "grants_5g": list(result.grants_5g),
             "grants_6g": list(result.grants_6g),
             "unused": list(result.unused),
-        }})
+        },
+    }
+
+
+def run_simulate(scenario: Scenario, fmt: str) -> str:
+    record = simulate_record(scenario)
+    if fmt == "json":
+        return _json_text(record)
     if fmt == "csv":
-        d5, d6 = traffic.demands(len(result.grants_5g))
+        per_slot = record["per_slot"]
+        g5, g6, unused = per_slot["grants_5g"], per_slot["grants_6g"], per_slot["unused"]
+        d5, d6 = scenario.traffic.demands(len(g5))
         rows = [
-            (slot, int(result.grants_5g[slot] + result.grants_6g[slot] + result.unused[slot]),
-             int(d5[slot]), int(d6[slot]),
-             result.grants_5g[slot], result.grants_6g[slot], result.unused[slot])
-            for slot in range(len(result.grants_5g))
+            (slot, g5[slot] + g6[slot] + unused[slot], int(d5[slot]), int(d6[slot]),
+             g5[slot], g6[slot], unused[slot])
+            for slot in range(len(g5))
         ]
         return _csv_text(
             ("slot", "pool", "demand_5g", "demand_6g", "grant_5g", "grant_6g", "unused"), rows
         )
-    return _md_table(("Metric", "Value"), [(k, str(v)) for k, v in summary.items()])
+    return _md_table(("Metric", "Value"), [(k, str(v)) for k, v in record["summary"].items()])
 
 
-def run_interference(scenario: Scenario, fmt: str) -> str:
+def interference_record(scenario: Scenario) -> Dict[str, object]:
     if scenario.lte is None or scenario.mitigation is None:
         raise ScenarioError("interference command requires 'lte' and 'mitigation' sections")
     report = neighbor_interference(
         scenario.lte, scenario.lte_neighbors, scenario.mitigation, scenario.budget.layout
     )
-    data = {
+    return {
         "mitigation": scenario.mitigation.kind,
         "pool_re_per_prb": report.pool_re,
         "clean_re_per_prb": report.clean_re,
         "sacrificed_re_per_prb": report.sacrificed_re,
         "dirty_re_per_prb": report.dirty_re,
     }
+
+
+def run_interference(scenario: Scenario, fmt: str) -> str:
+    record = interference_record(scenario)
     if fmt == "json":
-        return _json_text(data)
+        return _json_text(record)
     if fmt == "csv":
-        return _csv_text(("metric", "value"), list(data.items()))
-    return _md_table(("Metric", "Value"), [(k, str(v)) for k, v in data.items()])
+        return _csv_text(("metric", "value"), list(record.items()))
+    return _md_table(("Metric", "Value"), [(k, str(v)) for k, v in record.items()])
 
 
 def _set_path(doc: dict, path: str, value: object) -> None:
@@ -260,14 +292,26 @@ def _flatten(obj: object, prefix: str, out: Dict[str, object]) -> None:
         out[prefix] = obj
 
 
-def _runners(maps: MapBuilder = build_map) -> Dict[str, Callable[[Scenario, str], str]]:
-    """Report command name -> runner(scenario, fmt); `maps` builds MRSS maps."""
+def _records(maps: MapBuilder) -> Dict[str, Callable[[Scenario], object]]:
+    """Report command name -> record(scenario); `maps` builds MRSS maps."""
+    return {
+        "budget": budget_record,
+        "overhead": overhead_record,
+        "classify": functools.partial(classify_record, maps=maps),
+        "simulate": functools.partial(simulate_record, maps=maps),
+        "interference": interference_record,
+    }
+
+
+def _runners() -> Dict[str, Callable[[Scenario, str], str]]:
+    """Command name -> runner(scenario, fmt), read from the module at call time."""
     return {
         "budget": run_budget,
         "overhead": run_overhead,
-        "classify": functools.partial(run_classify, maps=maps),
-        "simulate": functools.partial(run_simulate, maps=maps),
+        "classify": run_classify,
+        "simulate": run_simulate,
         "interference": run_interference,
+        "sweep": run_sweep,
     }
 
 
@@ -280,7 +324,17 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     # The last map built, keyed by the canonical JSON of the point document's
     # MAP_SECTIONS: a map is a read-only value, so points with equal sections
     # share it, and a sweep over those sections holds one map at a time.
+    # `maps` reads `key`, which the loop sets for each point.
     last_map: Dict[str, MrssCategoryMap] = {}
+    key = ""
+
+    def maps(point: Scenario) -> MrssCategoryMap:
+        if key not in last_map:
+            last_map.clear()
+            last_map[key] = build_map(point)
+        return last_map[key]
+
+    record_of = _records(maps)[scenario.sweep.command]
     records: List[Dict[str, object]] = []
     for index, combo in enumerate(itertools.product(*(p.values for p in params))):
         doc = json.loads(json.dumps(base))
@@ -288,28 +342,14 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
             _set_path(doc, p.path, v)
         point = parse_scenario(doc)
         key = json.dumps([doc.get(section) for section in MAP_SECTIONS], sort_keys=True)
-
-        def maps(point: Scenario, key: str = key) -> MrssCategoryMap:
-            if key not in last_map:
-                last_map.clear()
-                last_map[key] = build_map(point)
-            return last_map[key]
-
-        run = _runners(maps)[scenario.sweep.command]
-        flat: Dict[str, object] = {}
-        _flatten(json.loads(run(point, "json")), "", flat)
         record: Dict[str, object] = {"point": index}
         record.update({p.path: v for p, v in zip(params, combo)})
-        record.update(flat)
+        _flatten(record_of(point), "", record)
         records.append(record)
 
-    columns: List[str] = []
-    for record in records:
-        for key in record:
-            if key not in columns:
-                columns.append(key)
     if fmt == "json":
         return _json_text(records)
+    columns = list(dict.fromkeys(column for record in records for column in record))
     rows = [[record.get(c, "") for c in columns] for record in records]
     if fmt == "csv":
         return _csv_text(columns, rows)
@@ -377,10 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.seed is not None:
             scenario = _with_seed(scenario, args.seed, sweep=args.command == "sweep")
-        if args.command == "sweep":
-            text = run_sweep(scenario, args.format)
-        else:
-            text = _runners()[args.command](scenario, args.format)
+        text = _runners()[args.command](scenario, args.format)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -396,5 +433,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of the `gridshare` script and `python -m gridshare.cli`.
+
+    Moves the objects import left behind (numpy and gridshare, ~23k) into
+    the collector's permanent generation, so the collections of this
+    one-shot process, the one at shutdown included, no longer walk them.
+    `main` leaves the collector alone: library callers and tests call it
+    in-process.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -229,7 +229,8 @@ def place(arr: np.ndarray, where: Tuple, footprint, rate_match: bool = False) ->
     """
     if not all(isinstance(w, (int, np.integer, slice)) for w in where):
         raise ConfigError("placement needs an index of ints and slices")
-    view = arr[where]
+    # The trailing Ellipsis keeps a view even for a single cell (three ints).
+    view = arr[(*where, ...)]
     footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
     if not view.any():
         # An all-free view (UNLABELED is 0) takes the footprint verbatim: its

@@ -189,30 +189,43 @@ class MrssCategoryMap:
 
     @property
     def shared_pool_size(self) -> int:
-        return int(self.shared_cells_per_slot().sum())
+        return int(self._cells_per_slot[CAT_SHARED].sum())
 
     @property
     def reserved_size(self) -> int:
-        return int(np.count_nonzero(self.categories == CAT_RESERVED))
+        return int(self._cells_per_slot[CAT_RESERVED].sum())
 
     @property
     def control_region_size(self) -> int:
-        return int(np.count_nonzero(self.categories == CAT_CONTROL))
+        return int(self._cells_per_slot[CAT_CONTROL].sum())
 
     @property
     def downlink_size(self) -> int:
-        return int(np.count_nonzero(self.categories != CAT_NON_DL))
+        return int(self.categories.size - self._cells_per_slot[CAT_NON_DL].sum())
+
+    @cached_property
+    def _cells_per_slot(self) -> np.ndarray:
+        """Cells of each category (row) in each slot (column); read-only.
+
+        One pass, slot by slot, so no comparison spans the whole lattice.
+        """
+        counts = np.zeros((4, len(self.categories)), dtype=np.int64)
+        for s, c in enumerate(self.categories):
+            shared = np.count_nonzero(c == CAT_SHARED)
+            if shared == c.size:
+                # Every slot of an LTE-only FDD map: one comparison, as
+                # counting the shared pool alone takes.
+                counts[CAT_SHARED, s] = shared
+                continue
+            downlink = np.count_nonzero(c)  # CAT_NON_DL is 0
+            control = np.count_nonzero(c == CAT_CONTROL)
+            counts[:, s] = (c.size - downlink, shared, downlink - shared - control, control)
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
     def _shared_per_slot(self) -> np.ndarray:
-        # Slot by slot: one slot's comparison at a time, not a grid-sized one.
-        pools = np.fromiter(
-            (np.count_nonzero(c == CAT_SHARED) for c in self.categories),
-            dtype=np.int64,
-            count=len(self.categories),
-        )
-        pools.setflags(write=False)
-        return pools
+        return self._cells_per_slot[CAT_SHARED]
 
     def shared_cells_per_slot(self) -> np.ndarray:
         """Shared-pool cells of each slot; read-only, counted once per map."""

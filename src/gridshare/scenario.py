@@ -109,19 +109,21 @@ def _req_int(obj: dict, key: str, path: str, minimum=None, choices=None):
     return _int(obj, key, path, minimum=minimum, choices=choices)
 
 
-def _wrap_config(path: str):
+class _wrap_config:
     """Context manager re-raising ConfigError as ScenarioError at a path."""
 
-    class _Ctx:
-        def __enter__(self):
-            return self
+    __slots__ = ("path",)
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, ConfigError):
-                raise ScenarioError(str(exc), path) from exc
-            return False
+    def __init__(self, path: str):
+        self.path = path
 
-    return _Ctx()
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None and issubclass(exc_type, ConfigError):
+            raise ScenarioError(str(exc), self.path) from exc
+        return False
 
 
 def _parse_carrier(obj: dict, path: str = "carrier") -> CarrierConfig:

@@ -1,9 +1,15 @@
+import gc
+import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from gridshare import cli
+import gridshare
+from gridshare import ScenarioError, cli, emit_scenario, parse_scenario
 from gridshare.cli import _flatten, build_grid, main
 from gridshare.mrss import simulate
 
@@ -328,3 +334,186 @@ class TestSeedOverride:
         code, out, _ = run(capsys, "sweep", "-s", path, "-f", "json", "--seed", "99")
         assert code == 0
         assert {r["summary.seed"] for r in json.loads(out)} == {99}
+
+
+# The report commands each shipped scenario has the sections for.
+ACCEPTED = {
+    "table1.json": ["budget", "classify"],
+    "table3.json": ["budget", "overhead", "classify"],
+    "mrss_sweep.json": ["budget", "overhead", "classify", "simulate"],
+    "neighbor_interference.json": ["budget", "classify", "interference"],
+}
+REPORTS = ("budget", "overhead", "classify", "simulate", "interference")
+
+
+def assert_plain_json(obj, where="record"):
+    """Only dicts with str keys, lists, str, int, float, bool and None:
+    no tuple, enum or numpy scalar, at any depth."""
+    if type(obj) is dict:
+        for k, v in obj.items():
+            assert type(k) is str, f"{where}: key {k!r}"
+            assert_plain_json(v, f"{where}.{k}")
+    elif type(obj) is list:
+        for i, v in enumerate(obj):
+            assert_plain_json(v, f"{where}[{i}]")
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), f"{where}: {type(obj)}"
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(ACCEPTED))
+    def test_records_round_trip(self, name):
+        scenario = parse_scenario((SCENARIOS / name).read_text())
+        accepted = []
+        for command in REPORTS:
+            try:
+                record = getattr(cli, f"{command}_record")(scenario)
+            except ScenarioError:
+                continue
+            accepted.append(command)
+            assert_plain_json(record, command)
+            assert json.loads(json.dumps(record)) == record
+            run = getattr(cli, f"run_{command}")
+            assert run(scenario, "json") == json.dumps(record, indent=2) + "\n"
+        assert accepted == ACCEPTED[name]
+
+
+def _reference_sweep(scenario):
+    """run_sweep before point records, kept as the reference: each point's
+    report rendered as indent-2 JSON, parsed back and flattened, and the
+    columns merged in a list. Returns the text for each format."""
+    runners = {"budget": cli.run_budget, "overhead": cli.run_overhead,
+               "classify": cli.run_classify, "simulate": cli.run_simulate,
+               "interference": cli.run_interference}
+    base = emit_scenario(scenario)
+    base.pop("sweep", None)
+    params = scenario.sweep.parameters
+    records = []
+    for index, combo in enumerate(itertools.product(*(p.values for p in params))):
+        doc = json.loads(json.dumps(base))
+        for p, v in zip(params, combo):
+            cli._set_path(doc, p.path, v)
+        point = parse_scenario(doc)
+        flat = {}
+        _flatten(json.loads(runners[scenario.sweep.command](point, "json")), "", flat)
+        record = {"point": index}
+        record.update({p.path: v for p, v in zip(params, combo)})
+        record.update(flat)
+        records.append(record)
+
+    columns = []
+    for record in records:
+        for key in record:
+            if key not in columns:
+                columns.append(key)
+    rows = [[record.get(c, "") for c in columns] for record in records]
+    return {
+        "json": json.dumps(records, indent=2) + "\n",
+        "csv": cli._csv_text(columns, rows),
+        "md": cli._md_table(columns, [[str(v) for v in row] for row in rows]),
+    }
+
+
+def sweep_doc(name, command, parameters):
+    doc = json.loads((SCENARIOS / name).read_text())
+    doc["sweep"] = {"command": command, "parameters": parameters}
+    return doc
+
+
+SWEEPS = {
+    "mrss_sweep": json.loads((SCENARIOS / "mrss_sweep.json").read_text()),
+    "neighbor_interference": json.loads((SCENARIOS / "neighbor_interference.json").read_text()),
+    "classify": sweep_doc("mrss_sweep.json", "classify", [
+        {"path": "mrss.control_mode", "values": ["FullyOverlapping", "Separate"]},
+        {"path": "nr.coreset1.symbols", "values": [1, 2]},
+    ]),
+    "interference": sweep_doc("neighbor_interference.json", "interference", [
+        {"path": "mitigation.kind", "values": ["ServingOnlyRateMatch", "SymbolLevelMute"]},
+        {"path": "lte.crs_ports", "values": [1, 2, 4]},
+    ]),
+    "budget": sweep_doc("table1.json", "budget", [
+        {"path": "budget.lte_pdcch", "values": [1, 3]},
+        {"path": "budget.ports", "values": [[1], [2, 4]]},
+    ]),
+    "overhead": sweep_doc("table3.json", "overhead", [
+        {"path": "nr.coreset1.symbols", "values": [1, 3]},
+    ]),
+}
+
+
+class TestSweepRecords:
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_sweep_matches_the_text_round_trip(self, capsys, tmp_path, name):
+        doc = SWEEPS[name]
+        expected = _reference_sweep(parse_scenario(doc))
+        path = write_doc(tmp_path, doc)
+        for fmt in ("md", "csv", "json"):
+            code, out, err = run(capsys, "sweep", "-s", path, "-f", fmt)
+            assert (code, err) == (0, "")
+            assert out == expected[fmt], fmt
+
+
+SRC_DIR = pathlib.Path(gridshare.__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """`python args...` importing the gridshare package these tests import."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR) + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def run_process(*argv):
+    return run_python("-m", "gridshare.cli", *argv)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("command,name", [
+        ("budget", "table1.json"),
+        ("overhead", "table3.json"),
+        ("classify", "table3.json"),
+        ("simulate", "mrss_sweep.json"),
+        ("interference", "neighbor_interference.json"),
+        ("sweep", "mrss_sweep.json"),
+    ])
+    def test_process_matches_in_process_main(self, capsys, command, name):
+        argv = [command, "-s", str(SCENARIOS / name), "-f", "csv"]
+        proc = run_process(*argv)
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_invalid_document_exits_1_without_traceback(self, capsys, tmp_path):
+        doc = {"carrier": {"scs_khz": 15, "n_prb": 6, "duplex": "FDD", "span_ms": 1}, "lte": 5}
+        path = write_doc(tmp_path, doc)
+        proc = run_process("budget", "-s", path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: lte: expected an object, got int\n"
+        assert (1, "", proc.stderr) == run(capsys, "budget", "-s", path)
+
+    def test_entry_freezes_the_heap_before_main(self, capsys):
+        # run() is the process entry: it freezes, then exits with main's code.
+        script = "\n".join([
+            "import gc",
+            "from gridshare import cli",
+            "def fake_main():",
+            "    print(gc.get_freeze_count() > 0)",
+            "    return 3",
+            "cli.main = fake_main",
+            "cli.run()",
+        ])
+        proc = run_python("-c", script)
+        assert (proc.returncode, proc.stdout) == (3, "True\n")
+        # main itself leaves the collector alone.
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "budget", "-s", str(SCENARIOS / "table1.json"))[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_script_and_module_share_the_entry(self):
+        pyproject = (SCENARIOS.parent / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'gridshare = "gridshare.cli:run"'
+        source = pathlib.Path(cli.__file__).read_text()
+        assert source.rstrip().endswith('if __name__ == "__main__":\n    run()')

@@ -221,6 +221,18 @@ class TestPlace:
         assert np.count_nonzero(arr[0] == ReLabel.NR_DMRS) == 24
         assert arr[0, 0, 1] == ReLabel.NR_SSB
 
+    def test_single_cell(self):
+        arr = self.tdd_arr()
+        place(arr, (0, 4, 15), ReLabel.NR_SSB)
+        assert arr[0, 4, 15] == ReLabel.NR_SSB
+        assert np.count_nonzero(arr[0]) == 1
+        before = arr.copy()
+        with pytest.raises(ConflictError, match=r"at cell \(0, 4, 15\): existing NR_SSB, new NR_DATA"):
+            place(arr, (0, 4, 15), ReLabel.NR_DATA)
+        place(arr, (0, 4, 15), ReLabel.NR_DATA, rate_match=True)
+        place(arr, (1, 13, 0), ReLabel.NR_DATA)  # uplink: left as it is
+        assert np.array_equal(arr, before)
+
     def test_fancy_index_rejected(self):
         with pytest.raises(ConfigError):
             place(self.tdd_arr(), ([0, 1],), ReLabel.NR_DATA)
@@ -229,7 +241,7 @@ class TestPlace:
 def _reference_place(arr, where, footprint, rate_match=False):
     """The masked write of `place` on any view, kept as the reference its
     all-free fast path must match."""
-    view = arr[where]
+    view = arr[(*where, ...)]
     footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
     want = footprint != ReLabel.UNLABELED
     free = view == ReLabel.UNLABELED
@@ -285,10 +297,12 @@ def placements(draw):
     taken = _random_labels(rng, arr.shape, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
     arr = np.where(arr == ReLabel.UNLABELED, taken, arr)
 
-    where = tuple(_index(draw, size) for size in arr.shape[: draw(st.integers(0, 3))])
-    if len(where) == 3 and all(isinstance(w, int) for w in where):
-        # Three ints name a scalar, not a view; placement takes views.
-        where = where[:2] + (slice(where[2], where[2] + 1),)
+    depth = draw(st.integers(0, 4))
+    if depth == 4:
+        # Three ints: a single cell.
+        where = tuple(draw(st.integers(0, size - 1)) for size in arr.shape)
+    else:
+        where = tuple(_index(draw, size) for size in arr.shape[:depth])
     view_shape = arr[where].shape
     shape = draw(st.sampled_from(["scalar", "view", "column"]))
     if shape == "scalar":

@@ -680,6 +680,33 @@ class TestClassifyReference:
             tracemalloc.stop()
         assert peak <= 2.5 * grid.labels.nbytes
 
+    @pytest.mark.parametrize("case", ["lte_with_iot", "nr_wideband"])
+    def test_size_properties_count_slot_by_slot(self, case):
+        # Each size property compared the whole lattice: reading all three
+        # on the LTE grid peaked at 1.0x the label lattice.
+        if case == "lte_with_iot":
+            carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=100)
+            grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
+            cmap = reserve_iot(classify_mrss(grid), (0, 6), slots=range(0, 100, 7))
+        else:
+            cmap = wideband_map()
+        tracemalloc.start()
+        try:
+            sizes = (cmap.reserved_size, cmap.control_region_size, cmap.downlink_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * cmap.labels.nbytes
+        cats = cmap.categories
+        assert sizes == (
+            np.count_nonzero(cats == CAT_RESERVED),
+            np.count_nonzero(cats == CAT_CONTROL),
+            np.count_nonzero(cats != CAT_NON_DL),
+        )
+        assert cmap.shared_pool_size == np.count_nonzero(cats == CAT_SHARED)
+        assert np.array_equal(cmap.shared_cells_per_slot(),
+                              np.count_nonzero(cats == CAT_SHARED, axis=(1, 2)))
+
 
 class TestTrafficSeed:
     def test_negative_seed_rejected(self):

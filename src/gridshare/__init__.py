@@ -26,12 +26,10 @@ from .errors import (
 from .grid import (
     CarrierConfig,
     Numerology,
-    OverridePolicy,
     ReLabel,
     ResourceGrid,
     SlotKind,
     TddPattern,
-    apply_overlay,
     count_labels,
     make_grid,
 )
@@ -45,7 +43,6 @@ from .mrss import (
     SchedPolicy,
     SimResult,
     TrafficModel,
-    alignment_check,
     classify_mrss,
     dss_mechanism_budget,
     neighbor_interference,

@@ -156,12 +156,11 @@ def dss_table(
     lte_pdcch: int = 2,
     nr_pdcch: int = 1,
     ports: Sequence[int] = (1, 2, 4),
-    verify_grid: bool = True,
 ) -> List[BudgetRow]:
     """Per-PRB DSS budget rows across CRS port configurations.
 
-    Rows are computed by closed form and, unless disabled, cross-checked by
-    building the labeled grids and counting; disagreement is a hard error.
+    Rows are computed by closed form and cross-checked by building the
+    labeled grids and counting; disagreement is a hard error.
     """
     rows: List[BudgetRow] = []
     nr_re = nr_pool_per_prb(nr_pdcch, dmrs_count)
@@ -173,12 +172,9 @@ def dss_table(
         dss_re = dss_pool_per_prb(p, lte_pdcch, nr_pdcch, dmrs)
         # Degenerate no-incumbent case (p=0): the "DSS" slot is a pure NR slot.
         lte_re = dss_re if p == 0 else lte_pool_per_prb(p, lte_pdcch)
-        if verify_grid:
-            counted = dss_pool_by_grid(p, lte_pdcch, nr_pdcch, dmrs)
-            if counted != dss_re:
-                raise GridShareError(
-                    f"closed-form/grid mismatch for {p} ports: {dss_re} vs {counted}"
-                )
+        counted = dss_pool_by_grid(p, lte_pdcch, nr_pdcch, dmrs)
+        if counted != dss_re:
+            raise GridShareError(f"closed-form/grid mismatch for {p} ports: {dss_re} vs {counted}")
         rows.append(
             BudgetRow(
                 crs_ports=p,

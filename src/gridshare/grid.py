@@ -4,8 +4,7 @@ The grid is a dense (slot, symbol, subcarrier) lattice where every resource
 element carries exactly one label. All operations are pure: they validate,
 copy, and return new grids, so grids behave as immutable values. Inside a
 stage, every label write goes through `place`, on the stage's one writable
-copy, so no write relabels a cell (MBSFN muting aside) or touches an
-uplink/guard cell.
+copy, so no write relabels a cell or touches an uplink/guard cell.
 """
 
 from __future__ import annotations
@@ -60,16 +59,6 @@ class ReLabel(IntEnum):
         if port not in (0, 1, 2, 3):
             raise ConfigError(f"CRS port index must be 0..3, got {port}")
         return ReLabel(ReLabel.LTE_CRS_P0 + port)
-
-
-LTE_CRS_LABELS = frozenset(
-    {ReLabel.LTE_CRS_P0, ReLabel.LTE_CRS_P1, ReLabel.LTE_CRS_P2, ReLabel.LTE_CRS_P3}
-)
-
-
-class OverridePolicy(Enum):
-    ERROR_ON_CONFLICT = "ErrorOnConflict"
-    OVERWRITE = "Overwrite"
 
 
 @dataclass(frozen=True)
@@ -252,41 +241,6 @@ def place(arr: np.ndarray, where: Tuple, footprint, rate_match: bool = False) ->
     np.copyto(view, footprint, where=want & free)
 
 
-def apply_overlay(
-    grid: ResourceGrid,
-    mask: np.ndarray,
-    label: ReLabel,
-    override_policy: OverridePolicy = OverridePolicy.ERROR_ON_CONFLICT,
-) -> ResourceGrid:
-    """Label the cells of a grid-shaped boolean mask atomically.
-
-    Under ERROR_ON_CONFLICT this is a strict `place`: an already-labeled
-    downlink cell aborts the whole application, and uplink/guard cells are
-    skipped. OVERWRITE is restricted to MBSFN muting semantics:
-    LteData/Unlabeled -> LteMbsfnMuted. The input grid is never mutated.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != grid.labels.shape:
-        raise ConfigError(f"mask shape {mask.shape} != grid shape {grid.labels.shape}")
-    arr = grid.writable_labels()
-    if override_policy is OverridePolicy.OVERWRITE:
-        if label is not ReLabel.LTE_MBSFN_MUTED:
-            raise ConflictError(
-                "Overwrite is only permitted for MBSFN muting (target LteMbsfnMuted), "
-                f"got {label.name}"
-            )
-        blocked = mask & (arr != ReLabel.LTE_DATA) & (arr != ReLabel.UNLABELED)
-        if blocked.any():
-            cell = tuple(int(i) for i in np.argwhere(blocked)[0])
-            raise ConflictError(
-                f"cannot mute cell {cell}: existing label {ReLabel(int(arr[cell])).name}"
-            )
-        arr[mask] = label
-    else:
-        place(arr, (), np.where(mask, np.uint8(label), np.uint8(ReLabel.UNLABELED)))
-    return ResourceGrid(grid.config, arr)
-
-
 def count_labels(
     grid: ResourceGrid,
     slot_range: Optional[Tuple[int, int]] = None,
@@ -307,7 +261,3 @@ def count_labels(
     values, counts = np.unique(window, return_counts=True)
     return {ReLabel(int(v)): int(c) for v, c in zip(values, counts)}
 
-
-def crs_count(counts: Dict[ReLabel, int]) -> int:
-    """Aggregate CRS count across the four per-port labels."""
-    return sum(counts.get(l, 0) for l in LTE_CRS_LABELS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Set, Tuple
 
 import numpy as np
 
@@ -140,13 +140,8 @@ def _subframe_templates(
     return normal, mbsfn, sf0, sf5
 
 
-def apply_lte(
-    grid: ResourceGrid,
-    cfg: LteCellConfig,
-    subframes: Optional[Sequence[int]] = None,
-    include_sync: bool = True,
-) -> ResourceGrid:
-    """Overlay one LTE cell's downlink structure onto a 15 kHz grid.
+def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True) -> ResourceGrid:
+    """Overlay one LTE cell's downlink structure on every subframe of a 15 kHz grid.
 
     In MBSFN subframes the control region is non_mbsfn_region_len symbols
     and everything after it is muted, with no CRS beyond the non-MBSFN
@@ -159,17 +154,11 @@ def apply_lte(
     carrier = grid.config
     if carrier.numerology.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
-    if subframes is None:
-        subframes = range(carrier.n_slots)
-    for sf in subframes:
-        if not 0 <= sf < carrier.n_slots:
-            raise ConfigError(f"subframe index {sf} out of range")
-
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
     arr = grid.writable_labels()
-    for sf in sorted(set(subframes)):
+    for sf in range(carrier.n_slots):
         if sf in cfg.mbsfn_subframes:
             template = mbsfn
         elif sf % 10 == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,6 +49,13 @@ DEFAULT_RESERVED_LABELS = frozenset(
 CONTROL_LABELS = frozenset({ReLabel.NR_PDCCH_CORESET1, ReLabel.SIXG_CONTROL})
 
 _NON_DL_LABELS = frozenset({ReLabel.UPLINK_SYMBOL, ReLabel.GUARD_SYMBOL})
+
+# The label -> category table `classify_mrss` gathers; every other label is shared.
+_CATEGORY_OF_LABEL = np.full(len(ReLabel), CAT_SHARED, dtype=np.uint8)
+_CATEGORY_OF_LABEL[list(_NON_DL_LABELS)] = CAT_NON_DL
+_CATEGORY_OF_LABEL[list(DEFAULT_RESERVED_LABELS)] = CAT_RESERVED
+_CATEGORY_OF_LABEL[list(CONTROL_LABELS)] = CAT_CONTROL
+_CATEGORY_OF_LABEL.setflags(write=False)
 
 
 class ControlModeKind(Enum):
@@ -204,8 +211,8 @@ class MrssCategoryMap:
         return int(self.categories.size - self._cells_per_slot[CAT_NON_DL].sum())
 
     @cached_property
-    def _cells_per_slot(self) -> np.ndarray:
-        """Cells of each category (row) in each slot (column); read-only.
+    def _cells_per_slot(self) -> Tuple[np.ndarray, ...]:
+        """Per category code, the cells of each slot: one read-only row each.
 
         One pass, slot by slot, so no comparison spans the whole lattice.
         """
@@ -221,15 +228,11 @@ class MrssCategoryMap:
             control = np.count_nonzero(c == CAT_CONTROL)
             counts[:, s] = (c.size - downlink, shared, downlink - shared - control, control)
         counts.setflags(write=False)
-        return counts
-
-    @cached_property
-    def _shared_per_slot(self) -> np.ndarray:
-        return self._cells_per_slot[CAT_SHARED]
+        return tuple(counts)
 
     def shared_cells_per_slot(self) -> np.ndarray:
         """Shared-pool cells of each slot; read-only, counted once per map."""
-        return self._shared_per_slot
+        return self._cells_per_slot[CAT_SHARED]
 
     def cell_sets(self) -> Dict[str, Set[Tuple[int, int, int]]]:
         """Explicit cell sets; intended for small grids and invariant checks."""
@@ -273,31 +276,7 @@ class MechanismBudget:
     unused_symbols: int = 0
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    aligned: bool
-    reason: Optional[str] = None
-
-
-def alignment_check(carrier_5g: CarrierConfig, carrier_6g: CarrierConfig) -> AlignmentResult:
-    """Numerology/slot-structure compatibility gate for fine-grained sharing."""
-    if carrier_5g.numerology.scs_khz != carrier_6g.numerology.scs_khz:
-        return AlignmentResult(False, "scs")
-    if carrier_5g.n_prb != carrier_6g.n_prb:
-        return AlignmentResult(False, "n_prb")
-    if carrier_5g.duplex != carrier_6g.duplex:
-        return AlignmentResult(False, "duplex")
-    if carrier_5g.tdd_pattern != carrier_6g.tdd_pattern:
-        return AlignmentResult(False, "tdd_pattern")
-    return AlignmentResult(True)
-
-
-def classify_mrss(
-    grid: ResourceGrid,
-    reserved_labels: FrozenSet[ReLabel] = DEFAULT_RESERVED_LABELS,
-    control_mode: ControlMode = ControlMode(),
-    carrier_6g: Optional[CarrierConfig] = None,
-) -> MrssCategoryMap:
+def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode()) -> MrssCategoryMap:
     """Partition downlink-capable cells into shared pool, reserved, control.
 
     The 5G control footprint (CORESET1 cells) anchors the control region;
@@ -305,27 +284,11 @@ def classify_mrss(
     footprint x (factor - 1) additional cells taken from the shared pool in
     deterministic scan order.
     """
-    if reserved_labels & CONTROL_LABELS:
-        raise ConfigError("reserved labels overlap the control labels")
-    if carrier_6g is not None:
-        result = alignment_check(grid.config, carrier_6g)
-        if not result.aligned:
-            raise ConfigError(f"5G/6G carriers misaligned: {result.reason}")
-
-    # One label -> category table; later groups win, so control beats
-    # reserved beats non-downlink.
-    table = np.full(len(ReLabel), CAT_SHARED, dtype=np.uint8)
-    for group, cat in (
-        (_NON_DL_LABELS, CAT_NON_DL),
-        (reserved_labels, CAT_RESERVED),
-        (CONTROL_LABELS, CAT_CONTROL),
-    ):
-        table[[int(l) for l in group]] = cat
     labels = grid.labels
     categories = np.empty(labels.shape, dtype=np.uint8)
     # Slot by slot, so the gather's index temporaries stay one slot in size.
     for s in range(labels.shape[0]):
-        np.take(table, labels[s], out=categories[s])
+        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
 
     grow = control_mode.footprint_factor - 1
     if grow:
@@ -347,6 +310,29 @@ def classify_mrss(
     )
 
 
+# Placement ranges: the scenario parser checks them against the document's
+# carrier, and reserve_iot and place_6g_ssb again for library callers.
+def check_prb_range(cfg: CarrierConfig, p0: int, p1: int) -> None:
+    if not 0 <= p0 <= p1 <= cfg.n_prb:
+        raise ConfigError(f"PRB range ({p0}, {p1}) out of bounds for a {cfg.n_prb}-PRB carrier")
+
+
+def check_slots(cfg: CarrierConfig, slots: Iterable[int]) -> None:
+    for s in slots:
+        if not 0 <= s < cfg.n_slots:
+            raise ConfigError(f"slot {s} out of range for a {cfg.n_slots}-slot carrier")
+
+
+def check_ssb_occasion(cfg: CarrierConfig, occasion: Sequence[int], prbs: int, symbols: int) -> None:
+    slot, symbol, prb = occasion
+    if not (0 <= slot < cfg.n_slots and 0 <= symbol <= SYMBOLS_PER_SLOT - symbols
+            and 0 <= prb <= cfg.n_prb - prbs):
+        raise ConfigError(
+            f"6G SSB occasion {(slot, symbol, prb)} out of range: a {prbs}-PRB, "
+            f"{symbols}-symbol block on a {cfg.n_slots}-slot, {cfg.n_prb}-PRB carrier"
+        )
+
+
 def reserve_iot(
     cmap: MrssCategoryMap,
     prb_range: Tuple[int, int],
@@ -359,12 +345,9 @@ def reserve_iot(
     """
     cfg = cmap.grid.config
     p0, p1 = prb_range
-    if not 0 <= p0 <= p1 <= cfg.n_prb:
-        raise ConfigError(f"PRB range ({p0}, {p1}) out of bounds")
+    check_prb_range(cfg, p0, p1)
     slot_list = list(range(cfg.n_slots)) if slots is None else sorted(set(slots))
-    for s in slot_list:
-        if not 0 <= s < cfg.n_slots:
-            raise ConfigError(f"slot {s} out of range")
+    check_slots(cfg, slot_list)
 
     categories = cmap.categories.copy()
     labels = cmap.labels.copy()
@@ -400,8 +383,7 @@ def place_6g_ssb(
     categories = cmap.categories.copy()
     labels = cmap.labels.copy()
     for slot, symbol, prb in occasions:
-        if not (0 <= slot < cfg.n_slots and 0 <= symbol and symbol + symbols <= SYMBOLS_PER_SLOT and 0 <= prb and prb + prbs <= cfg.n_prb):
-            raise ConfigError(f"6G SSB occasion {(slot, symbol, prb)} out of range")
+        check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
         sl = slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB)
         where = (slot, slice(symbol, symbol + symbols), sl)
         cat = categories[where]
@@ -444,21 +426,15 @@ def simulate(
     cmap: MrssCategoryMap,
     traffic: TrafficModel,
     policy: SchedPolicy,
-    n_slots: Optional[int] = None,
 ) -> SimResult:
-    """Slot-level dual-RAT scheduling over the shared pool.
+    """Slot-level dual-RAT scheduling over every slot of the shared pool.
 
     Per slot: grants(5G) + grants(6G) + unused = shared cells available that
     slot; excess demand is dropped and reported. Deterministic given the
     traffic seed.
     """
-    per_slot = cmap.shared_cells_per_slot()
-    if n_slots is None:
-        n_slots = per_slot.size
-    if not 0 < n_slots <= per_slot.size:
-        raise ConfigError(f"n_slots {n_slots} outside grid window of {per_slot.size}")
-    pool = per_slot[:n_slots]
-    d5, d6 = traffic.demands(n_slots)
+    pool = cmap.shared_cells_per_slot()
+    d5, d6 = traffic.demands(pool.size)
     if pool.max() >= 2**16:
         # pool x demand could leave int64 (demands reach 2**47): Python ints.
         pool, d5, d6 = pool.astype(object), d5.astype(object), d6.astype(object)

@@ -1,4 +1,4 @@
-"""5G NR (and numerology-aligned 6G) signal footprints.
+"""5G NR signal footprints.
 
 Covers the periodic broadcast/control/reference footprints of an NR carrier
 (SSB, CORESET0/SIB1, regular CORESET, CSI-RS, TRS) and the per-slot DSS
@@ -171,12 +171,7 @@ NR_LABELS = {
     SIGNAL_TRS: ReLabel.NR_TRS,
 }
 
-_SIXG_LABELS = {
-    name: ReLabel.SIXG_SSB if name == SIGNAL_SSB else ReLabel.SIXG_CONTROL for name in SIGNAL_ORDER
-}
-
-
-def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> ResourceGrid:
+def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
     """Place the overlay's footprints into disjoint downlink cells.
 
     Placement spreads beam/occasion units across distinct downlink slots:
@@ -192,9 +187,6 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> Reso
             f"overlay period {overlay.period_ms} ms != carrier span {carrier.span_ms} ms"
         )
     overlay.check_fits(carrier)
-    if rat not in ("5g", "6g"):
-        raise ConfigError(f"rat must be '5g' or '6g', got {rat!r}")
-    labels = NR_LABELS if rat == "5g" else _SIXG_LABELS
 
     arr = grid.writable_labels()
     dl_slots = list(carrier.dl_bearing_slots())
@@ -215,7 +207,7 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> Reso
             place(
                 arr,
                 (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
-                labels[SIGNAL_CORESET1],
+                NR_LABELS[SIGNAL_CORESET1],
             )
     monitored_set = set(monitored)
     ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
@@ -249,13 +241,13 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet, rat: str = "5g") -> Reso
         if kind == "block":
             if base + amount > dl_syms:
                 raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
-            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), labels[name])
+            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), NR_LABELS[name])
         else:
             if amount > (dl_syms - base) * SC_PER_PRB:
                 raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
             where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
             pick = _first_free_per_prb(arr[where], amount, f"{name}: collision in slot {slot}")
-            place(arr, where, np.where(pick, labels[name], ReLabel.UNLABELED))
+            place(arr, where, np.where(pick, NR_LABELS[name], ReLabel.UNLABELED))
     return ResourceGrid(carrier, arr)
 
 

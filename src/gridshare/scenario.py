@@ -7,6 +7,7 @@ carries a dotted path into the document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -21,8 +22,14 @@ from .mrss import (
     SchedPolicy,
     TrafficModel,
     check_demand,
+    check_prb_range,
+    check_slots,
+    check_ssb_occasion,
 )
 from .nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
+
+MAX_N_PRB = 275  # NR's widest carrier, TS 38.211 §4.4.2
+MAX_SPAN_MS = 10240  # 1024 radio frames: one SFN cycle
 
 
 @dataclass(frozen=True)
@@ -79,34 +86,40 @@ class Scenario:
     sweep: Optional[SweepSpec] = None
 
 
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _check_keys(obj: dict, path: str, allowed: Sequence[str], required: Sequence[str] = ()):
     if not isinstance(obj, dict):
         raise ScenarioError(f"expected an object, got {type(obj).__name__}", path)
     for key in obj:
         if key not in allowed:
-            raise ScenarioError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
+            raise ScenarioError(f"unknown key {key!r}", _at(path, key))
     for key in required:
         if key not in obj:
             raise ScenarioError(f"missing required key {key!r}", path)
 
 
-def _int(obj: dict, key: str, path: str, default=None, minimum=None, choices=None):
+def _int(obj: dict, key: str, path: str, default=None, minimum=None, maximum=None, choices=None):
     if key not in obj:
         return default
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"expected an integer, got {v!r}", f"{path}.{key}")
+        raise ScenarioError(f"expected an integer, got {v!r}", _at(path, key))
     if minimum is not None and v < minimum:
-        raise ScenarioError(f"must be >= {minimum}, got {v}", f"{path}.{key}")
+        raise ScenarioError(f"must be >= {minimum}, got {v}", _at(path, key))
+    if maximum is not None and v > maximum:
+        raise ScenarioError(f"must be <= {maximum}, got {v}", _at(path, key))
     if choices is not None and v not in choices:
-        raise ScenarioError(f"must be one of {sorted(choices)}, got {v}", f"{path}.{key}")
+        raise ScenarioError(f"must be one of {sorted(choices)}, got {v}", _at(path, key))
     return v
 
 
-def _req_int(obj: dict, key: str, path: str, minimum=None, choices=None):
+def _req_int(obj: dict, key: str, path: str, **bounds):
     if key not in obj:
         raise ScenarioError(f"missing required key {key!r}", path)
-    return _int(obj, key, path, minimum=minimum, choices=choices)
+    return _int(obj, key, path, **bounds)
 
 
 class _wrap_config:
@@ -130,13 +143,15 @@ def _parse_carrier(obj: dict, path: str = "carrier") -> CarrierConfig:
     _check_keys(obj, path, ["scs_khz", "n_prb", "duplex", "span_ms", "tdd_pattern"],
                 ["scs_khz", "n_prb", "duplex", "span_ms"])
     scs = _req_int(obj, "scs_khz", path, choices={15, 30})
-    n_prb = _req_int(obj, "n_prb", path, minimum=1)
+    n_prb = _req_int(obj, "n_prb", path, minimum=1, maximum=MAX_N_PRB)
     duplex = obj["duplex"]
     if duplex not in ("FDD", "TDD"):
         raise ScenarioError(f"must be 'FDD' or 'TDD', got {duplex!r}", f"{path}.duplex")
     span = obj["span_ms"]
     if isinstance(span, bool) or not isinstance(span, (int, float)):
         raise ScenarioError(f"expected a number, got {span!r}", f"{path}.span_ms")
+    if not -math.inf < span <= MAX_SPAN_MS:  # also rejects NaN
+        raise ScenarioError(f"must be finite and at most {MAX_SPAN_MS} ms, got {span!r}", f"{path}.span_ms")
     pattern = None
     if "tdd_pattern" in obj and obj["tdd_pattern"] is not None:
         p = obj["tdd_pattern"]
@@ -256,7 +271,7 @@ def _parse_budget(obj: dict, path: str = "budget") -> BudgetSpec:
     return BudgetSpec(layout=layout, ports=tuple(ports))
 
 
-def _parse_mrss(obj: dict, path: str = "mrss") -> MrssSpec:
+def _parse_mrss(obj: dict, carrier: CarrierConfig, path: str = "mrss") -> MrssSpec:
     _check_keys(obj, path, ["control_mode", "shared_fraction", "iot_reservations", "sixg_ssb"])
     mode_name = obj.get("control_mode", "FullyOverlapping")
     try:
@@ -284,13 +299,12 @@ def _parse_mrss(obj: dict, path: str = "mrss") -> MrssSpec:
             if not isinstance(s, list) or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in s):
                 raise ScenarioError("must be a list of non-negative integers", f"{rpath}.slots")
             slots = tuple(s)
-        reservations.append(
-            IotReservation(
-                prb_start=_req_int(r, "prb_start", rpath, minimum=0),
-                prb_stop=_req_int(r, "prb_stop", rpath, minimum=0),
-                slots=slots,
-            )
-        )
+        p0, p1 = _req_int(r, "prb_start", rpath, minimum=0), _req_int(r, "prb_stop", rpath, minimum=0)
+        with _wrap_config(rpath):
+            check_prb_range(carrier, p0, p1)
+        with _wrap_config(f"{rpath}.slots"):
+            check_slots(carrier, slots or ())
+        reservations.append(IotReservation(prb_start=p0, prb_stop=p1, slots=slots))
     sixg = None
     if obj.get("sixg_ssb") is not None:
         s = obj["sixg_ssb"]
@@ -307,6 +321,9 @@ def _parse_mrss(obj: dict, path: str = "mrss") -> MrssSpec:
             prbs=_int(s, "prbs", spath, default=20, minimum=1),
             symbols=_int(s, "symbols", spath, default=4, minimum=1),
         )
+        for j, o in enumerate(sixg.occasions):
+            with _wrap_config(f"{spath}.occasions[{j}]"):
+                check_ssb_occasion(carrier, o, sixg.prbs, sixg.symbols)
     return MrssSpec(control_mode=mode, iot_reservations=tuple(reservations), sixg_ssb=sixg)
 
 
@@ -383,7 +400,7 @@ def parse_scenario(document: Union[str, dict]) -> Scenario:
 
     nr = _parse_nr(raw["nr"]) if raw.get("nr") is not None else None
     budget = _parse_budget(raw["budget"]) if raw.get("budget") is not None else BudgetSpec()
-    mrss = _parse_mrss(raw["mrss"]) if raw.get("mrss") is not None else None
+    mrss = _parse_mrss(raw["mrss"], carrier) if raw.get("mrss") is not None else None
     traffic = _parse_traffic(raw["traffic"]) if raw.get("traffic") is not None else None
 
     policy = None

@@ -240,6 +240,66 @@ def write_doc(tmp_path, doc, name="doc.json"):
     return str(path)
 
 
+def carrier_text(n_prb="52", span_ms="1"):
+    """A scenario's JSON text with the carrier numbers as raw JSON tokens."""
+    return ('{"carrier": {"scs_khz": 15, "n_prb": %s, "duplex": "FDD", "span_ms": %s}}'
+            % (n_prb, span_ms))
+
+
+class TestCarrierBounds:
+    """Carriers beyond NR's widest or one SFN cycle are rejected at parse
+    time with exit 1; they used to end in a traceback or build no grid."""
+
+    @pytest.mark.parametrize("n_prb", ["276", "10000000"])
+    def test_n_prb_above_275_rejected(self, capsys, tmp_path, n_prb):
+        (tmp_path / "wide.json").write_text(carrier_text(n_prb=n_prb, span_ms="1000"))
+        code, out, err = run(capsys, "budget", "-s", str(tmp_path / "wide.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: carrier.n_prb: must be <= 275, got {n_prb}\n"
+
+    @pytest.mark.parametrize("span, shown", [
+        ("1e400", "inf"), ("-1e400", "-inf"), ("Infinity", "inf"), ("NaN", "nan"),
+        ("10241", "10241"), ("10240.5", "10240.5"),
+    ])
+    def test_span_ms_non_finite_or_above_one_sfn_cycle_rejected(self, capsys, tmp_path, span, shown):
+        (tmp_path / "long.json").write_text(carrier_text(span_ms=span))
+        code, out, err = run(capsys, "budget", "-s", str(tmp_path / "long.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: carrier.span_ms: must be finite and at most 10240 ms, got {shown}\n"
+        assert "Traceback" not in err
+
+
+class TestMrssRangesAtParseTime:
+    """IoT reservations and 6G SSB occasions outside the carrier exit 1 at
+    their dotted path instead of exit 2 from the placement."""
+
+    def classify(self, capsys, tmp_path, mrss):
+        doc = json.loads(carrier_text())
+        doc["mrss"] = mrss
+        code, out, err = run(capsys, "classify", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        return err
+
+    def test_iot_slot_beyond_carrier(self, capsys, tmp_path):
+        err = self.classify(capsys, tmp_path, {
+            "iot_reservations": [{"prb_start": 0, "prb_stop": 1, "slots": [0, 99]}]})
+        assert err == "error: mrss.iot_reservations[0].slots: slot 99 out of range for a 1-slot carrier\n"
+
+    @pytest.mark.parametrize("start, stop", [(5, 53), (6, 5)])
+    def test_iot_prb_range_beyond_carrier(self, capsys, tmp_path, start, stop):
+        err = self.classify(capsys, tmp_path, {"iot_reservations": [
+            {"prb_start": 0, "prb_stop": 52}, {"prb_start": start, "prb_stop": stop}]})
+        assert err == (f"error: mrss.iot_reservations[1]: PRB range ({start}, {stop}) "
+                       "out of bounds for a 52-PRB carrier\n")
+
+    @pytest.mark.parametrize("occasion", [[5, 0, 0], [0, 11, 0], [0, 0, 33], [0, -1, 0]])
+    def test_sixg_ssb_occasion_beyond_carrier(self, capsys, tmp_path, occasion):
+        err = self.classify(capsys, tmp_path, {"sixg_ssb": {"occasions": [[0, 0, 0], occasion]}})
+        assert err == (f"error: mrss.sixg_ssb.occasions[1]: 6G SSB occasion {tuple(occasion)} "
+                       "out of range: a 20-PRB, 4-symbol block on a 1-slot, 52-PRB carrier\n")
+
+
 def mrss_sweep_doc():
     return json.loads((SCENARIOS / "mrss_sweep.json").read_text())
 

@@ -8,10 +8,8 @@ from gridshare import (
     ConfigError,
     ConflictError,
     Numerology,
-    OverridePolicy,
     ReLabel,
     TddPattern,
-    apply_overlay,
     count_labels,
     make_grid,
 )
@@ -20,13 +18,6 @@ from gridshare.grid import _grid_cell, place
 
 def fdd(n_prb=1, span_ms=1, scs=15):
     return CarrierConfig(Numerology(scs), n_prb=n_prb, duplex="FDD", span_ms=span_ms)
-
-
-def mask_of(grid, cells):
-    mask = np.zeros(grid.labels.shape, dtype=bool)
-    for cell in cells:
-        mask[cell] = True
-    return mask
 
 
 def wideband_tdd_carrier():
@@ -99,51 +90,6 @@ class TestMakeGrid:
         grid = make_grid(fdd())
         with pytest.raises(ValueError):
             grid.labels[0, 0, 0] = 5
-
-
-class TestApplyOverlay:
-    def test_label_symbol(self):
-        grid = make_grid(fdd())
-        cells = [(0, 2, sc) for sc in range(12)]
-        out = apply_overlay(grid, mask_of(grid, cells), ReLabel.NR_PDCCH_CORESET1)
-        assert count_labels(out)[ReLabel.NR_PDCCH_CORESET1] == 12
-
-    def test_conflict_is_atomic(self):
-        grid = make_grid(fdd())
-        cells = [(0, 2, sc) for sc in range(12)]
-        out = apply_overlay(grid, mask_of(grid, cells), ReLabel.NR_PDCCH_CORESET1)
-        before = out.labels.copy()
-        with pytest.raises(ConflictError):
-            apply_overlay(out, mask_of(out, cells), ReLabel.NR_DATA)
-        assert np.array_equal(out.labels, before)
-
-    def test_conflict_reports_first_cell_and_labels(self):
-        grid = make_grid(fdd())
-        out = apply_overlay(grid, mask_of(grid, [(0, 2, 5)]), ReLabel.NR_SSB)
-        with pytest.raises(ConflictError, match=r"\(0, 2, 5\).*NR_SSB.*NR_DATA"):
-            apply_overlay(out, mask_of(out, [(0, 2, 7), (0, 2, 5)]), ReLabel.NR_DATA)
-
-    def test_out_of_range_index(self):
-        grid = make_grid(fdd())
-        with pytest.raises(ConfigError):
-            apply_overlay(grid, np.ones((1, 15, 12), dtype=bool), ReLabel.NR_DATA)
-
-    def test_overwrite_only_for_mbsfn_muting(self):
-        grid = make_grid(fdd())
-        with pytest.raises(ConflictError):
-            apply_overlay(grid, mask_of(grid, [(0, 2, 0)]), ReLabel.NR_DATA, OverridePolicy.OVERWRITE)
-
-    def test_mbsfn_mute_over_data_region(self):
-        grid = make_grid(fdd())
-        cells = [(0, sym, sc) for sym in range(2, 14) for sc in range(12)]
-        out = apply_overlay(grid, mask_of(grid, cells), ReLabel.LTE_MBSFN_MUTED, OverridePolicy.OVERWRITE)
-        assert count_labels(out)[ReLabel.LTE_MBSFN_MUTED] == 144
-
-    def test_overwrite_rejects_non_data_labels(self):
-        grid = make_grid(fdd())
-        out = apply_overlay(grid, mask_of(grid, [(0, 3, 0)]), ReLabel.NR_SSB)
-        with pytest.raises(ConflictError):
-            apply_overlay(out, mask_of(out, [(0, 3, 0)]), ReLabel.LTE_MBSFN_MUTED, OverridePolicy.OVERWRITE)
 
 
 class TestCountLabels:

@@ -16,8 +16,12 @@ from gridshare import (
     crs_cells,
     make_grid,
 )
-from gridshare.grid import crs_count
 from gridshare.lte import crs_mask
+
+
+def crs_total(counts):
+    """CRS cells over the four per-port labels."""
+    return sum(counts.get(ReLabel.lte_crs(p), 0) for p in range(4))
 
 
 def fdd15(n_prb=1, span_ms=1):
@@ -91,7 +95,7 @@ class TestApplyLte:
         # Per PRB: 24 CRS (8 in control), 16 PDCCH, 128 data-region Unlabeled.
         grid = apply_lte(make_grid(fdd15()), LteCellConfig(crs_ports=4, pdcch_symbols=2))
         counts = count_labels(grid)
-        assert crs_count(counts) == 24
+        assert crs_total(counts) == 24
         assert counts[ReLabel.LTE_PDCCH] == 24 - 8
         assert counts[ReLabel.UNLABELED] == 128
 
@@ -115,14 +119,14 @@ class TestApplyLte:
         # CRS only at symbols 0..1 (symbol 0 for 1 port), control as normal,
         # everything after symbol 1 muted with no CRS inside.
         assert counts[ReLabel.LTE_MBSFN_MUTED] == 144
-        assert crs_count(counts) == 2
+        assert crs_total(counts) == 2
         assert (grid.labels[0, 2:, :] == ReLabel.LTE_MBSFN_MUTED).all()
 
     def test_sync_and_pbch_footprint(self):
         # Subframe 0: PSS/SSS on symbols 5-6 and PBCH on 7-10, center 72 sc,
         # PBCH rate-matched around the CRS comb.
         cfg = LteCellConfig(crs_ports=1, pdcch_symbols=2)
-        grid = apply_lte(make_grid(fdd15(n_prb=6)), cfg, subframes=[0])
+        grid = apply_lte(make_grid(fdd15(n_prb=6)), cfg)
         counts = count_labels(grid)
         crs_in_pbch = 12  # symbol 7 carries 2 CRS cells/PRB across 6 PRBs
         assert counts[ReLabel.LTE_PSS_SSS_PBCH] == 2 * 72 + 4 * 72 - crs_in_pbch
@@ -138,10 +142,6 @@ class TestApplyLte:
         cfg = LteCellConfig(crs_ports=1)
         grid = apply_lte(make_grid(fdd15(n_prb=6)), cfg, include_sync=False)
         assert ReLabel.LTE_PSS_SSS_PBCH not in count_labels(grid)
-
-    def test_subframe_out_of_range(self):
-        with pytest.raises(ConfigError):
-            apply_lte(make_grid(fdd15()), LteCellConfig(), subframes=[1])
 
 
 # TS 36.211 §6.10.1.2 (normal CP): CRS symbol l within each slot, and v, per

@@ -28,7 +28,6 @@ from gridshare import (
     TddPattern,
     TrafficModel,
     TrsSpec,
-    alignment_check,
     apply_lte,
     apply_nr,
     classify_mrss,
@@ -46,6 +45,7 @@ from gridshare.mrss import (
     CAT_RESERVED,
     CAT_SHARED,
     CONTROL_LABELS,
+    DEFAULT_RESERVED_LABELS,
     MAX_DEMAND,
 )
 
@@ -142,26 +142,6 @@ class TestClassify:
         big = ResourceGrid(carrier, arr)
         with pytest.raises(PlacementError):
             classify_mrss(big, control_mode=ControlMode(ControlModeKind.SEPARATE))
-
-    def test_misaligned_6g_carrier_rejected(self):
-        other = CarrierConfig(Numerology(15), n_prb=273, duplex="FDD", span_ms=20)
-        with pytest.raises(ConfigError, match="scs"):
-            classify_mrss(make_grid(wideband_tdd_carrier()), carrier_6g=other)
-
-
-class TestAlignment:
-    def test_aligned(self):
-        assert alignment_check(wideband_tdd_carrier(), wideband_tdd_carrier()).aligned
-
-    def test_first_mismatch_reported_in_order(self):
-        a = wideband_tdd_carrier()
-        b = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=20)
-        assert alignment_check(a, b).reason == "scs"
-        c = CarrierConfig(
-            Numerology(30), n_prb=273, duplex="TDD", span_ms=20,
-            tdd_pattern=TddPattern("DDDSU", (8, 2, 4)),
-        )
-        assert alignment_check(a, c).reason == "tdd_pattern"
 
 
 class TestReserveIot:
@@ -288,11 +268,6 @@ class TestSimulate:
         }
         assert g5[SchedPolicy.PRIORITY_5G] >= g5[SchedPolicy.PROPORTIONAL_SHARE]
         assert g5[SchedPolicy.PROPORTIONAL_SHARE] >= g5[SchedPolicy.PRIORITY_6G]
-
-    def test_window_validation(self):
-        cmap = fdd_map()
-        with pytest.raises(ConfigError):
-            simulate(cmap, TrafficModel(1, 1), SchedPolicy.PRIORITY_5G, n_slots=2)
 
     def test_traffic_validation(self):
         with pytest.raises(ConfigError):
@@ -565,13 +540,6 @@ class TestVectorizedScheduler:
             got = simulate(cmap, FixedDemands(d5s, d6s), policy)
             assert got == _reference_simulate(pools, d5s, d6s, policy), policy
 
-    def test_n_slots_window(self):
-        pools, d5s, d6s = [10, 20, 30], [15, 15, 15], [5, 25, 0]
-        cmap = map_with_pools(pools, 1)
-        got = simulate(cmap, FixedDemands(d5s, d6s), SchedPolicy.PROPORTIONAL_SHARE, n_slots=2)
-        assert got == _reference_simulate(pools[:2], d5s[:2], d6s[:2],
-                                          SchedPolicy.PROPORTIONAL_SHARE)
-
 
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
@@ -602,14 +570,14 @@ class TestTrafficBounds:
             TrafficModel(demand, 0)
 
 
-def _reference_classify(grid, reserved_labels, control_mode):
+def _reference_classify(grid, control_mode):
     """The three-pass partition `classify_mrss` gathers from one table, kept as
     its reference: (categories, shared cells per slot)."""
     labels = grid.labels
     categories = np.full(labels.shape, CAT_SHARED, dtype=np.uint8)
     non_dl = np.isin(labels, [int(l) for l in _NON_DL_LABELS])
     categories[non_dl] = CAT_NON_DL
-    reserved = np.isin(labels, [int(l) for l in reserved_labels])
+    reserved = np.isin(labels, [int(l) for l in DEFAULT_RESERVED_LABELS])
     categories[reserved] = CAT_RESERVED
     control = np.isin(labels, [int(l) for l in CONTROL_LABELS])
     categories[control] = CAT_CONTROL
@@ -629,8 +597,8 @@ def _reference_classify(grid, reserved_labels, control_mode):
 
 @st.composite
 def label_lattices(draw):
-    """(grid, reserved labels, control mode): random lattices over the whole
-    alphabet, with the control labels from absent to dense."""
+    """(grid, control mode): random lattices over the whole alphabet, with
+    the control labels from absent to dense."""
     n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -642,27 +610,26 @@ def label_lattices(draw):
     control_share = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95]))
     control = rng.choice(control_labels, size=shape)
     labels = np.where(rng.random(shape) < control_share, control, labels).astype(np.uint8)
-    reserved = draw(st.frozensets(st.sampled_from(sorted(set(ReLabel) - CONTROL_LABELS))))
     kind = draw(st.sampled_from(list(ControlModeKind)))
     fraction = None
     if kind is ControlModeKind.PARTIALLY_OVERLAPPING:
         fraction = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.6, 1.0]), st.floats(0.0, 1.0)))
-    return ResourceGrid(carrier, labels), reserved, ControlMode(kind, fraction)
+    return ResourceGrid(carrier, labels), ControlMode(kind, fraction)
 
 
 class TestClassifyReference:
     @settings(max_examples=300, deadline=None)
     @given(label_lattices())
     def test_classify_matches_the_three_pass_partition(self, case):
-        grid, reserved, mode = case
+        grid, mode = case
         try:
-            expected, per_slot = _reference_classify(grid, reserved, mode)
+            expected, per_slot = _reference_classify(grid, mode)
         except PlacementError as exc:
             with pytest.raises(PlacementError) as err:
-                classify_mrss(grid, reserved_labels=reserved, control_mode=mode)
+                classify_mrss(grid, control_mode=mode)
             assert str(err.value) == str(exc)
             return
-        cmap = classify_mrss(grid, reserved_labels=reserved, control_mode=mode)
+        cmap = classify_mrss(grid, control_mode=mode)
         assert np.array_equal(cmap.categories, expected)
         assert np.array_equal(cmap.shared_cells_per_slot(), per_slot)
 

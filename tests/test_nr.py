@@ -92,12 +92,6 @@ class TestApplyNr:
         for label in (ReLabel.UPLINK_SYMBOL, ReLabel.GUARD_SYMBOL):
             assert before[label] == after[label]
 
-    def test_sixg_labels(self):
-        carrier = wideband_tdd_carrier()
-        overlay = NrOverlaySet(period_ms=20, ssb=BeamSignal(4, 20, 4))
-        grid = apply_nr(make_grid(carrier), overlay, rat="6g")
-        assert count_labels(grid)[ReLabel.SIXG_SSB] == 3840
-
     def test_period_must_match_span(self):
         with pytest.raises(ConfigError, match="period"):
             apply_nr(make_grid(wideband_tdd_carrier()), NrOverlaySet(period_ms=10))

@@ -1,7 +1,10 @@
 import json
+import pathlib
+import re
 
 import pytest
 
+import gridshare
 from gridshare import ScenarioError, emit_scenario, parse_scenario
 
 
@@ -237,3 +240,28 @@ class TestSectionTypes:
         with pytest.raises(ScenarioError, match=">= 0") as err:
             parse_scenario(doc)
         assert err.value.path == "traffic.seed"
+
+
+class TestTopLevelPaths:
+    def test_top_level_seed_error_has_no_leading_dot(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(dict(MINIMAL, seed="x"))
+        assert str(err.value) == "seed: expected an integer, got 'x'"
+        assert err.value.path == "seed"
+
+    def test_largest_carrier_accepted_without_building_it(self):
+        carrier = {"scs_khz": 30, "n_prb": 275, "duplex": "FDD", "span_ms": 10240}
+        s = parse_scenario({"carrier": carrier})
+        assert (s.carrier.n_prb, s.carrier.n_slots) == (275, 20480)
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_library_entry_points_exist():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\nfrom gridshare import \((.*?)\)\n```", section, re.S)
+    names = re.findall(r"\w+", block.group(1))
+    assert len(names) >= 10
+    assert [n for n in names if not hasattr(gridshare, n)] == []

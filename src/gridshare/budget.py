@@ -7,7 +7,6 @@ cell-for-cell; tests rely on that duality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -26,9 +25,10 @@ from .grid import (
 from .lte import LteCellConfig, apply_lte, crs_bearing_symbols, crs_re_per_symbol
 from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, apply_nr, dss_control_rows
 from .rounding import pct, round_half_up
+from .value import value
 
 
-@dataclass(frozen=True)
+@value
 class DssLayout:
     """Per-slot DSS symbol budget: LTE control, NR control, NR DMRS count."""
 
@@ -49,7 +49,7 @@ class DssLayout:
         return self.lte_pdcch + self.nr_pdcch
 
 
-@dataclass(frozen=True)
+@value
 class BudgetRow:
     crs_ports: int
     dss_re: int
@@ -59,7 +59,7 @@ class BudgetRow:
     loss_vs_lte_pct: float
 
 
-@dataclass(frozen=True)
+@value
 class OverheadRow:
     signal_name: str
     config_summary: str
@@ -68,7 +68,7 @@ class OverheadRow:
     pct_of_downlink: float
 
 
-@dataclass(frozen=True)
+@value
 class OverheadReport:
     rows: Tuple[OverheadRow, ...]
     total_row: OverheadRow

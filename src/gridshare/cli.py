@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import gc
 import io
@@ -38,6 +37,7 @@ from .mrss import (
 )
 from .nr import apply_nr
 from .scenario import Scenario, emit_scenario, parse_scenario
+from .value import asdict, replace
 
 COMMANDS = ("budget", "overhead", "classify", "simulate", "interference", "sweep")
 FORMATS = ("md", "csv", "json")
@@ -116,7 +116,7 @@ def budget_record(scenario: Scenario) -> List[Dict[str, object]]:
         nr_pdcch=scenario.budget.layout.nr_pdcch,
         ports=scenario.budget.ports,
     )
-    return [dataclasses.asdict(r) for r in rows]
+    return [asdict(r) for r in rows]
 
 
 def run_budget(scenario: Scenario, fmt: str) -> str:
@@ -144,8 +144,8 @@ def overhead_record(scenario: Scenario) -> Dict[str, object]:
         raise ScenarioError("overhead command requires an 'nr' section", "nr")
     report = nr_overhead(scenario.carrier, scenario.nr)
     return {
-        "rows": [dataclasses.asdict(r) for r in report.rows],
-        "total": dataclasses.asdict(report.total_row),
+        "rows": [asdict(r) for r in report.rows],
+        "total": asdict(report.total_row),
         "total_re": report.total_re,
         "downlink_re": report.downlink_re,
     }
@@ -337,14 +337,21 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     record_of = _records(maps)[scenario.sweep.command]
     records: List[Dict[str, object]] = []
     for index, combo in enumerate(itertools.product(*(p.values for p in params))):
-        doc = json.loads(json.dumps(base))
-        for p, v in zip(params, combo):
-            _set_path(doc, p.path, v)
-        point = parse_scenario(doc)
-        key = json.dumps([doc.get(section) for section in MAP_SECTIONS], sort_keys=True)
-        record: Dict[str, object] = {"point": index}
-        record.update({p.path: v for p, v in zip(params, combo)})
-        _flatten(record_of(point), "", record)
+        try:
+            doc = json.loads(json.dumps(base))
+            for p, v in zip(params, combo):
+                _set_path(doc, p.path, v)
+            point = parse_scenario(doc)
+            key = json.dumps([doc.get(section) for section in MAP_SECTIONS], sort_keys=True)
+            record: Dict[str, object] = {"point": index}
+            record.update({p.path: v for p, v in zip(params, combo)})
+            _flatten(record_of(point), "", record)
+        except GridShareError as exc:
+            # Name the failing point; the error keeps its class (so its exit
+            # code) and its dotted path.
+            swept = ", ".join(f"{p.path}={json.dumps(v)}" for p, v in zip(params, combo))
+            exc.args = (f"sweep point {index} ({swept}): {exc}",)
+            raise
         records.append(record)
 
     if fmt == "json":
@@ -377,7 +384,7 @@ def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:
                 )
     if scenario.traffic is None:
         return scenario
-    return dataclasses.replace(scenario, traffic=dataclasses.replace(scenario.traffic, seed=seed))
+    return replace(scenario, traffic=replace(scenario.traffic, seed=seed))
 
 
 def _style(text: str, out_path: Optional[str]) -> str:

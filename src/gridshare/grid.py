@@ -9,13 +9,13 @@ copy, so no write relabels a cell or touches an uplink/guard cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ConflictError
+from .value import value
 
 SYMBOLS_PER_SLOT = 14
 SC_PER_PRB = 12
@@ -61,7 +61,7 @@ class ReLabel(IntEnum):
         return ReLabel(ReLabel.LTE_CRS_P0 + port)
 
 
-@dataclass(frozen=True)
+@value
 class Numerology:
     """Subcarrier spacing and derived slot timing (normal cyclic prefix)."""
 
@@ -76,7 +76,7 @@ class Numerology:
         return self.scs_khz // 15
 
 
-@dataclass(frozen=True)
+@value
 class TddPattern:
     """Ordered slot-kind cycle plus the DL/guard/UL split of special slots."""
 
@@ -103,7 +103,7 @@ class TddPattern:
         return "".join(k.value for k in self.cycle)
 
 
-@dataclass(frozen=True)
+@value
 class CarrierConfig:
     """Carrier-level parameters fixing the grid dimensions."""
 
@@ -159,12 +159,12 @@ class CarrierConfig:
         return tuple(s for s in range(self.n_slots) if self.dl_symbols_in_slot(s) > 0)
 
 
-@dataclass(frozen=True)
+@value(no_repr=("labels",))
 class ResourceGrid:
     """Dense label lattice indexed (slot, symbol, subcarrier)."""
 
     config: CarrierConfig
-    labels: np.ndarray = field(repr=False)
+    labels: np.ndarray
 
     def __post_init__(self):
         expected = (self.config.n_slots, SYMBOLS_PER_SLOT, self.config.n_subcarriers)

@@ -9,7 +9,6 @@ and the subframe templates that `apply_lte` places on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Set, Tuple
 
@@ -23,6 +22,7 @@ from .grid import (
     ResourceGrid,
     place,
 )
+from .value import value
 
 SYNC_SUBCARRIERS = 72  # center 6 PRBs
 PSS_SSS_SYMBOLS = slice(5, 7)  # last two symbols of slot 0
@@ -33,7 +33,7 @@ PBCH_SYMBOLS = slice(7, 11)  # first four symbols of slot 1
 MBSFN_ALLOWED = {"FDD": frozenset({1, 2, 3, 6, 7, 8}), "TDD": frozenset({3, 4, 7, 8, 9})}
 
 
-@dataclass(frozen=True)
+@value
 class LteCellConfig:
     cell_id: int = 0
     crs_ports: int = 4

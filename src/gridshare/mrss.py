@@ -8,7 +8,6 @@ CRS interference with its mitigation strategies.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +26,7 @@ from .grid import (
     place,
 )
 from .lte import LteCellConfig, crs_mask, crs_re_per_symbol
+from .value import value
 
 # Category codes of the MRSS partition lattice.
 CAT_NON_DL = 0
@@ -64,7 +64,7 @@ class ControlModeKind(Enum):
     SEPARATE = "Separate"
 
 
-@dataclass(frozen=True)
+@value
 class ControlMode:
     kind: ControlModeKind = ControlModeKind.FULLY_OVERLAPPING
     shared_fraction: Optional[float] = None
@@ -92,7 +92,7 @@ class SchedPolicy(Enum):
     PROPORTIONAL_SHARE = "ProportionalShare"
 
 
-@dataclass(frozen=True)
+@value
 class Mitigation:
     kind: str  # ServingOnlyRateMatch | NeighborAwareRateMatch | SymbolLevelMute | ReceiverCancellation
     effectiveness: Optional[float] = None
@@ -146,7 +146,7 @@ def check_demand(d: object) -> object:
     return d
 
 
-@dataclass(frozen=True)
+@value
 class TrafficModel:
     """Per-RAT offered load in REs per slot; constant or seeded uniform."""
 
@@ -175,7 +175,7 @@ class TrafficModel:
         return draw(self.demand_5g), draw(self.demand_6g)
 
 
-@dataclass(frozen=True)
+@value(no_repr=("categories", "labels"))
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
@@ -186,9 +186,9 @@ class MrssCategoryMap:
     """
 
     grid: ResourceGrid
-    categories: np.ndarray = field(repr=False)
-    labels: np.ndarray = field(repr=False)
-    control_mode: ControlMode = field(default_factory=ControlMode)
+    categories: np.ndarray
+    labels: np.ndarray
+    control_mode: ControlMode = ControlMode()
 
     def __post_init__(self):
         self.categories.setflags(write=False)
@@ -244,7 +244,7 @@ class MrssCategoryMap:
         return out
 
 
-@dataclass(frozen=True)
+@value
 class SimResult:
     grants_5g: Tuple[int, ...]
     grants_6g: Tuple[int, ...]
@@ -259,7 +259,7 @@ class SimResult:
     efficiency_vs_pure_6g: float
 
 
-@dataclass(frozen=True)
+@value
 class InterferenceReport:
     """Per-PRB classification of the serving cell's NR data pool."""
 
@@ -269,7 +269,7 @@ class InterferenceReport:
     dirty_re: int
 
 
-@dataclass(frozen=True)
+@value
 class MechanismBudget:
     nr_usable_re: int
     lte_usable_re: int
@@ -460,7 +460,7 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
+@value
 class DssMechanism:
     """One of the practical DSS sharing mechanisms."""
 

@@ -7,7 +7,6 @@ layout where NR rate-matches around an incumbent LTE cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +21,7 @@ from .grid import (
     place,
 )
 from .lte import LteCellConfig, crs_bearing_symbols
+from .value import value
 
 SIGNAL_SSB = "SSB"
 SIGNAL_CORESET0 = "CORESET 0"
@@ -40,7 +40,7 @@ SIGNAL_ORDER = (
 )
 
 
-@dataclass(frozen=True)
+@value
 class BeamSignal:
     """A beam-repeated block footprint (SSB, CORESET0, SIB1)."""
 
@@ -57,7 +57,7 @@ class BeamSignal:
         return self.beams * self.prbs * SC_PER_PRB * self.symbols
 
 
-@dataclass(frozen=True)
+@value
 class Coreset1Spec:
     """Regular PDCCH region; slots=None monitors every DL-bearing slot."""
 
@@ -78,7 +78,7 @@ class Coreset1Spec:
         return self.prbs * SC_PER_PRB * self.symbols * self.monitored_count(carrier)
 
 
-@dataclass(frozen=True)
+@value
 class CsiRsSpec:
     ports: int
     density_re_per_port_per_prb: int
@@ -98,7 +98,7 @@ class CsiRsSpec:
         return self.re_per_prb * self.prbs * self.occasions_per_period
 
 
-@dataclass(frozen=True)
+@value
 class TrsSpec:
     prbs: int
     slots_per_occasion: int
@@ -121,7 +121,7 @@ class TrsSpec:
         )
 
 
-@dataclass(frozen=True)
+@value
 class NrOverlaySet:
     """Declarative description of the periodic NR footprints in one period."""
 

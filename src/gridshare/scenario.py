@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .budget import DssLayout
 from .errors import ConfigError, ScenarioError
-from .grid import CarrierConfig, Numerology, SlotKind, TddPattern
+from .grid import SYMBOLS_PER_SLOT, CarrierConfig, Numerology, SlotKind, TddPattern
 from .lte import MBSFN_ALLOWED, LteCellConfig
 from .mrss import (
     ControlMode,
@@ -27,57 +26,58 @@ from .mrss import (
     check_ssb_occasion,
 )
 from .nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
+from .value import value
 
 MAX_N_PRB = 275  # NR's widest carrier, TS 38.211 §4.4.2
 MAX_SPAN_MS = 10240  # 1024 radio frames: one SFN cycle
 
 
-@dataclass(frozen=True)
+@value
 class IotReservation:
     prb_start: int
     prb_stop: int
     slots: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
+@value
 class SixgSsbSpec:
     occasions: Tuple[Tuple[int, int, int], ...]
     prbs: int = 20
     symbols: int = 4
 
 
-@dataclass(frozen=True)
+@value
 class MrssSpec:
-    control_mode: ControlMode = field(default_factory=ControlMode)
+    control_mode: ControlMode = ControlMode()
     iot_reservations: Tuple[IotReservation, ...] = ()
     sixg_ssb: Optional[SixgSsbSpec] = None
 
 
-@dataclass(frozen=True)
+@value
 class BudgetSpec:
-    layout: DssLayout = field(default_factory=DssLayout)
+    layout: DssLayout = DssLayout()
     ports: Tuple[int, ...] = (1, 2, 4)
 
 
-@dataclass(frozen=True)
+@value
 class SweepParameter:
     path: str
     values: Tuple[object, ...]
 
 
-@dataclass(frozen=True)
+@value
 class SweepSpec:
     command: str
     parameters: Tuple[SweepParameter, ...]
 
 
-@dataclass(frozen=True)
+@value
 class Scenario:
     carrier: CarrierConfig
     lte: Optional[LteCellConfig] = None
     lte_neighbors: Tuple[LteCellConfig, ...] = ()
     nr: Optional[NrOverlaySet] = None
-    budget: BudgetSpec = field(default_factory=BudgetSpec)
+    budget: BudgetSpec = BudgetSpec()
     mrss: Optional[MrssSpec] = None
     traffic: Optional[TrafficModel] = None
     policy: Optional[SchedPolicy] = None
@@ -318,8 +318,8 @@ def _parse_mrss(obj: dict, carrier: CarrierConfig, path: str = "mrss") -> MrssSp
             raise ScenarioError("must be a list of [slot, symbol, prb] triples", f"{spath}.occasions")
         sixg = SixgSsbSpec(
             occasions=tuple(tuple(o) for o in occasions),
-            prbs=_int(s, "prbs", spath, default=20, minimum=1),
-            symbols=_int(s, "symbols", spath, default=4, minimum=1),
+            prbs=_int(s, "prbs", spath, default=20, minimum=1, maximum=carrier.n_prb),
+            symbols=_int(s, "symbols", spath, default=4, minimum=1, maximum=SYMBOLS_PER_SLOT),
         )
         for j, o in enumerate(sixg.occasions):
             with _wrap_config(f"{spath}.occasions[{j}]"):

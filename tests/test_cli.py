@@ -577,3 +577,65 @@ class TestProcessEntry:
         assert scripts.strip() == 'gridshare = "gridshare.cli:run"'
         source = pathlib.Path(cli.__file__).read_text()
         assert source.rstrip().endswith('if __name__ == "__main__":\n    run()')
+
+
+class TestSixgSsbBlockBounds:
+    """A given 6G SSB block size is bounded by the carrier and the slot even
+    when no occasion uses it."""
+
+    def classify(self, capsys, tmp_path, doc, sixg_ssb):
+        doc["mrss"] = dict(doc.get("mrss", {}), sixg_ssb=sixg_ssb)
+        return run(capsys, "classify", "-s", write_doc(tmp_path, doc))
+
+    def test_oversized_block_without_occasions_rejected(self, capsys, tmp_path):
+        code, out, err = self.classify(capsys, tmp_path, mrss_sweep_doc(),
+                                       {"occasions": [], "symbols": 99, "prbs": 9999})
+        assert (code, out, err) == (1, "", "error: mrss.sixg_ssb.prbs: must be <= 273, got 9999\n")
+
+    @pytest.mark.parametrize("key, size, bound", [("symbols", 15, 14), ("prbs", 53, 52)])
+    def test_each_bound(self, capsys, tmp_path, key, size, bound):
+        code, out, err = self.classify(capsys, tmp_path, json.loads(carrier_text()),
+                                       {"occasions": [], key: size})
+        assert (code, out) == (1, "")
+        assert err == f"error: mrss.sixg_ssb.{key}: must be <= {bound}, got {size}\n"
+
+    def test_largest_block_accepted(self, capsys, tmp_path):
+        code, _, err = self.classify(capsys, tmp_path, json.loads(carrier_text()),
+                                     {"occasions": [[0, 0, 0]], "symbols": 14, "prbs": 52})
+        assert (code, err) == (0, "")
+
+
+class TestSweepPointErrors:
+    """A failing sweep point is named by index and swept values; the error
+    keeps its dotted path, its text and its exit code."""
+
+    def test_validation_error_names_the_point(self, capsys, tmp_path):
+        doc = json.loads(carrier_text())
+        doc["mrss"] = {"iot_reservations": [{"prb_start": 5, "prb_stop": 8}]}
+        doc["sweep"] = {"command": "classify",
+                        "parameters": [{"path": "carrier.n_prb", "values": [52, 6]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == ("error: sweep point 1 (carrier.n_prb=6): mrss.iot_reservations[0]: "
+                       "PRB range (5, 8) out of bounds for a 6-PRB carrier\n")
+
+    def test_computation_error_names_the_point(self, capsys, tmp_path):
+        doc = json.loads(carrier_text())
+        doc["nr"] = {"period_ms": 1, "coreset1": {"prbs": 24, "symbols": 1}}
+        doc["sweep"] = {"command": "classify", "parameters": [
+            {"path": "mrss.control_mode", "values": ["FullyOverlapping"]},
+            {"path": "mrss.iot_reservations", "values": [[], [{"prb_start": 0, "prb_stop": 2}]]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == ('error: sweep point 1 (mrss.control_mode="FullyOverlapping", '
+                       'mrss.iot_reservations=[{"prb_start": 0, "prb_stop": 2}]): '
+                       "cell (slot 0, symbol 0, sc 0) is not in the shared pool\n")
+
+    def test_error_keeps_its_class_and_path(self, tmp_path):
+        doc = json.loads(carrier_text())
+        doc["sweep"] = {"command": "budget",
+                        "parameters": [{"path": "carrier.n_prb", "values": [1, 0]}]}
+        with pytest.raises(ScenarioError) as info:
+            cli.run_sweep(parse_scenario(doc), "csv")
+        assert info.value.path == "carrier.n_prb"
+        assert str(info.value) == "sweep point 1 (carrier.n_prb=0): carrier.n_prb: must be >= 1, got 0"

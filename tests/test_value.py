@@ -1,0 +1,254 @@
+"""The value-class contract, checked on every class `gridshare.value.value` marks."""
+
+import enum
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import gridshare
+from gridshare import budget, grid, lte, mrss, nr, scenario
+from gridshare.budget import BudgetRow, DssLayout, OverheadReport, OverheadRow
+from gridshare.errors import ConfigError
+from gridshare.grid import CarrierConfig, Numerology, ResourceGrid, TddPattern, make_grid
+from gridshare.lte import LteCellConfig
+from gridshare.mrss import (
+    ControlMode,
+    DssMechanism,
+    InterferenceReport,
+    MechanismBudget,
+    Mitigation,
+    MrssCategoryMap,
+    SimResult,
+    TrafficModel,
+    classify_mrss,
+)
+from gridshare.nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
+from gridshare.scenario import (
+    BudgetSpec,
+    IotReservation,
+    MrssSpec,
+    Scenario,
+    SixgSsbSpec,
+    SweepParameter,
+    SweepSpec,
+)
+from gridshare.value import asdict, is_value, replace, value
+
+CARRIER = CarrierConfig(Numerology(15), n_prb=2)
+GRID = make_grid(CARRIER)
+CMAP = classify_mrss(GRID)
+ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
+
+# Class -> (the arguments its fields have no default for, a change its
+# __post_init__ rejects or None). Equal arguments share their array objects,
+# so objects holding arrays compare equal by identity, as tuples do.
+EXAMPLES = {
+    Numerology: ({}, {"scs_khz": 20}),
+    TddPattern: ({"cycle": "DDDSU"}, {"special_split": (6, 4, 5)}),
+    CarrierConfig: ({"numerology": Numerology(15), "n_prb": 2}, {"n_prb": 0}),
+    ResourceGrid: ({"config": CARRIER, "labels": GRID.labels},
+                   {"labels": np.zeros((1, 14, 12), dtype=np.uint8)}),
+    DssLayout: ({}, {"lte_pdcch": 4}),
+    BudgetRow: ({"crs_ports": 1, "dss_re": 120, "nr_re": 132, "lte_re": 136,
+                 "loss_vs_nr_pct": 9.09, "loss_vs_lte_pct": 11.76}, None),
+    OverheadRow: ({"signal_name": "SSB", "config_summary": "4 beams", "re_count": 960,
+                   "pct_of_total": 1.5, "pct_of_downlink": 2.0}, None),
+    OverheadReport: ({"rows": (ROW,), "total_row": ROW, "total_re": 64000,
+                      "downlink_re": 48000}, None),
+    LteCellConfig: ({}, {"crs_ports": 3}),
+    BeamSignal: ({"beams": 4, "prbs": 20, "symbols": 4}, {"beams": -1}),
+    Coreset1Spec: ({"prbs": 24, "symbols": 1}, {"slots": -1}),
+    CsiRsSpec: ({"ports": 2, "density_re_per_port_per_prb": 1, "prbs": 24,
+                 "occasions_per_period": 1}, {"ports": -1}),
+    TrsSpec: ({"prbs": 24, "slots_per_occasion": 2, "re_per_prb_per_slot": 6, "beams": 1,
+               "occasions_per_period": 1}, {"beams": -1}),
+    NrOverlaySet: ({"period_ms": 20}, {"period_ms": 0}),
+    ControlMode: ({}, {"shared_fraction": 0.5}),
+    Mitigation: ({"kind": "SymbolLevelMute"}, {"kind": "Shout"}),
+    TrafficModel: ({"demand_5g": 10, "demand_6g": (0, 5)}, {"seed": -1}),
+    MrssCategoryMap: ({"grid": GRID, "categories": CMAP.categories, "labels": CMAP.labels}, None),
+    SimResult: ({"grants_5g": (1,), "grants_6g": (2,), "unused": (0,), "dropped_5g": (0,),
+                 "dropped_6g": (0,), "shared_pool_size": 3, "total_5g": 1, "total_6g": 2,
+                 "unused_shared": 0, "efficiency_vs_pure_5g": 1.0,
+                 "efficiency_vs_pure_6g": 1.0}, None),
+    InterferenceReport: ({"pool_re": 102, "clean_re": 90, "sacrificed_re": 12,
+                          "dirty_re": 0}, None),
+    MechanismBudget: ({"nr_usable_re": 96, "lte_usable_re": 0}, None),
+    DssMechanism: ({"kind": "MbsfnShare"}, {"kind": "MiniSlot"}),
+    IotReservation: ({"prb_start": 0, "prb_stop": 1}, None),
+    SixgSsbSpec: ({"occasions": ((0, 0, 0),)}, None),
+    MrssSpec: ({}, None),
+    BudgetSpec: ({}, None),
+    SweepParameter: ({"path": "policy", "values": ("Priority5G",)}, None),
+    SweepSpec: ({"command": "simulate",
+                 "parameters": (SweepParameter("policy", ("Priority5G",)),)}, None),
+    Scenario: ({"carrier": CARRIER}, None),
+}
+ARRAY_FIELDS = {ResourceGrid: ("labels",), MrssCategoryMap: ("categories", "labels")}
+METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+def defined_classes():
+    modules = (grid, lte, nr, budget, mrss, scenario)
+    return [obj for m in modules for obj in vars(m).values()
+            if isinstance(obj, type) and obj.__module__ == m.__name__]
+
+
+MARKED = [c for c in defined_classes() if "__value_spec__" in vars(c)]
+
+
+def fields(cls):
+    return cls.__value_spec__.names
+
+
+def example(cls):
+    return cls(**EXAMPLES[cls][0])
+
+
+def test_every_annotated_class_is_a_marked_value_class():
+    """A class with fields that is not marked (a `@dataclass` brought back,
+    say) fails here, and the example table names exactly the marked ones."""
+    for cls in defined_classes():
+        if issubclass(cls, (enum.Enum, Exception)):
+            continue
+        if getattr(cls, "__annotations__", None):
+            assert cls in MARKED, cls.__name__
+        assert not hasattr(cls, "__dataclass_fields__"), cls.__name__
+    assert set(MARKED) == set(EXAMPLES)
+    assert len(MARKED) == 29
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_marked_classes_share_one_method_set(method):
+    assert len({getattr(cls, method) for cls in MARKED}) == 1
+
+
+@pytest.mark.parametrize("cls", MARKED, ids=lambda c: c.__name__)
+class TestValueContract:
+    def test_frozen(self, cls):
+        obj = example(cls)
+        name = fields(cls)[0]
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+        assert getattr(obj, name) is before
+        assert not hasattr(obj, "not_a_field")
+
+    def test_equal_fields_equal_objects_and_hashes(self, cls):
+        a, b = example(cls), example(cls)
+        assert a is not b
+        assert a == b and not a != b
+        if cls in ARRAY_FIELDS:
+            with pytest.raises(TypeError):  # arrays are unhashable
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    def test_other_class_with_same_fields_is_unequal(self, cls):
+        obj = example(cls)
+        spec = cls.__value_spec__
+        twin_cls = value(type("Twin", (), {"__annotations__": dict.fromkeys(spec.names, "object"),
+                                           **spec.defaults}))
+        twin = twin_cls(*(getattr(obj, name) for name in spec.names))
+        assert obj.__eq__(twin) is NotImplemented
+        assert obj != twin and twin != obj
+
+    def test_construction(self, cls):
+        required, _ = EXAMPLES[cls]
+        obj = cls(**required)
+        values = [getattr(obj, name) for name in fields(cls)]
+        assert cls(*values) == obj
+        assert cls(**dict(zip(fields(cls), values))) == obj
+        half = len(values) // 2
+        assert cls(*values[:half], **dict(zip(fields(cls)[half:], values[half:]))) == obj
+        for name, default in cls.__value_spec__.defaults.items():
+            if name not in required:
+                assert getattr(obj, name) == default
+
+    def test_bad_arguments_raise_type_error(self, cls):
+        required, _ = EXAMPLES[cls]
+        values = [getattr(example(cls), name) for name in fields(cls)]
+        first = fields(cls)[0]
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            cls(**required, bogus=1)
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            cls(values[0], **{first: values[0]})
+        with pytest.raises(TypeError, match="positional arguments"):
+            cls(*values, None)
+        for name in required:
+            rest = {k: v for k, v in required.items() if k != name}
+            with pytest.raises(TypeError, match=f"missing required arguments: '{name}'"):
+                cls(**rest)
+
+    def test_post_init_checks_also_run_through_replace(self, cls):
+        required, bad = EXAMPLES[cls]
+        obj = example(cls)
+        assert replace(obj) == obj
+        if bad is None:
+            assert cls.__value_spec__.post_init is None or cls is MrssCategoryMap
+            return
+        with pytest.raises(ConfigError):
+            cls(**{**required, **bad})
+        with pytest.raises(ConfigError):
+            replace(obj, **bad)
+
+    def test_repr(self, cls):
+        obj = example(cls)
+        text = repr(obj)
+        assert text.startswith(f"{cls.__qualname__}(") and text.endswith(")")
+        hidden = ARRAY_FIELDS.get(cls, ())
+        for name in fields(cls):
+            shown = f"{name}={getattr(obj, name)!r}" if name not in hidden else f"{name}="
+            assert (shown in text) == (name not in hidden), name
+
+    def test_asdict(self, cls):
+        obj = example(cls)
+        d = asdict(obj)
+        assert list(d) == list(fields(cls))
+        for name, v in d.items():
+            field = getattr(obj, name)
+            if is_value(field):
+                assert v == asdict(field)
+            else:
+                assert v is field
+
+
+def test_repr_matches_the_field_order():
+    assert repr(Numerology()) == "Numerology(scs_khz=15)"
+    assert repr(GRID) == f"ResourceGrid(config={CARRIER!r})"
+    assert repr(CMAP) == f"MrssCategoryMap(grid={GRID!r}, control_mode={ControlMode()!r})"
+
+
+def test_replace_changes_only_the_named_fields():
+    changed = replace(CARRIER, n_prb=5)
+    assert (changed.n_prb, changed.numerology, changed.duplex) == (5, CARRIER.numerology, "FDD")
+    assert CARRIER.n_prb == 2
+    with pytest.raises(ConfigError):
+        replace(CARRIER, n_prb=0)
+    with pytest.raises(TypeError):
+        replace(CARRIER, bogus=1)
+
+
+def test_asdict_of_nested_values():
+    assert asdict(BudgetSpec()) == {
+        "layout": {"lte_pdcch": 2, "nr_pdcch": 1, "dmrs_count": 2}, "ports": (1, 2, 4)}
+
+
+def test_import_does_not_load_dataclasses():
+    """Importing the CLI adds no `dataclasses` module to what numpy loads."""
+    src = pathlib.Path(gridshare.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    code = ("import sys, numpy; before = 'dataclasses' in sys.modules; import gridshare.cli; "
+            "print(before, 'dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out[0] == out[1]

@@ -126,6 +126,18 @@ def lte_pool_per_prb(crs_ports: int, lte_pdcch: int) -> int:
     return sum(SC_PER_PRB - crs[s] for s in range(lte_pdcch, SYMBOLS_PER_SLOT))
 
 
+def check_ports(ports: Sequence[int], lte_pdcch: int) -> None:
+    """Each CRS port count is 0, 1, 2 or 4 and fits the LTE control region:
+    an incumbent (ports > 0) needs lte_pdcch > 0, and none (ports 0) needs 0."""
+    for p in ports:
+        if p not in (0, 1, 2, 4):
+            raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {p}")
+        if p == 0 and lte_pdcch != 0:
+            raise ConfigError(f"crs_ports=0 (no incumbent) requires lte_pdcch=0, got {lte_pdcch}")
+        if p > 0 and lte_pdcch == 0:
+            raise ConfigError("lte_pdcch=0 requires crs_ports=0 (no incumbent)")
+
+
 def dss_pool_by_grid(
     crs_ports: int,
     lte_pdcch: int,
@@ -135,13 +147,17 @@ def dss_pool_by_grid(
 ) -> int:
     """Brute-force route: build the labeled slot and count the data pool.
 
-    crs_ports 0 is a pure NR slot: no LTE overlay, NR control from lte_pdcch.
+    crs_ports 0 is a pure NR slot: no LTE overlay, and lte_pdcch must be 0.
     """
+    check_ports((crs_ports,), lte_pdcch)
+    if lte_pdcch + nr_pdcch > SYMBOLS_PER_SLOT:
+        raise ConfigError(
+            f"LTE and NR control take {lte_pdcch + nr_pdcch} symbols, more than the "
+            f"{SYMBOLS_PER_SLOT} of a slot"
+        )
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
     grid = make_grid(carrier)
     if crs_ports > 0:
-        if lte_pdcch == 0:
-            raise ConfigError("lte_pdcch=0 requires crs_ports=0 (no incumbent)")
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
         grid = apply_lte(grid, cfg, include_sync=False)
     arr = grid.writable_labels()
@@ -160,13 +176,13 @@ def dss_table(
     """Per-PRB DSS budget rows across CRS port configurations.
 
     Rows are computed by closed form and cross-checked by building the
-    labeled grids and counting; disagreement is a hard error.
+    labeled grids and counting; disagreement is a hard error. Every port
+    count is checked (`check_ports`) before any row is computed.
     """
+    check_ports(ports, lte_pdcch)
     rows: List[BudgetRow] = []
     nr_re = nr_pool_per_prb(nr_pdcch, dmrs_count)
     for p in ports:
-        if p not in (0, 1, 2, 4):
-            raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {p}")
         ctrl_end = lte_pdcch + nr_pdcch
         dmrs = default_dmrs_symbols(p, ctrl_end, dmrs_count)
         dss_re = dss_pool_per_prb(p, lte_pdcch, nr_pdcch, dmrs)

@@ -23,8 +23,8 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .budget import dss_table, nr_overhead
-from .errors import GridShareError, ScenarioError
+from .budget import check_ports, dss_table, nr_overhead
+from .errors import ConfigError, GridShareError, ScenarioError
 from .grid import ResourceGrid, make_grid
 from .lte import apply_lte
 from .mrss import (
@@ -74,9 +74,6 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# Scenario sections the MRSS map is built from.
-MAP_SECTIONS = ("carrier", "lte", "nr", "mrss")
-
 MapBuilder = Callable[[Scenario], MrssCategoryMap]
 
 
@@ -110,6 +107,10 @@ def build_map(scenario: Scenario) -> MrssCategoryMap:
 
 
 def budget_record(scenario: Scenario) -> List[Dict[str, object]]:
+    try:
+        check_ports(scenario.budget.ports, scenario.budget.layout.lte_pdcch)
+    except ConfigError as exc:
+        raise ScenarioError(str(exc), "budget.ports") from None
     rows = dss_table(
         dmrs_count=scenario.budget.layout.dmrs_count,
         lte_pdcch=scenario.budget.layout.lte_pdcch,
@@ -321,18 +322,18 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     base = emit_scenario(scenario)
     base.pop("sweep", None)
     params = scenario.sweep.parameters
-    # The last map built, keyed by the canonical JSON of the point document's
-    # MAP_SECTIONS: a map is a read-only value, so points with equal sections
-    # share it, and a sweep over those sections holds one map at a time.
-    # `maps` reads `key`, which the loop sets for each point.
-    last_map: Dict[str, MrssCategoryMap] = {}
-    key = ""
+    # The last map built, keyed by the values `build_map` reads: a map is a
+    # read-only value, so points with equal inputs share it, and a sweep over
+    # those inputs holds one map at a time.
+    last_map: Dict[tuple, MrssCategoryMap] = {}
 
     def maps(point: Scenario) -> MrssCategoryMap:
-        if key not in last_map:
+        key = (point.carrier, point.lte, point.nr, point.mrss)
+        cmap = last_map.get(key)
+        if cmap is None:
             last_map.clear()
-            last_map[key] = build_map(point)
-        return last_map[key]
+            cmap = last_map[key] = build_map(point)
+        return cmap
 
     record_of = _records(maps)[scenario.sweep.command]
     records: List[Dict[str, object]] = []
@@ -342,7 +343,6 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
             for p, v in zip(params, combo):
                 _set_path(doc, p.path, v)
             point = parse_scenario(doc)
-            key = json.dumps([doc.get(section) for section in MAP_SECTIONS], sort_keys=True)
             record: Dict[str, object] = {"point": index}
             record.update({p.path: v for p, v in zip(params, combo)})
             _flatten(record_of(point), "", record)

@@ -18,8 +18,10 @@ from .errors import ConfigError
 from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
+    CarrierConfig,
     ReLabel,
     ResourceGrid,
+    SlotKind,
     place,
 )
 from .value import value
@@ -57,6 +59,26 @@ class LteCellConfig:
     @property
     def v_shift(self) -> int:
         return self.cell_id % 6
+
+
+def check_mbsfn(carrier: CarrierConfig, cell: LteCellConfig) -> None:
+    """Each MBSFN subframe lies in the carrier span, may carry MBSFN on the
+    carrier's duplex (MBSFN_ALLOWED), and is a TDD downlink subframe."""
+    n_subframes = carrier.n_slots // carrier.numerology.slots_per_ms
+    allowed_sf = MBSFN_ALLOWED[carrier.duplex]
+    for sf in sorted(cell.mbsfn_subframes):
+        if sf >= n_subframes:
+            raise ConfigError(f"subframe {sf} is beyond the {n_subframes}-subframe carrier span")
+        if sf % 10 not in allowed_sf:
+            raise ConfigError(
+                f"subframe {sf} cannot carry MBSFN on {carrier.duplex}: "
+                f"only subframes {sorted(allowed_sf)} mod 10 can (TS 36.331)"
+            )
+        kind = carrier.slot_kind(sf * carrier.numerology.slots_per_ms)
+        if kind is not SlotKind.DOWNLINK:
+            raise ConfigError(
+                f"subframe {sf} cannot carry MBSFN: the TDD pattern makes it {kind.name.lower()}"
+            )
 
 
 # v (mod 6) per port, indexed by l != 0 for ports 0/1 and by n_s mod 2 for ports 2/3.

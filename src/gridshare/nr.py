@@ -188,7 +188,6 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
         )
     overlay.check_fits(carrier)
 
-    arr = grid.writable_labels()
     dl_slots = list(carrier.dl_bearing_slots())
 
     monitored: List[int] = []
@@ -204,37 +203,39 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
                 raise PlacementError(
                     f"{SIGNAL_CORESET1}: {overlay.coreset1.symbols} symbols do not fit slot {slot}"
                 )
-            place(
-                arr,
-                (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
-                NR_LABELS[SIGNAL_CORESET1],
-            )
     monitored_set = set(monitored)
     ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
 
-    # One (name, block geometry or per-PRB RE need) unit per DL slot.
-    units: List[Tuple[str, str, int, int]] = []
+    # Groups of units, each (name, block geometry or per-PRB RE need, count);
+    # every unit takes its own DL slot. The count is checked before any unit
+    # is listed or the grid copied, so an oversized count costs no memory.
+    groups: List[Tuple[str, str, int, int, int]] = []
     for name, sig in ((SIGNAL_SSB, overlay.ssb), (SIGNAL_CORESET0, overlay.coreset0), (SIGNAL_SIB1, overlay.sib1)):
         if sig and sig.re_count > 0:
-            units.extend((name, "block", sig.prbs, sig.symbols) for _ in range(sig.beams))
-    if overlay.trs and overlay.trs.re_count > 0:
-        visits = overlay.trs.beams * overlay.trs.occasions_per_period * overlay.trs.slots_per_occasion
-        units.extend(
-            (SIGNAL_TRS, "re", overlay.trs.prbs, overlay.trs.re_per_prb_per_slot)
-            for _ in range(visits)
-        )
-    if overlay.csi_rs and overlay.csi_rs.re_count > 0:
-        units.extend(
-            (SIGNAL_CSI_RS, "re", overlay.csi_rs.prbs, overlay.csi_rs.re_per_prb)
-            for _ in range(overlay.csi_rs.occasions_per_period)
-        )
+            groups.append((name, "block", sig.prbs, sig.symbols, sig.beams))
+    trs = overlay.trs
+    if trs and trs.re_count > 0:
+        visits = trs.beams * trs.occasions_per_period * trs.slots_per_occasion
+        groups.append((SIGNAL_TRS, "re", trs.prbs, trs.re_per_prb_per_slot, visits))
+    csi_rs = overlay.csi_rs
+    if csi_rs and csi_rs.re_count > 0:
+        groups.append((SIGNAL_CSI_RS, "re", csi_rs.prbs, csi_rs.re_per_prb, csi_rs.occasions_per_period))
 
-    if len(units) > len(dl_slots):
+    n_units = sum(group[-1] for group in groups)
+    if n_units > len(dl_slots):
         raise PlacementError(
-            f"{len(units)} occasion units need distinct DL slots but only "
+            f"{n_units} occasion units need distinct DL slots but only "
             f"{len(dl_slots)} are available"
         )
+    units = [group[:-1] for group in groups for _ in range(group[-1])]
 
+    arr = grid.writable_labels()
+    for slot in monitored:
+        place(
+            arr,
+            (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
+            NR_LABELS[SIGNAL_CORESET1],
+        )
     for (name, kind, prbs, amount), slot in zip(units, dl_slots):
         base = ctrl_symbols if slot in monitored_set else 0
         dl_syms = carrier.dl_symbols_in_slot(slot)

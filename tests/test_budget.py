@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshare import budget
 from gridshare import (
     BeamSignal,
     CarrierConfig,
@@ -219,3 +220,29 @@ class TestLayout:
             DssLayout(lte_pdcch=4)
         with pytest.raises(ConfigError):
             DssLayout(dmrs_count=-1)
+
+
+class TestPortsAndControlRegion:
+    """A port count the LTE control region cannot go with is a ConfigError
+    raised before any row is computed, not a closed-form/grid mismatch."""
+
+    @pytest.mark.parametrize("ports, lte_pdcch", [((0,), 2), ((1,), 0), ((1, 2, 0), 1), ((4,), 0)])
+    def test_rejected_before_any_row(self, monkeypatch, ports, lte_pdcch):
+        calls = []
+        monkeypatch.setattr(budget, "default_dmrs_symbols", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match=r"\(no incumbent\)"):
+            dss_table(ports=ports, lte_pdcch=lte_pdcch)
+        assert calls == []
+
+    @pytest.mark.parametrize("ports, lte_pdcch", [(0, 2), (2, 0)])
+    def test_grid_route_rejects_the_same_pairs(self, ports, lte_pdcch):
+        with pytest.raises(ConfigError, match=r"\(no incumbent\)"):
+            dss_pool_by_grid(ports, lte_pdcch, 1, ())
+
+    def test_control_past_the_slot_rejected(self):
+        with pytest.raises(ConfigError, match="LTE and NR control take 15 symbols, more than the 14"):
+            dss_table(lte_pdcch=2, nr_pdcch=13, dmrs_count=0)
+
+    def test_control_filling_the_slot_accepted(self):
+        rows = dss_table(lte_pdcch=2, nr_pdcch=12, dmrs_count=0)
+        assert [r.dss_re for r in rows] == [0, 0, 0]

@@ -639,3 +639,73 @@ class TestSweepPointErrors:
             cli.run_sweep(parse_scenario(doc), "csv")
         assert info.value.path == "carrier.n_prb"
         assert str(info.value) == "sweep point 1 (carrier.n_prb=0): carrier.n_prb: must be >= 1, got 0"
+
+
+def budget_doc(budget):
+    return {"carrier": {"scs_khz": 15, "n_prb": 1, "duplex": "FDD", "span_ms": 1}, "budget": budget}
+
+
+class TestBudgetPorts:
+    """`budget.ports` holds integers only, and a port count the LTE control
+    region cannot go with is rejected at `budget.ports` by the budget command."""
+
+    @pytest.mark.parametrize("ports", [[4.0], [True, 2], [1, 2.0], [False]])
+    def test_non_integer_ports_rejected(self, capsys, tmp_path, ports):
+        code, out, err = run(capsys, "budget", "-s", write_doc(tmp_path, budget_doc({"ports": ports})))
+        assert (code, out, err) == (1, "", "error: budget.ports: must be a list drawn from [0, 1, 2, 4]\n")
+
+    @pytest.mark.parametrize("budget, message", [
+        ({"lte_pdcch": 2, "ports": [0]}, "crs_ports=0 (no incumbent) requires lte_pdcch=0, got 2"),
+        ({"lte_pdcch": 0, "ports": [1]}, "lte_pdcch=0 requires crs_ports=0 (no incumbent)"),
+        ({"lte_pdcch": 0}, "lte_pdcch=0 requires crs_ports=0 (no incumbent)"),
+    ])
+    def test_impossible_pairing_rejected_at_ports(self, capsys, tmp_path, budget, message):
+        code, out, err = run(capsys, "budget", "-s", write_doc(tmp_path, budget_doc(budget)))
+        assert (code, out, err) == (1, "", f"error: budget.ports: {message}\n")
+
+    def test_pairing_in_a_sweep_names_the_point(self, capsys, tmp_path):
+        doc = budget_doc({"lte_pdcch": 0, "ports": [0]})
+        doc["sweep"] = {"command": "budget", "parameters": [{"path": "budget.lte_pdcch", "values": [0, 1]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == ("error: sweep point 1 (budget.lte_pdcch=1): budget.ports: "
+                       "crs_ports=0 (no incumbent) requires lte_pdcch=0, got 1\n")
+
+    def test_no_incumbent_row_accepted(self, capsys, tmp_path):
+        doc = budget_doc({"lte_pdcch": 0, "ports": [0]})
+        code, out, err = run(capsys, "budget", "-s", write_doc(tmp_path, doc), "-f", "csv")
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1] == "0,132,132,132,0.00,0.00"
+
+    def test_interference_still_reads_lte_pdcch_zero(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "neighbor_interference.json").read_text())
+        doc["budget"]["lte_pdcch"] = 0
+        code, _, err = run(capsys, "interference", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+
+    def test_control_past_the_slot_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        doc = budget_doc({"nr_pdcch": 13, "dmrs_count": 0})
+        code, out, err = run(capsys, "budget", "-s", write_doc(tmp_path, doc))
+        assert (code, out, err) == (
+            2, "", "error: LTE and NR control take 15 symbols, more than the 14 of a slot\n")
+
+
+class TestSweepMapKey:
+    def test_points_with_equal_map_inputs_share_one_build(self, capsys, tmp_path, monkeypatch):
+        """The map cache compares parsed values: 20 and 20.0 ms are one carrier."""
+        builds = []
+
+        def counted(scenario):
+            builds.append(scenario.carrier)
+            return build_grid(scenario)
+
+        monkeypatch.setattr(cli, "build_grid", counted)
+        doc = mrss_sweep_doc()
+        doc["sweep"]["parameters"] = [{"path": "carrier.span_ms", "values": [20, 20.0]},
+                                      {"path": "lte", "values": [None]}]
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+        first, second = json.loads(out)
+        assert {k: v for k, v in first.items() if k not in ("point", "carrier.span_ms")} == \
+            {k: v for k, v in second.items() if k not in ("point", "carrier.span_ms")}
+        assert len(builds) == 1

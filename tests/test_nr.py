@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from gridshare import (
     nr_dss_slot,
 )
 from gridshare.nr import _first_free_per_prb
+from gridshare.value import replace
 
 
 def wideband_tdd_carrier():
@@ -186,3 +189,23 @@ class TestFirstFreePerPrb:
                 _first_free_per_prb(view, amount, "TRS")
         else:
             np.testing.assert_array_equal(_first_free_per_prb(view, amount, "TRS"), expected)
+
+
+class TestOccasionUnitCount:
+    """The occasion units are counted, not listed, before they are compared
+    with the DL slots, so a huge beam count fails at once and in little memory."""
+
+    def test_million_beams_fail_before_allocating(self):
+        grid = make_grid(wideband_tdd_carrier())
+        overlay = replace(full_overlay(), ssb=BeamSignal(10**6, 20, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlacementError) as err:
+                apply_nr(grid, overlay)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "1000025 occasion units need distinct DL slots but only 32 are available"
+        )
+        assert peak < 1_000_000

@@ -19,11 +19,11 @@ from .grid import (
     ReLabel,
     ResourceGrid,
     count_labels,
-    make_grid,
+    new_labels,
     place,
 )
-from .lte import LteCellConfig, apply_lte, crs_bearing_symbols, crs_re_per_symbol
-from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, apply_nr, dss_control_rows
+from .lte import LteCellConfig, crs_bearing_symbols, crs_re_per_symbol, place_lte
+from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, dss_control_rows, place_nr
 from .rounding import pct, round_half_up
 from .value import value
 
@@ -138,6 +138,15 @@ def check_ports(ports: Sequence[int], lte_pdcch: int) -> None:
             raise ConfigError("lte_pdcch=0 requires crs_ports=0 (no incumbent)")
 
 
+def check_control_fits(lte_pdcch: int, nr_pdcch: int) -> None:
+    """LTE and NR control together fit in one slot."""
+    if lte_pdcch + nr_pdcch > SYMBOLS_PER_SLOT:
+        raise ConfigError(
+            f"LTE and NR control take {lte_pdcch + nr_pdcch} symbols, more than the "
+            f"{SYMBOLS_PER_SLOT} of a slot"
+        )
+
+
 def dss_pool_by_grid(
     crs_ports: int,
     lte_pdcch: int,
@@ -150,17 +159,12 @@ def dss_pool_by_grid(
     crs_ports 0 is a pure NR slot: no LTE overlay, and lte_pdcch must be 0.
     """
     check_ports((crs_ports,), lte_pdcch)
-    if lte_pdcch + nr_pdcch > SYMBOLS_PER_SLOT:
-        raise ConfigError(
-            f"LTE and NR control take {lte_pdcch + nr_pdcch} symbols, more than the "
-            f"{SYMBOLS_PER_SLOT} of a slot"
-        )
+    check_control_fits(lte_pdcch, nr_pdcch)
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
-    grid = make_grid(carrier)
+    arr = new_labels(carrier)
     if crs_ports > 0:
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
-        grid = apply_lte(grid, cfg, include_sync=False)
-    arr = grid.writable_labels()
+        place_lte(arr, carrier, cfg, include_sync=False)
     rows = dss_control_rows(range(lte_pdcch, lte_pdcch + nr_pdcch), dmrs_symbols)
     place(arr, (0,), rows, rate_match=True)
     counts = count_labels(ResourceGrid(carrier, arr))
@@ -240,7 +244,7 @@ def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport
     """Overhead breakdown over one period of a TDD NR carrier.
 
     Rows are counted independently and summed without overlap deduction;
-    the placement in apply_nr keeps them disjoint, so grid verification
+    the placement in place_nr keeps them disjoint, so grid verification
     agrees with the arithmetic sum.
     """
     if carrier.duplex != "TDD":
@@ -280,7 +284,9 @@ def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport
 
 def verify_overhead_by_grid(carrier: CarrierConfig, overlay: NrOverlaySet) -> Dict[str, int]:
     """Grid route for the overhead table: place every footprint and count."""
-    counts = count_labels(apply_nr(make_grid(carrier), overlay))
+    arr = new_labels(carrier)
+    place_nr(arr, carrier, overlay)
+    counts = count_labels(ResourceGrid(carrier, arr))
     return {name: counts.get(label, 0) for name, label in NR_LABELS.items()}
 
 

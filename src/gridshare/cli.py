@@ -25,8 +25,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .budget import check_ports, dss_table, nr_overhead
 from .errors import ConfigError, GridShareError, ScenarioError
-from .grid import ResourceGrid, make_grid
-from .lte import apply_lte
+from .grid import ResourceGrid, new_labels
+from .lte import place_lte
 from .mrss import (
     MrssCategoryMap,
     classify_mrss,
@@ -35,7 +35,7 @@ from .mrss import (
     reserve_iot,
     simulate,
 )
-from .nr import apply_nr
+from .nr import place_nr
 from .scenario import Scenario, emit_scenario, parse_scenario
 from .value import asdict, replace
 
@@ -78,14 +78,16 @@ MapBuilder = Callable[[Scenario], MrssCategoryMap]
 
 
 def build_grid(scenario: Scenario) -> ResourceGrid:
-    grid = make_grid(scenario.carrier)
+    """The scenario's grid, built in one label lattice: LTE, then NR."""
+    carrier = scenario.carrier
+    arr = new_labels(carrier)
     if scenario.lte is not None:
-        if scenario.carrier.numerology.scs_khz != 15:
+        if carrier.numerology.scs_khz != 15:
             raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
-        grid = apply_lte(grid, scenario.lte)
+        place_lte(arr, carrier, scenario.lte)
     if scenario.nr is not None:
-        grid = apply_nr(grid, scenario.nr)
-    return grid
+        place_nr(arr, carrier, scenario.nr)
+    return ResourceGrid(carrier, arr)
 
 
 def build_map(scenario: Scenario) -> MrssCategoryMap:

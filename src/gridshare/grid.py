@@ -1,10 +1,13 @@
 """Numerology, carrier configuration, and the labeled time-frequency grid.
 
 The grid is a dense (slot, symbol, subcarrier) lattice where every resource
-element carries exactly one label. All operations are pure: they validate,
-copy, and return new grids, so grids behave as immutable values. Inside a
-stage, every label write goes through `place`, on the stage's one writable
-copy, so no write relabels a cell or touches an uplink/guard cell.
+element carries exactly one label. A `ResourceGrid` is an immutable value:
+its lattice is read-only. A grid is built in one writable lattice: take a
+fresh one from `new_labels`, place each stage's footprints into it, and wrap
+it once in a `ResourceGrid` (`cli.build_grid` places LTE and then NR this
+way). The public stages `apply_lte` and `apply_nr` copy a finished grid's
+lattice and place into the copy. Every label write goes through `place`, so
+no write relabels a cell or touches an uplink/guard cell.
 """
 
 from __future__ import annotations
@@ -180,8 +183,8 @@ class ResourceGrid:
         return self.labels.copy()
 
 
-def make_grid(config: CarrierConfig) -> ResourceGrid:
-    """Fresh grid; TDD uplink/guard symbols are pre-labeled at construction."""
+def new_labels(config: CarrierConfig) -> np.ndarray:
+    """A fresh writable label lattice; TDD uplink/guard symbols are pre-labeled."""
     arr = np.zeros(
         (config.n_slots, SYMBOLS_PER_SLOT, config.n_subcarriers), dtype=np.uint8
     )
@@ -194,7 +197,12 @@ def make_grid(config: CarrierConfig) -> ResourceGrid:
             elif kind is SlotKind.SPECIAL:
                 arr[slot, dl : dl + guard, :] = ReLabel.GUARD_SYMBOL
                 arr[slot, dl + guard :, :] = ReLabel.UPLINK_SYMBOL
-    return ResourceGrid(config, arr)
+    return arr
+
+
+def make_grid(config: CarrierConfig) -> ResourceGrid:
+    """Fresh grid; TDD uplink/guard symbols are pre-labeled at construction."""
+    return ResourceGrid(config, new_labels(config))
 
 
 def _grid_cell(where: Tuple, local: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -205,7 +213,7 @@ def _grid_cell(where: Tuple, local: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def place(arr: np.ndarray, where: Tuple, footprint, rate_match: bool = False) -> None:
-    """Write a footprint into the view arr[where] of a stage's writable copy.
+    """Write a footprint into the view arr[where] of a writable label lattice.
 
     This is the one write path into a label array. ``where`` holds ints and
     slices; ``footprint`` holds one label per cell of the view, broadcast to
@@ -220,7 +228,10 @@ def place(arr: np.ndarray, where: Tuple, footprint, rate_match: bool = False) ->
         raise ConfigError("placement needs an index of ints and slices")
     # The trailing Ellipsis keeps a view even for a single cell (three ints).
     view = arr[(*where, ...)]
-    footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
+    if not (isinstance(footprint, np.ndarray) and footprint.shape == view.shape
+            and footprint.dtype == arr.dtype):
+        # A per-subframe template already has the view's shape and dtype.
+        footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
     if not view.any():
         # An all-free view (UNLABELED is 0) takes the footprint verbatim: its
         # UNLABELED cells write 0 over 0, and there is no uplink/guard cell.
@@ -249,6 +260,7 @@ def count_labels(
     """Exact per-label cell counts over a half-open (slot, PRB) sub-window.
 
     Only labels with non-zero counts appear; counts sum to the window size.
+    Counted slot by slot, with no sort, so temporaries stay one slot in size.
     """
     cfg = grid.config
     s0, s1 = slot_range if slot_range is not None else (0, cfg.n_slots)
@@ -258,6 +270,8 @@ def count_labels(
     if not (0 <= p0 < p1 <= cfg.n_prb):
         raise ConfigError(f"empty or inverted PRB range ({p0}, {p1})")
     window = grid.labels[s0:s1, :, p0 * SC_PER_PRB : p1 * SC_PER_PRB]
-    values, counts = np.unique(window, return_counts=True)
-    return {ReLabel(int(v)): int(c) for v, c in zip(values, counts)}
+    counts = np.zeros(len(ReLabel), dtype=np.int64)
+    for slot in window:
+        counts += np.bincount(slot.reshape(-1), minlength=len(ReLabel))
+    return {ReLabel(v): int(c) for v, c in enumerate(counts.tolist()) if c}
 

@@ -4,7 +4,7 @@
 normal CP). Every other CRS fact is derived from it: the cell sets of
 `crs_cells`, the per-symbol counts behind the closed forms in `budget`, the
 DMRS check of `nr.nr_dss_slot`, the masks of `mrss.neighbor_interference`,
-and the subframe templates that `apply_lte` places on the grid.
+and the subframe templates that `place_lte` places on the grid.
 """
 
 from __future__ import annotations
@@ -163,7 +163,17 @@ def _subframe_templates(
 
 
 def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True) -> ResourceGrid:
-    """Overlay one LTE cell's downlink structure on every subframe of a 15 kHz grid.
+    """A copy of the grid with one LTE cell placed on it (`place_lte`)."""
+    arr = grid.writable_labels()
+    place_lte(arr, grid.config, cfg, include_sync)
+    return ResourceGrid(grid.config, arr)
+
+
+def place_lte(
+    arr: np.ndarray, carrier: CarrierConfig, cfg: LteCellConfig, include_sync: bool = True
+) -> None:
+    """Place one LTE cell's downlink structure on every subframe of a 15 kHz
+    carrier's writable label lattice.
 
     In MBSFN subframes the control region is non_mbsfn_region_len symbols
     and everything after it is muted, with no CRS beyond the non-MBSFN
@@ -173,13 +183,11 @@ def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True)
     an already-labeled downlink cell raises ConflictError; TDD uplink and
     guard cells are left as they are.
     """
-    carrier = grid.config
     if carrier.numerology.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
-    arr = grid.writable_labels()
     for sf in range(carrier.n_slots):
         if sf in cfg.mbsfn_subframes:
             template = mbsfn
@@ -188,4 +196,3 @@ def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True)
         else:
             template = sf5 if sf % 5 == 0 else normal
         place(arr, (sf,), template)
-    return ResourceGrid(carrier, arr)

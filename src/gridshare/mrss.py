@@ -15,7 +15,13 @@ from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .budget import DssLayout, default_dmrs_symbols, dss_pool_per_prb, lte_pool_per_prb
+from .budget import (
+    DssLayout,
+    check_control_fits,
+    default_dmrs_symbols,
+    dss_pool_per_prb,
+    lte_pool_per_prb,
+)
 from .errors import ConfigError, ConflictError, PlacementError
 from .grid import (
     SC_PER_PRB,
@@ -56,6 +62,17 @@ _CATEGORY_OF_LABEL[list(_NON_DL_LABELS)] = CAT_NON_DL
 _CATEGORY_OF_LABEL[list(DEFAULT_RESERVED_LABELS)] = CAT_RESERVED
 _CATEGORY_OF_LABEL[list(CONTROL_LABELS)] = CAT_CONTROL
 _CATEGORY_OF_LABEL.setflags(write=False)
+# Every label below this one (UNLABELED and the LTE labels) is shared pool.
+_FIRST_NON_SHARED_LABEL = int(np.flatnonzero(_CATEGORY_OF_LABEL != CAT_SHARED)[0])
+
+
+def _gather_categories(labels: np.ndarray) -> np.ndarray:
+    """A fresh category lattice: `_CATEGORY_OF_LABEL` gathered from the labels."""
+    categories = np.empty(labels.shape, dtype=np.uint8)
+    # Slot by slot, so the gather's index temporaries stay one slot in size.
+    for s in range(labels.shape[0]):
+        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
+    return categories
 
 
 class ControlModeKind(Enum):
@@ -179,20 +196,49 @@ class TrafficModel:
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
-    An immutable value: both arrays are read-only, so one map can serve many
+    An immutable value: its arrays are read-only, so one map can serve many
     `simulate` calls; `reserve_iot` and `place_6g_ssb` return new maps. The
     constructor takes ownership of `categories` and `labels` and marks the
     passed arrays themselves read-only; pass copies of arrays you still write.
+
+    A map stores a category lattice only once a stage has made the
+    categories differ from what the labels decide through the label ->
+    category table: control growth in `classify_mrss` (PartiallyOverlapping,
+    Separate), `reserve_iot` and `place_6g_ssb`. Until then it is built with
+    `categories=None`: its counts are taken from the labels slot by slot,
+    and reading `categories` gathers a read-only lattice once.
     """
 
     grid: ResourceGrid
-    categories: np.ndarray
+    categories: Optional[np.ndarray]
     labels: np.ndarray
     control_mode: ControlMode = ControlMode()
 
     def __post_init__(self):
-        self.categories.setflags(write=False)
+        if self._stored is not None:
+            self._stored.setflags(write=False)
         self.labels.setflags(write=False)
+
+    @property
+    def _stored(self) -> Optional[np.ndarray]:
+        """The stored category lattice; None where the labels decide it."""
+        return self.__dict__["categories"]
+
+    @property
+    def categories(self) -> np.ndarray:
+        """The category lattice, read-only: stored, or gathered from the labels once."""
+        return self._gathered if self._stored is None else self._stored
+
+    @cached_property
+    def _gathered(self) -> np.ndarray:
+        categories = _gather_categories(self.labels)
+        categories.setflags(write=False)
+        return categories
+
+    def writable_categories(self) -> np.ndarray:
+        """A new writable category lattice, for a stage that changes categories."""
+        stored = self._stored
+        return _gather_categories(self.labels) if stored is None else stored.copy()
 
     @property
     def shared_pool_size(self) -> int:
@@ -208,20 +254,35 @@ class MrssCategoryMap:
 
     @property
     def downlink_size(self) -> int:
-        return int(self.categories.size - self._cells_per_slot[CAT_NON_DL].sum())
+        return int(self.labels.size - self._cells_per_slot[CAT_NON_DL].sum())
 
     @cached_property
     def _cells_per_slot(self) -> Tuple[np.ndarray, ...]:
         """Per category code, the cells of each slot: one read-only row each.
 
-        One pass, slot by slot, so no comparison spans the whole lattice.
+        One pass, slot by slot, so no temporary spans the whole lattice.
+        With no stored lattice, each slot's largest label decides whether
+        all its cells are shared pool; any other slot is gathered into a
+        one-slot buffer half a slot at a time, which keeps the gather's
+        intp copy of the indices at half a slot.
         """
-        counts = np.zeros((4, len(self.categories)), dtype=np.int64)
-        for s, c in enumerate(self.categories):
+        stored = self._stored
+        counts = np.zeros((4, len(self.labels)), dtype=np.int64)
+        if stored is None:
+            counts[CAT_SHARED] = self.labels[0].size
+            mixed = np.flatnonzero(self.labels.max(axis=(1, 2)) >= _FIRST_NON_SHARED_LABEL)
+            buf = np.empty(self.labels.shape[1:], dtype=np.uint8)
+        else:
+            mixed = range(len(stored))
+        for s in mixed:
+            if stored is None:
+                for half in (slice(None, SYMBOLS_PER_SLOT // 2), slice(SYMBOLS_PER_SLOT // 2, None)):
+                    np.take(_CATEGORY_OF_LABEL, self.labels[s, half], out=buf[half])
+                c = buf
+            else:
+                c = stored[s]
             shared = np.count_nonzero(c == CAT_SHARED)
             if shared == c.size:
-                # Every slot of an LTE-only FDD map: one comparison, as
-                # counting the shared pool alone takes.
                 counts[CAT_SHARED, s] = shared
                 continue
             downlink = np.count_nonzero(c)  # CAT_NON_DL is 0
@@ -282,32 +343,25 @@ def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode())
     The 5G control footprint (CORESET1 cells) anchors the control region;
     partially-overlapping and separate 6G control grow it by
     footprint x (factor - 1) additional cells taken from the shared pool in
-    deterministic scan order.
+    deterministic scan order. Only such growth makes the map store a
+    category lattice; otherwise its labels decide every category.
     """
-    labels = grid.labels
-    categories = np.empty(labels.shape, dtype=np.uint8)
-    # Slot by slot, so the gather's index temporaries stay one slot in size.
-    for s in range(labels.shape[0]):
-        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
-
+    categories = None
     grow = control_mode.footprint_factor - 1
     if grow:
-        footprint = int(np.count_nonzero(categories == CAT_CONTROL))
+        gathered = _gather_categories(grid.labels)
+        footprint = int(np.count_nonzero(gathered == CAT_CONTROL))
         extra = int(footprint * grow)
         if extra > 0:
-            flat = categories.reshape(-1)
+            flat = gathered.reshape(-1)
             shared_idx = np.flatnonzero(flat == CAT_SHARED)
             if extra > shared_idx.size:
                 raise PlacementError(
                     f"separate control needs {extra} cells but only {shared_idx.size} are shared"
                 )
             flat[shared_idx[:extra]] = CAT_CONTROL
-    return MrssCategoryMap(
-        grid=grid,
-        categories=categories,
-        labels=grid.labels,
-        control_mode=control_mode,
-    )
+            categories = gathered
+    return MrssCategoryMap(grid, categories, grid.labels, control_mode)
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -349,7 +403,7 @@ def reserve_iot(
     slot_list = list(range(cfg.n_slots)) if slots is None else sorted(set(slots))
     check_slots(cfg, slot_list)
 
-    categories = cmap.categories.copy()
+    categories = cmap.writable_categories()
     labels = cmap.labels.copy()
     prbs = slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
     for s in slot_list:
@@ -380,7 +434,7 @@ def place_6g_ssb(
     (SSB, control, ...) is rejected as "not hidden".
     """
     cfg = cmap.grid.config
-    categories = cmap.categories.copy()
+    categories = cmap.writable_categories()
     labels = cmap.labels.copy()
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
@@ -536,6 +590,7 @@ def neighbor_interference(
     dirty always equals the original pool size.
     """
     dmrs = default_dmrs_symbols(serving.crs_ports, layout.control_end, layout.dmrs_count)
+    check_control_fits(layout.lte_pdcch, layout.nr_pdcch)
     data_symbols = [[s >= layout.control_end and s not in dmrs] for s in range(SYMBOLS_PER_SLOT)]
     pool = np.array(data_symbols) & (crs_mask(serving.crs_ports, serving.v_shift) == 0)
     neighbor_crs = np.zeros((SYMBOLS_PER_SLOT, SC_PER_PRB), dtype=bool)

@@ -172,7 +172,19 @@ NR_LABELS = {
 }
 
 def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
-    """Place the overlay's footprints into disjoint downlink cells.
+    """A copy of the grid with the overlay's footprints placed on it (`place_nr`).
+
+    The overlay is checked against the carrier before the grid is copied.
+    """
+    plan = _nr_plan(grid.config, overlay)
+    arr = grid.writable_labels()
+    _place_plan(arr, grid.config, overlay, *plan)
+    return ResourceGrid(grid.config, arr)
+
+
+def place_nr(arr: np.ndarray, carrier: CarrierConfig, overlay: NrOverlaySet) -> None:
+    """Place the overlay's footprints into disjoint downlink cells of a
+    carrier's writable label lattice.
 
     Placement spreads beam/occasion units across distinct downlink slots:
     CORESET1 takes the first symbols of every monitored slot, and each other
@@ -181,7 +193,12 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme.
     """
-    carrier = grid.config
+    _place_plan(arr, carrier, overlay, *_nr_plan(carrier, overlay))
+
+
+def _nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
+    """The overlay checked against the carrier: (CORESET1 monitored slots,
+    units), each unit (name, kind, PRBs, block symbols or per-PRB RE need)."""
     if overlay.period_ms != carrier.span_ms:
         raise ConfigError(
             f"overlay period {overlay.period_ms} ms != carrier span {carrier.span_ms} ms"
@@ -203,12 +220,10 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
                 raise PlacementError(
                     f"{SIGNAL_CORESET1}: {overlay.coreset1.symbols} symbols do not fit slot {slot}"
                 )
-    monitored_set = set(monitored)
-    ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
 
     # Groups of units, each (name, block geometry or per-PRB RE need, count);
     # every unit takes its own DL slot. The count is checked before any unit
-    # is listed or the grid copied, so an oversized count costs no memory.
+    # is listed, so an oversized count costs no memory.
     groups: List[Tuple[str, str, int, int, int]] = []
     for name, sig in ((SIGNAL_SSB, overlay.ssb), (SIGNAL_CORESET0, overlay.coreset0), (SIGNAL_SIB1, overlay.sib1)):
         if sig and sig.re_count > 0:
@@ -227,16 +242,23 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
             f"{n_units} occasion units need distinct DL slots but only "
             f"{len(dl_slots)} are available"
         )
-    units = [group[:-1] for group in groups for _ in range(group[-1])]
+    return monitored, [group[:-1] for group in groups for _ in range(group[-1])]
 
-    arr = grid.writable_labels()
+
+def _place_plan(
+    arr: np.ndarray, carrier: CarrierConfig, overlay: NrOverlaySet,
+    monitored: List[int], units: List[tuple],
+) -> None:
+    """Place a checked plan (`_nr_plan`): CORESET1, then one unit per DL slot."""
     for slot in monitored:
         place(
             arr,
             (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
             NR_LABELS[SIGNAL_CORESET1],
         )
-    for (name, kind, prbs, amount), slot in zip(units, dl_slots):
+    monitored_set = set(monitored)
+    ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
+    for (name, kind, prbs, amount), slot in zip(units, carrier.dl_bearing_slots()):
         base = ctrl_symbols if slot in monitored_set else 0
         dl_syms = carrier.dl_symbols_in_slot(slot)
         if kind == "block":
@@ -249,7 +271,6 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
             where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
             pick = _first_free_per_prb(arr[where], amount, f"{name}: collision in slot {slot}")
             place(arr, where, np.where(pick, NR_LABELS[name], ReLabel.UNLABELED))
-    return ResourceGrid(carrier, arr)
 
 
 def _first_free_per_prb(view: np.ndarray, amount: int, what: str) -> np.ndarray:

@@ -10,7 +10,9 @@ classes adds nothing measurable to import time; `dataclasses.dataclass`
 compiles six functions for each frozen class.
 
 A default is one instance shared by every object, so it must be immutable.
-`__post_init__` normalizes a field with `object.__setattr__`.
+`__post_init__` normalizes a field with `object.__setattr__`. A `property`
+of a field's name is no default: reading the field goes through it, and it
+finds the value given to the constructor in `self.__dict__`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class _Spec:
     def __init__(self, cls: type, no_repr: Iterable[str]):
         self.names: Tuple[str, ...] = tuple(cls.__annotations__)
         self.known = frozenset(self.names)
-        self.defaults = {name: cls.__dict__[name] for name in self.names if name in cls.__dict__}
+        self.defaults = {name: cls.__dict__[name] for name in self.names
+                         if name in cls.__dict__ and not isinstance(cls.__dict__[name], property)}
         self.shown = tuple(name for name in self.names if name not in no_repr)
         self.post_init = getattr(cls, "__post_init__", None)
 

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gridshare
@@ -135,6 +136,16 @@ class TestInterferenceCommand:
         assert doc["pool_re_per_prb"] == 102
         assert doc["sacrificed_re_per_prb"] == 12
         assert doc["dirty_re_per_prb"] == 0
+
+
+    def test_control_past_the_slot_rejected_as_budget_rejects_it(self, capsys, tmp_path):
+        # The data symbols started past the slot: exit 0 with a pool of 0.
+        doc = json.loads((SCENARIOS / "neighbor_interference.json").read_text())
+        doc["budget"].update({"nr_pdcch": 20, "dmrs_count": 0})
+        path = write_doc(tmp_path, doc)
+        message = "error: LTE and NR control take 22 symbols, more than the 14 of a slot\n"
+        for command in ("interference", "budget"):
+            assert run(capsys, command, "-s", path, "-f", "json") == (2, "", message)
 
 
 class TestSweepCommand:
@@ -709,3 +720,43 @@ class TestSweepMapKey:
         assert {k: v for k, v in first.items() if k not in ("point", "carrier.span_ms")} == \
             {k: v for k, v in second.items() if k not in ("point", "carrier.span_ms")}
         assert len(builds) == 1
+
+
+def _lte_nr_scenario(duplex):
+    """A 15 kHz LTE cell with an NR overlay that rate-matches around it."""
+    tdd = {"tdd_pattern": {"cycle": "DDDSU", "special_split": [6, 4, 4]}} if duplex == "TDD" else {}
+    return parse_scenario({
+        "carrier": {"scs_khz": 15, "n_prb": 25, "duplex": duplex, "span_ms": 10, **tdd},
+        "lte": {"cell_id": 7, "crs_ports": 4, "mbsfn_subframes": [7]},
+        "nr": {"period_ms": 10,
+               "csi_rs": {"ports": 4, "density_re_per_port_per_prb": 1, "prbs": 25,
+                          "occasions_per_period": 2},
+               "trs": {"prbs": 20, "slots_per_occasion": 2, "re_per_prb_per_slot": 3,
+                       "beams": 1, "occasions_per_period": 1}},
+    })
+
+
+class TestBuildGridOneLattice:
+    """`build_grid` places LTE and then NR into one lattice; the result is
+    the grid the public copying stages build."""
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: _lte_nr_scenario("FDD"), id="fdd-lte-nr"),
+        pytest.param(lambda: _lte_nr_scenario("TDD"), id="tdd-lte-nr"),
+        pytest.param(lambda: parse_scenario((SCENARIOS / "mrss_sweep.json").read_text()),
+                     id="tdd-nr"),
+    ])
+    def test_equals_the_copying_stages(self, scenario):
+        s = scenario()
+        expected = gridshare.make_grid(s.carrier)
+        if s.lte is not None:
+            expected = gridshare.apply_lte(expected, s.lte)
+        expected = gridshare.apply_nr(expected, s.nr)
+        grid = build_grid(s)
+        assert grid.config == s.carrier
+        assert np.array_equal(grid.labels, expected.labels)
+        assert not grid.labels.flags.writeable
+        labels = set(np.unique(grid.labels).tolist())
+        assert {gridshare.ReLabel.NR_CSI_RS, gridshare.ReLabel.NR_TRS} <= labels
+        if s.lte is not None:
+            assert {gridshare.ReLabel.LTE_CRS_P3, gridshare.ReLabel.LTE_MBSFN_MUTED} <= labels

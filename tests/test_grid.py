@@ -9,6 +9,7 @@ from gridshare import (
     ConflictError,
     Numerology,
     ReLabel,
+    ResourceGrid,
     TddPattern,
     count_labels,
     make_grid,
@@ -127,6 +128,57 @@ class TestCountLabels:
             for k, v in part.items():
                 merged[k] = merged.get(k, 0) + v
         assert merged == whole
+
+
+def _reference_count_labels(grid, slot_range=None, prb_range=None):
+    """`count_labels` as one sort of the window (`np.unique`) counted it,
+    kept as the reference of the per-slot count."""
+    cfg = grid.config
+    s0, s1 = slot_range if slot_range is not None else (0, cfg.n_slots)
+    p0, p1 = prb_range if prb_range is not None else (0, cfg.n_prb)
+    if not (0 <= s0 < s1 <= cfg.n_slots):
+        raise ConfigError(f"empty or inverted slot range ({s0}, {s1})")
+    if not (0 <= p0 < p1 <= cfg.n_prb):
+        raise ConfigError(f"empty or inverted PRB range ({p0}, {p1})")
+    window = grid.labels[s0:s1, :, p0 * 12 : p1 * 12]
+    values, counts = np.unique(window, return_counts=True)
+    return {ReLabel(int(v)): int(c) for v, c in zip(values, counts)}
+
+
+@st.composite
+def count_windows(draw):
+    """(grid, slot_range, prb_range) over random lattices of the whole
+    alphabet; each range is absent, valid, or empty/inverted/out of bounds."""
+    n_slots, n_prb = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    carrier = fdd(n_prb=n_prb, span_ms=n_slots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.sampled_from([len(ReLabel), 2, 1]))
+    labels = rng.integers(0, alphabet, size=(n_slots, 14, 12 * n_prb), dtype=np.uint8)
+    ranges = []
+    for size in (n_slots, n_prb):
+        if draw(st.booleans()):
+            ranges.append(None)
+        else:
+            ranges.append((draw(st.integers(-1, size)), draw(st.integers(-1, size + 1))))
+    return ResourceGrid(carrier, labels), ranges[0], ranges[1]
+
+
+class TestCountLabelsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(count_windows())
+    def test_matches_the_sorting_count(self, case):
+        grid, slot_range, prb_range = case
+        try:
+            expected = _reference_count_labels(grid, slot_range, prb_range)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as err:
+                count_labels(grid, slot_range, prb_range)
+            assert str(err.value) == str(exc)
+            return
+        got = count_labels(grid, slot_range=slot_range, prb_range=prb_range)
+        assert got == expected
+        assert list(got) == sorted(got)
+        assert all(type(k) is ReLabel and type(v) is int and v > 0 for k, v in got.items())
 
 
 class TestPlace:
@@ -279,3 +331,19 @@ class TestPlaceReference:
         assert np.array_equal(actual, expected)
         if error is not None:
             assert np.array_equal(actual, arr)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16])
+def test_footprint_of_the_view_shape_in_another_dtype(dtype):
+    """Only a footprint of the view's shape and the lattice's dtype is taken
+    as it is; any other dtype is converted first, and placed alike."""
+    arr = make_grid(fdd(n_prb=1, span_ms=2)).writable_labels()
+    arr[0, 3, 5] = ReLabel.LTE_CRS_P0
+    footprint = np.full((14, 12), ReLabel.NR_DATA, dtype=dtype)
+    place(arr, (1,), footprint)
+    assert (arr[1] == ReLabel.NR_DATA).all()
+    with pytest.raises(ConflictError, match=r"cell \(0, 3, 5\): existing LTE_CRS_P0, new NR_DATA"):
+        place(arr, (0,), footprint)
+    place(arr, (0,), footprint, rate_match=True)
+    assert arr[0, 3, 5] == ReLabel.LTE_CRS_P0
+    assert np.count_nonzero(arr[0] == ReLabel.NR_DATA) == 14 * 12 - 1

@@ -39,6 +39,7 @@ from gridshare import (
     simulate,
 )
 from gridshare.mrss import (
+    _CATEGORY_OF_LABEL,
     _NON_DL_LABELS,
     CAT_CONTROL,
     CAT_NON_DL,
@@ -679,3 +680,153 @@ class TestTrafficSeed:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             TrafficModel(demand_5g=1, demand_6g=1, seed=-1)
+
+
+def _gathered_reference(labels, control_mode):
+    """The category lattice as `classify_mrss` stored it for every map: the
+    label -> category table gathered slot by slot, then control growth."""
+    categories = np.empty(labels.shape, dtype=np.uint8)
+    for s in range(labels.shape[0]):
+        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
+    extra = int(int(np.count_nonzero(categories == CAT_CONTROL))
+                * (control_mode.footprint_factor - 1))
+    if extra > 0:
+        flat = categories.reshape(-1)
+        shared_idx = np.flatnonzero(flat == CAT_SHARED)
+        if extra > shared_idx.size:
+            raise PlacementError(
+                f"separate control needs {extra} cells but only {shared_idx.size} are shared"
+            )
+        flat[shared_idx[:extra]] = CAT_CONTROL
+    return categories
+
+
+def assert_map_matches(cmap, reference):
+    """Every count of the map, then its category lattice, equals the reference's."""
+    per_slot = {cat: np.count_nonzero(reference == cat, axis=(1, 2))
+                for cat in (CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL)}
+    assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
+    assert (cmap.shared_pool_size, cmap.reserved_size, cmap.control_region_size,
+            cmap.downlink_size) == (
+        int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
+        int(per_slot[CAT_CONTROL].sum()), reference.size - int(per_slot[CAT_NON_DL].sum()))
+    assert np.array_equal(cmap.categories, reference)
+    assert not cmap.categories.flags.writeable
+
+
+# UNLABELED and the LTE labels: a slot of these alone is decided by one `max`.
+LTE_ONLY_LABELS = [int(l) for l in ReLabel if l is ReLabel.UNLABELED or l.name.startswith("LTE_")]
+SHARED_LABELS = np.flatnonzero(_CATEGORY_OF_LABEL == CAT_SHARED).tolist()
+
+
+@st.composite
+def staged_lattices(draw):
+    """(grid, control mode, IoT reservation or None, 6G SSB block or None).
+
+    Each slot draws from the whole alphabet, from the shared labels only, or
+    from the LTE-only labels; the reservation window and the SSB block are
+    sometimes cleared so that the stage can succeed."""
+    n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (14, 12 * n_prb)
+    pools = {"all": list(range(len(ReLabel))), "shared": SHARED_LABELS, "lte": LTE_ONLY_LABELS}
+    labels = np.stack([rng.choice(pools[draw(st.sampled_from(sorted(pools)))], size=shape)
+                       for _ in range(n_slots)]).astype(np.uint8)
+    kind = draw(st.sampled_from(list(ControlModeKind)))
+    fraction = None
+    if kind is ControlModeKind.PARTIALLY_OVERLAPPING:
+        fraction = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    reservation = None
+    if draw(st.booleans()):
+        p0 = draw(st.integers(0, n_prb))
+        p1 = draw(st.integers(p0, n_prb))
+        slots = draw(st.one_of(st.none(), st.lists(st.integers(0, n_slots - 1), max_size=3)))
+        if draw(st.booleans()):
+            window = labels[slice(None) if slots is None else sorted(set(slots)), :, p0 * 12:p1 * 12]
+            cleared = rng.choice(LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL],
+                                 size=window.shape)
+            labels[slice(None) if slots is None else sorted(set(slots)), :, p0 * 12:p1 * 12] = cleared
+        reservation = ((p0, p1), slots)
+    ssb = None
+    if draw(st.booleans()):
+        prbs, symbols = draw(st.integers(1, n_prb)), draw(st.integers(1, 14))
+        occasion = (draw(st.integers(0, n_slots - 1)), draw(st.integers(0, 14 - symbols)),
+                    draw(st.integers(0, n_prb - prbs)))
+        if draw(st.booleans()):
+            slot, symbol, prb = occasion
+            labels[slot, symbol:symbol + symbols, prb * 12:(prb + prbs) * 12] = ReLabel.UNLABELED
+        ssb = (occasion, prbs, symbols)
+    return ResourceGrid(carrier, labels), ControlMode(kind, fraction), reservation, ssb
+
+
+class TestMapsWithoutStoredCategories:
+    @settings(max_examples=300, deadline=None)
+    @given(staged_lattices())
+    def test_counts_and_categories_equal_the_gather(self, case):
+        grid, mode, reservation, ssb = case
+        try:
+            reference = _gathered_reference(grid.labels, mode)
+        except PlacementError as exc:
+            with pytest.raises(PlacementError) as err:
+                classify_mrss(grid, control_mode=mode)
+            assert str(err.value) == str(exc)
+            return
+        cmap = classify_mrss(grid, control_mode=mode)
+        assert_map_matches(cmap, reference)
+
+        if reservation is not None:
+            (p0, p1), slots = reservation
+            rows = slice(None) if slots is None else sorted(set(slots))
+            window = reference[rows, :, p0 * 12:p1 * 12]
+            if np.any((window != CAT_NON_DL) & (window != CAT_SHARED)):
+                with pytest.raises(ConflictError, match="is not in the shared pool"):
+                    reserve_iot(cmap, (p0, p1), slots)
+                return
+            reference[rows, :, p0 * 12:p1 * 12] = np.where(window == CAT_NON_DL, CAT_NON_DL,
+                                                           CAT_RESERVED)
+            cmap = reserve_iot(cmap, (p0, p1), slots)
+            assert_map_matches(cmap, reference)
+
+        if ssb is not None:
+            (slot, symbol, prb), prbs, symbols = ssb
+            where = (slot, slice(symbol, symbol + symbols), slice(prb * 12, (prb + prbs) * 12))
+            if np.any(reference[where] != CAT_SHARED) or np.any(cmap.labels[where]):
+                with pytest.raises(PlacementError, match="is not hidden"):
+                    place_6g_ssb(cmap, [(slot, symbol, prb)], prbs=prbs, symbols=symbols)
+                return
+            reference[where] = CAT_RESERVED
+            cmap = place_6g_ssb(cmap, [(slot, symbol, prb)], prbs=prbs, symbols=symbols)
+            assert_map_matches(cmap, reference)
+
+    def test_lte_only_map_holds_no_category_lattice(self):
+        # The map stored a gathered category lattice: the classify-to-simulate
+        # path peaked at 1.09x the label lattice.
+        carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=100)
+        grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
+        traffic = TrafficModel((0, 20_000), (0, 20_000), seed=3)
+        policy = SchedPolicy.PROPORTIONAL_SHARE
+        simulate(fdd_map(), traffic, policy)  # loads numpy.random before tracing
+        tracemalloc.start()
+        try:
+            cmap = classify_mrss(grid)
+            pool = cmap.shared_cells_per_slot()
+            sizes = (cmap.reserved_size, cmap.control_region_size, cmap.downlink_size)
+            result = simulate(cmap, traffic, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * grid.labels.nbytes
+        assert pool.tolist() == [14 * 1200] * 100
+        assert sizes == (0, 0, grid.n_cells)
+        assert result.shared_pool_size == grid.n_cells
+
+    def test_stages_from_a_derived_map_leave_it_unchanged(self):
+        cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(Numerology(15), n_prb=25,
+                                                               span_ms=2)), LteCellConfig()))
+        before = cmap.categories.copy()
+        out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)
+        assert np.array_equal(cmap.categories, before)
+        assert cmap.reserved_size == 0
+        assert out.reserved_size == 2 * 14 * 24 + 2 * 4 * 12
+        assert np.count_nonzero(out.labels == ReLabel.SIXG_SSB) == 2 * 4 * 12

@@ -688,8 +688,8 @@ def _gathered_reference(labels, control_mode):
     categories = np.empty(labels.shape, dtype=np.uint8)
     for s in range(labels.shape[0]):
         np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
-    extra = int(int(np.count_nonzero(categories == CAT_CONTROL))
-                * (control_mode.footprint_factor - 1))
+    footprint = int(np.count_nonzero(categories == CAT_CONTROL))
+    extra = int(footprint * (control_mode.footprint_factor - 1))
     if extra > 0:
         flat = categories.reshape(-1)
         shared_idx = np.flatnonzero(flat == CAT_SHARED)
@@ -723,16 +723,27 @@ SHARED_LABELS = np.flatnonzero(_CATEGORY_OF_LABEL == CAT_SHARED).tolist()
 def staged_lattices(draw):
     """(grid, control mode, IoT reservation or None, 6G SSB block or None).
 
-    Each slot draws from the whole alphabet, from the shared labels only, or
-    from the LTE-only labels; the reservation window and the SSB block are
-    sometimes cleared so that the stage can succeed."""
+    Each slot draws from the whole alphabet, from the shared labels only,
+    from the LTE-only labels, or from the labels up to a drawn largest one;
+    the reservation window and the SSB block are sometimes cleared so that
+    the stage can succeed."""
     n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (14, 12 * n_prb)
     pools = {"all": list(range(len(ReLabel))), "shared": SHARED_LABELS, "lte": LTE_ONLY_LABELS}
-    labels = np.stack([rng.choice(pools[draw(st.sampled_from(sorted(pools)))], size=shape)
-                       for _ in range(n_slots)]).astype(np.uint8)
+    slots = []
+    for _ in range(n_slots):
+        pool = draw(st.sampled_from(sorted(pools) + ["up to"]))
+        if pool == "up to":
+            # Labels up to a drawn one, which the slot holds: its largest label.
+            top = draw(st.integers(0, len(ReLabel) - 1))
+            slot = rng.integers(0, top + 1, size=shape)
+            slot.flat[rng.integers(slot.size)] = top
+        else:
+            slot = rng.choice(pools[pool], size=shape)
+        slots.append(slot)
+    labels = np.stack(slots).astype(np.uint8)
     kind = draw(st.sampled_from(list(ControlModeKind)))
     fraction = None
     if kind is ControlModeKind.PARTIALLY_OVERLAPPING:
@@ -743,10 +754,10 @@ def staged_lattices(draw):
         p1 = draw(st.integers(p0, n_prb))
         slots = draw(st.one_of(st.none(), st.lists(st.integers(0, n_slots - 1), max_size=3)))
         if draw(st.booleans()):
-            window = labels[slice(None) if slots is None else sorted(set(slots)), :, p0 * 12:p1 * 12]
-            cleared = rng.choice(LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL],
-                                 size=window.shape)
-            labels[slice(None) if slots is None else sorted(set(slots)), :, p0 * 12:p1 * 12] = cleared
+            rows = slice(None) if slots is None else sorted(set(slots))
+            window = labels[rows, :, p0 * 12:p1 * 12]
+            labels[rows, :, p0 * 12:p1 * 12] = rng.choice(
+                LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL], size=window.shape)
         reservation = ((p0, p1), slots)
     ssb = None
     if draw(st.booleans()):

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .grid import (
     CarrierConfig,
+    Lattice,
     Numerology,
     ReLabel,
     ResourceGrid,

@@ -20,7 +20,7 @@ from .grid import (
     ResourceGrid,
     count_labels,
     new_labels,
-    place,
+    place_slots,
 )
 from .lte import LteCellConfig, crs_bearing_symbols, crs_re_per_symbol, place_lte
 from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, dss_control_rows, place_nr
@@ -161,13 +161,13 @@ def dss_pool_by_grid(
     check_ports((crs_ports,), lte_pdcch)
     check_control_fits(lte_pdcch, nr_pdcch)
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
-    arr = new_labels(carrier)
+    labels = new_labels(carrier)
     if crs_ports > 0:
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
-        place_lte(arr, carrier, cfg, include_sync=False)
+        place_lte(labels, carrier, cfg, include_sync=False)
     rows = dss_control_rows(range(lte_pdcch, lte_pdcch + nr_pdcch), dmrs_symbols)
-    place(arr, (0,), rows, rate_match=True)
-    counts = count_labels(ResourceGrid(carrier, arr))
+    place_slots(labels, [((0,), (), rows)], rate_match=True)
+    counts = count_labels(ResourceGrid(carrier, labels))
     return counts.get(ReLabel.UNLABELED, 0) // n_prb
 
 
@@ -284,9 +284,9 @@ def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport
 
 def verify_overhead_by_grid(carrier: CarrierConfig, overlay: NrOverlaySet) -> Dict[str, int]:
     """Grid route for the overhead table: place every footprint and count."""
-    arr = new_labels(carrier)
-    place_nr(arr, carrier, overlay)
-    counts = count_labels(ResourceGrid(carrier, arr))
+    labels = new_labels(carrier)
+    place_nr(labels, carrier, overlay)
+    counts = count_labels(ResourceGrid(carrier, labels))
     return {name: counts.get(label, 0) for name, label in NR_LABELS.items()}
 
 

@@ -36,6 +36,7 @@ from .mrss import (
     simulate,
 )
 from .nr import place_nr
+from .rounding import round_half_up
 from .scenario import Scenario, emit_scenario, parse_scenario
 from .value import asdict, replace
 
@@ -80,14 +81,14 @@ MapBuilder = Callable[[Scenario], MrssCategoryMap]
 def build_grid(scenario: Scenario) -> ResourceGrid:
     """The scenario's grid, built in one label lattice: LTE, then NR."""
     carrier = scenario.carrier
-    arr = new_labels(carrier)
+    labels = new_labels(carrier)
     if scenario.lte is not None:
         if carrier.numerology.scs_khz != 15:
             raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
-        place_lte(arr, carrier, scenario.lte)
+        place_lte(labels, carrier, scenario.lte)
     if scenario.nr is not None:
-        place_nr(arr, carrier, scenario.nr)
-    return ResourceGrid(carrier, arr)
+        place_nr(labels, carrier, scenario.nr)
+    return ResourceGrid(carrier, labels)
 
 
 def build_map(scenario: Scenario) -> MrssCategoryMap:
@@ -220,8 +221,8 @@ def simulate_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[st
             "unused_shared": result.unused_shared,
             "dropped_5g": sum(result.dropped_5g),
             "dropped_6g": sum(result.dropped_6g),
-            "efficiency_vs_pure_5g": round(result.efficiency_vs_pure_5g, 4),
-            "efficiency_vs_pure_6g": round(result.efficiency_vs_pure_6g, 4),
+            "efficiency_vs_pure_5g": round_half_up(result.efficiency_vs_pure_5g, 4),
+            "efficiency_vs_pure_6g": round_half_up(result.efficiency_vs_pure_6g, 4),
         },
         "per_slot": {
             "grants_5g": list(result.grants_5g),
@@ -284,15 +285,39 @@ def _set_path(doc: dict, path: str, value: object) -> None:
     node[parts[-1]] = value
 
 
-def _flatten(obj: object, prefix: str, out: Dict[str, object]) -> None:
+def _flat_keys(obj: object, prefix: str, out: List[str]) -> None:
+    """A record's column keys, in leaf order: `a.b` for dict keys, `a[0]` for list items."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _flatten(v, f"{prefix}.{k}" if prefix else str(k), out)
+            _flat_keys(v, f"{prefix}.{k}" if prefix else str(k), out)
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
-            _flatten(v, f"{prefix}[{i}]", out)
+            _flat_keys(v, f"{prefix}[{i}]", out)
     else:
-        out[prefix] = obj
+        out.append(prefix)
+
+
+_CONTAINERS = frozenset({dict, list})
+
+
+def _flat_values(obj: object, values: List[object], shape: List[object]) -> None:
+    """A record's leaf values in leaf order, and its shape: the dict keys and
+    list lengths met, and None for each leaf outside a list of plain values.
+    Records of one shape have the same column keys."""
+    if isinstance(obj, dict):
+        shape.append(tuple(obj))
+        for v in obj.values():
+            _flat_values(v, values, shape)
+    elif isinstance(obj, list):
+        shape.append(len(obj))
+        if _CONTAINERS.isdisjoint(map(type, obj)):
+            values.extend(obj)
+        else:
+            for v in obj:
+                _flat_values(v, values, shape)
+    else:
+        shape.append(None)
+        values.append(obj)
 
 
 def _records(maps: MapBuilder) -> Dict[str, Callable[[Scenario], object]]:
@@ -338,6 +363,8 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
         return cmap
 
     record_of = _records(maps)[scenario.sweep.command]
+    # Column keys per record shape, formatted once per sweep.
+    keys_of: Dict[tuple, List[str]] = {}
     records: List[Dict[str, object]] = []
     for index, combo in enumerate(itertools.product(*(p.values for p in params))):
         try:
@@ -347,7 +374,16 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
             point = parse_scenario(doc)
             record: Dict[str, object] = {"point": index}
             record.update({p.path: v for p, v in zip(params, combo)})
-            _flatten(record_of(point), "", record)
+            result = record_of(point)
+            values: List[object] = []
+            shape: List[object] = []
+            _flat_values(result, values, shape)
+            keys = keys_of.get(tuple(shape))
+            if keys is None:
+                keys = []
+                _flat_keys(result, "", keys)
+                keys_of[tuple(shape)] = keys
+            record.update(zip(keys, values))
         except GridShareError as exc:
             # Name the failing point; the error keeps its class (so its exit
             # code) and its dotted path.

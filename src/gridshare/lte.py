@@ -22,7 +22,7 @@ from .grid import (
     ReLabel,
     ResourceGrid,
     SlotKind,
-    place,
+    place_slots,
 )
 from .value import value
 
@@ -163,14 +163,14 @@ def _subframe_templates(
 
 
 def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True) -> ResourceGrid:
-    """A copy of the grid with one LTE cell placed on it (`place_lte`)."""
-    arr = grid.writable_labels()
-    place_lte(arr, grid.config, cfg, include_sync)
-    return ResourceGrid(grid.config, arr)
+    """The grid with one LTE cell placed on a copy of its lattice (`place_lte`)."""
+    lattice = grid.lattice.copy()
+    place_lte(lattice, grid.config, cfg, include_sync)
+    return ResourceGrid(grid.config, lattice)
 
 
 def place_lte(
-    arr: np.ndarray, carrier: CarrierConfig, cfg: LteCellConfig, include_sync: bool = True
+    labels, carrier: CarrierConfig, cfg: LteCellConfig, include_sync: bool = True
 ) -> None:
     """Place one LTE cell's downlink structure on every subframe of a 15 kHz
     carrier's writable label lattice.
@@ -179,20 +179,22 @@ def place_lte(
     and everything after it is muted, with no CRS beyond the non-MBSFN
     region. PSS/SSS sit in subframes 0 and 5 mod 10 and PBCH in subframe 0
     mod 10, on the center 72 subcarriers (requires n_prb >= 6; skipped when
-    include_sync is False). Each subframe's template is placed strictly, so
-    an already-labeled downlink cell raises ConflictError; TDD uplink and
-    guard cells are left as they are.
+    include_sync is False). Each subframe template is placed strictly, once
+    over its set of subframes, so an already-labeled downlink cell raises
+    ConflictError naming the first such cell; TDD uplink and guard cells
+    are left as they are.
     """
     if carrier.numerology.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
-    for sf in range(carrier.n_slots):
-        if sf in cfg.mbsfn_subframes:
-            template = mbsfn
-        elif sf % 10 == 0:
-            template = sf0
-        else:
-            template = sf5 if sf % 5 == 0 else normal
-        place(arr, (sf,), template)
+    sf = np.arange(carrier.n_slots)
+    is_mbsfn = np.isin(sf, sorted(cfg.mbsfn_subframes))
+    is_sf0 = ~is_mbsfn & (sf % 10 == 0)
+    is_sf5 = ~is_mbsfn & (sf % 10 == 5)
+    is_normal = ~(is_mbsfn | is_sf0 | is_sf5)
+    place_slots(labels, [
+        (np.flatnonzero(subframes), (), template)
+        for subframes, template in ((is_normal, normal), (is_mbsfn, mbsfn), (is_sf0, sf0), (is_sf5, sf5))
+    ])

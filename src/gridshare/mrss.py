@@ -3,6 +3,12 @@
 Covers the three-category MRSS resource model with a slot-level scheduler,
 the classic DSS sharing mechanisms as per-PRB budgets, and neighbor-cell
 CRS interference with its mitigation strategies.
+
+An MRSS map holds a category lattice of the same kind as the grid's label
+lattice (`grid.Lattice`): each distinct slot is stored once, and every count
+is taken once per distinct row and spread over the slots that hold it. A
+map stage (`reserve_iot`, `place_6g_ssb`) copies the slot -> row index and
+only the rows it writes; the rest stay shared with the map it came from.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
     CarrierConfig,
+    Lattice,
     ReLabel,
     ResourceGrid,
-    place,
+    place_slots,
 )
 from .lte import LteCellConfig, crs_mask, crs_re_per_symbol
 from .value import value
@@ -62,17 +69,6 @@ _CATEGORY_OF_LABEL[list(_NON_DL_LABELS)] = CAT_NON_DL
 _CATEGORY_OF_LABEL[list(DEFAULT_RESERVED_LABELS)] = CAT_RESERVED
 _CATEGORY_OF_LABEL[list(CONTROL_LABELS)] = CAT_CONTROL
 _CATEGORY_OF_LABEL.setflags(write=False)
-# Every label below this one (UNLABELED and the LTE labels) is shared pool.
-_FIRST_NON_SHARED_LABEL = int(np.flatnonzero(_CATEGORY_OF_LABEL != CAT_SHARED)[0])
-
-
-def _gather_categories(labels: np.ndarray) -> np.ndarray:
-    """A fresh category lattice: `_CATEGORY_OF_LABEL` gathered from the labels."""
-    categories = np.empty(labels.shape, dtype=np.uint8)
-    # Slot by slot, so the gather's index temporaries stay one slot in size.
-    for s in range(labels.shape[0]):
-        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
-    return categories
 
 
 class ControlModeKind(Enum):
@@ -196,49 +192,37 @@ class TrafficModel:
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
-    An immutable value: its arrays are read-only, so one map can serve many
-    `simulate` calls; `reserve_iot` and `place_6g_ssb` return new maps. The
-    constructor takes ownership of `categories` and `labels` and marks the
-    passed arrays themselves read-only; pass copies of arrays you still write.
-
-    A map stores a category lattice only once a stage has made the
-    categories differ from what the labels decide through the label ->
-    category table: control growth in `classify_mrss` (PartiallyOverlapping,
-    Separate), `reserve_iot` and `place_6g_ssb`. Until then it is built with
-    `categories=None`: its counts are taken from the labels slot by slot,
-    and reading `categories` gathers a read-only lattice once.
+    An immutable value: its lattices are frozen, so one map can serve many
+    `simulate` calls; `reserve_iot` and `place_6g_ssb` return new maps that
+    share every row they do not write. `categories` and `labels` are each
+    a `Lattice` or a dense array, which the constructor freezes. Reading
+    `categories` or `labels` gathers the dense array once.
     """
 
     grid: ResourceGrid
-    categories: Optional[np.ndarray]
+    categories: np.ndarray
     labels: np.ndarray
     control_mode: ControlMode = ControlMode()
 
     def __post_init__(self):
-        if self._stored is not None:
-            self._stored.setflags(write=False)
-        self.labels.setflags(write=False)
+        for name in ("categories", "labels"):
+            self.__dict__[name] = Lattice.of(self.__dict__[name]).freeze()
 
     @property
-    def _stored(self) -> Optional[np.ndarray]:
-        """The stored category lattice; None where the labels decide it."""
+    def category_lattice(self) -> Lattice:
         return self.__dict__["categories"]
 
     @property
+    def label_lattice(self) -> Lattice:
+        return self.__dict__["labels"]
+
+    @property
     def categories(self) -> np.ndarray:
-        """The category lattice, read-only: stored, or gathered from the labels once."""
-        return self._gathered if self._stored is None else self._stored
+        return self.category_lattice.gather()
 
-    @cached_property
-    def _gathered(self) -> np.ndarray:
-        categories = _gather_categories(self.labels)
-        categories.setflags(write=False)
-        return categories
-
-    def writable_categories(self) -> np.ndarray:
-        """A new writable category lattice, for a stage that changes categories."""
-        stored = self._stored
-        return _gather_categories(self.labels) if stored is None else stored.copy()
+    @property
+    def labels(self) -> np.ndarray:
+        return self.label_lattice.gather()
 
     @property
     def shared_pool_size(self) -> int:
@@ -254,40 +238,14 @@ class MrssCategoryMap:
 
     @property
     def downlink_size(self) -> int:
-        return int(self.labels.size - self._cells_per_slot[CAT_NON_DL].sum())
+        return int(self.grid.n_cells - self._cells_per_slot[CAT_NON_DL].sum())
 
     @cached_property
     def _cells_per_slot(self) -> Tuple[np.ndarray, ...]:
-        """Per category code, the cells of each slot: one read-only row each.
-
-        One pass, slot by slot, so no temporary spans the whole lattice.
-        With no stored lattice, each slot's largest label decides whether
-        all its cells are shared pool; any other slot is gathered into a
-        one-slot buffer half a slot at a time, which keeps the gather's
-        intp copy of the indices at half a slot.
-        """
-        stored = self._stored
-        counts = np.zeros((4, len(self.labels)), dtype=np.int64)
-        if stored is None:
-            counts[CAT_SHARED] = self.labels[0].size
-            mixed = np.flatnonzero(self.labels.max(axis=(1, 2)) >= _FIRST_NON_SHARED_LABEL)
-            buf = np.empty(self.labels.shape[1:], dtype=np.uint8)
-        else:
-            mixed = range(len(stored))
-        for s in mixed:
-            if stored is None:
-                for half in (slice(None, SYMBOLS_PER_SLOT // 2), slice(SYMBOLS_PER_SLOT // 2, None)):
-                    np.take(_CATEGORY_OF_LABEL, self.labels[s, half], out=buf[half])
-                c = buf
-            else:
-                c = stored[s]
-            shared = np.count_nonzero(c == CAT_SHARED)
-            if shared == c.size:
-                counts[CAT_SHARED, s] = shared
-                continue
-            downlink = np.count_nonzero(c)  # CAT_NON_DL is 0
-            control = np.count_nonzero(c == CAT_CONTROL)
-            counts[:, s] = (c.size - downlink, shared, downlink - shared - control, control)
+        """Per category code, the cells of each slot: one read-only row each,
+        counted once per distinct category row."""
+        lattice = self.category_lattice
+        counts = _counts_per_row(lattice).T[:, lattice.slot_rows]
         counts.setflags(write=False)
         return tuple(counts)
 
@@ -316,8 +274,8 @@ class SimResult:
     total_5g: int
     total_6g: int
     unused_shared: int
-    efficiency_vs_pure_5g: float
-    efficiency_vs_pure_6g: float
+    efficiency_vs_pure_5g: Fraction
+    efficiency_vs_pure_6g: Fraction
 
 
 @value
@@ -337,31 +295,58 @@ class MechanismBudget:
     unused_symbols: int = 0
 
 
+def _counts_per_row(categories: Lattice) -> np.ndarray:
+    """(n_rows, 4) cells of each category code in each row, by comparison
+    (a bincount would copy the row as intp)."""
+    out = np.zeros((len(categories.rows), 4), dtype=np.int64)
+    for r, row in enumerate(categories.rows):
+        shared = np.count_nonzero(row == CAT_SHARED)
+        if shared == row.size:
+            out[r, CAT_SHARED] = shared
+            continue
+        downlink = np.count_nonzero(row)  # CAT_NON_DL is 0
+        control = np.count_nonzero(row == CAT_CONTROL)
+        out[r] = (row.size - downlink, shared, downlink - shared - control, control)
+    return out
+
+
 def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode()) -> MrssCategoryMap:
     """Partition downlink-capable cells into shared pool, reserved, control.
 
     The 5G control footprint (CORESET1 cells) anchors the control region;
     partially-overlapping and separate 6G control grow it by
     footprint x (factor - 1) additional cells taken from the shared pool in
-    deterministic scan order. Only such growth makes the map store a
-    category lattice; otherwise its labels decide every category.
+    deterministic scan order (slot, then symbol, then subcarrier).
     """
-    categories = None
+    categories = grid.lattice.map(_CATEGORY_OF_LABEL)
     grow = control_mode.footprint_factor - 1
     if grow:
-        gathered = _gather_categories(grid.labels)
-        footprint = int(np.count_nonzero(gathered == CAT_CONTROL))
+        per_row = _counts_per_row(categories)
+        footprint = int(per_row[:, CAT_CONTROL] @ categories.multiplicity())
         extra = int(footprint * grow)
         if extra > 0:
-            flat = gathered.reshape(-1)
-            shared_idx = np.flatnonzero(flat == CAT_SHARED)
-            if extra > shared_idx.size:
-                raise PlacementError(
-                    f"separate control needs {extra} cells but only {shared_idx.size} are shared"
-                )
-            flat[shared_idx[:extra]] = CAT_CONTROL
-            categories = gathered
-    return MrssCategoryMap(grid, categories, grid.labels, control_mode)
+            _grow_control(categories, per_row[categories.slot_rows, CAT_SHARED], extra)
+    return MrssCategoryMap(grid, categories, grid.lattice, control_mode)
+
+
+def _grow_control(categories: Lattice, shared: np.ndarray, extra: int) -> None:
+    """Turn the first `extra` shared cells, in scan order, into control cells;
+    `shared` counts each slot's shared cells."""
+    reach = np.cumsum(shared)
+    if extra > reach[-1]:
+        raise PlacementError(
+            f"separate control needs {extra} cells but only {int(reach[-1])} are shared"
+        )
+    # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
+    whole = int(np.searchsorted(reach, extra, side="right"))
+    for r in categories.own(np.flatnonzero(shared[:whole])):
+        row = categories.rows[r]
+        row[row == CAT_SHARED] = CAT_CONTROL
+    rest = extra - (int(reach[whole - 1]) if whole else 0)
+    if rest:
+        (r,) = categories.own((whole,))
+        flat = categories.rows[r].reshape(-1)
+        flat[np.flatnonzero(flat == CAT_SHARED)[:rest]] = CAT_CONTROL
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -403,21 +388,23 @@ def reserve_iot(
     slot_list = list(range(cfg.n_slots)) if slots is None else sorted(set(slots))
     check_slots(cfg, slot_list)
 
-    categories = cmap.writable_categories()
-    labels = cmap.labels.copy()
     prbs = slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
-    for s in slot_list:
-        window = categories[s, :, prbs]
-        dl = window != CAT_NON_DL
-        if np.any(window[dl] != CAT_SHARED):
-            bad = np.argwhere(dl & (window != CAT_SHARED))[0]
+    categories = cmap.category_lattice.copy()
+    for slot, r in categories.first_slots(np.array(slot_list, dtype=np.intp)):
+        window = categories.rows[r][:, prbs]
+        bad = (window != CAT_NON_DL) & (window != CAT_SHARED)
+        if bad.any():
+            symbol, sc = np.argwhere(bad)[0]
             raise ConflictError(
-                f"cell (slot {s}, symbol {int(bad[0])}, sc {p0 * SC_PER_PRB + int(bad[1])}) "
+                f"cell (slot {slot}, symbol {int(symbol)}, sc {p0 * SC_PER_PRB + int(sc)}) "
                 "is not in the shared pool"
             )
-        window[dl] = CAT_RESERVED
-        # Incumbent-labeled shared cells (LTE CRS, PDCCH) keep their label.
-        place(labels, (s, slice(None), prbs), ReLabel.RESERVED_IOT, rate_match=True)
+    for r in categories.own(slot_list):
+        window = categories.rows[r][:, prbs]
+        window[window != CAT_NON_DL] = CAT_RESERVED
+    # Incumbent-labeled shared cells (LTE CRS, PDCCH) keep their label.
+    labels = cmap.label_lattice.copy()
+    place_slots(labels, [(slot_list, (slice(None), prbs), ReLabel.RESERVED_IOT)], rate_match=True)
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
@@ -434,20 +421,19 @@ def place_6g_ssb(
     (SSB, control, ...) is rejected as "not hidden".
     """
     cfg = cmap.grid.config
-    categories = cmap.writable_categories()
-    labels = cmap.labels.copy()
+    categories = cmap.category_lattice.copy()
+    labels = cmap.label_lattice.copy()
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
-        sl = slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB)
-        where = (slot, slice(symbol, symbol + symbols), sl)
-        cat = categories[where]
-        if np.any(cat != CAT_SHARED) or np.any(labels[where] != ReLabel.UNLABELED):
+        where = (slice(symbol, symbol + symbols), slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
+        if np.any(categories.row(slot)[where] != CAT_SHARED) or np.any(labels.row(slot)[where] != ReLabel.UNLABELED):
             raise PlacementError(
                 f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
                 "collides with a 5G footprint or leaves the shared pool"
             )
-        cat[:] = CAT_RESERVED
-        place(labels, where, ReLabel.SIXG_SSB)
+        (r,) = categories.own((slot,))
+        categories.rows[r][where] = CAT_RESERVED
+        place_slots(labels, [((slot,), where, ReLabel.SIXG_SSB)])
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
@@ -509,8 +495,8 @@ def simulate(
         total_5g=total5,
         total_6g=total6,
         unused_shared=int(unused.sum()),
-        efficiency_vs_pure_5g=(total5 / pure5) if pure5 else 1.0,
-        efficiency_vs_pure_6g=(total6 / pure6) if pure6 else 1.0,
+        efficiency_vs_pure_5g=Fraction(total5, pure5) if pure5 else Fraction(1),
+        efficiency_vs_pure_6g=Fraction(total6, pure6) if pure6 else Fraction(1),
     )
 
 

@@ -16,9 +16,10 @@ from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
     CarrierConfig,
+    Lattice,
     ReLabel,
     ResourceGrid,
-    place,
+    place_slots,
 )
 from .lte import LteCellConfig, crs_bearing_symbols
 from .value import value
@@ -172,17 +173,16 @@ NR_LABELS = {
 }
 
 def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
-    """A copy of the grid with the overlay's footprints placed on it (`place_nr`).
-
-    The overlay is checked against the carrier before the grid is copied.
+    """The grid with the overlay's footprints placed on a copy of its lattice
+    (`place_nr`). The overlay is checked against the carrier first.
     """
     plan = _nr_plan(grid.config, overlay)
-    arr = grid.writable_labels()
-    _place_plan(arr, grid.config, overlay, *plan)
-    return ResourceGrid(grid.config, arr)
+    lattice = grid.lattice.copy()
+    _place_plan(lattice, grid.config, overlay, *plan)
+    return ResourceGrid(grid.config, lattice)
 
 
-def place_nr(arr: np.ndarray, carrier: CarrierConfig, overlay: NrOverlaySet) -> None:
+def place_nr(labels, carrier: CarrierConfig, overlay: NrOverlaySet) -> None:
     """Place the overlay's footprints into disjoint downlink cells of a
     carrier's writable label lattice.
 
@@ -193,7 +193,7 @@ def place_nr(arr: np.ndarray, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme.
     """
-    _place_plan(arr, carrier, overlay, *_nr_plan(carrier, overlay))
+    _place_plan(Lattice.of(labels), carrier, overlay, *_nr_plan(carrier, overlay))
 
 
 def _nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
@@ -246,16 +246,13 @@ def _nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], 
 
 
 def _place_plan(
-    arr: np.ndarray, carrier: CarrierConfig, overlay: NrOverlaySet,
+    lattice: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet,
     monitored: List[int], units: List[tuple],
 ) -> None:
     """Place a checked plan (`_nr_plan`): CORESET1, then one unit per DL slot."""
-    for slot in monitored:
-        place(
-            arr,
-            (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
-            NR_LABELS[SIGNAL_CORESET1],
-        )
+    if monitored:
+        coreset1 = (slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB))
+        place_slots(lattice, [(monitored, coreset1, NR_LABELS[SIGNAL_CORESET1])])
     monitored_set = set(monitored)
     ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
     for (name, kind, prbs, amount), slot in zip(units, carrier.dl_bearing_slots()):
@@ -264,13 +261,15 @@ def _place_plan(
         if kind == "block":
             if base + amount > dl_syms:
                 raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
-            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), NR_LABELS[name])
+            where = (slice(base, base + amount), slice(0, prbs * SC_PER_PRB))
+            footprint = NR_LABELS[name]
         else:
             if amount > (dl_syms - base) * SC_PER_PRB:
                 raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
-            where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-            pick = _first_free_per_prb(arr[where], amount, f"{name}: collision in slot {slot}")
-            place(arr, where, np.where(pick, NR_LABELS[name], ReLabel.UNLABELED))
+            where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
+            pick = _first_free_per_prb(lattice.row(slot)[where], amount, f"{name}: collision in slot {slot}")
+            footprint = np.where(pick, NR_LABELS[name], ReLabel.UNLABELED)
+        place_slots(lattice, [((slot,), where, footprint)])
 
 
 def _first_free_per_prb(view: np.ndarray, amount: int, what: str) -> np.ndarray:
@@ -320,11 +319,9 @@ def nr_dss_slot(
 
     if slots is None:
         slots = range(carrier.n_slots)
-    arr = grid.writable_labels()
-    rows = dss_control_rows((nr_pdcch_symbol,), dmrs)
-    for slot in slots:
-        place(arr, (slot,), rows, rate_match=True)
-    return ResourceGrid(carrier, arr)
+    lattice = grid.lattice.copy()
+    place_slots(lattice, [(slots, (), dss_control_rows((nr_pdcch_symbol,), dmrs))], rate_match=True)
+    return ResourceGrid(carrier, lattice)
 
 
 def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> np.ndarray:

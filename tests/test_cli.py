@@ -11,7 +11,7 @@ import pytest
 
 import gridshare
 from gridshare import ScenarioError, cli, emit_scenario, parse_scenario
-from gridshare.cli import _flatten, build_grid, main
+from gridshare.cli import build_grid, main
 from gridshare.mrss import simulate
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
@@ -449,6 +449,19 @@ class TestRecords:
         assert accepted == ACCEPTED[name]
 
 
+def _flatten(obj, prefix, out):
+    """A record flattened leaf by leaf, as `run_sweep` once did it, kept as
+    the reference of its per-shape column keys."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _flatten(v, f"{prefix}.{k}" if prefix else str(k), out)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _flatten(v, f"{prefix}[{i}]", out)
+    else:
+        out[prefix] = obj
+
+
 def _reference_sweep(scenario):
     """run_sweep before point records, kept as the reference: each point's
     report rendered as indent-2 JSON, parsed back and flattened, and the
@@ -509,6 +522,16 @@ SWEEPS = {
     "overhead": sweep_doc("table3.json", "overhead", [
         {"path": "nr.coreset1.symbols", "values": [1, 3]},
     ]),
+    # The per_slot lists change length between points.
+    "simulate_span": {
+        "carrier": {"scs_khz": 15, "n_prb": 4, "duplex": "FDD", "span_ms": 10},
+        "traffic": {"demand_5g": [0, 700], "demand_6g": [0, 700], "seed": 199},
+        "policy": "Priority6G",
+        "sweep": {"command": "simulate", "parameters": [
+            {"path": "carrier.span_ms", "values": [3, 10, 1]},
+            {"path": "carrier.n_prb", "values": [4, 1]},
+        ]},
+    },
 }
 
 

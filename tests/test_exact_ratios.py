@@ -1,0 +1,98 @@
+"""Reported ratios are exact rationals rounded half up, never binary floats."""
+
+import ast
+import json
+import pathlib
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gridshare
+from gridshare import cli
+from gridshare.grid import CarrierConfig, Numerology, make_grid
+from gridshare.mrss import CAT_RESERVED, CAT_SHARED, MrssCategoryMap, SchedPolicy, TrafficModel
+from gridshare.rounding import round_half_up
+from gridshare.scenario import Scenario
+
+SRC = pathlib.Path(gridshare.__file__).resolve().parent
+
+# 2188 of 3200 pure-5G cells: 0.68375 exactly, which a float rounds to 0.6837.
+TIE_DOC = {
+    "carrier": {"scs_khz": 15, "n_prb": 4, "duplex": "FDD", "span_ms": 10},
+    "traffic": {"demand_5g": [0, 700], "demand_6g": [0, 700], "seed": 199},
+    "policy": "Priority6G",
+}
+
+
+def test_efficiency_tie_rounds_half_up(tmp_path, capsys):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(TIE_DOC))
+    assert cli.main(["simulate", "-s", str(path), "-f", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert (summary["total_5g"], summary["efficiency_vs_pure_5g"]) == (2188, 0.6838)
+    assert cli.main(["simulate", "-s", str(path)]) == 0
+    assert "| efficiency_vs_pure_5g | 0.6838 |" in capsys.readouterr().out
+
+
+def _half_up_4(total: int, pure: int) -> float:
+    """total / pure rounded half up to 4 decimals, in integer arithmetic."""
+    if pure == 0:
+        return 1.0
+    return (2 * total * 10**4 + pure) // (2 * pure) / 10**4
+
+
+@st.composite
+def small_runs(draw):
+    """(scenario, map): a small FDD map with chosen shared cells per slot and
+    seeded uniform traffic around the pool size."""
+    n_prb, n_slots = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
+    grid = make_grid(carrier)
+    cap = 12 * 14 * n_prb
+    categories = np.full(grid.labels.shape, CAT_RESERVED, dtype=np.uint8)
+    flat = categories.reshape(n_slots, -1)
+    for slot in range(n_slots):
+        flat[slot, :draw(st.integers(0, cap))] = CAT_SHARED
+    cmap = MrssCategoryMap(grid, categories, grid.labels)
+
+    def demand():
+        lo = draw(st.integers(0, 2 * cap))
+        return (lo, lo + draw(st.integers(0, 2 * cap))) if draw(st.booleans()) else lo
+
+    traffic = TrafficModel(demand(), demand(), seed=draw(st.integers(0, 2**16)))
+    return Scenario(carrier=carrier, traffic=traffic), cmap
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_runs())
+def test_reported_efficiency_is_the_exact_ratio_rounded_half_up(case):
+    scenario, cmap = case
+    for policy in SchedPolicy:
+        point = Scenario(carrier=scenario.carrier, traffic=scenario.traffic, policy=policy)
+        record = cli.simulate_record(point, maps=lambda _: cmap)
+        per_slot = record["per_slot"]
+        pool = [a + b + c for a, b, c in
+                zip(per_slot["grants_5g"], per_slot["grants_6g"], per_slot["unused"])]
+        d5, d6 = scenario.traffic.demands(len(pool))
+        for rat, demands in (("5g", d5), ("6g", d6)):
+            total = sum(per_slot[f"grants_{rat}"])
+            pure = sum(min(int(d), p) for d, p in zip(demands, pool))
+            reported = record["summary"][f"efficiency_vs_pure_{rat}"]
+            assert reported == _half_up_4(total, pure), (policy, rat)
+            exact = Fraction(total, pure) if pure else Fraction(1)
+            assert reported == round_half_up(exact, 4)
+
+
+def test_no_builtin_round_outside_the_rounding_module():
+    """The builtin `round` rounds a binary double with ties to even; every
+    reported ratio goes through `rounding` instead."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rounding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "round":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

@@ -185,7 +185,7 @@ class TestPlace:
     def tdd_arr(self):
         carrier = CarrierConfig(Numerology(30), n_prb=2, duplex="TDD", span_ms=1,
                                 tdd_pattern=TddPattern("DS"))
-        return make_grid(carrier).writable_labels()
+        return make_grid(carrier).labels.copy()
 
     def test_strict_skips_uplink_and_guard(self):
         arr = self.tdd_arr()
@@ -290,7 +290,7 @@ def placements(draw):
             Numerology(30), n_prb=n_prb, duplex="TDD", span_ms=len(cycle),
             tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
         )
-    arr = make_grid(carrier).writable_labels()
+    arr = make_grid(carrier).labels.copy()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     taken = _random_labels(rng, arr.shape, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
     arr = np.where(arr == ReLabel.UNLABELED, taken, arr)
@@ -337,7 +337,7 @@ class TestPlaceReference:
 def test_footprint_of_the_view_shape_in_another_dtype(dtype):
     """Only a footprint of the view's shape and the lattice's dtype is taken
     as it is; any other dtype is converted first, and placed alike."""
-    arr = make_grid(fdd(n_prb=1, span_ms=2)).writable_labels()
+    arr = make_grid(fdd(n_prb=1, span_ms=2)).labels.copy()
     arr[0, 3, 5] = ReLabel.LTE_CRS_P0
     footprint = np.full((14, 12), ReLabel.NR_DATA, dtype=dtype)
     place(arr, (1,), footprint)

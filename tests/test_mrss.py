@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ class TestClassify:
     def test_separate_exhausting_shared_pool(self):
         carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=1)
         grid = make_grid(carrier)
-        arr = grid.writable_labels()
+        arr = grid.labels.copy()
         from gridshare import ReLabel, ResourceGrid
 
         arr[:, :13, :] = ReLabel.NR_PDCCH_CORESET1
@@ -464,8 +465,8 @@ def _reference_simulate(pools, d5s, d6s, policy):
         dropped_5g=tuple(drop5), dropped_6g=tuple(drop6),
         shared_pool_size=sum(pools), total_5g=total5, total_6g=total6,
         unused_shared=sum(unused),
-        efficiency_vs_pure_5g=(total5 / pure5) if pure5 else 1.0,
-        efficiency_vs_pure_6g=(total6 / pure6) if pure6 else 1.0,
+        efficiency_vs_pure_5g=Fraction(total5, pure5) if pure5 else Fraction(1),
+        efficiency_vs_pure_6g=Fraction(total6, pure6) if pure6 else Fraction(1),
     )
 
 

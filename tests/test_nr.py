@@ -129,7 +129,7 @@ class TestNrDssSlot:
         # No incumbent: 1 NR PDCCH symbol + 2 DMRS symbols leave 132 per PRB.
         carrier = self.fdd15()
         grid = make_grid(carrier)
-        arr = grid.writable_labels()
+        arr = grid.labels.copy()
         arr[:, 0, :] = ReLabel.NR_PDCCH_CORESET1
         arr[:, 3, :] = ReLabel.NR_DMRS
         arr[:, 12, :] = ReLabel.NR_DMRS

@@ -29,6 +29,7 @@ from .grid import ResourceGrid, new_labels
 from .lte import place_lte
 from .mrss import (
     MrssCategoryMap,
+    SimResult,
     classify_mrss,
     neighbor_interference,
     place_6g_ssb,
@@ -37,7 +38,7 @@ from .mrss import (
 )
 from .nr import place_nr
 from .rounding import round_half_up
-from .scenario import Scenario, emit_scenario, parse_scenario
+from .scenario import Scenario, emit_scenario, parse_scenario, read_point
 from .value import asdict, replace
 
 COMMANDS = ("budget", "overhead", "classify", "simulate", "interference", "sweep")
@@ -206,10 +207,17 @@ def run_classify(scenario: Scenario, fmt: str) -> str:
     return _md_table(("Category", "Cells"), [(k, f"{v:,}") for k, v in record.items()])
 
 
-def simulate_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
+def _simulation(scenario: Scenario, maps: MapBuilder = build_map) -> SimResult:
     if scenario.traffic is None or scenario.policy is None:
         raise ScenarioError("simulate command requires 'traffic' and 'policy' sections")
-    result = simulate(maps(scenario), scenario.traffic, scenario.policy)
+    return simulate(maps(scenario), scenario.traffic, scenario.policy)
+
+
+def simulate_record(scenario: Scenario, maps: MapBuilder = build_map,
+                    result: Optional[SimResult] = None) -> Dict[str, object]:
+    """The `simulate` record; `result` is the scenario's simulation when already run."""
+    if result is None:
+        result = _simulation(scenario, maps)
     return {
         "summary": {
             "policy": scenario.policy.value,
@@ -233,17 +241,17 @@ def simulate_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[st
 
 
 def run_simulate(scenario: Scenario, fmt: str) -> str:
-    record = simulate_record(scenario)
+    result = _simulation(scenario)
+    record = simulate_record(scenario, result=result)
     if fmt == "json":
         return _json_text(record)
     if fmt == "csv":
-        per_slot = record["per_slot"]
-        g5, g6, unused = per_slot["grants_5g"], per_slot["grants_6g"], per_slot["unused"]
-        d5, d6 = scenario.traffic.demands(len(g5))
+        # Each slot's demand is its grant plus what was dropped: the one draw.
         rows = [
-            (slot, g5[slot] + g6[slot] + unused[slot], int(d5[slot]), int(d6[slot]),
-             g5[slot], g6[slot], unused[slot])
-            for slot in range(len(g5))
+            (slot, g5 + g6 + unused, g5 + x5, g6 + x6, g5, g6, unused)
+            for slot, (g5, g6, unused, x5, x6) in enumerate(zip(
+                result.grants_5g, result.grants_6g, result.unused,
+                result.dropped_5g, result.dropped_6g))
         ]
         return _csv_text(
             ("slot", "pool", "demand_5g", "demand_6g", "grant_5g", "grant_6g", "unused"), rows
@@ -349,13 +357,17 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     base = emit_scenario(scenario)
     base.pop("sweep", None)
     params = scenario.sweep.parameters
-    # The last map built, keyed by the values `build_map` reads: a map is a
-    # read-only value, so points with equal inputs share it, and a sweep over
-    # those inputs holds one map at a time.
+    # A point is the base document with its swept top-level sections copied
+    # and set; only those are read again (`read_point`), the rest are shared.
+    swept = tuple(dict.fromkeys(p.path.split(".")[0] for p in params))
+    # The last map built, keyed by the swept ones among the sections
+    # `build_map` reads: a map is a read-only value, so points with equal
+    # inputs share it, and a sweep over those inputs holds one map at a time.
+    map_keys = [key for key in ("carrier", "lte", "nr", "mrss") if key in swept]
     last_map: Dict[tuple, MrssCategoryMap] = {}
 
     def maps(point: Scenario) -> MrssCategoryMap:
-        key = (point.carrier, point.lte, point.nr, point.mrss)
+        key = tuple(getattr(point, k) for k in map_keys)
         cmap = last_map.get(key)
         if cmap is None:
             last_map.clear()
@@ -368,10 +380,13 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     records: List[Dict[str, object]] = []
     for index, combo in enumerate(itertools.product(*(p.values for p in params))):
         try:
-            doc = json.loads(json.dumps(base))
+            doc = dict(base)
+            for key in swept:
+                if key in base:
+                    doc[key] = json.loads(json.dumps(base[key]))
             for p, v in zip(params, combo):
                 _set_path(doc, p.path, v)
-            point = parse_scenario(doc)
+            point = read_point(scenario, doc, swept)
             record: Dict[str, object] = {"point": index}
             record.update({p.path: v for p, v in zip(params, combo)})
             result = record_of(point)

@@ -185,11 +185,14 @@ class Lattice:
     further write.
     """
 
-    __slots__ = ("rows", "slot_rows", "_dense")
+    __slots__ = ("rows", "slot_rows", "hashes", "_dense")
 
-    def __init__(self, rows: List[np.ndarray], slot_rows: np.ndarray):
+    def __init__(self, rows: List[np.ndarray], slot_rows: np.ndarray,
+                 hashes: Optional[List[Optional[int]]] = None):
         self.rows = rows
         self.slot_rows = slot_rows
+        # Per row, its content's hash once a freeze took it; None until then.
+        self.hashes = [None] * len(rows) if hashes is None else hashes
         self._dense: Optional[np.ndarray] = None
 
     @classmethod
@@ -227,21 +230,19 @@ class Lattice:
         return np.bincount(self.slot_rows[slots], minlength=len(self.rows))
 
     def map(self, table: np.ndarray) -> "Lattice":
-        """A new lattice of the same slots: `table` gathered from each row."""
-        rows = []
-        for row in self.rows:
-            out = np.empty(row.shape, dtype=table.dtype)
-            # Symbol by symbol, so the gather's intp copy of the indices stays one symbol long.
-            for symbol, labels in enumerate(row):
-                np.take(table, labels, out=out[symbol])
-            rows.append(out)
+        """A new lattice of the same slots: `table` (uint8, one entry per
+        label) gathered from each row, as one byte translation per row, with
+        no index copy. Its rows are read-only until written."""
+        lookup = table.tobytes().ljust(256, b"\0")
+        rows = [np.frombuffer(row.tobytes().translate(lookup), dtype=np.uint8).reshape(row.shape)
+                for row in self.rows]
         return Lattice(rows, self.slot_rows.copy())
 
     def copy(self) -> "Lattice":
         """A writable lattice of the same slots that shares every row until it writes it."""
         for row in self.rows:
             row.setflags(write=False)
-        return Lattice(list(self.rows), self.slot_rows.copy())
+        return Lattice(list(self.rows), self.slot_rows.copy(), list(self.hashes))
 
     def own(self, slots: Sequence[int]) -> List[int]:
         """Rows that only the named slots hold, one per distinct row they held,
@@ -257,29 +258,36 @@ class Lattice:
             if mine[r] < total[r]:
                 self.slot_rows[slots[held == r]] = len(self.rows)
                 self.rows.append(self.rows[r].copy())
+                self.hashes.append(None)
                 r = len(self.rows) - 1
             elif not self.rows[r].flags.writeable:
                 self.rows[r] = self.rows[r].copy()
+                self.hashes[r] = None
             out.append(r)
         self._dense = None
         return out
 
     def freeze(self) -> "Lattice":
-        """Merge equal rows, then make the lattice read-only; returns it."""
+        """Merge equal rows, then make the lattice read-only; returns it. Only
+        rows written since a freeze are hashed; shared rows keep their hash."""
         if isinstance(self.rows, tuple):
             return self
         kept: List[np.ndarray] = []
+        hashes: List[int] = []
         by_hash: Dict[int, List[int]] = {}
         merged = np.empty(len(self.rows), dtype=np.intp)
-        for i, row in enumerate(self.rows):
-            same = by_hash.setdefault(hash(row.tobytes()), [])
+        for i, (row, h) in enumerate(zip(self.rows, self.hashes)):
+            if h is None:
+                h = hash(row.tobytes())
+            same = by_hash.setdefault(h, [])
             merged[i] = next((k for k in same if np.array_equal(kept[k], row)), len(kept))
             if merged[i] == len(kept):
                 same.append(len(kept))
                 kept.append(row)
+                hashes.append(h)
         if len(kept) < len(self.rows):
             self.slot_rows = merged[self.slot_rows]
-        self.rows = tuple(kept)
+        self.rows, self.hashes = tuple(kept), tuple(hashes)
         for row in kept:
             row.setflags(write=False)
         self.slot_rows.setflags(write=False)

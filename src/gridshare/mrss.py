@@ -39,6 +39,7 @@ from .grid import (
     place_slots,
 )
 from .lte import LteCellConfig, crs_mask, crs_re_per_symbol
+from .pcg64 import Pcg64
 from .value import value
 
 # Category codes of the MRSS partition lattice.
@@ -177,12 +178,13 @@ class TrafficModel:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def demands(self, n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-slot demand sequences; identical seed yields identical draws."""
-        rng = np.random.default_rng(self.seed)
+        """Per-slot demand sequences, 5G then 6G from one seeded stream
+        (`pcg64.Pcg64`); identical seed yields identical draws."""
+        stream = Pcg64(self.seed)
 
         def draw(d):
             if isinstance(d, tuple):
-                return rng.integers(d[0], d[1] + 1, size=n_slots, dtype=np.int64)
+                return stream.integers(d[0], d[1], n_slots)
             return np.full(n_slots, d, dtype=np.int64)
 
         return draw(self.demand_5g), draw(self.demand_6g)

@@ -249,27 +249,41 @@ def _place_plan(
     lattice: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet,
     monitored: List[int], units: List[tuple],
 ) -> None:
-    """Place a checked plan (`_nr_plan`): CORESET1, then one unit per DL slot."""
+    """Place a checked plan (`_nr_plan`): CORESET1, then all units, each in its
+    own DL slot, in one placement. No unit writes another's slot, so a pick
+    reads its slot's row after CORESET1, and units of one footprint over one
+    row are placed as one. A unit that does not fit places the units before
+    it first, so an earlier unit's conflict is still the error raised."""
     if monitored:
         coreset1 = (slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB))
         place_slots(lattice, [(monitored, coreset1, NR_LABELS[SIGNAL_CORESET1])])
     monitored_set = set(monitored)
     ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
-    for (name, kind, prbs, amount), slot in zip(units, carrier.dl_bearing_slots()):
+    groups: Dict[tuple, List[int]] = {}
+    for unit, slot in zip(units, carrier.dl_bearing_slots()):
         base = ctrl_symbols if slot in monitored_set else 0
-        dl_syms = carrier.dl_symbols_in_slot(slot)
-        if kind == "block":
-            if base + amount > dl_syms:
-                raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
-            where = (slice(base, base + amount), slice(0, prbs * SC_PER_PRB))
-            footprint = NR_LABELS[name]
-        else:
-            if amount > (dl_syms - base) * SC_PER_PRB:
-                raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
-            where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-            pick = _first_free_per_prb(lattice.row(slot)[where], amount, f"{name}: collision in slot {slot}")
-            footprint = np.where(pick, NR_LABELS[name], ReLabel.UNLABELED)
-        place_slots(lattice, [((slot,), where, footprint)])
+        key = (*unit, base, carrier.dl_symbols_in_slot(slot), int(lattice.slot_rows[slot]))
+        groups.setdefault(key, []).append(slot)
+    placements = []
+    try:
+        for (name, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
+            slot = slots[0]
+            if kind == "block":
+                if base + amount > dl_syms:
+                    raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
+                where = (slice(base, base + amount), slice(0, prbs * SC_PER_PRB))
+                footprint = NR_LABELS[name]
+            else:
+                if amount > (dl_syms - base) * SC_PER_PRB:
+                    raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
+                where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
+                pick = _first_free_per_prb(lattice.rows[r][where], amount, f"{name}: collision in slot {slot}")
+                footprint = np.where(pick, NR_LABELS[name], ReLabel.UNLABELED)
+            placements.append((slots, where, footprint))
+    except PlacementError:
+        place_slots(lattice, placements)
+        raise
+    place_slots(lattice, placements)
 
 
 def _first_free_per_prb(view: np.ndarray, amount: int, what: str) -> np.ndarray:

@@ -165,7 +165,8 @@ class Section:
         self.rows = {key: (kind, mode, *(arg[0] if arg else key).rpartition(".")[::2])
                      for key, kind, mode, *arg in rows}
 
-    def read(self, obj, path: str):
+    def read(self, obj, path: str, known=None):
+        """`build` of the object; a key in `known` takes its value from there."""
         if not isinstance(obj, dict):
             raise ScenarioError(f"expected an object, got {type(obj).__name__}", path)
         for key in obj:
@@ -177,7 +178,7 @@ class Section:
         args = {}
         for key, (kind, mode, part, name) in self.rows.items():
             if key in obj and not (mode is NULLABLE and obj[key] is None):
-                v = kind.read(obj[key], f"{path}.{key}" if path else key)
+                v = known[key] if known and key in known else kind.read(obj[key], _at(path, key))
                 (args.setdefault(part, {}) if part else args)[name] = v
         for part, build in self.parts.items():
             if part in args:
@@ -238,7 +239,7 @@ def _counts(*keys: str) -> list:
 def _scenario(**args) -> Scenario:
     """The Scenario of the top-level keys: lte.neighbors is Scenario.lte_neighbors."""
     if "lte" in args:
-        cell = vars(args["lte"])
+        cell = dict(vars(args["lte"]))
         if "neighbors" in cell:
             args["lte_neighbors"] = cell.pop("neighbors")
         args["lte"] = LteCellConfig(**cell)
@@ -350,14 +351,8 @@ def _check_mrss(carrier: CarrierConfig, mrss: MrssSpec) -> None:
             _call(path, check_ssb_occasion, carrier, occasion, ssb.prbs, ssb.symbols)
 
 
-def parse_scenario(document: Union[str, dict]) -> Scenario:
-    """Parse and fully validate a scenario document (JSON text or dict)."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    scenario = SCENARIO.read(document, "")
+def check_scenario(scenario: Scenario) -> Scenario:
+    """The scenario, after the checks that relate its sections to the carrier."""
     if scenario.lte is not None:
         _call("lte.mbsfn_subframes", check_mbsfn, scenario.carrier, scenario.lte)
     for i, cell in enumerate(scenario.lte_neighbors):
@@ -367,9 +362,34 @@ def parse_scenario(document: Union[str, dict]) -> Scenario:
     return scenario
 
 
+def parse_scenario(document: Union[str, dict]) -> Scenario:
+    """Parse and fully validate a scenario document (JSON text or dict)."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    return check_scenario(SCENARIO.read(document, ""))
+
+
+def read_point(base: Scenario, document: dict, swept) -> Scenario:
+    """`parse_scenario(document)` for a document that is `emit_scenario(base)`
+    with values set under the top-level keys `swept` (a sweep point): only
+    those keys are read, the others keep base's values, and every check of a
+    full parse runs in the same order, so errors are the same too."""
+    form = _sections(base)
+    known = {key: getattr(form, key) for key in SCENARIO.rows if key not in swept}
+    return check_scenario(SCENARIO.read(document, "", known))
+
+
+def _sections(scenario: Scenario):
+    """The scenario by top-level key, as SCENARIO reads it: Scenario.lte_neighbors is lte.neighbors."""
+    if scenario.lte is None:
+        return scenario
+    lte = SimpleNamespace(**vars(scenario.lte), neighbors=scenario.lte_neighbors)
+    return SimpleNamespace(**dict(vars(scenario), lte=lte))
+
+
 def emit_scenario(scenario: Scenario) -> dict:
     """Canonical JSON-ready dict; parse_scenario(emit_scenario(s)) == s."""
-    if scenario.lte is not None:  # Scenario.lte_neighbors is written as lte.neighbors
-        lte = SimpleNamespace(**vars(scenario.lte), neighbors=scenario.lte_neighbors)
-        scenario = SimpleNamespace(**dict(vars(scenario), lte=lte))
-    return SCENARIO.write(scenario)
+    return SCENARIO.write(_sections(scenario))

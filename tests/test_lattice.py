@@ -301,7 +301,7 @@ class TestMemory:
         # stored row per slot made build_map alone peak above it.
         scenario = parse_scenario(lte_stress_document(100, 1000))
         simulate(cli.build_map(parse_scenario(lte_stress_document(6, 10))),
-                 scenario.traffic, scenario.policy)  # loads numpy.random before tracing
+                 scenario.traffic, scenario.policy)  # warms one-time imports before tracing
         dense = 1000 * 14 * 1200
         result = []
         peak = traced_peak(lambda: result.append(

@@ -818,7 +818,7 @@ class TestMapsWithoutStoredCategories:
         grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
         traffic = TrafficModel((0, 20_000), (0, 20_000), seed=3)
         policy = SchedPolicy.PROPORTIONAL_SHARE
-        simulate(fdd_map(), traffic, policy)  # loads numpy.random before tracing
+        simulate(fdd_map(), traffic, policy)  # warms one-time imports before tracing
         tracemalloc.start()
         try:
             cmap = classify_mrss(grid)

@@ -9,6 +9,7 @@ from gridshare import (
     BeamSignal,
     CarrierConfig,
     ConfigError,
+    ConflictError,
     Coreset1Spec,
     CsiRsSpec,
     LteCellConfig,
@@ -25,6 +26,8 @@ from gridshare import (
     nr_dss_slot,
 )
 from gridshare.nr import _first_free_per_prb
+
+import dense_reference as ref
 from gridshare.value import replace
 
 
@@ -209,3 +212,53 @@ class TestOccasionUnitCount:
             "1000025 occasion units need distinct DL slots but only 32 are available"
         )
         assert peak < 1_000_000
+
+
+def outcome(build):
+    """The built labels, or the (class, message) of the gridshare error."""
+    try:
+        return build(), None
+    except (ConfigError, PlacementError, ConflictError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def placed_and_dense(carrier, cell, overlay):
+    """`apply_nr` after `apply_lte`, and the dense slot-by-slot reference."""
+    def placed():
+        return apply_nr(apply_lte(make_grid(carrier), cell), overlay).labels
+
+    def dense():
+        arr = ref.new_labels(carrier)
+        ref.place_lte(arr, carrier, cell)
+        ref.place_nr(arr, carrier, overlay)
+        return arr
+
+    return outcome(placed), outcome(dense)
+
+
+class TestUnitsPlacedTogether:
+    """`place_nr` places all units in one placement, each pick read from its
+    slot's row after CORESET1; the result and the first error are those of
+    placing the units one by one in slot order."""
+
+    CARRIER = CarrierConfig(Numerology(15), n_prb=6, duplex="FDD", span_ms=10)
+
+    def test_each_pick_reads_its_own_slots_row(self):
+        # 60 CSI-RS REs per PRB reach symbols 5 and 6, where subframes 0 and
+        # 5 carry PSS/SSS: those two slots pick around them, the rest do not.
+        overlay = NrOverlaySet(period_ms=10, csi_rs=CsiRsSpec(10, 6, 6, 10))
+        (got, error), (want, want_error) = placed_and_dense(
+            self.CARRIER, LteCellConfig(crs_ports=2, pdcch_symbols=1), overlay)
+        assert error is None and want_error is None
+        np.testing.assert_array_equal(got, want)
+        picks = [set(np.flatnonzero(got[s] == ReLabel.NR_CSI_RS)) for s in range(10)]
+        assert picks[0] != picks[1] and picks[1] == picks[2]
+
+    def test_an_earlier_units_conflict_comes_before_a_later_misfit(self):
+        # The SSB in slot 0 meets LTE CRS; the TRS in slot 1 cannot fit.
+        overlay = NrOverlaySet(period_ms=10, ssb=BeamSignal(1, 6, 4),
+                               trs=TrsSpec(6, 1, 200, 1, 1))
+        (_, error), (_, want_error) = placed_and_dense(
+            self.CARRIER, LteCellConfig(crs_ports=2, pdcch_symbols=1), overlay)
+        assert error == want_error
+        assert error == (ConflictError, "conflict at cell (0, 0, 0): existing LTE_CRS_P0, new NR_SSB")

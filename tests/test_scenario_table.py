@@ -11,13 +11,15 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridshare import (
@@ -382,3 +384,90 @@ def test_single_fault_message(path, value, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(with_fault(path, value))
     assert str(err.value) == message
+
+
+def table_paths(sec: Section, prefix: str = ""):
+    """(dotted path, key, type) of every key reachable through objects only,
+    the paths a sweep parameter can name."""
+    for key, (kind, _, _, _) in sec.rows.items():
+        path = f"{prefix}.{key}" if prefix else key
+        yield path, key, kind
+        if isinstance(kind, Section):
+            yield from table_paths(kind, path)
+
+
+# Paths the table does not have: an unknown section or key, and one through a string.
+ODD_PATHS = [("bogus", "bogus", None), ("bogus.x", "x", None), ("traffic.bogus", "bogus", None),
+             ("policy.x", "x", None), ("carrier.tdd_pattern.extra", "extra", None)]
+SWEEP_PATHS = list(table_paths(SCENARIO)) + ODD_PATHS
+
+
+@st.composite
+def swept_parameters(draw):
+    """1-3 sweep parameters over table paths, each value valid for its key
+    three times in four, else one of BAD_VALUES."""
+    params = []
+    for _ in range(draw(st.integers(1, 3))):
+        path, key, kind = draw(st.sampled_from(SWEEP_PATHS))
+        valid = strategy(kind, key) if kind is not None else st.integers(0, 3)
+        values = st.one_of(valid, valid, valid, st.sampled_from(BAD_VALUES).map(copy.deepcopy))
+        params.append({"path": path, "values": draw(st.lists(values, min_size=1, max_size=3))})
+    return params
+
+
+def full_parse_points(scenario):
+    """The points of a sweep as full parses of each point's document, and
+    the error of the first failing point, as `run_sweep` names it."""
+    base = json.loads(json.dumps(emit_scenario(scenario)))
+    base.pop("sweep")
+    params = scenario.sweep.parameters
+    points = []
+    for index, combo in enumerate(itertools.product(*(p.values for p in params))):
+        doc = json.loads(json.dumps(base))
+        try:
+            for p, v in zip(params, combo):
+                cli._set_path(doc, p.path, v)
+            points.append(parse_scenario(doc))
+        except ScenarioError as exc:
+            swept = ", ".join(f"{p.path}={json.dumps(v)}" for p, v in zip(params, combo))
+            return points, (f"sweep point {index} ({swept}): {exc}", exc.path)
+    return points, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.just(BASE) | coherent(), swept_parameters())
+def test_sweep_points_equal_full_parses_of_their_documents(base_doc, params):
+    """run_sweep reads only the swept sections of each point; every point
+    equals a full parse of its document, and the first failing point fails
+    with the same text and path."""
+    doc = dict(base_doc, sweep={"command": "classify", "parameters": params})
+    try:
+        parse_scenario(doc)
+    except ScenarioError:
+        assume(False)
+    # Each route gets its own copy: a swept object value is set into the
+    # point documents as it is, so a later path below it writes into it.
+    want, want_error = full_parse_points(parse_scenario(copy.deepcopy(doc)))
+    got, got_error = [], None
+    with mock.patch.object(cli, "_records", lambda maps: {"classify": got.append}):
+        try:
+            cli.run_sweep(parse_scenario(copy.deepcopy(doc)), "json")
+        except ScenarioError as exc:
+            got_error = (str(exc), exc.path)
+    assert got_error == want_error
+    assert got == want
+
+
+def test_a_point_writes_only_into_its_own_copies():
+    # Point 1's first path runs through the object the second path set in
+    # point 0; were that object the base document's, it would carry prbs 5.
+    params = [{"path": "mrss.sixg_ssb.prbs", "values": [4, 5]},
+              {"path": "mrss.sixg_ssb", "values": [{"occasions": []}]}]
+    doc = dict(BASE, sweep={"command": "classify", "parameters": params})
+    want, want_error = full_parse_points(parse_scenario(copy.deepcopy(doc)))
+    got = []
+    with mock.patch.object(cli, "_records", lambda maps: {"classify": got.append}):
+        cli.run_sweep(parse_scenario(copy.deepcopy(doc)), "json")
+    assert want_error is None
+    assert [p.mrss.sixg_ssb.prbs for p in got] == [20, 20]
+    assert got == want

@@ -11,9 +11,7 @@ from .budget import (
     dss_pool_by_grid,
     dss_pool_per_prb,
     dss_table,
-    lte_pool_per_prb,
     nr_overhead,
-    nr_pool_per_prb,
     verify_overhead_by_grid,
 )
 from .errors import (
@@ -38,14 +36,12 @@ from .lte import LteCellConfig, apply_lte, crs_cells
 from .mrss import (
     ControlMode,
     ControlModeKind,
-    DssMechanism,
     Mitigation,
     MrssCategoryMap,
     SchedPolicy,
     SimResult,
     TrafficModel,
     classify_mrss,
-    dss_mechanism_budget,
     neighbor_interference,
     place_6g_ssb,
     reserve_iot,
@@ -58,7 +54,6 @@ from .nr import (
     NrOverlaySet,
     TrsSpec,
     apply_nr,
-    nr_dss_slot,
 )
 from .scenario import Scenario, emit_scenario, parse_scenario
 

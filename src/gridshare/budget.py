@@ -3,12 +3,18 @@
 Every number is produced twice: by closed form and, where requested, by
 building the actual labeled grid and counting. The two routes must agree
 cell-for-cell; tests rely on that duality.
+
+The DSS slot lives here alone: `dss_pool_per_prb` is its one per-PRB closed
+form and `dss_pool_by_grid` its one validated placement, for the DSS slot
+and for the pure LTE and pure NR slots that `dss_table` compares it with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ConfigError, GridShareError
 from .grid import (
@@ -23,7 +29,7 @@ from .grid import (
     place_slots,
 )
 from .lte import LteCellConfig, crs_bearing_symbols, crs_re_per_symbol, place_lte
-from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, dss_control_rows, place_nr
+from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, place_nr
 from .rounding import pct, round_half_up
 from .value import value
 
@@ -105,7 +111,11 @@ def dss_pool_per_prb(
     nr_pdcch: int,
     dmrs_symbols: Sequence[int],
 ) -> int:
-    """Closed-form schedulable NR data REs per PRB in a DSS slot."""
+    """Closed-form schedulable NR data REs per PRB in a DSS slot.
+
+    crs_ports 0 with lte_pdcch 0 is a pure NR slot; nr_pdcch 0 with no DMRS
+    is the LTE data region of a pure LTE subframe.
+    """
     crs = crs_re_per_symbol(crs_ports)
     dmrs = set(dmrs_symbols)
     return sum(
@@ -113,17 +123,6 @@ def dss_pool_per_prb(
         for s in range(lte_pdcch + nr_pdcch, SYMBOLS_PER_SLOT)
         if s not in dmrs
     )
-
-
-def nr_pool_per_prb(nr_pdcch: int, dmrs_count: int) -> int:
-    """Pure-NR slot data REs per PRB (no incumbent)."""
-    return (SYMBOLS_PER_SLOT - nr_pdcch - dmrs_count) * SC_PER_PRB
-
-
-def lte_pool_per_prb(crs_ports: int, lte_pdcch: int) -> int:
-    """Pure-LTE subframe data REs per PRB (after control, minus CRS)."""
-    crs = crs_re_per_symbol(crs_ports)
-    return sum(SC_PER_PRB - crs[s] for s in range(lte_pdcch, SYMBOLS_PER_SLOT))
 
 
 def check_ports(ports: Sequence[int], lte_pdcch: int) -> None:
@@ -147,6 +146,14 @@ def check_control_fits(lte_pdcch: int, nr_pdcch: int) -> None:
         )
 
 
+def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> np.ndarray:
+    """14x1 footprint of NR control and DMRS symbols, rate-matched around CRS on placement."""
+    rows = np.zeros((SYMBOLS_PER_SLOT, 1), dtype=np.uint8)
+    rows[list(pdcch_symbols)] = ReLabel.NR_PDCCH_CORESET1
+    rows[list(dmrs_symbols)] = ReLabel.NR_DMRS
+    return rows
+
+
 def dss_pool_by_grid(
     crs_ports: int,
     lte_pdcch: int,
@@ -157,18 +164,38 @@ def dss_pool_by_grid(
     """Brute-force route: build the labeled slot and count the data pool.
 
     crs_ports 0 is a pure NR slot: no LTE overlay, and lte_pdcch must be 0.
+    Each DMRS symbol lies after the control region and off the CRS-bearing
+    symbols (no puncturing is modeled).
     """
     check_ports((crs_ports,), lte_pdcch)
     check_control_fits(lte_pdcch, nr_pdcch)
+    control_end = lte_pdcch + nr_pdcch
+    blocked = crs_bearing_symbols(crs_ports)
+    for s in dmrs_symbols:
+        if not 0 <= s < SYMBOLS_PER_SLOT:
+            raise ConfigError(f"DMRS symbol {s} out of range")
+        if s in blocked:
+            raise ConfigError(f"DMRS symbol {s} collides with a CRS-bearing symbol")
+        if s < control_end:
+            raise ConfigError(f"DMRS symbol {s} collides with the control region")
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
     labels = new_labels(carrier)
     if crs_ports > 0:
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
         place_lte(labels, carrier, cfg, include_sync=False)
-    rows = dss_control_rows(range(lte_pdcch, lte_pdcch + nr_pdcch), dmrs_symbols)
+    rows = dss_control_rows(range(lte_pdcch, control_end), dmrs_symbols)
     place_slots(labels, [((0,), (), rows)], rate_match=True)
     counts = count_labels(ResourceGrid(carrier, labels))
     return counts.get(ReLabel.UNLABELED, 0) // n_prb
+
+
+def _checked_pool(crs_ports: int, lte_pdcch: int, nr_pdcch: int, dmrs_symbols: Sequence[int]) -> int:
+    """`dss_pool_per_prb`, checked against `dss_pool_by_grid`; disagreement is a hard error."""
+    closed = dss_pool_per_prb(crs_ports, lte_pdcch, nr_pdcch, dmrs_symbols)
+    counted = dss_pool_by_grid(crs_ports, lte_pdcch, nr_pdcch, dmrs_symbols)
+    if counted != closed:
+        raise GridShareError(f"closed-form/grid mismatch for {crs_ports} ports: {closed} vs {counted}")
+    return closed
 
 
 def dss_table(
@@ -179,22 +206,22 @@ def dss_table(
 ) -> List[BudgetRow]:
     """Per-PRB DSS budget rows across CRS port configurations.
 
-    Rows are computed by closed form and cross-checked by building the
-    labeled grids and counting; disagreement is a hard error. Every port
-    count is checked (`check_ports`) before any row is computed.
+    All three pools come from `dss_pool_per_prb`, each cross-checked on its
+    labeled grid: the DSS slot, the pure LTE subframe (no NR control or DMRS)
+    and the pure NR slot (no incumbent). Every port count is checked
+    (`check_ports`) before any row is computed, and each row's DSS pool
+    before its other two.
     """
     check_ports(ports, lte_pdcch)
     rows: List[BudgetRow] = []
-    nr_re = nr_pool_per_prb(nr_pdcch, dmrs_count)
+    nr_re = None
     for p in ports:
-        ctrl_end = lte_pdcch + nr_pdcch
-        dmrs = default_dmrs_symbols(p, ctrl_end, dmrs_count)
-        dss_re = dss_pool_per_prb(p, lte_pdcch, nr_pdcch, dmrs)
+        dmrs = default_dmrs_symbols(p, lte_pdcch + nr_pdcch, dmrs_count)
+        dss_re = _checked_pool(p, lte_pdcch, nr_pdcch, dmrs)
         # Degenerate no-incumbent case (p=0): the "DSS" slot is a pure NR slot.
-        lte_re = dss_re if p == 0 else lte_pool_per_prb(p, lte_pdcch)
-        counted = dss_pool_by_grid(p, lte_pdcch, nr_pdcch, dmrs)
-        if counted != dss_re:
-            raise GridShareError(f"closed-form/grid mismatch for {p} ports: {dss_re} vs {counted}")
+        lte_re = dss_re if p == 0 else _checked_pool(p, lte_pdcch, 0, ())
+        if nr_re is None:
+            nr_re = _checked_pool(0, 0, nr_pdcch, default_dmrs_symbols(0, nr_pdcch, dmrs_count))
         rows.append(
             BudgetRow(
                 crs_ports=p,

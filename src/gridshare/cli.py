@@ -290,7 +290,8 @@ def _set_path(doc: dict, path: str, value: object) -> None:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ScenarioError(f"sweep path traverses a non-object at {part!r}", path)
-    node[parts[-1]] = value
+    # A copy: a later path below this one must not write into the sweep's value.
+    node[parts[-1]] = json.loads(json.dumps(value))
 
 
 def _flat_keys(obj: object, prefix: str, out: List[str]) -> None:

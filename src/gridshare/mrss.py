@@ -1,8 +1,8 @@
 """Dual-RAT coexistence behavior on top of the labeled grid.
 
 Covers the three-category MRSS resource model with a slot-level scheduler,
-the classic DSS sharing mechanisms as per-PRB budgets, and neighbor-cell
-CRS interference with its mitigation strategies.
+and neighbor-cell CRS interference with its mitigation strategies. The DSS
+slot itself (NR rate-matched around LTE CRS) is budgeted in `budget`.
 
 An MRSS map holds a category lattice of the same kind as the grid's label
 lattice (`grid.Lattice`): each distinct slot is stored once, and every count
@@ -17,17 +17,11 @@ import numbers
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budget import (
-    DssLayout,
-    check_control_fits,
-    default_dmrs_symbols,
-    dss_pool_per_prb,
-    lte_pool_per_prb,
-)
+from .budget import DssLayout, check_control_fits, default_dmrs_symbols
 from .errors import ConfigError, ConflictError, PlacementError
 from .grid import (
     SC_PER_PRB,
@@ -38,7 +32,7 @@ from .grid import (
     ResourceGrid,
     place_slots,
 )
-from .lte import LteCellConfig, crs_mask, crs_re_per_symbol
+from .lte import LteCellConfig, crs_mask
 from .pcg64 import Pcg64
 from .value import value
 
@@ -255,16 +249,6 @@ class MrssCategoryMap:
         """Shared-pool cells of each slot; read-only, counted once per map."""
         return self._cells_per_slot[CAT_SHARED]
 
-    def cell_sets(self) -> Dict[str, Set[Tuple[int, int, int]]]:
-        """Explicit cell sets; intended for small grids and invariant checks."""
-        out = {"shared_pool": set(), "reserved": set(), "control_region": set()}
-        names = {CAT_SHARED: "shared_pool", CAT_RESERVED: "reserved", CAT_CONTROL: "control_region"}
-        for cat, name in names.items():
-            idx = np.argwhere(self.categories == cat)
-            out[name] = {tuple(map(int, c)) for c in idx}
-        return out
-
-
 @value
 class SimResult:
     grants_5g: Tuple[int, ...]
@@ -288,13 +272,6 @@ class InterferenceReport:
     clean_re: int
     sacrificed_re: int
     dirty_re: int
-
-
-@value
-class MechanismBudget:
-    nr_usable_re: int
-    lte_usable_re: int
-    unused_symbols: int = 0
 
 
 def _counts_per_row(categories: Lattice) -> np.ndarray:
@@ -499,69 +476,6 @@ def simulate(
         unused_shared=int(unused.sum()),
         efficiency_vs_pure_5g=Fraction(total5, pure5) if pure5 else Fraction(1),
         efficiency_vs_pure_6g=Fraction(total6, pure6) if pure6 else Fraction(1),
-    )
-
-
-@value
-class DssMechanism:
-    """One of the practical DSS sharing mechanisms."""
-
-    kind: str  # MbsfnShare | MiniSlot | CrsRateMatch
-    minislot_len: Optional[int] = None
-    dmrs_per_minislot: Optional[int] = None
-
-    KINDS = ("MbsfnShare", "MiniSlot", "CrsRateMatch")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"unknown DSS mechanism {self.kind!r}")
-        if self.kind == "MiniSlot":
-            if not self.minislot_len or self.minislot_len < 1:
-                raise ConfigError("MiniSlot needs minislot_len >= 1")
-            if self.dmrs_per_minislot is None or not 0 <= self.dmrs_per_minislot <= self.minislot_len:
-                raise ConfigError("MiniSlot needs dmrs_per_minislot in 0..minislot_len")
-
-
-def dss_mechanism_budget(
-    mechanism: DssMechanism,
-    lte_cfg: LteCellConfig,
-    layout: DssLayout = DssLayout(),
-) -> MechanismBudget:
-    """Per-PRB usable REs for NR and LTE under one DSS sharing mechanism."""
-    if mechanism.kind == "CrsRateMatch":
-        dmrs = default_dmrs_symbols(lte_cfg.crs_ports, layout.control_end, layout.dmrs_count)
-        return MechanismBudget(
-            nr_usable_re=dss_pool_per_prb(lte_cfg.crs_ports, layout.lte_pdcch, layout.nr_pdcch, dmrs),
-            lte_usable_re=lte_pool_per_prb(lte_cfg.crs_ports, layout.lte_pdcch),
-        )
-
-    if mechanism.kind == "MbsfnShare":
-        # LTE mutes its data region; NR places control + DMRS inside the
-        # CRS-free muted block.
-        region = SYMBOLS_PER_SLOT - lte_cfg.non_mbsfn_region_len
-        overhead = layout.nr_pdcch + layout.dmrs_count
-        if overhead > region:
-            raise ConfigError("NR control+DMRS exceed the MBSFN muted region")
-        return MechanismBudget(
-            nr_usable_re=(region - overhead) * SC_PER_PRB,
-            lte_usable_re=0,
-        )
-
-    # MiniSlot: NR occupies mini-slots after the LTE control region, paying
-    # one DMRS burden per mini-slot; CRS cells are still rate-matched.
-    start = lte_cfg.pdcch_symbols
-    n_mini, remainder = divmod(SYMBOLS_PER_SLOT - start, mechanism.minislot_len)
-    crs = crs_re_per_symbol(lte_cfg.crs_ports)
-    # The first dmrs_per_minislot symbols of each mini-slot carry DMRS, no data.
-    usable = sum(
-        SC_PER_PRB - crs[start + m * mechanism.minislot_len + offset]
-        for m in range(n_mini)
-        for offset in range(mechanism.dmrs_per_minislot, mechanism.minislot_len)
-    )
-    return MechanismBudget(
-        nr_usable_re=usable,
-        lte_usable_re=lte_pool_per_prb(lte_cfg.crs_ports, lte_cfg.pdcch_symbols),
-        unused_symbols=remainder,
     )
 
 

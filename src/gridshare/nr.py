@@ -1,27 +1,25 @@
 """5G NR signal footprints.
 
 Covers the periodic broadcast/control/reference footprints of an NR carrier
-(SSB, CORESET0/SIB1, regular CORESET, CSI-RS, TRS) and the per-slot DSS
-layout where NR rate-matches around an incumbent LTE cell.
+(SSB, CORESET0/SIB1, regular CORESET, CSI-RS, TRS). The per-slot DSS layout,
+where NR rate-matches around an incumbent LTE cell, lives in `budget`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, PlacementError
 from .grid import (
     SC_PER_PRB,
-    SYMBOLS_PER_SLOT,
     CarrierConfig,
     Lattice,
     ReLabel,
     ResourceGrid,
     place_slots,
 )
-from .lte import LteCellConfig, crs_bearing_symbols
 from .value import value
 
 SIGNAL_SSB = "SSB"
@@ -297,50 +295,3 @@ def _first_free_per_prb(view: np.ndarray, amount: int, what: str) -> np.ndarray:
         raise PlacementError(f"{what}, PRB {int(short[0])}")
     pick = (free & (rank <= amount)).reshape(by_prb.shape)
     return pick.transpose(1, 0, 2).reshape(n_sym, n_sc)
-
-
-def nr_dss_slot(
-    grid: ResourceGrid,
-    lte_cfg: LteCellConfig,
-    dmrs_symbols: Iterable[int],
-    nr_pdcch_symbol: int,
-    slots: Optional[Sequence[int]] = None,
-) -> ResourceGrid:
-    """NR control + DMRS layout in slots already carrying the LTE overlay.
-
-    The remaining Unlabeled cells form the schedulable NR data pool,
-    rate-matched around CRS by construction. DMRS must avoid CRS-bearing
-    and control symbols (no puncturing machinery is modeled).
-    """
-    carrier = grid.config
-    if carrier.numerology.scs_khz != 15:
-        raise ConfigError("DSS layout requires a 15 kHz grid")
-    dmrs = sorted(set(dmrs_symbols))
-    if nr_pdcch_symbol < lte_cfg.pdcch_symbols:
-        raise ConfigError(
-            f"NR PDCCH symbol {nr_pdcch_symbol} lies inside the {lte_cfg.pdcch_symbols}-symbol LTE control region"
-        )
-    if nr_pdcch_symbol >= SYMBOLS_PER_SLOT:
-        raise ConfigError(f"NR PDCCH symbol {nr_pdcch_symbol} out of range")
-    blocked = crs_bearing_symbols(lte_cfg.crs_ports)
-    for s in dmrs:
-        if not 0 <= s < SYMBOLS_PER_SLOT:
-            raise ConfigError(f"DMRS symbol {s} out of range")
-        if s in blocked:
-            raise ConfigError(f"DMRS symbol {s} collides with a CRS-bearing symbol")
-        if s <= nr_pdcch_symbol:
-            raise ConfigError(f"DMRS symbol {s} collides with the control region")
-
-    if slots is None:
-        slots = range(carrier.n_slots)
-    lattice = grid.lattice.copy()
-    place_slots(lattice, [(slots, (), dss_control_rows((nr_pdcch_symbol,), dmrs))], rate_match=True)
-    return ResourceGrid(carrier, lattice)
-
-
-def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> np.ndarray:
-    """14x1 footprint of NR control and DMRS symbols, rate-matched around CRS on placement."""
-    rows = np.zeros((SYMBOLS_PER_SLOT, 1), dtype=np.uint8)
-    rows[list(pdcch_symbols)] = ReLabel.NR_PDCCH_CORESET1
-    rows[list(dmrs_symbols)] = ReLabel.NR_DMRS
-    return rows

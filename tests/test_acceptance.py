@@ -33,7 +33,7 @@ from gridshare import (
 )
 from gridshare.budget import crs_bearing_symbols
 from gridshare.cli import build_grid
-from gridshare.mrss import CAT_NON_DL
+from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -216,18 +216,17 @@ def test_8_partition_invariant():
                     + cmap.control_region_size == cmap.downlink_size)
             non_dl = int((cmap.categories == CAT_NON_DL).sum())
             assert cmap.downlink_size + non_dl == grid.n_cells
-        # Exhaustive cross-check at small scale: the explicit cell sets are
-        # pairwise disjoint and cover exactly the downlink cells.
+        # Exhaustive cross-check at small scale: counting the dense category
+        # array cell by cell gives each category's size, and the three cover
+        # exactly the downlink cells.
         carrier = CarrierConfig(Numerology(15), n_prb=2, duplex="FDD", span_ms=2)
         cmap = classify_mrss(make_grid(carrier))
         cmap = reserve_iot(cmap, (0, 1), slots=[0])
-        sets = cmap.cell_sets()
-        union = set()
-        total = 0
-        for cells in sets.values():
-            assert not (union & cells)
-            union |= cells
-            total += len(cells)
-        assert total == len(union) == cmap.downlink_size
+        cats = cmap.categories
+        sizes = {CAT_SHARED: cmap.shared_pool_size, CAT_RESERVED: cmap.reserved_size,
+                 CAT_CONTROL: cmap.control_region_size}
+        assert {cat: int((cats == cat).sum()) for cat in sizes} == sizes
+        assert sizes[CAT_RESERVED] > 0
+        assert sum(sizes.values()) == cmap.downlink_size
 
     _gate(8, "three-category-partition-invariant", check)

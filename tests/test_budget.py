@@ -10,6 +10,7 @@ from gridshare import (
     Coreset1Spec,
     CsiRsSpec,
     DssLayout,
+    GridShareError,
     Numerology,
     NrOverlaySet,
     TddPattern,
@@ -85,6 +86,35 @@ class TestDssTable:
         nr_losses = [r.loss_vs_nr_pct for r in rows]
         assert nr_losses == sorted(nr_losses)
         assert all(r1.dss_re > r2.dss_re for r1, r2 in zip(rows, rows[1:]))
+
+
+    def test_every_column_checked_on_the_grid(self, monkeypatch):
+        # Per row: the DSS slot, then the pure LTE subframe; the pure NR slot
+        # once, after the first row's DSS slot.
+        calls = []
+        real = budget.dss_pool_by_grid
+        monkeypatch.setattr(budget, "dss_pool_by_grid", lambda *args: calls.append(args) or real(*args))
+        dss_table()
+        assert calls == [
+            (1, 2, 1, (3, 12)), (1, 2, 0, ()), (0, 0, 1, (1, 12)),
+            (2, 2, 1, (3, 12)), (2, 2, 0, ()),
+            (4, 2, 1, (3, 12)), (4, 2, 0, ()),
+        ]
+
+    @pytest.mark.parametrize("layout, message", [
+        ((1, 2, 1), "for 1 ports: 102 vs 103"),
+        ((1, 2, 0), "for 1 ports: 138 vs 139"),
+        ((0, 0, 1), "for 0 ports: 132 vs 133"),
+    ])
+    def test_column_that_disagrees_with_its_grid_rejected(self, monkeypatch, layout, message):
+        real = budget.dss_pool_by_grid
+
+        def off_by_one(ports, lte_pdcch, nr_pdcch, dmrs):
+            return real(ports, lte_pdcch, nr_pdcch, dmrs) + ((ports, lte_pdcch, nr_pdcch) == layout)
+
+        monkeypatch.setattr(budget, "dss_pool_by_grid", off_by_one)
+        with pytest.raises(GridShareError, match=f"closed-form/grid mismatch {message}"):
+            dss_table(ports=(1,))
 
 
 class TestDefaultDmrs:

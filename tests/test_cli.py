@@ -168,6 +168,27 @@ class TestSweepCommand:
         assert len(lines) == 1 + 6 * 3  # header + cross product
         assert lines[0].startswith("point,traffic.demand_6g,policy,")
 
+    def test_object_value_not_written_by_a_later_path(self, capsys, tmp_path):
+        # Each point sets a copy of the value at `traffic`, so `traffic.seed`
+        # below it leaves the sweep's value, and each point's column, as written.
+        traffic = {"demand_5g": 1, "demand_6g": 2}
+        doc = {
+            "carrier": {"scs_khz": 15, "n_prb": 1, "duplex": "FDD", "span_ms": 1},
+            "traffic": traffic,
+            "policy": "Priority5G",
+            "sweep": {"command": "simulate", "parameters": [
+                {"path": "traffic", "values": [traffic]},
+                {"path": "traffic.seed", "values": [3, 4]},
+            ]},
+        }
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+        records = json.loads(out)
+        assert [r["traffic"] for r in records] == [traffic, traffic]
+        assert [(r["traffic.seed"], r["summary.seed"]) for r in records] == [(3, 3), (4, 4)]
+        code, out, _ = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "csv")
+        assert out.splitlines()[1].startswith("0,\"{'demand_5g': 1, 'demand_6g': 2}\",3,")
+
     def test_requires_sweep_section(self, capsys, table1):
         code, _, err = run(capsys, "sweep", "-s", table1)
         assert code == 1

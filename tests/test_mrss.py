@@ -15,7 +15,6 @@ from gridshare import (
     ControlModeKind,
     Coreset1Spec,
     CsiRsSpec,
-    DssMechanism,
     LteCellConfig,
     Mitigation,
     MrssCategoryMap,
@@ -32,7 +31,6 @@ from gridshare import (
     apply_lte,
     apply_nr,
     classify_mrss,
-    dss_mechanism_budget,
     make_grid,
     neighbor_interference,
     place_6g_ssb,
@@ -276,43 +274,6 @@ class TestSimulate:
             TrafficModel(-1, 0)
         with pytest.raises(ConfigError):
             TrafficModel((5, 2), 0)
-
-
-class TestDssMechanisms:
-    def test_crs_rate_match_matches_budget_table(self):
-        budget = dss_mechanism_budget(DssMechanism("CrsRateMatch"),
-                                      LteCellConfig(crs_ports=1, pdcch_symbols=2))
-        assert budget.nr_usable_re == 102
-        assert budget.lte_usable_re == 138
-
-    def test_mbsfn_share(self):
-        budget = dss_mechanism_budget(
-            DssMechanism("MbsfnShare"),
-            LteCellConfig(crs_ports=1, pdcch_symbols=2, non_mbsfn_region_len=2),
-        )
-        assert budget.nr_usable_re == (12 - 3) * 12 == 108
-        assert budget.lte_usable_re == 0
-
-    def test_minislot(self):
-        budget = dss_mechanism_budget(
-            DssMechanism("MiniSlot", minislot_len=4, dmrs_per_minislot=1),
-            LteCellConfig(crs_ports=1, pdcch_symbols=2),
-        )
-        assert budget.nr_usable_re == 102
-        assert budget.unused_symbols == 0
-
-    def test_minislot_remainder_symbols(self):
-        budget = dss_mechanism_budget(
-            DssMechanism("MiniSlot", minislot_len=5, dmrs_per_minislot=1),
-            LteCellConfig(crs_ports=1, pdcch_symbols=2),
-        )
-        assert budget.unused_symbols == 2
-
-    def test_mechanism_validation(self):
-        with pytest.raises(ConfigError):
-            DssMechanism("Puncture")
-        with pytest.raises(ConfigError):
-            DssMechanism("MiniSlot", minislot_len=2, dmrs_per_minislot=3)
 
 
 class TestNeighborInterference:

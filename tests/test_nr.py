@@ -23,8 +23,8 @@ from gridshare import (
     apply_nr,
     count_labels,
     make_grid,
-    nr_dss_slot,
 )
+from gridshare.budget import dss_pool_by_grid
 from gridshare.nr import _first_free_per_prb
 
 import dense_reference as ref
@@ -118,51 +118,33 @@ class TestApplyNr:
 
 
 class TestNrDssSlot:
-    def fdd15(self, n_prb=1):
-        return CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
+    """The DSS slot's one placement, `budget.dss_pool_by_grid`: NR control
+    after LTE control at symbol 2, DMRS checked against CRS and control."""
 
     @pytest.mark.parametrize("ports,pool", [(1, 102), (2, 96), (4, 92)])
     def test_shared_slot_data_pools(self, ports, pool):
-        cfg = LteCellConfig(crs_ports=ports, pdcch_symbols=2)
-        grid = apply_lte(make_grid(self.fdd15()), cfg, include_sync=False)
-        grid = nr_dss_slot(grid, cfg, {3, 12}, 2)
-        assert count_labels(grid)[ReLabel.UNLABELED] == pool
+        assert dss_pool_by_grid(ports, 2, 1, {3, 12}) == pool
 
     def test_pure_nr_slot_pool(self):
         # No incumbent: 1 NR PDCCH symbol + 2 DMRS symbols leave 132 per PRB.
-        carrier = self.fdd15()
-        grid = make_grid(carrier)
-        arr = grid.labels.copy()
-        arr[:, 0, :] = ReLabel.NR_PDCCH_CORESET1
-        arr[:, 3, :] = ReLabel.NR_DMRS
-        arr[:, 12, :] = ReLabel.NR_DMRS
-        assert int((arr == ReLabel.UNLABELED).sum()) == 132
+        assert dss_pool_by_grid(0, 0, 1, {3, 12}) == 132
 
     def test_dmrs_on_crs_symbol_rejected(self):
-        cfg = LteCellConfig(crs_ports=1, pdcch_symbols=2)
-        grid = apply_lte(make_grid(self.fdd15()), cfg, include_sync=False)
         with pytest.raises(ConfigError, match="CRS"):
-            nr_dss_slot(grid, cfg, {4, 12}, 2)
-
-    def test_nr_pdcch_inside_lte_control_rejected(self):
-        cfg = LteCellConfig(crs_ports=1, pdcch_symbols=2)
-        grid = apply_lte(make_grid(self.fdd15()), cfg, include_sync=False)
-        with pytest.raises(ConfigError, match="control region"):
-            nr_dss_slot(grid, cfg, {3, 12}, 1)
+            dss_pool_by_grid(1, 2, 1, {4, 12})
 
     def test_dmrs_inside_control_rejected(self):
-        cfg = LteCellConfig(crs_ports=1, pdcch_symbols=2)
-        grid = apply_lte(make_grid(self.fdd15()), cfg, include_sync=False)
-        with pytest.raises(ConfigError):
-            nr_dss_slot(grid, cfg, {2, 12}, 2)
+        with pytest.raises(ConfigError, match="control region"):
+            dss_pool_by_grid(1, 2, 1, {2, 12})
+
+    @pytest.mark.parametrize("symbol", [14, -1])
+    def test_dmrs_outside_the_slot_rejected(self, symbol):
+        # Checked before the footprint is built: -1 would index symbol 13.
+        with pytest.raises(ConfigError, match=f"DMRS symbol {symbol} out of range"):
+            dss_pool_by_grid(1, 2, 1, (symbol,))
 
     def test_pool_strictly_decreases_with_ports(self):
-        pools = []
-        for ports in (1, 2, 4):
-            cfg = LteCellConfig(crs_ports=ports, pdcch_symbols=2)
-            grid = apply_lte(make_grid(self.fdd15()), cfg, include_sync=False)
-            grid = nr_dss_slot(grid, cfg, {3, 12}, 2)
-            pools.append(count_labels(grid)[ReLabel.UNLABELED])
+        pools = [dss_pool_by_grid(ports, 2, 1, {3, 12}) for ports in (1, 2, 4)]
         assert pools[0] > pools[1] > pools[2]
 
 

@@ -17,9 +17,7 @@ from gridshare.grid import CarrierConfig, Numerology, ResourceGrid, TddPattern, 
 from gridshare.lte import LteCellConfig
 from gridshare.mrss import (
     ControlMode,
-    DssMechanism,
     InterferenceReport,
-    MechanismBudget,
     Mitigation,
     MrssCategoryMap,
     SimResult,
@@ -77,8 +75,6 @@ EXAMPLES = {
                  "efficiency_vs_pure_6g": 1.0}, None),
     InterferenceReport: ({"pool_re": 102, "clean_re": 90, "sacrificed_re": 12,
                           "dirty_re": 0}, None),
-    MechanismBudget: ({"nr_usable_re": 96, "lte_usable_re": 0}, None),
-    DssMechanism: ({"kind": "MbsfnShare"}, {"kind": "MiniSlot"}),
     IotReservation: ({"prb_start": 0, "prb_stop": 1}, None),
     SixgSsbSpec: ({"occasions": ((0, 0, 0),)}, None),
     MrssSpec: ({}, None),
@@ -119,7 +115,7 @@ def test_every_annotated_class_is_a_marked_value_class():
             assert cls in MARKED, cls.__name__
         assert not hasattr(cls, "__dataclass_fields__"), cls.__name__
     assert set(MARKED) == set(EXAMPLES)
-    assert len(MARKED) == 29
+    assert len(MARKED) == 27
 
 
 @pytest.mark.parametrize("method", METHODS)

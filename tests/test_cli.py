@@ -33,6 +33,29 @@ def table3(tmp_path):
     return str(SCENARIOS / "table3.json")
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# Every command on every shipped scenario in every format.
+GOLDEN_CASES = [(c, s, f) for c in cli.COMMANDS for s in sorted(p.stem for p in SCENARIOS.glob("*.json"))
+                for f in cli.FORMATS]
+
+
+def golden(command, scenario, fmt):
+    """(exit code, stdout, stderr) of `gridshare <command> -s
+    scenarios/<scenario>.json -f <fmt>` as tests/golden holds it: the stdout
+    of a run that succeeds in <command>-<scenario>.<fmt>, the stderr of one
+    that exits 1 in <command>-<scenario>.err."""
+    out = GOLDEN / f"{command}-{scenario}.{fmt}"
+    if out.exists():
+        return 0, out.read_text(encoding="utf-8"), ""
+    return 1, "", (GOLDEN / f"{command}-{scenario}.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,scenario,fmt", GOLDEN_CASES)
+def test_output_equals_the_golden_file(capsys, command, scenario, fmt):
+    argv = (command, "-s", str(SCENARIOS / f"{scenario}.json"), "-f", fmt)
+    assert run(capsys, *argv) == golden(command, scenario, fmt)
+
+
 class TestBudgetCommand:
     def test_md_default(self, capsys, table1):
         code, out, err = run(capsys, "budget", "-s", table1)

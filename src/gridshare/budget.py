@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import ConfigError, GridShareError
 from .grid import (
     SC_PER_PRB,
@@ -146,12 +144,13 @@ def check_control_fits(lte_pdcch: int, nr_pdcch: int) -> None:
         )
 
 
-def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> np.ndarray:
+def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> memoryview:
     """14x1 footprint of NR control and DMRS symbols, rate-matched around CRS on placement."""
-    rows = np.zeros((SYMBOLS_PER_SLOT, 1), dtype=np.uint8)
-    rows[list(pdcch_symbols)] = ReLabel.NR_PDCCH_CORESET1
-    rows[list(dmrs_symbols)] = ReLabel.NR_DMRS
-    return rows
+    rows = bytearray(SYMBOLS_PER_SLOT)
+    for symbols, label in ((pdcch_symbols, ReLabel.NR_PDCCH_CORESET1), (dmrs_symbols, ReLabel.NR_DMRS)):
+        for s in symbols:
+            rows[s] = label
+    return memoryview(bytes(rows)).cast("B", (SYMBOLS_PER_SLOT, 1))
 
 
 def dss_pool_by_grid(

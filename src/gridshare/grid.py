@@ -1,10 +1,13 @@
 """Numerology, carrier configuration, and the labeled time-frequency grid.
 
 The grid is a (slot, symbol, subcarrier) lattice where every resource
-element carries exactly one label. A `Lattice` stores each distinct slot
-once: an LTE carrier repeats a few subframe structures, so a 1000-subframe
-grid holds four 14 x n_sc rows and a slot -> row index. A dense array is
-the lattice in which every slot has a row of its own.
+element carries exactly one label, one byte. A `Lattice` stores each
+distinct slot once, as a row of 14 x n_sc labels in symbol-major order: an
+LTE carrier repeats a few subframe structures, so a 1000-subframe grid holds
+four rows and a slot -> row index. Every read and write works on byte
+strings, with the standard library only: a block of a slot is one slice of
+its row per symbol (`Window`), a free check compares a slice with zero
+bytes, and a count is `bytes.count`.
 
 A `ResourceGrid` is an immutable value: its lattice is read-only. A grid is
 built in one writable lattice: take a fresh one from `new_labels`, place
@@ -18,10 +21,10 @@ and a write over slots that share a row with other slots copies it first.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from enum import Enum, IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import ConfigError, ConflictError
 from .value import value
@@ -171,137 +174,127 @@ class CarrierConfig:
 class Lattice:
     """A label lattice that stores each distinct slot once.
 
-    `rows` holds the distinct slot contents, each a 14 x n_sc uint8 array,
-    and `slot_rows[s]` is the row of slot s. `Lattice.of` takes a dense
-    (n_slots, 14, n_sc) array as the lattice whose slots are its rows (views,
-    so writing the lattice writes the array).
+    `rows` holds the distinct slot contents, each 14 x n_sc labels in
+    symbol-major order, and `slot_rows[s]` is the row of slot s. A row is a
+    `bytearray` while this lattice alone may write it and `bytes` once it is
+    read-only. `Lattice.of` takes a dense (n_slots, 14, n_sc) uint8 buffer,
+    a numpy array say, and copies each distinct slot of it into a row.
 
     A write names its slots and first takes rows of their own for them
     (`own`); a row that also serves another slot, or that is read-only, is
     copied then (copy-on-write). Rows turn read-only when the lattice is
     frozen or copied, so lattices share rows and each copies what it
     writes. `freeze` merges equal rows, so a frozen lattice holds each
-    distinct slot content once; its rows become a tuple and it takes no
-    further write.
+    distinct slot content once; its rows and index become tuples and it
+    takes no further write.
     """
 
-    __slots__ = ("rows", "slot_rows", "hashes", "_dense")
+    __slots__ = ("rows", "slot_rows", "_dense")
 
-    def __init__(self, rows: List[np.ndarray], slot_rows: np.ndarray,
-                 hashes: Optional[List[Optional[int]]] = None):
+    def __init__(self, rows: List[bytearray], slot_rows: List[int]):
         self.rows = rows
         self.slot_rows = slot_rows
-        # Per row, its content's hash once a freeze took it; None until then.
-        self.hashes = [None] * len(rows) if hashes is None else hashes
-        self._dense: Optional[np.ndarray] = None
+        self._dense: Optional[memoryview] = None
 
     @classmethod
     def of(cls, labels) -> "Lattice":
-        """`labels` if it is a lattice, else the lattice of a dense array's slots."""
+        """`labels` if it is a lattice, else the lattice of a dense buffer's slots."""
         if isinstance(labels, Lattice):
             return labels
-        lattice = cls(list(labels), np.arange(len(labels), dtype=np.intp))
-        lattice._dense = labels
-        return lattice
+        dense = memoryview(labels)
+        if dense.ndim != 3 or dense.format != "B" or not dense.c_contiguous:
+            raise ConfigError(
+                f"a dense label lattice is a C-contiguous uint8 buffer shaped (n_slots, 14, n_sc), "
+                f"got shape {dense.shape} of format {dense.format!r}"
+            )
+        flat, size = dense.cast("B"), dense.nbytes // max(len(dense), 1)
+        rows: Dict[bytes, int] = {}
+        index = [rows.setdefault(flat[i : i + size].tobytes(), len(rows))
+                 for i in range(0, len(flat), size)]
+        return cls(list(rows), index)
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        return (len(self.slot_rows), *self.rows[0].shape)
+    def n_sc(self) -> int:
+        return len(self.rows[0]) // SYMBOLS_PER_SLOT
 
-    def row(self, slot: int) -> np.ndarray:
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        return (len(self.slot_rows), SYMBOLS_PER_SLOT, self.n_sc)
+
+    def row(self, slot: int) -> bytes:
         """The row holding the slot's labels, for reading."""
         return self.rows[self.slot_rows[slot]]
 
-    def slot_set(self, slots: Sequence[int]) -> np.ndarray:
+    def slot_set(self, slots: Sequence[int]) -> List[int]:
         """The named slots, sorted and distinct; IndexError for one out of range."""
-        named = np.zeros(len(self.slot_rows), dtype=bool)
-        named[np.asarray(slots, dtype=np.intp)] = True
-        return np.flatnonzero(named)
+        every = range(len(self.slot_rows))
+        return sorted({every[s] for s in slots})
 
-    def first_slots(self, slots: np.ndarray) -> List[Tuple[int, int]]:
-        """(first slot, row) for each row the slots hold, by first slot."""
-        first = np.full(len(self.rows), len(self.slot_rows), dtype=np.intp)
-        np.minimum.at(first, self.slot_rows[slots], slots)
-        rows = np.flatnonzero(first < len(self.slot_rows))
-        return sorted(zip(first[rows].tolist(), rows.tolist()))
+    def first_slots(self, slots: Sequence[int]) -> List[Tuple[int, int]]:
+        """(first slot, row) for each row the sorted slots hold, by first slot."""
+        first: Dict[int, int] = {}
+        for s in slots:
+            first.setdefault(self.slot_rows[s], s)
+        return sorted((s, r) for r, s in first.items())
 
-    def multiplicity(self, slots=slice(None)) -> np.ndarray:
+    def multiplicity(self, slots: slice = slice(None)) -> List[int]:
         """Per row, how many of the slots (all, or a slice) it serves."""
-        return np.bincount(self.slot_rows[slots], minlength=len(self.rows))
+        counts = Counter(self.slot_rows[slots])
+        return [counts[r] for r in range(len(self.rows))]
 
-    def map(self, table: np.ndarray) -> "Lattice":
-        """A new lattice of the same slots: `table` (uint8, one entry per
-        label) gathered from each row, as one byte translation per row, with
-        no index copy. Its rows are read-only until written."""
-        lookup = table.tobytes().ljust(256, b"\0")
-        rows = [np.frombuffer(row.tobytes().translate(lookup), dtype=np.uint8).reshape(row.shape)
-                for row in self.rows]
-        return Lattice(rows, self.slot_rows.copy())
+    def map(self, table: bytes) -> "Lattice":
+        """A new lattice of the same slots: each row translated by `table`
+        (one byte per label, up to 256), with the index shared until written."""
+        table = bytes(table).ljust(256, b"\0")
+        return Lattice([row.translate(table) for row in self.rows], list(self.slot_rows))
 
     def copy(self) -> "Lattice":
         """A writable lattice of the same slots that shares every row until it writes it."""
-        for row in self.rows:
-            row.setflags(write=False)
-        return Lattice(list(self.rows), self.slot_rows.copy(), list(self.hashes))
+        if not isinstance(self.rows, tuple):
+            self.rows[:] = [bytes(row) for row in self.rows]
+        return Lattice(list(self.rows), list(self.slot_rows))
 
     def own(self, slots: Sequence[int]) -> List[int]:
         """Rows that only the named slots hold, one per distinct row they held,
         for a write to fill in place. A held row that also serves a slot
         outside `slots` is copied for them; a read-only one is replaced by
         its copy. No row is left without a slot."""
-        slots = self.slot_set(slots)
-        held = self.slot_rows[slots]
-        mine = np.bincount(held, minlength=len(self.rows))
+        held: Dict[int, List[int]] = {}
+        for s in self.slot_set(slots):
+            held.setdefault(self.slot_rows[s], []).append(s)
         total = self.multiplicity()
         out = []
-        for r in np.flatnonzero(mine).tolist():
-            if mine[r] < total[r]:
-                self.slot_rows[slots[held == r]] = len(self.rows)
-                self.rows.append(self.rows[r].copy())
-                self.hashes.append(None)
+        for r in sorted(held):
+            if len(held[r]) < total[r]:
+                for s in held[r]:
+                    self.slot_rows[s] = len(self.rows)
+                self.rows.append(bytearray(self.rows[r]))
                 r = len(self.rows) - 1
-            elif not self.rows[r].flags.writeable:
-                self.rows[r] = self.rows[r].copy()
-                self.hashes[r] = None
+            elif isinstance(self.rows[r], bytes):
+                self.rows[r] = bytearray(self.rows[r])
             out.append(r)
         self._dense = None
         return out
 
     def freeze(self) -> "Lattice":
-        """Merge equal rows, then make the lattice read-only; returns it. Only
-        rows written since a freeze are hashed; shared rows keep their hash."""
+        """Merge equal rows, then make the lattice read-only; returns it. A row
+        that is already `bytes` keeps its cached hash."""
         if isinstance(self.rows, tuple):
             return self
-        kept: List[np.ndarray] = []
-        hashes: List[int] = []
-        by_hash: Dict[int, List[int]] = {}
-        merged = np.empty(len(self.rows), dtype=np.intp)
-        for i, (row, h) in enumerate(zip(self.rows, self.hashes)):
-            if h is None:
-                h = hash(row.tobytes())
-            same = by_hash.setdefault(h, [])
-            merged[i] = next((k for k in same if np.array_equal(kept[k], row)), len(kept))
-            if merged[i] == len(kept):
-                same.append(len(kept))
-                kept.append(row)
-                hashes.append(h)
+        kept: Dict[bytes, int] = {}
+        merged = [kept.setdefault(bytes(row), len(kept)) for row in self.rows]
         if len(kept) < len(self.rows):
-            self.slot_rows = merged[self.slot_rows]
-        self.rows, self.hashes = tuple(kept), tuple(hashes)
-        for row in kept:
-            row.setflags(write=False)
-        self.slot_rows.setflags(write=False)
-        if self._dense is not None:
-            self._dense.setflags(write=False)
+            self.slot_rows = [merged[r] for r in self.slot_rows]
+        self.rows, self.slot_rows = tuple(kept), tuple(self.slot_rows)
         return self
 
-    def gather(self) -> np.ndarray:
-        """The dense (n_slots, 14, n_sc) lattice; a frozen one keeps it, read-only."""
+    def gather(self) -> memoryview:
+        """The dense lattice, a read-only memoryview shaped (n_slots, 14, n_sc);
+        a frozen lattice keeps it."""
         if self._dense is not None:
             return self._dense
-        dense = np.stack(self.rows)[self.slot_rows]
+        dense = memoryview(b"".join([self.rows[r] for r in self.slot_rows])).cast("B", self.shape)
         if isinstance(self.rows, tuple):
-            dense.setflags(write=False)
             self._dense = dense
         return dense
 
@@ -310,26 +303,26 @@ class Lattice:
 class ResourceGrid:
     """Read-only label lattice indexed (slot, symbol, subcarrier).
 
-    Built from a `Lattice` or a dense array and stored as a frozen
-    `lattice`; reading `labels` gathers the dense array once.
+    Built from a `Lattice` or a dense buffer and stored as a frozen
+    `lattice`; reading `labels` gathers the dense memoryview once.
     """
 
     config: CarrierConfig
-    labels: np.ndarray
+    labels: memoryview
 
     def __post_init__(self):
         expected = (self.config.n_slots, SYMBOLS_PER_SLOT, self.config.n_subcarriers)
-        labels = self.__dict__["labels"]
-        if labels.shape != expected:
-            raise ConfigError(f"label lattice shape {labels.shape} != {expected}")
-        self.__dict__["labels"] = Lattice.of(labels).freeze()
+        lattice = Lattice.of(self.__dict__["labels"])
+        if lattice.shape != expected:
+            raise ConfigError(f"label lattice shape {lattice.shape} != {expected}")
+        self.__dict__["labels"] = lattice.freeze()
 
     @property
     def lattice(self) -> Lattice:
         return self.__dict__["labels"]
 
     @property
-    def labels(self) -> np.ndarray:
+    def labels(self) -> memoryview:
         return self.lattice.gather()
 
     @property
@@ -342,18 +335,20 @@ def new_labels(config: CarrierConfig) -> Lattice:
     TDD uplink/guard symbols are pre-labeled."""
     cycle = config.tdd_pattern.cycle if config.duplex == "TDD" else (SlotKind.DOWNLINK,)
     kinds = list(dict.fromkeys(cycle))
+    n_sc = config.n_subcarriers
     rows = []
     for kind in kinds:
-        row = np.zeros((SYMBOLS_PER_SLOT, config.n_subcarriers), dtype=np.uint8)
         if kind is SlotKind.UPLINK:
-            row[:] = ReLabel.UPLINK_SYMBOL
+            dl, guard = 0, 0
         elif kind is SlotKind.SPECIAL:
             dl, guard, _ul = config.tdd_pattern.special_split
-            row[dl : dl + guard] = ReLabel.GUARD_SYMBOL
-            row[dl + guard :] = ReLabel.UPLINK_SYMBOL
-        rows.append(row)
-    index = np.array([kinds.index(kind) for kind in cycle], dtype=np.intp)
-    return Lattice(rows, np.tile(index, config.n_slots // len(cycle)))
+        else:
+            dl, guard = SYMBOLS_PER_SLOT, 0
+        rows.append(bytearray(dl * n_sc)
+                    + bytes((ReLabel.GUARD_SYMBOL,)) * (guard * n_sc)
+                    + bytes((ReLabel.UPLINK_SYMBOL,)) * ((SYMBOLS_PER_SLOT - dl - guard) * n_sc))
+    index = [kinds.index(kind) for kind in cycle]
+    return Lattice(rows, index * (config.n_slots // len(cycle)))
 
 
 def make_grid(config: CarrierConfig) -> ResourceGrid:
@@ -361,105 +356,209 @@ def make_grid(config: CarrierConfig) -> ResourceGrid:
     return ResourceGrid(config, new_labels(config))
 
 
-def _grid_cell(where: Tuple, local: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Grid index of a cell given as an index into the view arr[where]."""
-    rest = iter(local)
-    cell = [int(w) if not isinstance(w, slice) else (w.start or 0) + int(next(rest)) for w in where]
-    return tuple(cell) + tuple(int(i) for i in rest)
+class Window:
+    """A block of a slot, symbols x subcarriers (two ranges), as slices of its row.
+
+    `parts` pairs each symbol's slice of the row with the matching slice of
+    the block's own symbol-major bytes; `whole` is the one row slice of a
+    block that is contiguous in the row (all subcarriers, or one symbol),
+    else None.
+    """
+
+    __slots__ = ("symbols", "subcarriers", "parts", "whole")
+
+    def __init__(self, n_sc: int, symbols: range, subcarriers: range):
+        self.symbols, self.subcarriers = symbols, subcarriers
+        width, first, last, step = len(subcarriers), subcarriers.start, subcarriers.stop, subcarriers.step
+        self.parts = [(slice(s * n_sc + first, s * n_sc + last, step), slice(i * width, (i + 1) * width))
+                      for i, s in enumerate(symbols)]
+        self.whole = None
+        if step == 1 and symbols.step == 1 and (width == n_sc or len(symbols) == 1):
+            start = symbols.start * n_sc + first
+            self.whole = slice(start, start + len(symbols) * width)
+
+    def __len__(self) -> int:
+        return len(self.symbols) * len(self.subcarriers)
+
+    def read(self, row) -> bytes:
+        """The block's labels, symbol-major."""
+        if self.whole is not None:
+            return bytes(row[self.whole])
+        return b"".join([row[part] for part, _ in self.parts])
+
+    def cell(self, i: int) -> Tuple[int, int]:
+        """(symbol, subcarrier) of the block's i-th cell."""
+        symbol, k = divmod(i, len(self.subcarriers))
+        return self.symbols[symbol], self.subcarriers[k]
+
+    def fill(self, row: bytearray, label: int) -> None:
+        """Write `label` over every cell of the block."""
+        for part, fp in self.parts:
+            row[part] = bytes((label,)) * (fp.stop - fp.start)
 
 
-def _check_index(where: Tuple) -> None:
-    if not all(isinstance(w, (int, np.integer, slice)) for w in where):
+def _axis(index, size: int) -> range:
+    """The positions an int or a slice (positive step) selects on an axis of `size`."""
+    if isinstance(index, slice):
+        selected = range(size)[index]
+        if selected.step < 0:
+            raise ConfigError("placement slices need a positive step")
+        return selected
+    try:
+        i = range(size)[operator.index(index)]
+    except TypeError:
+        raise ConfigError("placement needs an index of ints and slices") from None
+    return range(i, i + 1)
+
+
+def _view(where: Tuple, n_sc: int) -> Tuple[Window, Tuple[int, ...]]:
+    """The block that `where` (up to a symbol and a subcarrier index, ints or
+    slices) selects in a slot, and the shape of that view, an axis per slice."""
+    if len(where) > 2:
         raise ConfigError("placement needs an index of ints and slices")
+    where = where + (slice(None),) * (2 - len(where))
+    axes = [_axis(w, size) for w, size in zip(where, (SYMBOLS_PER_SLOT, n_sc))]
+    shape = tuple(len(a) for a, w in zip(axes, where) if isinstance(w, slice))
+    return Window(n_sc, *axes), shape
+
+
+def _array(footprint) -> Tuple[object, Tuple[int, ...]]:
+    """(nested lists of ints, shape) of a buffer or of nested lists."""
+    try:
+        view = memoryview(footprint)
+    except TypeError:
+        shape, inner = [], footprint
+        while isinstance(inner, (list, tuple)):
+            shape.append(len(inner))
+            inner = inner[0] if inner else None
+        return footprint, tuple(shape)
+    return view.tolist(), view.shape
+
+
+def _footprint(footprint, shape: Tuple[int, ...]) -> bytes:
+    """A footprint (an int label, a uint8 buffer of the view's shape, or any
+    int buffer or nested lists that broadcast to it) as the view's bytes."""
+    size = 1
+    for n in shape:
+        size *= n
+    try:
+        return bytes((operator.index(footprint),)) * size
+    except TypeError:
+        pass
+    if isinstance(footprint, memoryview) and footprint.shape == shape and footprint.format == "B":
+        return footprint.tobytes()
+    values, fp_shape = _array(footprint)
+    if len(fp_shape) > len(shape) or any(f not in (1, n) for f, n in zip(fp_shape[::-1], shape[::-1])):
+        raise ConfigError(f"a footprint of shape {fp_shape} does not fit a view of shape {shape}")
+    # Both as (rows, columns): a missing leading axis has length 1.
+    rows, columns = ((1, 1) + shape)[-2:]
+    fp_rows, fp_columns = ((1, 1) + fp_shape)[-2:]
+    values = [[values]] if not fp_shape else [values] if len(fp_shape) == 1 else values
+    out = bytearray()
+    for i in range(rows):
+        row = bytes(values[i if fp_rows > 1 else 0])
+        out += row if fp_columns > 1 else row * columns
+    return bytes(out)
 
 
 Placement = Tuple[Sequence[int], Tuple, object]
 
+# GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: cells at or above it are no downlink cells.
+_NON_DL = bytes((ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL))
 
-def place_slots(labels, placements: Sequence[Placement], rate_match: bool = False) -> None:
+
+def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: bool = False) -> None:
     """Write footprints into the named slots of a writable label lattice.
 
-    This is the one write path into a label lattice (a `Lattice`, or a
-    dense array written in place). Each placement is (slots, where,
-    footprint): `where` indexes into a slot (symbol, subcarrier) with ints
-    and slices, and `footprint` holds one label per cell of that view,
-    broadcast to it, with UNLABELED marking cells outside the footprint.
-    Placements name disjoint slots. Only UNLABELED cells are written;
-    uplink and guard cells never are. Strict placements need all their
-    downlink cells free: otherwise ConflictError names the first taken cell
-    (by slot, then symbol, then subcarrier) before anything is written.
-    With ``rate_match`` the free cells are filled and the rest skipped.
-    Each distinct row the slots hold is checked and written once, in a row
-    only those slots hold (`Lattice.own`); a view with no labeled cell
-    takes the footprint verbatim, in one pass.
+    This is the one write path into a label lattice. Each placement is
+    (slots, where, footprint): `where` indexes into a slot (symbol,
+    subcarrier) with ints and slices, and `footprint` holds one label per
+    cell of that view (see `_footprint`), broadcast to it, with UNLABELED
+    marking cells outside the footprint. Placements name disjoint slots.
+    Only UNLABELED cells are written; uplink and guard cells never are.
+    Strict placements need all their downlink cells free: otherwise
+    ConflictError names the first taken cell (by slot, then symbol, then
+    subcarrier) before anything is written. With ``rate_match`` the free
+    cells are filled and the rest skipped. Each distinct row the slots hold
+    is checked and written once, in a row only those slots hold
+    (`Lattice.own`): a block with no labeled cell takes the footprint
+    verbatim, and otherwise each symbol's slice merges on its own.
     """
-    lattice = Lattice.of(labels)
-    dtype = lattice.rows[0].dtype
     jobs = []
     for slots, where, footprint in placements:
-        where = tuple(where)
-        _check_index(where)
-        shape = lattice.rows[0][(*where, ...)].shape
-        if not (isinstance(footprint, np.ndarray) and footprint.shape == shape
-                and footprint.dtype == dtype):
-            # A per-subframe template already has the view's shape and dtype.
-            footprint = np.broadcast_to(np.asarray(footprint, dtype=dtype), shape)
-        jobs.append((lattice.slot_set(slots), where, footprint))
+        window, shape = _view(tuple(where), lattice.n_sc)
+        jobs.append((lattice.slot_set(slots), window, _footprint(footprint, shape)))
     if not rate_match:
         _check_free(lattice, jobs)
-    for slots, where, footprint in jobs:
+    for slots, window, footprint in jobs:
         for r in lattice.own(slots):
-            # The trailing Ellipsis keeps a view even for a single cell.
-            view = lattice.rows[r][(*where, ...)]
-            if not view.any():
-                # An all-free view (UNLABELED is 0) takes the footprint verbatim:
-                # its UNLABELED cells write 0 over 0, and there is no uplink/guard cell.
-                np.copyto(view, footprint)
-            else:
-                free = view == ReLabel.UNLABELED
-                np.copyto(view, footprint, where=(footprint != ReLabel.UNLABELED) & free)
+            row = lattice.rows[r]
+            if window.whole is not None and not any_label(row[window.whole]):
+                row[window.whole] = footprint
+                continue
+            for part, fp in window.parts:
+                old = row[part]
+                if not any_label(old):
+                    row[part] = footprint[fp]
+                elif 0 in old:
+                    row[part] = bytes([o or f for o, f in zip(old, footprint[fp])])
+
+
+def any_label(cells) -> bool:
+    """Whether any of the cells is labeled (UNLABELED is 0)."""
+    return cells != bytes(len(cells))
 
 
 def _check_free(lattice: Lattice, jobs: List[tuple]) -> None:
     """Raise ConflictError at the first taken downlink cell under the footprints."""
     first = None
-    for slots, where, footprint in jobs:
+    for slots, window, footprint in jobs:
         for slot, r in lattice.first_slots(slots):
-            view = lattice.rows[r][(*where, ...)]
-            if (first is not None and slot > first[0]) or not view.any():
+            row = lattice.rows[r]
+            if (first is not None and slot > first[0]) or (
+                    window.whole is not None and not any_label(row[window.whole])):
                 continue
-            # GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: one comparison
-            # tells downlink cells apart.
-            taken = (footprint != ReLabel.UNLABELED) & (view != ReLabel.UNLABELED) & (
-                view < ReLabel.GUARD_SYMBOL)
-            if taken.any():
-                local = tuple(np.argwhere(taken)[0])
-                first = (slot, where, local, int(view[local]), int(footprint[local]))
+            for part, fp in window.parts:
+                old = row[part]
+                if not any_label(old) or not old.translate(None, _NON_DL):
+                    continue
+                start = fp.start
+                taken = next((i for i, (o, f) in enumerate(zip(old, footprint[fp]))
+                              if f and o and o < ReLabel.GUARD_SYMBOL), None)
+                if taken is not None:
+                    first = (slot, window.cell(start + taken), old[taken], footprint[start + taken])
+                    break
     if first is not None:
-        slot, where, local, old, new = first
+        slot, (symbol, sc), old, new = first
         raise ConflictError(
-            f"conflict at cell {_grid_cell((slot, *where), local)}: existing "
+            f"conflict at cell {(slot, symbol, sc)}: existing "
             f"{ReLabel(old).name}, new {ReLabel(new).name}"
         )
 
 
-def place(labels, where: Tuple, footprint, rate_match: bool = False) -> None:
+def place(lattice: Lattice, where: Tuple, footprint, rate_match: bool = False) -> None:
     """Write a footprint into the view labels[where] of a writable lattice.
 
     `place_slots` with the slots named by where[0], an int or a slice (all
     slots when `where` is empty). A footprint with an axis per slot of the
     view places each slot its own part.
     """
-    _check_index(where)
-    lattice = Lattice.of(labels)
-    slots = range(len(lattice.slot_rows))[where[0] if where else slice(None)]
-    inner = tuple(where[1:])
-    if isinstance(slots, int):
-        placements = [((slots,), inner, footprint)]
+    where = tuple(where)
+    slots = _axis(where[0], len(lattice.slot_rows)) if where else range(len(lattice.slot_rows))
+    inner = where[1:]
+    if where and not isinstance(where[0], slice):
+        placements = [(slots, inner, footprint)]
     else:
-        shape = lattice.rows[0][(*inner, ...)].shape
-        if np.ndim(footprint) > len(shape):
-            parts = np.broadcast_to(footprint, (len(slots), *shape))
+        _, shape = _view(inner, lattice.n_sc)
+        try:
+            operator.index(footprint)
+            values, fp_shape = footprint, ()
+        except TypeError:
+            values, fp_shape = _array(footprint)
+        if len(fp_shape) > len(shape):
+            parts = values if fp_shape[0] > 1 else values * len(slots)
+            if len(parts) != len(slots):
+                raise ConfigError(f"a footprint of shape {fp_shape} does not fit {len(slots)} slots")
             placements = [((s,), inner, part) for s, part in zip(slots, parts)]
         else:
             placements = [(slots, inner, footprint)]
@@ -474,8 +573,9 @@ def count_labels(
     """Exact per-label cell counts over a half-open (slot, PRB) sub-window.
 
     Only labels with non-zero counts appear; counts sum to the window size.
-    Each distinct row is counted once (`np.bincount`, no sort) and weighted
-    by the number of window slots it serves.
+    Each distinct row is counted once (`bytes.count` per label, until the
+    row's window is used up) and weighted by the number of window slots it
+    serves.
     """
     cfg = grid.config
     s0, s1 = slot_range if slot_range is not None else (0, cfg.n_slots)
@@ -485,9 +585,17 @@ def count_labels(
     if not (0 <= p0 < p1 <= cfg.n_prb):
         raise ConfigError(f"empty or inverted PRB range ({p0}, {p1})")
     lattice = grid.lattice
-    weight = lattice.multiplicity(slice(s0, s1))
-    counts = np.zeros(len(ReLabel), dtype=np.int64)
-    for r in np.flatnonzero(weight).tolist():
-        window = lattice.rows[r][:, p0 * SC_PER_PRB : p1 * SC_PER_PRB]
-        counts += weight[r] * np.bincount(window.reshape(-1), minlength=len(ReLabel))
-    return {ReLabel(v): int(c) for v, c in enumerate(counts.tolist()) if c}
+    window = Window(lattice.n_sc, range(SYMBOLS_PER_SLOT), range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
+    counts = [0] * len(ReLabel)
+    for r, weight in enumerate(lattice.multiplicity(slice(s0, s1))):
+        if not weight:
+            continue
+        cells = window.read(lattice.rows[r])
+        left = len(cells)
+        for label in range(len(ReLabel)):
+            n = cells.count(label)
+            counts[label] += weight * n
+            left -= n
+            if not left:
+                break
+    return {ReLabel(v): c for v, c in enumerate(counts) if c}

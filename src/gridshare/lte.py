@@ -13,13 +13,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import FrozenSet, Set, Tuple
 
-import numpy as np
-
 from .errors import ConfigError
 from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
     CarrierConfig,
+    Lattice,
     ReLabel,
     ResourceGrid,
     SlotKind,
@@ -28,8 +27,8 @@ from .grid import (
 from .value import value
 
 SYNC_SUBCARRIERS = 72  # center 6 PRBs
-PSS_SSS_SYMBOLS = slice(5, 7)  # last two symbols of slot 0
-PBCH_SYMBOLS = slice(7, 11)  # first four symbols of slot 1
+PSS_SSS_SYMBOLS = range(5, 7)  # last two symbols of slot 0
+PBCH_SYMBOLS = range(7, 11)  # first four symbols of slot 1
 
 # Subframes (mod 10) that may carry MBSFN, per duplex (TS 36.331
 # MBSFN-SubframeConfig): FDD keeps 0, 4, 5 and 9 for sync and paging.
@@ -87,8 +86,8 @@ _CRS_V = {0: (0, 3), 1: (3, 0), 2: (0, 3), 3: (3, 0)}
 
 
 @lru_cache(maxsize=None)
-def crs_mask(crs_ports: int, v_shift: int = 0) -> np.ndarray:
-    """CRS of one PRB over one subframe: a read-only 14x12 array of port + 1 (0: no CRS).
+def crs_mask(crs_ports: int, v_shift: int = 0) -> memoryview:
+    """CRS of one PRB over one subframe: a read-only 14x12 memoryview of port + 1 (0: no CRS).
 
     Ports 0/1 sit on symbols l = 0 and 4 of each slot n_s, ports 2/3 on
     l = 1, at subcarriers k = 6m + (v + v_shift) mod 6 with v = 0 (port 0,
@@ -98,21 +97,26 @@ def crs_mask(crs_ports: int, v_shift: int = 0) -> np.ndarray:
     """
     if crs_ports not in (0, 1, 2, 4):
         raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {crs_ports}")
-    mask = np.zeros((SYMBOLS_PER_SLOT, SC_PER_PRB), dtype=np.uint8)
+    mask = bytearray(SYMBOLS_PER_SLOT * SC_PER_PRB)
     half = SYMBOLS_PER_SLOT // 2
     for port in range(crs_ports):
         for n_s in (0, 1):
             for l in (0, 4) if port < 2 else (1,):
                 v = _CRS_V[port][l != 0 if port < 2 else n_s]
-                mask[n_s * half + l, (v + v_shift) % 6 :: 6] = port + 1
-    mask.setflags(write=False)
-    return mask
+                start = (n_s * half + l) * SC_PER_PRB
+                mask[start + (v + v_shift) % 6 : start + SC_PER_PRB : 6] = bytes((port + 1,)) * 2
+    return memoryview(bytes(mask)).cast("B", (SYMBOLS_PER_SLOT, SC_PER_PRB))
 
 
 @lru_cache(maxsize=None)
 def crs_re_per_symbol(crs_ports: int) -> Tuple[int, ...]:
     """CRS cells per PRB on each subframe symbol (independent of v_shift)."""
-    return tuple(int(n) for n in np.count_nonzero(crs_mask(crs_ports), axis=1))
+    return tuple(SC_PER_PRB - row.count(0) for row in _symbols(crs_mask(crs_ports).tobytes(), SC_PER_PRB))
+
+
+def _symbols(row: bytes, n_sc: int) -> Tuple[bytes, ...]:
+    """A 14 x n_sc row's symbols."""
+    return tuple(row[s * n_sc : (s + 1) * n_sc] for s in range(SYMBOLS_PER_SLOT))
 
 
 def crs_bearing_symbols(crs_ports: int) -> FrozenSet[int]:
@@ -125,42 +129,54 @@ def crs_cells(cfg: LteCellConfig, n_prb: int) -> Set[Tuple[int, int, int]]:
 
     The pattern repeats every subframe; 8/16/24 cells per PRB for 1/2/4 ports.
     """
-    tiled = np.tile(crs_mask(cfg.crs_ports, cfg.v_shift), (1, n_prb))
-    return {(int(s), int(k), int(tiled[s, k]) - 1) for s, k in zip(*np.nonzero(tiled))}
+    mask = crs_mask(cfg.crs_ports, cfg.v_shift).tobytes()
+    return {(s, m * SC_PER_PRB + k, port - 1)
+            for s, row in enumerate(_symbols(mask, SC_PER_PRB)) for k, port in enumerate(row) if port
+            for m in range(n_prb)}
 
 
-def _fill(region: np.ndarray, label: ReLabel) -> None:
-    region[region == ReLabel.UNLABELED] = label
+# Port + 1 -> CRS label; 0 stays UNLABELED.
+_CRS_LABEL = bytes([ReLabel.UNLABELED] + [ReLabel.lte_crs(p) for p in range(4)]).ljust(256, b"\0")
+
+
+def _fill(template: bytearray, n_sc: int, symbols: range, subcarriers: slice, label: ReLabel) -> None:
+    """Label the free cells of a block of a 14 x n_sc template."""
+    for s in symbols:
+        block = slice(s * n_sc + subcarriers.start, s * n_sc + subcarriers.stop)
+        template[block] = template[block].replace(b"\0", bytes((label,)))
 
 
 def _subframe_templates(
     cfg: LteCellConfig, n_prb: int, sync: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """14 x n_sc label templates: (normal, MBSFN, subframe 0, subframe 5) mod 10.
+) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
+    """14 x n_sc label templates: (normal, MBSFN, subframe 0, subframe 5) mod 10,
+    each a read-only memoryview.
 
     CRS takes precedence inside the control region so control-region CRS
     stays countable; PBCH is rate-matched around CRS.
     """
-    crs = np.tile(crs_mask(cfg.crs_ports, cfg.v_shift), (1, n_prb))
-    crs = np.where(crs > 0, crs + (ReLabel.LTE_CRS_P0 - 1), ReLabel.UNLABELED).astype(np.uint8)
+    n_sc = n_prb * SC_PER_PRB
+    mask = crs_mask(cfg.crs_ports, cfg.v_shift).tobytes()
+    crs = b"".join(row * n_prb for row in _symbols(mask, SC_PER_PRB)).translate(_CRS_LABEL)
+    every = slice(0, n_sc)
 
-    normal = crs.copy()
-    _fill(normal[: cfg.pdcch_symbols], ReLabel.LTE_PDCCH)
+    normal = bytearray(crs)
+    _fill(normal, n_sc, range(cfg.pdcch_symbols), every, ReLabel.LTE_PDCCH)
 
     region = cfg.non_mbsfn_region_len
-    mbsfn = crs.copy()
-    mbsfn[region:] = ReLabel.LTE_MBSFN_MUTED
-    _fill(mbsfn[:region], ReLabel.LTE_PDCCH)
+    mbsfn = bytearray(crs[: region * n_sc]) + bytes((ReLabel.LTE_MBSFN_MUTED,)) * ((SYMBOLS_PER_SLOT - region) * n_sc)
+    _fill(mbsfn, n_sc, range(region), every, ReLabel.LTE_PDCCH)
 
-    if not sync:
-        return normal, mbsfn, normal, normal
-    lo = (n_prb * SC_PER_PRB - SYNC_SUBCARRIERS) // 2
-    center = slice(lo, lo + SYNC_SUBCARRIERS)
-    sf5 = normal.copy()
-    _fill(sf5[PSS_SSS_SYMBOLS, center], ReLabel.LTE_PSS_SSS_PBCH)
-    sf0 = sf5.copy()
-    _fill(sf0[PBCH_SYMBOLS, center], ReLabel.LTE_PSS_SSS_PBCH)
-    return normal, mbsfn, sf0, sf5
+    templates = [normal, mbsfn, normal, normal]
+    if sync:
+        lo = (n_sc - SYNC_SUBCARRIERS) // 2
+        center = slice(lo, lo + SYNC_SUBCARRIERS)
+        sf5 = bytearray(normal)
+        _fill(sf5, n_sc, PSS_SSS_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH)
+        sf0 = bytearray(sf5)
+        _fill(sf0, n_sc, PBCH_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH)
+        templates[2:] = sf0, sf5
+    return tuple(memoryview(bytes(t)).cast("B", (SYMBOLS_PER_SLOT, n_sc)) for t in templates)
 
 
 def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True) -> ResourceGrid:
@@ -171,7 +187,7 @@ def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True)
 
 
 def place_lte(
-    labels, carrier: CarrierConfig, cfg: LteCellConfig, include_sync: bool = True
+    labels: Lattice, carrier: CarrierConfig, cfg: LteCellConfig, include_sync: bool = True
 ) -> None:
     """Place one LTE cell's downlink structure on every subframe of a 15 kHz
     carrier's writable label lattice.
@@ -190,12 +206,11 @@ def place_lte(
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
-    sf = np.arange(carrier.n_slots)
-    is_mbsfn = np.isin(sf, sorted(cfg.mbsfn_subframes))
-    is_sf0 = ~is_mbsfn & (sf % 10 == 0)
-    is_sf5 = ~is_mbsfn & (sf % 10 == 5)
-    is_normal = ~(is_mbsfn | is_sf0 | is_sf5)
+    # Subframes by template: normal, MBSFN, 0 and 5 mod 10.
+    subframes: Tuple[list, ...] = ([], [], [], [])
+    for sf in range(carrier.n_slots):
+        kind = 1 if sf in cfg.mbsfn_subframes else 2 if sf % 10 == 0 else 3 if sf % 10 == 5 else 0
+        subframes[kind].append(sf)
     place_slots(labels, [
-        (np.flatnonzero(subframes), (), template)
-        for subframes, template in ((is_normal, normal), (is_mbsfn, mbsfn), (is_sf0, sf0), (is_sf5, sf5))
+        (slots, (), template) for slots, template in zip(subframes, (normal, mbsfn, sf0, sf5))
     ])

@@ -13,13 +13,14 @@ only the rows it writes; the rest stay shared with the map it came from.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import numbers
+from array import array
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .budget import DssLayout, check_control_fits, default_dmrs_symbols
 from .errors import ConfigError, ConflictError, PlacementError
@@ -30,6 +31,8 @@ from .grid import (
     Lattice,
     ReLabel,
     ResourceGrid,
+    Window,
+    any_label,
     place_slots,
 )
 from .lte import LteCellConfig, crs_mask
@@ -58,12 +61,22 @@ CONTROL_LABELS = frozenset({ReLabel.NR_PDCCH_CORESET1, ReLabel.SIXG_CONTROL})
 
 _NON_DL_LABELS = frozenset({ReLabel.UPLINK_SYMBOL, ReLabel.GUARD_SYMBOL})
 
-# The label -> category table `classify_mrss` gathers; every other label is shared.
-_CATEGORY_OF_LABEL = np.full(len(ReLabel), CAT_SHARED, dtype=np.uint8)
-_CATEGORY_OF_LABEL[list(_NON_DL_LABELS)] = CAT_NON_DL
-_CATEGORY_OF_LABEL[list(DEFAULT_RESERVED_LABELS)] = CAT_RESERVED
-_CATEGORY_OF_LABEL[list(CONTROL_LABELS)] = CAT_CONTROL
-_CATEGORY_OF_LABEL.setflags(write=False)
+# The label -> category table `classify_mrss` translates by, one byte per
+# label; every other label is shared.
+_CATEGORY_OF_LABEL = bytes(
+    CAT_NON_DL if label in _NON_DL_LABELS else CAT_RESERVED if label in DEFAULT_RESERVED_LABELS
+    else CAT_CONTROL if label in CONTROL_LABELS else CAT_SHARED
+    for label in ReLabel
+)
+
+
+def _recode(old: int, new: int) -> bytes:
+    """The byte table that turns category `old` into `new` and keeps the rest."""
+    return bytes(new if code == old else code for code in range(256))
+
+
+_SHARED_TO_CONTROL = _recode(CAT_SHARED, CAT_CONTROL)
+_SHARED_TO_RESERVED = _recode(CAT_SHARED, CAT_RESERVED)
 
 
 class ControlModeKind(Enum):
@@ -125,9 +138,8 @@ class Mitigation:
             raise ConfigError(f"{self.kind} takes no effectiveness")
 
 
-# Largest per-slot demand in REs. A slot pool below 2**16 cells (every carrier
-# up to 390 PRB; NR's largest, 275 PRB, has 46,200) then keeps pool x demand
-# exact in int64; `simulate` uses Python ints for a larger pool.
+# Largest per-slot demand in REs; a drawn demand then fits the int64 array
+# the stream returns.
 MAX_DEMAND = 2**47
 
 
@@ -171,15 +183,15 @@ class TrafficModel:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def demands(self, n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-slot demand sequences, 5G then 6G from one seeded stream
-        (`pcg64.Pcg64`); identical seed yields identical draws."""
+    def demands(self, n_slots: int) -> Tuple[array, array]:
+        """Per-slot demand sequences (int64 arrays), 5G then 6G from one seeded
+        stream (`pcg64.Pcg64`); identical seed yields identical draws."""
         stream = Pcg64(self.seed)
 
         def draw(d):
             if isinstance(d, tuple):
                 return stream.integers(d[0], d[1], n_slots)
-            return np.full(n_slots, d, dtype=np.int64)
+            return array("q", [d]) * n_slots
 
         return draw(self.demand_5g), draw(self.demand_6g)
 
@@ -191,13 +203,13 @@ class MrssCategoryMap:
     An immutable value: its lattices are frozen, so one map can serve many
     `simulate` calls; `reserve_iot` and `place_6g_ssb` return new maps that
     share every row they do not write. `categories` and `labels` are each
-    a `Lattice` or a dense array, which the constructor freezes. Reading
-    `categories` or `labels` gathers the dense array once.
+    a `Lattice` or a dense uint8 buffer, which the constructor freezes.
+    Reading `categories` or `labels` gathers the dense memoryview once.
     """
 
     grid: ResourceGrid
-    categories: np.ndarray
-    labels: np.ndarray
+    categories: memoryview
+    labels: memoryview
     control_mode: ControlMode = ControlMode()
 
     def __post_init__(self):
@@ -213,41 +225,41 @@ class MrssCategoryMap:
         return self.__dict__["labels"]
 
     @property
-    def categories(self) -> np.ndarray:
+    def categories(self) -> memoryview:
         return self.category_lattice.gather()
 
     @property
-    def labels(self) -> np.ndarray:
+    def labels(self) -> memoryview:
         return self.label_lattice.gather()
 
     @property
     def shared_pool_size(self) -> int:
-        return int(self._cells_per_slot[CAT_SHARED].sum())
+        return sum(self._cells_per_slot[CAT_SHARED])
 
     @property
     def reserved_size(self) -> int:
-        return int(self._cells_per_slot[CAT_RESERVED].sum())
+        return sum(self._cells_per_slot[CAT_RESERVED])
 
     @property
     def control_region_size(self) -> int:
-        return int(self._cells_per_slot[CAT_CONTROL].sum())
+        return sum(self._cells_per_slot[CAT_CONTROL])
 
     @property
     def downlink_size(self) -> int:
-        return int(self.grid.n_cells - self._cells_per_slot[CAT_NON_DL].sum())
+        return self.grid.n_cells - sum(self._cells_per_slot[CAT_NON_DL])
 
     @cached_property
-    def _cells_per_slot(self) -> Tuple[np.ndarray, ...]:
-        """Per category code, the cells of each slot: one read-only row each,
-        counted once per distinct category row."""
+    def _cells_per_slot(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per category code, the cells of each slot, counted once per
+        distinct category row."""
         lattice = self.category_lattice
-        counts = _counts_per_row(lattice).T[:, lattice.slot_rows]
-        counts.setflags(write=False)
-        return tuple(counts)
+        per_row = _counts_per_row(lattice)
+        return tuple(tuple(per_row[r][code] for r in lattice.slot_rows) for code in range(4))
 
-    def shared_cells_per_slot(self) -> np.ndarray:
-        """Shared-pool cells of each slot; read-only, counted once per map."""
-        return self._cells_per_slot[CAT_SHARED]
+    def shared_cells_per_slot(self) -> array:
+        """Shared-pool cells of each slot, a fresh int64 array of the counts
+        taken once per map."""
+        return array("q", self._cells_per_slot[CAT_SHARED])
 
 @value
 class SimResult:
@@ -274,18 +286,16 @@ class InterferenceReport:
     dirty_re: int
 
 
-def _counts_per_row(categories: Lattice) -> np.ndarray:
-    """(n_rows, 4) cells of each category code in each row, by comparison
-    (a bincount would copy the row as intp)."""
-    out = np.zeros((len(categories.rows), 4), dtype=np.int64)
-    for r, row in enumerate(categories.rows):
-        shared = np.count_nonzero(row == CAT_SHARED)
-        if shared == row.size:
-            out[r, CAT_SHARED] = shared
+def _counts_per_row(categories: Lattice) -> List[Tuple[int, int, int, int]]:
+    """Cells of each category code (non-DL, shared, reserved, control) in each row."""
+    out = []
+    for row in categories.rows:
+        shared = row.count(CAT_SHARED)
+        if shared == len(row):
+            out.append((0, shared, 0, 0))
             continue
-        downlink = np.count_nonzero(row)  # CAT_NON_DL is 0
-        control = np.count_nonzero(row == CAT_CONTROL)
-        out[r] = (row.size - downlink, shared, downlink - shared - control, control)
+        non_dl, control = row.count(CAT_NON_DL), row.count(CAT_CONTROL)
+        out.append((non_dl, shared, len(row) - non_dl - shared - control, control))
     return out
 
 
@@ -301,31 +311,32 @@ def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode())
     grow = control_mode.footprint_factor - 1
     if grow:
         per_row = _counts_per_row(categories)
-        footprint = int(per_row[:, CAT_CONTROL] @ categories.multiplicity())
+        footprint = sum(n[CAT_CONTROL] * m for n, m in zip(per_row, categories.multiplicity()))
         extra = int(footprint * grow)
         if extra > 0:
-            _grow_control(categories, per_row[categories.slot_rows, CAT_SHARED], extra)
+            _grow_control(categories, [per_row[r][CAT_SHARED] for r in categories.slot_rows], extra)
     return MrssCategoryMap(grid, categories, grid.lattice, control_mode)
 
 
-def _grow_control(categories: Lattice, shared: np.ndarray, extra: int) -> None:
+def _grow_control(categories: Lattice, shared: List[int], extra: int) -> None:
     """Turn the first `extra` shared cells, in scan order, into control cells;
     `shared` counts each slot's shared cells."""
-    reach = np.cumsum(shared)
+    reach = list(itertools.accumulate(shared))
     if extra > reach[-1]:
         raise PlacementError(
-            f"separate control needs {extra} cells but only {int(reach[-1])} are shared"
+            f"separate control needs {extra} cells but only {reach[-1]} are shared"
         )
     # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
-    whole = int(np.searchsorted(reach, extra, side="right"))
-    for r in categories.own(np.flatnonzero(shared[:whole])):
-        row = categories.rows[r]
-        row[row == CAT_SHARED] = CAT_CONTROL
-    rest = extra - (int(reach[whole - 1]) if whole else 0)
+    whole = bisect.bisect_right(reach, extra)
+    for r in categories.own([s for s in range(whole) if shared[s]]):
+        categories.rows[r] = categories.rows[r].translate(_SHARED_TO_CONTROL)
+    rest = extra - (reach[whole - 1] if whole else 0)
     if rest:
         (r,) = categories.own((whole,))
-        flat = categories.rows[r].reshape(-1)
-        flat[np.flatnonzero(flat == CAT_SHARED)[:rest]] = CAT_CONTROL
+        row = categories.rows[r]
+        # The cells up to the rest-th shared one.
+        end = 1 + bisect.bisect_left(range(len(row)), rest, key=lambda i: row.count(CAT_SHARED, 0, i + 1))
+        row[:end] = row[:end].translate(_SHARED_TO_CONTROL)
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -367,23 +378,22 @@ def reserve_iot(
     slot_list = list(range(cfg.n_slots)) if slots is None else sorted(set(slots))
     check_slots(cfg, slot_list)
 
-    prbs = slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
+    prbs = range(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
+    window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT), prbs)
     categories = cmap.category_lattice.copy()
-    for slot, r in categories.first_slots(np.array(slot_list, dtype=np.intp)):
-        window = categories.rows[r][:, prbs]
-        bad = (window != CAT_NON_DL) & (window != CAT_SHARED)
-        if bad.any():
-            symbol, sc = np.argwhere(bad)[0]
-            raise ConflictError(
-                f"cell (slot {slot}, symbol {int(symbol)}, sc {p0 * SC_PER_PRB + int(sc)}) "
-                "is not in the shared pool"
-            )
+    for slot, r in categories.first_slots(slot_list):
+        cells = window.read(categories.rows[r])
+        if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
+            symbol, sc = window.cell(next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED)))
+            raise ConflictError(f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool")
     for r in categories.own(slot_list):
-        window = categories.rows[r][:, prbs]
-        window[window != CAT_NON_DL] = CAT_RESERVED
+        row = categories.rows[r]
+        for part, _ in window.parts:
+            row[part] = row[part].translate(_SHARED_TO_RESERVED)
     # Incumbent-labeled shared cells (LTE CRS, PDCCH) keep their label.
     labels = cmap.label_lattice.copy()
-    place_slots(labels, [(slot_list, (slice(None), prbs), ReLabel.RESERVED_IOT)], rate_match=True)
+    where = (slice(None), slice(prbs.start, prbs.stop))
+    place_slots(labels, [(slot_list, where, ReLabel.RESERVED_IOT)], rate_match=True)
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
@@ -404,41 +414,52 @@ def place_6g_ssb(
     labels = cmap.label_lattice.copy()
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
-        where = (slice(symbol, symbol + symbols), slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
-        if np.any(categories.row(slot)[where] != CAT_SHARED) or np.any(labels.row(slot)[where] != ReLabel.UNLABELED):
+        block = (range(symbol, symbol + symbols), range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
+        window = Window(cfg.n_subcarriers, *block)
+        cells = window.read(categories.row(slot))
+        if cells.translate(None, bytes((CAT_SHARED,))) or any_label(window.read(labels.row(slot))):
             raise PlacementError(
                 f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
                 "collides with a 5G footprint or leaves the shared pool"
             )
         (r,) = categories.own((slot,))
-        categories.rows[r][where] = CAT_RESERVED
+        window.fill(categories.rows[r], CAT_RESERVED)
+        where = tuple(slice(axis.start, axis.stop) for axis in block)
         place_slots(labels, [((slot,), where, ReLabel.SIXG_SSB)])
     return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
 
 
 def _grants(
-    pool: np.ndarray, d5: np.ndarray, d6: np.ndarray, policy: SchedPolicy
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-slot (5G, 6G) grants for arrays of slot pools and demands."""
+    pool: List[int], d5: List[int], d6: List[int], policy: SchedPolicy
+) -> Tuple[List[int], List[int]]:
+    """Per-slot (5G, 6G) grants for lists of slot pools and demands."""
     if policy is SchedPolicy.PRIORITY_5G:
-        g5 = np.minimum(d5, pool)
-        return g5, np.minimum(d6, pool - g5)
+        g5 = list(map(min, d5, pool))
+        return g5, [min(d, p - g) for d, p, g in zip(d6, pool, g5)]
     if policy is SchedPolicy.PRIORITY_6G:
-        g6 = np.minimum(d6, pool)
-        return np.minimum(d5, pool - g6), g6
+        g6 = list(map(min, d6, pool))
+        return [min(d, p - g) for d, p, g in zip(d5, pool, g6)], g6
     # ProportionalShare: an overloaded slot gives each RAT the floor of its
     # demand's share of the pool. The two remainders sum to less than 2, so at
     # most one cell is left over. It goes to the larger-demand RAT; ties favor
     # 5G. A leftover cell means both demands are positive, and then each share
     # is below its demand, so neither RAT is full yet.
-    total = d5 + d6
-    over = total > pool
-    divisor = np.where(over, total, 1)
-    g5 = np.where(over, pool * d5 // divisor, d5)
-    g6 = np.where(over, pool * d6 // divisor, d6)
-    left = over & (g5 + g6 < pool)
-    first_5g = d5 >= d6
-    return g5 + (left & first_5g).astype(g5.dtype), g6 + (left & ~first_5g).astype(g6.dtype)
+    g5, g6 = [], []
+    for p, a, b in zip(pool, d5, d6):
+        total = a + b
+        if total <= p:
+            g5.append(a)
+            g6.append(b)
+            continue
+        x, y = p * a // total, p * b // total
+        if x + y < p:
+            if a >= b:
+                x += 1
+            else:
+                y += 1
+        g5.append(x)
+        g6.append(y)
+    return g5, g6
 
 
 def simulate(
@@ -450,30 +471,24 @@ def simulate(
 
     Per slot: grants(5G) + grants(6G) + unused = shared cells available that
     slot; excess demand is dropped and reported. Deterministic given the
-    traffic seed.
+    traffic seed. Every count is a Python int, so no product overflows.
     """
-    pool = cmap.shared_cells_per_slot()
-    d5, d6 = traffic.demands(pool.size)
-    if pool.max() >= 2**16:
-        # pool x demand could leave int64 (demands reach 2**47): Python ints.
-        pool, d5, d6 = pool.astype(object), d5.astype(object), d6.astype(object)
-
+    pool = cmap.shared_cells_per_slot().tolist()
+    d5, d6 = (d.tolist() for d in traffic.demands(len(pool)))
     g5, g6 = _grants(pool, d5, d6, policy)
-    unused = pool - g5 - g6
-    total5 = int(g5.sum())
-    total6 = int(g6.sum())
-    pure5 = int(np.minimum(d5, pool).sum())
-    pure6 = int(np.minimum(d6, pool).sum())
+    unused = [p - a - b for p, a, b in zip(pool, g5, g6)]
+    total5, total6 = sum(g5), sum(g6)
+    pure5, pure6 = sum(map(min, d5, pool)), sum(map(min, d6, pool))
     return SimResult(
-        grants_5g=tuple(g5.tolist()),
-        grants_6g=tuple(g6.tolist()),
-        unused=tuple(unused.tolist()),
-        dropped_5g=tuple((d5 - g5).tolist()),
-        dropped_6g=tuple((d6 - g6).tolist()),
-        shared_pool_size=int(pool.sum()),
+        grants_5g=tuple(g5),
+        grants_6g=tuple(g6),
+        unused=tuple(unused),
+        dropped_5g=tuple(d - g for d, g in zip(d5, g5)),
+        dropped_6g=tuple(d - g for d, g in zip(d6, g6)),
+        shared_pool_size=sum(pool),
         total_5g=total5,
         total_6g=total6,
-        unused_shared=int(unused.sum()),
+        unused_shared=sum(unused),
         efficiency_vs_pure_5g=Fraction(total5, pure5) if pure5 else Fraction(1),
         efficiency_vs_pure_6g=Fraction(total6, pure6) if pure6 else Fraction(1),
     )
@@ -493,14 +508,15 @@ def neighbor_interference(
     """
     dmrs = default_dmrs_symbols(serving.crs_ports, layout.control_end, layout.dmrs_count)
     check_control_fits(layout.lte_pdcch, layout.nr_pdcch)
-    data_symbols = [[s >= layout.control_end and s not in dmrs] for s in range(SYMBOLS_PER_SLOT)]
-    pool = np.array(data_symbols) & (crs_mask(serving.crs_ports, serving.v_shift) == 0)
-    neighbor_crs = np.zeros((SYMBOLS_PER_SLOT, SC_PER_PRB), dtype=bool)
-    for n in neighbors:
-        neighbor_crs |= crs_mask(n.crs_ports, n.v_shift) != 0
+    # Cells of one PRB over one subframe, as symbol * 12 + subcarrier.
+    serving_crs = _crs_cells(serving)
+    pool = {i for i in range(SYMBOLS_PER_SLOT * SC_PER_PRB)
+            if i // SC_PER_PRB >= layout.control_end and i // SC_PER_PRB not in dmrs
+            and i not in serving_crs}
+    neighbor_crs = set().union(*map(_crs_cells, neighbors))
 
-    pool_n = int(np.count_nonzero(pool))
-    dirty = int(np.count_nonzero(pool & neighbor_crs))
+    pool_n = len(pool)
+    dirty = len(pool & neighbor_crs)
     if mitigation.kind == "ServingOnlyRateMatch":
         return InterferenceReport(pool_n, pool_n - dirty, 0, dirty)
     if mitigation.kind == "NeighborAwareRateMatch":
@@ -508,10 +524,16 @@ def neighbor_interference(
     if mitigation.kind == "SymbolLevelMute":
         # Broad avoidance: any symbol carrying any neighbor CRS is muted,
         # whether or not its cells collide with the serving pattern.
-        sacrificed = int(np.count_nonzero(pool & neighbor_crs.any(axis=1, keepdims=True)))
+        muted = {i // SC_PER_PRB for i in neighbor_crs}
+        sacrificed = sum(1 for i in pool if i // SC_PER_PRB in muted)
         return InterferenceReport(pool_n, pool_n - sacrificed, sacrificed, 0)
     # ReceiverCancellation: a deterministic count-level fraction of dirty
     # cells becomes clean (exact floor; effectiveness is read as its decimal
     # text), nothing is sacrificed.
     reclaimed = int(Fraction(str(mitigation.effectiveness)) * dirty)
     return InterferenceReport(pool_n, pool_n - dirty + reclaimed, 0, dirty - reclaimed)
+
+
+def _crs_cells(cell: LteCellConfig) -> frozenset:
+    """The cell's CRS cells in one PRB over one subframe, as symbol * 12 + subcarrier."""
+    return frozenset(i for i, port in enumerate(crs_mask(cell.crs_ports, cell.v_shift).tobytes()) if port)

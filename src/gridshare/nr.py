@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import ConfigError, PlacementError
 from .grid import (
     SC_PER_PRB,
@@ -18,6 +16,7 @@ from .grid import (
     Lattice,
     ReLabel,
     ResourceGrid,
+    Window,
     place_slots,
 )
 from .value import value
@@ -180,7 +179,7 @@ def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
     return ResourceGrid(grid.config, lattice)
 
 
-def place_nr(labels, carrier: CarrierConfig, overlay: NrOverlaySet) -> None:
+def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> None:
     """Place the overlay's footprints into disjoint downlink cells of a
     carrier's writable label lattice.
 
@@ -191,7 +190,7 @@ def place_nr(labels, carrier: CarrierConfig, overlay: NrOverlaySet) -> None:
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme.
     """
-    _place_plan(Lattice.of(labels), carrier, overlay, *_nr_plan(carrier, overlay))
+    _place_plan(labels, carrier, overlay, *_nr_plan(carrier, overlay))
 
 
 def _nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
@@ -260,7 +259,7 @@ def _place_plan(
     groups: Dict[tuple, List[int]] = {}
     for unit, slot in zip(units, carrier.dl_bearing_slots()):
         base = ctrl_symbols if slot in monitored_set else 0
-        key = (*unit, base, carrier.dl_symbols_in_slot(slot), int(lattice.slot_rows[slot]))
+        key = (*unit, base, carrier.dl_symbols_in_slot(slot), lattice.slot_rows[slot])
         groups.setdefault(key, []).append(slot)
     placements = []
     try:
@@ -275,8 +274,9 @@ def _place_plan(
                 if amount > (dl_syms - base) * SC_PER_PRB:
                     raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
                 where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-                pick = _first_free_per_prb(lattice.rows[r][where], amount, f"{name}: collision in slot {slot}")
-                footprint = np.where(pick, NR_LABELS[name], ReLabel.UNLABELED)
+                window = Window(carrier.n_subcarriers, range(base, dl_syms), range(prbs * SC_PER_PRB))
+                view = memoryview(window.read(lattice.rows[r])).cast("B", (dl_syms - base, prbs * SC_PER_PRB))
+                footprint = _first_free_per_prb(view, amount, f"{name}: collision in slot {slot}", NR_LABELS[name])
             placements.append((slots, where, footprint))
     except PlacementError:
         place_slots(lattice, placements)
@@ -284,14 +284,24 @@ def _place_plan(
     place_slots(lattice, placements)
 
 
-def _first_free_per_prb(view: np.ndarray, amount: int, what: str) -> np.ndarray:
-    """Mask of the first `amount` free cells of each PRB, in symbol-major order."""
+def _first_free_per_prb(view, amount: int, what: str, mark: int = 1) -> memoryview:
+    """`mark` on the first `amount` free cells of each PRB of a 2-D (symbol,
+    subcarrier) uint8 buffer, in symbol-major order, 0 elsewhere: a
+    read-only memoryview of the view's shape. PlacementError names the
+    first PRB with fewer free cells."""
+    view = memoryview(view)
     n_sym, n_sc = view.shape
-    by_prb = (view == ReLabel.UNLABELED).reshape(n_sym, -1, SC_PER_PRB).transpose(1, 0, 2)
-    free = by_prb.reshape(by_prb.shape[0], -1)
-    rank = np.cumsum(free, axis=1)
-    short = np.flatnonzero(rank[:, -1] < amount)
-    if short.size:
-        raise PlacementError(f"{what}, PRB {int(short[0])}")
-    pick = (free & (rank <= amount)).reshape(by_prb.shape)
-    return pick.transpose(1, 0, 2).reshape(n_sym, n_sc)
+    cells = view.tobytes()
+    pick = bytearray(len(cells))
+    for prb in range(0, n_sc, SC_PER_PRB):
+        need = amount
+        for start in range(prb, n_sym * n_sc, n_sc):
+            for i in range(start, start + SC_PER_PRB):
+                if need and not cells[i]:
+                    pick[i] = mark
+                    need -= 1
+            if not need:
+                break
+        if need:
+            raise PlacementError(f"{what}, PRB {prb // SC_PER_PRB}")
+    return memoryview(bytes(pick)).cast("B", (n_sym, n_sc))

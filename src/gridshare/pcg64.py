@@ -1,4 +1,4 @@
-"""The traffic stream: numpy's seeded bounded integers, without numpy.random.
+"""The traffic stream: numpy's seeded bounded integers, in Python ints.
 
 `Pcg64(seed).integers(lo, hi, n)` equals `numpy.random.default_rng(seed)
 .integers(lo, hi + 1, size=n, dtype=numpy.int64)`, and successive calls
@@ -6,17 +6,17 @@ continue one generator. Seeding is numpy's SeedSequence (a 4-word hashmix
 pool, `generate_state(4, uint64)`), the generator PCG64 XSL-RR 128/64, and a
 draw Lemire's bounded integer (ACM TOMACS 2019): on 32-bit halves, low half
 first and the high half kept for the next draw, up to hi - lo = 2**32 - 1
-(raw halves there); on whole 64-bit words above. Owning the stream keeps
-numpy.random (15-20 ms and ~5 MB to import) out of a request and pins the
-draws, which NEP 19 lets numpy change between releases.
+(raw halves there); on whole 64-bit words above. The state walk, the output
+rotation and the bounded draw all run on Python ints, so gridshare needs no
+numpy, and owning the stream pins the draws, which NEP 19 lets numpy change
+between releases.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 M32, M64, M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -61,39 +61,34 @@ class Pcg64:
         self.state, self.inc = _initial(seed)
         self.half: Optional[int] = None  # a word's high half, drawn next
 
-    def words(self, n: int) -> np.ndarray:
+    def words(self, n: int) -> List[int]:
         """The next n 64-bit outputs: each state's halves xor-ed, rotated right by its top 6 bits."""
-        state, inc, hi, lo = self.state, self.inc, [], []
+        state, inc, out = self.state, self.inc, []
         for _ in range(n):
             state = (state * MULT + inc) & M128
-            hi.append(state >> 64)
-            lo.append(state & M64)
+            hi = state >> 64
+            x, r = hi ^ state & M64, hi >> 58
+            out.append((x >> r | x << 64 - r) & M64)
         self.state = state
-        hi = np.array(hi, dtype=np.uint64)
-        x, r = hi ^ np.array(lo, dtype=np.uint64), hi >> 58
-        return x >> r | x << (64 - r & 63)
+        return out
 
-    def halves(self, n: int) -> np.ndarray:
-        """The next n 32-bit outputs (as uint64): each word's low half, then its high."""
-        held = np.array([] if self.half is None else [self.half], dtype=np.uint64)
-        words = self.words((n - held.size + 1) // 2)
-        out = np.concatenate([held, words.astype("<u8", copy=False).view("<u4")])
-        self.half = int(out[n]) if out.size > n else None
+    def halves(self, n: int) -> List[int]:
+        """The next n 32-bit outputs: each word's low half, then its high."""
+        out = [] if self.half is None else [self.half]
+        for word in self.words((n - len(out) + 1) // 2):
+            out += (word & M32, word >> 32)
+        self.half = out[n] if len(out) > n else None
         return out[:n]
 
-    def integers(self, lo: int, hi: int, n: int) -> np.ndarray:
-        """n uniform int64 values in [lo, hi], 0 <= lo <= hi < 2**63."""
-        span, need, out = hi - lo + 1, n, []
+    def integers(self, lo: int, hi: int, n: int) -> array:
+        """n uniform values in [lo, hi], 0 <= lo <= hi < 2**63, as an int64 array."""
+        span, out = hi - lo + 1, array("q")
         if span == 1 or n == 0:
-            return np.full(n, lo, dtype=np.int64)
+            return array("q", [lo]) * n
         bits = 32 if span <= 2**32 else 64
-        threshold = 2**bits % span
-        while need:  # a rejected value is replaced by the next one
-            if bits == 32:  # v * span < 2**64
-                m = self.halves(need) * np.uint64(span)
-                out.append(m[m & M32 >= threshold] >> 32)
-            else:  # the 128-bit products in Python ints
-                m = [w * span for w in self.words(need).tolist()]
-                out.append(np.array([v >> 64 for v in m if v & M64 >= threshold], dtype=np.uint64))
-            need -= out[-1].size
-        return (out[0] if len(out) == 1 else np.concatenate(out)).view(np.int64) + lo
+        threshold, low = 2**bits % span, 2**bits - 1
+        while len(out) < n:  # a rejected value is replaced by the next one
+            draws = self.halves if bits == 32 else self.words
+            products = [v * span for v in draws(n - len(out))]
+            out.extend([(m >> bits) + lo for m in products if m & low >= threshold])
+        return out

@@ -11,7 +11,7 @@ first free cells per PRB, the label -> category table) are gridshare's own.
 import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
-from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, ReLabel, SlotKind, _grid_cell
+from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, ReLabel, SlotKind
 from gridshare.lte import _subframe_templates
 from gridshare.mrss import (
     CAT_CONTROL,
@@ -24,6 +24,9 @@ from gridshare.mrss import (
     check_ssb_occasion,
 )
 from gridshare.nr import NR_LABELS, SIGNAL_CORESET1, _first_free_per_prb, _nr_plan
+
+# The label -> category table as an array.
+CATEGORY_OF_LABEL = np.frombuffer(_CATEGORY_OF_LABEL, dtype=np.uint8)
 
 
 def new_labels(config):
@@ -38,6 +41,13 @@ def new_labels(config):
                 arr[slot, dl : dl + guard, :] = ReLabel.GUARD_SYMBOL
                 arr[slot, dl + guard :, :] = ReLabel.UPLINK_SYMBOL
     return arr
+
+
+def _grid_cell(where, local):
+    """Grid index of a cell given as an index into the view arr[where]."""
+    rest = iter(local)
+    cell = [int(w) if not isinstance(w, slice) else (w.start or 0) + int(next(rest)) for w in where]
+    return tuple(cell) + tuple(int(i) for i in rest)
 
 
 def place(arr, where, footprint, rate_match=False):
@@ -109,7 +119,7 @@ def classify(labels, control_mode):
     """The category lattice: the table gathered slot by slot, then control growth."""
     categories = np.empty(labels.shape, dtype=np.uint8)
     for s in range(labels.shape[0]):
-        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
+        np.take(CATEGORY_OF_LABEL, labels[s], out=categories[s])
     grow = control_mode.footprint_factor - 1
     if grow:
         footprint = int(np.count_nonzero(categories == CAT_CONTROL))

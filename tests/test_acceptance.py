@@ -4,7 +4,6 @@ Each test prints exactly one PASS/FAIL line (bypassing capture) so the gate
 can be read at a glance from any pytest run.
 """
 
-import json
 import pathlib
 import random
 import sys
@@ -18,7 +17,6 @@ from gridshare import (
     SchedPolicy,
     TrafficModel,
     classify_mrss,
-    default_dmrs_symbols,
     dominance_share,
     dss_pool_by_grid,
     dss_pool_per_prb,
@@ -214,7 +212,7 @@ def test_8_partition_invariant():
             cmap = classify_mrss(grid, control_mode=mode) if mode else classify_mrss(grid)
             assert (cmap.shared_pool_size + cmap.reserved_size
                     + cmap.control_region_size == cmap.downlink_size)
-            non_dl = int((cmap.categories == CAT_NON_DL).sum())
+            non_dl = cmap.categories.tobytes().count(CAT_NON_DL)
             assert cmap.downlink_size + non_dl == grid.n_cells
         # Exhaustive cross-check at small scale: counting the dense category
         # array cell by cell gives each category's size, and the three cover
@@ -222,10 +220,10 @@ def test_8_partition_invariant():
         carrier = CarrierConfig(Numerology(15), n_prb=2, duplex="FDD", span_ms=2)
         cmap = classify_mrss(make_grid(carrier))
         cmap = reserve_iot(cmap, (0, 1), slots=[0])
-        cats = cmap.categories
+        cats = cmap.categories.tobytes()
         sizes = {CAT_SHARED: cmap.shared_pool_size, CAT_RESERVED: cmap.reserved_size,
                  CAT_CONTROL: cmap.control_region_size}
-        assert {cat: int((cats == cat).sum()) for cat in sizes} == sizes
+        assert {cat: cats.count(cat) for cat in sizes} == sizes
         assert sizes[CAT_RESERVED] > 0
         assert sum(sizes.values()) == cmap.downlink_size
 

@@ -56,6 +56,49 @@ def test_output_equals_the_golden_file(capsys, command, scenario, fmt):
     assert run(capsys, *argv) == golden(command, scenario, fmt)
 
 
+# Both demands ranged, one above 2**32 wide, and a sweep over two seeds.
+RANGED = {
+    "carrier": {"scs_khz": 15, "n_prb": 6, "duplex": "FDD", "span_ms": 10},
+    "traffic": {"demand_5g": [0, 900], "demand_6g": [100, 2**40], "seed": 11},
+    "policy": "ProportionalShare",
+    "sweep": {"command": "simulate",
+              "parameters": [{"path": "traffic.seed", "values": [1, 2**100]}]},
+}
+
+
+def test_every_command_runs_without_numpy(capsys, tmp_path):
+    """In a process where `import numpy` fails, every golden case prints its
+    golden output, and the ranged simulate/sweep case exits 0 with the output
+    it has in this process."""
+    ranged = tmp_path / "ranged.json"
+    ranged.write_text(json.dumps(RANGED))
+    cases = [[c, "-s", str(SCENARIOS / f"{s}.json"), "-f", f] for c, s, f in GOLDEN_CASES]
+    cases += [[c, "-s", str(ranged), "-f", f] for c in ("simulate", "sweep") for f in cli.FORMATS]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from gridshare import cli\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results.append([cli.main(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps([results, sorted(m for m in sys.modules if m.startswith('numpy'))]))\n"
+    )
+    src = pathlib.Path(gridshare.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(cases)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results, numpy_modules = json.loads(proc.stdout)
+    assert numpy_modules == ["numpy"]  # the blocked entry, nothing imported
+    for (c, s, f), got in zip(GOLDEN_CASES, results):
+        assert tuple(got) == golden(c, s, f), (c, s, f)
+    for argv, got in zip(cases[len(GOLDEN_CASES):], results[len(GOLDEN_CASES):]):
+        assert got[0] == 0, got[2]
+        assert tuple(got) == run(capsys, *argv), argv
+
+
 class TestBudgetCommand:
     def test_md_default(self, capsys, table1):
         code, out, err = run(capsys, "budget", "-s", table1)
@@ -418,7 +461,7 @@ class TestSweepMapCache:
         assert len(maps) == 18
         assert all(cmap is maps[0] for cmap in maps)
         for arr in (maps[0].categories, maps[0].labels, maps[0].grid.labels):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 arr[0, 0, 0] = 0
 
 
@@ -822,7 +865,7 @@ class TestBuildGridOneLattice:
         grid = build_grid(s)
         assert grid.config == s.carrier
         assert np.array_equal(grid.labels, expected.labels)
-        assert not grid.labels.flags.writeable
+        assert grid.labels.readonly
         labels = set(np.unique(grid.labels).tolist())
         assert {gridshare.ReLabel.NR_CSI_RS, gridshare.ReLabel.NR_TRS} <= labels
         if s.lte is not None:

@@ -157,9 +157,9 @@ def build_shared(carrier, lte, nr):
 
 
 def assert_stores_each_slot_once(lattice):
-    contents = {row.tobytes() for row in lattice.rows}
+    contents = {bytes(row) for row in lattice.rows}
     assert len(contents) == len(lattice.rows)
-    assert set(lattice.slot_rows.tolist()) == set(range(len(lattice.rows)))
+    assert set(lattice.slot_rows) == set(range(len(lattice.rows)))
 
 
 class _Pools:
@@ -242,8 +242,8 @@ class TestLattice:
     def test_write_over_shared_slots_copies_the_row(self):
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
         place_slots(lattice, [((1, 3), (0, slice(0, 2)), ReLabel.NR_SSB)])
-        assert lattice.slot_rows.tolist() == [0, 1, 0, 1]
-        assert not lattice.rows[0].any()
+        assert lattice.slot_rows == [0, 1, 0, 1]
+        assert not np.asarray(lattice.rows[0]).any()
         # Every slot of row 1 is written: in place, with no new row.
         place_slots(lattice, [((1, 3), (1, 0), ReLabel.NR_SSB)])
         assert len(lattice.rows) == 2
@@ -251,25 +251,27 @@ class TestLattice:
 
     def test_copies_share_rows_until_written(self):
         grid = make_grid(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=3))
-        before = grid.labels.copy()
+        before = np.array(grid.labels)
         copy = grid.lattice.copy()
         assert copy.rows[0] is grid.lattice.rows[0]
         place_slots(copy, [(range(3), (), ReLabel.NR_DATA)])
         assert copy.rows[0] is not grid.lattice.rows[0]
         assert np.array_equal(grid.labels, before)
-        assert (copy.gather() == ReLabel.NR_DATA).all()
+        assert (np.asarray(copy.gather()) == ReLabel.NR_DATA).all()
 
-    def test_dense_array_is_written_in_place(self):
+    def test_dense_array_is_copied_into_rows(self):
         arr = np.zeros((2, 14, 12), dtype=np.uint8)
-        place_slots(arr, [((1,), (0,), ReLabel.NR_SSB)])
-        assert arr[1, 0].tolist() == [ReLabel.NR_SSB] * 12
-        assert not arr[0].any()
-        assert Lattice.of(arr).rows[1].base is arr
+        lattice = Lattice.of(arr)
+        place_slots(lattice, [((1,), (0,), ReLabel.NR_SSB)])
+        dense = np.asarray(lattice.gather())
+        assert dense[1, 0].tolist() == [ReLabel.NR_SSB] * 12
+        assert not dense[0].any()
+        assert not arr.any()
 
     def test_conflict_names_the_lowest_slot_over_all_placements(self):
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=6))
         place_slots(lattice, [((2, 5), (3, 4), ReLabel.NR_SSB), ((4,), (0, 0), ReLabel.NR_TRS)])
-        before = lattice.gather().copy()
+        before = np.array(lattice.gather())
         with pytest.raises(GridShareError, match=r"cell \(2, 3, 4\): existing NR_SSB"):
             place_slots(lattice, [((4, 5), (), ReLabel.NR_DATA), ((0, 2), (), ReLabel.NR_DATA)])
         assert np.array_equal(lattice.gather(), before)

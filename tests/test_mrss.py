@@ -37,8 +37,9 @@ from gridshare import (
     reserve_iot,
     simulate,
 )
+import dense_reference as ref
+from gridshare import mrss
 from gridshare.mrss import (
-    _CATEGORY_OF_LABEL,
     _NON_DL_LABELS,
     CAT_CONTROL,
     CAT_NON_DL,
@@ -135,7 +136,7 @@ class TestClassify:
     def test_separate_exhausting_shared_pool(self):
         carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=1)
         grid = make_grid(carrier)
-        arr = grid.labels.copy()
+        arr = np.array(grid.labels)
         from gridshare import ReLabel, ResourceGrid
 
         arr[:, :13, :] = ReLabel.NR_PDCCH_CORESET1
@@ -507,15 +508,24 @@ class TestVectorizedScheduler:
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
         cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)])
-        for arr in (cmap.categories, cmap.labels, cmap.shared_cells_per_slot()):
-            with pytest.raises(ValueError):
+        for arr in (cmap.categories, cmap.labels):
+            with pytest.raises(TypeError):
                 arr[0] = 0
+        # The pool is a fresh copy: writing it leaves the map's counts as they are.
+        pool = cmap.shared_cells_per_slot()
+        before = pool[0]
+        pool[0] = 0
+        assert cmap.shared_cells_per_slot()[0] == before > 0
 
-    def test_pool_counted_once(self):
+    def test_pool_counted_once(self, monkeypatch):
         cmap = fdd_map(n_prb=2, span_ms=3)
-        assert cmap.shared_cells_per_slot() is cmap.shared_cells_per_slot()
+        counted = []
+        count = mrss._counts_per_row
+        monkeypatch.setattr(mrss, "_counts_per_row", lambda lattice: counted.append(1) or count(lattice))
+        assert cmap.shared_cells_per_slot() is not cmap.shared_cells_per_slot()
         assert cmap.shared_cells_per_slot().tolist() == [336, 336, 336]
         assert cmap.shared_pool_size == 1008
+        assert counted == [1]
 
 
 class TestTrafficBounds:
@@ -536,7 +546,7 @@ class TestTrafficBounds:
 def _reference_classify(grid, control_mode):
     """The three-pass partition `classify_mrss` gathers from one table, kept as
     its reference: (categories, shared cells per slot)."""
-    labels = grid.labels
+    labels = np.asarray(grid.labels)
     categories = np.full(labels.shape, CAT_SHARED, dtype=np.uint8)
     non_dl = np.isin(labels, [int(l) for l in _NON_DL_LABELS])
     categories[non_dl] = CAT_NON_DL
@@ -627,7 +637,7 @@ class TestClassifyReference:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * cmap.labels.nbytes
-        cats = cmap.categories
+        cats = np.asarray(cmap.categories)
         assert sizes == (
             np.count_nonzero(cats == CAT_RESERVED),
             np.count_nonzero(cats == CAT_CONTROL),
@@ -647,9 +657,10 @@ class TestTrafficSeed:
 def _gathered_reference(labels, control_mode):
     """The category lattice as `classify_mrss` stored it for every map: the
     label -> category table gathered slot by slot, then control growth."""
+    labels = np.asarray(labels)
     categories = np.empty(labels.shape, dtype=np.uint8)
     for s in range(labels.shape[0]):
-        np.take(_CATEGORY_OF_LABEL, labels[s], out=categories[s])
+        np.take(ref.CATEGORY_OF_LABEL, labels[s], out=categories[s])
     footprint = int(np.count_nonzero(categories == CAT_CONTROL))
     extra = int(footprint * (control_mode.footprint_factor - 1))
     if extra > 0:
@@ -673,12 +684,12 @@ def assert_map_matches(cmap, reference):
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), reference.size - int(per_slot[CAT_NON_DL].sum()))
     assert np.array_equal(cmap.categories, reference)
-    assert not cmap.categories.flags.writeable
+    assert cmap.categories.readonly
 
 
 # UNLABELED and the LTE labels: a slot of these alone is decided by one `max`.
 LTE_ONLY_LABELS = [int(l) for l in ReLabel if l is ReLabel.UNLABELED or l.name.startswith("LTE_")]
-SHARED_LABELS = np.flatnonzero(_CATEGORY_OF_LABEL == CAT_SHARED).tolist()
+SHARED_LABELS = np.flatnonzero(ref.CATEGORY_OF_LABEL == CAT_SHARED).tolist()
 
 
 @st.composite
@@ -764,7 +775,7 @@ class TestMapsWithoutStoredCategories:
         if ssb is not None:
             (slot, symbol, prb), prbs, symbols = ssb
             where = (slot, slice(symbol, symbol + symbols), slice(prb * 12, (prb + prbs) * 12))
-            if np.any(reference[where] != CAT_SHARED) or np.any(cmap.labels[where]):
+            if np.any(reference[where] != CAT_SHARED) or np.any(np.asarray(cmap.labels)[where]):
                 with pytest.raises(PlacementError, match="is not hidden"):
                     place_6g_ssb(cmap, [(slot, symbol, prb)], prbs=prbs, symbols=symbols)
                 return
@@ -797,9 +808,9 @@ class TestMapsWithoutStoredCategories:
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
         cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(Numerology(15), n_prb=25,
                                                                span_ms=2)), LteCellConfig()))
-        before = cmap.categories.copy()
+        before = np.array(cmap.categories)
         out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)
         assert np.array_equal(cmap.categories, before)
         assert cmap.reserved_size == 0
         assert out.reserved_size == 2 * 14 * 24 + 2 * 4 * 12
-        assert np.count_nonzero(out.labels == ReLabel.SIXG_SSB) == 2 * 4 * 12
+        assert np.count_nonzero(np.asarray(out.labels) == ReLabel.SIXG_SSB) == 2 * 4 * 12

@@ -1,9 +1,11 @@
-"""gridshare's own traffic stream, pinned to numpy's draws.
+"""gridshare's own traffic stream, pinned to numpy's draws, and a
+gridshare without numpy.
 
 `TrafficModel.demands` draws from `gridshare.pcg64.Pcg64`, not from
 `numpy.random`. The property below holds it to
-`numpy.random.default_rng(seed).integers` (which only this test imports),
-and the guards keep `numpy.random` and what it pulls in out of `src/`.
+`numpy.random.default_rng(seed).integers` (which only the tests import),
+and the guards keep numpy out of `src/`: no module there imports it, and
+every command runs, output for output, in a process that cannot import it.
 """
 
 import ast
@@ -62,7 +64,7 @@ def test_demands_equal_numpy_default_rng(d5, d6, seed, n_slots):
     traffic = TrafficModel(d5, d6, seed)
     ours = traffic.demands(n_slots)
     for got, want in zip(ours, numpy_demands(traffic, n_slots)):
-        assert got.dtype == np.int64
+        assert got.typecode == "q"  # int64
         assert got.tolist() == want.tolist()
 
 
@@ -78,15 +80,15 @@ def test_demands_are_pinned_whatever_numpy_does():
 
 
 def numpy_random_references(tree: ast.AST):
-    """The places a module names numpy.random, np.random or default_rng."""
+    """The places a module imports numpy (or any of its modules), or names
+    numpy.random, np.random or default_rng."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [a.name for a in node.names if a.name.startswith("numpy.random")]
+            names = [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            names = [module] if module.startswith("numpy.random") else [
-                a.name for a in node.names
-                if (module == "numpy" and a.name == "random") or a.name == "default_rng"]
+            names = [module] if module.split(".")[0] == "numpy" else [
+                a.name for a in node.names if a.name == "default_rng"]
         elif isinstance(node, ast.Attribute):
             numpy_attr = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
             names = [node.attr] if (numpy_attr and node.attr == "random") or (
@@ -99,7 +101,7 @@ def numpy_random_references(tree: ast.AST):
             yield node.lineno, name
 
 
-def test_no_numpy_random_in_src():
+def test_no_numpy_in_src():
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in numpy_random_references(ast.parse(path.read_text()))]
     assert found == []
@@ -110,6 +112,14 @@ def test_reference_finder_sees_each_form():
             "np.random.default_rng(1)\nnumpy.random\ndefault_rng(2)\n")
     assert sorted(line for line, _ in numpy_random_references(ast.parse(code))) == [
         1, 2, 3, 4, 4, 5, 6]
+
+
+def test_reference_finder_sees_each_numpy_import():
+    code = ("import numpy\nimport numpy as np\nimport os, numpy.linalg\nfrom numpy import uint8\n"
+            "from numpy.lib import stride_tricks\nimport numpyish\nfrom . import numpy_like\n"
+            "def f():\n    import numpy\n")
+    assert sorted(line for line, _ in numpy_random_references(ast.parse(code))) == [
+        1, 2, 3, 4, 5, 9]
 
 
 def test_simulate_and_sweep_leave_numpy_random_unimported(tmp_path):

@@ -227,14 +227,16 @@ class Lattice:
 
     def slot_set(self, slots: Sequence[int]) -> List[int]:
         """The named slots, sorted and distinct; IndexError for one out of range."""
-        every = range(len(self.slot_rows))
-        return sorted({every[s] for s in slots})
+        named = sorted(set(slots))
+        if named and not 0 <= named[0] <= named[-1] < len(self.slot_rows):
+            bad = named[0] if named[0] < 0 else named[-1]
+            raise IndexError(f"slot {bad} out of range for {len(self.slot_rows)} slots")
+        return named
 
     def first_slots(self, slots: Sequence[int]) -> List[Tuple[int, int]]:
         """(first slot, row) for each row the sorted slots hold, by first slot."""
-        first: Dict[int, int] = {}
-        for s in slots:
-            first.setdefault(self.slot_rows[s], s)
+        backwards = slots[::-1]  # a later (smaller) slot overwrites a larger one
+        first = dict(zip(map(self.slot_rows.__getitem__, backwards), backwards))
         return sorted((s, r) for r, s in first.items())
 
     def multiplicity(self, slots: slice = slice(None)) -> List[int]:
@@ -259,17 +261,18 @@ class Lattice:
         for a write to fill in place. A held row that also serves a slot
         outside `slots` is copied for them; a read-only one is replaced by
         its copy. No row is left without a slot."""
-        held: Dict[int, List[int]] = {}
-        for s in self.slot_set(slots):
-            held.setdefault(self.slot_rows[s], []).append(s)
-        total = self.multiplicity()
+        named = self.slot_set(slots)
+        held = list(map(self.slot_rows.__getitem__, named))
+        mine, total = Counter(held), self.multiplicity()
         out = []
-        for r in sorted(held):
-            if len(held[r]) < total[r]:
-                for s in held[r]:
-                    self.slot_rows[s] = len(self.rows)
+        for r in sorted(mine):
+            if mine[r] < total[r]:
+                new = len(self.rows)
+                for s, q in zip(named, held):
+                    if q == r:
+                        self.slot_rows[s] = new
                 self.rows.append(bytearray(self.rows[r]))
-                r = len(self.rows) - 1
+                r = new
             elif isinstance(self.rows[r], bytes):
                 self.rows[r] = bytearray(self.rows[r])
             out.append(r)

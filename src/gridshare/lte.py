@@ -206,11 +206,10 @@ def place_lte(
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
-    # Subframes by template: normal, MBSFN, 0 and 5 mod 10.
-    subframes: Tuple[list, ...] = ([], [], [], [])
-    for sf in range(carrier.n_slots):
-        kind = 1 if sf in cfg.mbsfn_subframes else 2 if sf % 10 == 0 else 3 if sf % 10 == 5 else 0
-        subframes[kind].append(sf)
+    every, mbsfn_sf = range(carrier.n_slots), cfg.mbsfn_subframes
     place_slots(labels, [
-        (slots, (), template) for slots, template in zip(subframes, (normal, mbsfn, sf0, sf5))
+        ([sf for sf in every if sf % 5 and sf not in mbsfn_sf], (), normal),
+        ([sf for sf in every if sf in mbsfn_sf], (), mbsfn),
+        ([sf for sf in every[0::10] if sf not in mbsfn_sf], (), sf0),
+        ([sf for sf in every[5::10] if sf not in mbsfn_sf], (), sf5),
     ])

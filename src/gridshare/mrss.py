@@ -234,32 +234,36 @@ class MrssCategoryMap:
 
     @property
     def shared_pool_size(self) -> int:
-        return sum(self._cells_per_slot[CAT_SHARED])
+        return self._size(CAT_SHARED)
 
     @property
     def reserved_size(self) -> int:
-        return sum(self._cells_per_slot[CAT_RESERVED])
+        return self._size(CAT_RESERVED)
 
     @property
     def control_region_size(self) -> int:
-        return sum(self._cells_per_slot[CAT_CONTROL])
+        return self._size(CAT_CONTROL)
 
     @property
     def downlink_size(self) -> int:
-        return self.grid.n_cells - sum(self._cells_per_slot[CAT_NON_DL])
+        return self.grid.n_cells - self._size(CAT_NON_DL)
 
     @cached_property
-    def _cells_per_slot(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per category code, the cells of each slot, counted once per
-        distinct category row."""
+    def _row_counts(self) -> Tuple[List[Tuple[int, int, int, int]], List[int]]:
+        """Per distinct category row, its cells of each category code and the
+        number of slots it serves: the map's one count."""
         lattice = self.category_lattice
-        per_row = _counts_per_row(lattice)
-        return tuple(tuple(per_row[r][code] for r in lattice.slot_rows) for code in range(4))
+        return _counts_per_row(lattice), lattice.multiplicity()
+
+    def _size(self, code: int) -> int:
+        per_row, slots = self._row_counts
+        return sum(n[code] * m for n, m in zip(per_row, slots))
 
     def shared_cells_per_slot(self) -> array:
         """Shared-pool cells of each slot, a fresh int64 array of the counts
         taken once per map."""
-        return array("q", self._cells_per_slot[CAT_SHARED])
+        shared = [n[CAT_SHARED] for n in self._row_counts[0]]
+        return array("q", map(shared.__getitem__, self.category_lattice.slot_rows))
 
 @value
 class SimResult:

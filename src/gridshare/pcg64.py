@@ -64,11 +64,12 @@ class Pcg64:
     def words(self, n: int) -> List[int]:
         """The next n 64-bit outputs: each state's halves xor-ed, rotated right by its top 6 bits."""
         state, inc, out = self.state, self.inc, []
+        append, mult, m64, m128 = out.append, MULT, M64, M128  # locals: the loop is hot
         for _ in range(n):
-            state = (state * MULT + inc) & M128
+            state = (state * mult + inc) & m128
             hi = state >> 64
-            x, r = hi ^ state & M64, hi >> 58
-            out.append((x >> r | x << 64 - r) & M64)
+            x, r = hi ^ state & m64, hi >> 58
+            append((x >> r | x << 64 - r) & m64)
         self.state = state
         return out
 
@@ -89,6 +90,5 @@ class Pcg64:
         threshold, low = 2**bits % span, 2**bits - 1
         while len(out) < n:  # a rejected value is replaced by the next one
             draws = self.halves if bits == 32 else self.words
-            products = [v * span for v in draws(n - len(out))]
-            out.extend([(m >> bits) + lo for m in products if m & low >= threshold])
+            out.extend([(m >> bits) + lo for v in draws(n - len(out)) if (m := v * span) & low >= threshold])
         return out

@@ -497,9 +497,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def run() -> None:
     """Process entry of the `gridshare` script and `python -m gridshare.cli`.
 
-    Moves the objects import left behind (numpy and gridshare, ~23k) into
-    the collector's permanent generation, so the collections of this
-    one-shot process, the one at shutdown included, no longer walk them.
+    Moves the objects start-up and import left behind (the interpreter's
+    and gridshare's, ~13.5k) into the collector's permanent generation, so
+    the collections of this one-shot process, the one at shutdown included,
+    no longer walk them.
     `main` leaves the collector alone: library callers and tests call it
     in-process.
     """

@@ -178,7 +178,7 @@ class Lattice:
     symbol-major order, and `slot_rows[s]` is the row of slot s. A row is a
     `bytearray` while this lattice alone may write it and `bytes` once it is
     read-only. `Lattice.of` takes a dense (n_slots, 14, n_sc) uint8 buffer,
-    a numpy array say, and copies each distinct slot of it into a row.
+    a numpy array say, and copies each slot of it into a row of its own.
 
     A write names its slots and first takes rows of their own for them
     (`own`); a row that also serves another slot, or that is read-only, is
@@ -202,16 +202,14 @@ class Lattice:
         if isinstance(labels, Lattice):
             return labels
         dense = memoryview(labels)
-        if dense.ndim != 3 or dense.format != "B" or not dense.c_contiguous:
+        if dense.ndim != 3 or dense.format != "B" or not dense.c_contiguous or not dense.nbytes:
             raise ConfigError(
-                f"a dense label lattice is a C-contiguous uint8 buffer shaped (n_slots, 14, n_sc), "
-                f"got shape {dense.shape} of format {dense.format!r}"
+                f"a dense label lattice is a non-empty C-contiguous uint8 buffer shaped "
+                f"(n_slots, 14, n_sc), got shape {dense.shape} of format {dense.format!r}"
             )
-        flat, size = dense.cast("B"), dense.nbytes // max(len(dense), 1)
-        rows: Dict[bytes, int] = {}
-        index = [rows.setdefault(flat[i : i + size].tobytes(), len(rows))
-                 for i in range(0, len(flat), size)]
-        return cls(list(rows), index)
+        flat, size = dense.cast("B"), dense.nbytes // len(dense)
+        rows = [flat[i : i + size].tobytes() for i in range(0, len(flat), size)]
+        return cls(rows, list(range(len(rows))))
 
     @property
     def n_sc(self) -> int:
@@ -245,8 +243,8 @@ class Lattice:
         return [counts[r] for r in range(len(self.rows))]
 
     def map(self, table: bytes) -> "Lattice":
-        """A new lattice of the same slots: each row translated by `table`
-        (one byte per label, up to 256), with the index shared until written."""
+        """A new lattice of the same slots, each row translated by `table`
+        (one byte per label, up to 256)."""
         table = bytes(table).ljust(256, b"\0")
         return Lattice([row.translate(table) for row in self.rows], list(self.slot_rows))
 
@@ -372,16 +370,14 @@ class Window:
 
     def __init__(self, n_sc: int, symbols: range, subcarriers: range):
         self.symbols, self.subcarriers = symbols, subcarriers
-        width, first, last, step = len(subcarriers), subcarriers.start, subcarriers.stop, subcarriers.step
-        self.parts = [(slice(s * n_sc + first, s * n_sc + last, step), slice(i * width, (i + 1) * width))
-                      for i, s in enumerate(symbols)]
+        width, first, last, step = (len(subcarriers), subcarriers.start, subcarriers.stop,
+                                    subcarriers.step)
+        self.parts = [(slice(s * n_sc + first, s * n_sc + last, step),
+                       slice(i * width, (i + 1) * width)) for i, s in enumerate(symbols)]
         self.whole = None
         if step == 1 and symbols.step == 1 and (width == n_sc or len(symbols) == 1):
             start = symbols.start * n_sc + first
             self.whole = slice(start, start + len(symbols) * width)
-
-    def __len__(self) -> int:
-        return len(self.symbols) * len(self.subcarriers)
 
     def read(self, row) -> bytes:
         """The block's labels, symbol-major."""

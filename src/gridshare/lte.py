@@ -164,7 +164,8 @@ def _subframe_templates(
     _fill(normal, n_sc, range(cfg.pdcch_symbols), every, ReLabel.LTE_PDCCH)
 
     region = cfg.non_mbsfn_region_len
-    mbsfn = bytearray(crs[: region * n_sc]) + bytes((ReLabel.LTE_MBSFN_MUTED,)) * ((SYMBOLS_PER_SLOT - region) * n_sc)
+    muted = bytes((ReLabel.LTE_MBSFN_MUTED,)) * ((SYMBOLS_PER_SLOT - region) * n_sc)
+    mbsfn = bytearray(crs[: region * n_sc]) + muted
     _fill(mbsfn, n_sc, range(region), every, ReLabel.LTE_PDCCH)
 
     templates = [normal, mbsfn, normal, normal]

@@ -339,7 +339,8 @@ def _grow_control(categories: Lattice, shared: List[int], extra: int) -> None:
         (r,) = categories.own((whole,))
         row = categories.rows[r]
         # The cells up to the rest-th shared one.
-        end = 1 + bisect.bisect_left(range(len(row)), rest, key=lambda i: row.count(CAT_SHARED, 0, i + 1))
+        end = 1 + bisect.bisect_left(range(len(row)), rest,
+                                     key=lambda i: row.count(CAT_SHARED, 0, i + 1))
         row[:end] = row[:end].translate(_SHARED_TO_CONTROL)
 
 
@@ -388,8 +389,11 @@ def reserve_iot(
     for slot, r in categories.first_slots(slot_list):
         cells = window.read(categories.rows[r])
         if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
-            symbol, sc = window.cell(next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED)))
-            raise ConflictError(f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool")
+            bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
+            symbol, sc = window.cell(bad)
+            raise ConflictError(
+                f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool"
+            )
     for r in categories.own(slot_list):
         row = categories.rows[r]
         for part, _ in window.parts:
@@ -540,4 +544,5 @@ def neighbor_interference(
 
 def _crs_cells(cell: LteCellConfig) -> frozenset:
     """The cell's CRS cells in one PRB over one subframe, as symbol * 12 + subcarrier."""
-    return frozenset(i for i, port in enumerate(crs_mask(cell.crs_ports, cell.v_shift).tobytes()) if port)
+    mask = crs_mask(cell.crs_ports, cell.v_shift).tobytes()
+    return frozenset(i for i, port in enumerate(mask) if port)

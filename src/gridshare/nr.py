@@ -275,8 +275,10 @@ def _place_plan(
                     raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
                 where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
                 window = Window(carrier.n_subcarriers, range(base, dl_syms), range(prbs * SC_PER_PRB))
-                view = memoryview(window.read(lattice.rows[r])).cast("B", (dl_syms - base, prbs * SC_PER_PRB))
-                footprint = _first_free_per_prb(view, amount, f"{name}: collision in slot {slot}", NR_LABELS[name])
+                view = memoryview(window.read(lattice.rows[r])).cast(
+                    "B", (dl_syms - base, prbs * SC_PER_PRB))
+                footprint = _first_free_per_prb(
+                    view, amount, f"{name}: collision in slot {slot}", NR_LABELS[name])
             placements.append((slots, where, footprint))
     except PlacementError:
         place_slots(lattice, placements)

@@ -90,5 +90,6 @@ class Pcg64:
         threshold, low = 2**bits % span, 2**bits - 1
         while len(out) < n:  # a rejected value is replaced by the next one
             draws = self.halves if bits == 32 else self.words
-            out.extend([(m >> bits) + lo for v in draws(n - len(out)) if (m := v * span) & low >= threshold])
+            out.extend([(m >> bits) + lo for v in draws(n - len(out))
+                        if (m := v * span) & low >= threshold])
         return out

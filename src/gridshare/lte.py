@@ -111,7 +111,8 @@ def crs_mask(crs_ports: int, v_shift: int = 0) -> memoryview:
 @lru_cache(maxsize=None)
 def crs_re_per_symbol(crs_ports: int) -> Tuple[int, ...]:
     """CRS cells per PRB on each subframe symbol (independent of v_shift)."""
-    return tuple(SC_PER_PRB - row.count(0) for row in _symbols(crs_mask(crs_ports).tobytes(), SC_PER_PRB))
+    mask = crs_mask(crs_ports).tobytes()
+    return tuple(SC_PER_PRB - row.count(0) for row in _symbols(mask, SC_PER_PRB))
 
 
 def _symbols(row: bytes, n_sc: int) -> Tuple[bytes, ...]:
@@ -131,7 +132,8 @@ def crs_cells(cfg: LteCellConfig, n_prb: int) -> Set[Tuple[int, int, int]]:
     """
     mask = crs_mask(cfg.crs_ports, cfg.v_shift).tobytes()
     return {(s, m * SC_PER_PRB + k, port - 1)
-            for s, row in enumerate(_symbols(mask, SC_PER_PRB)) for k, port in enumerate(row) if port
+            for s, row in enumerate(_symbols(mask, SC_PER_PRB))
+            for k, port in enumerate(row) if port
             for m in range(n_prb)}
 
 

@@ -6,7 +6,6 @@ from .budget import (
     OverheadReport,
     OverheadRow,
     default_dmrs_symbols,
-    dominance_share,
     downlink_re,
     dss_pool_by_grid,
     dss_pool_per_prb,
@@ -32,7 +31,7 @@ from .grid import (
     count_labels,
     make_grid,
 )
-from .lte import LteCellConfig, apply_lte, crs_cells
+from .lte import LteCellConfig, apply_lte
 from .mrss import (
     ControlMode,
     ControlModeKind,

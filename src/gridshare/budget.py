@@ -11,8 +11,7 @@ and for the pure LTE and pure NR slots that `dss_table` compares it with.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigError, GridShareError
 from .grid import (
@@ -28,7 +27,7 @@ from .grid import (
 )
 from .lte import LteCellConfig, crs_bearing_symbols, crs_re_per_symbol, place_lte
 from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, place_nr
-from .rounding import pct, round_half_up
+from .rounding import pct
 from .value import value
 
 
@@ -144,15 +143,6 @@ def check_control_fits(lte_pdcch: int, nr_pdcch: int) -> None:
         )
 
 
-def dss_control_rows(pdcch_symbols: Iterable[int], dmrs_symbols: Iterable[int]) -> memoryview:
-    """14x1 footprint of NR control and DMRS symbols, rate-matched around CRS on placement."""
-    rows = bytearray(SYMBOLS_PER_SLOT)
-    for symbols, label in ((pdcch_symbols, ReLabel.NR_PDCCH_CORESET1), (dmrs_symbols, ReLabel.NR_DMRS)):
-        for s in symbols:
-            rows[s] = label
-    return memoryview(bytes(rows)).cast("B", (SYMBOLS_PER_SLOT, 1))
-
-
 def dss_pool_by_grid(
     crs_ports: int,
     lte_pdcch: int,
@@ -182,8 +172,10 @@ def dss_pool_by_grid(
     if crs_ports > 0:
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
         place_lte(labels, carrier, cfg, include_sync=False)
-    rows = dss_control_rows(range(lte_pdcch, control_end), dmrs_symbols)
-    place_slots(labels, [((0,), (), rows)], rate_match=True)
+    # NR control, then each DMRS symbol, rate-matched around CRS.
+    blocks = [(slice(lte_pdcch, control_end), ReLabel.NR_PDCCH_CORESET1)]
+    for symbols, label in blocks + [(s, ReLabel.NR_DMRS) for s in dmrs_symbols]:
+        place_slots(labels, [((0,), (symbols,), label)], rate_match=True)
     counts = count_labels(ResourceGrid(carrier, labels))
     return counts.get(ReLabel.UNLABELED, 0) // n_prb
 
@@ -314,15 +306,3 @@ def verify_overhead_by_grid(carrier: CarrierConfig, overlay: NrOverlaySet) -> Di
     place_nr(labels, carrier, overlay)
     counts = count_labels(ResourceGrid(carrier, labels))
     return {name: counts.get(label, 0) for name, label in NR_LABELS.items()}
-
-
-def dominance_share(report: OverheadReport, signal_name: str) -> float:
-    """One signal's share of the total overhead, percent at 1 dp."""
-    for row in report.rows:
-        if row.signal_name == signal_name:
-            if report.total_row.re_count == 0:
-                return 0.0
-            return round_half_up(
-                Fraction(100 * row.re_count, report.total_row.re_count), 1
-            )
-    raise ConfigError(f"unknown signal name {signal_name!r}")

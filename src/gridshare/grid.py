@@ -177,8 +177,8 @@ class Lattice:
     `rows` holds the distinct slot contents, each 14 x n_sc labels in
     symbol-major order, and `slot_rows[s]` is the row of slot s. A row is a
     `bytearray` while this lattice alone may write it and `bytes` once it is
-    read-only. `Lattice.of` takes a dense (n_slots, 14, n_sc) uint8 buffer,
-    a numpy array say, and copies each slot of it into a row of its own.
+    read-only. Two lattices are equal when every slot holds the same labels,
+    however their rows are shared.
 
     A write names its slots and first takes rows of their own for them
     (`own`); a row that also serves another slot, or that is read-only, is
@@ -189,27 +189,22 @@ class Lattice:
     takes no further write.
     """
 
-    __slots__ = ("rows", "slot_rows", "_dense")
+    __slots__ = ("rows", "slot_rows")
 
     def __init__(self, rows: List[bytearray], slot_rows: List[int]):
         self.rows = rows
         self.slot_rows = slot_rows
-        self._dense: Optional[memoryview] = None
 
-    @classmethod
-    def of(cls, labels) -> "Lattice":
-        """`labels` if it is a lattice, else the lattice of a dense buffer's slots."""
-        if isinstance(labels, Lattice):
-            return labels
-        dense = memoryview(labels)
-        if dense.ndim != 3 or dense.format != "B" or not dense.c_contiguous or not dense.nbytes:
-            raise ConfigError(
-                f"a dense label lattice is a non-empty C-contiguous uint8 buffer shaped "
-                f"(n_slots, 14, n_sc), got shape {dense.shape} of format {dense.format!r}"
-            )
-        flat, size = dense.cast("B"), dense.nbytes // len(dense)
-        rows = [flat[i : i + size].tobytes() for i in range(0, len(flat), size)]
-        return cls(rows, list(range(len(rows))))
+    def _slots(self) -> tuple:
+        return tuple(map(self.rows.__getitem__, self.slot_rows))
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self._slots() == other._slots()
+
+    def __hash__(self):
+        return hash(self._slots())
 
     @property
     def n_sc(self) -> int:
@@ -274,7 +269,6 @@ class Lattice:
             elif isinstance(self.rows[r], bytes):
                 self.rows[r] = bytearray(self.rows[r])
             out.append(r)
-        self._dense = None
         return out
 
     def freeze(self) -> "Lattice":
@@ -289,42 +283,25 @@ class Lattice:
         self.rows, self.slot_rows = tuple(kept), tuple(self.slot_rows)
         return self
 
-    def gather(self) -> memoryview:
-        """The dense lattice, a read-only memoryview shaped (n_slots, 14, n_sc);
-        a frozen lattice keeps it."""
-        if self._dense is not None:
-            return self._dense
-        dense = memoryview(b"".join([self.rows[r] for r in self.slot_rows])).cast("B", self.shape)
-        if isinstance(self.rows, tuple):
-            self._dense = dense
-        return dense
 
-
-@value(no_repr=("labels",))
+@value(no_repr=("lattice",))
 class ResourceGrid:
     """Read-only label lattice indexed (slot, symbol, subcarrier).
 
-    Built from a `Lattice` or a dense buffer and stored as a frozen
-    `lattice`; reading `labels` gathers the dense memoryview once.
+    `lattice` is a `Lattice` of the carrier's shape, which the constructor
+    freezes; anything else is a ConfigError.
     """
 
     config: CarrierConfig
-    labels: memoryview
+    lattice: Lattice
 
     def __post_init__(self):
+        if not isinstance(self.lattice, Lattice):
+            raise ConfigError(f"a grid's labels are a Lattice, got {type(self.lattice).__name__}")
         expected = (self.config.n_slots, SYMBOLS_PER_SLOT, self.config.n_subcarriers)
-        lattice = Lattice.of(self.__dict__["labels"])
-        if lattice.shape != expected:
-            raise ConfigError(f"label lattice shape {lattice.shape} != {expected}")
-        self.__dict__["labels"] = lattice.freeze()
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.__dict__["labels"]
-
-    @property
-    def labels(self) -> memoryview:
-        return self.lattice.gather()
+        if self.lattice.shape != expected:
+            raise ConfigError(f"label lattice shape {self.lattice.shape} != {expected}")
+        self.lattice.freeze()
 
     @property
     def n_cells(self) -> int:
@@ -421,22 +398,9 @@ def _view(where: Tuple, n_sc: int) -> Tuple[Window, Tuple[int, ...]]:
     return Window(n_sc, *axes), shape
 
 
-def _array(footprint) -> Tuple[object, Tuple[int, ...]]:
-    """(nested lists of ints, shape) of a buffer or of nested lists."""
-    try:
-        view = memoryview(footprint)
-    except TypeError:
-        shape, inner = [], footprint
-        while isinstance(inner, (list, tuple)):
-            shape.append(len(inner))
-            inner = inner[0] if inner else None
-        return footprint, tuple(shape)
-    return view.tolist(), view.shape
-
-
 def _footprint(footprint, shape: Tuple[int, ...]) -> bytes:
-    """A footprint (an int label, a uint8 buffer of the view's shape, or any
-    int buffer or nested lists that broadcast to it) as the view's bytes."""
+    """A footprint, an int label or a uint8 buffer of the view's shape, as the
+    view's bytes; any other footprint is a ConfigError."""
     size = 1
     for n in shape:
         size *= n
@@ -444,20 +408,16 @@ def _footprint(footprint, shape: Tuple[int, ...]) -> bytes:
         return bytes((operator.index(footprint),)) * size
     except TypeError:
         pass
-    if isinstance(footprint, memoryview) and footprint.shape == shape and footprint.format == "B":
-        return footprint.tobytes()
-    values, fp_shape = _array(footprint)
-    if len(fp_shape) > len(shape) or any(f not in (1, n) for f, n in zip(fp_shape[::-1], shape[::-1])):
-        raise ConfigError(f"a footprint of shape {fp_shape} does not fit a view of shape {shape}")
-    # Both as (rows, columns): a missing leading axis has length 1.
-    rows, columns = ((1, 1) + shape)[-2:]
-    fp_rows, fp_columns = ((1, 1) + fp_shape)[-2:]
-    values = [[values]] if not fp_shape else [values] if len(fp_shape) == 1 else values
-    out = bytearray()
-    for i in range(rows):
-        row = bytes(values[i if fp_rows > 1 else 0])
-        out += row if fp_columns > 1 else row * columns
-    return bytes(out)
+    try:
+        view = memoryview(footprint)
+    except TypeError:
+        view = None
+    if view is None or view.shape != shape or view.format != "B":
+        got = (type(footprint).__name__ if view is None
+               else f"shape {view.shape} of format {view.format!r}")
+        raise ConfigError(
+            f"a footprint is an int label or a uint8 buffer of the view's shape {shape}, got {got}")
+    return view.tobytes()
 
 
 Placement = Tuple[Sequence[int], Tuple, object]
@@ -471,9 +431,11 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
 
     This is the one write path into a label lattice. Each placement is
     (slots, where, footprint): `where` indexes into a slot (symbol,
-    subcarrier) with ints and slices, and `footprint` holds one label per
-    cell of that view (see `_footprint`), broadcast to it, with UNLABELED
-    marking cells outside the footprint. Placements name disjoint slots.
+    subcarrier) with ints and slices, and `footprint` is either one int
+    label for every cell of that view or a uint8 buffer of exactly the
+    view's shape, one label per cell, with UNLABELED marking cells outside
+    the footprint; any other footprint is a ConfigError (`_footprint`).
+    Placements name disjoint slots.
     Only UNLABELED cells are written; uplink and guard cells never are.
     Strict placements need all their downlink cells free: otherwise
     ConflictError names the first taken cell (by slot, then symbol, then
@@ -533,35 +495,6 @@ def _check_free(lattice: Lattice, jobs: List[tuple]) -> None:
             f"conflict at cell {(slot, symbol, sc)}: existing "
             f"{ReLabel(old).name}, new {ReLabel(new).name}"
         )
-
-
-def place(lattice: Lattice, where: Tuple, footprint, rate_match: bool = False) -> None:
-    """Write a footprint into the view labels[where] of a writable lattice.
-
-    `place_slots` with the slots named by where[0], an int or a slice (all
-    slots when `where` is empty). A footprint with an axis per slot of the
-    view places each slot its own part.
-    """
-    where = tuple(where)
-    slots = _axis(where[0], len(lattice.slot_rows)) if where else range(len(lattice.slot_rows))
-    inner = where[1:]
-    if where and not isinstance(where[0], slice):
-        placements = [(slots, inner, footprint)]
-    else:
-        _, shape = _view(inner, lattice.n_sc)
-        try:
-            operator.index(footprint)
-            values, fp_shape = footprint, ()
-        except TypeError:
-            values, fp_shape = _array(footprint)
-        if len(fp_shape) > len(shape):
-            parts = values if fp_shape[0] > 1 else values * len(slots)
-            if len(parts) != len(slots):
-                raise ConfigError(f"a footprint of shape {fp_shape} does not fit {len(slots)} slots")
-            placements = [((s,), inner, part) for s, part in zip(slots, parts)]
-        else:
-            placements = [(slots, inner, footprint)]
-    place_slots(lattice, placements, rate_match)
 
 
 def count_labels(

@@ -2,9 +2,9 @@
 
 `crs_mask` is the single source of the CRS rule (TS 36.211 §6.10.1.2,
 normal CP). Every other CRS fact is derived from it: the cell sets of
-`crs_cells`, the per-symbol counts behind the closed forms in `budget`, the
-DMRS check of `budget.dss_pool_by_grid`, the masks of
-`mrss.neighbor_interference`, and the subframe templates that `place_lte`
+`crs_cells`, which `mrss.neighbor_interference` classifies its pool by, the
+per-symbol counts behind the closed forms in `budget`, the DMRS check of
+`budget.dss_pool_by_grid`, and the subframe templates that `place_lte`
 places on the grid.
 """
 

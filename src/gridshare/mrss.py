@@ -35,7 +35,7 @@ from .grid import (
     any_label,
     place_slots,
 )
-from .lte import LteCellConfig, crs_mask
+from .lte import LteCellConfig, crs_cells
 from .pcg64 import Pcg64
 from .value import value
 
@@ -196,41 +196,27 @@ class TrafficModel:
         return draw(self.demand_5g), draw(self.demand_6g)
 
 
-@value(no_repr=("categories", "labels"))
+@value(no_repr=("category_lattice", "label_lattice"))
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
-    An immutable value: its lattices are frozen, so one map can serve many
-    `simulate` calls; `reserve_iot` and `place_6g_ssb` return new maps that
-    share every row they do not write. `categories` and `labels` are each
-    a `Lattice` or a dense uint8 buffer, which the constructor freezes.
-    Reading `categories` or `labels` gathers the dense memoryview once.
+    An immutable value: `category_lattice` (a category code per cell) and
+    `label_lattice` (the labels under it) are each a `Lattice`, which the
+    constructor freezes, so one map can serve many `simulate` calls;
+    `reserve_iot` and `place_6g_ssb` return new maps that share every row
+    they do not write. Anything but a `Lattice` is a ConfigError.
     """
 
     grid: ResourceGrid
-    categories: memoryview
-    labels: memoryview
+    category_lattice: Lattice
+    label_lattice: Lattice
     control_mode: ControlMode = ControlMode()
 
     def __post_init__(self):
-        for name in ("categories", "labels"):
-            self.__dict__[name] = Lattice.of(self.__dict__[name]).freeze()
-
-    @property
-    def category_lattice(self) -> Lattice:
-        return self.__dict__["categories"]
-
-    @property
-    def label_lattice(self) -> Lattice:
-        return self.__dict__["labels"]
-
-    @property
-    def categories(self) -> memoryview:
-        return self.category_lattice.gather()
-
-    @property
-    def labels(self) -> memoryview:
-        return self.label_lattice.gather()
+        for lattice in (self.category_lattice, self.label_lattice):
+            if not isinstance(lattice, Lattice):
+                raise ConfigError(f"a map's lattices are Lattices, got {type(lattice).__name__}")
+            lattice.freeze()
 
     @property
     def shared_pool_size(self) -> int:
@@ -516,12 +502,11 @@ def neighbor_interference(
     """
     dmrs = default_dmrs_symbols(serving.crs_ports, layout.control_end, layout.dmrs_count)
     check_control_fits(layout.lte_pdcch, layout.nr_pdcch)
-    # Cells of one PRB over one subframe, as symbol * 12 + subcarrier.
-    serving_crs = _crs_cells(serving)
-    pool = {i for i in range(SYMBOLS_PER_SLOT * SC_PER_PRB)
-            if i // SC_PER_PRB >= layout.control_end and i // SC_PER_PRB not in dmrs
-            and i not in serving_crs}
-    neighbor_crs = set().union(*map(_crs_cells, neighbors))
+    # Cells of one PRB over one subframe, as (symbol, subcarrier).
+    serving_crs = {(s, k) for s, k, _ in crs_cells(serving, 1)}
+    pool = {(s, k) for s in range(layout.control_end, SYMBOLS_PER_SLOT) if s not in dmrs
+            for k in range(SC_PER_PRB)} - serving_crs
+    neighbor_crs = {(s, k) for cell in neighbors for s, k, _ in crs_cells(cell, 1)}
 
     pool_n = len(pool)
     dirty = len(pool & neighbor_crs)
@@ -532,17 +517,11 @@ def neighbor_interference(
     if mitigation.kind == "SymbolLevelMute":
         # Broad avoidance: any symbol carrying any neighbor CRS is muted,
         # whether or not its cells collide with the serving pattern.
-        muted = {i // SC_PER_PRB for i in neighbor_crs}
-        sacrificed = sum(1 for i in pool if i // SC_PER_PRB in muted)
+        muted = {s for s, _ in neighbor_crs}
+        sacrificed = sum(1 for s, _ in pool if s in muted)
         return InterferenceReport(pool_n, pool_n - sacrificed, sacrificed, 0)
     # ReceiverCancellation: a deterministic count-level fraction of dirty
     # cells becomes clean (exact floor; effectiveness is read as its decimal
     # text), nothing is sacrificed.
     reclaimed = int(Fraction(str(mitigation.effectiveness)) * dirty)
     return InterferenceReport(pool_n, pool_n - dirty + reclaimed, 0, dirty - reclaimed)
-
-
-def _crs_cells(cell: LteCellConfig) -> frozenset:
-    """The cell's CRS cells in one PRB over one subframe, as symbol * 12 + subcarrier."""
-    mask = crs_mask(cell.crs_ports, cell.v_shift).tobytes()
-    return frozenset(i for i, port in enumerate(mask) if port)

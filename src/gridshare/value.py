@@ -10,9 +10,7 @@ classes adds nothing measurable to import time; `dataclasses.dataclass`
 compiles six functions for each frozen class.
 
 A default is one instance shared by every object, so it must be immutable.
-`__post_init__` normalizes a field with `object.__setattr__`. A `property`
-of a field's name is no default: reading the field goes through it, and it
-finds the value given to the constructor in `self.__dict__`.
+`__post_init__` normalizes a field with `object.__setattr__`.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ class _Spec:
     def __init__(self, cls: type, no_repr: Iterable[str]):
         self.names: Tuple[str, ...] = tuple(cls.__annotations__)
         self.known = frozenset(self.names)
-        self.defaults = {name: cls.__dict__[name] for name in self.names
-                         if name in cls.__dict__ and not isinstance(cls.__dict__[name], property)}
+        self.defaults = {name: cls.__dict__[name] for name in self.names if name in cls.__dict__}
         self.shown = tuple(name for name in self.names if name not in no_repr)
         self.post_init = getattr(cls, "__post_init__", None)
 
@@ -111,7 +108,7 @@ _METHODS = {
 def value(cls=None, *, no_repr: Iterable[str] = ()):
     """Mark `cls` as a value class; `no_repr` names fields `repr` leaves out.
 
-    Use as `@value` or `@value(no_repr=("labels",))`.
+    Use as `@value` or `@value(no_repr=("lattice",))`.
     """
 
     def mark(cls):

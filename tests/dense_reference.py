@@ -6,12 +6,17 @@ shaped (n_slots, 14, n_sc), and places or checks slot by slot in slot
 order, as gridshare did before a lattice stored each distinct slot once.
 The footprint rules they place (subframe templates, the NR unit plan, the
 first free cells per PRB, the label -> category table) are gridshare's own.
+`lattice_of` and `gather` convert between such an array and a
+`grid.Lattice`, and `dominance_share` is the overhead share the paper
+reports, read from an `OverheadReport`.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
-from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, ReLabel, SlotKind
+from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, Lattice, ReLabel, SlotKind
 from gridshare.lte import _subframe_templates
 from gridshare.mrss import (
     CAT_CONTROL,
@@ -24,9 +29,28 @@ from gridshare.mrss import (
     check_ssb_occasion,
 )
 from gridshare.nr import NR_LABELS, SIGNAL_CORESET1, _first_free_per_prb, _nr_plan
+from gridshare.rounding import round_half_up
 
 # The label -> category table as an array.
 CATEGORY_OF_LABEL = np.frombuffer(_CATEGORY_OF_LABEL, dtype=np.uint8)
+
+
+def lattice_of(arr):
+    """The lattice of a dense array: each slot's labels copied into a read-only row."""
+    return Lattice([slot.tobytes() for slot in arr], list(range(len(arr))))
+
+
+def gather(lattice):
+    """The dense array of a lattice: a read-only uint8 array of its shape."""
+    cells = b"".join([lattice.rows[r] for r in lattice.slot_rows])
+    return np.frombuffer(cells, dtype=np.uint8).reshape(lattice.shape)
+
+
+def dominance_share(report, signal_name):
+    """One signal's share of the total overhead, percent: the exact share
+    rounded half up at 1 dp."""
+    (row,) = [row for row in report.rows if row.signal_name == signal_name]
+    return round_half_up(Fraction(100 * row.re_count, report.total_row.re_count), 1)
 
 
 def new_labels(config):

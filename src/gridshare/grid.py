@@ -435,7 +435,8 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     label for every cell of that view or a uint8 buffer of exactly the
     view's shape, one label per cell, with UNLABELED marking cells outside
     the footprint; any other footprint is a ConfigError (`_footprint`).
-    Placements name disjoint slots.
+    Placements name disjoint slots: a slot that two of them name is a
+    ConfigError, raised before anything is written.
     Only UNLABELED cells are written; uplink and guard cells never are.
     Strict placements need all their downlink cells free: otherwise
     ConflictError names the first taken cell (by slot, then symbol, then
@@ -445,10 +446,15 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     (`Lattice.own`): a block with no labeled cell takes the footprint
     verbatim, and otherwise each symbol's slice merges on its own.
     """
-    jobs = []
+    jobs, named = [], set()
     for slots, where, footprint in placements:
         window, shape = _view(tuple(where), lattice.n_sc)
-        jobs.append((lattice.slot_set(slots), window, _footprint(footprint, shape)))
+        slots = lattice.slot_set(slots)
+        shared = named.intersection(slots)
+        if shared:
+            raise ConfigError(f"placements of one call share slot {min(shared)}")
+        named.update(slots)
+        jobs.append((slots, window, _footprint(footprint, shape)))
     if not rate_match:
         _check_free(lattice, jobs)
     for slots, window, footprint in jobs:

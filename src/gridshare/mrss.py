@@ -204,7 +204,8 @@ class MrssCategoryMap:
     `label_lattice` (the labels under it) are each a `Lattice`, which the
     constructor freezes, so one map can serve many `simulate` calls;
     `reserve_iot` and `place_6g_ssb` return new maps that share every row
-    they do not write. Anything but a `Lattice` is a ConfigError.
+    they do not write. Anything but a `Lattice` of the grid's shape is a
+    ConfigError.
     """
 
     grid: ResourceGrid
@@ -216,6 +217,8 @@ class MrssCategoryMap:
         for lattice in (self.category_lattice, self.label_lattice):
             if not isinstance(lattice, Lattice):
                 raise ConfigError(f"a map's lattices are Lattices, got {type(lattice).__name__}")
+            if lattice.shape != self.grid.lattice.shape:
+                raise ConfigError(f"map lattice shape {lattice.shape} != {self.grid.lattice.shape}")
             lattice.freeze()
 
     @property

@@ -4,17 +4,18 @@ Percentages are kept as exact fractions until the reporting boundary, then
 rounded half up (not banker's rounding: 28.125% must report as 28.13%).
 """
 
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+import math
 from fractions import Fraction
 
 
 def round_half_up(value: Fraction, decimals: int = 2) -> float:
-    """Round an exact rational half-up to the given number of decimals."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        q = d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
-    return float(q)
+    """Round an exact rational to `decimals` >= 0 places, ties away from
+    zero, in integer arithmetic: the one rounding is to the nearest float of
+    the rounded decimal. A negative value that rounds to zero gives -0.0."""
+    scale = 10 ** decimals
+    q, r = divmod(abs(value.numerator) * scale, value.denominator)
+    q += 2 * r >= value.denominator
+    return math.copysign(q / scale, value.numerator)
 
 
 def pct(numerator: int, denominator: int, decimals: int = 2) -> float:

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import itertools
 import json
 import os
@@ -580,10 +582,16 @@ def _reference_sweep(scenario):
             if key not in columns:
                 columns.append(key)
     rows = [[record.get(c, "") for c in columns] for record in records]
+    csv_text = io.StringIO()
+    writer = csv.writer(csv_text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    md_lines = ["| " + " | ".join(columns) + " |", "| " + " | ".join("---" for _ in columns) + " |"]
+    md_lines.extend("| " + " | ".join(str(v) for v in row) + " |" for row in rows)
     return {
         "json": json.dumps(records, indent=2) + "\n",
-        "csv": cli._csv_text(columns, rows),
-        "md": cli._md_table(columns, [[str(v) for v in row] for row in rows]),
+        "csv": csv_text.getvalue(),
+        "md": "\n".join(md_lines) + "\n",
     }
 
 
@@ -622,6 +630,36 @@ SWEEPS = {
         ]},
     },
 }
+
+
+class TestTables:
+    def test_a_toy_report_renders_from_its_record_and_table(self):
+        record = [{"signal": "SSB", "share": 0.5}, {"signal": "CSI-RS, TRS", "share": 12.34}]
+        table = (cli.Column("signal", "Signal", "signal"),
+                 cli.Column("share", "Share of {whole}", "share_pct", "{:.1f}%", "{:.3f}"))
+        assert cli.render_table(table, record, "md", whole="the carrier") == (
+            "| Signal | Share of the carrier |\n| --- | --- |\n"
+            "| SSB | 0.5% |\n| CSI-RS, TRS | 12.3% |\n")
+        assert cli.render_table(table, record, "csv") == (
+            'signal,share_pct\nSSB,0.500\n"CSI-RS, TRS",12.340\n')
+
+    def test_unformatted_columns_over_tuple_rows_write_the_values(self):
+        table = (cli.Column(0, "Key", "key"), cli.Column(1, "Value", "value"))
+        rows = {"cells": 1234, "mode": None, "share": 0.25}.items()
+        assert cli.render_table(table, rows, "csv") == "key,value\ncells,1234\nmode,\nshare,0.25\n"
+        assert cli.render_table(table, rows, "md") == (
+            "| Key | Value |\n| --- | --- |\n| cells | 1234 |\n| mode | None |\n| share | 0.25 |\n")
+
+    @pytest.mark.parametrize("command,name", [("budget", "table1.json"), ("overhead", "table3.json")])
+    def test_a_table_reads_every_key_of_its_record_rows(self, command, name):
+        """A field added to a record's rows must get a column, or md and csv
+        would silently leave it out."""
+        record = getattr(cli, f"{command}_record")(parse_scenario((SCENARIOS / name).read_text()))
+        rows = record if command == "budget" else record["rows"] + [record["total"]]
+        table = getattr(cli, f"{command.upper()}_TABLE")
+        assert rows
+        for row in rows:
+            assert [c.key for c in table] == list(row)
 
 
 class TestSweepRecords:

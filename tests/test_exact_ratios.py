@@ -2,7 +2,9 @@
 
 import ast
 import json
+import math
 import pathlib
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -98,3 +100,43 @@ def test_no_builtin_round_outside_the_rounding_module():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "round":
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_round_half_up_rounds_once():
+    # Just below 0.125: a 50-digit quotient lands on the tie and then rounds up.
+    assert round_half_up(Fraction(125 * 10**60 - 1, 10**63), 2) == 0.12
+    assert round_half_up(Fraction(125, 1000), 2) == 0.13
+    assert round_half_up(Fraction(-125, 1000), 2) == -0.13
+    zero = round_half_up(Fraction(-1, 1000), 2)
+    assert zero == 0 and math.copysign(1, zero) == -1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fractions(), st.integers(0, 8))
+def test_round_half_up_is_the_nearest_decimal_ties_away_from_zero(value, decimals):
+    step = Fraction(1, 10**decimals)
+    below = math.floor(value / step) * step
+    # Of the two multiples of `step` around the value, the nearer; at a tie,
+    # the one of larger magnitude.
+    nearest = min((below, below + step), key=lambda c: (abs(c - value), -abs(c)))
+    got = round_half_up(value, decimals)
+    assert got == float(nearest)
+    assert math.copysign(1, got) == (-1 if value < 0 else 1)
+
+
+def _decimal_round_half_up(value: Fraction, decimals: int) -> float:
+    """The former route: a 50-digit decimal quotient, quantized half up."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(value.numerator) / Decimal(value.denominator)
+        return float(d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12), st.integers(0, 6))
+def test_round_half_up_keeps_the_decimal_results_on_count_ratios(numerator, denominator, decimals):
+    """Where 50 digits hold the quotient's distance from a tie, as for every
+    ratio of counts a report rounds, both routes agree, sign of zero included."""
+    value = Fraction(numerator, denominator)
+    got, old = round_half_up(value, decimals), _decimal_round_half_up(value, decimals)
+    assert (got, math.copysign(1, got)) == (old, math.copysign(1, old))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from gridshare import cli
-from gridshare.errors import GridShareError
+from gridshare.errors import ConfigError, GridShareError
 from gridshare.grid import (
     CarrierConfig,
     Numerology,
@@ -274,6 +274,16 @@ class TestLattice:
         with pytest.raises(GridShareError, match=r"cell \(2, 3, 4\): existing NR_SSB"):
             place_slots(lattice, [((4, 5), (), ReLabel.NR_DATA), ((0, 2), (), ReLabel.NR_DATA)])
         assert np.array_equal(ref.gather(lattice), before)
+
+    def test_placements_that_share_a_slot_are_rejected_before_any_write(self):
+        # The second placement of slot 0 was once dropped without a word.
+        lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
+        with pytest.raises(ConfigError, match="share slot 0"):
+            place_slots(lattice, [((0,), (), ReLabel.NR_SSB), ((0,), (), ReLabel.NR_DATA)])
+        with pytest.raises(ConfigError, match="share slot 2"):
+            place_slots(lattice, [((1, 2), (0,), ReLabel.NR_SSB), ((0,), (5,), ReLabel.NR_DMRS),
+                                  ((3, 2), (7,), ReLabel.NR_DATA)])
+        assert not ref.gather(lattice).any()
 
 
 def lte_stress_document(n_prb, n_subframes):

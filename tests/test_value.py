@@ -236,6 +236,20 @@ def test_grid_and_map_take_lattices_only():
         ResourceGrid(CARRIER, ref.lattice_of(dense[:, :, :12]))
 
 
+def test_map_lattices_have_the_grid_shape():
+    # A 5-slot category lattice on a 2-slot grid once made a shared pool of
+    # 840 cells out of 336 downlink cells.
+    carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=2)
+    grid = make_grid(carrier)
+    longer = classify_mrss(make_grid(replace(carrier, span_ms=5)))
+    narrower = classify_mrss(make_grid(replace(carrier, span_ms=2, n_prb=2)))
+    for other, shape in ((longer, r"\(5, 14, 12\)"), (narrower, r"\(2, 14, 24\)")):
+        with pytest.raises(ConfigError, match=shape + r" != \(2, 14, 12\)"):
+            MrssCategoryMap(grid, other.category_lattice, grid.lattice)
+        with pytest.raises(ConfigError, match=shape + r" != \(2, 14, 12\)"):
+            MrssCategoryMap(grid, classify_mrss(grid).category_lattice, other.label_lattice)
+
+
 def test_equal_slots_make_equal_grids_and_maps():
     """Lattices compare and hash by the labels of each slot, however their
     rows are shared, and so do the grids and maps that hold them."""

@@ -26,7 +26,7 @@ from .grid import (
     place_slots,
 )
 from .lte import LteCellConfig, crs_bearing_symbols, crs_re_per_symbol, place_lte
-from .nr import NR_LABELS, SIGNAL_ORDER, NrOverlaySet, place_nr
+from .nr import SIGNALS, NrOverlaySet, nr_plan, place_nr
 from .rounding import pct
 from .value import value
 
@@ -226,33 +226,6 @@ def dss_table(
     return rows
 
 
-def _config_summaries(overlay: NrOverlaySet, carrier: CarrierConfig) -> Dict[str, str]:
-    out = {}
-    if overlay.ssb:
-        out["SSB"] = f"{overlay.ssb.beams} beams, {overlay.ssb.prbs} PRBs, {overlay.ssb.symbols} symbols"
-    if overlay.coreset0:
-        out["CORESET 0"] = f"{overlay.coreset0.beams} beams, {overlay.coreset0.prbs} PRBs, {overlay.coreset0.symbols} symbols"
-    if overlay.sib1:
-        out["SIB1"] = f"{overlay.sib1.beams} beams, {overlay.sib1.prbs} PRBs, {overlay.sib1.symbols} symbols"
-    if overlay.coreset1:
-        out["CORESET 1"] = (
-            f"{overlay.coreset1.prbs} PRBs, {overlay.coreset1.symbols} symbols, "
-            f"{overlay.coreset1.monitored_count(carrier)} DL-bearing slots"
-        )
-    if overlay.csi_rs:
-        out["CSI-RS"] = (
-            f"{overlay.csi_rs.ports} ports, density {overlay.csi_rs.density_re_per_port_per_prb} RE/port/PRB, "
-            f"{overlay.csi_rs.prbs} PRBs, {overlay.csi_rs.occasions_per_period} occasion(s) / {overlay.period_ms} ms"
-        )
-    if overlay.trs:
-        out["TRS"] = (
-            f"{overlay.trs.prbs} PRBs, {overlay.trs.slots_per_occasion}-slot occasion, "
-            f"{overlay.trs.re_per_prb_per_slot} RE/PRB/slot, {overlay.trs.beams} beams, "
-            f"{overlay.trs.occasions_per_period} occasions / {overlay.period_ms} ms"
-        )
-    return out
-
-
 def downlink_re(carrier: CarrierConfig) -> int:
     """Downlink-capable REs over the carrier window."""
     return sum(carrier.dl_symbols_in_slot(s) for s in range(carrier.n_slots)) * carrier.n_subcarriers
@@ -261,41 +234,33 @@ def downlink_re(carrier: CarrierConfig) -> int:
 def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport:
     """Overhead breakdown over one period of a TDD NR carrier.
 
-    Rows are counted independently and summed without overlap deduction;
-    the placement in place_nr keeps them disjoint, so grid verification
-    agrees with the arithmetic sum.
+    The overlay is first checked against the carrier as `place_nr` checks
+    it before it writes (`nr_plan`), so no overlay the grid rejects is
+    reported. Rows are counted independently and summed without overlap
+    deduction; the placement in place_nr keeps them disjoint, so grid
+    verification agrees with the arithmetic sum.
     """
     if carrier.duplex != "TDD":
         raise ConfigError("overhead accounting expects a TDD carrier")
-    if overlay.period_ms != carrier.span_ms:
-        raise ConfigError(
-            f"overlay period {overlay.period_ms} ms != carrier span {carrier.span_ms} ms"
-        )
+    nr_plan(carrier, overlay)
     counts = overlay.signal_counts(carrier)
     total_re = carrier.n_slots * SYMBOLS_PER_SLOT * carrier.n_subcarriers
     dl_re = downlink_re(carrier)
-    summaries = _config_summaries(overlay, carrier)
+
+    def row(name: str, summary: str, count: int) -> OverheadRow:
+        return OverheadRow(name, summary, count, pct(count, total_re), pct(count, dl_re))
+
     rows = tuple(
-        OverheadRow(
-            signal_name=name,
-            config_summary=summaries.get(name, ""),
-            re_count=counts[name],
-            pct_of_total=pct(counts[name], total_re),
-            pct_of_downlink=pct(counts[name], dl_re),
-        )
-        for name in SIGNAL_ORDER
+        row(signal.name, spec.summary(carrier, overlay.period_ms) if (spec := signal.spec(overlay)) else "",
+            counts[signal.name])
+        for signal in SIGNALS
     )
-    total_count = sum(counts.values())
     split = carrier.tdd_pattern.special_split
-    total_row = OverheadRow(
-        signal_name="Total",
-        config_summary=(
-            f"{carrier.tdd_pattern.cycle_str}; S slot with {split[0]} downlink symbols, "
-            f"{split[1]} guard symbols, and {split[2]} uplink symbols"
-        ),
-        re_count=total_count,
-        pct_of_total=pct(total_count, total_re),
-        pct_of_downlink=pct(total_count, dl_re),
+    total_row = row(
+        "Total",
+        f"{carrier.tdd_pattern.cycle_str}; S slot with {split[0]} downlink symbols, "
+        f"{split[1]} guard symbols, and {split[2]} uplink symbols",
+        sum(counts.values()),
     )
     return OverheadReport(rows=rows, total_row=total_row, total_re=total_re, downlink_re=dl_re)
 
@@ -305,4 +270,4 @@ def verify_overhead_by_grid(carrier: CarrierConfig, overlay: NrOverlaySet) -> Di
     labels = new_labels(carrier)
     place_nr(labels, carrier, overlay)
     counts = count_labels(ResourceGrid(carrier, labels))
-    return {name: counts.get(label, 0) for name, label in NR_LABELS.items()}
+    return {signal.name: counts.get(signal.label, 0) for signal in SIGNALS}

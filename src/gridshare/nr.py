@@ -1,12 +1,27 @@
 """5G NR signal footprints.
 
 Covers the periodic broadcast/control/reference footprints of an NR carrier
-(SSB, CORESET0/SIB1, regular CORESET, CSI-RS, TRS). The per-slot DSS layout,
-where NR rate-matches around an incumbent LTE cell, lives in `budget`.
+(SSB, CORESET0/SIB1, regular CORESET, CSI-RS, TRS). `SIGNALS` declares each
+signal once, in report order: its report name, its `NrOverlaySet` field and
+its grid label. Its spec class answers the same questions for each:
+`re_count(carrier)` is the closed-form count over one period,
+`summary(carrier, period_ms)` the report's configuration text and, for a
+signal placed one unit per downlink slot, `unit()` the unit's geometry
+(kind, PRBs, amount, number of units). A "block" unit takes `amount` whole
+symbols over its PRBs; an "re" unit takes the first `amount` free cells of
+each PRB. A new signal is a spec class, an `NrOverlaySet` field, a
+`SIGNALS` row and, if it is placed in units, a place in `UNIT_ORDER` (and
+its entry in the scenario format).
+
+`nr_plan` makes every check of an overlay against its carrier that needs no
+lattice; `place_nr` and `budget.nr_overhead` both run it, so the overhead
+table reports no overlay the grid rejects. The per-slot DSS layout, where
+NR rate-matches around an incumbent LTE cell, lives in `budget`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, PlacementError
@@ -21,26 +36,10 @@ from .grid import (
 )
 from .value import value
 
-SIGNAL_SSB = "SSB"
-SIGNAL_CORESET0 = "CORESET 0"
-SIGNAL_SIB1 = "SIB1"
-SIGNAL_CORESET1 = "CORESET 1"
-SIGNAL_CSI_RS = "CSI-RS"
-SIGNAL_TRS = "TRS"
-
-SIGNAL_ORDER = (
-    SIGNAL_SSB,
-    SIGNAL_CORESET0,
-    SIGNAL_SIB1,
-    SIGNAL_CORESET1,
-    SIGNAL_CSI_RS,
-    SIGNAL_TRS,
-)
-
 
 @value
 class BeamSignal:
-    """A beam-repeated block footprint (SSB, CORESET0, SIB1)."""
+    """A beam-repeated block footprint (SSB, CORESET0, SIB1): one block per beam."""
 
     beams: int
     prbs: int
@@ -50,9 +49,14 @@ class BeamSignal:
         if min(self.beams, self.prbs, self.symbols) < 0:
             raise ConfigError("beam signal counts must be >= 0")
 
-    @property
-    def re_count(self) -> int:
+    def re_count(self, carrier: CarrierConfig) -> int:
         return self.beams * self.prbs * SC_PER_PRB * self.symbols
+
+    def summary(self, carrier: CarrierConfig, period_ms: int) -> str:
+        return f"{self.beams} beams, {self.prbs} PRBs, {self.symbols} symbols"
+
+    def unit(self) -> Tuple[str, int, int, int]:
+        return "block", self.prbs, self.symbols, self.beams
 
 
 @value
@@ -75,6 +79,10 @@ class Coreset1Spec:
     def re_count(self, carrier: CarrierConfig) -> int:
         return self.prbs * SC_PER_PRB * self.symbols * self.monitored_count(carrier)
 
+    def summary(self, carrier: CarrierConfig, period_ms: int) -> str:
+        return (f"{self.prbs} PRBs, {self.symbols} symbols, "
+                f"{self.monitored_count(carrier)} DL-bearing slots")
+
 
 @value
 class CsiRsSpec:
@@ -87,13 +95,15 @@ class CsiRsSpec:
         if min(self.ports, self.density_re_per_port_per_prb, self.prbs, self.occasions_per_period) < 0:
             raise ConfigError("csi_rs counts must be >= 0")
 
-    @property
-    def re_per_prb(self) -> int:
-        return self.ports * self.density_re_per_port_per_prb
+    def re_count(self, carrier: CarrierConfig) -> int:
+        return self.ports * self.density_re_per_port_per_prb * self.prbs * self.occasions_per_period
 
-    @property
-    def re_count(self) -> int:
-        return self.re_per_prb * self.prbs * self.occasions_per_period
+    def summary(self, carrier: CarrierConfig, period_ms: int) -> str:
+        return (f"{self.ports} ports, density {self.density_re_per_port_per_prb} RE/port/PRB, "
+                f"{self.prbs} PRBs, {self.occasions_per_period} occasion(s) / {period_ms} ms")
+
+    def unit(self) -> Tuple[str, int, int, int]:
+        return "re", self.prbs, self.ports * self.density_re_per_port_per_prb, self.occasions_per_period
 
 
 @value
@@ -108,8 +118,7 @@ class TrsSpec:
         if min(self.prbs, self.slots_per_occasion, self.re_per_prb_per_slot, self.beams, self.occasions_per_period) < 0:
             raise ConfigError("trs counts must be >= 0")
 
-    @property
-    def re_count(self) -> int:
+    def re_count(self, carrier: CarrierConfig) -> int:
         return (
             self.prbs
             * self.re_per_prb_per_slot
@@ -117,6 +126,15 @@ class TrsSpec:
             * self.beams
             * self.occasions_per_period
         )
+
+    def summary(self, carrier: CarrierConfig, period_ms: int) -> str:
+        return (f"{self.prbs} PRBs, {self.slots_per_occasion}-slot occasion, "
+                f"{self.re_per_prb_per_slot} RE/PRB/slot, {self.beams} beams, "
+                f"{self.occasions_per_period} occasions / {period_ms} ms")
+
+    def unit(self) -> Tuple[str, int, int, int]:
+        visits = self.beams * self.occasions_per_period * self.slots_per_occasion
+        return "re", self.prbs, self.re_per_prb_per_slot, visits
 
 
 @value
@@ -136,46 +154,49 @@ class NrOverlaySet:
             raise ConfigError("period_ms must be >= 1")
 
     def check_fits(self, carrier: CarrierConfig) -> None:
-        for name, prbs in (
-            (SIGNAL_SSB, self.ssb.prbs if self.ssb else 0),
-            (SIGNAL_CORESET0, self.coreset0.prbs if self.coreset0 else 0),
-            (SIGNAL_SIB1, self.sib1.prbs if self.sib1 else 0),
-            (SIGNAL_CORESET1, self.coreset1.prbs if self.coreset1 else 0),
-            (SIGNAL_CSI_RS, self.csi_rs.prbs if self.csi_rs else 0),
-            (SIGNAL_TRS, self.trs.prbs if self.trs else 0),
-        ):
-            if prbs > carrier.n_prb:
-                raise ConfigError(f"{name} spans {prbs} PRBs > carrier {carrier.n_prb}")
+        for signal in SIGNALS:
+            spec = signal.spec(self)
+            if spec and spec.prbs > carrier.n_prb:
+                raise ConfigError(f"{signal.name} spans {spec.prbs} PRBs > carrier {carrier.n_prb}")
 
     def signal_counts(self, carrier: CarrierConfig) -> Dict[str, int]:
-        """Closed-form RE count per signal over one period."""
+        """Closed-form RE count per signal over one period, in report order."""
         self.check_fits(carrier)
-        return {
-            SIGNAL_SSB: self.ssb.re_count if self.ssb else 0,
-            SIGNAL_CORESET0: self.coreset0.re_count if self.coreset0 else 0,
-            SIGNAL_SIB1: self.sib1.re_count if self.sib1 else 0,
-            SIGNAL_CORESET1: self.coreset1.re_count(carrier) if self.coreset1 else 0,
-            SIGNAL_CSI_RS: self.csi_rs.re_count if self.csi_rs else 0,
-            SIGNAL_TRS: self.trs.re_count if self.trs else 0,
-        }
+        return {signal.name: spec.re_count(carrier) if (spec := signal.spec(self)) else 0
+                for signal in SIGNALS}
 
 
-NR_LABELS = {
-    SIGNAL_SSB: ReLabel.NR_SSB,
-    SIGNAL_CORESET0: ReLabel.NR_PDCCH_CORESET0,
-    SIGNAL_SIB1: ReLabel.NR_SIB1,
-    SIGNAL_CORESET1: ReLabel.NR_PDCCH_CORESET1,
-    SIGNAL_CSI_RS: ReLabel.NR_CSI_RS,
-    SIGNAL_TRS: ReLabel.NR_TRS,
-}
+@value
+class Signal:
+    """One NR signal: its report name, its `NrOverlaySet` field and its grid label."""
+
+    name: str
+    field: str
+    label: ReLabel
+
+    def spec(self, overlay: NrOverlaySet):
+        """The overlay's spec of this signal, or None."""
+        return getattr(overlay, self.field)
+
+
+SIGNALS = (
+    Signal("SSB", "ssb", ReLabel.NR_SSB),
+    Signal("CORESET 0", "coreset0", ReLabel.NR_PDCCH_CORESET0),
+    Signal("SIB1", "sib1", ReLabel.NR_SIB1),
+    Signal("CORESET 1", "coreset1", ReLabel.NR_PDCCH_CORESET1),
+    Signal("CSI-RS", "csi_rs", ReLabel.NR_CSI_RS),
+    Signal("TRS", "trs", ReLabel.NR_TRS),
+)
+_SSB, _CORESET0, _SIB1, _CORESET1, _CSI_RS, _TRS = SIGNALS
+# Units take distinct DL slots in this order, so it decides which slot each
+# unit takes and with it every slot's remaining pool, which the golden files pin.
+UNIT_ORDER = (_SSB, _CORESET0, _SIB1, _TRS, _CSI_RS)
+
 
 def apply_nr(grid: ResourceGrid, overlay: NrOverlaySet) -> ResourceGrid:
-    """The grid with the overlay's footprints placed on a copy of its lattice
-    (`place_nr`). The overlay is checked against the carrier first.
-    """
-    plan = _nr_plan(grid.config, overlay)
+    """The grid with the overlay's footprints placed (`place_nr`) on a copy of its lattice."""
     lattice = grid.lattice.copy()
-    _place_plan(lattice, grid.config, overlay, *plan)
+    place_nr(lattice, grid.config, overlay)
     return ResourceGrid(grid.config, lattice)
 
 
@@ -190,12 +211,13 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme.
     """
-    _place_plan(labels, carrier, overlay, *_nr_plan(carrier, overlay))
+    _place_plan(labels, carrier, overlay, *nr_plan(carrier, overlay))
 
 
-def _nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
-    """The overlay checked against the carrier: (CORESET1 monitored slots,
-    units), each unit (name, kind, PRBs, block symbols or per-PRB RE need)."""
+def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
+    """The overlay checked against the carrier, with every check that needs
+    no lattice: (CORESET1 monitored slots, units), each unit (slot, (signal,
+    kind, PRBs, amount, first symbol, DL symbols of the slot)), in slot order."""
     if overlay.period_ms != carrier.span_ms:
         raise ConfigError(
             f"overlay period {overlay.period_ms} ms != carrier span {carrier.span_ms} ms"
@@ -205,80 +227,73 @@ def _nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], 
     dl_slots = list(carrier.dl_bearing_slots())
 
     monitored: List[int] = []
-    if overlay.coreset1 and overlay.coreset1.re_count(carrier) > 0:
-        n_mon = overlay.coreset1.monitored_count(carrier)
+    coreset1 = overlay.coreset1
+    if coreset1 and coreset1.re_count(carrier) > 0:
+        n_mon = coreset1.monitored_count(carrier)
         if n_mon > len(dl_slots):
             raise PlacementError(
-                f"{SIGNAL_CORESET1}: {n_mon} monitored slots > {len(dl_slots)} DL-bearing slots"
+                f"{_CORESET1.name}: {n_mon} monitored slots > {len(dl_slots)} DL-bearing slots"
             )
         monitored = dl_slots[:n_mon]
         for slot in monitored:
-            if overlay.coreset1.symbols > carrier.dl_symbols_in_slot(slot):
+            if coreset1.symbols > carrier.dl_symbols_in_slot(slot):
                 raise PlacementError(
-                    f"{SIGNAL_CORESET1}: {overlay.coreset1.symbols} symbols do not fit slot {slot}"
+                    f"{_CORESET1.name}: {coreset1.symbols} symbols do not fit slot {slot}"
                 )
 
-    # Groups of units, each (name, block geometry or per-PRB RE need, count);
-    # every unit takes its own DL slot. The count is checked before any unit
-    # is listed, so an oversized count costs no memory.
-    groups: List[Tuple[str, str, int, int, int]] = []
-    for name, sig in ((SIGNAL_SSB, overlay.ssb), (SIGNAL_CORESET0, overlay.coreset0), (SIGNAL_SIB1, overlay.sib1)):
-        if sig and sig.re_count > 0:
-            groups.append((name, "block", sig.prbs, sig.symbols, sig.beams))
-    trs = overlay.trs
-    if trs and trs.re_count > 0:
-        visits = trs.beams * trs.occasions_per_period * trs.slots_per_occasion
-        groups.append((SIGNAL_TRS, "re", trs.prbs, trs.re_per_prb_per_slot, visits))
-    csi_rs = overlay.csi_rs
-    if csi_rs and csi_rs.re_count > 0:
-        groups.append((SIGNAL_CSI_RS, "re", csi_rs.prbs, csi_rs.re_per_prb, csi_rs.occasions_per_period))
-
-    n_units = sum(group[-1] for group in groups)
+    # The unit count is checked before any unit is listed, so an oversized
+    # count costs no memory.
+    groups = [(signal, spec.unit()) for signal in UNIT_ORDER
+              if (spec := signal.spec(overlay)) and spec.re_count(carrier) > 0]
+    n_units = sum(unit[-1] for _, unit in groups)
     if n_units > len(dl_slots):
         raise PlacementError(
             f"{n_units} occasion units need distinct DL slots but only "
             f"{len(dl_slots)} are available"
         )
-    return monitored, [group[:-1] for group in groups for _ in range(group[-1])]
+    monitored_set = set(monitored)
+    units = []
+    slots = iter(dl_slots)
+    for signal, (kind, prbs, amount, count) in groups:
+        for slot in itertools.islice(slots, count):
+            base = coreset1.symbols if slot in monitored_set else 0
+            dl_syms = carrier.dl_symbols_in_slot(slot)
+            if kind == "block" and base + amount > dl_syms:
+                raise PlacementError(f"{signal.name}: {amount} symbols do not fit slot {slot}")
+            if kind == "re" and amount > (dl_syms - base) * SC_PER_PRB:
+                raise PlacementError(f"{signal.name}: needs {amount} RE/PRB in slot {slot}")
+            units.append((slot, (signal, kind, prbs, amount, base, dl_syms)))
+    return monitored, units
 
 
 def _place_plan(
     lattice: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet,
     monitored: List[int], units: List[tuple],
 ) -> None:
-    """Place a checked plan (`_nr_plan`): CORESET1, then all units, each in its
+    """Place a checked plan (`nr_plan`): CORESET1, then all units, each in its
     own DL slot, in one placement. No unit writes another's slot, so a pick
     reads its slot's row after CORESET1, and units of one footprint over one
-    row are placed as one. A unit that does not fit places the units before
-    it first, so an earlier unit's conflict is still the error raised."""
+    row are placed as one. A unit whose pick collides places the units
+    before it first, so an earlier unit's conflict is still the error raised."""
     if monitored:
         coreset1 = (slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB))
-        place_slots(lattice, [(monitored, coreset1, NR_LABELS[SIGNAL_CORESET1])])
-    monitored_set = set(monitored)
-    ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
+        place_slots(lattice, [(monitored, coreset1, _CORESET1.label)])
     groups: Dict[tuple, List[int]] = {}
-    for unit, slot in zip(units, carrier.dl_bearing_slots()):
-        base = ctrl_symbols if slot in monitored_set else 0
-        key = (*unit, base, carrier.dl_symbols_in_slot(slot), lattice.slot_rows[slot])
-        groups.setdefault(key, []).append(slot)
+    for slot, unit in units:
+        groups.setdefault((*unit, lattice.slot_rows[slot]), []).append(slot)
     placements = []
     try:
-        for (name, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
-            slot = slots[0]
+        for (signal, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
             if kind == "block":
-                if base + amount > dl_syms:
-                    raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
                 where = (slice(base, base + amount), slice(0, prbs * SC_PER_PRB))
-                footprint = NR_LABELS[name]
+                footprint = signal.label
             else:
-                if amount > (dl_syms - base) * SC_PER_PRB:
-                    raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
                 where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
                 window = Window(carrier.n_subcarriers, range(base, dl_syms), range(prbs * SC_PER_PRB))
                 view = memoryview(window.read(lattice.rows[r])).cast(
                     "B", (dl_syms - base, prbs * SC_PER_PRB))
                 footprint = _first_free_per_prb(
-                    view, amount, f"{name}: collision in slot {slot}", NR_LABELS[name])
+                    view, amount, f"{signal.name}: collision in slot {slots[0]}", signal.label)
             placements.append((slots, where, footprint))
     except PlacementError:
         place_slots(lattice, placements)

@@ -28,7 +28,7 @@ from gridshare.mrss import (
     check_slots,
     check_ssb_occasion,
 )
-from gridshare.nr import NR_LABELS, SIGNAL_CORESET1, _first_free_per_prb, _nr_plan
+from gridshare.nr import _first_free_per_prb, nr_plan
 from gridshare.rounding import round_half_up
 
 # The label -> category table as an array.
@@ -107,28 +107,20 @@ def place_lte(arr, carrier, cfg, include_sync=True):
 
 
 def place_nr(arr, carrier, overlay):
-    monitored, units = _nr_plan(carrier, overlay)
+    monitored, units = nr_plan(carrier, overlay)
     for slot in monitored:
         place(
             arr,
             (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
-            NR_LABELS[SIGNAL_CORESET1],
+            ReLabel.NR_PDCCH_CORESET1,
         )
-    monitored_set = set(monitored)
-    ctrl_symbols = overlay.coreset1.symbols if overlay.coreset1 else 0
-    for (name, kind, prbs, amount), slot in zip(units, carrier.dl_bearing_slots()):
-        base = ctrl_symbols if slot in monitored_set else 0
-        dl_syms = carrier.dl_symbols_in_slot(slot)
+    for slot, (signal, kind, prbs, amount, base, dl_syms) in units:
         if kind == "block":
-            if base + amount > dl_syms:
-                raise PlacementError(f"{name}: {amount} symbols do not fit slot {slot}")
-            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), NR_LABELS[name])
+            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), signal.label)
         else:
-            if amount > (dl_syms - base) * SC_PER_PRB:
-                raise PlacementError(f"{name}: needs {amount} RE/PRB in slot {slot}")
             where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-            pick = _first_free_per_prb(arr[where], amount, f"{name}: collision in slot {slot}")
-            place(arr, where, np.where(pick, NR_LABELS[name], ReLabel.UNLABELED))
+            pick = _first_free_per_prb(arr[where], amount, f"{signal.name}: collision in slot {slot}")
+            place(arr, where, np.where(pick, signal.label, ReLabel.UNLABELED))
 
 
 def count_labels(arr, slot_range, prb_range):

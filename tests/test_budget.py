@@ -217,6 +217,46 @@ class TestOverhead:
         with pytest.raises(ConfigError):
             nr_overhead(wideband_tdd_carrier(), NrOverlaySet(period_ms=10))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_and_grid_agree_or_fail_alike(self, data):
+        """On any small TDD carrier, the table and its grid route report the
+        same counts, or reject the overlay with the same error."""
+        draw = data.draw
+        cycle = draw(st.sampled_from(["D", "DU", "DSU", "SU", "DDDSU"]))
+        dl = draw(st.integers(0, 14))
+        guard = draw(st.integers(0, 14 - dl))
+        carrier = CarrierConfig(
+            Numerology(draw(st.sampled_from([15, 30]))), n_prb=draw(st.integers(1, 4)),
+            duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 2)),
+            tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)))
+        count, prbs = st.integers(0, 4), st.integers(0, 3)
+
+        def maybe(strategy):
+            return draw(st.one_of(st.none(), strategy))
+
+        beam = st.builds(BeamSignal, count, prbs, st.integers(0, 16))
+        overlay = NrOverlaySet(
+            period_ms=carrier.span_ms + (draw(st.integers(0, 7)) == 5),
+            ssb=maybe(beam), coreset0=maybe(beam), sib1=maybe(beam),
+            coreset1=maybe(st.builds(Coreset1Spec, prbs, st.integers(0, 16),
+                                     st.one_of(st.none(), st.integers(0, 12)))),
+            csi_rs=maybe(st.builds(CsiRsSpec, count, st.integers(0, 60), prbs, count)),
+            trs=maybe(st.builds(TrsSpec, prbs, count, st.integers(0, 170), count, count)))
+
+        def outcome(route):
+            try:
+                return route(carrier, overlay), None
+            except GridShareError as exc:
+                return None, str(exc)
+
+        report, error = outcome(nr_overhead)
+        counts, grid_error = outcome(verify_overhead_by_grid)
+        assert error == grid_error
+        if report is not None:
+            assert {row.signal_name: row.re_count for row in report.rows} == counts
+            assert report.total_row.re_count <= report.downlink_re
+
 
 class TestDominance:
     def test_coreset1_share(self):

@@ -154,6 +154,24 @@ class TestOverheadCommand:
         assert code == 1
         assert "nr" in err
 
+    @pytest.mark.parametrize("nr,message", [
+        ({"coreset1": {"prbs": 6, "symbols": 14, "slots": 5}},
+         "CORESET 1: 5 monitored slots > 1 DL-bearing slots"),
+        ({"ssb": {"beams": 8, "prbs": 6, "symbols": 20}},
+         "8 occasion units need distinct DL slots but only 1 are available"),
+        ({"ssb": {"beams": 1, "prbs": 6, "symbols": 20}}, "SSB: 20 symbols do not fit slot 0"),
+        ({"trs": {"prbs": 6, "slots_per_occasion": 1, "re_per_prb_per_slot": 169, "beams": 1,
+                  "occasions_per_period": 1}}, "TRS: needs 169 RE/PRB in slot 0"),
+    ], ids=["coreset1_slots", "ssb_beams", "ssb_symbols", "trs_re_per_prb"])
+    def test_rejects_the_overlays_classify_rejects(self, capsys, tmp_path, nr, message):
+        # A 1 ms DU carrier has one DL slot, which none of these overlays fits.
+        doc = {"carrier": {"scs_khz": 30, "n_prb": 6, "duplex": "TDD", "span_ms": 1,
+                           "tdd_pattern": {"cycle": "DU"}},
+               "nr": {"period_ms": 1, **nr}}
+        path = write_doc(tmp_path, doc)
+        for command in ("overhead", "classify"):
+            assert run(capsys, command, "-s", path) == (2, "", f"error: {message}\n")
+
 
 class TestClassifyCommand:
     def test_partition(self, capsys, table3):
@@ -616,8 +634,10 @@ SWEEPS = {
         {"path": "budget.lte_pdcch", "values": [1, 3]},
         {"path": "budget.ports", "values": [[1], [2, 4]]},
     ]),
+    # 3 symbols would push the 4-symbol SSB out of the 6 downlink symbols
+    # of the special slot, which `place_nr` and `nr_overhead` both reject.
     "overhead": sweep_doc("table3.json", "overhead", [
-        {"path": "nr.coreset1.symbols", "values": [1, 3]},
+        {"path": "nr.coreset1.symbols", "values": [1, 2]},
     ]),
     # The per_slot lists change length between points.
     "simulate_span": {

@@ -52,7 +52,7 @@ def full_overlay():
 
 class TestClosedForms:
     def test_ssb(self):
-        assert BeamSignal(4, 20, 4).re_count == 3840
+        assert BeamSignal(4, 20, 4).re_count(wideband_tdd_carrier()) == 3840
 
     def test_coreset1_follows_dl_bearing_slots(self):
         carrier = wideband_tdd_carrier()
@@ -60,10 +60,10 @@ class TestClosedForms:
         assert Coreset1Spec(270, 2, slots=32).re_count(carrier) == 207_360
 
     def test_trs(self):
-        assert TrsSpec(52, 2, 6, 4, 2).re_count == 4992
+        assert TrsSpec(52, 2, 6, 4, 2).re_count(wideband_tdd_carrier()) == 4992
 
     def test_csi_rs(self):
-        assert CsiRsSpec(32, 1, 272, 1).re_count == 8704
+        assert CsiRsSpec(32, 1, 272, 1).re_count(wideband_tdd_carrier()) == 8704
 
     def test_signal_counts_full_overlay(self):
         counts = full_overlay().signal_counts(wideband_tdd_carrier())
@@ -237,10 +237,22 @@ class TestUnitsPlacedTogether:
         assert picks[0] != picks[1] and picks[1] == picks[2]
 
     def test_an_earlier_units_conflict_comes_before_a_later_misfit(self):
-        # The SSB in slot 0 meets LTE CRS; the TRS in slot 1 cannot fit.
+        # The SSB in slot 0 meets LTE CRS; the TRS in slot 1 finds 144 of
+        # its 150 cells per PRB free of LTE control and CRS.
+        overlay = NrOverlaySet(period_ms=10, ssb=BeamSignal(1, 6, 4),
+                               trs=TrsSpec(6, 1, 150, 1, 1))
+        cell = LteCellConfig(crs_ports=2, pdcch_symbols=1)
+        (_, error), (_, want_error) = placed_and_dense(self.CARRIER, cell, overlay)
+        assert error == want_error
+        assert error == (ConflictError, "conflict at cell (0, 0, 0): existing LTE_CRS_P0, new NR_SSB")
+        (_, alone), _ = placed_and_dense(self.CARRIER, cell, replace(overlay, ssb=None))
+        assert alone == (PlacementError, "TRS: collision in slot 0, PRB 0")
+
+    def test_a_unit_too_large_for_its_slot_is_rejected_before_any_write(self):
+        # 200 RE per PRB exceed the 168 cells of a slot: `nr_plan` rejects
+        # the TRS before the SSB meets LTE CRS, as `nr_overhead` does.
         overlay = NrOverlaySet(period_ms=10, ssb=BeamSignal(1, 6, 4),
                                trs=TrsSpec(6, 1, 200, 1, 1))
         (_, error), (_, want_error) = placed_and_dense(
             self.CARRIER, LteCellConfig(crs_ports=2, pdcch_symbols=1), overlay)
-        assert error == want_error
-        assert error == (ConflictError, "conflict at cell (0, 0, 0): existing LTE_CRS_P0, new NR_SSB")
+        assert error == want_error == (PlacementError, "TRS: needs 200 RE/PRB in slot 1")

@@ -1,18 +1,21 @@
 """Every public name in `src/` serves the program.
 
-A public top-level function or class of a `gridshare` module must be named
-by the package's code (any module but `__init__.py`, which only re-exports)
-or by the benchmark harness in `bench/`. A name that only tests read belongs
-in the tests, next to the reference it serves (`dense_reference`).
+A public top-level function or class of a `gridshare` module, and a
+module-level ALL_CAPS constant, public or not, must be named by the
+package's code (any module but `__init__.py`, which only re-exports) or by
+the benchmark harness in `bench/`. A name that only tests read belongs in
+the tests, next to the reference it serves (`dense_reference`).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import gridshare
 
 SRC = Path(gridshare.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def public_definitions(tree: ast.Module):
@@ -21,6 +24,17 @@ def public_definitions(tree: ast.Module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 yield node.lineno, node.name
+
+
+def constant_definitions(tree: ast.Module):
+    """(line, name) of each ALL_CAPS name a top-level assignment binds,
+    unpacked names included."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for target in targets for n in ast.walk(target)):
+                if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                    yield node.lineno, name.id
 
 
 def _docstrings(tree: ast.Module):
@@ -33,13 +47,13 @@ def _docstrings(tree: ast.Module):
 
 
 def referenced_names(tree: ast.Module):
-    """Names the code refers to: as a name, an attribute, an import (the
-    imported name, before any `as`) or a whole string constant. Docstrings
-    do not count, and comments are not in the tree."""
+    """Names the code refers to: as a name it reads, an attribute, an import
+    (the imported name, before any `as`) or a whole string constant.
+    Assigning a name, docstrings and comments do not count."""
     skip = set(map(id, _docstrings(tree)))
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -50,20 +64,30 @@ def referenced_names(tree: ast.Module):
     return names
 
 
-def unreferenced(modules, readers):
-    """`module:line: name` of each public definition in `modules` (file name
-    -> tree) that no tree of `modules` or `readers` refers to."""
+def unreferenced(modules, readers, definitions=public_definitions):
+    """`module:line: name` of each of the `definitions` in `modules` (file
+    name -> tree) that no tree of `modules` or `readers` refers to."""
     seen = set().union(*map(referenced_names, [*modules.values(), *readers]))
     return [f"{name}:{line}: {defined}" for name, tree in modules.items()
-            for line, defined in public_definitions(tree) if defined not in seen]
+            for line, defined in definitions(tree) if defined not in seen]
 
 
-def test_every_public_name_in_src_is_used_by_src_or_bench():
+def src_and_bench():
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
                if path.name != "__init__.py"}
     readers = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
     assert readers
-    assert unreferenced(modules, readers) == []
+    return modules, readers
+
+
+def test_every_public_name_in_src_is_used_by_src_or_bench():
+    assert unreferenced(*src_and_bench()) == []
+
+
+def test_every_constant_in_src_is_read_by_src_or_bench():
+    modules, readers = src_and_bench()
+    assert [d for tree in modules.values() for d in constant_definitions(tree)]
+    assert unreferenced(modules, readers, constant_definitions) == []
 
 
 def test_reference_finder_sees_each_form():
@@ -82,3 +106,14 @@ def test_reference_finder_sees_each_form():
     found = unreferenced({"defining.py": defining, "reading.py": reading}, [bench])
     assert found == ["defining.py:5: in_docstring", "defining.py:6: in_comment",
                      "defining.py:8: in_a_sentence"]
+
+
+def test_constant_finder_sees_each_form():
+    defining = ast.parse(
+        'READ = 1\nUNREAD = 2\n_PRIVATE_READ = 3\nA, _B = 4, 5\nTYPED: int = 6\n'
+        'lower = 7\nCamel = 8\nREBOUND = 9\nREBOUND = 10\nIN_DOCSTRING = 11\n'
+        'def f():\n    LOCAL = 12\n    return READ + _PRIVATE_READ + A + TYPED\n')
+    reading = ast.parse('"""IN_DOCSTRING"""\nimport defining\ndefining.REBOUND\n')
+    found = unreferenced({"defining.py": defining, "reading.py": reading}, [],
+                         constant_definitions)
+    assert found == ["defining.py:2: UNREAD", "defining.py:4: _B", "defining.py:10: IN_DOCSTRING"]

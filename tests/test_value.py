@@ -24,7 +24,7 @@ from gridshare.mrss import (
     TrafficModel,
     classify_mrss,
 )
-from gridshare.nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
+from gridshare.nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, Signal, TrsSpec
 from gridshare.scenario import (
     BudgetSpec,
     IotReservation,
@@ -67,6 +67,7 @@ EXAMPLES = {
     TrsSpec: ({"prbs": 24, "slots_per_occasion": 2, "re_per_prb_per_slot": 6, "beams": 1,
                "occasions_per_period": 1}, {"beams": -1}),
     NrOverlaySet: ({"period_ms": 20}, {"period_ms": 0}),
+    Signal: ({"name": "SSB", "field": "ssb", "label": grid.ReLabel.NR_SSB}, None),
     ControlMode: ({}, {"shared_fraction": 0.5}),
     Mitigation: ({"kind": "SymbolLevelMute"}, {"kind": "Shout"}),
     TrafficModel: ({"demand_5g": 10, "demand_6g": (0, 5)}, {"seed": -1}),
@@ -119,7 +120,7 @@ def test_every_annotated_class_is_a_marked_value_class():
             assert cls in MARKED, cls.__name__
         assert not hasattr(cls, "__dataclass_fields__"), cls.__name__
     assert set(MARKED) == set(EXAMPLES)
-    assert len(MARKED) == 27
+    assert len(MARKED) == 28
 
 
 @pytest.mark.parametrize("method", METHODS)

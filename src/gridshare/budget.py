@@ -21,6 +21,7 @@ from .grid import (
     Numerology,
     ReLabel,
     ResourceGrid,
+    SlotKind,
     count_labels,
     new_labels,
     place_slots,
@@ -173,9 +174,9 @@ def dss_pool_by_grid(
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
         place_lte(labels, carrier, cfg, include_sync=False)
     # NR control, then each DMRS symbol, rate-matched around CRS.
-    blocks = [(slice(lte_pdcch, control_end), ReLabel.NR_PDCCH_CORESET1)]
-    for symbols, label in blocks + [(s, ReLabel.NR_DMRS) for s in dmrs_symbols]:
-        place_slots(labels, [((0,), (symbols,), label)], rate_match=True)
+    blocks = [(range(lte_pdcch, control_end), ReLabel.NR_PDCCH_CORESET1)]
+    for symbols, label in blocks + [(range(s, s + 1), ReLabel.NR_DMRS) for s in dmrs_symbols]:
+        place_slots(labels, [((0,), symbols, range(carrier.n_subcarriers), label)], rate_match=True)
     counts = count_labels(ResourceGrid(carrier, labels))
     return counts.get(ReLabel.UNLABELED, 0) // n_prb
 
@@ -255,13 +256,13 @@ def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport
             counts[signal.name])
         for signal in SIGNALS
     )
-    split = carrier.tdd_pattern.special_split
-    total_row = row(
-        "Total",
-        f"{carrier.tdd_pattern.cycle_str}; S slot with {split[0]} downlink symbols, "
-        f"{split[1]} guard symbols, and {split[2]} uplink symbols",
-        sum(counts.values()),
-    )
+    pattern = carrier.tdd_pattern
+    summary = pattern.cycle_str
+    if SlotKind.SPECIAL in pattern.cycle:
+        dl, guard, ul = pattern.special_split
+        summary += (f"; S slot with {dl} downlink symbols, {guard} guard symbols, "
+                    f"and {ul} uplink symbols")
+    total_row = row("Total", summary, sum(counts.values()))
     return OverheadReport(rows=rows, total_row=total_row, total_re=total_re, downlink_re=dl_re)
 
 

@@ -17,11 +17,13 @@ each stage's footprints into it, and wrap it once in a `ResourceGrid`
 which shares its rows until it writes them. Every label write goes through
 `place_slots`, so no write relabels a cell or touches an uplink/guard cell,
 and a write over slots that share a row with other slots copies it first.
+A placement names its block of each slot by two ranges (symbols,
+subcarriers), as a `Window` does, and its footprint is an int label or the
+block's bytes in the order a `Window` reads them.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from enum import Enum, IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -335,7 +337,7 @@ def make_grid(config: CarrierConfig) -> ResourceGrid:
 
 
 class Window:
-    """A block of a slot, symbols x subcarriers (two ranges), as slices of its row.
+    """A block of a slot, symbols x subcarriers (two step-1 ranges), as slices of its row.
 
     `parts` pairs each symbol's slice of the row with the matching slice of
     the block's own symbol-major bytes; `whole` is the one row slice of a
@@ -347,12 +349,11 @@ class Window:
 
     def __init__(self, n_sc: int, symbols: range, subcarriers: range):
         self.symbols, self.subcarriers = symbols, subcarriers
-        width, first, last, step = (len(subcarriers), subcarriers.start, subcarriers.stop,
-                                    subcarriers.step)
-        self.parts = [(slice(s * n_sc + first, s * n_sc + last, step),
+        width, first, last = len(subcarriers), subcarriers.start, subcarriers.stop
+        self.parts = [(slice(s * n_sc + first, s * n_sc + last),
                        slice(i * width, (i + 1) * width)) for i, s in enumerate(symbols)]
         self.whole = None
-        if step == 1 and symbols.step == 1 and (width == n_sc or len(symbols) == 1):
+        if width == n_sc or len(symbols) == 1:
             start = symbols.start * n_sc + first
             self.whole = slice(start, start + len(symbols) * width)
 
@@ -373,54 +374,31 @@ class Window:
             row[part] = bytes((label,)) * (fp.stop - fp.start)
 
 
-def _axis(index, size: int) -> range:
-    """The positions an int or a slice (positive step) selects on an axis of `size`."""
-    if isinstance(index, slice):
-        selected = range(size)[index]
-        if selected.step < 0:
-            raise ConfigError("placement slices need a positive step")
-        return selected
-    try:
-        i = range(size)[operator.index(index)]
-    except TypeError:
-        raise ConfigError("placement needs an index of ints and slices") from None
-    return range(i, i + 1)
+def _window(symbols, subcarriers, n_sc: int) -> Window:
+    """The block of a slot that two ranges name; anything but step-1 ranges
+    within the slot is a ConfigError. An empty range names no cell, wherever it is."""
+    for axis, size, name in ((symbols, SYMBOLS_PER_SLOT, "symbols"),
+                             (subcarriers, n_sc, "subcarriers")):
+        if (not isinstance(axis, range) or axis.step != 1
+                or (axis and not 0 <= axis.start < axis.stop <= size)):
+            raise ConfigError(
+                f"placement {name} must be a step-1 range within the slot's {size}, got {axis!r}")
+    return Window(n_sc, symbols, subcarriers)
 
 
-def _view(where: Tuple, n_sc: int) -> Tuple[Window, Tuple[int, ...]]:
-    """The block that `where` (up to a symbol and a subcarrier index, ints or
-    slices) selects in a slot, and the shape of that view, an axis per slice."""
-    if len(where) > 2:
-        raise ConfigError("placement needs an index of ints and slices")
-    where = where + (slice(None),) * (2 - len(where))
-    axes = [_axis(w, size) for w, size in zip(where, (SYMBOLS_PER_SLOT, n_sc))]
-    shape = tuple(len(a) for a, w in zip(axes, where) if isinstance(w, slice))
-    return Window(n_sc, *axes), shape
-
-
-def _footprint(footprint, shape: Tuple[int, ...]) -> bytes:
-    """A footprint, an int label or a uint8 buffer of the view's shape, as the
-    view's bytes; any other footprint is a ConfigError."""
-    size = 1
-    for n in shape:
-        size *= n
-    try:
-        return bytes((operator.index(footprint),)) * size
-    except TypeError:
-        pass
-    try:
-        view = memoryview(footprint)
-    except TypeError:
-        view = None
-    if view is None or view.shape != shape or view.format != "B":
-        got = (type(footprint).__name__ if view is None
-               else f"shape {view.shape} of format {view.format!r}")
+def _footprint(footprint, size: int) -> bytes:
+    """A footprint, an int label or bytes of one label per cell of a block of
+    `size` cells, as the block's bytes; any other footprint is a ConfigError."""
+    if isinstance(footprint, int):
+        return bytes((footprint,)) * size
+    if not isinstance(footprint, bytes) or len(footprint) != size:
+        got = f"{len(footprint)} bytes" if isinstance(footprint, bytes) else type(footprint).__name__
         raise ConfigError(
-            f"a footprint is an int label or a uint8 buffer of the view's shape {shape}, got {got}")
-    return view.tobytes()
+            f"a footprint is an int label or {size} bytes, one per cell of the block, got {got}")
+    return footprint
 
 
-Placement = Tuple[Sequence[int], Tuple, object]
+Placement = Tuple[Sequence[int], range, range, object]
 
 # GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: cells at or above it are no downlink cells.
 _NON_DL = bytes((ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL))
@@ -430,11 +408,12 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     """Write footprints into the named slots of a writable label lattice.
 
     This is the one write path into a label lattice. Each placement is
-    (slots, where, footprint): `where` indexes into a slot (symbol,
-    subcarrier) with ints and slices, and `footprint` is either one int
-    label for every cell of that view or a uint8 buffer of exactly the
-    view's shape, one label per cell, with UNLABELED marking cells outside
-    the footprint; any other footprint is a ConfigError (`_footprint`).
+    (slots, symbols, subcarriers, footprint): the two ranges name a block
+    of each slot, and `footprint` is either one int label for every cell
+    of the block or bytes of exactly the block's cells in symbol-major
+    order (as `Window` reads them), with UNLABELED marking cells outside
+    the footprint. A range outside the slot and any other footprint are a
+    ConfigError; an empty range places nothing.
     Placements name disjoint slots: a slot that two of them name is a
     ConfigError, raised before anything is written.
     Only UNLABELED cells are written; uplink and guard cells never are.
@@ -447,14 +426,14 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     verbatim, and otherwise each symbol's slice merges on its own.
     """
     jobs, named = [], set()
-    for slots, where, footprint in placements:
-        window, shape = _view(tuple(where), lattice.n_sc)
+    for slots, symbols, subcarriers, footprint in placements:
+        window = _window(symbols, subcarriers, lattice.n_sc)
         slots = lattice.slot_set(slots)
         shared = named.intersection(slots)
         if shared:
             raise ConfigError(f"placements of one call share slot {min(shared)}")
         named.update(slots)
-        jobs.append((slots, window, _footprint(footprint, shape)))
+        jobs.append((slots, window, _footprint(footprint, len(symbols) * len(subcarriers))))
     if not rate_match:
         _check_free(lattice, jobs)
     for slots, window, footprint in jobs:

@@ -150,9 +150,9 @@ def _fill(template: bytearray, n_sc: int, symbols: range, subcarriers: slice, la
 
 def _subframe_templates(
     cfg: LteCellConfig, n_prb: int, sync: bool
-) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
-    """14 x n_sc label templates: (normal, MBSFN, subframe 0, subframe 5) mod 10,
-    each a read-only memoryview.
+) -> Tuple[bytes, bytes, bytes, bytes]:
+    """14 x n_sc label templates in symbol-major order: (normal, MBSFN,
+    subframe 0, subframe 5) mod 10.
 
     CRS takes precedence inside the control region so control-region CRS
     stays countable; PBCH is rate-matched around CRS.
@@ -179,7 +179,7 @@ def _subframe_templates(
         sf0 = bytearray(sf5)
         _fill(sf0, n_sc, PBCH_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH)
         templates[2:] = sf0, sf5
-    return tuple(memoryview(bytes(t)).cast("B", (SYMBOLS_PER_SLOT, n_sc)) for t in templates)
+    return tuple(map(bytes, templates))
 
 
 def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True) -> ResourceGrid:
@@ -210,9 +210,10 @@ def place_lte(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
     every, mbsfn_sf = range(carrier.n_slots), cfg.mbsfn_subframes
+    block = (range(SYMBOLS_PER_SLOT), range(carrier.n_subcarriers))
     place_slots(labels, [
-        ([sf for sf in every if sf % 5 and sf not in mbsfn_sf], (), normal),
-        ([sf for sf in every if sf in mbsfn_sf], (), mbsfn),
-        ([sf for sf in every[0::10] if sf not in mbsfn_sf], (), sf0),
-        ([sf for sf in every[5::10] if sf not in mbsfn_sf], (), sf5),
+        ([sf for sf in every if sf % 5 and sf not in mbsfn_sf], *block, normal),
+        ([sf for sf in every if sf in mbsfn_sf], *block, mbsfn),
+        ([sf for sf in every[0::10] if sf not in mbsfn_sf], *block, sf0),
+        ([sf for sf in every[5::10] if sf not in mbsfn_sf], *block, sf5),
     ])

@@ -4,11 +4,12 @@ Covers the three-category MRSS resource model with a slot-level scheduler,
 and neighbor-cell CRS interference with its mitigation strategies. The DSS
 slot itself (NR rate-matched around LTE CRS) is budgeted in `budget`.
 
-An MRSS map holds a category lattice of the same kind as the grid's label
-lattice (`grid.Lattice`): each distinct slot is stored once, and every count
-is taken once per distinct row and spread over the slots that hold it. A
-map stage (`reserve_iot`, `place_6g_ssb`) copies the slot -> row index and
-only the rows it writes; the rest stay shared with the map it came from.
+An MRSS map is the grid it partitions and one category lattice of the same
+kind as the grid's label lattice (`grid.Lattice`): each distinct slot is
+stored once, and every count is taken once per distinct row and spread over
+the slots that hold it. A map stage (`reserve_iot`, `place_6g_ssb`) copies
+the slot -> row index and only the category rows it writes; the grid and
+the other rows stay shared with the map it came from.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .grid import (
     ResourceGrid,
     Window,
     any_label,
-    place_slots,
 )
 from .lte import LteCellConfig, crs_cells
 from .pcg64 import Pcg64
@@ -196,30 +196,28 @@ class TrafficModel:
         return draw(self.demand_5g), draw(self.demand_6g)
 
 
-@value(no_repr=("category_lattice", "label_lattice"))
+@value(no_repr=("category_lattice",))
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
-    An immutable value: `category_lattice` (a category code per cell) and
-    `label_lattice` (the labels under it) are each a `Lattice`, which the
-    constructor freezes, so one map can serve many `simulate` calls;
-    `reserve_iot` and `place_6g_ssb` return new maps that share every row
-    they do not write. Anything but a `Lattice` of the grid's shape is a
-    ConfigError.
+    An immutable value: the grid it partitions and `category_lattice`, a
+    `Lattice` of one category code per cell, which the constructor freezes,
+    so one map can serve many `simulate` calls. `reserve_iot` and
+    `place_6g_ssb` return new maps of the same grid whose category lattices
+    share every row they do not write. Anything but a `Lattice` of the
+    grid's shape is a ConfigError.
     """
 
     grid: ResourceGrid
     category_lattice: Lattice
-    label_lattice: Lattice
-    control_mode: ControlMode = ControlMode()
 
     def __post_init__(self):
-        for lattice in (self.category_lattice, self.label_lattice):
-            if not isinstance(lattice, Lattice):
-                raise ConfigError(f"a map's lattices are Lattices, got {type(lattice).__name__}")
-            if lattice.shape != self.grid.lattice.shape:
-                raise ConfigError(f"map lattice shape {lattice.shape} != {self.grid.lattice.shape}")
-            lattice.freeze()
+        lattice = self.category_lattice
+        if not isinstance(lattice, Lattice):
+            raise ConfigError(f"a map's categories are a Lattice, got {type(lattice).__name__}")
+        if lattice.shape != self.grid.lattice.shape:
+            raise ConfigError(f"map lattice shape {lattice.shape} != {self.grid.lattice.shape}")
+        lattice.freeze()
 
     @property
     def shared_pool_size(self) -> int:
@@ -308,7 +306,7 @@ def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode())
         extra = int(footprint * grow)
         if extra > 0:
             _grow_control(categories, [per_row[r][CAT_SHARED] for r in categories.slot_rows], extra)
-    return MrssCategoryMap(grid, categories, grid.lattice, control_mode)
+    return MrssCategoryMap(grid, categories)
 
 
 def _grow_control(categories: Lattice, shared: List[int], extra: int) -> None:
@@ -364,7 +362,8 @@ def reserve_iot(
     """Semi-static IoT reservation: move shared-pool cells to reserved.
 
     Applies to the downlink-capable cells of the named PRBs/slots; any cell
-    there that is not currently in the shared pool is an error.
+    there that is not currently in the shared pool is an error. The new map
+    copies the category lattice alone; the grid's labels are left as they are.
     """
     cfg = cmap.grid.config
     p0, p1 = prb_range
@@ -372,8 +371,8 @@ def reserve_iot(
     slot_list = list(range(cfg.n_slots)) if slots is None else sorted(set(slots))
     check_slots(cfg, slot_list)
 
-    prbs = range(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
-    window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT), prbs)
+    window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT),
+                    range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
     categories = cmap.category_lattice.copy()
     for slot, r in categories.first_slots(slot_list):
         cells = window.read(categories.rows[r])
@@ -387,43 +386,40 @@ def reserve_iot(
         row = categories.rows[r]
         for part, _ in window.parts:
             row[part] = row[part].translate(_SHARED_TO_RESERVED)
-    # Incumbent-labeled shared cells (LTE CRS, PDCCH) keep their label.
-    labels = cmap.label_lattice.copy()
-    where = (slice(None), slice(prbs.start, prbs.stop))
-    place_slots(labels, [(slot_list, where, ReLabel.RESERVED_IOT)], rate_match=True)
-    return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
+    return MrssCategoryMap(cmap.grid, categories)
 
 
 def place_6g_ssb(
     cmap: MrssCategoryMap,
     occasions: Sequence[Tuple[int, int, int]],
-    prbs: int = 20,
-    symbols: int = 4,
+    prbs: int,
+    symbols: int,
 ) -> MrssCategoryMap:
-    """Reserve 6G SSB beam blocks at (slot, first_symbol, first_prb) anchors.
+    """Reserve 6G SSB beam blocks of `prbs` x `symbols` at (slot,
+    first_symbol, first_prb) anchors.
 
     The hidden-from-5G constraint is structural: every targeted cell must be
-    an unlabeled shared-pool cell, so a collision with any 5G footprint
-    (SSB, control, ...) is rejected as "not hidden".
+    a shared-pool cell that the grid leaves unlabeled, so a collision with
+    any 5G footprint (SSB, control, ...) is rejected as "not hidden". An
+    IoT reservation or an earlier occasion made its cells reserved, so they
+    fail the category test. The new map copies the category lattice alone.
     """
     cfg = cmap.grid.config
     categories = cmap.category_lattice.copy()
-    labels = cmap.label_lattice.copy()
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
-        block = (range(symbol, symbol + symbols), range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
-        window = Window(cfg.n_subcarriers, *block)
+        window = Window(cfg.n_subcarriers, range(symbol, symbol + symbols),
+                        range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
         cells = window.read(categories.row(slot))
-        if cells.translate(None, bytes((CAT_SHARED,))) or any_label(window.read(labels.row(slot))):
+        labels = window.read(cmap.grid.lattice.row(slot))
+        if cells.translate(None, bytes((CAT_SHARED,))) or any_label(labels):
             raise PlacementError(
                 f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
                 "collides with a 5G footprint or leaves the shared pool"
             )
         (r,) = categories.own((slot,))
         window.fill(categories.rows[r], CAT_RESERVED)
-        where = tuple(slice(axis.start, axis.stop) for axis in block)
-        place_slots(labels, [((slot,), where, ReLabel.SIXG_SSB)])
-    return MrssCategoryMap(cmap.grid, categories, labels, cmap.control_mode)
+    return MrssCategoryMap(cmap.grid, categories)
 
 
 def _grants(

@@ -276,43 +276,40 @@ def _place_plan(
     row are placed as one. A unit whose pick collides places the units
     before it first, so an earlier unit's conflict is still the error raised."""
     if monitored:
-        coreset1 = (slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB))
-        place_slots(lattice, [(monitored, coreset1, _CORESET1.label)])
+        coreset1 = overlay.coreset1
+        place_slots(lattice, [(monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
+                               _CORESET1.label)])
     groups: Dict[tuple, List[int]] = {}
     for slot, unit in units:
         groups.setdefault((*unit, lattice.slot_rows[slot]), []).append(slot)
     placements = []
     try:
         for (signal, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
+            subcarriers = range(prbs * SC_PER_PRB)
             if kind == "block":
-                where = (slice(base, base + amount), slice(0, prbs * SC_PER_PRB))
-                footprint = signal.label
+                symbols, footprint = range(base, base + amount), signal.label
             else:
-                where = (slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-                window = Window(carrier.n_subcarriers, range(base, dl_syms), range(prbs * SC_PER_PRB))
-                view = memoryview(window.read(lattice.rows[r])).cast(
-                    "B", (dl_syms - base, prbs * SC_PER_PRB))
+                symbols = range(base, dl_syms)
+                cells = Window(carrier.n_subcarriers, symbols, subcarriers).read(lattice.rows[r])
                 footprint = _first_free_per_prb(
-                    view, amount, f"{signal.name}: collision in slot {slots[0]}", signal.label)
-            placements.append((slots, where, footprint))
+                    cells, len(subcarriers), amount, f"{signal.name}: collision in slot {slots[0]}",
+                    signal.label)
+            placements.append((slots, symbols, subcarriers, footprint))
     except PlacementError:
         place_slots(lattice, placements)
         raise
     place_slots(lattice, placements)
 
 
-def _first_free_per_prb(view, amount: int, what: str, mark: int = 1) -> memoryview:
-    """`mark` on the first `amount` free cells of each PRB of a 2-D (symbol,
-    subcarrier) uint8 buffer, in symbol-major order, 0 elsewhere: a
-    read-only memoryview of the view's shape. PlacementError names the
-    first PRB with fewer free cells."""
-    view = memoryview(view)
-    n_sym, n_sc = view.shape
-    cells = view.tobytes()
+def _first_free_per_prb(cells: bytes, width: int, amount: int, what: str, mark: int = 1) -> bytes:
+    """`mark` on the first `amount` free cells of each PRB of a block of
+    symbol-major cells `width` subcarriers wide, in symbol-major order, 0
+    elsewhere: bytes of the block's size. PlacementError names the first
+    PRB with fewer free cells."""
     pick = bytearray(len(cells))
-    for prb in range(0, n_sc, SC_PER_PRB):
+    for prb in range(0, width, SC_PER_PRB):
         need = amount
-        for start in range(prb, n_sym * n_sc, n_sc):
+        for start in range(prb, len(cells), width):
             for i in range(start, start + SC_PER_PRB):
                 if need and not cells[i]:
                     pick[i] = mark
@@ -321,4 +318,4 @@ def _first_free_per_prb(view, amount: int, what: str, mark: int = 1) -> memoryvi
                 break
         if need:
             raise PlacementError(f"{what}, PRB {prb // SC_PER_PRB}")
-    return memoryview(bytes(pick)).cast("B", (n_sym, n_sc))
+    return bytes(pick)

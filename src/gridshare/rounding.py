@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 
-def round_half_up(value: Fraction, decimals: int = 2) -> float:
+def round_half_up(value: Fraction, decimals: int) -> float:
     """Round an exact rational to `decimals` >= 0 places, ties away from
     zero, in integer arithmetic: the one rounding is to the nearest float of
     the rounded decimal. A negative value that rounds to zero gives -0.0."""
@@ -18,8 +18,8 @@ def round_half_up(value: Fraction, decimals: int = 2) -> float:
     return math.copysign(q / scale, value.numerator)
 
 
-def pct(numerator: int, denominator: int, decimals: int = 2) -> float:
-    """100 * numerator / denominator, rounded half up. 0/0 reports 0.0."""
+def pct(numerator: int, denominator: int) -> float:
+    """100 * numerator / denominator, rounded half up to 2 decimals. 0/0 reports 0.0."""
     if denominator == 0:
         return 0.0
-    return round_half_up(Fraction(100 * numerator, denominator), decimals)
+    return round_half_up(Fraction(100 * numerator, denominator), 2)

@@ -96,6 +96,8 @@ def place_lte(arr, carrier, cfg, include_sync=True):
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
     )
+    normal, mbsfn, sf0, sf5 = (np.frombuffer(t, dtype=np.uint8).reshape(SYMBOLS_PER_SLOT, -1)
+                               for t in (normal, mbsfn, sf0, sf5))
     for sf in range(carrier.n_slots):
         if sf in cfg.mbsfn_subframes:
             template = mbsfn
@@ -119,7 +121,9 @@ def place_nr(arr, carrier, overlay):
             place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), signal.label)
         else:
             where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-            pick = _first_free_per_prb(arr[where], amount, f"{signal.name}: collision in slot {slot}")
+            pick = _first_free_per_prb(arr[where].tobytes(), prbs * SC_PER_PRB, amount,
+                                       f"{signal.name}: collision in slot {slot}")
+            pick = np.frombuffer(pick, dtype=np.uint8).reshape(arr[where].shape)
             place(arr, where, np.where(pick, signal.label, ReLabel.UNLABELED))
 
 

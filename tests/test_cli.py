@@ -172,6 +172,20 @@ class TestOverheadCommand:
         for command in ("overhead", "classify"):
             assert run(capsys, command, "-s", path) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("cycle, total", [
+        ("DU", "| Total | DU |"),
+        ("DS", "| Total | DS; S slot with 6 downlink symbols, 4 guard symbols, and 4 uplink symbols |"),
+    ])
+    def test_total_row_describes_an_s_slot_only_when_the_cycle_has_one(
+            self, capsys, tmp_path, cycle, total):
+        doc = {"carrier": {"scs_khz": 30, "n_prb": 6, "duplex": "TDD", "span_ms": 1,
+                           "tdd_pattern": {"cycle": cycle}},
+               "nr": {"period_ms": 1, "ssb": {"beams": 1, "prbs": 6, "symbols": 4}}}
+        code, out, err = run(capsys, "overhead", "-s", write_doc(tmp_path, doc), "-f", "md")
+        assert code == 0, err
+        (line,) = [line for line in out.splitlines() if line.startswith("| Total |")]
+        assert line.startswith(total)
+
 
 class TestClassifyCommand:
     def test_partition(self, capsys, table3):
@@ -482,7 +496,7 @@ class TestSweepMapCache:
         assert code == 0, err
         assert len(maps) == 18
         assert all(cmap is maps[0] for cmap in maps)
-        for lattice in (maps[0].category_lattice, maps[0].label_lattice, maps[0].grid.lattice):
+        for lattice in (maps[0].category_lattice, maps[0].grid.lattice):
             with pytest.raises(TypeError):
                 lattice.rows[0][0] = 0
 

@@ -59,7 +59,7 @@ def small_runs(draw):
     flat = categories.reshape(n_slots, -1)
     for slot in range(n_slots):
         flat[slot, :draw(st.integers(0, cap))] = CAT_SHARED
-    cmap = MrssCategoryMap(grid, ref.lattice_of(categories), grid.lattice)
+    cmap = MrssCategoryMap(grid, ref.lattice_of(categories))
 
     def demand():
         lo = draw(st.integers(0, 2 * cap))

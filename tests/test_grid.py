@@ -203,7 +203,7 @@ class TestPlace:
     def test_strict_skips_uplink_and_guard(self):
         arr = self.tdd_arr()
         before = arr.copy()
-        place_into(arr, [((1,), (), ReLabel.NR_DATA)])
+        place_into(arr, [((1,), range(14), range(24), ReLabel.NR_DATA)])
         assert (arr[1, :6] == ReLabel.NR_DATA).all()
         assert np.array_equal(arr[1, 6:], before[1, 6:])
         assert np.array_equal(arr[0], before[0])
@@ -213,13 +213,13 @@ class TestPlace:
         arr[1, 4, 15] = ReLabel.NR_SSB
         before = arr.copy()
         with pytest.raises(ConflictError, match=r"\(1, 4, 15\).*NR_SSB.*NR_DATA"):
-            place_into(arr, [((1,), (slice(3, 6), slice(12, 24)), ReLabel.NR_DATA)])
+            place_into(arr, [((1,), range(3, 6), range(12, 24), ReLabel.NR_DATA)])
         assert np.array_equal(arr, before)
 
     def test_rate_match_fills_free_cells_only(self):
         arr = self.tdd_arr()
         arr[0, 2, ::6] = ReLabel.LTE_CRS_P0
-        place_into(arr, [((0,), (2,), ReLabel.NR_PDCCH_CORESET1)], rate_match=True)
+        place_into(arr, [((0,), range(2, 3), range(24), ReLabel.NR_PDCCH_CORESET1)], rate_match=True)
         assert (arr[0, 2, ::6] == ReLabel.LTE_CRS_P0).all()
         assert np.count_nonzero(arr[0, 2] == ReLabel.NR_PDCCH_CORESET1) == 24 - 4
 
@@ -228,25 +228,53 @@ class TestPlace:
         arr[0, 0, 1] = ReLabel.NR_SSB
         template = np.zeros((14, 24), dtype=np.uint8)
         template[3] = ReLabel.NR_DMRS
-        place_into(arr, [((0,), (), template)])
+        place_into(arr, [((0,), range(14), range(24), template.tobytes())])
         assert np.count_nonzero(arr[0] == ReLabel.NR_DMRS) == 24
         assert arr[0, 0, 1] == ReLabel.NR_SSB
 
     def test_single_cell(self):
         arr = self.tdd_arr()
-        place_into(arr, [((0,), (4, 15), ReLabel.NR_SSB)])
+        cell = (range(4, 5), range(15, 16))
+        place_into(arr, [((0,), *cell, ReLabel.NR_SSB)])
         assert arr[0, 4, 15] == ReLabel.NR_SSB
         assert np.count_nonzero(arr[0]) == 1
         before = arr.copy()
         with pytest.raises(ConflictError, match=r"at cell \(0, 4, 15\): existing NR_SSB, new NR_DATA"):
-            place_into(arr, [((0,), (4, 15), ReLabel.NR_DATA)])
-        place_into(arr, [((0,), (4, 15), ReLabel.NR_DATA)], rate_match=True)
-        place_into(arr, [((1,), (13, 0), ReLabel.NR_DATA)])  # uplink: left as it is
+            place_into(arr, [((0,), *cell, ReLabel.NR_DATA)])
+        place_into(arr, [((0,), *cell, ReLabel.NR_DATA)], rate_match=True)
+        place_into(arr, [((1,), range(13, 14), range(1), ReLabel.NR_DATA)])  # uplink: left as it is
         assert np.array_equal(arr, before)
 
     def test_fancy_index_rejected(self):
-        with pytest.raises(ConfigError):
-            place_into(self.tdd_arr(), [((0,), ([0, 1],), ReLabel.NR_DATA)])
+        for symbols in ([0, 1], slice(0, 2), range(0, 4, 2), 0):
+            with pytest.raises(ConfigError, match="placement symbols must be a step-1 range"):
+                place_into(self.tdd_arr(), [((0,), symbols, range(24), ReLabel.NR_DATA)])
+
+    @pytest.mark.parametrize("symbols, subcarriers, name", [
+        (range(12, 15), range(24), "symbols"),
+        (range(-1, 2), range(24), "symbols"),
+        (range(14), range(20, 25), "subcarriers"),
+        (range(14), range(-3, 0), "subcarriers"),
+    ])
+    def test_range_outside_the_slot_rejected_before_any_write(self, symbols, subcarriers, name):
+        arr = self.tdd_arr()
+        before = arr.copy()
+        with pytest.raises(ConfigError, match=f"placement {name} must be a step-1 range within"):
+            place_into(arr, [((0,), range(2), range(2), ReLabel.NR_SSB),
+                             ((1,), symbols, subcarriers, ReLabel.NR_DATA)])
+        assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("symbols, subcarriers", [
+        (range(3, 3), range(24)), (range(14), range(24, 24)), (range(20, 20), range(30, 30)),
+    ])
+    def test_empty_range_writes_nothing(self, symbols, subcarriers):
+        arr = self.tdd_arr()
+        arr[0, 3, 5] = ReLabel.NR_SSB
+        before = arr.copy()
+        for rate_match in (False, True):
+            place_into(arr, [((0, 1), symbols, subcarriers, ReLabel.NR_DATA)], rate_match)
+            place_into(arr, [((0, 1), symbols, subcarriers, b"")], rate_match)
+        assert np.array_equal(arr, before)
 
 
 # Labels a downlink footprint can carry: everything but UNLABELED, guard and uplink.
@@ -259,23 +287,23 @@ def _random_labels(rng, shape, density):
     return np.where(rng.random(shape) < density, labels, ReLabel.UNLABELED).astype(np.uint8)
 
 
-def _index(draw, size):
-    """An int, a slice, or a slice with open ends into an axis of `size`."""
-    kind = draw(st.sampled_from(["int", "slice", "open"]))
-    if kind == "int":
-        return draw(st.integers(0, size - 1))
-    if kind == "open":
-        return slice(None)
-    start = draw(st.integers(0, size - 1))
-    return slice(start, draw(st.integers(start + 1, size)))
+def _axis(draw, size):
+    """A range into an axis of `size`: one position, a span, the whole axis or empty."""
+    kind = draw(st.sampled_from(["one", "span", "whole", "empty"]))
+    if kind == "whole":
+        return range(size)
+    start = draw(st.integers(0, size if kind == "empty" else size - 1))
+    if kind == "one":
+        return range(start, start + 1)
+    return range(start, start if kind == "empty" else draw(st.integers(start + 1, size)))
 
 
 @st.composite
 def placements(draw):
-    """(label array, slots, where, footprint, rate_match) over FDD and TDD
-    grids whose downlink cells are all free, partly taken or all taken: one
-    footprint, an int label or an array of the view's shape, for a set of
-    slots and a view (symbol, subcarrier) of each."""
+    """(label array, slots, (symbols, subcarriers), footprint, rate_match)
+    over FDD and TDD grids whose downlink cells are all free, partly taken or
+    all taken: one footprint, an int label or an array of the block's shape,
+    for a set of slots and a block (two ranges) of each."""
     cycle = draw(st.sampled_from(["FDD", "D", "DS", "DSU", "SU", "DDDSU"]))
     n_prb = draw(st.integers(1, 2))
     if cycle == "FDD":
@@ -293,19 +321,21 @@ def placements(draw):
     arr = np.where(arr == ReLabel.UNLABELED, taken, arr)
 
     slots = sorted(draw(st.sets(st.integers(0, len(arr) - 1))))
-    where = tuple(_index(draw, size) for size in arr.shape[1:][:draw(st.integers(0, 2))])
+    block = tuple(_axis(draw, size) for size in arr.shape[1:])
     if draw(st.booleans()):
         footprint = draw(st.sampled_from(DOWNLINK_LABELS.tolist()))
     else:
-        footprint = _random_labels(rng, arr[0][where].shape, draw(st.sampled_from([0.0, 0.3, 1.0])))
-    return arr, slots, where, footprint, draw(st.booleans())
+        shape = tuple(map(len, block))
+        footprint = _random_labels(rng, shape, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return arr, slots, block, footprint, draw(st.booleans())
 
 
 class TestPlaceReference:
     @settings(max_examples=400, deadline=None)
     @given(placements())
     def test_place_matches_the_masked_write(self, case):
-        arr, slots, where, footprint, rate_match = case
+        arr, slots, block, footprint, rate_match = case
+        where = tuple(slice(axis.start, axis.stop) for axis in block)
         expected, actual = arr.copy(), arr.copy()
         try:
             for slot in slots:
@@ -316,7 +346,9 @@ class TestPlaceReference:
             # checks every slot first and writes none.
             expected, expected_error = arr.copy(), str(exc)
         try:
-            place_into(actual, [(slots, where, footprint)], rate_match)
+            if not isinstance(footprint, int):
+                footprint = footprint.tobytes()
+            place_into(actual, [(slots, *block, footprint)], rate_match)
             error = None
         except ConflictError as exc:
             error = str(exc)
@@ -328,28 +360,32 @@ class TestPlaceReference:
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16])
 def test_footprint_of_the_view_shape_in_another_dtype(dtype):
-    """A footprint array of the view's shape in any dtype but uint8 is
-    rejected before anything is written."""
+    """A footprint array of the block's shape, or its bytes when they are not
+    one per cell, is rejected before anything is written."""
     arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
     footprint = np.full((14, 12), ReLabel.NR_DATA, dtype=dtype)
-    for rate_match in (False, True):
-        with pytest.raises(ConfigError, match=r"shape \(14, 12\), got shape \(14, 12\) of format"):
-            place_into(arr, [((1,), (), footprint)], rate_match)
+    rejected = [(footprint, "ndarray")]
+    if footprint.itemsize > 1:
+        rejected.append((footprint.tobytes(), f"{footprint.nbytes} bytes"))
+    for fp, got in rejected:
+        for rate_match in (False, True):
+            with pytest.raises(ConfigError, match=f"int label or 168 bytes, one per cell of the block, got {got}"):
+                place_into(arr, [((1,), range(14), range(12), fp)], rate_match)
     assert not arr.any()
 
 
 @pytest.mark.parametrize("footprint", [
-    np.zeros((14, 1), dtype=np.uint8),
-    np.zeros((1, 12), dtype=np.uint8),
-    np.zeros((2, 14, 12), dtype=np.uint8),
+    bytes(14),
+    bytes(12),
+    bytes(2 * 14 * 12),
     np.zeros(14 * 12, dtype=np.uint8),
-    bytes(14 * 12),
+    bytes(14 * 12 + 1),
     [[0] * 12] * 14,
 ], ids=["column", "row", "per-slot", "flat", "bytes", "nested-lists"])
 def test_footprint_of_another_shape_is_rejected(footprint):
-    """Only an int label or a uint8 buffer of exactly the view's shape is a
-    footprint; the error names both shapes."""
+    """Only an int label or bytes of exactly the block's cells is a
+    footprint; the error names the block's size and what it got."""
     arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
-    with pytest.raises(ConfigError, match=r"view's shape \(14, 12\), got "):
-        place_into(arr, [((0, 1), (), footprint)])
+    with pytest.raises(ConfigError, match=r"int label or 168 bytes, one per cell of the block, got "):
+        place_into(arr, [((0, 1), range(14), range(12), footprint)])
     assert not arr.any()

@@ -171,17 +171,16 @@ class _Pools:
         return self.pool
 
 
-def assert_map_equals(cmap, categories, labels):
+def assert_map_equals(cmap, grid, categories):
     per_slot = ref.cells_per_slot(categories)
+    assert cmap.grid is grid
     assert np.array_equal(ref.gather(cmap.category_lattice), categories)
-    assert np.array_equal(ref.gather(cmap.label_lattice), labels)
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
     assert (cmap.shared_pool_size, cmap.reserved_size, cmap.control_region_size,
             cmap.downlink_size) == (
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), categories.size - int(per_slot[CAT_NON_DL].sum()))
     assert_stores_each_slot_once(cmap.category_lattice)
-    assert_stores_each_slot_once(cmap.label_lattice)
 
 
 class TestAgainstDenseReference:
@@ -209,7 +208,7 @@ class TestAgainstDenseReference:
             if error is not None:
                 continue
             labels = arr
-            assert_map_equals(cmap, categories, labels)
+            assert_map_equals(cmap, grid, categories)
             stages = [(ref.reserve_iot, reserve_iot, (window, slots), {})
                       for window, slots in iot]
             occasions, prbs, symbols = ssb
@@ -223,7 +222,7 @@ class TestAgainstDenseReference:
                 if error is not None:
                     break
                 (categories, labels), cmap = dense, staged
-                assert_map_equals(cmap, categories, labels)
+                assert_map_equals(cmap, grid, categories)
             pool = ref.cells_per_slot(categories)[CAT_SHARED]
             for policy in SchedPolicy:
                 assert simulate(cmap, traffic, policy) == simulate(_Pools(pool), traffic, policy)
@@ -240,11 +239,11 @@ class TestLattice:
 
     def test_write_over_shared_slots_copies_the_row(self):
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
-        place_slots(lattice, [((1, 3), (0, slice(0, 2)), ReLabel.NR_SSB)])
+        place_slots(lattice, [((1, 3), range(1), range(2), ReLabel.NR_SSB)])
         assert lattice.slot_rows == [0, 1, 0, 1]
         assert not np.asarray(lattice.rows[0]).any()
         # Every slot of row 1 is written: in place, with no new row.
-        place_slots(lattice, [((1, 3), (1, 0), ReLabel.NR_SSB)])
+        place_slots(lattice, [((1, 3), range(1, 2), range(1), ReLabel.NR_SSB)])
         assert len(lattice.rows) == 2
         assert np.count_nonzero(lattice.rows[1]) == 3
 
@@ -253,7 +252,7 @@ class TestLattice:
         before = ref.gather(grid.lattice)
         copy = grid.lattice.copy()
         assert copy.rows[0] is grid.lattice.rows[0]
-        place_slots(copy, [(range(3), (), ReLabel.NR_DATA)])
+        place_slots(copy, [(range(3), range(14), range(12), ReLabel.NR_DATA)])
         assert copy.rows[0] is not grid.lattice.rows[0]
         assert np.array_equal(ref.gather(grid.lattice), before)
         assert (ref.gather(copy) == ReLabel.NR_DATA).all()
@@ -261,7 +260,7 @@ class TestLattice:
     def test_dense_array_is_copied_into_rows(self):
         arr = np.zeros((2, 14, 12), dtype=np.uint8)
         lattice = ref.lattice_of(arr)
-        place_slots(lattice, [((1,), (0,), ReLabel.NR_SSB)])
+        place_slots(lattice, [((1,), range(1), range(12), ReLabel.NR_SSB)])
         dense = ref.gather(lattice)
         assert dense[1, 0].tolist() == [ReLabel.NR_SSB] * 12
         assert not dense[0].any()
@@ -269,20 +268,24 @@ class TestLattice:
 
     def test_conflict_names_the_lowest_slot_over_all_placements(self):
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=6))
-        place_slots(lattice, [((2, 5), (3, 4), ReLabel.NR_SSB), ((4,), (0, 0), ReLabel.NR_TRS)])
+        place_slots(lattice, [((2, 5), range(3, 4), range(4, 5), ReLabel.NR_SSB),
+                              ((4,), range(1), range(1), ReLabel.NR_TRS)])
         before = ref.gather(lattice)
         with pytest.raises(GridShareError, match=r"cell \(2, 3, 4\): existing NR_SSB"):
-            place_slots(lattice, [((4, 5), (), ReLabel.NR_DATA), ((0, 2), (), ReLabel.NR_DATA)])
+            place_slots(lattice, [((4, 5), range(14), range(12), ReLabel.NR_DATA),
+                                  ((0, 2), range(14), range(12), ReLabel.NR_DATA)])
         assert np.array_equal(ref.gather(lattice), before)
 
     def test_placements_that_share_a_slot_are_rejected_before_any_write(self):
         # The second placement of slot 0 was once dropped without a word.
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
         with pytest.raises(ConfigError, match="share slot 0"):
-            place_slots(lattice, [((0,), (), ReLabel.NR_SSB), ((0,), (), ReLabel.NR_DATA)])
+            place_slots(lattice, [((0,), range(14), range(12), ReLabel.NR_SSB),
+                                  ((0,), range(14), range(12), ReLabel.NR_DATA)])
         with pytest.raises(ConfigError, match="share slot 2"):
-            place_slots(lattice, [((1, 2), (0,), ReLabel.NR_SSB), ((0,), (5,), ReLabel.NR_DMRS),
-                                  ((3, 2), (7,), ReLabel.NR_DATA)])
+            place_slots(lattice, [((1, 2), range(1), range(12), ReLabel.NR_SSB),
+                                  ((0,), range(5, 6), range(12), ReLabel.NR_DMRS),
+                                  ((3, 2), range(7, 8), range(12), ReLabel.NR_DATA)])
         assert not ref.gather(lattice).any()
 
 

@@ -15,6 +15,7 @@ from gridshare import (
     ControlModeKind,
     Coreset1Spec,
     CsiRsSpec,
+    GridShareError,
     LteCellConfig,
     Mitigation,
     MrssCategoryMap,
@@ -182,25 +183,25 @@ class TestPlace6gSsb:
     def test_four_beams_reserve_3840(self):
         cmap = wideband_map()
         occasions = [(10, 2, 100), (10, 8, 100), (11, 2, 100), (11, 8, 100)]
-        out = place_6g_ssb(cmap, occasions)
+        out = place_6g_ssb(cmap, occasions, prbs=20, symbols=4)
         assert out.reserved_size == cmap.reserved_size + 3840
         assert out.shared_pool_size == cmap.shared_pool_size - 3840
 
     def test_zero_occasions_identity(self):
         cmap = wideband_map()
-        out = place_6g_ssb(cmap, [])
+        out = place_6g_ssb(cmap, [], prbs=20, symbols=4)
         assert np.array_equal(ref.gather(out.category_lattice), ref.gather(cmap.category_lattice))
 
     def test_collision_with_5g_footprint(self):
         cmap = wideband_map()
         # Symbol 0 of a downlink slot carries CORESET 1 on PRBs 0..269.
         with pytest.raises(PlacementError, match="not hidden"):
-            place_6g_ssb(cmap, [(0, 0, 0)])
+            place_6g_ssb(cmap, [(0, 0, 0)], prbs=20, symbols=4)
 
     def test_out_of_range_occasion(self):
         cmap = wideband_map()
         with pytest.raises(ConfigError):
-            place_6g_ssb(cmap, [(0, 11, 0)])  # symbols 11..14 overflow
+            place_6g_ssb(cmap, [(0, 11, 0)], prbs=20, symbols=4)  # symbols 11..14 overflow
 
 
 class TestSimulate:
@@ -451,7 +452,7 @@ def map_with_pools(pools, n_prb):
     flat = categories.reshape(len(pools), -1)
     for slot, pool in enumerate(pools):
         flat[slot, :pool] = CAT_SHARED
-    return MrssCategoryMap(grid, ref.lattice_of(categories), grid.lattice)
+    return MrssCategoryMap(grid, ref.lattice_of(categories))
 
 
 @st.composite
@@ -507,8 +508,8 @@ class TestVectorizedScheduler:
 
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
-        cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)])
-        for lattice in (cmap.category_lattice, cmap.label_lattice):
+        cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)], prbs=20, symbols=4)
+        for lattice in (cmap.category_lattice, cmap.grid.lattice):
             with pytest.raises(TypeError):
                 lattice.rows[0][0] = 0
         # The pool is a fresh copy: writing it leaves the map's counts as they are.
@@ -694,12 +695,14 @@ SHARED_LABELS = np.flatnonzero(ref.CATEGORY_OF_LABEL == CAT_SHARED).tolist()
 
 @st.composite
 def staged_lattices(draw):
-    """(grid, control mode, IoT reservation or None, 6G SSB block or None).
+    """(grid, control mode, stages): several map stages in a drawn order, each
+    an IoT reservation ("iot", (PRB range, slots or None)) or 6G SSB
+    occasions ("ssb", (occasions, prbs, symbols)).
 
     Each slot draws from the whole alphabet, from the shared labels only,
     from the LTE-only labels, or from the labels up to a drawn largest one;
-    the reservation window and the SSB block are sometimes cleared so that
-    the stage can succeed."""
+    a reservation window is sometimes relabeled with LTE-only, guard and
+    uplink labels and an SSB block cleared, so that the stage can succeed."""
     n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -721,36 +724,43 @@ def staged_lattices(draw):
     fraction = None
     if kind is ControlModeKind.PARTIALLY_OVERLAPPING:
         fraction = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-    reservation = None
-    if draw(st.booleans()):
-        p0 = draw(st.integers(0, n_prb))
-        p1 = draw(st.integers(p0, n_prb))
-        slots = draw(st.one_of(st.none(), st.lists(st.integers(0, n_slots - 1), max_size=3)))
+    stages = []
+    for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
-            rows = slice(None) if slots is None else sorted(set(slots))
-            window = labels[rows, :, p0 * 12:p1 * 12]
-            labels[rows, :, p0 * 12:p1 * 12] = rng.choice(
-                LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL], size=window.shape)
-        reservation = ((p0, p1), slots)
-    ssb = None
-    if draw(st.booleans()):
-        prbs, symbols = draw(st.integers(1, n_prb)), draw(st.integers(1, 14))
-        occasion = (draw(st.integers(0, n_slots - 1)), draw(st.integers(0, 14 - symbols)),
-                    draw(st.integers(0, n_prb - prbs)))
-        if draw(st.booleans()):
-            slot, symbol, prb = occasion
-            labels[slot, symbol:symbol + symbols, prb * 12:(prb + prbs) * 12] = ReLabel.UNLABELED
-        ssb = (occasion, prbs, symbols)
-    return ResourceGrid(carrier, ref.lattice_of(labels)), ControlMode(kind, fraction), reservation, ssb
+            p0 = draw(st.integers(0, n_prb))
+            p1 = draw(st.integers(p0, n_prb))
+            slots = draw(st.one_of(st.none(), st.lists(st.integers(0, n_slots - 1), max_size=3)))
+            if draw(st.booleans()):
+                rows = slice(None) if slots is None else sorted(set(slots))
+                window = labels[rows, :, p0 * 12:p1 * 12]
+                labels[rows, :, p0 * 12:p1 * 12] = rng.choice(
+                    LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL], size=window.shape)
+            stages.append(("iot", ((p0, p1), slots)))
+        else:
+            prbs, symbols = draw(st.integers(1, n_prb)), draw(st.integers(1, 14))
+            occasions = []
+            for _ in range(draw(st.integers(1, 3))):
+                occasion = (draw(st.integers(0, n_slots - 1)), draw(st.integers(0, 14 - symbols)),
+                            draw(st.integers(0, n_prb - prbs)))
+                if draw(st.booleans()):
+                    slot, symbol, prb = occasion
+                    labels[slot, symbol:symbol + symbols, prb * 12:(prb + prbs) * 12] = ReLabel.UNLABELED
+                occasions.append(occasion)
+            stages.append(("ssb", (occasions, prbs, symbols)))
+    return ResourceGrid(carrier, ref.lattice_of(labels)), ControlMode(kind, fraction), stages
 
 
 class TestMapsWithoutStoredCategories:
     @settings(max_examples=300, deadline=None)
     @given(staged_lattices())
     def test_counts_and_categories_equal_the_gather(self, case):
-        grid, mode, reservation, ssb = case
+        # The dense reference keeps the labels each stage writes (RESERVED_IOT,
+        # SIXG_SSB) and rejects an SSB block by them; the map reads the grid's
+        # labels, which no stage writes, and must reach the same verdicts.
+        grid, mode, stages = case
+        grid_labels = ref.gather(grid.lattice).copy()
         try:
-            reference = _gathered_reference(ref.gather(grid.lattice), mode)
+            reference = _gathered_reference(grid_labels, mode)
         except PlacementError as exc:
             with pytest.raises(PlacementError) as err:
                 classify_mrss(grid, control_mode=mode)
@@ -759,28 +769,20 @@ class TestMapsWithoutStoredCategories:
         cmap = classify_mrss(grid, control_mode=mode)
         assert_map_matches(cmap, reference)
 
-        if reservation is not None:
-            (p0, p1), slots = reservation
-            rows = slice(None) if slots is None else sorted(set(slots))
-            window = reference[rows, :, p0 * 12:p1 * 12]
-            if np.any((window != CAT_NON_DL) & (window != CAT_SHARED)):
-                with pytest.raises(ConflictError, match="is not in the shared pool"):
-                    reserve_iot(cmap, (p0, p1), slots)
+        labels = grid_labels
+        for kind, args in stages:
+            dense_stage, stage = ((ref.reserve_iot, reserve_iot) if kind == "iot"
+                                  else (ref.place_6g_ssb, place_6g_ssb))
+            try:
+                reference, labels = dense_stage(grid.config, reference, labels, *args)
+            except GridShareError as exc:
+                with pytest.raises(type(exc)) as err:
+                    stage(cmap, *args)
+                assert str(err.value) == str(exc)
                 return
-            reference[rows, :, p0 * 12:p1 * 12] = np.where(window == CAT_NON_DL, CAT_NON_DL,
-                                                           CAT_RESERVED)
-            cmap = reserve_iot(cmap, (p0, p1), slots)
-            assert_map_matches(cmap, reference)
-
-        if ssb is not None:
-            (slot, symbol, prb), prbs, symbols = ssb
-            where = (slot, slice(symbol, symbol + symbols), slice(prb * 12, (prb + prbs) * 12))
-            if np.any(reference[where] != CAT_SHARED) or np.any(ref.gather(cmap.label_lattice)[where]):
-                with pytest.raises(PlacementError, match="is not hidden"):
-                    place_6g_ssb(cmap, [(slot, symbol, prb)], prbs=prbs, symbols=symbols)
-                return
-            reference[where] = CAT_RESERVED
-            cmap = place_6g_ssb(cmap, [(slot, symbol, prb)], prbs=prbs, symbols=symbols)
+            cmap = stage(cmap, *args)
+            assert cmap.grid is grid
+            assert np.array_equal(ref.gather(grid.lattice), grid_labels)
             assert_map_matches(cmap, reference)
 
     def test_lte_only_map_holds_no_category_lattice(self):
@@ -813,4 +815,4 @@ class TestMapsWithoutStoredCategories:
         assert np.array_equal(ref.gather(cmap.category_lattice), before)
         assert cmap.reserved_size == 0
         assert out.reserved_size == 2 * 14 * 24 + 2 * 4 * 12
-        assert np.count_nonzero(ref.gather(out.label_lattice) == ReLabel.SIXG_SSB) == 2 * 4 * 12
+        assert out.grid is cmap.grid

@@ -169,11 +169,13 @@ class TestFirstFreePerPrb:
                 break
             rows, cols = np.unravel_index(free[:amount], sub.shape)
             expected[rows, prb * 12 + cols] = True
+        cells, width = view.tobytes(), prbs * 12
         if short is not None:
             with pytest.raises(PlacementError, match=f"PRB {short}$"):
-                _first_free_per_prb(view, amount, "TRS")
+                _first_free_per_prb(cells, width, amount, "TRS")
         else:
-            np.testing.assert_array_equal(_first_free_per_prb(view, amount, "TRS"), expected)
+            pick = _first_free_per_prb(cells, width, amount, "TRS")
+            np.testing.assert_array_equal(np.frombuffer(pick, dtype=np.uint8).reshape(view.shape), expected)
 
 
 class TestOccasionUnitCount:

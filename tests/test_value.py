@@ -71,9 +71,8 @@ EXAMPLES = {
     ControlMode: ({}, {"shared_fraction": 0.5}),
     Mitigation: ({"kind": "SymbolLevelMute"}, {"kind": "Shout"}),
     TrafficModel: ({"demand_5g": 10, "demand_6g": (0, 5)}, {"seed": -1}),
-    MrssCategoryMap: ({"grid": GRID, "category_lattice": CMAP.category_lattice,
-                       "label_lattice": CMAP.label_lattice},
-                      {"label_lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
+    MrssCategoryMap: ({"grid": GRID, "category_lattice": CMAP.category_lattice},
+                      {"category_lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
     SimResult: ({"grants_5g": (1,), "grants_6g": (2,), "unused": (0,), "dropped_5g": (0,),
                  "dropped_6g": (0,), "shared_pool_size": 3, "total_5g": 1, "total_6g": 2,
                  "unused_shared": 0, "efficiency_vs_pure_5g": 1.0,
@@ -89,7 +88,7 @@ EXAMPLES = {
                  "parameters": (SweepParameter("policy", ("Priority5G",)),)}, None),
     Scenario: ({"carrier": CARRIER}, None),
 }
-ARRAY_FIELDS = {ResourceGrid: ("lattice",), MrssCategoryMap: ("category_lattice", "label_lattice")}
+ARRAY_FIELDS = {ResourceGrid: ("lattice",), MrssCategoryMap: ("category_lattice",)}
 METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
 
 
@@ -221,7 +220,7 @@ class TestValueContract:
 def test_repr_matches_the_field_order():
     assert repr(Numerology()) == "Numerology(scs_khz=15)"
     assert repr(GRID) == f"ResourceGrid(config={CARRIER!r})"
-    assert repr(CMAP) == f"MrssCategoryMap(grid={GRID!r}, control_mode={ControlMode()!r})"
+    assert repr(CMAP) == f"MrssCategoryMap(grid={GRID!r})"
 
 
 def test_grid_and_map_take_lattices_only():
@@ -230,9 +229,7 @@ def test_grid_and_map_take_lattices_only():
         with pytest.raises(ConfigError, match="Lattice"):
             ResourceGrid(CARRIER, labels)
         with pytest.raises(ConfigError, match="Lattice"):
-            MrssCategoryMap(GRID, labels, GRID.lattice)
-        with pytest.raises(ConfigError, match="Lattice"):
-            MrssCategoryMap(GRID, CMAP.category_lattice, labels)
+            MrssCategoryMap(GRID, labels)
     with pytest.raises(ConfigError, match=r"shape \(1, 14, 12\) != \(1, 14, 24\)"):
         ResourceGrid(CARRIER, ref.lattice_of(dense[:, :, :12]))
 
@@ -246,9 +243,7 @@ def test_map_lattices_have_the_grid_shape():
     narrower = classify_mrss(make_grid(replace(carrier, span_ms=2, n_prb=2)))
     for other, shape in ((longer, r"\(5, 14, 12\)"), (narrower, r"\(2, 14, 24\)")):
         with pytest.raises(ConfigError, match=shape + r" != \(2, 14, 12\)"):
-            MrssCategoryMap(grid, other.category_lattice, grid.lattice)
-        with pytest.raises(ConfigError, match=shape + r" != \(2, 14, 12\)"):
-            MrssCategoryMap(grid, classify_mrss(grid).category_lattice, other.label_lattice)
+            MrssCategoryMap(grid, other.category_lattice)
 
 
 def test_equal_slots_make_equal_grids_and_maps():

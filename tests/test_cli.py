@@ -535,6 +535,7 @@ ACCEPTED = {
     "table1.json": ["budget", "classify"],
     "table3.json": ["budget", "overhead", "classify"],
     "mrss_sweep.json": ["budget", "overhead", "classify", "simulate"],
+    "mrss_staged.json": ["budget", "overhead", "classify", "simulate"],
     "neighbor_interference.json": ["budget", "classify", "interference"],
 }
 REPORTS = ("budget", "overhead", "classify", "simulate", "interference")

@@ -14,12 +14,14 @@ built in one writable lattice: take a fresh one from `new_labels`, place
 each stage's footprints into it, and wrap it once in a `ResourceGrid`
 (`cli.build_grid` places LTE and then NR this way). The public stages
 `apply_lte` and `apply_nr` place into a copy of a finished grid's lattice,
-which shares its rows until it writes them. Every label write goes through
-`place_slots`, so no write relabels a cell or touches an uplink/guard cell,
-and a write over slots that share a row with other slots copies it first.
-A placement names its block of each slot by two ranges (symbols,
-subcarriers), as a `Window` does, and its footprint is an int label or the
-block's bytes in the order a `Window` reads them.
+which shares its rows until it writes them. Every write into a grid's
+lattice goes through `place_slots`, so no write relabels a cell or touches
+an uplink/guard cell, and a write over slots that share a row with other
+slots copies it first. A placement names its block of each slot by two
+ranges (symbols, subcarriers), as a `Window` does, and its footprint is an
+int label or the block's bytes in the order a `Window` reads them. An MRSS
+map (`mrss`) is a label lattice of the same kind; its stages also relabel
+shared-pool cells of their copy of it, the one other write.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ class SlotKind(Enum):
 
 
 class ReLabel(IntEnum):
-    """Closed label alphabet for resource elements."""
+    """Closed label alphabet for resource elements.
+
+    GUARD_SYMBOL and UPLINK_SYMBOL close it: a label at or above
+    GUARD_SYMBOL marks no downlink cell."""
 
     UNLABELED = 0
     LTE_PDCCH = 1
@@ -51,22 +56,19 @@ class ReLabel(IntEnum):
     LTE_CRS_P2 = 4
     LTE_CRS_P3 = 5
     LTE_PSS_SSS_PBCH = 6
-    LTE_DATA = 7
-    LTE_MBSFN_MUTED = 8
-    NR_PDCCH_CORESET0 = 9
-    NR_PDCCH_CORESET1 = 10
-    NR_SSB = 11
-    NR_SIB1 = 12
-    NR_DMRS = 13
-    NR_CSI_RS = 14
-    NR_TRS = 15
-    NR_DATA = 16
-    SIXG_SSB = 17
-    SIXG_CONTROL = 18
-    SIXG_DATA = 19
-    RESERVED_IOT = 20
-    GUARD_SYMBOL = 21
-    UPLINK_SYMBOL = 22
+    LTE_MBSFN_MUTED = 7
+    NR_PDCCH_CORESET0 = 8
+    NR_PDCCH_CORESET1 = 9
+    NR_SSB = 10
+    NR_SIB1 = 11
+    NR_DMRS = 12
+    NR_CSI_RS = 13
+    NR_TRS = 14
+    SIXG_SSB = 15
+    SIXG_CONTROL = 16
+    RESERVED_IOT = 17
+    GUARD_SYMBOL = 18
+    UPLINK_SYMBOL = 19
 
     @staticmethod
     def lte_crs(port: int) -> "ReLabel":
@@ -234,16 +236,10 @@ class Lattice:
         first = dict(zip(map(self.slot_rows.__getitem__, backwards), backwards))
         return sorted((s, r) for r, s in first.items())
 
-    def multiplicity(self, slots: slice = slice(None)) -> List[int]:
-        """Per row, how many of the slots (all, or a slice) it serves."""
-        counts = Counter(self.slot_rows[slots])
+    def multiplicity(self) -> List[int]:
+        """Per row, how many slots it serves."""
+        counts = Counter(self.slot_rows)
         return [counts[r] for r in range(len(self.rows))]
-
-    def map(self, table: bytes) -> "Lattice":
-        """A new lattice of the same slots, each row translated by `table`
-        (one byte per label, up to 256)."""
-        table = bytes(table).ljust(256, b"\0")
-        return Lattice([row.translate(table) for row in self.rows], list(self.slot_rows))
 
     def copy(self) -> "Lattice":
         """A writable lattice of the same slots that shares every row until it writes it."""
@@ -368,11 +364,6 @@ class Window:
         symbol, k = divmod(i, len(self.subcarriers))
         return self.symbols[symbol], self.subcarriers[k]
 
-    def fill(self, row: bytearray, label: int) -> None:
-        """Write `label` over every cell of the block."""
-        for part, fp in self.parts:
-            row[part] = bytes((label,)) * (fp.stop - fp.start)
-
 
 def _window(symbols, subcarriers, n_sc: int) -> Window:
     """The block of a slot that two ranges name; anything but step-1 ranges
@@ -482,35 +473,19 @@ def _check_free(lattice: Lattice, jobs: List[tuple]) -> None:
         )
 
 
-def count_labels(
-    grid: ResourceGrid,
-    slot_range: Optional[Tuple[int, int]] = None,
-    prb_range: Optional[Tuple[int, int]] = None,
-) -> Dict[ReLabel, int]:
-    """Exact per-label cell counts over a half-open (slot, PRB) sub-window.
+def count_labels(grid: ResourceGrid) -> Dict[ReLabel, int]:
+    """Exact per-label cell counts over the whole grid.
 
-    Only labels with non-zero counts appear; counts sum to the window size.
+    Only labels with non-zero counts appear; counts sum to the grid's cells.
     Each distinct row is counted once (`bytes.count` per label, until the
-    row's window is used up) and weighted by the number of window slots it
-    serves.
+    row is used up) and weighted by the number of slots it serves.
     """
-    cfg = grid.config
-    s0, s1 = slot_range if slot_range is not None else (0, cfg.n_slots)
-    p0, p1 = prb_range if prb_range is not None else (0, cfg.n_prb)
-    if not (0 <= s0 < s1 <= cfg.n_slots):
-        raise ConfigError(f"empty or inverted slot range ({s0}, {s1})")
-    if not (0 <= p0 < p1 <= cfg.n_prb):
-        raise ConfigError(f"empty or inverted PRB range ({p0}, {p1})")
     lattice = grid.lattice
-    window = Window(lattice.n_sc, range(SYMBOLS_PER_SLOT), range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
     counts = [0] * len(ReLabel)
-    for r, weight in enumerate(lattice.multiplicity(slice(s0, s1))):
-        if not weight:
-            continue
-        cells = window.read(lattice.rows[r])
-        left = len(cells)
+    for row, weight in zip(lattice.rows, lattice.multiplicity()):
+        left = len(row)
         for label in range(len(ReLabel)):
-            n = cells.count(label)
+            n = row.count(label)
             counts[label] += weight * n
             left -= n
             if not left:

@@ -86,8 +86,8 @@ _CRS_V = {0: (0, 3), 1: (3, 0), 2: (0, 3), 3: (3, 0)}
 
 
 @lru_cache(maxsize=None)
-def crs_mask(crs_ports: int, v_shift: int = 0) -> memoryview:
-    """CRS of one PRB over one subframe: a read-only 14x12 memoryview of port + 1 (0: no CRS).
+def crs_mask(crs_ports: int, v_shift: int = 0) -> bytes:
+    """CRS of one PRB over one subframe: 14 x 12 bytes, symbol-major, of port + 1 (0: no CRS).
 
     Ports 0/1 sit on symbols l = 0 and 4 of each slot n_s, ports 2/3 on
     l = 1, at subcarriers k = 6m + (v + v_shift) mod 6 with v = 0 (port 0,
@@ -105,13 +105,13 @@ def crs_mask(crs_ports: int, v_shift: int = 0) -> memoryview:
                 v = _CRS_V[port][l != 0 if port < 2 else n_s]
                 start = (n_s * half + l) * SC_PER_PRB
                 mask[start + (v + v_shift) % 6 : start + SC_PER_PRB : 6] = bytes((port + 1,)) * 2
-    return memoryview(bytes(mask)).cast("B", (SYMBOLS_PER_SLOT, SC_PER_PRB))
+    return bytes(mask)
 
 
 @lru_cache(maxsize=None)
 def crs_re_per_symbol(crs_ports: int) -> Tuple[int, ...]:
     """CRS cells per PRB on each subframe symbol (independent of v_shift)."""
-    mask = crs_mask(crs_ports).tobytes()
+    mask = crs_mask(crs_ports)
     return tuple(SC_PER_PRB - row.count(0) for row in _symbols(mask, SC_PER_PRB))
 
 
@@ -130,7 +130,7 @@ def crs_cells(cfg: LteCellConfig, n_prb: int) -> Set[Tuple[int, int, int]]:
 
     The pattern repeats every subframe; 8/16/24 cells per PRB for 1/2/4 ports.
     """
-    mask = crs_mask(cfg.crs_ports, cfg.v_shift).tobytes()
+    mask = crs_mask(cfg.crs_ports, cfg.v_shift)
     return {(s, m * SC_PER_PRB + k, port - 1)
             for s, row in enumerate(_symbols(mask, SC_PER_PRB))
             for k, port in enumerate(row) if port
@@ -158,7 +158,7 @@ def _subframe_templates(
     stays countable; PBCH is rate-matched around CRS.
     """
     n_sc = n_prb * SC_PER_PRB
-    mask = crs_mask(cfg.crs_ports, cfg.v_shift).tobytes()
+    mask = crs_mask(cfg.crs_ports, cfg.v_shift)
     crs = b"".join(row * n_prb for row in _symbols(mask, SC_PER_PRB)).translate(_CRS_LABEL)
     every = slice(0, n_sc)
 

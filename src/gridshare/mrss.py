@@ -4,12 +4,16 @@ Covers the three-category MRSS resource model with a slot-level scheduler,
 and neighbor-cell CRS interference with its mitigation strategies. The DSS
 slot itself (NR rate-matched around LTE CRS) is budgeted in `budget`.
 
-An MRSS map is the grid it partitions and one category lattice of the same
-kind as the grid's label lattice (`grid.Lattice`): each distinct slot is
+An MRSS map is the grid it partitions and one label lattice of the same
+kind as the grid's (`grid.Lattice`): it starts as the grid's labels, and
+each map stage relabels only shared-pool cells, with a label of its own
+(6G control growth SIXG_CONTROL, `reserve_iot` RESERVED_IOT,
+`place_6g_ssb` SIXG_SSB). A cell's category is always its label's, read
+through `_CATEGORY_OF_LABEL` when the map counts. Each distinct slot is
 stored once, and every count is taken once per distinct row and spread over
-the slots that hold it. A map stage (`reserve_iot`, `place_6g_ssb`) copies
-the slot -> row index and only the category rows it writes; the grid and
-the other rows stay shared with the map it came from.
+the slots that hold it. A stage copies the slot -> row index and only the
+rows it writes; the grid and the other rows stay shared with the map it
+came from.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ from .grid import (
     ResourceGrid,
     Window,
     any_label,
+    place_slots,
 )
 from .lte import LteCellConfig, crs_cells
 from .pcg64 import Pcg64
 from .value import value
 
-# Category codes of the MRSS partition lattice.
+# Category codes: the indices of a map row's per-category counts.
 CAT_NON_DL = 0
 CAT_SHARED = 1
 CAT_RESERVED = 2
@@ -61,22 +66,21 @@ CONTROL_LABELS = frozenset({ReLabel.NR_PDCCH_CORESET1, ReLabel.SIXG_CONTROL})
 
 _NON_DL_LABELS = frozenset({ReLabel.UPLINK_SYMBOL, ReLabel.GUARD_SYMBOL})
 
-# The label -> category table `classify_mrss` translates by, one byte per
-# label; every other label is shared.
+# The label -> category table a map row translates by, one byte per label
+# and padded to the 256 bytes of a translate table; every label not named
+# above is shared.
 _CATEGORY_OF_LABEL = bytes(
     CAT_NON_DL if label in _NON_DL_LABELS else CAT_RESERVED if label in DEFAULT_RESERVED_LABELS
     else CAT_CONTROL if label in CONTROL_LABELS else CAT_SHARED
     for label in ReLabel
+).ljust(256, bytes((CAT_NON_DL,)))
+
+# The byte tables by which control growth and `reserve_iot` turn every
+# shared-pool label into their own and keep the rest.
+_SHARED_TO_CONTROL, _SHARED_TO_IOT = (
+    bytes(label if code == CAT_SHARED else old for old, code in enumerate(_CATEGORY_OF_LABEL))
+    for label in (ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT)
 )
-
-
-def _recode(old: int, new: int) -> bytes:
-    """The byte table that turns category `old` into `new` and keeps the rest."""
-    return bytes(new if code == old else code for code in range(256))
-
-
-_SHARED_TO_CONTROL = _recode(CAT_SHARED, CAT_CONTROL)
-_SHARED_TO_RESERVED = _recode(CAT_SHARED, CAT_RESERVED)
 
 
 class ControlModeKind(Enum):
@@ -196,25 +200,26 @@ class TrafficModel:
         return draw(self.demand_5g), draw(self.demand_6g)
 
 
-@value(no_repr=("category_lattice",))
+@value(no_repr=("lattice",))
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
-    An immutable value: the grid it partitions and `category_lattice`, a
-    `Lattice` of one category code per cell, which the constructor freezes,
-    so one map can serve many `simulate` calls. `reserve_iot` and
-    `place_6g_ssb` return new maps of the same grid whose category lattices
-    share every row they do not write. Anything but a `Lattice` of the
-    grid's shape is a ConfigError.
+    An immutable value: the grid it partitions and `lattice`, a label
+    `Lattice` that the constructor freezes, so one map can serve many
+    `simulate` calls. It holds the grid's labels, except on the shared-pool
+    cells that map stages relabeled; each cell's category is its label's.
+    `reserve_iot` and `place_6g_ssb` return new maps of the same grid whose
+    lattices share every row they do not write. Anything but a `Lattice` of
+    the grid's shape is a ConfigError.
     """
 
     grid: ResourceGrid
-    category_lattice: Lattice
+    lattice: Lattice
 
     def __post_init__(self):
-        lattice = self.category_lattice
+        lattice = self.lattice
         if not isinstance(lattice, Lattice):
-            raise ConfigError(f"a map's categories are a Lattice, got {type(lattice).__name__}")
+            raise ConfigError(f"a map's labels are a Lattice, got {type(lattice).__name__}")
         if lattice.shape != self.grid.lattice.shape:
             raise ConfigError(f"map lattice shape {lattice.shape} != {self.grid.lattice.shape}")
         lattice.freeze()
@@ -237,9 +242,9 @@ class MrssCategoryMap:
 
     @cached_property
     def _row_counts(self) -> Tuple[List[Tuple[int, int, int, int]], List[int]]:
-        """Per distinct category row, its cells of each category code and the
-        number of slots it serves: the map's one count."""
-        lattice = self.category_lattice
+        """Per distinct row, its cells of each category and the number of
+        slots it serves: the map's one count."""
+        lattice = self.lattice
         return _counts_per_row(lattice), lattice.multiplicity()
 
     def _size(self, code: int) -> int:
@@ -250,7 +255,7 @@ class MrssCategoryMap:
         """Shared-pool cells of each slot, a fresh int64 array of the counts
         taken once per map."""
         shared = [n[CAT_SHARED] for n in self._row_counts[0]]
-        return array("q", map(shared.__getitem__, self.category_lattice.slot_rows))
+        return array("q", map(shared.__getitem__, self.lattice.slot_rows))
 
 @value
 class SimResult:
@@ -277,15 +282,17 @@ class InterferenceReport:
     dirty_re: int
 
 
-def _counts_per_row(categories: Lattice) -> List[Tuple[int, int, int, int]]:
-    """Cells of each category code (non-DL, shared, reserved, control) in each row."""
+def _counts_per_row(lattice: Lattice) -> List[Tuple[int, int, int, int]]:
+    """Cells of each category (non-DL, shared, reserved, control) in each row
+    of a label lattice."""
     out = []
-    for row in categories.rows:
-        shared = row.count(CAT_SHARED)
+    for row in lattice.rows:
+        categories = row.translate(_CATEGORY_OF_LABEL)
+        shared = categories.count(CAT_SHARED)
         if shared == len(row):
             out.append((0, shared, 0, 0))
             continue
-        non_dl, control = row.count(CAT_NON_DL), row.count(CAT_CONTROL)
+        non_dl, control = categories.count(CAT_NON_DL), categories.count(CAT_CONTROL)
         out.append((non_dl, shared, len(row) - non_dl - shared - control, control))
     return out
 
@@ -293,25 +300,27 @@ def _counts_per_row(categories: Lattice) -> List[Tuple[int, int, int, int]]:
 def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode()) -> MrssCategoryMap:
     """Partition downlink-capable cells into shared pool, reserved, control.
 
+    The map starts as a copy of the grid's labels, which shares every row.
     The 5G control footprint (CORESET1 cells) anchors the control region;
     partially-overlapping and separate 6G control grow it by
     footprint x (factor - 1) additional cells taken from the shared pool in
-    deterministic scan order (slot, then symbol, then subcarrier).
+    deterministic scan order (slot, then symbol, then subcarrier) and
+    relabeled SIXG_CONTROL.
     """
-    categories = grid.lattice.map(_CATEGORY_OF_LABEL)
+    lattice = grid.lattice.copy()
     grow = control_mode.footprint_factor - 1
     if grow:
-        per_row = _counts_per_row(categories)
-        footprint = sum(n[CAT_CONTROL] * m for n, m in zip(per_row, categories.multiplicity()))
+        per_row = _counts_per_row(lattice)
+        footprint = sum(n[CAT_CONTROL] * m for n, m in zip(per_row, lattice.multiplicity()))
         extra = int(footprint * grow)
         if extra > 0:
-            _grow_control(categories, [per_row[r][CAT_SHARED] for r in categories.slot_rows], extra)
-    return MrssCategoryMap(grid, categories)
+            _grow_control(lattice, [per_row[r][CAT_SHARED] for r in lattice.slot_rows], extra)
+    return MrssCategoryMap(grid, lattice)
 
 
-def _grow_control(categories: Lattice, shared: List[int], extra: int) -> None:
-    """Turn the first `extra` shared cells, in scan order, into control cells;
-    `shared` counts each slot's shared cells."""
+def _grow_control(lattice: Lattice, shared: List[int], extra: int) -> None:
+    """Relabel the first `extra` shared-pool cells, in scan order, as
+    SIXG_CONTROL; `shared` counts each slot's shared-pool cells."""
     reach = list(itertools.accumulate(shared))
     if extra > reach[-1]:
         raise PlacementError(
@@ -319,15 +328,16 @@ def _grow_control(categories: Lattice, shared: List[int], extra: int) -> None:
         )
     # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
     whole = bisect.bisect_right(reach, extra)
-    for r in categories.own([s for s in range(whole) if shared[s]]):
-        categories.rows[r] = categories.rows[r].translate(_SHARED_TO_CONTROL)
+    for r in lattice.own([s for s in range(whole) if shared[s]]):
+        lattice.rows[r] = lattice.rows[r].translate(_SHARED_TO_CONTROL)
     rest = extra - (reach[whole - 1] if whole else 0)
     if rest:
-        (r,) = categories.own((whole,))
-        row = categories.rows[r]
+        (r,) = lattice.own((whole,))
+        row = lattice.rows[r]
+        categories = row.translate(_CATEGORY_OF_LABEL)
         # The cells up to the rest-th shared one.
         end = 1 + bisect.bisect_left(range(len(row)), rest,
-                                     key=lambda i: row.count(CAT_SHARED, 0, i + 1))
+                                     key=lambda i: categories.count(CAT_SHARED, 0, i + 1))
         row[:end] = row[:end].translate(_SHARED_TO_CONTROL)
 
 
@@ -359,11 +369,11 @@ def reserve_iot(
     prb_range: Tuple[int, int],
     slots: Optional[Iterable[int]] = None,
 ) -> MrssCategoryMap:
-    """Semi-static IoT reservation: move shared-pool cells to reserved.
+    """Semi-static IoT reservation: relabel shared-pool cells RESERVED_IOT.
 
     Applies to the downlink-capable cells of the named PRBs/slots; any cell
     there that is not currently in the shared pool is an error. The new map
-    copies the category lattice alone; the grid's labels are left as they are.
+    copies the map's lattice; the grid's labels are left as they are.
     """
     cfg = cmap.grid.config
     p0, p1 = prb_range
@@ -373,20 +383,20 @@ def reserve_iot(
 
     window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT),
                     range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
-    categories = cmap.category_lattice.copy()
-    for slot, r in categories.first_slots(slot_list):
-        cells = window.read(categories.rows[r])
+    lattice = cmap.lattice.copy()
+    for slot, r in lattice.first_slots(slot_list):
+        cells = window.read(lattice.rows[r]).translate(_CATEGORY_OF_LABEL)
         if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
             bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
             symbol, sc = window.cell(bad)
             raise ConflictError(
                 f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool"
             )
-    for r in categories.own(slot_list):
-        row = categories.rows[r]
+    for r in lattice.own(slot_list):
+        row = lattice.rows[r]
         for part, _ in window.parts:
-            row[part] = row[part].translate(_SHARED_TO_RESERVED)
-    return MrssCategoryMap(cmap.grid, categories)
+            row[part] = row[part].translate(_SHARED_TO_IOT)
+    return MrssCategoryMap(cmap.grid, lattice)
 
 
 def place_6g_ssb(
@@ -398,28 +408,24 @@ def place_6g_ssb(
     """Reserve 6G SSB beam blocks of `prbs` x `symbols` at (slot,
     first_symbol, first_prb) anchors.
 
-    The hidden-from-5G constraint is structural: every targeted cell must be
-    a shared-pool cell that the grid leaves unlabeled, so a collision with
-    any 5G footprint (SSB, control, ...) is rejected as "not hidden". An
-    IoT reservation or an earlier occasion made its cells reserved, so they
-    fail the category test. The new map copies the category lattice alone.
+    The hidden-from-5G constraint is structural: every targeted cell of the
+    map must be UNLABELED, so a collision with any 5G footprint (SSB,
+    control, ...) is rejected as "not hidden", as is one with grown 6G
+    control, an IoT reservation or an earlier occasion. The blocks are
+    labeled SIXG_SSB in a copy of the map's lattice.
     """
     cfg = cmap.grid.config
-    categories = cmap.category_lattice.copy()
+    lattice = cmap.lattice.copy()
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
-        window = Window(cfg.n_subcarriers, range(symbol, symbol + symbols),
-                        range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
-        cells = window.read(categories.row(slot))
-        labels = window.read(cmap.grid.lattice.row(slot))
-        if cells.translate(None, bytes((CAT_SHARED,))) or any_label(labels):
+        block = (range(symbol, symbol + symbols), range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
+        if any_label(Window(cfg.n_subcarriers, *block).read(lattice.row(slot))):
             raise PlacementError(
                 f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
                 "collides with a 5G footprint or leaves the shared pool"
             )
-        (r,) = categories.own((slot,))
-        window.fill(categories.rows[r], CAT_RESERVED)
-    return MrssCategoryMap(cmap.grid, categories)
+        place_slots(lattice, [((slot,), *block, ReLabel.SIXG_SSB)])
+    return MrssCategoryMap(cmap.grid, lattice)
 
 
 def _grants(

@@ -6,9 +6,12 @@ shaped (n_slots, 14, n_sc), and places or checks slot by slot in slot
 order, as gridshare did before a lattice stored each distinct slot once.
 The footprint rules they place (subframe templates, the NR unit plan, the
 first free cells per PRB, the label -> category table) are gridshare's own.
+The MRSS stages keep a category array beside the labels, as gridshare's map
+once did, and write a stage's label only on UNLABELED cells.
 `lattice_of` and `gather` convert between such an array and a
-`grid.Lattice`, and `dominance_share` is the overhead share the paper
-reports, read from an `OverheadReport`.
+`grid.Lattice`, `categories` reads a map's label lattice through the
+table, and `dominance_share` is the overhead share the paper reports, read
+from an `OverheadReport`.
 """
 
 from fractions import Fraction
@@ -31,8 +34,8 @@ from gridshare.mrss import (
 from gridshare.nr import _first_free_per_prb, nr_plan
 from gridshare.rounding import round_half_up
 
-# The label -> category table as an array.
-CATEGORY_OF_LABEL = np.frombuffer(_CATEGORY_OF_LABEL, dtype=np.uint8)
+# The label -> category table as an array, one entry per label.
+CATEGORY_OF_LABEL = np.frombuffer(_CATEGORY_OF_LABEL, dtype=np.uint8)[:len(ReLabel)]
 
 
 def lattice_of(arr):
@@ -44,6 +47,11 @@ def gather(lattice):
     """The dense array of a lattice: a read-only uint8 array of its shape."""
     cells = b"".join([lattice.rows[r] for r in lattice.slot_rows])
     return np.frombuffer(cells, dtype=np.uint8).reshape(lattice.shape)
+
+
+def categories(lattice):
+    """The dense category array of a map's label lattice."""
+    return CATEGORY_OF_LABEL[gather(lattice)]
 
 
 def dominance_share(report, signal_name):
@@ -127,17 +135,18 @@ def place_nr(arr, carrier, overlay):
             place(arr, where, np.where(pick, signal.label, ReLabel.UNLABELED))
 
 
-def count_labels(arr, slot_range, prb_range):
-    (s0, s1), (p0, p1) = slot_range, prb_range
+def count_labels(arr):
     counts = np.zeros(len(ReLabel), dtype=np.int64)
-    for slot in arr[s0:s1, :, p0 * SC_PER_PRB : p1 * SC_PER_PRB]:
+    for slot in arr:
         counts += np.bincount(slot.reshape(-1), minlength=len(ReLabel))
     return {ReLabel(v): int(c) for v, c in enumerate(counts.tolist()) if c}
 
 
 def classify(labels, control_mode):
-    """The category lattice: the table gathered slot by slot, then control growth."""
+    """(categories, labels): the table gathered slot by slot, then control
+    growth, which labels the grown cells that are UNLABELED SIXG_CONTROL."""
     categories = np.empty(labels.shape, dtype=np.uint8)
+    labels = labels.copy()
     for s in range(labels.shape[0]):
         np.take(CATEGORY_OF_LABEL, labels[s], out=categories[s])
     grow = control_mode.footprint_factor - 1
@@ -152,7 +161,10 @@ def classify(labels, control_mode):
                     f"separate control needs {extra} cells but only {shared_idx.size} are shared"
                 )
             flat[shared_idx[:extra]] = CAT_CONTROL
-    return categories
+            grown = labels.reshape(-1)[shared_idx[:extra]]
+            labels.reshape(-1)[shared_idx[:extra]] = np.where(
+                grown == ReLabel.UNLABELED, ReLabel.SIXG_CONTROL, grown)
+    return categories, labels
 
 
 def reserve_iot(config, categories, labels, prb_range, slots=None):

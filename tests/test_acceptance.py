@@ -32,7 +32,7 @@ from gridshare.budget import crs_bearing_symbols
 from gridshare.cli import build_grid
 from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED
 
-from dense_reference import dominance_share, gather
+from dense_reference import categories, dominance_share
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -213,7 +213,7 @@ def test_8_partition_invariant():
             cmap = classify_mrss(grid, control_mode=mode) if mode else classify_mrss(grid)
             assert (cmap.shared_pool_size + cmap.reserved_size
                     + cmap.control_region_size == cmap.downlink_size)
-            non_dl = gather(cmap.category_lattice).tobytes().count(CAT_NON_DL)
+            non_dl = categories(cmap.lattice).tobytes().count(CAT_NON_DL)
             assert cmap.downlink_size + non_dl == grid.n_cells
         # Exhaustive cross-check at small scale: counting the dense category
         # array cell by cell gives each category's size, and the three cover
@@ -221,7 +221,7 @@ def test_8_partition_invariant():
         carrier = CarrierConfig(Numerology(15), n_prb=2, duplex="FDD", span_ms=2)
         cmap = classify_mrss(make_grid(carrier))
         cmap = reserve_iot(cmap, (0, 1), slots=[0])
-        cats = gather(cmap.category_lattice).tobytes()
+        cats = categories(cmap.lattice).tobytes()
         sizes = {CAT_SHARED: cmap.shared_pool_size, CAT_RESERVED: cmap.reserved_size,
                  CAT_CONTROL: cmap.control_region_size}
         assert {cat: cats.count(cat) for cat in sizes} == sizes

@@ -496,7 +496,7 @@ class TestSweepMapCache:
         assert code == 0, err
         assert len(maps) == 18
         assert all(cmap is maps[0] for cmap in maps)
-        for lattice in (maps[0].category_lattice, maps[0].grid.lattice):
+        for lattice in (maps[0].lattice, maps[0].grid.lattice):
             with pytest.raises(TypeError):
                 lattice.rows[0][0] = 0
 

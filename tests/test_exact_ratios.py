@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import gridshare
 from gridshare import cli
-from gridshare.grid import CarrierConfig, Numerology, make_grid
-from gridshare.mrss import CAT_RESERVED, CAT_SHARED, MrssCategoryMap, SchedPolicy, TrafficModel
+from gridshare.grid import CarrierConfig, Numerology, ReLabel, make_grid
+from gridshare.mrss import MrssCategoryMap, SchedPolicy, TrafficModel
 from gridshare.rounding import round_half_up
 from gridshare.scenario import Scenario
 
@@ -55,11 +55,11 @@ def small_runs(draw):
     carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     grid = make_grid(carrier)
     cap = 12 * 14 * n_prb
-    categories = np.full(grid.lattice.shape, CAT_RESERVED, dtype=np.uint8)
-    flat = categories.reshape(n_slots, -1)
+    labels = np.full(grid.lattice.shape, ReLabel.NR_SSB, dtype=np.uint8)
+    flat = labels.reshape(n_slots, -1)
     for slot in range(n_slots):
-        flat[slot, :draw(st.integers(0, cap))] = CAT_SHARED
-    cmap = MrssCategoryMap(grid, ref.lattice_of(categories))
+        flat[slot, :draw(st.integers(0, cap))] = ReLabel.UNLABELED
+    cmap = MrssCategoryMap(grid, ref.lattice_of(labels))
 
     def demand():
         lo = draw(st.integers(0, 2 * cap))

@@ -95,90 +95,31 @@ class TestMakeGrid:
             grid.lattice.rows[0][0] = 5
 
 
-class TestCountLabels:
-    def test_window_counts_sum_to_window_size(self):
-        grid = make_grid(wideband_tdd_carrier())
-        counts = count_labels(grid, slot_range=(5, 10), prb_range=(0, 7))
-        assert sum(counts.values()) == 5 * 14 * 12 * 7
-
-    def test_inverted_range_rejected(self):
-        grid = make_grid(fdd())
-        with pytest.raises(ConfigError):
-            count_labels(grid, slot_range=(1, 1))
-        with pytest.raises(ConfigError):
-            count_labels(grid, prb_range=(1, 0))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n_prb=st.integers(1, 6),
-        span=st.integers(1, 4),
-        split=st.integers(1, 3),
-    )
-    def test_conservation_over_partitions(self, n_prb, span, split):
-        # Per-label counts over a slot partition sum to the whole-grid counts.
-        carrier = CarrierConfig(
-            Numerology(30), n_prb=n_prb, duplex="TDD", span_ms=span,
-            tdd_pattern=TddPattern("DS"),
-        )
-        grid = make_grid(carrier)
-        whole = count_labels(grid)
-        cut = max(1, min(grid.config.n_slots - 1, split))
-        left = count_labels(grid, slot_range=(0, cut))
-        right = count_labels(grid, slot_range=(cut, grid.config.n_slots))
-        merged = {}
-        for part in (left, right):
-            for k, v in part.items():
-                merged[k] = merged.get(k, 0) + v
-        assert merged == whole
-
-
-def _reference_count_labels(grid, slot_range=None, prb_range=None):
-    """`count_labels` as one sort of the window (`np.unique`) counted it,
-    kept as the reference of the per-slot count."""
-    cfg = grid.config
-    s0, s1 = slot_range if slot_range is not None else (0, cfg.n_slots)
-    p0, p1 = prb_range if prb_range is not None else (0, cfg.n_prb)
-    if not (0 <= s0 < s1 <= cfg.n_slots):
-        raise ConfigError(f"empty or inverted slot range ({s0}, {s1})")
-    if not (0 <= p0 < p1 <= cfg.n_prb):
-        raise ConfigError(f"empty or inverted PRB range ({p0}, {p1})")
-    window = ref.gather(grid.lattice)[s0:s1, :, p0 * 12 : p1 * 12]
-    values, counts = np.unique(window, return_counts=True)
+def _reference_count_labels(grid):
+    """`count_labels` as one sort of the grid (`np.unique`) counted it, kept
+    as the reference of the count per distinct row."""
+    values, counts = np.unique(ref.gather(grid.lattice), return_counts=True)
     return {ReLabel(int(v)): int(c) for v, c in zip(values, counts)}
 
 
 @st.composite
-def count_windows(draw):
-    """(grid, slot_range, prb_range) over random lattices of the whole
-    alphabet; each range is absent, valid, or empty/inverted/out of bounds."""
+def label_grids(draw):
+    """Grids of random lattices over the whole alphabet, or over its first
+    two labels or its first one, so that slots repeat."""
     n_slots, n_prb = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     carrier = fdd(n_prb=n_prb, span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alphabet = draw(st.sampled_from([len(ReLabel), 2, 1]))
     labels = rng.integers(0, alphabet, size=(n_slots, 14, 12 * n_prb), dtype=np.uint8)
-    ranges = []
-    for size in (n_slots, n_prb):
-        if draw(st.booleans()):
-            ranges.append(None)
-        else:
-            ranges.append((draw(st.integers(-1, size)), draw(st.integers(-1, size + 1))))
-    return ResourceGrid(carrier, ref.lattice_of(labels)), ranges[0], ranges[1]
+    return ResourceGrid(carrier, ref.lattice_of(labels))
 
 
 class TestCountLabelsReference:
     @settings(max_examples=300, deadline=None)
-    @given(count_windows())
-    def test_matches_the_sorting_count(self, case):
-        grid, slot_range, prb_range = case
-        try:
-            expected = _reference_count_labels(grid, slot_range, prb_range)
-        except ConfigError as exc:
-            with pytest.raises(ConfigError) as err:
-                count_labels(grid, slot_range, prb_range)
-            assert str(err.value) == str(exc)
-            return
-        got = count_labels(grid, slot_range=slot_range, prb_range=prb_range)
-        assert got == expected
+    @given(label_grids())
+    def test_matches_the_sorting_count(self, grid):
+        got = count_labels(grid)
+        assert got == _reference_count_labels(grid)
         assert list(got) == sorted(got)
         assert all(type(k) is ReLabel and type(v) is int and v > 0 for k, v in got.items())
 
@@ -203,8 +144,8 @@ class TestPlace:
     def test_strict_skips_uplink_and_guard(self):
         arr = self.tdd_arr()
         before = arr.copy()
-        place_into(arr, [((1,), range(14), range(24), ReLabel.NR_DATA)])
-        assert (arr[1, :6] == ReLabel.NR_DATA).all()
+        place_into(arr, [((1,), range(14), range(24), ReLabel.NR_CSI_RS)])
+        assert (arr[1, :6] == ReLabel.NR_CSI_RS).all()
         assert np.array_equal(arr[1, 6:], before[1, 6:])
         assert np.array_equal(arr[0], before[0])
 
@@ -212,8 +153,8 @@ class TestPlace:
         arr = self.tdd_arr()
         arr[1, 4, 15] = ReLabel.NR_SSB
         before = arr.copy()
-        with pytest.raises(ConflictError, match=r"\(1, 4, 15\).*NR_SSB.*NR_DATA"):
-            place_into(arr, [((1,), range(3, 6), range(12, 24), ReLabel.NR_DATA)])
+        with pytest.raises(ConflictError, match=r"\(1, 4, 15\).*NR_SSB.*NR_CSI_RS"):
+            place_into(arr, [((1,), range(3, 6), range(12, 24), ReLabel.NR_CSI_RS)])
         assert np.array_equal(arr, before)
 
     def test_rate_match_fills_free_cells_only(self):
@@ -239,16 +180,16 @@ class TestPlace:
         assert arr[0, 4, 15] == ReLabel.NR_SSB
         assert np.count_nonzero(arr[0]) == 1
         before = arr.copy()
-        with pytest.raises(ConflictError, match=r"at cell \(0, 4, 15\): existing NR_SSB, new NR_DATA"):
-            place_into(arr, [((0,), *cell, ReLabel.NR_DATA)])
-        place_into(arr, [((0,), *cell, ReLabel.NR_DATA)], rate_match=True)
-        place_into(arr, [((1,), range(13, 14), range(1), ReLabel.NR_DATA)])  # uplink: left as it is
+        with pytest.raises(ConflictError, match=r"at cell \(0, 4, 15\): existing NR_SSB, new NR_CSI_RS"):
+            place_into(arr, [((0,), *cell, ReLabel.NR_CSI_RS)])
+        place_into(arr, [((0,), *cell, ReLabel.NR_CSI_RS)], rate_match=True)
+        place_into(arr, [((1,), range(13, 14), range(1), ReLabel.NR_CSI_RS)])  # uplink: left as it is
         assert np.array_equal(arr, before)
 
     def test_fancy_index_rejected(self):
         for symbols in ([0, 1], slice(0, 2), range(0, 4, 2), 0):
             with pytest.raises(ConfigError, match="placement symbols must be a step-1 range"):
-                place_into(self.tdd_arr(), [((0,), symbols, range(24), ReLabel.NR_DATA)])
+                place_into(self.tdd_arr(), [((0,), symbols, range(24), ReLabel.NR_CSI_RS)])
 
     @pytest.mark.parametrize("symbols, subcarriers, name", [
         (range(12, 15), range(24), "symbols"),
@@ -261,7 +202,7 @@ class TestPlace:
         before = arr.copy()
         with pytest.raises(ConfigError, match=f"placement {name} must be a step-1 range within"):
             place_into(arr, [((0,), range(2), range(2), ReLabel.NR_SSB),
-                             ((1,), symbols, subcarriers, ReLabel.NR_DATA)])
+                             ((1,), symbols, subcarriers, ReLabel.NR_CSI_RS)])
         assert np.array_equal(arr, before)
 
     @pytest.mark.parametrize("symbols, subcarriers", [
@@ -272,7 +213,7 @@ class TestPlace:
         arr[0, 3, 5] = ReLabel.NR_SSB
         before = arr.copy()
         for rate_match in (False, True):
-            place_into(arr, [((0, 1), symbols, subcarriers, ReLabel.NR_DATA)], rate_match)
+            place_into(arr, [((0, 1), symbols, subcarriers, ReLabel.NR_CSI_RS)], rate_match)
             place_into(arr, [((0, 1), symbols, subcarriers, b"")], rate_match)
         assert np.array_equal(arr, before)
 
@@ -363,7 +304,7 @@ def test_footprint_of_the_view_shape_in_another_dtype(dtype):
     """A footprint array of the block's shape, or its bytes when they are not
     one per cell, is rejected before anything is written."""
     arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
-    footprint = np.full((14, 12), ReLabel.NR_DATA, dtype=dtype)
+    footprint = np.full((14, 12), ReLabel.NR_CSI_RS, dtype=dtype)
     rejected = [(footprint, "ndarray")]
     if footprint.itemsize > 1:
         rejected.append((footprint.tobytes(), f"{footprint.nbytes} bytes"))

@@ -1,4 +1,4 @@
-"""The slot-shared label and category lattices against the dense reference.
+"""The slot-shared grid and map lattices against the dense reference.
 
 `dense_reference` stores one byte per resource element and places, checks
 and counts slot by slot. Every grid, count, map and error of the lattice
@@ -110,11 +110,6 @@ def cases(draw):
             lte.append(draw(lte_cells(carrier)))  # a second cell: a conflict
     nr = draw(overlays(carrier)) if draw(st.booleans()) else None
     n_slots, n_prb = carrier.n_slots, carrier.n_prb
-    windows = []
-    for _ in range(3):
-        s0, p0 = draw(st.integers(0, n_slots - 1)), draw(st.integers(0, n_prb - 1))
-        windows.append(((s0, draw(st.integers(s0 + 1, n_slots))),
-                        (p0, draw(st.integers(p0 + 1, n_prb)))))
     iot = []
     for _ in range(draw(st.integers(0, 2))):
         p0 = draw(st.integers(0, n_prb))
@@ -126,7 +121,7 @@ def cases(draw):
     fraction = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     traffic = TrafficModel((0, 14 * 12 * n_prb), (0, 14 * 12 * n_prb),
                            seed=draw(st.integers(0, 2**16)))
-    return carrier, lte, nr, windows, iot, (occasions, prbs, symbols), fraction, traffic
+    return carrier, lte, nr, iot, (occasions, prbs, symbols), fraction, traffic
 
 
 def outcome(fn, *args, **kwargs):
@@ -171,23 +166,25 @@ class _Pools:
         return self.pool
 
 
-def assert_map_equals(cmap, grid, categories):
+def assert_map_equals(cmap, grid, categories, labels):
     per_slot = ref.cells_per_slot(categories)
     assert cmap.grid is grid
-    assert np.array_equal(ref.gather(cmap.category_lattice), categories)
+    assert np.array_equal(ref.categories(cmap.lattice), categories)
+    free = ref.gather(grid.lattice) == ReLabel.UNLABELED
+    assert np.array_equal(ref.gather(cmap.lattice)[free], labels[free])
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
     assert (cmap.shared_pool_size, cmap.reserved_size, cmap.control_region_size,
             cmap.downlink_size) == (
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), categories.size - int(per_slot[CAT_NON_DL].sum()))
-    assert_stores_each_slot_once(cmap.category_lattice)
+    assert_stores_each_slot_once(cmap.lattice)
 
 
 class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
     @given(cases())
     def test_grids_counts_maps_grants_and_errors(self, case):
-        carrier, lte, nr, windows, iot, ssb, fraction, traffic = case
+        carrier, lte, nr, iot, ssb, fraction, traffic = case
         arr, error = outcome(build_dense, carrier, lte, nr)
         grid, shared_error = outcome(build_shared, carrier, lte, nr)
         assert shared_error == error
@@ -195,20 +192,18 @@ class TestAgainstDenseReference:
             return
         assert np.array_equal(ref.gather(grid.lattice), arr)
         assert_stores_each_slot_once(grid.lattice)
-        for slot_range, prb_range in windows:
-            assert count_labels(grid, slot_range, prb_range) == ref.count_labels(
-                arr, slot_range, prb_range)
+        assert count_labels(grid) == ref.count_labels(arr)
 
         for kind in ControlModeKind:
             mode = ControlMode(kind, fraction if kind is ControlModeKind.PARTIALLY_OVERLAPPING
                                else None)
-            categories, error = outcome(ref.classify, arr, mode)
+            dense, error = outcome(ref.classify, arr, mode)
             cmap, shared_error = outcome(classify_mrss, grid, control_mode=mode)
             assert shared_error == error
             if error is not None:
                 continue
-            labels = arr
-            assert_map_equals(cmap, grid, categories)
+            categories, labels = dense
+            assert_map_equals(cmap, grid, categories, labels)
             stages = [(ref.reserve_iot, reserve_iot, (window, slots), {})
                       for window, slots in iot]
             occasions, prbs, symbols = ssb
@@ -222,7 +217,7 @@ class TestAgainstDenseReference:
                 if error is not None:
                     break
                 (categories, labels), cmap = dense, staged
-                assert_map_equals(cmap, grid, categories)
+                assert_map_equals(cmap, grid, categories, labels)
             pool = ref.cells_per_slot(categories)[CAT_SHARED]
             for policy in SchedPolicy:
                 assert simulate(cmap, traffic, policy) == simulate(_Pools(pool), traffic, policy)
@@ -252,10 +247,10 @@ class TestLattice:
         before = ref.gather(grid.lattice)
         copy = grid.lattice.copy()
         assert copy.rows[0] is grid.lattice.rows[0]
-        place_slots(copy, [(range(3), range(14), range(12), ReLabel.NR_DATA)])
+        place_slots(copy, [(range(3), range(14), range(12), ReLabel.NR_CSI_RS)])
         assert copy.rows[0] is not grid.lattice.rows[0]
         assert np.array_equal(ref.gather(grid.lattice), before)
-        assert (ref.gather(copy) == ReLabel.NR_DATA).all()
+        assert (ref.gather(copy) == ReLabel.NR_CSI_RS).all()
 
     def test_dense_array_is_copied_into_rows(self):
         arr = np.zeros((2, 14, 12), dtype=np.uint8)
@@ -272,8 +267,8 @@ class TestLattice:
                               ((4,), range(1), range(1), ReLabel.NR_TRS)])
         before = ref.gather(lattice)
         with pytest.raises(GridShareError, match=r"cell \(2, 3, 4\): existing NR_SSB"):
-            place_slots(lattice, [((4, 5), range(14), range(12), ReLabel.NR_DATA),
-                                  ((0, 2), range(14), range(12), ReLabel.NR_DATA)])
+            place_slots(lattice, [((4, 5), range(14), range(12), ReLabel.NR_CSI_RS),
+                                  ((0, 2), range(14), range(12), ReLabel.NR_CSI_RS)])
         assert np.array_equal(ref.gather(lattice), before)
 
     def test_placements_that_share_a_slot_are_rejected_before_any_write(self):
@@ -281,11 +276,11 @@ class TestLattice:
         lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
         with pytest.raises(ConfigError, match="share slot 0"):
             place_slots(lattice, [((0,), range(14), range(12), ReLabel.NR_SSB),
-                                  ((0,), range(14), range(12), ReLabel.NR_DATA)])
+                                  ((0,), range(14), range(12), ReLabel.NR_CSI_RS)])
         with pytest.raises(ConfigError, match="share slot 2"):
             place_slots(lattice, [((1, 2), range(1), range(12), ReLabel.NR_SSB),
                                   ((0,), range(5, 6), range(12), ReLabel.NR_DMRS),
-                                  ((3, 2), range(7, 8), range(12), ReLabel.NR_DATA)])
+                                  ((3, 2), range(7, 8), range(12), ReLabel.NR_CSI_RS)])
         assert not ref.gather(lattice).any()
 
 

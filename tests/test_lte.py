@@ -168,7 +168,8 @@ class TestCrsMaskReference:
                         k = 6 * m + (SPEC_V[port](l, ns) + v_shift) % 6
                         assert expected[7 * ns + l, k] == 0
                         expected[7 * ns + l, k] = port + 1
-        np.testing.assert_array_equal(crs_mask(ports, v_shift), expected)
+        mask = np.frombuffer(crs_mask(ports, v_shift), dtype=np.uint8).reshape(14, 12)
+        np.testing.assert_array_equal(mask, expected)
         cells = crs_cells(LteCellConfig(cell_id=v_shift, crs_ports=ports), 1)
         assert cells == {(s, k, int(expected[s, k]) - 1) for s, k in zip(*np.nonzero(expected))}
 

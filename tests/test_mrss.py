@@ -96,7 +96,7 @@ class TestClassify:
             cmap.shared_pool_size + cmap.reserved_size + cmap.control_region_size
             == cmap.downlink_size
         )
-        assert set(np.unique(ref.gather(cmap.category_lattice))) <= {
+        assert set(np.unique(ref.categories(cmap.lattice))) <= {
             CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL,
         }
 
@@ -158,7 +158,7 @@ class TestReserveIot:
         cmap = fdd_map(n_prb=4)
         out = reserve_iot(cmap, (2, 2))
         assert out.reserved_size == 0
-        assert np.array_equal(ref.gather(out.category_lattice), ref.gather(cmap.category_lattice))
+        assert np.array_equal(ref.gather(out.lattice), ref.gather(cmap.lattice))
 
     def test_skips_non_downlink_cells(self):
         grid = make_grid(wideband_tdd_carrier())
@@ -190,7 +190,7 @@ class TestPlace6gSsb:
     def test_zero_occasions_identity(self):
         cmap = wideband_map()
         out = place_6g_ssb(cmap, [], prbs=20, symbols=4)
-        assert np.array_equal(ref.gather(out.category_lattice), ref.gather(cmap.category_lattice))
+        assert np.array_equal(ref.gather(out.lattice), ref.gather(cmap.lattice))
 
     def test_collision_with_5g_footprint(self):
         cmap = wideband_map()
@@ -445,14 +445,14 @@ class FixedDemands:
 
 
 def map_with_pools(pools, n_prb):
-    """A category map whose slot i has exactly pools[i] shared cells."""
+    """A map whose slot i has exactly pools[i] shared cells, the rest NR SSB."""
     grid = make_grid(CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD",
                                    span_ms=len(pools)))
-    categories = np.full(grid.lattice.shape, CAT_RESERVED, dtype=np.uint8)
-    flat = categories.reshape(len(pools), -1)
+    labels = np.full(grid.lattice.shape, ReLabel.NR_SSB, dtype=np.uint8)
+    flat = labels.reshape(len(pools), -1)
     for slot, pool in enumerate(pools):
-        flat[slot, :pool] = CAT_SHARED
-    return MrssCategoryMap(grid, ref.lattice_of(categories))
+        flat[slot, :pool] = ReLabel.UNLABELED
+    return MrssCategoryMap(grid, ref.lattice_of(labels))
 
 
 @st.composite
@@ -509,7 +509,7 @@ class TestVectorizedScheduler:
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
         cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)], prbs=20, symbols=4)
-        for lattice in (cmap.category_lattice, cmap.grid.lattice):
+        for lattice in (cmap.lattice, cmap.grid.lattice):
             with pytest.raises(TypeError):
                 lattice.rows[0][0] = 0
         # The pool is a fresh copy: writing it leaves the map's counts as they are.
@@ -604,7 +604,7 @@ class TestClassifyReference:
             assert str(err.value) == str(exc)
             return
         cmap = classify_mrss(grid, control_mode=mode)
-        assert np.array_equal(ref.gather(cmap.category_lattice), expected)
+        assert np.array_equal(ref.categories(cmap.lattice), expected)
         assert np.array_equal(cmap.shared_cells_per_slot(), per_slot)
 
     def test_peak_memory_is_about_two_lattices(self):
@@ -638,7 +638,7 @@ class TestClassifyReference:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * cmap.grid.n_cells
-        cats = ref.gather(cmap.category_lattice)
+        cats = ref.categories(cmap.lattice)
         assert sizes == (
             np.count_nonzero(cats == CAT_RESERVED),
             np.count_nonzero(cats == CAT_CONTROL),
@@ -655,27 +655,15 @@ class TestTrafficSeed:
             TrafficModel(demand_5g=1, demand_6g=1, seed=-1)
 
 
-def _gathered_reference(labels, control_mode):
-    """The category lattice as `classify_mrss` stored it for every map: the
-    label -> category table gathered slot by slot, then control growth."""
-    categories = np.empty(labels.shape, dtype=np.uint8)
-    for s in range(labels.shape[0]):
-        np.take(ref.CATEGORY_OF_LABEL, labels[s], out=categories[s])
-    footprint = int(np.count_nonzero(categories == CAT_CONTROL))
-    extra = int(footprint * (control_mode.footprint_factor - 1))
-    if extra > 0:
-        flat = categories.reshape(-1)
-        shared_idx = np.flatnonzero(flat == CAT_SHARED)
-        if extra > shared_idx.size:
-            raise PlacementError(
-                f"separate control needs {extra} cells but only {shared_idx.size} are shared"
-            )
-        flat[shared_idx[:extra]] = CAT_CONTROL
-    return categories
+# The labels map stages write: 6G control growth, IoT reservations, 6G SSB.
+STAGE_LABELS = [ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT, ReLabel.SIXG_SSB]
 
 
-def assert_map_matches(cmap, reference):
-    """Every count of the map, then its category lattice, equals the reference's."""
+def assert_map_matches(cmap, reference, labels):
+    """Every count of the map, then its categories, equal the reference's. On
+    every cell the grid left UNLABELED the map's label equals the reference's,
+    and a map label differs from the grid's only where a stage relabeled a
+    shared-pool cell with its own label."""
     per_slot = {cat: np.count_nonzero(reference == cat, axis=(1, 2))
                 for cat in (CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL)}
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
@@ -683,9 +671,15 @@ def assert_map_matches(cmap, reference):
             cmap.downlink_size) == (
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), reference.size - int(per_slot[CAT_NON_DL].sum()))
-    assert np.array_equal(ref.gather(cmap.category_lattice), reference)
+    assert np.array_equal(ref.categories(cmap.lattice), reference)
+    mapped, grid_labels = ref.gather(cmap.lattice), ref.gather(cmap.grid.lattice)
+    free = grid_labels == ReLabel.UNLABELED
+    assert np.array_equal(mapped[free], labels[free])
+    changed = mapped != grid_labels
+    assert (ref.CATEGORY_OF_LABEL[grid_labels[changed]] == CAT_SHARED).all()
+    assert np.isin(mapped[changed], STAGE_LABELS).all()
     with pytest.raises(TypeError):
-        cmap.category_lattice.rows[0][0] = 0
+        cmap.lattice.rows[0][0] = 0
 
 
 # UNLABELED and the LTE labels: a slot of these alone is decided by one `max`.
@@ -754,22 +748,22 @@ class TestMapsWithoutStoredCategories:
     @settings(max_examples=300, deadline=None)
     @given(staged_lattices())
     def test_counts_and_categories_equal_the_gather(self, case):
-        # The dense reference keeps the labels each stage writes (RESERVED_IOT,
-        # SIXG_SSB) and rejects an SSB block by them; the map reads the grid's
-        # labels, which no stage writes, and must reach the same verdicts.
+        # The dense reference keeps a category array beside its labels, and
+        # writes each stage's label on UNLABELED cells only; the map holds
+        # labels alone and reads its categories through the table. Both must
+        # reach the same verdicts, categories and stage labels.
         grid, mode, stages = case
         grid_labels = ref.gather(grid.lattice).copy()
         try:
-            reference = _gathered_reference(grid_labels, mode)
+            reference, labels = ref.classify(grid_labels, mode)
         except PlacementError as exc:
             with pytest.raises(PlacementError) as err:
                 classify_mrss(grid, control_mode=mode)
             assert str(err.value) == str(exc)
             return
         cmap = classify_mrss(grid, control_mode=mode)
-        assert_map_matches(cmap, reference)
+        assert_map_matches(cmap, reference, labels)
 
-        labels = grid_labels
         for kind, args in stages:
             dense_stage, stage = ((ref.reserve_iot, reserve_iot) if kind == "iot"
                                   else (ref.place_6g_ssb, place_6g_ssb))
@@ -783,7 +777,7 @@ class TestMapsWithoutStoredCategories:
             cmap = stage(cmap, *args)
             assert cmap.grid is grid
             assert np.array_equal(ref.gather(grid.lattice), grid_labels)
-            assert_map_matches(cmap, reference)
+            assert_map_matches(cmap, reference, labels)
 
     def test_lte_only_map_holds_no_category_lattice(self):
         # The map stored a gathered category lattice: the classify-to-simulate
@@ -810,9 +804,9 @@ class TestMapsWithoutStoredCategories:
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
         cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(Numerology(15), n_prb=25,
                                                                span_ms=2)), LteCellConfig()))
-        before = ref.gather(cmap.category_lattice)
+        before = ref.gather(cmap.lattice)
         out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)
-        assert np.array_equal(ref.gather(cmap.category_lattice), before)
+        assert np.array_equal(ref.gather(cmap.lattice), before)
         assert cmap.reserved_size == 0
         assert out.reserved_size == 2 * 14 * 24 + 2 * 4 * 12
         assert out.grid is cmap.grid

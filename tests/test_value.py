@@ -71,8 +71,8 @@ EXAMPLES = {
     ControlMode: ({}, {"shared_fraction": 0.5}),
     Mitigation: ({"kind": "SymbolLevelMute"}, {"kind": "Shout"}),
     TrafficModel: ({"demand_5g": 10, "demand_6g": (0, 5)}, {"seed": -1}),
-    MrssCategoryMap: ({"grid": GRID, "category_lattice": CMAP.category_lattice},
-                      {"category_lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
+    MrssCategoryMap: ({"grid": GRID, "lattice": CMAP.lattice},
+                      {"lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
     SimResult: ({"grants_5g": (1,), "grants_6g": (2,), "unused": (0,), "dropped_5g": (0,),
                  "dropped_6g": (0,), "shared_pool_size": 3, "total_5g": 1, "total_6g": 2,
                  "unused_shared": 0, "efficiency_vs_pure_5g": 1.0,
@@ -88,7 +88,7 @@ EXAMPLES = {
                  "parameters": (SweepParameter("policy", ("Priority5G",)),)}, None),
     Scenario: ({"carrier": CARRIER}, None),
 }
-ARRAY_FIELDS = {ResourceGrid: ("lattice",), MrssCategoryMap: ("category_lattice",)}
+ARRAY_FIELDS = {ResourceGrid: ("lattice",), MrssCategoryMap: ("lattice",)}
 METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
 
 
@@ -235,7 +235,7 @@ def test_grid_and_map_take_lattices_only():
 
 
 def test_map_lattices_have_the_grid_shape():
-    # A 5-slot category lattice on a 2-slot grid once made a shared pool of
+    # A 5-slot map lattice on a 2-slot grid once made a shared pool of
     # 840 cells out of 336 downlink cells.
     carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=2)
     grid = make_grid(carrier)
@@ -243,7 +243,7 @@ def test_map_lattices_have_the_grid_shape():
     narrower = classify_mrss(make_grid(replace(carrier, span_ms=2, n_prb=2)))
     for other, shape in ((longer, r"\(5, 14, 12\)"), (narrower, r"\(2, 14, 24\)")):
         with pytest.raises(ConfigError, match=shape + r" != \(2, 14, 12\)"):
-            MrssCategoryMap(grid, other.category_lattice)
+            MrssCategoryMap(grid, other.lattice)
 
 
 def test_equal_slots_make_equal_grids_and_maps():

@@ -3,7 +3,8 @@
     gridshare <command> -s <scenario.json> [-f md|csv|json] [-o <path>] [--seed N]
 
 Commands: budget, overhead, classify, simulate, interference, sweep.
-Exit codes: 0 success, 1 scenario/validation error, 2 computation error.
+Exit codes: 0 success, 1 scenario/validation error, 2 computation error or
+malformed command line.
 Set GRIDSHARE_NO_COLOR to disable ANSI styling on terminals.
 
 A report is a record builder (`<command>_record`: the JSON-ready object
@@ -17,8 +18,6 @@ gridshare.cli`); `main` is the in-process one.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import gc
 import io
@@ -26,6 +25,7 @@ import itertools
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .budget import check_ports, dss_table, nr_overhead
@@ -74,6 +74,8 @@ def render_table(table: Sequence[Column], rows: Iterable, fmt: str, **fill: obje
         lines.extend("| " + " | ".join(c.md_format.format(row[c.key]) for c in table) + " |"
                      for row in rows)
         return "\n".join(lines) + "\n"
+    import csv  # only csv reports load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([c.csv for c in table])
@@ -203,6 +205,11 @@ def _simulation(scenario: Scenario, maps: MapBuilder = build_map) -> SimResult:
     return simulate(maps(scenario), scenario.traffic, scenario.policy)
 
 
+def _efficiency(total: int, pure: int) -> float:
+    """total / pure to 4 decimals; 1.0 when the RAT would get nothing alone."""
+    return round_half_up(total, pure, 4) if pure else 1.0
+
+
 def simulate_record(scenario: Scenario, maps: MapBuilder = build_map,
                     result: Optional[SimResult] = None) -> Dict[str, object]:
     """The `simulate` record; `result` is the scenario's simulation when already run."""
@@ -219,8 +226,8 @@ def simulate_record(scenario: Scenario, maps: MapBuilder = build_map,
             "unused_shared": result.unused_shared,
             "dropped_5g": sum(result.dropped_5g),
             "dropped_6g": sum(result.dropped_6g),
-            "efficiency_vs_pure_5g": round_half_up(result.efficiency_vs_pure_5g, 4),
-            "efficiency_vs_pure_6g": round_half_up(result.efficiency_vs_pure_6g, 4),
+            "efficiency_vs_pure_5g": _efficiency(result.total_5g, result.pure_5g),
+            "efficiency_vs_pure_6g": _efficiency(result.total_6g, result.pure_6g),
         },
         "per_slot": {
             "grants_5g": list(result.grants_5g),
@@ -397,6 +404,11 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
 
     if fmt == "json":
         return _json_text(records)
+    # An md or csv cell holds a swept object or list as the JSON text `-f json` prints.
+    for record in records:
+        for p in params:
+            if type(record[p.path]) in _CONTAINERS:
+                record[p.path] = json.dumps(record[p.path])
     columns = list(dict.fromkeys(column for record in records for column in record))
     rows = [[record.get(c, "") for c in columns] for record in records]
     return render_table([Column(i, c, c) for i, c in enumerate(columns)], rows, fmt)
@@ -435,21 +447,98 @@ def _style(text: str, out_path: Optional[str]) -> str:
     return f"\033[1m{first}\033[0m\n{rest}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridshare",
-        description="Resource-element-accurate LTE/5G/6G spectrum-sharing coexistence reports",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("-s", "--scenario", required=True, help="path to a scenario JSON file")
-    parser.add_argument("-f", "--format", choices=FORMATS, default="md")
-    parser.add_argument("-o", "--output", default=None, help="write the report to a file")
-    parser.add_argument("--seed", type=int, default=None, help="override the traffic seed")
-    return parser
+_USAGE = "usage: gridshare <command> -s PATH [-f md|csv|json] [-o PATH] [--seed N]\n"
+_HELP = _USAGE + f"""
+Resource-element-accurate LTE/5G/6G spectrum-sharing coexistence reports.
+
+commands: {', '.join(COMMANDS)}
+
+options:
+  -h, --help           show this help and exit
+  -s, --scenario PATH  path to a scenario JSON file (required)
+  -f, --format FORMAT  md (default), csv or json
+  -o, --output PATH    write the report to a file
+  --seed N             override the traffic seed
+"""
+# Option spelling -> the request field it sets.
+_OPTIONS = {"-s": "scenario", "--scenario": "scenario", "-f": "format", "--format": "format",
+            "-o": "output", "--output": "output", "--seed": "seed"}
+
+
+class _UsageError(Exception):
+    """A malformed command line; the message says what is wrong."""
+
+
+def _is_option(arg: str) -> bool:
+    """Whether `arg` reads as an option: a dash and more, but not a negative
+    integer, so that `--seed -1` takes -1 as its value."""
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdecimal()
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command line as a namespace of command, scenario, format, output
+    and seed, or None for -h/--help. Options come before or after the
+    command, as `-s PATH`, `-sPATH`, `--scenario PATH` or `--scenario=PATH`;
+    the last value wins. Raises _UsageError on anything else, an abbreviated
+    option included."""
+    args = SimpleNamespace(scenario=None, format="md", output=None, seed=None)
+    commands = []
+    rest = iter(argv)
+    for arg in rest:
+        if not _is_option(arg):
+            commands.append(arg)
+            continue
+        if arg in ("-h", "--help"):
+            return None
+        if arg.startswith("--"):
+            flag, eq, value = arg.partition("=")
+            value = value if eq else None
+        else:
+            flag, value = arg[:2], arg[2:] or None
+        name = _OPTIONS.get(flag)
+        if name is None:
+            raise _UsageError(f"unrecognized arguments: {arg}")
+        if value is None:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                raise _UsageError(f"argument {flag}: expected one argument")
+        if name == "format" and value not in FORMATS:
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, FORMATS))})")
+        if name == "seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        setattr(args, name, value)
+    missing = []
+    if not commands:
+        missing.append("command")
+    if args.scenario is None:
+        missing.append("-s/--scenario")
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if commands[0] not in COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {commands[0]!r} "
+                          f"(choose from {', '.join(map(repr, COMMANDS))})")
+    if len(commands) > 1:
+        raise _UsageError(f"unrecognized arguments: {' '.join(commands[1:])}")
+    args.command = commands[0]
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one request; returns its exit code. A malformed command line
+    prints the usage and the reason to stderr and returns 2; -h/--help
+    prints the help to stdout and returns 0."""
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}gridshare: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(_HELP)
+        return 0
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
@@ -483,7 +572,7 @@ def run() -> None:
     """Process entry of the `gridshare` script and `python -m gridshare.cli`.
 
     Moves the objects start-up and import left behind (the interpreter's
-    and gridshare's, ~13.5k) into the collector's permanent generation, so
+    and gridshare's, ~12.7k) into the collector's permanent generation, so
     the collections of this one-shot process, the one at shutdown included,
     no longer walk them.
     `main` leaves the collector alone: library callers and tests call it

@@ -23,7 +23,6 @@ import itertools
 import numbers
 from array import array
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -102,12 +101,15 @@ class ControlMode:
             raise ConfigError(f"{self.kind.value} takes no shared_fraction")
 
     @property
-    def footprint_factor(self) -> Fraction:
-        """Exact control footprint multiplier; shared_fraction is read as its decimal text."""
+    def footprint_factor(self) -> numbers.Rational:
+        """Exact control footprint multiplier: 1 or 2, or for PartiallyOverlapping
+        a `Fraction`, with shared_fraction read as its decimal text."""
         if self.kind is ControlModeKind.FULLY_OVERLAPPING:
-            return Fraction(1)
+            return 1
         if self.kind is ControlModeKind.SEPARATE:
-            return Fraction(2)
+            return 2
+        from fractions import Fraction
+
         return 2 - Fraction(str(self.shared_fraction))
 
 
@@ -257,8 +259,13 @@ class MrssCategoryMap:
         shared = [n[CAT_SHARED] for n in self._row_counts[0]]
         return array("q", map(shared.__getitem__, self.lattice.slot_rows))
 
+
 @value
 class SimResult:
+    """One `simulate` run: per-slot grants, unused cells and drops, and their
+    totals. `pure_5g` and `pure_6g` are the grants each RAT alone would get
+    on the same pool, the bases of its efficiency (`total / pure`)."""
+
     grants_5g: Tuple[int, ...]
     grants_6g: Tuple[int, ...]
     unused: Tuple[int, ...]
@@ -268,8 +275,8 @@ class SimResult:
     total_5g: int
     total_6g: int
     unused_shared: int
-    efficiency_vs_pure_5g: Fraction
-    efficiency_vs_pure_6g: Fraction
+    pure_5g: int
+    pure_6g: int
 
 
 @value
@@ -476,8 +483,6 @@ def simulate(
     d5, d6 = (d.tolist() for d in traffic.demands(len(pool)))
     g5, g6 = _grants(pool, d5, d6, policy)
     unused = [p - a - b for p, a, b in zip(pool, g5, g6)]
-    total5, total6 = sum(g5), sum(g6)
-    pure5, pure6 = sum(map(min, d5, pool)), sum(map(min, d6, pool))
     return SimResult(
         grants_5g=tuple(g5),
         grants_6g=tuple(g6),
@@ -485,11 +490,11 @@ def simulate(
         dropped_5g=tuple(d - g for d, g in zip(d5, g5)),
         dropped_6g=tuple(d - g for d, g in zip(d6, g6)),
         shared_pool_size=sum(pool),
-        total_5g=total5,
-        total_6g=total6,
+        total_5g=sum(g5),
+        total_6g=sum(g6),
         unused_shared=sum(unused),
-        efficiency_vs_pure_5g=Fraction(total5, pure5) if pure5 else Fraction(1),
-        efficiency_vs_pure_6g=Fraction(total6, pure6) if pure6 else Fraction(1),
+        pure_5g=sum(map(min, d5, pool)),
+        pure_6g=sum(map(min, d6, pool)),
     )
 
 
@@ -528,5 +533,7 @@ def neighbor_interference(
     # ReceiverCancellation: a deterministic count-level fraction of dirty
     # cells becomes clean (exact floor; effectiveness is read as its decimal
     # text), nothing is sacrificed.
+    from fractions import Fraction
+
     reclaimed = int(Fraction(str(mitigation.effectiveness)) * dirty)
     return InterferenceReport(pool_n, pool_n - dirty + reclaimed, 0, dirty - reclaimed)

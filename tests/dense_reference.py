@@ -14,8 +14,6 @@ table, and `dominance_share` is the overhead share the paper reports, read
 from an `OverheadReport`.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
@@ -58,7 +56,7 @@ def dominance_share(report, signal_name):
     """One signal's share of the total overhead, percent: the exact share
     rounded half up at 1 dp."""
     (row,) = [row for row in report.rows if row.signal_name == signal_name]
-    return round_half_up(Fraction(100 * row.re_count, report.total_row.re_count), 1)
+    return round_half_up(100 * row.re_count, report.total_row.re_count, 1)
 
 
 def new_labels(config):

@@ -289,12 +289,91 @@ class TestSweepCommand:
         assert [r["traffic"] for r in records] == [traffic, traffic]
         assert [(r["traffic.seed"], r["summary.seed"]) for r in records] == [(3, 3), (4, 4)]
         code, out, _ = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "csv")
-        assert out.splitlines()[1].startswith("0,\"{'demand_5g': 1, 'demand_6g': 2}\",3,")
+        assert out.splitlines()[1].startswith('0,"{""demand_5g"": 1, ""demand_6g"": 2}",3,')
 
     def test_requires_sweep_section(self, capsys, table1):
         code, _, err = run(capsys, "sweep", "-s", table1)
         assert code == 1
         assert "sweep" in err
+
+
+SWEEP_DOC = str(SCENARIOS / "mrss_sweep.json")
+CANONICAL = ["simulate", "-s", SWEEP_DOC, "-f", "csv", "--seed", "7"]
+COMMAND_CHOICES = "'budget', 'overhead', 'classify', 'simulate', 'interference', 'sweep'"
+
+
+class TestCommandLine:
+    """`gridshare <command> -s PATH [-f md|csv|json] [-o PATH] [--seed N]`:
+    the accepted forms of one request, and the lines rejected with exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-s", SWEEP_DOC, "-f", "csv", "--seed", "7", "simulate"],
+        ["--seed", "7", "simulate", "--format", "csv", "--scenario", SWEEP_DOC],
+        ["simulate", f"-s{SWEEP_DOC}", "-fcsv", "--seed", "7"],
+        ["simulate", f"--scenario={SWEEP_DOC}", "--format=csv", "--seed=7"],
+        ["simulate", "-s", "absent.json", "-f", "md", "--seed", "1",
+         "-s", SWEEP_DOC, "-f", "csv", "--seed", "7"],
+    ])
+    def test_accepted_forms_give_the_canonical_report(self, capsys, argv):
+        canonical = run(capsys, *CANONICAL)
+        assert canonical[0] == 0 and canonical[1]
+        assert run(capsys, *argv) == canonical
+
+    @pytest.mark.parametrize("form", [["-o", "{}"], ["-o{}"], ["--output", "{}"],
+                                      ["--output={}"]])
+    def test_output_forms_write_the_canonical_report(self, capsys, tmp_path, form):
+        path = tmp_path / "report.csv"
+        _, canonical, _ = run(capsys, *CANONICAL)
+        argv = CANONICAL + [arg.format(path) for arg in form]
+        assert run(capsys, *argv) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == canonical
+
+    @pytest.mark.parametrize("argv,reason", [
+        ([], "the following arguments are required: command, -s/--scenario"),
+        (["-s", SWEEP_DOC], "the following arguments are required: command"),
+        (["report", "-s", SWEEP_DOC],
+         f"argument command: invalid choice: 'report' (choose from {COMMAND_CHOICES})"),
+        (["budget", "classify", "-s", SWEEP_DOC], "unrecognized arguments: classify"),
+        (["budget"], "the following arguments are required: -s/--scenario"),
+        (["budget", "-s", SWEEP_DOC, "-f", "xml"],
+         "argument -f: invalid choice: 'xml' (choose from 'md', 'csv', 'json')"),
+        (["simulate", "-s", SWEEP_DOC, "--seed", "seven"],
+         "argument --seed: invalid int value: 'seven'"),
+        (["simulate", "-s", SWEEP_DOC, "--seed=1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["budget", "-s", SWEEP_DOC, "--verbose"], "unrecognized arguments: --verbose"),
+        (["budget", "-s", SWEEP_DOC, "-x"], "unrecognized arguments: -x"),
+        (["budget", "-s"], "argument -s: expected one argument"),
+        (["budget", "--scenario", "-f", "md"], "argument --scenario: expected one argument"),
+        (["budget", "-s", SWEEP_DOC, "--seed"], "argument --seed: expected one argument"),
+        (["budget", "--scen", SWEEP_DOC], "unrecognized arguments: --scen"),
+        (["budget", "-s", SWEEP_DOC, "--form=csv"], "unrecognized arguments: --form=csv"),
+    ])
+    def test_malformed_line_exits_2_with_the_usage(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: gridshare ")
+        assert error == f"gridshare: error: {reason}"
+
+    def test_malformed_line_in_a_process_has_no_traceback(self):
+        proc = run_process("budget", "--scen", SWEEP_DOC)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: gridshare ")
+        assert proc.stderr.endswith("\ngridshare: error: unrecognized arguments: --scen\n")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["budget", "-h"],
+                                      ["sweep", "-s", SWEEP_DOC, "--help"]])
+    def test_help_exits_0_on_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: gridshare ")
+        assert all(command in out for command in cli.COMMANDS)
+
+    @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"]])
+    def test_negative_seed_is_a_value(self, capsys, seed):
+        assert run(capsys, "simulate", "-s", SWEEP_DOC, *seed) == (
+            1, "", "error: --seed: must be >= 0, got -1\n")
 
 
 class TestErrors:
@@ -766,6 +845,31 @@ class TestProcessEntry:
         frozen = gc.get_freeze_count()
         assert run(capsys, "budget", "-s", str(SCENARIOS / "table1.json"))[0] == 0
         assert gc.get_freeze_count() == frozen
+
+    def test_requests_import_no_unneeded_standard_modules(self):
+        """No request imports argparse, gettext, locale, fractions or decimal,
+        and an md request does not import csv."""
+        script = "\n".join([
+            "import sys",
+            "start = set(sys.modules)",
+            "import contextlib, io, json",
+            "from gridshare import cli",
+            "loaded = []",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv) == 0, argv",
+            "    loaded.append(sorted(set(sys.modules) - start))",
+            "print(json.dumps(loaded))",
+        ])
+        requests = [["overhead", "-s", str(SCENARIOS / "table3.json"), "-f", "md"],
+                    ["sweep", "-s", SWEEP_DOC, "-f", "csv"],
+                    ["simulate", "-s", SWEEP_DOC, "-f", "csv"]]
+        proc = run_python("-c", script, json.dumps(requests))
+        assert proc.returncode == 0, proc.stderr
+        after_md, _, after_all = json.loads(proc.stdout)
+        unneeded = {"argparse", "gettext", "locale", "fractions", "decimal"}
+        assert unneeded.isdisjoint(after_all), sorted(unneeded.intersection(after_all))
+        assert "csv" not in after_md and "csv" in after_all
 
     def test_script_and_module_share_the_entry(self):
         pyproject = (SCENARIOS.parent / "pyproject.toml").read_text()

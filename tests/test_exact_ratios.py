@@ -85,8 +85,7 @@ def test_reported_efficiency_is_the_exact_ratio_rounded_half_up(case):
             pure = sum(min(int(d), p) for d, p in zip(demands, pool))
             reported = record["summary"][f"efficiency_vs_pure_{rat}"]
             assert reported == _half_up_4(total, pure), (policy, rat)
-            exact = Fraction(total, pure) if pure else Fraction(1)
-            assert reported == round_half_up(exact, 4)
+            assert reported == (round_half_up(total, pure, 4) if pure else 1.0)
 
 
 def test_no_builtin_round_outside_the_rounding_module():
@@ -104,10 +103,10 @@ def test_no_builtin_round_outside_the_rounding_module():
 
 def test_round_half_up_rounds_once():
     # Just below 0.125: a 50-digit quotient lands on the tie and then rounds up.
-    assert round_half_up(Fraction(125 * 10**60 - 1, 10**63), 2) == 0.12
-    assert round_half_up(Fraction(125, 1000), 2) == 0.13
-    assert round_half_up(Fraction(-125, 1000), 2) == -0.13
-    zero = round_half_up(Fraction(-1, 1000), 2)
+    assert round_half_up(125 * 10**60 - 1, 10**63, 2) == 0.12
+    assert round_half_up(125, 1000, 2) == 0.13
+    assert round_half_up(-125, 1000, 2) == -0.13
+    zero = round_half_up(-1, 1000, 2)
     assert zero == 0 and math.copysign(1, zero) == -1
 
 
@@ -119,7 +118,7 @@ def test_round_half_up_is_the_nearest_decimal_ties_away_from_zero(value, decimal
     # Of the two multiples of `step` around the value, the nearer; at a tie,
     # the one of larger magnitude.
     nearest = min((below, below + step), key=lambda c: (abs(c - value), -abs(c)))
-    got = round_half_up(value, decimals)
+    got = round_half_up(value.numerator, value.denominator, decimals)
     assert got == float(nearest)
     assert math.copysign(1, got) == (-1 if value < 0 else 1)
 
@@ -137,6 +136,17 @@ def _decimal_round_half_up(value: Fraction, decimals: int) -> float:
 def test_round_half_up_keeps_the_decimal_results_on_count_ratios(numerator, denominator, decimals):
     """Where 50 digits hold the quotient's distance from a tie, as for every
     ratio of counts a report rounds, both routes agree, sign of zero included."""
-    value = Fraction(numerator, denominator)
-    got, old = round_half_up(value, decimals), _decimal_round_half_up(value, decimals)
+    got = round_half_up(numerator, denominator, decimals)
+    old = _decimal_round_half_up(Fraction(numerator, denominator), decimals)
     assert (got, math.copysign(1, got)) == (old, math.copysign(1, old))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12), st.integers(1, 10**6),
+       st.integers(0, 6))
+def test_round_half_up_is_the_same_on_a_scaled_pair(numerator, denominator, factor, decimals):
+    """A ratio rounds the same whether or not its pair is in lowest terms:
+    `pct` passes 100 * n and d as they are."""
+    got = round_half_up(numerator * factor, denominator * factor, decimals)
+    want = round_half_up(numerator, denominator, decimals)
+    assert (got, math.copysign(1, got)) == (want, math.copysign(1, want))

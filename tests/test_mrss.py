@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,8 +241,10 @@ class TestSimulate:
             result = simulate(cmap, TrafficModel(500, 0), policy)
             assert result.grants_5g == (168,)
             assert result.grants_6g == (0,)
-            assert result.efficiency_vs_pure_5g == 1.0
-            assert result.efficiency_vs_pure_6g == 1.0
+            # Efficiency 1.0 each: 5G gets all it would alone, and an idle
+            # RAT's 0 of 0 reports 1.0.
+            assert result.total_5g == result.pure_5g
+            assert (result.total_6g, result.pure_6g) == (0, 0)
 
     def test_seed_determinism(self):
         cmap = wideband_map()
@@ -428,8 +429,7 @@ def _reference_simulate(pools, d5s, d6s, policy):
         dropped_5g=tuple(drop5), dropped_6g=tuple(drop6),
         shared_pool_size=sum(pools), total_5g=total5, total_6g=total6,
         unused_shared=sum(unused),
-        efficiency_vs_pure_5g=Fraction(total5, pure5) if pure5 else Fraction(1),
-        efficiency_vs_pure_6g=Fraction(total6, pure6) if pure6 else Fraction(1),
+        pure_5g=pure5, pure_6g=pure6,
     )
 
 

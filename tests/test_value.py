@@ -75,8 +75,7 @@ EXAMPLES = {
                       {"lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
     SimResult: ({"grants_5g": (1,), "grants_6g": (2,), "unused": (0,), "dropped_5g": (0,),
                  "dropped_6g": (0,), "shared_pool_size": 3, "total_5g": 1, "total_6g": 2,
-                 "unused_shared": 0, "efficiency_vs_pure_5g": 1.0,
-                 "efficiency_vs_pure_6g": 1.0}, None),
+                 "unused_shared": 0, "pure_5g": 1, "pure_6g": 2}, None),
     InterferenceReport: ({"pool_re": 102, "clean_re": 90, "sacrificed_re": 12,
                           "dirty_re": 0}, None),
     IotReservation: ({"prb_start": 0, "prb_stop": 1}, None),

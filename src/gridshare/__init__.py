@@ -23,7 +23,6 @@ from .errors import (
 from .grid import (
     CarrierConfig,
     Lattice,
-    Numerology,
     ReLabel,
     ResourceGrid,
     SlotKind,

@@ -18,7 +18,6 @@ from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
     CarrierConfig,
-    Numerology,
     ReLabel,
     ResourceGrid,
     SlotKind,
@@ -168,7 +167,7 @@ def dss_pool_by_grid(
             raise ConfigError(f"DMRS symbol {s} collides with a CRS-bearing symbol")
         if s < control_end:
             raise ConfigError(f"DMRS symbol {s} collides with the control region")
-    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=1)
+    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=1)
     labels = new_labels(carrier)
     if crs_ports > 0:
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)

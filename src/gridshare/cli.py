@@ -5,7 +5,6 @@
 Commands: budget, overhead, classify, simulate, interference, sweep.
 Exit codes: 0 success, 1 scenario/validation error, 2 computation error or
 malformed command line.
-Set GRIDSHARE_NO_COLOR to disable ANSI styling on terminals.
 
 A report is a record builder (`<command>_record`: the JSON-ready object
 that `-f json` prints) and a table of `Column`s, from which `render_table`
@@ -23,7 +22,6 @@ import gc
 import io
 import itertools
 import json
-import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
@@ -98,7 +96,7 @@ def build_grid(scenario: Scenario) -> ResourceGrid:
     carrier = scenario.carrier
     labels = new_labels(carrier)
     if scenario.lte is not None:
-        if carrier.numerology.scs_khz != 15:
+        if carrier.scs_khz != 15:
             raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
         place_lte(labels, carrier, scenario.lte)
     if scenario.nr is not None:
@@ -261,7 +259,7 @@ def interference_record(scenario: Scenario) -> Dict[str, object]:
     if scenario.lte is None or scenario.mitigation is None:
         raise ScenarioError("interference command requires 'lte' and 'mitigation' sections")
     report = neighbor_interference(
-        scenario.lte, scenario.lte_neighbors, scenario.mitigation, scenario.budget.layout
+        scenario.lte, scenario.lte.neighbors, scenario.mitigation, scenario.budget.layout
     )
     return {
         "mitigation": scenario.mitigation.kind,
@@ -278,14 +276,16 @@ def run_interference(scenario: Scenario, fmt: str) -> str:
 
 
 def _set_path(doc: dict, path: str, value: object) -> None:
-    parts = path.split(".")
+    """Set `value` at the dotted `path` of `doc`, copying each object on the path first."""
+    *parents, last = path.split(".")
     node = doc
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
+    for part in parents:
+        child = node.get(part, {})
+        if not isinstance(child, dict):
             raise ScenarioError(f"sweep path traverses a non-object at {part!r}", path)
-    # A copy: a later path below this one must not write into the sweep's value.
-    node[parts[-1]] = json.loads(json.dumps(value))
+        node[part] = dict(child)
+        node = node[part]
+    node[last] = value
 
 
 def _flat_keys(obj: object, prefix: str, out: List[str]) -> None:
@@ -352,8 +352,8 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     base = emit_scenario(scenario)
     base.pop("sweep", None)
     params = scenario.sweep.parameters
-    # A point is the base document with its swept top-level sections copied
-    # and set; only those are read again (`read_point`), the rest are shared.
+    # A point is the base document with its swept values set (`_set_path`);
+    # only the swept top-level sections are read again (`read_point`).
     swept = tuple(dict.fromkeys(p.path.split(".")[0] for p in params))
     # The last map built, keyed by the swept ones among the sections
     # `build_map` reads: a map is a read-only value, so points with equal
@@ -376,9 +376,6 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     for index, combo in enumerate(itertools.product(*(p.values for p in params))):
         try:
             doc = dict(base)
-            for key in swept:
-                if key in base:
-                    doc[key] = json.loads(json.dumps(base[key]))
             for p, v in zip(params, combo):
                 _set_path(doc, p.path, v)
             point = read_point(scenario, doc, swept)
@@ -397,17 +394,18 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
         except GridShareError as exc:
             # Name the failing point; the error keeps its class (so its exit
             # code) and its dotted path.
-            swept = ", ".join(f"{p.path}={json.dumps(v)}" for p, v in zip(params, combo))
-            exc.args = (f"sweep point {index} ({swept}): {exc}",)
+            where = ", ".join(f"{p.path}={json.dumps(v)}" for p, v in zip(params, combo))
+            exc.args = (f"sweep point {index} ({where}): {exc}",)
             raise
         records.append(record)
 
     if fmt == "json":
         return _json_text(records)
-    # An md or csv cell holds a swept object or list as the JSON text `-f json` prints.
+    # An md or csv cell holds a swept value other than a string as the JSON
+    # text `-f json` prints.
     for record in records:
         for p in params:
-            if type(record[p.path]) in _CONTAINERS:
+            if not isinstance(record[p.path], str):
                 record[p.path] = json.dumps(record[p.path])
     columns = list(dict.fromkeys(column for record in records for column in record))
     rows = [[record.get(c, "") for c in columns] for record in records]
@@ -436,15 +434,6 @@ def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:
     if scenario.traffic is None:
         return scenario
     return replace(scenario, traffic=replace(scenario.traffic, seed=seed))
-
-
-def _style(text: str, out_path: Optional[str]) -> str:
-    if out_path is not None or os.environ.get("GRIDSHARE_NO_COLOR"):
-        return text
-    if not sys.stdout.isatty():
-        return text
-    first, _, rest = text.partition("\n")
-    return f"\033[1m{first}\033[0m\n{rest}"
 
 
 _USAGE = "usage: gridshare <command> -s PATH [-f md|csv|json] [-o PATH] [--seed N]\n"
@@ -564,7 +553,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(_style(text, args.output))
+        sys.stdout.write(text)
     return 0
 
 

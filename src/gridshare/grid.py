@@ -1,4 +1,4 @@
-"""Numerology, carrier configuration, and the labeled time-frequency grid.
+"""Carrier configuration and the labeled time-frequency grid.
 
 The grid is a (slot, symbol, subcarrier) lattice where every resource
 element carries exactly one label, one byte. A `Lattice` stores each
@@ -78,21 +78,6 @@ class ReLabel(IntEnum):
 
 
 @value
-class Numerology:
-    """Subcarrier spacing and derived slot timing (normal cyclic prefix)."""
-
-    scs_khz: int = 15
-
-    def __post_init__(self):
-        if self.scs_khz not in (15, 30):
-            raise ConfigError(f"scs_khz must be 15 or 30, got {self.scs_khz}")
-
-    @property
-    def slots_per_ms(self) -> int:
-        return self.scs_khz // 15
-
-
-@value
 class TddPattern:
     """Ordered slot-kind cycle plus the DL/guard/UL split of special slots."""
 
@@ -121,15 +106,17 @@ class TddPattern:
 
 @value
 class CarrierConfig:
-    """Carrier-level parameters fixing the grid dimensions."""
+    """Carrier-level parameters fixing the grid dimensions (normal cyclic prefix)."""
 
-    numerology: Numerology
+    scs_khz: int
     n_prb: int
     duplex: str = "FDD"
     span_ms: int = 1
     tdd_pattern: Optional[TddPattern] = None
 
     def __post_init__(self):
+        if self.scs_khz not in (15, 30):
+            raise ConfigError(f"scs_khz must be 15 or 30, got {self.scs_khz}")
         if self.n_prb < 1:
             raise ConfigError(f"n_prb must be >= 1, got {self.n_prb}")
         if self.duplex not in ("FDD", "TDD"):
@@ -138,7 +125,7 @@ class CarrierConfig:
             raise ConfigError("TDD carrier requires a tdd_pattern")
         if self.duplex == "FDD" and self.tdd_pattern is not None:
             raise ConfigError("FDD carrier must not carry a tdd_pattern")
-        slots = self.span_ms * self.numerology.slots_per_ms
+        slots = self.span_ms * self.slots_per_ms
         if slots != int(slots) or slots < 1:
             raise ConfigError(
                 f"span_ms x slots_per_ms must be a positive integer slot count, got {slots}"
@@ -150,8 +137,12 @@ class CarrierConfig:
             )
 
     @property
+    def slots_per_ms(self) -> int:
+        return self.scs_khz // 15
+
+    @property
     def n_slots(self) -> int:
-        return int(self.span_ms * self.numerology.slots_per_ms)
+        return int(self.span_ms * self.slots_per_ms)
 
     @property
     def n_subcarriers(self) -> int:

@@ -37,14 +37,21 @@ MBSFN_ALLOWED = {"FDD": frozenset({1, 2, 3, 6, 7, 8}), "TDD": frozenset({3, 4, 7
 
 @value
 class LteCellConfig:
+    """One LTE cell; a serving cell also lists its `neighbors` (their CRS is interference)."""
+
     cell_id: int = 0
     crs_ports: int = 4
     pdcch_symbols: int = 2
     mbsfn_subframes: FrozenSet[int] = frozenset()
     non_mbsfn_region_len: int = 2
+    neighbors: Tuple["LteCellConfig", ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "mbsfn_subframes", frozenset(self.mbsfn_subframes))
+        object.__setattr__(self, "neighbors", tuple(self.neighbors))
+        for cell in self.neighbors:
+            if not isinstance(cell, LteCellConfig):
+                raise ConfigError(f"neighbors must be LteCellConfig values, got {cell!r}")
         if self.cell_id < 0:
             raise ConfigError(f"cell_id must be >= 0, got {self.cell_id}")
         if self.crs_ports not in (1, 2, 4):
@@ -64,7 +71,7 @@ class LteCellConfig:
 def check_mbsfn(carrier: CarrierConfig, cell: LteCellConfig) -> None:
     """Each MBSFN subframe lies in the carrier span, may carry MBSFN on the
     carrier's duplex (MBSFN_ALLOWED), and is a TDD downlink subframe."""
-    n_subframes = carrier.n_slots // carrier.numerology.slots_per_ms
+    n_subframes = carrier.n_slots // carrier.slots_per_ms
     allowed_sf = MBSFN_ALLOWED[carrier.duplex]
     for sf in sorted(cell.mbsfn_subframes):
         if sf >= n_subframes:
@@ -74,7 +81,7 @@ def check_mbsfn(carrier: CarrierConfig, cell: LteCellConfig) -> None:
                 f"subframe {sf} cannot carry MBSFN on {carrier.duplex}: "
                 f"only subframes {sorted(allowed_sf)} mod 10 can (TS 36.331)"
             )
-        kind = carrier.slot_kind(sf * carrier.numerology.slots_per_ms)
+        kind = carrier.slot_kind(sf * carrier.slots_per_ms)
         if kind is not SlotKind.DOWNLINK:
             raise ConfigError(
                 f"subframe {sf} cannot carry MBSFN: the TDD pattern makes it {kind.name.lower()}"
@@ -204,7 +211,7 @@ def place_lte(
     ConflictError naming the first such cell; TDD uplink and guard cells
     are left as they are.
     """
-    if carrier.numerology.scs_khz != 15:
+    if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6

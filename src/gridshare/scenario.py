@@ -2,7 +2,9 @@
 
 One table, `SCENARIO`, gives every key's JSON type, bounds and whether it is
 required; `parse_scenario` reads a document by it and `emit_scenario` writes
-one. A key left out is not passed on, so defaults live in the value classes.
+one. Each section reads straight into one value whose fields are its keys,
+but for the `parts` of `budget` and `mrss`. A key left out is not passed on,
+so defaults live in the value classes.
 Unknown keys are rejected; every error carries a dotted path into the document.
 """
 
@@ -11,12 +13,11 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
 from .budget import DssLayout
 from .errors import ConfigError, ScenarioError
-from .grid import SYMBOLS_PER_SLOT, CarrierConfig, Numerology, TddPattern
+from .grid import SYMBOLS_PER_SLOT, CarrierConfig, TddPattern
 from .lte import LteCellConfig, check_mbsfn
 from .mrss import (
     ControlMode,
@@ -80,7 +81,6 @@ class SweepSpec:
 class Scenario:
     carrier: CarrierConfig
     lte: Optional[LteCellConfig] = None
-    lte_neighbors: Tuple[LteCellConfig, ...] = ()
     nr: Optional[NrOverlaySet] = None
     budget: BudgetSpec = BudgetSpec()
     mrss: Optional[MrssSpec] = None
@@ -236,22 +236,12 @@ def _counts(*keys: str) -> list:
     return [(key, Int(0), REQUIRED) for key in keys]
 
 
-def _scenario(**args) -> Scenario:
-    """The Scenario of the top-level keys: lte.neighbors is Scenario.lte_neighbors."""
-    if "lte" in args:
-        cell = dict(vars(args["lte"]))
-        if "neighbors" in cell:
-            args["lte_neighbors"] = cell.pop("neighbors")
-        args["lte"] = LteCellConfig(**cell)
-    return Scenario(**args)
-
-
 _CYCLE = Leaf(lambda v: v and isinstance(v, str) and set(v) <= set("DSU"),
               "cycle must be a non-empty string over D/S/U, got {!r}",
               write=lambda cycle: "".join(_json(cycle)))
 _TRIPLE = _int_list("special_split must be a list of three integers", length=3)
 CARRIER = Section(CarrierConfig, [
-    ("scs_khz", Int(choices=(15, 30)), REQUIRED, "numerology.scs_khz"),
+    ("scs_khz", Int(choices=(15, 30)), REQUIRED),
     ("n_prb", Int(1, MAX_N_PRB), REQUIRED),
     ("duplex", Leaf(lambda v: v in ("FDD", "TDD"), "must be 'FDD' or 'TDD', got {!r}"), REQUIRED),
     ("span_ms", Leaf(_is_real, "expected a number, got {!r}", _finite_span), REQUIRED),
@@ -259,7 +249,7 @@ CARRIER = Section(CarrierConfig, [
         ("cycle", _CYCLE, REQUIRED),
         ("special_split", _TRIPLE, OPTIONAL),
     ]), NULLABLE),
-], parts={"numerology": Numerology})
+])
 _SUBFRAMES = _int_list("must be a list of non-negative integers", minimum=0)
 _CELL = [
     ("cell_id", Int(0), OPTIONAL),
@@ -268,8 +258,8 @@ _CELL = [
     ("mbsfn_subframes", _SUBFRAMES, OPTIONAL),
     ("non_mbsfn_region_len", Int(choices=(1, 2)), OPTIONAL),
 ]
-# The serving cell is read into a namespace that `_scenario` splits.
-LTE = Section(SimpleNamespace, _CELL + [
+# Only the serving cell lists neighbors.
+LTE = Section(LteCellConfig, _CELL + [
     ("neighbors", Many(Section(LteCellConfig, _CELL)), OPTIONAL),
 ])
 BEAM = Section(BeamSignal, _counts("beams", "prbs", "symbols"))
@@ -310,7 +300,7 @@ MRSS = Section(MrssSpec, [
 _DEMAND = Leaf(convert=check_demand)
 MITIGATION = Section(Mitigation, [("kind", Leaf(), REQUIRED),
                                   ("effectiveness", _FRACTION, NULLABLE)])
-SCENARIO = Section(_scenario, [
+SCENARIO = Section(Scenario, [
     ("carrier", CARRIER, REQUIRED),
     ("lte", LTE, NULLABLE),
     ("nr", NR, NULLABLE),
@@ -355,8 +345,8 @@ def check_scenario(scenario: Scenario) -> Scenario:
     """The scenario, after the checks that relate its sections to the carrier."""
     if scenario.lte is not None:
         _call("lte.mbsfn_subframes", check_mbsfn, scenario.carrier, scenario.lte)
-    for i, cell in enumerate(scenario.lte_neighbors):
-        _call(f"lte.neighbors[{i}].mbsfn_subframes", check_mbsfn, scenario.carrier, cell)
+        for i, cell in enumerate(scenario.lte.neighbors):
+            _call(f"lte.neighbors[{i}].mbsfn_subframes", check_mbsfn, scenario.carrier, cell)
     if scenario.mrss is not None:
         _check_mrss(scenario.carrier, scenario.mrss)
     return scenario
@@ -377,19 +367,10 @@ def read_point(base: Scenario, document: dict, swept) -> Scenario:
     with values set under the top-level keys `swept` (a sweep point): only
     those keys are read, the others keep base's values, and every check of a
     full parse runs in the same order, so errors are the same too."""
-    form = _sections(base)
-    known = {key: getattr(form, key) for key in SCENARIO.rows if key not in swept}
+    known = {key: getattr(base, key) for key in SCENARIO.rows if key not in swept}
     return check_scenario(SCENARIO.read(document, "", known))
-
-
-def _sections(scenario: Scenario):
-    """The scenario by top-level key, as SCENARIO reads it: Scenario.lte_neighbors is lte.neighbors."""
-    if scenario.lte is None:
-        return scenario
-    lte = SimpleNamespace(**vars(scenario.lte), neighbors=scenario.lte_neighbors)
-    return SimpleNamespace(**dict(vars(scenario), lte=lte))
 
 
 def emit_scenario(scenario: Scenario) -> dict:
     """Canonical JSON-ready dict; parse_scenario(emit_scenario(s)) == s."""
-    return SCENARIO.write(_sections(scenario))
+    return SCENARIO.write(scenario)

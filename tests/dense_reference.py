@@ -97,7 +97,7 @@ def place(arr, where, footprint, rate_match=False):
 
 
 def place_lte(arr, carrier, cfg, include_sync=True):
-    if carrier.numerology.scs_khz != 15:
+    if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
     normal, mbsfn, sf0, sf5 = _subframe_templates(
         cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6

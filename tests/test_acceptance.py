@@ -13,7 +13,6 @@ from gridshare import (
     CarrierConfig,
     LteCellConfig,
     Mitigation,
-    Numerology,
     SchedPolicy,
     TrafficModel,
     classify_mrss,
@@ -136,7 +135,7 @@ def test_6_scheduler_properties():
         for _ in range(110):
             n_prb = rng.randint(1, 8)
             span = rng.randint(1, 20)
-            carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD",
+            carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD",
                                     span_ms=span)
             cmap = classify_mrss(make_grid(carrier))
             if n_prb > 1 and rng.random() < 0.3:
@@ -218,7 +217,7 @@ def test_8_partition_invariant():
         # Exhaustive cross-check at small scale: counting the dense category
         # array cell by cell gives each category's size, and the three cover
         # exactly the downlink cells.
-        carrier = CarrierConfig(Numerology(15), n_prb=2, duplex="FDD", span_ms=2)
+        carrier = CarrierConfig(15, n_prb=2, duplex="FDD", span_ms=2)
         cmap = classify_mrss(make_grid(carrier))
         cmap = reserve_iot(cmap, (0, 1), slots=[0])
         cats = categories(cmap.lattice).tobytes()

@@ -11,7 +11,6 @@ from gridshare import (
     CsiRsSpec,
     DssLayout,
     GridShareError,
-    Numerology,
     NrOverlaySet,
     TddPattern,
     TrsSpec,
@@ -28,7 +27,7 @@ from dense_reference import dominance_share
 
 def wideband_tdd_carrier():
     return CarrierConfig(
-        Numerology(30), n_prb=273, duplex="TDD", span_ms=20,
+        30, n_prb=273, duplex="TDD", span_ms=20,
         tdd_pattern=TddPattern("DDDSU", (6, 4, 4)),
     )
 
@@ -193,7 +192,7 @@ class TestOverhead:
         # With no uplink or guard, CORESET 1 monitors all 40 slots and the
         # downlink denominator equals the total.
         carrier = CarrierConfig(
-            Numerology(30), n_prb=273, duplex="TDD", span_ms=20,
+            30, n_prb=273, duplex="TDD", span_ms=20,
             tdd_pattern=TddPattern("D", (14, 0, 0)),
         )
         report = nr_overhead(carrier, full_overlay())
@@ -209,7 +208,7 @@ class TestOverhead:
             assert row.pct_of_downlink >= row.pct_of_total
 
     def test_fdd_rejected(self):
-        carrier = CarrierConfig(Numerology(15), n_prb=6, duplex="FDD", span_ms=1)
+        carrier = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=1)
         with pytest.raises(ConfigError):
             nr_overhead(carrier, NrOverlaySet(period_ms=1))
 
@@ -227,7 +226,7 @@ class TestOverhead:
         dl = draw(st.integers(0, 14))
         guard = draw(st.integers(0, 14 - dl))
         carrier = CarrierConfig(
-            Numerology(draw(st.sampled_from([15, 30]))), n_prb=draw(st.integers(1, 4)),
+            draw(st.sampled_from([15, 30])), n_prb=draw(st.integers(1, 4)),
             duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 2)),
             tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)))
         count, prbs = st.integers(0, 4), st.integers(0, 3)

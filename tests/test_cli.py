@@ -291,6 +291,70 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "csv")
         assert out.splitlines()[1].startswith('0,"{""demand_5g"": 1, ""demand_6g"": 2}",3,')
 
+    def test_swept_null_is_written_as_json_null(self, capsys, tmp_path):
+        # A swept null is `null` in every format: not Python's `None` in md,
+        # nor an empty csv cell, which reads as a column the point lacks.
+        doc = json.loads((SCENARIOS / "mrss_staged.json").read_text())
+        block = doc["mrss"]["sixg_ssb"]
+        doc["sweep"] = {"command": "classify",
+                        "parameters": [{"path": "mrss.sixg_ssb", "values": [None, block]}]}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "sweep", "-s", path, "-f", "md")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("| point | mrss.sixg_ssb | ")
+        assert lines[2].startswith("| 0 | null | ")
+        assert lines[3].startswith(f"| 1 | {json.dumps(block)} | ")
+        code, out, err = run(capsys, "sweep", "-s", path, "-f", "csv")
+        assert (code, err) == (0, "")
+        assert [row[:2] for row in csv.reader(io.StringIO(out))] == [
+            ["point", "mrss.sixg_ssb"], ["0", "null"], ["1", json.dumps(block)]]
+        code, out, err = run(capsys, "sweep", "-s", path, "-f", "json")
+        assert (code, err) == (0, "")
+        assert [r["mrss.sixg_ssb"] for r in json.loads(out)] == [None, block]
+
+    def test_points_write_into_neither_the_base_nor_the_swept_values(self, monkeypatch):
+        # An object, then a path below it; two paths into one section.
+        doc = json.loads((SCENARIOS / "mrss_staged.json").read_text())
+        doc["sweep"] = {"command": "simulate", "parameters": [
+            {"path": "traffic", "values": [{"demand_5g": 900, "demand_6g": [0, 800]},
+                                           doc["traffic"]]},
+            {"path": "traffic.seed", "values": [5, 6]},
+            {"path": "mrss.shared_fraction", "values": [0.5]},
+            {"path": "mrss.iot_reservations", "values": [[], [{"prb_start": 22, "prb_stop": 24, "slots": [5]}]]},
+        ]}
+        scenario = parse_scenario(doc)
+        emitted = json.dumps(emit_scenario(scenario))
+        params = scenario.sweep.parameters
+        values = [json.dumps(p.values) for p in params]
+        real_records = cli._records
+        points = []
+
+        def spy(maps):
+            record = real_records(maps)["simulate"]
+            return {"simulate": lambda point: points.append(point) or record(point)}
+
+        monkeypatch.setattr(cli, "_records", spy)
+        cli.run_sweep(scenario, "json")
+        assert json.dumps(emit_scenario(scenario)) == emitted
+        assert [json.dumps(p.values) for p in params] == values
+        # Each point is a full parse of its own document, built from a deep copy.
+        base = json.loads(emitted)
+        base.pop("sweep")
+        combos = list(itertools.product(*(p.values for p in params)))
+        assert len(points) == len(combos) == 8
+        for point, combo in zip(points, combos):
+            own = json.loads(json.dumps(base))
+            for p, v in zip(params, combo):
+                *parents, last = p.path.split(".")
+                node = own
+                for part in parents:
+                    node = node.setdefault(part, {})
+                node[last] = json.loads(json.dumps(v))
+            want = parse_scenario(own)
+            assert point == want
+            assert cli.simulate_record(point) == cli.simulate_record(want)
+
     def test_requires_sweep_section(self, capsys, table1):
         code, _, err = run(capsys, "sweep", "-s", table1)
         assert code == 1
@@ -870,6 +934,38 @@ class TestProcessEntry:
         unneeded = {"argparse", "gettext", "locale", "fractions", "decimal"}
         assert unneeded.isdisjoint(after_all), sorted(unneeded.intersection(after_all))
         assert "csv" not in after_md and "csv" in after_all
+
+    def test_a_terminal_gets_the_piped_bytes(self):
+        """stdout on a pseudo-terminal carries the golden (piped) bytes."""
+        tty = pytest.importorskip("tty")
+        if not hasattr(os, "openpty"):
+            pytest.skip("no pseudo-terminals")
+        master, slave = os.openpty()
+        try:
+            tty.setraw(slave)  # no \n -> \r\n translation
+            path = os.environ.get("PYTHONPATH")
+            env = dict(os.environ, PYTHONPATH=str(SRC_DIR) + (os.pathsep + path if path else ""))
+            argv = ["budget", "-s", str(SCENARIOS / "table1.json"), "-f", "md"]
+            proc = subprocess.Popen([sys.executable, "-m", "gridshare.cli", *argv],
+                                    stdout=slave, stderr=subprocess.PIPE, env=env)
+            os.close(slave)
+            slave = None
+            chunks = []
+            while True:
+                try:
+                    chunk = os.read(master, 4096)
+                except OSError:  # EIO: the process closed the terminal
+                    break
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            os.close(master)
+            if slave is not None:
+                os.close(slave)
+        assert (proc.returncode, err) == (0, b"")
+        assert b"".join(chunks) == (GOLDEN / "budget-table1.md").read_bytes()
 
     def test_script_and_module_share_the_entry(self):
         pyproject = (SCENARIOS.parent / "pyproject.toml").read_text()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gridshare
 from gridshare import cli
-from gridshare.grid import CarrierConfig, Numerology, ReLabel, make_grid
+from gridshare.grid import CarrierConfig, ReLabel, make_grid
 from gridshare.mrss import MrssCategoryMap, SchedPolicy, TrafficModel
 from gridshare.rounding import round_half_up
 from gridshare.scenario import Scenario
@@ -52,7 +52,7 @@ def small_runs(draw):
     """(scenario, map): a small FDD map with chosen shared cells per slot and
     seeded uniform traffic around the pool size."""
     n_prb, n_slots = draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
+    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     grid = make_grid(carrier)
     cap = 12 * 14 * n_prb
     labels = np.full(grid.lattice.shape, ReLabel.NR_SSB, dtype=np.uint8)

@@ -7,7 +7,6 @@ from gridshare import (
     CarrierConfig,
     ConfigError,
     ConflictError,
-    Numerology,
     ReLabel,
     ResourceGrid,
     TddPattern,
@@ -20,24 +19,24 @@ import dense_reference as ref
 
 
 def fdd(n_prb=1, span_ms=1, scs=15):
-    return CarrierConfig(Numerology(scs), n_prb=n_prb, duplex="FDD", span_ms=span_ms)
+    return CarrierConfig(scs, n_prb=n_prb, duplex="FDD", span_ms=span_ms)
 
 
 def wideband_tdd_carrier():
     return CarrierConfig(
-        Numerology(30), n_prb=273, duplex="TDD", span_ms=20,
+        30, n_prb=273, duplex="TDD", span_ms=20,
         tdd_pattern=TddPattern("DDDSU", (6, 4, 4)),
     )
 
 
 class TestConfigValidation:
     def test_scs_must_be_15_or_30(self):
-        with pytest.raises(ConfigError):
-            Numerology(60)
+        with pytest.raises(ConfigError, match="scs_khz must be 15 or 30, got 60"):
+            CarrierConfig(60, n_prb=1)
 
     def test_slots_per_ms(self):
-        assert Numerology(15).slots_per_ms == 1
-        assert Numerology(30).slots_per_ms == 2
+        assert CarrierConfig(15, n_prb=1).slots_per_ms == 1
+        assert CarrierConfig(30, n_prb=1).slots_per_ms == 2
 
     def test_special_split_must_sum_to_14(self):
         with pytest.raises(ConfigError):
@@ -49,25 +48,25 @@ class TestConfigValidation:
 
     def test_tdd_requires_pattern(self):
         with pytest.raises(ConfigError):
-            CarrierConfig(Numerology(30), n_prb=1, duplex="TDD", span_ms=5)
+            CarrierConfig(30, n_prb=1, duplex="TDD", span_ms=5)
 
     def test_fdd_rejects_pattern(self):
         with pytest.raises(ConfigError):
             CarrierConfig(
-                Numerology(15), n_prb=1, duplex="FDD", span_ms=1,
+                15, n_prb=1, duplex="FDD", span_ms=1,
                 tdd_pattern=TddPattern("DDDSU"),
             )
 
     def test_tdd_span_must_cover_whole_cycles(self):
         with pytest.raises(ConfigError):
             CarrierConfig(
-                Numerology(30), n_prb=1, duplex="TDD", span_ms=3,
+                30, n_prb=1, duplex="TDD", span_ms=3,
                 tdd_pattern=TddPattern("DDDSU"),
             )
 
     def test_fractional_slot_count_rejected(self):
         with pytest.raises(ConfigError):
-            CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=0.5)
+            CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=0.5)
 
 
 class TestMakeGrid:
@@ -137,7 +136,7 @@ def place_into(arr, placements, rate_match=False):
 
 class TestPlace:
     def tdd_arr(self):
-        carrier = CarrierConfig(Numerology(30), n_prb=2, duplex="TDD", span_ms=1,
+        carrier = CarrierConfig(30, n_prb=2, duplex="TDD", span_ms=1,
                                 tdd_pattern=TddPattern("DS"))
         return ref.new_labels(carrier)
 
@@ -253,7 +252,7 @@ def placements(draw):
         dl = draw(st.integers(0, 14))
         guard = draw(st.integers(0, 14 - dl))
         carrier = CarrierConfig(
-            Numerology(30), n_prb=n_prb, duplex="TDD", span_ms=len(cycle),
+            30, n_prb=n_prb, duplex="TDD", span_ms=len(cycle),
             tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
         )
     arr = ref.new_labels(carrier)

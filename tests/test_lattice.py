@@ -18,7 +18,6 @@ from gridshare import cli
 from gridshare.errors import ConfigError, GridShareError
 from gridshare.grid import (
     CarrierConfig,
-    Numerology,
     ReLabel,
     ResourceGrid,
     TddPattern,
@@ -52,13 +51,13 @@ CYCLES = ["D", "DS", "DSU", "SU", "DDDSU", "DSUDD"]
 def carriers(draw, scs):
     n_prb = draw(st.integers(1, 8))
     if draw(st.booleans()):
-        return CarrierConfig(Numerology(scs), n_prb=n_prb, duplex="FDD",
+        return CarrierConfig(scs, n_prb=n_prb, duplex="FDD",
                              span_ms=draw(st.integers(1, 12)))
     cycle = draw(st.sampled_from(CYCLES))
     dl = draw(st.integers(0, 14))
     guard = draw(st.integers(0, 14 - dl))
     return CarrierConfig(
-        Numerology(scs), n_prb=n_prb, duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 3)),
+        scs, n_prb=n_prb, duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 3)),
         tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
     )
 
@@ -225,7 +224,7 @@ class TestAgainstDenseReference:
 
 class TestLattice:
     def test_lte_stores_its_subframe_templates_once(self):
-        carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=1000)
+        carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=1000)
         cell = LteCellConfig(crs_ports=4, mbsfn_subframes=range(1, 1000, 10))
         grid = apply_lte(make_grid(carrier), cell)
         # normal, MBSFN, subframe 0 and subframe 5 mod 10.
@@ -233,7 +232,7 @@ class TestLattice:
         assert grid.n_cells == 1000 * 14 * 1200
 
     def test_write_over_shared_slots_copies_the_row(self):
-        lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         place_slots(lattice, [((1, 3), range(1), range(2), ReLabel.NR_SSB)])
         assert lattice.slot_rows == [0, 1, 0, 1]
         assert not np.asarray(lattice.rows[0]).any()
@@ -243,7 +242,7 @@ class TestLattice:
         assert np.count_nonzero(lattice.rows[1]) == 3
 
     def test_copies_share_rows_until_written(self):
-        grid = make_grid(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=3))
+        grid = make_grid(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=3))
         before = ref.gather(grid.lattice)
         copy = grid.lattice.copy()
         assert copy.rows[0] is grid.lattice.rows[0]
@@ -262,7 +261,7 @@ class TestLattice:
         assert not arr.any()
 
     def test_conflict_names_the_lowest_slot_over_all_placements(self):
-        lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=6))
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=6))
         place_slots(lattice, [((2, 5), range(3, 4), range(4, 5), ReLabel.NR_SSB),
                               ((4,), range(1), range(1), ReLabel.NR_TRS)])
         before = ref.gather(lattice)
@@ -273,7 +272,7 @@ class TestLattice:
 
     def test_placements_that_share_a_slot_are_rejected_before_any_write(self):
         # The second placement of slot 0 was once dropped without a word.
-        lattice = new_labels(CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=4))
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         with pytest.raises(ConfigError, match="share slot 0"):
             place_slots(lattice, [((0,), range(14), range(12), ReLabel.NR_SSB),
                                   ((0,), range(14), range(12), ReLabel.NR_CSI_RS)])

@@ -8,7 +8,6 @@ from gridshare import (
     ConfigError,
     ConflictError,
     LteCellConfig,
-    Numerology,
     ReLabel,
     TddPattern,
     apply_lte,
@@ -26,7 +25,7 @@ def crs_total(counts):
 
 
 def fdd15(n_prb=1, span_ms=1):
-    return CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=span_ms)
+    return CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=span_ms)
 
 
 class TestCrsCells:
@@ -83,11 +82,24 @@ class TestConfigValidation:
     def test_v_shift(self):
         assert LteCellConfig(cell_id=20).v_shift == 2
 
+    def test_neighbors_stored_as_a_tuple(self):
+        neighbors = [LteCellConfig(cell_id=3, crs_ports=1), LteCellConfig(cell_id=7)]
+        serving = LteCellConfig(neighbors=neighbors)
+        assert serving.neighbors == tuple(neighbors)
+        assert type(serving.neighbors) is tuple
+        assert LteCellConfig().neighbors == ()
+        assert hash(serving) == hash(LteCellConfig(neighbors=tuple(neighbors)))
+
+    @pytest.mark.parametrize("entry", [{"cell_id": 3}, 3, None])
+    def test_neighbor_must_be_a_cell(self, entry):
+        with pytest.raises(ConfigError, match="neighbors must be LteCellConfig values"):
+            LteCellConfig(neighbors=[LteCellConfig(cell_id=1), entry])
+
 
 class TestApplyLte:
     def test_requires_15khz(self):
         carrier = CarrierConfig(
-            Numerology(30), n_prb=1, duplex="FDD", span_ms=1
+            30, n_prb=1, duplex="FDD", span_ms=1
         )
         with pytest.raises(ConfigError, match="15 kHz"):
             apply_lte(make_grid(carrier), LteCellConfig())
@@ -185,12 +197,12 @@ def dl_symbols(carrier, sf):
 def lte_carriers(draw):
     n_prb = draw(st.integers(1, 8))
     if draw(st.booleans()):
-        return CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=draw(st.integers(1, 12)))
+        return CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=draw(st.integers(1, 12)))
     cycle = draw(st.text("DSU", min_size=1, max_size=5))
     dl = draw(st.integers(0, 14))
     guard = draw(st.integers(0, 14 - dl))
     return CarrierConfig(
-        Numerology(15), n_prb=n_prb, duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 3)),
+        15, n_prb=n_prb, duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 3)),
         tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)),
     )
 
@@ -235,7 +247,7 @@ class TestPlacementInvariants:
 
     @pytest.mark.parametrize("ports", [1, 2, 4])
     def test_tdd_uplink_and_guard_untouched(self, ports):
-        carrier = CarrierConfig(Numerology(15), n_prb=10, duplex="TDD", span_ms=5,
+        carrier = CarrierConfig(15, n_prb=10, duplex="TDD", span_ms=5,
                                 tdd_pattern=TddPattern("DDDSU"))
         before = count_labels(make_grid(carrier))
         after = count_labels(apply_lte(make_grid(carrier), LteCellConfig(crs_ports=ports)))

@@ -18,7 +18,6 @@ from gridshare import (
     LteCellConfig,
     Mitigation,
     MrssCategoryMap,
-    Numerology,
     NrOverlaySet,
     PlacementError,
     ReLabel,
@@ -53,7 +52,7 @@ from gridshare.mrss import (
 
 def wideband_tdd_carrier():
     return CarrierConfig(
-        Numerology(30), n_prb=273, duplex="TDD", span_ms=20,
+        30, n_prb=273, duplex="TDD", span_ms=20,
         tdd_pattern=TddPattern("DDDSU", (6, 4, 4)),
     )
 
@@ -76,7 +75,7 @@ def wideband_map(control_mode=ControlMode()):
 
 
 def fdd_map(n_prb=1, span_ms=1):
-    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD",
+    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD",
                             span_ms=span_ms)
     return classify_mrss(make_grid(carrier))
 
@@ -134,7 +133,7 @@ class TestClassify:
             ControlMode(ControlModeKind.SEPARATE, shared_fraction=0.5)
 
     def test_separate_exhausting_shared_pool(self):
-        carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=1)
+        carrier = CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=1)
         grid = make_grid(carrier)
         arr = ref.gather(grid.lattice).copy()
         from gridshare import ReLabel, ResourceGrid
@@ -446,7 +445,7 @@ class FixedDemands:
 
 def map_with_pools(pools, n_prb):
     """A map whose slot i has exactly pools[i] shared cells, the rest NR SSB."""
-    grid = make_grid(CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD",
+    grid = make_grid(CarrierConfig(15, n_prb=n_prb, duplex="FDD",
                                    span_ms=len(pools)))
     labels = np.full(grid.lattice.shape, ReLabel.NR_SSB, dtype=np.uint8)
     flat = labels.reshape(len(pools), -1)
@@ -574,7 +573,7 @@ def label_lattices(draw):
     """(grid, control mode): random lattices over the whole alphabet, with
     the control labels from absent to dense."""
     n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
+    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (n_slots, 14, 12 * n_prb)
     control_labels = [int(l) for l in CONTROL_LABELS]
@@ -610,7 +609,7 @@ class TestClassifyReference:
     def test_peak_memory_is_about_two_lattices(self):
         # 100 PRB x 100 subframes of 4-port LTE: the three np.isin passes
         # peaked at about 6x the label lattice.
-        carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=100)
+        carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=100)
         grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
         tracemalloc.start()
         try:
@@ -626,7 +625,7 @@ class TestClassifyReference:
         # Each size property compared the whole lattice: reading all three
         # on the LTE grid peaked at 1.0x the label lattice.
         if case == "lte_with_iot":
-            carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=100)
+            carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=100)
             grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
             cmap = reserve_iot(classify_mrss(grid), (0, 6), slots=range(0, 100, 7))
         else:
@@ -698,7 +697,7 @@ def staged_lattices(draw):
     a reservation window is sometimes relabeled with LTE-only, guard and
     uplink labels and an SSB block cleared, so that the stage can succeed."""
     n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    carrier = CarrierConfig(Numerology(15), n_prb=n_prb, duplex="FDD", span_ms=n_slots)
+    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (14, 12 * n_prb)
     pools = {"all": list(range(len(ReLabel))), "shared": SHARED_LABELS, "lte": LTE_ONLY_LABELS}
@@ -782,7 +781,7 @@ class TestMapsWithoutStoredCategories:
     def test_lte_only_map_holds_no_category_lattice(self):
         # The map stored a gathered category lattice: the classify-to-simulate
         # path peaked at 1.09x the label lattice.
-        carrier = CarrierConfig(Numerology(15), n_prb=100, duplex="FDD", span_ms=100)
+        carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=100)
         grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
         traffic = TrafficModel((0, 20_000), (0, 20_000), seed=3)
         policy = SchedPolicy.PROPORTIONAL_SHARE
@@ -802,7 +801,7 @@ class TestMapsWithoutStoredCategories:
         assert result.shared_pool_size == grid.n_cells
 
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
-        cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(Numerology(15), n_prb=25,
+        cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(15, n_prb=25,
                                                                span_ms=2)), LteCellConfig()))
         before = ref.gather(cmap.lattice)
         out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)

@@ -13,7 +13,6 @@ from gridshare import (
     Coreset1Spec,
     CsiRsSpec,
     LteCellConfig,
-    Numerology,
     NrOverlaySet,
     PlacementError,
     ReLabel,
@@ -33,7 +32,7 @@ from gridshare.value import replace
 
 def wideband_tdd_carrier():
     return CarrierConfig(
-        Numerology(30), n_prb=273, duplex="TDD", span_ms=20,
+        30, n_prb=273, duplex="TDD", span_ms=20,
         tdd_pattern=TddPattern("DDDSU", (6, 4, 4)),
     )
 
@@ -73,7 +72,7 @@ class TestClosedForms:
         }
 
     def test_prbs_must_fit_carrier(self):
-        carrier = CarrierConfig(Numerology(30), n_prb=100, duplex="TDD",
+        carrier = CarrierConfig(30, n_prb=100, duplex="TDD",
                                 span_ms=20, tdd_pattern=TddPattern("DDDSU"))
         with pytest.raises(ConfigError, match="CORESET 1"):
             full_overlay().signal_counts(carrier)
@@ -103,14 +102,14 @@ class TestApplyNr:
             apply_nr(make_grid(wideband_tdd_carrier()), NrOverlaySet(period_ms=10))
 
     def test_too_many_units_rejected(self):
-        carrier = CarrierConfig(Numerology(30), n_prb=20, duplex="TDD",
+        carrier = CarrierConfig(30, n_prb=20, duplex="TDD",
                                 span_ms=5, tdd_pattern=TddPattern("DDDSU"))
         overlay = NrOverlaySet(period_ms=5, ssb=BeamSignal(16, 20, 4))
         with pytest.raises(PlacementError):
             apply_nr(make_grid(carrier), overlay)
 
     def test_block_too_tall_rejected(self):
-        carrier = CarrierConfig(Numerology(30), n_prb=20, duplex="TDD",
+        carrier = CarrierConfig(30, n_prb=20, duplex="TDD",
                                 span_ms=5, tdd_pattern=TddPattern("UUUUS", (2, 4, 8)))
         overlay = NrOverlaySet(period_ms=5, ssb=BeamSignal(1, 20, 4))
         with pytest.raises(PlacementError, match="SSB"):
@@ -225,7 +224,7 @@ class TestUnitsPlacedTogether:
     slot's row after CORESET1; the result and the first error are those of
     placing the units one by one in slot order."""
 
-    CARRIER = CarrierConfig(Numerology(15), n_prb=6, duplex="FDD", span_ms=10)
+    CARRIER = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=10)
 
     def test_each_pick_reads_its_own_slots_row(self):
         # 60 CSI-RS REs per PRB reach symbols 5 and 6, where subframes 0 and

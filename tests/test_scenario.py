@@ -5,7 +5,7 @@ import re
 import pytest
 
 import gridshare
-from gridshare import ScenarioError, emit_scenario, parse_scenario
+from gridshare import LteCellConfig, ScenarioError, emit_scenario, parse_scenario
 
 
 MINIMAL = {"carrier": {"scs_khz": 15, "n_prb": 1, "duplex": "FDD", "span_ms": 1}}
@@ -90,6 +90,26 @@ class TestParse:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(doc)
         assert err.value.path == "carrier.tdd_pattern"
+
+    def test_neighbors_read_into_the_serving_cell(self):
+        doc = {"carrier": dict(MINIMAL["carrier"], span_ms=10), "lte": {"cell_id": 1, "neighbors": [
+            {"cell_id": 3, "crs_ports": 1}, {"cell_id": 7, "mbsfn_subframes": [1]}]}}
+        s = parse_scenario(doc)
+        assert s.lte.neighbors == (LteCellConfig(cell_id=3, crs_ports=1),
+                                   LteCellConfig(cell_id=7, mbsfn_subframes=[1]))
+        assert s.lte == LteCellConfig(cell_id=1, neighbors=s.lte.neighbors)
+        assert emit_scenario(s)["lte"]["neighbors"] == [
+            {"cell_id": 3, "crs_ports": 1, "pdcch_symbols": 2, "mbsfn_subframes": [],
+             "non_mbsfn_region_len": 2},
+            {"cell_id": 7, "crs_ports": 4, "pdcch_symbols": 2, "mbsfn_subframes": [1],
+             "non_mbsfn_region_len": 2}]
+        assert parse_scenario(emit_scenario(s)) == s
+
+    def test_empty_neighbors_left_out_when_emitted(self):
+        for lte in ({"cell_id": 1}, {"cell_id": 1, "neighbors": []}):
+            s = parse_scenario(dict(MINIMAL, lte=lte))
+            assert s.lte.neighbors == ()
+            assert "neighbors" not in emit_scenario(s)["lte"]
 
     def test_neighbors_only_under_top_level_lte(self):
         doc = dict(MINIMAL, lte={"neighbors": [{"cell_id": 3, "neighbors": []}]})
@@ -265,3 +285,11 @@ def test_readme_library_entry_points_exist():
     names = re.findall(r"\w+", block.group(1))
     assert len(names) >= 10
     assert [n for n in names if not hasattr(gridshare, n)] == []
+
+
+def test_readme_python_blocks_run():
+    """Each python block of the README runs, so none names a deleted class."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

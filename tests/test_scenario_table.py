@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from gridshare import (
     BeamSignal,
     CarrierConfig,
-    Numerology,
     NrOverlaySet,
     PlacementError,
     ScenarioError,
@@ -202,7 +201,7 @@ def nr_counts_do_not_allocate():
     """The documents draw NR counts up to 2**31. `apply_nr` rejects too many
     occasion units before it lists them; were that lost, a drawn document
     would exhaust memory, so this module fails here first instead."""
-    grid = make_grid(CarrierConfig(Numerology(15), n_prb=1))
+    grid = make_grid(CarrierConfig(15, n_prb=1))
     tracemalloc.start()
     try:
         with pytest.raises(PlacementError):
@@ -445,8 +444,8 @@ def test_sweep_points_equal_full_parses_of_their_documents(base_doc, params):
         parse_scenario(doc)
     except ScenarioError:
         assume(False)
-    # Each route gets its own copy: a swept object value is set into the
-    # point documents as it is, so a later path below it writes into it.
+    # Each route gets its own copy of the document, so that neither route
+    # can pass by reading what the other wrote.
     want, want_error = full_parse_points(parse_scenario(copy.deepcopy(doc)))
     got, got_error = [], None
     with mock.patch.object(cli, "_records", lambda maps: {"classify": got.append}):

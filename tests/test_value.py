@@ -13,7 +13,7 @@ import gridshare
 from gridshare import budget, grid, lte, mrss, nr, scenario
 from gridshare.budget import BudgetRow, DssLayout, OverheadReport, OverheadRow
 from gridshare.errors import ConfigError
-from gridshare.grid import CarrierConfig, Numerology, ResourceGrid, TddPattern, make_grid
+from gridshare.grid import CarrierConfig, ResourceGrid, TddPattern, make_grid
 from gridshare.lte import LteCellConfig
 from gridshare.mrss import (
     ControlMode,
@@ -38,7 +38,7 @@ from gridshare.value import asdict, is_value, replace, value
 
 import dense_reference as ref
 
-CARRIER = CarrierConfig(Numerology(15), n_prb=2)
+CARRIER = CarrierConfig(15, n_prb=2)
 GRID = make_grid(CARRIER)
 CMAP = classify_mrss(GRID)
 ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
@@ -47,9 +47,8 @@ ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
 # __post_init__ rejects or None). A grid or map holds frozen lattices, which
 # compare and hash by the labels of each slot; a dense array is no lattice.
 EXAMPLES = {
-    Numerology: ({}, {"scs_khz": 20}),
     TddPattern: ({"cycle": "DDDSU"}, {"special_split": (6, 4, 5)}),
-    CarrierConfig: ({"numerology": Numerology(15), "n_prb": 2}, {"n_prb": 0}),
+    CarrierConfig: ({"scs_khz": 15, "n_prb": 2}, {"n_prb": 0}),
     ResourceGrid: ({"config": CARRIER, "lattice": GRID.lattice},
                    {"lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
     DssLayout: ({}, {"lte_pdcch": 4}),
@@ -118,7 +117,7 @@ def test_every_annotated_class_is_a_marked_value_class():
             assert cls in MARKED, cls.__name__
         assert not hasattr(cls, "__dataclass_fields__"), cls.__name__
     assert set(MARKED) == set(EXAMPLES)
-    assert len(MARKED) == 28
+    assert len(MARKED) == 27
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -217,7 +216,8 @@ class TestValueContract:
 
 
 def test_repr_matches_the_field_order():
-    assert repr(Numerology()) == "Numerology(scs_khz=15)"
+    assert repr(CARRIER) == ("CarrierConfig(scs_khz=15, n_prb=2, duplex='FDD', span_ms=1, "
+                             "tdd_pattern=None)")
     assert repr(GRID) == f"ResourceGrid(config={CARRIER!r})"
     assert repr(CMAP) == f"MrssCategoryMap(grid={GRID!r})"
 
@@ -236,7 +236,7 @@ def test_grid_and_map_take_lattices_only():
 def test_map_lattices_have_the_grid_shape():
     # A 5-slot map lattice on a 2-slot grid once made a shared pool of
     # 840 cells out of 336 downlink cells.
-    carrier = CarrierConfig(Numerology(15), n_prb=1, duplex="FDD", span_ms=2)
+    carrier = CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=2)
     grid = make_grid(carrier)
     longer = classify_mrss(make_grid(replace(carrier, span_ms=5)))
     narrower = classify_mrss(make_grid(replace(carrier, span_ms=2, n_prb=2)))
@@ -248,7 +248,7 @@ def test_map_lattices_have_the_grid_shape():
 def test_equal_slots_make_equal_grids_and_maps():
     """Lattices compare and hash by the labels of each slot, however their
     rows are shared, and so do the grids and maps that hold them."""
-    carrier = CarrierConfig(Numerology(15), n_prb=2, span_ms=3)
+    carrier = CarrierConfig(15, n_prb=2, span_ms=3)
     grid = make_grid(carrier)
     dense = ref.gather(grid.lattice)
     per_slot = ref.lattice_of(dense)
@@ -266,10 +266,12 @@ def test_equal_slots_make_equal_grids_and_maps():
 
 def test_replace_changes_only_the_named_fields():
     changed = replace(CARRIER, n_prb=5)
-    assert (changed.n_prb, changed.numerology, changed.duplex) == (5, CARRIER.numerology, "FDD")
+    assert (changed.n_prb, changed.scs_khz, changed.duplex) == (5, CARRIER.scs_khz, "FDD")
     assert CARRIER.n_prb == 2
     with pytest.raises(ConfigError):
         replace(CARRIER, n_prb=0)
+    with pytest.raises(ConfigError, match="scs_khz must be 15 or 30, got 20"):
+        replace(CARRIER, scs_khz=20)
     with pytest.raises(TypeError):
         replace(CARRIER, bogus=1)
 

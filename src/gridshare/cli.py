@@ -96,8 +96,6 @@ def build_grid(scenario: Scenario) -> ResourceGrid:
     carrier = scenario.carrier
     labels = new_labels(carrier)
     if scenario.lte is not None:
-        if carrier.scs_khz != 15:
-            raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
         place_lte(labels, carrier, scenario.lte)
     if scenario.nr is not None:
         place_nr(labels, carrier, scenario.nr)
@@ -356,13 +354,15 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     # only the swept top-level sections are read again (`read_point`).
     swept = tuple(dict.fromkeys(p.path.split(".")[0] for p in params))
     # The last map built, keyed by the swept ones among the sections
-    # `build_map` reads: a map is a read-only value, so points with equal
-    # inputs share it, and a sweep over those inputs holds one map at a time.
+    # `build_map` reads, the LTE cell without its neighbors: a map is a
+    # read-only value, so points with equal inputs share it, and a sweep
+    # over those inputs holds one map at a time.
     map_keys = [key for key in ("carrier", "lte", "nr", "mrss") if key in swept]
     last_map: Dict[tuple, MrssCategoryMap] = {}
 
     def maps(point: Scenario) -> MrssCategoryMap:
-        key = tuple(getattr(point, k) for k in map_keys)
+        serving = None if point.lte is None else replace(point.lte, neighbors=())
+        key = tuple(serving if k == "lte" else getattr(point, k) for k in map_keys)
         cmap = last_map.get(key)
         if cmap is None:
             last_map.clear()

@@ -4,24 +4,23 @@ The grid is a (slot, symbol, subcarrier) lattice where every resource
 element carries exactly one label, one byte. A `Lattice` stores each
 distinct slot once, as a row of 14 x n_sc labels in symbol-major order: an
 LTE carrier repeats a few subframe structures, so a 1000-subframe grid holds
-four rows and a slot -> row index. Every read and write works on byte
-strings, with the standard library only: a block of a slot is one slice of
-its row per symbol (`Window`), a free check compares a slice with zero
-bytes, and a count is `bytes.count`.
+four rows and a slot -> row index. Every row is an immutable byte string,
+and every read and write works on byte strings, with the standard library
+only: a block of a slot is one slice of its row per symbol (`Window`), a
+free check compares a slice with zero bytes, and a count is `bytes.count`.
 
 A `ResourceGrid` is an immutable value: its lattice is read-only. A grid is
 built in one writable lattice: take a fresh one from `new_labels`, place
 each stage's footprints into it, and wrap it once in a `ResourceGrid`
 (`cli.build_grid` places LTE and then NR this way). The public stages
 `apply_lte` and `apply_nr` place into a copy of a finished grid's lattice,
-which shares its rows until it writes them. Every write into a grid's
-lattice goes through `place_slots`, so no write relabels a cell or touches
-an uplink/guard cell, and a write over slots that share a row with other
-slots copies it first. A placement names its block of each slot by two
-ranges (symbols, subcarriers), as a `Window` does, and its footprint is an
-int label or the block's bytes in the order a `Window` reads them. An MRSS
-map (`mrss`) is a label lattice of the same kind; its stages also relabel
-shared-pool cells of their copy of it, the one other write.
+which shares its rows. Every footprint goes through `place_slots`, so no
+write relabels a cell or touches an uplink/guard cell; a write replaces
+each row it changes, so no other slot or lattice sees it. A placement
+names its block of each slot by two ranges (symbols, subcarriers), as a
+`Window` does, and its footprint is an int label or the block's bytes in
+the order a `Window` reads them. An MRSS map (`mrss`) is a labeled grid
+too; its stages relabel shared-pool cells in a copy of its grid's lattice.
 """
 
 from __future__ import annotations
@@ -85,10 +84,7 @@ class TddPattern:
     special_split: Tuple[int, int, int] = (6, 4, 4)
 
     def __post_init__(self):
-        if isinstance(self.cycle, str):
-            object.__setattr__(self, "cycle", tuple(SlotKind(c) for c in self.cycle))
-        else:
-            object.__setattr__(self, "cycle", tuple(SlotKind(c) if isinstance(c, str) else c for c in self.cycle))
+        object.__setattr__(self, "cycle", tuple(map(SlotKind, self.cycle)))
         object.__setattr__(self, "special_split", tuple(self.special_split))
         if not self.cycle:
             raise ConfigError("TDD cycle must be non-empty")
@@ -169,24 +165,22 @@ class CarrierConfig:
 class Lattice:
     """A label lattice that stores each distinct slot once.
 
-    `rows` holds the distinct slot contents, each 14 x n_sc labels in
-    symbol-major order, and `slot_rows[s]` is the row of slot s. A row is a
-    `bytearray` while this lattice alone may write it and `bytes` once it is
-    read-only. Two lattices are equal when every slot holds the same labels,
-    however their rows are shared.
+    `rows` holds the distinct slot contents, each a `bytes` of 14 x n_sc
+    labels in symbol-major order, and `slot_rows[s]` is the row of slot s.
+    Two lattices are equal when every slot holds the same labels, however
+    their rows are shared.
 
-    A write names its slots and first takes rows of their own for them
-    (`own`); a row that also serves another slot, or that is read-only, is
-    copied then (copy-on-write). Rows turn read-only when the lattice is
-    frozen or copied, so lattices share rows and each copies what it
-    writes. `freeze` merges equal rows, so a frozen lattice holds each
-    distinct slot content once; its rows and index become tuples and it
-    takes no further write.
+    Rows are immutable, so lattices and slots share them freely: a copy
+    shares every row, and a write replaces the rows it changes. A write
+    names its slots and first gives them rows of their own (`own`), so the
+    rows it replaces serve no other slot. `freeze` merges equal rows, so a
+    frozen lattice holds each distinct slot content once; its rows and
+    index become tuples and it takes no further write.
     """
 
     __slots__ = ("rows", "slot_rows")
 
-    def __init__(self, rows: List[bytearray], slot_rows: List[int]):
+    def __init__(self, rows: List[bytes], slot_rows: List[int]):
         self.rows = rows
         self.slot_rows = slot_rows
 
@@ -210,7 +204,7 @@ class Lattice:
         return (len(self.slot_rows), SYMBOLS_PER_SLOT, self.n_sc)
 
     def row(self, slot: int) -> bytes:
-        """The row holding the slot's labels, for reading."""
+        """The row holding the slot's labels."""
         return self.rows[self.slot_rows[slot]]
 
     def slot_set(self, slots: Sequence[int]) -> List[int]:
@@ -233,16 +227,14 @@ class Lattice:
         return [counts[r] for r in range(len(self.rows))]
 
     def copy(self) -> "Lattice":
-        """A writable lattice of the same slots that shares every row until it writes it."""
-        if not isinstance(self.rows, tuple):
-            self.rows[:] = [bytes(row) for row in self.rows]
+        """A writable lattice of the same slots that shares every row."""
         return Lattice(list(self.rows), list(self.slot_rows))
 
     def own(self, slots: Sequence[int]) -> List[int]:
         """Rows that only the named slots hold, one per distinct row they held,
-        for a write to fill in place. A held row that also serves a slot
-        outside `slots` is copied for them; a read-only one is replaced by
-        its copy. No row is left without a slot."""
+        for a write to replace. The named slots of a held row that also
+        serves a slot outside `slots` move to a new index holding the same
+        bytes. No row is left without a slot."""
         named = self.slot_set(slots)
         held = list(map(self.slot_rows.__getitem__, named))
         mine, total = Counter(held), self.multiplicity()
@@ -253,20 +245,17 @@ class Lattice:
                 for s, q in zip(named, held):
                     if q == r:
                         self.slot_rows[s] = new
-                self.rows.append(bytearray(self.rows[r]))
+                self.rows.append(self.rows[r])
                 r = new
-            elif isinstance(self.rows[r], bytes):
-                self.rows[r] = bytearray(self.rows[r])
             out.append(r)
         return out
 
     def freeze(self) -> "Lattice":
-        """Merge equal rows, then make the lattice read-only; returns it. A row
-        that is already `bytes` keeps its cached hash."""
+        """Merge equal rows, then make the lattice read-only; returns it."""
         if isinstance(self.rows, tuple):
             return self
         kept: Dict[bytes, int] = {}
-        merged = [kept.setdefault(bytes(row), len(kept)) for row in self.rows]
+        merged = [kept.setdefault(row, len(kept)) for row in self.rows]
         if len(kept) < len(self.rows):
             self.slot_rows = [merged[r] for r in self.slot_rows]
         self.rows, self.slot_rows = tuple(kept), tuple(self.slot_rows)
@@ -311,7 +300,7 @@ def new_labels(config: CarrierConfig) -> Lattice:
             dl, guard, _ul = config.tdd_pattern.special_split
         else:
             dl, guard = SYMBOLS_PER_SLOT, 0
-        rows.append(bytearray(dl * n_sc)
+        rows.append(bytes(dl * n_sc)
                     + bytes((ReLabel.GUARD_SYMBOL,)) * (guard * n_sc)
                     + bytes((ReLabel.UPLINK_SYMBOL,)) * ((SYMBOLS_PER_SLOT - dl - guard) * n_sc))
     index = [kinds.index(kind) for kind in cycle]
@@ -403,7 +392,7 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     ConflictError names the first taken cell (by slot, then symbol, then
     subcarrier) before anything is written. With ``rate_match`` the free
     cells are filled and the rest skipped. Each distinct row the slots hold
-    is checked and written once, in a row only those slots hold
+    is checked once and replaced once, in a row only those slots hold
     (`Lattice.own`): a block with no labeled cell takes the footprint
     verbatim, and otherwise each symbol's slice merges on its own.
     """
@@ -420,16 +409,17 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
         _check_free(lattice, jobs)
     for slots, window, footprint in jobs:
         for r in lattice.own(slots):
-            row = lattice.rows[r]
+            row = bytearray(lattice.rows[r])
             if window.whole is not None and not any_label(row[window.whole]):
                 row[window.whole] = footprint
-                continue
-            for part, fp in window.parts:
-                old = row[part]
-                if not any_label(old):
-                    row[part] = footprint[fp]
-                elif 0 in old:
-                    row[part] = bytes([o or f for o, f in zip(old, footprint[fp])])
+            else:
+                for part, fp in window.parts:
+                    old = row[part]
+                    if not any_label(old):
+                        row[part] = footprint[fp]
+                    elif 0 in old:
+                        row[part] = bytes([o or f for o, f in zip(old, footprint[fp])])
+            lattice.rows[r] = bytes(row)
 
 
 def any_label(cells) -> bool:

@@ -4,16 +4,15 @@ Covers the three-category MRSS resource model with a slot-level scheduler,
 and neighbor-cell CRS interference with its mitigation strategies. The DSS
 slot itself (NR rate-matched around LTE CRS) is budgeted in `budget`.
 
-An MRSS map is the grid it partitions and one label lattice of the same
-kind as the grid's (`grid.Lattice`): it starts as the grid's labels, and
-each map stage relabels only shared-pool cells, with a label of its own
-(6G control growth SIXG_CONTROL, `reserve_iot` RESERVED_IOT,
-`place_6g_ssb` SIXG_SSB). A cell's category is always its label's, read
-through `_CATEGORY_OF_LABEL` when the map counts. Each distinct slot is
+An MRSS map is one labeled grid (`grid.ResourceGrid`): it starts as the
+grid it partitions, and each map stage relabels only shared-pool cells,
+with a label of its own (6G control growth SIXG_CONTROL, `reserve_iot`
+RESERVED_IOT, `place_6g_ssb` SIXG_SSB). A cell's category is always its
+label's, read through `_CATEGORY_OF_LABEL` when the map counts, so
+`grid.count_labels` counts a map's stage labels too. Each distinct slot is
 stored once, and every count is taken once per distinct row and spread over
-the slots that hold it. A stage copies the slot -> row index and only the
-rows it writes; the grid and the other rows stay shared with the map it
-came from.
+the slots that hold it. A stage writes a copy of its map's grid, which
+shares every row it does not replace.
 """
 
 from __future__ import annotations
@@ -202,29 +201,23 @@ class TrafficModel:
         return draw(self.demand_5g), draw(self.demand_6g)
 
 
-@value(no_repr=("lattice",))
+@value
 class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
-    An immutable value: the grid it partitions and `lattice`, a label
-    `Lattice` that the constructor freezes, so one map can serve many
-    `simulate` calls. It holds the grid's labels, except on the shared-pool
-    cells that map stages relabeled; each cell's category is its label's.
-    `reserve_iot` and `place_6g_ssb` return new maps of the same grid whose
-    lattices share every row they do not write. Anything but a `Lattice` of
-    the grid's shape is a ConfigError.
+    An immutable value, its own labeled `grid`, so one map can serve many
+    `simulate` calls. The grid holds the partitioned grid's labels, except
+    on the shared-pool cells that map stages relabeled; each cell's category
+    is its label's. Control growth, `reserve_iot` and `place_6g_ssb` return
+    new maps whose grids share every row they do not replace. Anything but a
+    `ResourceGrid` is a ConfigError.
     """
 
     grid: ResourceGrid
-    lattice: Lattice
 
     def __post_init__(self):
-        lattice = self.lattice
-        if not isinstance(lattice, Lattice):
-            raise ConfigError(f"a map's labels are a Lattice, got {type(lattice).__name__}")
-        if lattice.shape != self.grid.lattice.shape:
-            raise ConfigError(f"map lattice shape {lattice.shape} != {self.grid.lattice.shape}")
-        lattice.freeze()
+        if not isinstance(self.grid, ResourceGrid):
+            raise ConfigError(f"a map's labels are a ResourceGrid, got {type(self.grid).__name__}")
 
     @property
     def shared_pool_size(self) -> int:
@@ -246,7 +239,7 @@ class MrssCategoryMap:
     def _row_counts(self) -> Tuple[List[Tuple[int, int, int, int]], List[int]]:
         """Per distinct row, its cells of each category and the number of
         slots it serves: the map's one count."""
-        lattice = self.lattice
+        lattice = self.grid.lattice
         return _counts_per_row(lattice), lattice.multiplicity()
 
     def _size(self, code: int) -> int:
@@ -257,7 +250,7 @@ class MrssCategoryMap:
         """Shared-pool cells of each slot, a fresh int64 array of the counts
         taken once per map."""
         shared = [n[CAT_SHARED] for n in self._row_counts[0]]
-        return array("q", map(shared.__getitem__, self.lattice.slot_rows))
+        return array("q", map(shared.__getitem__, self.grid.lattice.slot_rows))
 
 
 @value
@@ -307,27 +300,29 @@ def _counts_per_row(lattice: Lattice) -> List[Tuple[int, int, int, int]]:
 def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode()) -> MrssCategoryMap:
     """Partition downlink-capable cells into shared pool, reserved, control.
 
-    The map starts as a copy of the grid's labels, which shares every row.
-    The 5G control footprint (CORESET1 cells) anchors the control region;
+    The map is the grid itself unless control grows. The 5G control
+    footprint (CORESET1 cells) anchors the control region;
     partially-overlapping and separate 6G control grow it by
     footprint x (factor - 1) additional cells taken from the shared pool in
     deterministic scan order (slot, then symbol, then subcarrier) and
-    relabeled SIXG_CONTROL.
+    relabeled SIXG_CONTROL in a copy of the grid's lattice.
     """
-    lattice = grid.lattice.copy()
     grow = control_mode.footprint_factor - 1
     if grow:
+        lattice = grid.lattice
         per_row = _counts_per_row(lattice)
         footprint = sum(n[CAT_CONTROL] * m for n, m in zip(per_row, lattice.multiplicity()))
         extra = int(footprint * grow)
         if extra > 0:
-            _grow_control(lattice, [per_row[r][CAT_SHARED] for r in lattice.slot_rows], extra)
-    return MrssCategoryMap(grid, lattice)
+            labels = lattice.copy()
+            _grow_control(labels, [per_row[r][CAT_SHARED] for r in lattice.slot_rows], extra)
+            grid = ResourceGrid(grid.config, labels)
+    return MrssCategoryMap(grid)
 
 
 def _grow_control(lattice: Lattice, shared: List[int], extra: int) -> None:
-    """Relabel the first `extra` shared-pool cells, in scan order, as
-    SIXG_CONTROL; `shared` counts each slot's shared-pool cells."""
+    """Relabel the first `extra` shared-pool cells of a writable lattice, in
+    scan order, as SIXG_CONTROL; `shared` counts each slot's shared-pool cells."""
     reach = list(itertools.accumulate(shared))
     if extra > reach[-1]:
         raise PlacementError(
@@ -345,7 +340,7 @@ def _grow_control(lattice: Lattice, shared: List[int], extra: int) -> None:
         # The cells up to the rest-th shared one.
         end = 1 + bisect.bisect_left(range(len(row)), rest,
                                      key=lambda i: categories.count(CAT_SHARED, 0, i + 1))
-        row[:end] = row[:end].translate(_SHARED_TO_CONTROL)
+        lattice.rows[r] = row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -380,7 +375,7 @@ def reserve_iot(
 
     Applies to the downlink-capable cells of the named PRBs/slots; any cell
     there that is not currently in the shared pool is an error. The new map
-    copies the map's lattice; the grid's labels are left as they are.
+    relabels a copy of the map's grid; the map is left as it is.
     """
     cfg = cmap.grid.config
     p0, p1 = prb_range
@@ -390,7 +385,7 @@ def reserve_iot(
 
     window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT),
                     range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
-    lattice = cmap.lattice.copy()
+    lattice = cmap.grid.lattice.copy()
     for slot, r in lattice.first_slots(slot_list):
         cells = window.read(lattice.rows[r]).translate(_CATEGORY_OF_LABEL)
         if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
@@ -400,10 +395,11 @@ def reserve_iot(
                 f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool"
             )
     for r in lattice.own(slot_list):
-        row = lattice.rows[r]
+        row = bytearray(lattice.rows[r])
         for part, _ in window.parts:
             row[part] = row[part].translate(_SHARED_TO_IOT)
-    return MrssCategoryMap(cmap.grid, lattice)
+        lattice.rows[r] = bytes(row)
+    return MrssCategoryMap(ResourceGrid(cfg, lattice))
 
 
 def place_6g_ssb(
@@ -419,10 +415,10 @@ def place_6g_ssb(
     map must be UNLABELED, so a collision with any 5G footprint (SSB,
     control, ...) is rejected as "not hidden", as is one with grown 6G
     control, an IoT reservation or an earlier occasion. The blocks are
-    labeled SIXG_SSB in a copy of the map's lattice.
+    labeled SIXG_SSB in a copy of the map's grid.
     """
     cfg = cmap.grid.config
-    lattice = cmap.lattice.copy()
+    lattice = cmap.grid.lattice.copy()
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
         block = (range(symbol, symbol + symbols), range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
@@ -432,7 +428,7 @@ def place_6g_ssb(
                 "collides with a 5G footprint or leaves the shared pool"
             )
         place_slots(lattice, [((slot,), *block, ReLabel.SIXG_SSB)])
-    return MrssCategoryMap(cmap.grid, lattice)
+    return MrssCategoryMap(ResourceGrid(cfg, lattice))
 
 
 def _grants(

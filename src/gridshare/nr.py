@@ -209,9 +209,38 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     unit (one SSB/CORESET0/SIB1 beam, one TRS slot-visit, one CSI-RS
     occasion) gets its own downlink slot starting at the lowest PRBs just
     after the CORESET1 symbols. The accounting (signal_counts) is
-    placement-invariant; only disjointness depends on this scheme.
+    placement-invariant; only disjointness depends on this scheme. The
+    checked plan (`nr_plan`) is placed as CORESET1, then all units in one
+    placement: no unit writes another's slot, so a pick reads its slot's row
+    after CORESET1, and units of one footprint over one row are placed as
+    one. A unit whose pick collides places the units before it first, so an
+    earlier unit's conflict is still the error raised.
     """
-    _place_plan(labels, carrier, overlay, *nr_plan(carrier, overlay))
+    monitored, units = nr_plan(carrier, overlay)
+    if monitored:
+        coreset1 = overlay.coreset1
+        place_slots(labels, [(monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
+                              _CORESET1.label)])
+    groups: Dict[tuple, List[int]] = {}
+    for slot, unit in units:
+        groups.setdefault((*unit, labels.slot_rows[slot]), []).append(slot)
+    placements = []
+    try:
+        for (signal, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
+            subcarriers = range(prbs * SC_PER_PRB)
+            if kind == "block":
+                symbols, footprint = range(base, base + amount), signal.label
+            else:
+                symbols = range(base, dl_syms)
+                cells = Window(carrier.n_subcarriers, symbols, subcarriers).read(labels.rows[r])
+                footprint = _first_free_per_prb(
+                    cells, len(subcarriers), amount, f"{signal.name}: collision in slot {slots[0]}",
+                    signal.label)
+            placements.append((slots, symbols, subcarriers, footprint))
+    except PlacementError:
+        place_slots(labels, placements)
+        raise
+    place_slots(labels, placements)
 
 
 def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
@@ -264,41 +293,6 @@ def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], L
                 raise PlacementError(f"{signal.name}: needs {amount} RE/PRB in slot {slot}")
             units.append((slot, (signal, kind, prbs, amount, base, dl_syms)))
     return monitored, units
-
-
-def _place_plan(
-    lattice: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet,
-    monitored: List[int], units: List[tuple],
-) -> None:
-    """Place a checked plan (`nr_plan`): CORESET1, then all units, each in its
-    own DL slot, in one placement. No unit writes another's slot, so a pick
-    reads its slot's row after CORESET1, and units of one footprint over one
-    row are placed as one. A unit whose pick collides places the units
-    before it first, so an earlier unit's conflict is still the error raised."""
-    if monitored:
-        coreset1 = overlay.coreset1
-        place_slots(lattice, [(monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
-                               _CORESET1.label)])
-    groups: Dict[tuple, List[int]] = {}
-    for slot, unit in units:
-        groups.setdefault((*unit, lattice.slot_rows[slot]), []).append(slot)
-    placements = []
-    try:
-        for (signal, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
-            subcarriers = range(prbs * SC_PER_PRB)
-            if kind == "block":
-                symbols, footprint = range(base, base + amount), signal.label
-            else:
-                symbols = range(base, dl_syms)
-                cells = Window(carrier.n_subcarriers, symbols, subcarriers).read(lattice.rows[r])
-                footprint = _first_free_per_prb(
-                    cells, len(subcarriers), amount, f"{signal.name}: collision in slot {slots[0]}",
-                    signal.label)
-            placements.append((slots, symbols, subcarriers, footprint))
-    except PlacementError:
-        place_slots(lattice, placements)
-        raise
-    place_slots(lattice, placements)
 
 
 def _first_free_per_prb(cells: bytes, width: int, amount: int, what: str, mark: int = 1) -> bytes:

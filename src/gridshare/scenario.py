@@ -344,6 +344,8 @@ def _check_mrss(carrier: CarrierConfig, mrss: MrssSpec) -> None:
 def check_scenario(scenario: Scenario) -> Scenario:
     """The scenario, after the checks that relate its sections to the carrier."""
     if scenario.lte is not None:
+        if scenario.carrier.scs_khz != 15:
+            raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
         _call("lte.mbsfn_subframes", check_mbsfn, scenario.carrier, scenario.lte)
         for i, cell in enumerate(scenario.lte.neighbors):
             _call(f"lte.neighbors[{i}].mbsfn_subframes", check_mbsfn, scenario.carrier, cell)

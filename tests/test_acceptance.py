@@ -212,7 +212,7 @@ def test_8_partition_invariant():
             cmap = classify_mrss(grid, control_mode=mode) if mode else classify_mrss(grid)
             assert (cmap.shared_pool_size + cmap.reserved_size
                     + cmap.control_region_size == cmap.downlink_size)
-            non_dl = categories(cmap.lattice).tobytes().count(CAT_NON_DL)
+            non_dl = categories(cmap.grid.lattice).tobytes().count(CAT_NON_DL)
             assert cmap.downlink_size + non_dl == grid.n_cells
         # Exhaustive cross-check at small scale: counting the dense category
         # array cell by cell gives each category's size, and the three cover
@@ -220,7 +220,7 @@ def test_8_partition_invariant():
         carrier = CarrierConfig(15, n_prb=2, duplex="FDD", span_ms=2)
         cmap = classify_mrss(make_grid(carrier))
         cmap = reserve_iot(cmap, (0, 1), slots=[0])
-        cats = categories(cmap.lattice).tobytes()
+        cats = categories(cmap.grid.lattice).tobytes()
         sizes = {CAT_SHARED: cmap.shared_pool_size, CAT_RESERVED: cmap.reserved_size,
                  CAT_CONTROL: cmap.control_region_size}
         assert {cat: cats.count(cat) for cat in sizes} == sizes

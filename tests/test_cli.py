@@ -639,9 +639,8 @@ class TestSweepMapCache:
         assert code == 0, err
         assert len(maps) == 18
         assert all(cmap is maps[0] for cmap in maps)
-        for lattice in (maps[0].lattice, maps[0].grid.lattice):
-            with pytest.raises(TypeError):
-                lattice.rows[0][0] = 0
+        with pytest.raises(TypeError):
+            maps[0].grid.lattice.rows[0][0] = 0
 
 
 class TestSeedOverride:
@@ -1105,6 +1104,43 @@ class TestSweepMapKey:
         assert {k: v for k, v in first.items() if k not in ("point", "carrier.span_ms")} == \
             {k: v for k, v in second.items() if k not in ("point", "carrier.span_ms")}
         assert len(builds) == 1
+
+    def test_neighbors_do_not_key_the_map(self, capsys, tmp_path, monkeypatch):
+        # No map reads the serving cell's neighbors, yet a sweep over them
+        # once built one map per point.
+        builds = []
+        build_map = cli.build_map
+        monkeypatch.setattr(cli, "build_map", lambda s: builds.append(s) or build_map(s))
+        doc = sweep_doc("neighbor_interference.json", "classify", [
+            {"path": "lte.neighbors",
+             "values": [[], [{"cell_id": 3}], [{"cell_id": 3}, {"cell_id": 7, "crs_ports": 2}]]}])
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+        assert len(builds) == 1
+        assert out == _reference_sweep(parse_scenario(doc))["json"]
+
+
+class TestLteNeedsA15KhzCarrier:
+    """Every command rejects an LTE cell on a 30 kHz carrier at `lte`; the
+    commands that build no grid once modeled it and exited 0."""
+
+    def doc(self):
+        doc = json.loads((SCENARIOS / "neighbor_interference.json").read_text())
+        doc["carrier"]["scs_khz"] = 30
+        return doc
+
+    @pytest.mark.parametrize("command", ["budget", "classify", "interference"])
+    def test_rejected_by_every_command(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "-s", write_doc(tmp_path, self.doc()))
+        assert (code, out, err) == (1, "", "error: lte: an LTE cell needs a 15 kHz carrier\n")
+
+    def test_sweep_names_the_30_khz_point(self, capsys, tmp_path):
+        doc = sweep_doc("neighbor_interference.json", "interference",
+                        [{"path": "carrier.scs_khz", "values": [15, 30]}])
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == ("error: sweep point 1 (carrier.scs_khz=30): lte: "
+                       "an LTE cell needs a 15 kHz carrier\n")
 
 
 def _lte_nr_scenario(duplex):

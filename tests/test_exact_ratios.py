@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gridshare
 from gridshare import cli
-from gridshare.grid import CarrierConfig, ReLabel, make_grid
+from gridshare.grid import CarrierConfig, ReLabel, ResourceGrid, make_grid
 from gridshare.mrss import MrssCategoryMap, SchedPolicy, TrafficModel
 from gridshare.rounding import round_half_up
 from gridshare.scenario import Scenario
@@ -59,7 +59,7 @@ def small_runs(draw):
     flat = labels.reshape(n_slots, -1)
     for slot in range(n_slots):
         flat[slot, :draw(st.integers(0, cap))] = ReLabel.UNLABELED
-    cmap = MrssCategoryMap(grid, ref.lattice_of(labels))
+    cmap = MrssCategoryMap(ResourceGrid(grid.config, ref.lattice_of(labels)))
 
     def demand():
         lo = draw(st.integers(0, 2 * cap))

@@ -46,6 +46,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TddPattern("")
 
+    def test_cycle_takes_slot_kinds_or_their_letters(self):
+        from gridshare.grid import SlotKind
+
+        cycle = (SlotKind.DOWNLINK, SlotKind.SPECIAL, SlotKind.UPLINK)
+        for given_cycle in ("DSU", ["D", "S", "U"], cycle, ["D", SlotKind.SPECIAL, "U"]):
+            assert TddPattern(given_cycle).cycle == cycle
+        # An entry that is neither once passed through as it was.
+        for bad in (["D", 7], ["D", None], ["D", "X"]):
+            with pytest.raises(ValueError):
+                TddPattern(bad)
+
     def test_tdd_requires_pattern(self):
         with pytest.raises(ConfigError):
             CarrierConfig(30, n_prb=1, duplex="TDD", span_ms=5)

@@ -6,6 +6,7 @@ that stores each distinct slot once must equal it.
 """
 
 import json
+import operator
 import tracemalloc
 
 import numpy as np
@@ -150,8 +151,8 @@ def build_shared(carrier, lte, nr):
 
 
 def assert_stores_each_slot_once(lattice):
-    contents = {bytes(row) for row in lattice.rows}
-    assert len(contents) == len(lattice.rows)
+    assert all(type(row) is bytes for row in lattice.rows)
+    assert len(set(lattice.rows)) == len(lattice.rows)
     assert set(lattice.slot_rows) == set(range(len(lattice.rows)))
 
 
@@ -166,17 +167,21 @@ class _Pools:
 
 
 def assert_map_equals(cmap, grid, categories, labels):
+    """The map of `grid` against the reference's categories and labels: a
+    map label differs from the grid's only on a shared-pool cell."""
     per_slot = ref.cells_per_slot(categories)
-    assert cmap.grid is grid
-    assert np.array_equal(ref.categories(cmap.lattice), categories)
-    free = ref.gather(grid.lattice) == ReLabel.UNLABELED
-    assert np.array_equal(ref.gather(cmap.lattice)[free], labels[free])
+    assert cmap.grid.config is grid.config
+    assert np.array_equal(ref.categories(cmap.grid.lattice), categories)
+    mapped, grid_labels = ref.gather(cmap.grid.lattice), ref.gather(grid.lattice)
+    free = grid_labels == ReLabel.UNLABELED
+    assert np.array_equal(mapped[free], labels[free])
+    assert (ref.CATEGORY_OF_LABEL[grid_labels[mapped != grid_labels]] == CAT_SHARED).all()
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
     assert (cmap.shared_pool_size, cmap.reserved_size, cmap.control_region_size,
             cmap.downlink_size) == (
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), categories.size - int(per_slot[CAT_NON_DL].sum()))
-    assert_stores_each_slot_once(cmap.lattice)
+    assert_stores_each_slot_once(cmap.grid.lattice)
 
 
 class TestAgainstDenseReference:
@@ -203,6 +208,8 @@ class TestAgainstDenseReference:
                 continue
             categories, labels = dense
             assert_map_equals(cmap, grid, categories, labels)
+            if kind is ControlModeKind.FULLY_OVERLAPPING:
+                assert cmap.grid is grid
             stages = [(ref.reserve_iot, reserve_iot, (window, slots), {})
                       for window, slots in iot]
             occasions, prbs, symbols = ssb
@@ -211,8 +218,10 @@ class TestAgainstDenseReference:
             for dense_stage, stage, args, kwargs in stages:
                 dense, error = outcome(dense_stage, carrier, categories, labels, *args,
                                        *kwargs.values())
+                before = ref.gather(cmap.grid.lattice)
                 staged, shared_error = outcome(stage, cmap, *args, **kwargs)
                 assert shared_error == error
+                assert np.array_equal(ref.gather(cmap.grid.lattice), before)
                 if error is not None:
                     break
                 (categories, labels), cmap = dense, staged
@@ -235,11 +244,49 @@ class TestLattice:
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         place_slots(lattice, [((1, 3), range(1), range(2), ReLabel.NR_SSB)])
         assert lattice.slot_rows == [0, 1, 0, 1]
-        assert not np.asarray(lattice.rows[0]).any()
-        # Every slot of row 1 is written: in place, with no new row.
+        assert not any(lattice.rows[0])
+        # Every slot of row 1 is written: the row is replaced, with no new row.
         place_slots(lattice, [((1, 3), range(1, 2), range(1), ReLabel.NR_SSB)])
         assert len(lattice.rows) == 2
-        assert np.count_nonzero(lattice.rows[1]) == 3
+        assert np.count_nonzero(np.frombuffer(lattice.rows[1], dtype=np.uint8)) == 3
+
+    def test_copy_of_a_writable_lattice_leaves_its_source_untouched(self):
+        # copy() once turned every row of its source into bytes in place.
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
+        place_slots(lattice, [((1, 3), range(1), range(2), ReLabel.NR_SSB)])
+        rows, objects, slot_rows = lattice.rows, list(lattice.rows), lattice.slot_rows
+        before = ref.gather(lattice)
+        copy = lattice.copy()
+        place_slots(copy, [(range(4), range(1, 2), range(12), ReLabel.NR_CSI_RS)])
+        assert lattice.rows is rows and lattice.slot_rows is slot_rows
+        assert len(rows) == len(objects) and all(map(operator.is_, rows, objects))
+        assert slot_rows == [0, 1, 0, 1]
+        assert np.array_equal(ref.gather(lattice), before)
+        assert (ref.gather(copy)[:, 1] == ReLabel.NR_CSI_RS).all()
+
+    def test_every_row_is_bytes(self):
+        carrier = CarrierConfig(15, n_prb=6, duplex="TDD", span_ms=10,
+                                tdd_pattern=TddPattern("DSUUD", (10, 2, 2)))
+
+        def rows_are_bytes(lattice):
+            return all(type(row) is bytes for row in lattice.rows)
+
+        lattice = new_labels(carrier)
+        assert rows_are_bytes(lattice)
+        place_lte(lattice, carrier, LteCellConfig(crs_ports=4, mbsfn_subframes={4, 9}))
+        assert rows_are_bytes(lattice)
+        place_slots(lattice, [((0, 1), range(14), range(72), ReLabel.NR_CSI_RS),
+                              ((5,), range(2, 3), range(12), ReLabel.NR_PDCCH_CORESET1)],
+                    rate_match=True)
+        assert rows_are_bytes(lattice)
+        assert rows_are_bytes(lattice.freeze())
+        grid = ResourceGrid(carrier, lattice)
+        cmap = classify_mrss(grid, ControlMode(ControlModeKind.SEPARATE))
+        assert cmap.control_region_size == 24
+        for cmap in (cmap, reserve_iot(cmap, (1, 2), slots=[5]),
+                     place_6g_ssb(cmap, [(5, 9, 2)], prbs=2, symbols=2)):
+            assert cmap.grid is not grid
+            assert rows_are_bytes(cmap.grid.lattice)
 
     def test_copies_share_rows_until_written(self):
         grid = make_grid(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=3))

@@ -30,6 +30,7 @@ from gridshare import (
     apply_lte,
     apply_nr,
     classify_mrss,
+    count_labels,
     make_grid,
     neighbor_interference,
     place_6g_ssb,
@@ -94,7 +95,7 @@ class TestClassify:
             cmap.shared_pool_size + cmap.reserved_size + cmap.control_region_size
             == cmap.downlink_size
         )
-        assert set(np.unique(ref.categories(cmap.lattice))) <= {
+        assert set(np.unique(ref.categories(cmap.grid.lattice))) <= {
             CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL,
         }
 
@@ -121,6 +122,15 @@ class TestClassify:
         assert cmap.shared_pool_size == cmap.downlink_size == 1_257_984
         assert cmap.reserved_size == 0
         assert cmap.control_region_size == 0
+
+    def test_map_is_the_grid_unless_control_grows(self):
+        grid = apply_nr(make_grid(wideband_tdd_carrier()), full_overlay())
+        assert classify_mrss(grid).grid is grid
+        # Separate control with no CORESET1 footprint grows by nothing.
+        empty = make_grid(wideband_tdd_carrier())
+        assert classify_mrss(empty, ControlMode(ControlModeKind.SEPARATE)).grid is empty
+        grown = classify_mrss(grid, ControlMode(ControlModeKind.SEPARATE))
+        assert grown.grid is not grid and grown.grid.config is grid.config
 
     def test_fdd_grid_fully_shared(self):
         cmap = fdd_map()
@@ -156,7 +166,7 @@ class TestReserveIot:
         cmap = fdd_map(n_prb=4)
         out = reserve_iot(cmap, (2, 2))
         assert out.reserved_size == 0
-        assert np.array_equal(ref.gather(out.lattice), ref.gather(cmap.lattice))
+        assert np.array_equal(ref.gather(out.grid.lattice), ref.gather(cmap.grid.lattice))
 
     def test_skips_non_downlink_cells(self):
         grid = make_grid(wideband_tdd_carrier())
@@ -188,7 +198,7 @@ class TestPlace6gSsb:
     def test_zero_occasions_identity(self):
         cmap = wideband_map()
         out = place_6g_ssb(cmap, [], prbs=20, symbols=4)
-        assert np.array_equal(ref.gather(out.lattice), ref.gather(cmap.lattice))
+        assert np.array_equal(ref.gather(out.grid.lattice), ref.gather(cmap.grid.lattice))
 
     def test_collision_with_5g_footprint(self):
         cmap = wideband_map()
@@ -451,7 +461,7 @@ def map_with_pools(pools, n_prb):
     flat = labels.reshape(len(pools), -1)
     for slot, pool in enumerate(pools):
         flat[slot, :pool] = ReLabel.UNLABELED
-    return MrssCategoryMap(grid, ref.lattice_of(labels))
+    return MrssCategoryMap(ResourceGrid(grid.config, ref.lattice_of(labels)))
 
 
 @st.composite
@@ -508,9 +518,8 @@ class TestVectorizedScheduler:
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
         cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)], prbs=20, symbols=4)
-        for lattice in (cmap.lattice, cmap.grid.lattice):
-            with pytest.raises(TypeError):
-                lattice.rows[0][0] = 0
+        with pytest.raises(TypeError):
+            cmap.grid.lattice.rows[0][0] = 0
         # The pool is a fresh copy: writing it leaves the map's counts as they are.
         pool = cmap.shared_cells_per_slot()
         before = pool[0]
@@ -603,7 +612,7 @@ class TestClassifyReference:
             assert str(err.value) == str(exc)
             return
         cmap = classify_mrss(grid, control_mode=mode)
-        assert np.array_equal(ref.categories(cmap.lattice), expected)
+        assert np.array_equal(ref.categories(cmap.grid.lattice), expected)
         assert np.array_equal(cmap.shared_cells_per_slot(), per_slot)
 
     def test_peak_memory_is_about_two_lattices(self):
@@ -637,7 +646,7 @@ class TestClassifyReference:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * cmap.grid.n_cells
-        cats = ref.categories(cmap.lattice)
+        cats = ref.categories(cmap.grid.lattice)
         assert sizes == (
             np.count_nonzero(cats == CAT_RESERVED),
             np.count_nonzero(cats == CAT_CONTROL),
@@ -658,11 +667,11 @@ class TestTrafficSeed:
 STAGE_LABELS = [ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT, ReLabel.SIXG_SSB]
 
 
-def assert_map_matches(cmap, reference, labels):
-    """Every count of the map, then its categories, equal the reference's. On
-    every cell the grid left UNLABELED the map's label equals the reference's,
-    and a map label differs from the grid's only where a stage relabeled a
-    shared-pool cell with its own label."""
+def assert_map_matches(cmap, grid, reference, labels):
+    """Every count of the map of `grid`, then its categories, equal the
+    reference's. On every cell the grid left UNLABELED the map's label equals
+    the reference's, and a map label differs from the grid's only where a
+    stage relabeled a shared-pool cell with its own label."""
     per_slot = {cat: np.count_nonzero(reference == cat, axis=(1, 2))
                 for cat in (CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL)}
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
@@ -670,15 +679,21 @@ def assert_map_matches(cmap, reference, labels):
             cmap.downlink_size) == (
         int(per_slot[CAT_SHARED].sum()), int(per_slot[CAT_RESERVED].sum()),
         int(per_slot[CAT_CONTROL].sum()), reference.size - int(per_slot[CAT_NON_DL].sum()))
-    assert np.array_equal(ref.categories(cmap.lattice), reference)
-    mapped, grid_labels = ref.gather(cmap.lattice), ref.gather(cmap.grid.lattice)
+    assert np.array_equal(ref.categories(cmap.grid.lattice), reference)
+    mapped, grid_labels = ref.gather(cmap.grid.lattice), ref.gather(grid.lattice)
     free = grid_labels == ReLabel.UNLABELED
     assert np.array_equal(mapped[free], labels[free])
     changed = mapped != grid_labels
     assert (ref.CATEGORY_OF_LABEL[grid_labels[changed]] == CAT_SHARED).all()
     assert np.isin(mapped[changed], STAGE_LABELS).all()
     with pytest.raises(TypeError):
-        cmap.lattice.rows[0][0] = 0
+        cmap.grid.lattice.rows[0][0] = 0
+
+
+def relabel_taken(before, after, labels, label):
+    """`labels` with `label` on every cell whose category left the shared pool
+    between the category arrays `before` and `after`."""
+    return np.where((before == CAT_SHARED) & (after != CAT_SHARED), label, labels)
 
 
 # UNLABELED and the LTE labels: a slot of these alone is decided by one `max`.
@@ -761,7 +776,12 @@ class TestMapsWithoutStoredCategories:
             assert str(err.value) == str(exc)
             return
         cmap = classify_mrss(grid, control_mode=mode)
-        assert_map_matches(cmap, reference, labels)
+        assert_map_matches(cmap, grid, reference, labels)
+        # The staged map's labels: the grid's, each shared-pool cell that a
+        # stage took from the reference's pool relabeled with that stage's label.
+        staged = relabel_taken(ref.CATEGORY_OF_LABEL[grid_labels], reference, grid_labels,
+                               ReLabel.SIXG_CONTROL)
+        assert count_labels(cmap.grid) == ref.count_labels(staged)
 
         for kind, args in stages:
             dense_stage, stage = ((ref.reserve_iot, reserve_iot) if kind == "iot"
@@ -773,10 +793,14 @@ class TestMapsWithoutStoredCategories:
                     stage(cmap, *args)
                 assert str(err.value) == str(exc)
                 return
-            cmap = stage(cmap, *args)
-            assert cmap.grid is grid
+            before = ref.gather(cmap.grid.lattice)
+            staged = relabel_taken(ref.categories(cmap.grid.lattice), reference, staged,
+                                   ReLabel.RESERVED_IOT if kind == "iot" else ReLabel.SIXG_SSB)
+            prev, cmap = cmap, stage(cmap, *args)
+            assert np.array_equal(ref.gather(prev.grid.lattice), before)
             assert np.array_equal(ref.gather(grid.lattice), grid_labels)
-            assert_map_matches(cmap, reference, labels)
+            assert_map_matches(cmap, grid, reference, labels)
+            assert count_labels(cmap.grid) == ref.count_labels(staged)
 
     def test_lte_only_map_holds_no_category_lattice(self):
         # The map stored a gathered category lattice: the classify-to-simulate
@@ -803,9 +827,10 @@ class TestMapsWithoutStoredCategories:
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
         cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(15, n_prb=25,
                                                                span_ms=2)), LteCellConfig()))
-        before = ref.gather(cmap.lattice)
+        grid, before = cmap.grid, ref.gather(cmap.grid.lattice)
         out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)
-        assert np.array_equal(ref.gather(cmap.lattice), before)
+        assert cmap.grid is grid
+        assert np.array_equal(ref.gather(cmap.grid.lattice), before)
         assert cmap.reserved_size == 0
         assert out.reserved_size == 2 * 14 * 24 + 2 * 4 * 12
-        assert out.grid is cmap.grid
+        assert out.grid.config is cmap.grid.config

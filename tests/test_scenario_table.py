@@ -247,8 +247,8 @@ def test_cli_exit_code_for_every_command(doc):
 # One document per message form, each with one fault in BASE, and the exact
 # error text the hand-written parser gave for it.
 BASE = {
-    "carrier": {"scs_khz": 30, "n_prb": 273, "duplex": "TDD", "span_ms": 20,
-                "tdd_pattern": {"cycle": "DDDSU", "special_split": [6, 4, 4]}},
+    "carrier": {"scs_khz": 15, "n_prb": 273, "duplex": "TDD", "span_ms": 20,
+                "tdd_pattern": {"cycle": "DDDDS", "special_split": [6, 4, 4]}},
     "lte": {"cell_id": 1, "crs_ports": 2, "pdcch_symbols": 2, "mbsfn_subframes": [3],
             "non_mbsfn_region_len": 2, "neighbors": [{"cell_id": 2}]},
     "nr": {
@@ -299,9 +299,9 @@ GOLDEN = [
     ("carrier.tdd_pattern.special_split", [6, 4, 3],
      "carrier.tdd_pattern: special_split must sum to 14, got 13"),
     ("carrier.tdd_pattern", DELETE, "carrier: TDD carrier requires a tdd_pattern"),
-    ("carrier.span_ms", 3, "carrier: TDD span of 6 slots is not a whole number of 5-slot cycles"),
+    ("carrier.span_ms", 3, "carrier: TDD span of 3 slots is not a whole number of 5-slot cycles"),
     ("carrier.span_ms", 0.25,
-     "carrier: span_ms x slots_per_ms must be a positive integer slot count, got 0.5"),
+     "carrier: span_ms x slots_per_ms must be a positive integer slot count, got 0.25"),
     ("lte.crs_ports", 3, "lte.crs_ports: must be one of [1, 2, 4], got 3"),
     ("lte.mbsfn_subframes", [1, -1], "lte.mbsfn_subframes: must be a list of non-negative integers"),
     ("lte.mbsfn_subframes", [30],
@@ -328,14 +328,14 @@ GOLDEN = [
     ("mrss.iot_reservations", [{"prb_start": 5, "prb_stop": 300}],
      "mrss.iot_reservations[0]: PRB range (5, 300) out of bounds for a 273-PRB carrier"),
     ("mrss.iot_reservations", [{"prb_start": 0, "prb_stop": 1, "slots": [99]}],
-     "mrss.iot_reservations[0].slots: slot 99 out of range for a 40-slot carrier"),
+     "mrss.iot_reservations[0].slots: slot 99 out of range for a 20-slot carrier"),
     ("mrss.sixg_ssb.occasions", [[1, 2]],
      "mrss.sixg_ssb.occasions: must be a list of [slot, symbol, prb] triples"),
     ("mrss.sixg_ssb.prbs", 9999, "mrss.sixg_ssb.prbs: must be <= 273, got 9999"),
     ("mrss.sixg_ssb.symbols", 15, "mrss.sixg_ssb.symbols: must be <= 14, got 15"),
     ("mrss.sixg_ssb.occasions", [[10, 12, 100]],
      "mrss.sixg_ssb.occasions[0]: 6G SSB occasion (10, 12, 100) out of range: a 20-PRB, "
-     "4-symbol block on a 40-slot, 273-PRB carrier"),
+     "4-symbol block on a 20-slot, 273-PRB carrier"),
     ("traffic.demand_5g", "lots", "traffic.demand_5g: must be an int or a (lo, hi) pair"),
     ("traffic.demand_5g", [5, 1],
      "traffic.demand_5g: range must be (lo, hi) ints with 0 <= lo <= hi"),

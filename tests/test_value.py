@@ -44,8 +44,9 @@ CMAP = classify_mrss(GRID)
 ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
 
 # Class -> (the arguments its fields have no default for, a change its
-# __post_init__ rejects or None). A grid or map holds frozen lattices, which
-# compare and hash by the labels of each slot; a dense array is no lattice.
+# __post_init__ rejects or None). A grid holds a frozen lattice, which
+# compares and hashes by the labels of each slot, and a map holds a grid; a
+# dense array is neither.
 EXAMPLES = {
     TddPattern: ({"cycle": "DDDSU"}, {"special_split": (6, 4, 5)}),
     CarrierConfig: ({"scs_khz": 15, "n_prb": 2}, {"n_prb": 0}),
@@ -70,8 +71,7 @@ EXAMPLES = {
     ControlMode: ({}, {"shared_fraction": 0.5}),
     Mitigation: ({"kind": "SymbolLevelMute"}, {"kind": "Shout"}),
     TrafficModel: ({"demand_5g": 10, "demand_6g": (0, 5)}, {"seed": -1}),
-    MrssCategoryMap: ({"grid": GRID, "lattice": CMAP.lattice},
-                      {"lattice": np.zeros((1, 14, 24), dtype=np.uint8)}),
+    MrssCategoryMap: ({"grid": GRID}, {"grid": np.zeros((1, 14, 24), dtype=np.uint8)}),
     SimResult: ({"grants_5g": (1,), "grants_6g": (2,), "unused": (0,), "dropped_5g": (0,),
                  "dropped_6g": (0,), "shared_pool_size": 3, "total_5g": 1, "total_6g": 2,
                  "unused_shared": 0, "pure_5g": 1, "pure_6g": 2}, None),
@@ -86,7 +86,7 @@ EXAMPLES = {
                  "parameters": (SweepParameter("policy", ("Priority5G",)),)}, None),
     Scenario: ({"carrier": CARRIER}, None),
 }
-ARRAY_FIELDS = {ResourceGrid: ("lattice",), MrssCategoryMap: ("lattice",)}
+ARRAY_FIELDS = {ResourceGrid: ("lattice",)}
 METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
 
 
@@ -223,26 +223,17 @@ def test_repr_matches_the_field_order():
 
 
 def test_grid_and_map_take_lattices_only():
+    """A grid takes a `Lattice` only, and a map a grid only: never a dense buffer."""
     dense = ref.gather(GRID.lattice)
     for labels in (dense, memoryview(dense.tobytes()).cast("B", dense.shape), bytes(dense)):
         with pytest.raises(ConfigError, match="Lattice"):
             ResourceGrid(CARRIER, labels)
-        with pytest.raises(ConfigError, match="Lattice"):
-            MrssCategoryMap(GRID, labels)
+        with pytest.raises(ConfigError, match="ResourceGrid"):
+            MrssCategoryMap(labels)
+    with pytest.raises(ConfigError, match="ResourceGrid, got Lattice"):
+        MrssCategoryMap(GRID.lattice)
     with pytest.raises(ConfigError, match=r"shape \(1, 14, 12\) != \(1, 14, 24\)"):
         ResourceGrid(CARRIER, ref.lattice_of(dense[:, :, :12]))
-
-
-def test_map_lattices_have_the_grid_shape():
-    # A 5-slot map lattice on a 2-slot grid once made a shared pool of
-    # 840 cells out of 336 downlink cells.
-    carrier = CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=2)
-    grid = make_grid(carrier)
-    longer = classify_mrss(make_grid(replace(carrier, span_ms=5)))
-    narrower = classify_mrss(make_grid(replace(carrier, span_ms=2, n_prb=2)))
-    for other, shape in ((longer, r"\(5, 14, 12\)"), (narrower, r"\(2, 14, 24\)")):
-        with pytest.raises(ConfigError, match=shape + r" != \(2, 14, 12\)"):
-            MrssCategoryMap(grid, other.lattice)
 
 
 def test_equal_slots_make_equal_grids_and_maps():

@@ -2,13 +2,15 @@
 
     gridshare <command> -s <scenario.json> [-f md|csv|json] [-o <path>] [--seed N]
 
-Commands: budget, overhead, classify, simulate, interference, sweep.
-Exit codes: 0 success, 1 scenario/validation error, 2 computation error or
-malformed command line.
+Commands: budget, overhead, classify, simulate, interference (the rows of
+`REPORTS`), and sweep.
+Exit codes: 0 success, 1 scenario/validation error or unwritable report
+path, 2 computation error or malformed command line.
 
-A report is a record builder (`<command>_record`: the JSON-ready object
-that `-f json` prints) and a table of `Column`s, from which `render_table`
-renders the record's rows as md or csv. A sweep flattens each point's
+A report command is one `Report` row of `REPORTS`: the sections it
+requires, its record builder (the JSON-ready object `-f json` prints) and
+the table of `Column`s under which `render_table` writes the record's rows
+as md or csv. `run_<command>` runs the row. A sweep flattens each point's
 record into one row.
 
 `run` is the process entry (the `gridshare` script, `python -m
@@ -17,14 +19,13 @@ gridshare.cli`); `main` is the in-process one.
 
 from __future__ import annotations
 
-import functools
 import gc
 import io
 import itertools
 import json
 import sys
 from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .budget import check_ports, dss_table, nr_overhead
 from .errors import ConfigError, GridShareError, ScenarioError
@@ -32,7 +33,6 @@ from .grid import ResourceGrid, new_labels
 from .lte import place_lte
 from .mrss import (
     MrssCategoryMap,
-    SimResult,
     classify_mrss,
     neighbor_interference,
     place_6g_ssb,
@@ -44,8 +44,8 @@ from .rounding import round_half_up
 from .scenario import Scenario, emit_scenario, parse_scenario, read_point
 from .value import asdict, replace
 
-COMMANDS = ("budget", "overhead", "classify", "simulate", "interference", "sweep")
 FORMATS = ("md", "csv", "json")
+MAP_SECTIONS = ("carrier", "lte", "nr", "mrss")  # the sections `build_map` reads
 
 
 class Column(NamedTuple):
@@ -115,18 +115,13 @@ def build_map(scenario: Scenario) -> MrssCategoryMap:
     return cmap
 
 
-def budget_record(scenario: Scenario) -> List[Dict[str, object]]:
+def budget_record(scenario: Scenario, maps: MapBuilder = build_map) -> List[Dict[str, object]]:
+    budget = scenario.budget
     try:
-        check_ports(scenario.budget.ports, scenario.budget.layout.lte_pdcch)
+        check_ports(budget.ports, budget.layout.lte_pdcch)
     except ConfigError as exc:
         raise ScenarioError(str(exc), "budget.ports") from None
-    rows = dss_table(
-        dmrs_count=scenario.budget.layout.dmrs_count,
-        lte_pdcch=scenario.budget.layout.lte_pdcch,
-        nr_pdcch=scenario.budget.layout.nr_pdcch,
-        ports=scenario.budget.ports,
-    )
-    return [asdict(r) for r in rows]
+    return [asdict(r) for r in dss_table(ports=budget.ports, **asdict(budget.layout))]
 
 
 _PCT = ("{:.2f}%", "{:.2f}")  # md and csv formats of a percentage
@@ -140,14 +135,7 @@ BUDGET_TABLE = (
 )
 
 
-def run_budget(scenario: Scenario, fmt: str) -> str:
-    rows = budget_record(scenario)
-    return _json_text(rows) if fmt == "json" else render_table(BUDGET_TABLE, rows, fmt)
-
-
-def overhead_record(scenario: Scenario) -> Dict[str, object]:
-    if scenario.nr is None:
-        raise ScenarioError("overhead command requires an 'nr' section", "nr")
+def overhead_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
     report = nr_overhead(scenario.carrier, scenario.nr)
     return {
         "rows": [asdict(r) for r in report.rows],
@@ -164,16 +152,6 @@ OVERHEAD_TABLE = (
     Column("pct_of_total", "Overhead vs. total RE (%)", "pct_of_total", *_PCT),
     Column("pct_of_downlink", "Overhead vs. total downlink RE (%)", "pct_of_downlink", *_PCT),
 )
-
-
-def run_overhead(scenario: Scenario, fmt: str) -> str:
-    record = overhead_record(scenario)
-    if fmt == "json":
-        return _json_text(record)
-    return render_table(OVERHEAD_TABLE, record["rows"] + [record["total"]], fmt,
-                        period_ms=scenario.nr.period_ms)
-
-
 # Over the (key, value) items of a record, or of its `simulate` summary.
 CELLS_TABLE = (Column(0, "Category", "category"), Column(1, "Cells", "cells", "{:,}"))
 METRIC_TABLE = (Column(0, "Metric", "metric"), Column(1, "Value", "value"))
@@ -190,27 +168,13 @@ def classify_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[st
     }
 
 
-def run_classify(scenario: Scenario, fmt: str) -> str:
-    record = classify_record(scenario)
-    return _json_text(record) if fmt == "json" else render_table(CELLS_TABLE, record.items(), fmt)
-
-
-def _simulation(scenario: Scenario, maps: MapBuilder = build_map) -> SimResult:
-    if scenario.traffic is None or scenario.policy is None:
-        raise ScenarioError("simulate command requires 'traffic' and 'policy' sections")
-    return simulate(maps(scenario), scenario.traffic, scenario.policy)
-
-
 def _efficiency(total: int, pure: int) -> float:
     """total / pure to 4 decimals; 1.0 when the RAT would get nothing alone."""
     return round_half_up(total, pure, 4) if pure else 1.0
 
 
-def simulate_record(scenario: Scenario, maps: MapBuilder = build_map,
-                    result: Optional[SimResult] = None) -> Dict[str, object]:
-    """The `simulate` record; `result` is the scenario's simulation when already run."""
-    if result is None:
-        result = _simulation(scenario, maps)
+def simulate_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
+    result = simulate(maps(scenario), scenario.traffic, scenario.policy)
     return {
         "summary": {
             "policy": scenario.policy.value,
@@ -225,40 +189,28 @@ def simulate_record(scenario: Scenario, maps: MapBuilder = build_map,
             "efficiency_vs_pure_5g": _efficiency(result.total_5g, result.pure_5g),
             "efficiency_vs_pure_6g": _efficiency(result.total_6g, result.pure_6g),
         },
-        "per_slot": {
-            "grants_5g": list(result.grants_5g),
-            "grants_6g": list(result.grants_6g),
-            "unused": list(result.unused),
-        },
+        "per_slot": {key: list(getattr(result, key)) for key in ("grants_5g", "grants_6g", "unused")},
     }
 
 
-# The `simulate` csv: a row per slot, from the SimResult (the record has no drops).
 SLOT_TABLE = tuple(Column(i, name, name) for i, name in enumerate(
     ("slot", "pool", "demand_5g", "demand_6g", "grant_5g", "grant_6g", "unused")))
 
 
-def run_simulate(scenario: Scenario, fmt: str) -> str:
-    result = _simulation(scenario)
-    if fmt == "csv":
-        # Each slot's demand is its grant plus what was dropped: the one draw.
-        rows = ((slot, g5 + g6 + unused, g5 + x5, g6 + x6, g5, g6, unused)
-                for slot, (g5, g6, unused, x5, x6) in enumerate(zip(
-                    result.grants_5g, result.grants_6g, result.unused,
-                    result.dropped_5g, result.dropped_6g)))
-        return render_table(SLOT_TABLE, rows, fmt)
-    record = simulate_record(scenario, result=result)
-    if fmt == "json":
-        return _json_text(record)
-    return render_table(METRIC_TABLE, record["summary"].items(), fmt)
+def slot_rows(scenario: Scenario, maps: MapBuilder) -> tuple:
+    """The `simulate` csv: SLOT_TABLE and a row per slot, read from the
+    SimResult, since the record holds no drops. Each slot's demand is its
+    grant plus what was dropped: the one draw."""
+    result = simulate(maps(scenario), scenario.traffic, scenario.policy)
+    return SLOT_TABLE, ((slot, g5 + g6 + unused, g5 + x5, g6 + x6, g5, g6, unused)
+                        for slot, (g5, g6, unused, x5, x6) in enumerate(zip(
+                            result.grants_5g, result.grants_6g, result.unused,
+                            result.dropped_5g, result.dropped_6g)))
 
 
-def interference_record(scenario: Scenario) -> Dict[str, object]:
-    if scenario.lte is None or scenario.mitigation is None:
-        raise ScenarioError("interference command requires 'lte' and 'mitigation' sections")
-    report = neighbor_interference(
-        scenario.lte, scenario.lte.neighbors, scenario.mitigation, scenario.budget.layout
-    )
+def interference_record(scenario: Scenario, maps: MapBuilder = build_map) -> Dict[str, object]:
+    report = neighbor_interference(scenario.lte, scenario.lte.neighbors, scenario.mitigation,
+                                   scenario.budget.layout)
     return {
         "mitigation": scenario.mitigation.kind,
         "pool_re_per_prb": report.pool_re,
@@ -268,9 +220,76 @@ def interference_record(scenario: Scenario) -> Dict[str, object]:
     }
 
 
-def run_interference(scenario: Scenario, fmt: str) -> str:
-    record = interference_record(scenario)
-    return _json_text(record) if fmt == "json" else render_table(METRIC_TABLE, record.items(), fmt)
+class Report(NamedTuple):
+    """A report command, one row of `REPORTS`: the sections it requires, in
+    the order `_require` checks them; `record(scenario, maps)`, the object
+    `-f json` prints and a sweep point flattens, `maps` building the MRSS
+    map; md and csv render `rows(record)` under `table`, `fill(scenario)`
+    completing the md headers, unless `csv(scenario, maps)` gives the csv's
+    own table and rows."""
+
+    requires: Tuple[str, ...]
+    record: Callable[[Scenario, MapBuilder], object]
+    table: Sequence[Column]
+    rows: Callable[[object], Iterable] = dict.items
+    fill: Callable[[Scenario], Dict[str, object]] = lambda scenario: {}
+    csv: Optional[Callable[[Scenario, MapBuilder], tuple]] = None
+
+
+# Command name -> its report, in the order of `scenario.SWEEP_COMMANDS`.
+REPORTS: Dict[str, Report] = {
+    "budget": Report((), budget_record, BUDGET_TABLE, rows=lambda record: record),
+    "overhead": Report(("nr",), overhead_record, OVERHEAD_TABLE,
+                       rows=lambda record: record["rows"] + [record["total"]],
+                       fill=lambda scenario: {"period_ms": scenario.nr.period_ms}),
+    "classify": Report((), classify_record, CELLS_TABLE),
+    "simulate": Report(("traffic", "policy"), simulate_record, METRIC_TABLE,
+                       rows=lambda record: record["summary"].items(), csv=slot_rows),
+    "interference": Report(("lte", "mitigation"), interference_record, METRIC_TABLE),
+}
+
+
+def commands() -> Tuple[str, ...]:
+    """Every command: the reports, then `sweep`."""
+    return (*REPORTS, "sweep")
+
+
+def _require(command: str, sections: Iterable[str], scenario: Scenario) -> None:
+    """Raise a ScenarioError at the first of `sections` that `scenario` lacks."""
+    for section in sections:
+        if getattr(scenario, section) is None:
+            article = "an" if section in ("lte", "nr", "mrss") else "a"  # spelled letter by letter
+            raise ScenarioError(f"{command} command requires {article} {section!r} section", section)
+
+
+def render(command: str, scenario: Scenario, fmt: str) -> str:
+    """The `command` report on `scenario` as md, csv or json text."""
+    report = REPORTS[command]
+    _require(command, report.requires, scenario)
+    if fmt == "csv" and report.csv is not None:
+        return render_table(*report.csv(scenario, build_map), fmt)
+    record = report.record(scenario, build_map)
+    if fmt == "json":
+        return _json_text(record)
+    return render_table(report.table, report.rows(record), fmt, **report.fill(scenario))
+
+
+def _runner(command: str) -> Callable[[Scenario, str], str]:
+    """`run_<command>(scenario, fmt)`: `render` of one report, as a function of its own."""
+
+    def run(scenario: Scenario, fmt: str) -> str:
+        return render(command, scenario, fmt)
+
+    run.__name__ = run.__qualname__ = f"run_{command}"
+    return run
+
+
+# `main` calls `run_<command>` by its module-level name.
+run_budget = _runner("budget")
+run_overhead = _runner("overhead")
+run_classify = _runner("classify")
+run_simulate = _runner("simulate")
+run_interference = _runner("interference")
 
 
 def _set_path(doc: dict, path: str, value: object) -> None:
@@ -321,43 +340,19 @@ def _flat_values(obj: object, values: List[object], shape: List[object]) -> None
         values.append(obj)
 
 
-def _records(maps: MapBuilder) -> Dict[str, Callable[[Scenario], object]]:
-    """Report command name -> record(scenario); `maps` builds MRSS maps."""
-    return {
-        "budget": budget_record,
-        "overhead": overhead_record,
-        "classify": functools.partial(classify_record, maps=maps),
-        "simulate": functools.partial(simulate_record, maps=maps),
-        "interference": interference_record,
-    }
-
-
-def _runners() -> Dict[str, Callable[[Scenario, str], str]]:
-    """Command name -> runner(scenario, fmt), read from the module at call time."""
-    return {
-        "budget": run_budget,
-        "overhead": run_overhead,
-        "classify": run_classify,
-        "simulate": run_simulate,
-        "interference": run_interference,
-        "sweep": run_sweep,
-    }
-
-
 def run_sweep(scenario: Scenario, fmt: str) -> str:
-    if scenario.sweep is None:
-        raise ScenarioError("sweep command requires a 'sweep' section", "sweep")
+    _require("sweep", ("sweep",), scenario)
     base = emit_scenario(scenario)
     base.pop("sweep", None)
     params = scenario.sweep.parameters
     # A point is the base document with its swept values set (`_set_path`);
     # only the swept top-level sections are read again (`read_point`).
     swept = tuple(dict.fromkeys(p.path.split(".")[0] for p in params))
-    # The last map built, keyed by the swept ones among the sections
-    # `build_map` reads, the LTE cell without its neighbors: a map is a
-    # read-only value, so points with equal inputs share it, and a sweep
-    # over those inputs holds one map at a time.
-    map_keys = [key for key in ("carrier", "lte", "nr", "mrss") if key in swept]
+    # The last map built, keyed by the swept ones among MAP_SECTIONS, the
+    # LTE cell without its neighbors: a map is a read-only value, so points
+    # with equal inputs share it, and a sweep over those inputs holds one
+    # map at a time.
+    map_keys = [key for key in MAP_SECTIONS if key in swept]
     last_map: Dict[tuple, MrssCategoryMap] = {}
 
     def maps(point: Scenario) -> MrssCategoryMap:
@@ -369,7 +364,8 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
             cmap = last_map[key] = build_map(point)
         return cmap
 
-    record_of = _records(maps)[scenario.sweep.command]
+    command = scenario.sweep.command
+    report = REPORTS[command]
     # Column keys per record shape, formatted once per sweep.
     keys_of: Dict[tuple, List[str]] = {}
     records: List[Dict[str, object]] = []
@@ -381,9 +377,9 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
             point = read_point(scenario, doc, swept)
             record: Dict[str, object] = {"point": index}
             record.update({p.path: v for p, v in zip(params, combo)})
-            result = record_of(point)
-            values: List[object] = []
-            shape: List[object] = []
+            _require(command, report.requires, point)
+            result = report.record(point, maps)
+            values, shape = [], []
             _flat_values(result, values, shape)
             keys = keys_of.get(tuple(shape))
             if keys is None:
@@ -437,10 +433,10 @@ def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:
 
 
 _USAGE = "usage: gridshare <command> -s PATH [-f md|csv|json] [-o PATH] [--seed N]\n"
-_HELP = _USAGE + f"""
+_HELP = _USAGE + """
 Resource-element-accurate LTE/5G/6G spectrum-sharing coexistence reports.
 
-commands: {', '.join(COMMANDS)}
+commands: {}
 
 options:
   -h, --help           show this help and exit
@@ -471,11 +467,11 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     the last value wins. Raises _UsageError on anything else, an abbreviated
     option included."""
     args = SimpleNamespace(scenario=None, format="md", output=None, seed=None)
-    commands = []
+    words = []
     rest = iter(argv)
     for arg in rest:
         if not _is_option(arg):
-            commands.append(arg)
+            words.append(arg)
             continue
         if arg in ("-h", "--help"):
             return None
@@ -501,18 +497,18 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
                 raise _UsageError(f"argument {flag}: invalid int value: {value!r}") from None
         setattr(args, name, value)
     missing = []
-    if not commands:
+    if not words:
         missing.append("command")
     if args.scenario is None:
         missing.append("-s/--scenario")
     if missing:
         raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if commands[0] not in COMMANDS:
-        raise _UsageError(f"argument command: invalid choice: {commands[0]!r} "
-                          f"(choose from {', '.join(map(repr, COMMANDS))})")
-    if len(commands) > 1:
-        raise _UsageError(f"unrecognized arguments: {' '.join(commands[1:])}")
-    args.command = commands[0]
+    if words[0] not in commands():
+        raise _UsageError(f"argument command: invalid choice: {words[0]!r} "
+                          f"(choose from {', '.join(map(repr, commands()))})")
+    if len(words) > 1:
+        raise _UsageError(f"unrecognized arguments: {' '.join(words[1:])}")
+    args.command = words[0]
     return args
 
 
@@ -526,34 +522,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"{_USAGE}gridshare: error: {exc}\n")
         return 2
     if args is None:
-        sys.stdout.write(_HELP)
+        sys.stdout.write(_HELP.format(", ".join(commands())))
         return 0
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read())
-    except OSError as exc:
+            document = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     try:
+        scenario = parse_scenario(document)
         if args.seed is not None:
             scenario = _with_seed(scenario, args.seed, sweep=args.command == "sweep")
-        text = _runners()[args.command](scenario, args.format)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        text = globals()[f"run_{args.command}"](scenario, args.format)
     except GridShareError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.output:
+        return 1 if isinstance(exc, ScenarioError) else 2
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -41,6 +41,10 @@ class SlotKind(Enum):
     SPECIAL = "S"
     UPLINK = "U"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"TDD cycle entry must be 'D', 'S' or 'U', got {value!r}")
+
 
 class ReLabel(IntEnum):
     """Closed label alphabet for resource elements.

@@ -361,6 +361,8 @@ def parse_scenario(document: Union[str, dict]) -> Scenario:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+            raise ScenarioError(f"invalid JSON: {exc}") from None
     return check_scenario(SCENARIO.read(document, ""))
 
 

@@ -13,8 +13,10 @@ import pytest
 
 import gridshare
 from gridshare import ScenarioError, cli, emit_scenario, parse_scenario
+from gridshare import scenario as scenario_module
 from gridshare.cli import build_grid, main
 from gridshare.mrss import simulate
+from gridshare.scenario import SWEEP_COMMANDS
 
 import dense_reference as ref
 
@@ -39,7 +41,7 @@ def table3(tmp_path):
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # Every command on every shipped scenario in every format.
-GOLDEN_CASES = [(c, s, f) for c in cli.COMMANDS for s in sorted(p.stem for p in SCENARIOS.glob("*.json"))
+GOLDEN_CASES = [(c, s, f) for c in cli.commands() for s in sorted(p.stem for p in SCENARIOS.glob("*.json"))
                 for f in cli.FORMATS]
 
 
@@ -327,14 +329,14 @@ class TestSweepCommand:
         emitted = json.dumps(emit_scenario(scenario))
         params = scenario.sweep.parameters
         values = [json.dumps(p.values) for p in params]
-        real_records = cli._records
+        report = cli.REPORTS["simulate"]
         points = []
 
-        def spy(maps):
-            record = real_records(maps)["simulate"]
-            return {"simulate": lambda point: points.append(point) or record(point)}
+        def spy(point, maps):
+            points.append(point)
+            return report.record(point, maps)
 
-        monkeypatch.setattr(cli, "_records", spy)
+        monkeypatch.setitem(cli.REPORTS, "simulate", report._replace(record=spy))
         cli.run_sweep(scenario, "json")
         assert json.dumps(emit_scenario(scenario)) == emitted
         assert [json.dumps(p.values) for p in params] == values
@@ -432,7 +434,7 @@ class TestCommandLine:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.startswith("usage: gridshare ")
-        assert all(command in out for command in cli.COMMANDS)
+        assert all(command in out for command in cli.commands())
 
     @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"]])
     def test_negative_seed_is_a_value(self, capsys, seed):
@@ -509,6 +511,43 @@ class TestErrors:
             _, a, _ = run(capsys, command, "-s", path, "-f", "md")
             _, b, _ = run(capsys, command, "-s", path, "-f", "md")
             assert a == b
+
+
+# Scenario files that are not JSON text gridshare can read, each with the
+# start of the one error line it gives.
+UNREADABLE = {
+    "not_utf8": (b'{"carrier": "\xff"}', "error: cannot read scenario: 'utf-8' codec can't decode"),
+    "long_integer": (b'{"seed": 1' + b"0" * 5000 + b"}", "error: invalid JSON: Exceeds the limit"),
+    "deep_nesting": (b"[" * 100_000 + b"]" * 100_000,
+                     "error: invalid JSON: maximum recursion depth exceeded"),
+}
+
+
+class TestUnreadableInputAndOutput:
+    """A scenario that is not JSON text, or a report path that cannot be
+    written, is one `error:` line and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_scenario_that_is_not_json_text(self, capsys, tmp_path, case):
+        data, start = UNREADABLE[case]
+        path = tmp_path / f"{case}.json"
+        path.write_bytes(data)
+        proc = run_process("budget", "-s", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(start)
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert run(capsys, "budget", "-s", str(path)) == (1, "", proc.stderr)
+
+    @pytest.mark.parametrize("target", ["missing_dir/report.md", "."])
+    def test_report_path_that_cannot_be_written(self, capsys, tmp_path, target):
+        output = tmp_path / target
+        argv = ("budget", "-s", str(SCENARIOS / "table1.json"), "-o", str(output))
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: cannot write report: [Errno ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert run(capsys, *argv) == (1, "", proc.stderr)
+        assert not (tmp_path / "missing_dir").exists()
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -703,8 +742,10 @@ class TestRecords:
         scenario = parse_scenario((SCENARIOS / name).read_text())
         accepted = []
         for command in REPORTS:
+            report = cli.REPORTS[command]
             try:
-                record = getattr(cli, f"{command}_record")(scenario)
+                cli._require(command, report.requires, scenario)
+                record = report.record(scenario, cli.build_map)
             except ScenarioError:
                 continue
             accepted.append(command)
@@ -837,6 +878,75 @@ class TestTables:
         assert rows
         for row in rows:
             assert [c.key for c in table] == list(row)
+
+
+def toy_record(scenario, maps):
+    return {"n_prb": scenario.carrier.n_prb, "shared_pool": maps(scenario).shared_pool_size}
+
+
+class TestReportTable:
+    def test_the_table_is_the_sweep_commands(self):
+        assert tuple(cli.REPORTS) == SWEEP_COMMANDS
+        assert cli.commands() == (*SWEEP_COMMANDS, "sweep")
+        runners = [getattr(cli, f"run_{name}") for name in cli.commands()]
+        assert [r.__name__ for r in runners] == [f"run_{name}" for name in cli.commands()]
+        assert len(set(runners)) == len(runners)
+
+    @pytest.mark.parametrize("name,drop,command,missing", [
+        ("mrss_sweep.json", ["policy"], "simulate", "a 'policy' section"),
+        ("mrss_sweep.json", ["policy", "traffic"], "simulate", "a 'traffic' section"),
+        ("mrss_sweep.json", ["nr"], "overhead", "an 'nr' section"),
+        ("mrss_sweep.json", ["sweep"], "sweep", "a 'sweep' section"),
+        ("neighbor_interference.json", ["mitigation"], "interference", "a 'mitigation' section"),
+        ("neighbor_interference.json", ["mitigation", "lte"], "interference", "an 'lte' section"),
+    ])
+    def test_the_first_missing_section_is_named_at_its_path(
+            self, capsys, tmp_path, name, drop, command, missing):
+        doc = json.loads((SCENARIOS / name).read_text())
+        for key in drop:
+            del doc[key]
+        section = missing.split("'")[1]
+        assert run(capsys, command, "-s", write_doc(tmp_path, doc)) == (
+            1, "", f"error: {section}: {command} command requires {missing}\n")
+
+    def test_a_missing_section_at_a_sweep_point_is_named_with_the_point(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["sweep"] = {"command": "simulate",
+                        "parameters": [{"path": "policy", "values": ["ProportionalShare", None]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == ("error: sweep point 1 (policy=null): policy: simulate command requires "
+                       "a 'policy' section\n")
+
+    def test_a_toy_report_is_one_row(self, capsys, monkeypatch, tmp_path):
+        table = (cli.Column(0, "Quantity ({unit})", "quantity"), cli.Column(1, "Value", "value", "{:,}"))
+        toy = cli.Report(("traffic",), toy_record, table, fill=lambda scenario: {"unit": "REs"})
+        monkeypatch.setitem(cli.REPORTS, "toy", toy)
+        monkeypatch.setattr(cli, "run_toy", cli._runner("toy"), raising=False)
+        monkeypatch.setattr(scenario_module, "SWEEP_COMMANDS", SWEEP_COMMANDS + ("toy",))
+        doc = mrss_sweep_doc()
+        pools = []
+        for n_prb in (272, 273):
+            doc["carrier"]["n_prb"] = n_prb
+            pools.append(cli.classify_record(parse_scenario(doc))["shared_pool"])
+        path = write_doc(tmp_path, doc)
+        assert run(capsys, "toy", "-s", path, "-f", "json") == (
+            0, json.dumps({"n_prb": 273, "shared_pool": pools[1]}, indent=2) + "\n", "")
+        assert run(capsys, "toy", "-s", path, "-f", "md") == (
+            0, "| Quantity (REs) | Value |\n| --- | --- |\n| n_prb | 273 |\n"
+               f"| shared_pool | {pools[1]:,} |\n", "")
+        assert run(capsys, "toy", "-s", path, "-f", "csv") == (
+            0, f"quantity,value\nn_prb,273\nshared_pool,{pools[1]}\n", "")
+        doc["sweep"] = {"command": "toy", "parameters": [{"path": "carrier.n_prb", "values": [272, 273]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [
+            {"point": i, "carrier.n_prb": n, "n_prb": n, "shared_pool": pool}
+            for i, (n, pool) in enumerate(zip((272, 273), pools))]
+        assert "toy" in run(capsys, "--help")[1]
+        del doc["traffic"]
+        assert run(capsys, "toy", "-s", write_doc(tmp_path, doc)) == (
+            1, "", "error: traffic: toy command requires a 'traffic' section\n")
 
 
 class TestSweepRecords:

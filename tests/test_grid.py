@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,9 +54,10 @@ class TestConfigValidation:
         cycle = (SlotKind.DOWNLINK, SlotKind.SPECIAL, SlotKind.UPLINK)
         for given_cycle in ("DSU", ["D", "S", "U"], cycle, ["D", SlotKind.SPECIAL, "U"]):
             assert TddPattern(given_cycle).cycle == cycle
-        # An entry that is neither once passed through as it was.
-        for bad in (["D", 7], ["D", None], ["D", "X"]):
-            with pytest.raises(ValueError):
+        # An entry that is neither is a ConfigError naming it.
+        for bad, shown in ((["D", 7], "7"), (["D", None], "None"), (["D", "X"], "'X'"),
+                           ("DX", "'X'"), (["D", [1]], "[1]")):
+            with pytest.raises(ConfigError, match=rf"TDD cycle entry .* got {re.escape(shown)}$"):
                 TddPattern(bad)
 
     def test_tdd_requires_pattern(self):

@@ -236,7 +236,7 @@ def test_cli_exit_code_for_every_command(doc):
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for command in cli.COMMANDS:
+        for command in cli.commands():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([command, "-s", path, "-f", "json"])
@@ -414,6 +414,11 @@ def swept_parameters(draw):
     return params
 
 
+def spy_report(got):
+    """The `classify` report with a record that appends each point to `got`."""
+    return cli.REPORTS["classify"]._replace(record=lambda point, maps: got.append(point))
+
+
 def full_parse_points(scenario):
     """The points of a sweep as full parses of each point's document, and
     the error of the first failing point, as `run_sweep` names it."""
@@ -448,7 +453,7 @@ def test_sweep_points_equal_full_parses_of_their_documents(base_doc, params):
     # can pass by reading what the other wrote.
     want, want_error = full_parse_points(parse_scenario(copy.deepcopy(doc)))
     got, got_error = [], None
-    with mock.patch.object(cli, "_records", lambda maps: {"classify": got.append}):
+    with mock.patch.dict(cli.REPORTS, classify=spy_report(got)):
         try:
             cli.run_sweep(parse_scenario(copy.deepcopy(doc)), "json")
         except ScenarioError as exc:
@@ -465,7 +470,7 @@ def test_a_point_writes_only_into_its_own_copies():
     doc = dict(BASE, sweep={"command": "classify", "parameters": params})
     want, want_error = full_parse_points(parse_scenario(copy.deepcopy(doc)))
     got = []
-    with mock.patch.object(cli, "_records", lambda maps: {"classify": got.append}):
+    with mock.patch.dict(cli.REPORTS, classify=spy_report(got)):
         cli.run_sweep(parse_scenario(copy.deepcopy(doc)), "json")
     assert want_error is None
     assert [p.mrss.sixg_ssb.prbs for p in got] == [20, 20]

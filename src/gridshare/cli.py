@@ -197,7 +197,7 @@ SLOT_TABLE = tuple(Column(i, name, name) for i, name in enumerate(
     ("slot", "pool", "demand_5g", "demand_6g", "grant_5g", "grant_6g", "unused")))
 
 
-def slot_rows(scenario: Scenario, maps: MapBuilder) -> tuple:
+def simulate_csv(scenario: Scenario, maps: MapBuilder) -> tuple:
     """The `simulate` csv: SLOT_TABLE and a row per slot, read from the
     SimResult, since the record holds no drops. Each slot's demand is its
     grant plus what was dropped: the one draw."""
@@ -244,7 +244,7 @@ REPORTS: Dict[str, Report] = {
                        fill=lambda scenario: {"period_ms": scenario.nr.period_ms}),
     "classify": Report((), classify_record, CELLS_TABLE),
     "simulate": Report(("traffic", "policy"), simulate_record, METRIC_TABLE,
-                       rows=lambda record: record["summary"].items(), csv=slot_rows),
+                       rows=lambda record: record["summary"].items(), csv=simulate_csv),
     "interference": Report(("lte", "mitigation"), interference_record, METRIC_TABLE),
 }
 

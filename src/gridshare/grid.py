@@ -1,13 +1,14 @@
 """Carrier configuration and the labeled time-frequency grid.
 
 The grid is a (slot, symbol, subcarrier) lattice where every resource
-element carries exactly one label, one byte. A `Lattice` stores each
-distinct slot once, as a row of 14 x n_sc labels in symbol-major order: an
-LTE carrier repeats a few subframe structures, so a 1000-subframe grid holds
-four rows and a slot -> row index. Every row is an immutable byte string,
-and every read and write works on byte strings, with the standard library
+element carries exactly one label, one byte. A `Lattice` is its slots:
+each slot's labels are one row, an immutable `bytes` of 14 x n_sc labels in
+symbol-major order, and equal slots share one row object. An LTE carrier
+repeats a few subframe structures, so a 1000-subframe grid holds four
+rows. Every read and write works on byte strings, with the standard library
 only: a block of a slot is one slice of its row per symbol (`Window`), a
-free check compares a slice with zero bytes, and a count is `bytes.count`.
+free check compares a slice with zero bytes, and a row's per-label counts
+are a function of the row (`label_counts`), taken once per distinct row.
 
 A `ResourceGrid` is an immutable value: its lattice is read-only. A grid is
 built in one writable lattice: take a fresh one from `new_labels`, place
@@ -15,8 +16,8 @@ each stage's footprints into it, and wrap it once in a `ResourceGrid`
 (`cli.build_grid` places LTE and then NR this way). The public stages
 `apply_lte` and `apply_nr` place into a copy of a finished grid's lattice,
 which shares its rows. Every footprint goes through `place_slots`, so no
-write relabels a cell or touches an uplink/guard cell; a write replaces
-each row it changes, so no other slot or lattice sees it. A placement
+write relabels a cell or touches an uplink/guard cell; a write stores a new
+row in the slots it names, so no other slot or lattice sees it. A placement
 names its block of each slot by two ranges (symbols, subcarriers), as a
 `Window` does, and its footprint is an int label or the block's bytes in
 the order a `Window` reads them. An MRSS map (`mrss`) is a labeled grid
@@ -25,9 +26,10 @@ too; its stages relabel shared-pool cells in a copy of its grid's lattice.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from enum import Enum, IntEnum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, ConflictError
 from .value import value
@@ -167,102 +169,73 @@ class CarrierConfig:
 
 
 class Lattice:
-    """A label lattice that stores each distinct slot once.
+    """A label lattice whose equal slots share one row.
 
-    `rows` holds the distinct slot contents, each a `bytes` of 14 x n_sc
-    labels in symbol-major order, and `slot_rows[s]` is the row of slot s.
-    Two lattices are equal when every slot holds the same labels, however
+    `slots[s]` is slot s's labels, a `bytes` of 14 x n_sc labels in
+    symbol-major order, and equal slots hold one shared object. Two
+    lattices are equal when every slot holds the same labels, however
     their rows are shared.
 
     Rows are immutable, so lattices and slots share them freely: a copy
-    shares every row, and a write replaces the rows it changes. A write
-    names its slots and first gives them rows of their own (`own`), so the
-    rows it replaces serve no other slot. `freeze` merges equal rows, so a
-    frozen lattice holds each distinct slot content once; its rows and
-    index become tuples and it takes no further write.
+    shares every row, and a write (`rewrite`) groups its slots by the row
+    they hold and stores one new row per group in those slots alone, so no
+    other slot or lattice sees it. `freeze` merges equal rows into one
+    object, so a frozen lattice holds each distinct slot content once; its
+    slots become a tuple and it takes no further write.
     """
 
-    __slots__ = ("rows", "slot_rows")
+    __slots__ = ("slots",)
 
-    def __init__(self, rows: List[bytes], slot_rows: List[int]):
-        self.rows = rows
-        self.slot_rows = slot_rows
-
-    def _slots(self) -> tuple:
-        return tuple(map(self.rows.__getitem__, self.slot_rows))
+    def __init__(self, slots: Sequence[bytes]):
+        self.slots = slots
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
-        return self._slots() == other._slots()
+        return tuple(self.slots) == tuple(other.slots)
 
     def __hash__(self):
-        return hash(self._slots())
+        return hash(tuple(self.slots))
 
     @property
     def n_sc(self) -> int:
-        return len(self.rows[0]) // SYMBOLS_PER_SLOT
+        return len(self.slots[0]) // SYMBOLS_PER_SLOT
 
     @property
     def shape(self) -> Tuple[int, int, int]:
-        return (len(self.slot_rows), SYMBOLS_PER_SLOT, self.n_sc)
-
-    def row(self, slot: int) -> bytes:
-        """The row holding the slot's labels."""
-        return self.rows[self.slot_rows[slot]]
+        return (len(self.slots), SYMBOLS_PER_SLOT, self.n_sc)
 
     def slot_set(self, slots: Sequence[int]) -> List[int]:
         """The named slots, sorted and distinct; IndexError for one out of range."""
         named = sorted(set(slots))
-        if named and not 0 <= named[0] <= named[-1] < len(self.slot_rows):
+        if named and not 0 <= named[0] <= named[-1] < len(self.slots):
             bad = named[0] if named[0] < 0 else named[-1]
-            raise IndexError(f"slot {bad} out of range for {len(self.slot_rows)} slots")
+            raise IndexError(f"slot {bad} out of range for {len(self.slots)} slots")
         return named
 
-    def first_slots(self, slots: Sequence[int]) -> List[Tuple[int, int]]:
-        """(first slot, row) for each row the sorted slots hold, by first slot."""
-        backwards = slots[::-1]  # a later (smaller) slot overwrites a larger one
-        first = dict(zip(map(self.slot_rows.__getitem__, backwards), backwards))
-        return sorted((s, r) for r, s in first.items())
+    def by_row(self, slots: Sequence[int]) -> Dict[bytes, List[int]]:
+        """The named slots (`slot_set`) by the row they hold, groups in slot order."""
+        groups: Dict[bytes, List[int]] = {}
+        for s in self.slot_set(slots):
+            groups.setdefault(self.slots[s], []).append(s)
+        return groups
 
-    def multiplicity(self) -> List[int]:
-        """Per row, how many slots it serves."""
-        counts = Counter(self.slot_rows)
-        return [counts[r] for r in range(len(self.rows))]
+    def rewrite(self, slots: Sequence[int], change: Callable[[bytes], bytes]) -> None:
+        """Store `change(row)` in the named slots, once per row they hold."""
+        for row, group in self.by_row(slots).items():
+            new = change(row)
+            for s in group:
+                self.slots[s] = new
 
     def copy(self) -> "Lattice":
         """A writable lattice of the same slots that shares every row."""
-        return Lattice(list(self.rows), list(self.slot_rows))
-
-    def own(self, slots: Sequence[int]) -> List[int]:
-        """Rows that only the named slots hold, one per distinct row they held,
-        for a write to replace. The named slots of a held row that also
-        serves a slot outside `slots` move to a new index holding the same
-        bytes. No row is left without a slot."""
-        named = self.slot_set(slots)
-        held = list(map(self.slot_rows.__getitem__, named))
-        mine, total = Counter(held), self.multiplicity()
-        out = []
-        for r in sorted(mine):
-            if mine[r] < total[r]:
-                new = len(self.rows)
-                for s, q in zip(named, held):
-                    if q == r:
-                        self.slot_rows[s] = new
-                self.rows.append(self.rows[r])
-                r = new
-            out.append(r)
-        return out
+        return Lattice(list(self.slots))
 
     def freeze(self) -> "Lattice":
         """Merge equal rows, then make the lattice read-only; returns it."""
-        if isinstance(self.rows, tuple):
-            return self
-        kept: Dict[bytes, int] = {}
-        merged = [kept.setdefault(row, len(kept)) for row in self.rows]
-        if len(kept) < len(self.rows):
-            self.slot_rows = [merged[r] for r in self.slot_rows]
-        self.rows, self.slot_rows = tuple(kept), tuple(self.slot_rows)
+        if not isinstance(self.slots, tuple):
+            kept: Dict[bytes, bytes] = {}
+            self.slots = tuple([kept.setdefault(row, row) for row in self.slots])
         return self
 
 
@@ -294,21 +267,19 @@ def new_labels(config: CarrierConfig) -> Lattice:
     """A fresh writable label lattice, one row per slot kind of the carrier;
     TDD uplink/guard symbols are pre-labeled."""
     cycle = config.tdd_pattern.cycle if config.duplex == "TDD" else (SlotKind.DOWNLINK,)
-    kinds = list(dict.fromkeys(cycle))
     n_sc = config.n_subcarriers
-    rows = []
-    for kind in kinds:
+    rows = {}
+    for kind in set(cycle):
         if kind is SlotKind.UPLINK:
             dl, guard = 0, 0
         elif kind is SlotKind.SPECIAL:
             dl, guard, _ul = config.tdd_pattern.special_split
         else:
             dl, guard = SYMBOLS_PER_SLOT, 0
-        rows.append(bytes(dl * n_sc)
-                    + bytes((ReLabel.GUARD_SYMBOL,)) * (guard * n_sc)
-                    + bytes((ReLabel.UPLINK_SYMBOL,)) * ((SYMBOLS_PER_SLOT - dl - guard) * n_sc))
-    index = [kinds.index(kind) for kind in cycle]
-    return Lattice(rows, index * (config.n_slots // len(cycle)))
+        rows[kind] = (bytes(dl * n_sc)
+                      + bytes((ReLabel.GUARD_SYMBOL,)) * (guard * n_sc)
+                      + bytes((ReLabel.UPLINK_SYMBOL,)) * ((SYMBOLS_PER_SLOT - dl - guard) * n_sc))
+    return Lattice([rows[kind] for kind in cycle] * (config.n_slots // len(cycle)))
 
 
 def make_grid(config: CarrierConfig) -> ResourceGrid:
@@ -396,9 +367,9 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     ConflictError names the first taken cell (by slot, then symbol, then
     subcarrier) before anything is written. With ``rate_match`` the free
     cells are filled and the rest skipped. Each distinct row the slots hold
-    is checked once and replaced once, in a row only those slots hold
-    (`Lattice.own`): a block with no labeled cell takes the footprint
-    verbatim, and otherwise each symbol's slice merges on its own.
+    is checked once and merged once, into a new row that only those slots
+    hold (`Lattice.rewrite`): a block with no labeled cell takes the
+    footprint verbatim, and otherwise each symbol's slice merges on its own.
     """
     jobs, named = [], set()
     for slots, symbols, subcarriers, footprint in placements:
@@ -412,18 +383,22 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     if not rate_match:
         _check_free(lattice, jobs)
     for slots, window, footprint in jobs:
-        for r in lattice.own(slots):
-            row = bytearray(lattice.rows[r])
-            if window.whole is not None and not any_label(row[window.whole]):
-                row[window.whole] = footprint
-            else:
-                for part, fp in window.parts:
-                    old = row[part]
-                    if not any_label(old):
-                        row[part] = footprint[fp]
-                    elif 0 in old:
-                        row[part] = bytes([o or f for o, f in zip(old, footprint[fp])])
-            lattice.rows[r] = bytes(row)
+        lattice.rewrite(slots, functools.partial(_merge, window, footprint))
+
+
+def _merge(window: Window, footprint: bytes, row: bytes) -> bytes:
+    """The row with the footprint written on the block's UNLABELED cells."""
+    row = bytearray(row)
+    if window.whole is not None and not any_label(row[window.whole]):
+        row[window.whole] = footprint
+    else:
+        for part, fp in window.parts:
+            old = row[part]
+            if not any_label(old):
+                row[part] = footprint[fp]
+            elif 0 in old:
+                row[part] = bytes([o or f for o, f in zip(old, footprint[fp])])
+    return bytes(row)
 
 
 def any_label(cells) -> bool:
@@ -435,8 +410,8 @@ def _check_free(lattice: Lattice, jobs: List[tuple]) -> None:
     """Raise ConflictError at the first taken downlink cell under the footprints."""
     first = None
     for slots, window, footprint in jobs:
-        for slot, r in lattice.first_slots(slots):
-            row = lattice.rows[r]
+        for row, group in lattice.by_row(slots).items():
+            slot = group[0]
             if (first is not None and slot > first[0]) or (
                     window.whole is not None and not any_label(row[window.whole])):
                 continue
@@ -458,21 +433,39 @@ def _check_free(lattice: Lattice, jobs: List[tuple]) -> None:
         )
 
 
+# Rows whose counts `label_counts` keeps: more than a map and its stages hold.
+COUNTED_ROWS = 64
+
+
+@functools.lru_cache(maxsize=COUNTED_ROWS)
+def label_counts(row: bytes) -> Tuple[int, ...]:
+    """A row's cells of each label, indexed by label value: every count of
+    a lattice reads it. A row is immutable, so its counts are kept with it,
+    and a row that slots, lattices or map stages share is counted once. The
+    label of the row's first cell is counted by deleting it, until no cell
+    is left: one pass per label the row holds."""
+    counts = [0] * len(ReLabel)
+    while row:
+        label = row[0]
+        rest = row.translate(None, bytes((label,)))
+        counts[label] = len(row) - len(rest)
+        row = rest
+    return tuple(counts)
+
+
+def label_totals(lattice: Lattice) -> List[int]:
+    """Cells of each label over a lattice, indexed by label value: each
+    distinct row's `label_counts` times the number of slots that hold it."""
+    totals = [0] * len(ReLabel)
+    for row, slots in Counter(lattice.slots).items():
+        for label, n in enumerate(label_counts(row)):
+            totals[label] += n * slots
+    return totals
+
+
 def count_labels(grid: ResourceGrid) -> Dict[ReLabel, int]:
-    """Exact per-label cell counts over the whole grid.
+    """Exact per-label cell counts over the whole grid (`label_totals`).
 
     Only labels with non-zero counts appear; counts sum to the grid's cells.
-    Each distinct row is counted once (`bytes.count` per label, until the
-    row is used up) and weighted by the number of slots it serves.
     """
-    lattice = grid.lattice
-    counts = [0] * len(ReLabel)
-    for row, weight in zip(lattice.rows, lattice.multiplicity()):
-        left = len(row)
-        for label in range(len(ReLabel)):
-            n = row.count(label)
-            counts[label] += weight * n
-            left -= n
-            if not left:
-                break
-    return {ReLabel(v): c for v, c in enumerate(counts) if c}
+    return {ReLabel(v): c for v, c in enumerate(label_totals(grid.lattice)) if c}

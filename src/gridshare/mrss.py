@@ -8,11 +8,10 @@ An MRSS map is one labeled grid (`grid.ResourceGrid`): it starts as the
 grid it partitions, and each map stage relabels only shared-pool cells,
 with a label of its own (6G control growth SIXG_CONTROL, `reserve_iot`
 RESERVED_IOT, `place_6g_ssb` SIXG_SSB). A cell's category is always its
-label's, read through `_CATEGORY_OF_LABEL` when the map counts, so
-`grid.count_labels` counts a map's stage labels too. Each distinct slot is
-stored once, and every count is taken once per distinct row and spread over
-the slots that hold it. A stage writes a copy of its map's grid, which
-shares every row it does not replace.
+label's, read through `_CATEGORY_OF_LABEL` from the grid's label counts
+(`grid.label_counts`, once per distinct row), so `grid.count_labels` counts
+a map's stage labels too. A stage writes a copy of its map's grid, which
+shares every row it does not replace: a new map counts only those rows.
 """
 
 from __future__ import annotations
@@ -36,13 +35,15 @@ from .grid import (
     ResourceGrid,
     Window,
     any_label,
+    label_counts,
+    label_totals,
     place_slots,
 )
 from .lte import LteCellConfig, crs_cells
 from .pcg64 import Pcg64
 from .value import value
 
-# Category codes: the indices of a map row's per-category counts.
+# Category codes: the indices of a map's category sizes.
 CAT_NON_DL = 0
 CAT_SHARED = 1
 CAT_RESERVED = 2
@@ -79,6 +80,9 @@ _SHARED_TO_CONTROL, _SHARED_TO_IOT = (
     bytes(label if code == CAT_SHARED else old for old, code in enumerate(_CATEGORY_OF_LABEL))
     for label in (ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT)
 )
+
+# Per label value, whether the label is the shared pool's.
+_IS_SHARED = [code == CAT_SHARED for code in _CATEGORY_OF_LABEL[:len(ReLabel)]]
 
 
 class ControlModeKind(Enum):
@@ -208,9 +212,10 @@ class MrssCategoryMap:
     An immutable value, its own labeled `grid`, so one map can serve many
     `simulate` calls. The grid holds the partitioned grid's labels, except
     on the shared-pool cells that map stages relabeled; each cell's category
-    is its label's. Control growth, `reserve_iot` and `place_6g_ssb` return
-    new maps whose grids share every row they do not replace. Anything but a
-    `ResourceGrid` is a ConfigError.
+    is its label's, and its sizes and per-slot pool read the grid's label
+    counts through `_CATEGORY_OF_LABEL`. Control growth, `reserve_iot` and
+    `place_6g_ssb` return new maps whose grids share every row they do not
+    replace. Anything but a `ResourceGrid` is a ConfigError.
     """
 
     grid: ResourceGrid
@@ -221,36 +226,33 @@ class MrssCategoryMap:
 
     @property
     def shared_pool_size(self) -> int:
-        return self._size(CAT_SHARED)
+        return self._sizes[CAT_SHARED]
 
     @property
     def reserved_size(self) -> int:
-        return self._size(CAT_RESERVED)
+        return self._sizes[CAT_RESERVED]
 
     @property
     def control_region_size(self) -> int:
-        return self._size(CAT_CONTROL)
+        return self._sizes[CAT_CONTROL]
 
     @property
     def downlink_size(self) -> int:
-        return self.grid.n_cells - self._size(CAT_NON_DL)
+        return self.grid.n_cells - self._sizes[CAT_NON_DL]
 
     @cached_property
-    def _row_counts(self) -> Tuple[List[Tuple[int, int, int, int]], List[int]]:
-        """Per distinct row, its cells of each category and the number of
-        slots it serves: the map's one count."""
-        lattice = self.grid.lattice
-        return _counts_per_row(lattice), lattice.multiplicity()
-
-    def _size(self, code: int) -> int:
-        per_row, slots = self._row_counts
-        return sum(n[code] * m for n, m in zip(per_row, slots))
+    def _sizes(self) -> List[int]:
+        """Cells of each category: the grid's label totals, by category."""
+        sizes = [0, 0, 0, 0]
+        for label, n in enumerate(label_totals(self.grid.lattice)):
+            sizes[_CATEGORY_OF_LABEL[label]] += n
+        return sizes
 
     def shared_cells_per_slot(self) -> array:
-        """Shared-pool cells of each slot, a fresh int64 array of the counts
-        taken once per map."""
-        shared = [n[CAT_SHARED] for n in self._row_counts[0]]
-        return array("q", map(shared.__getitem__, self.grid.lattice.slot_rows))
+        """Shared-pool cells of each slot from its row's label counts, a fresh int64 array."""
+        slots = self.grid.lattice.slots
+        shared = {row: sum(itertools.compress(label_counts(row), _IS_SHARED)) for row in set(slots)}
+        return array("q", map(shared.__getitem__, slots))
 
 
 @value
@@ -282,21 +284,6 @@ class InterferenceReport:
     dirty_re: int
 
 
-def _counts_per_row(lattice: Lattice) -> List[Tuple[int, int, int, int]]:
-    """Cells of each category (non-DL, shared, reserved, control) in each row
-    of a label lattice."""
-    out = []
-    for row in lattice.rows:
-        categories = row.translate(_CATEGORY_OF_LABEL)
-        shared = categories.count(CAT_SHARED)
-        if shared == len(row):
-            out.append((0, shared, 0, 0))
-            continue
-        non_dl, control = categories.count(CAT_NON_DL), categories.count(CAT_CONTROL)
-        out.append((non_dl, shared, len(row) - non_dl - shared - control, control))
-    return out
-
-
 def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode()) -> MrssCategoryMap:
     """Partition downlink-capable cells into shared pool, reserved, control.
 
@@ -307,20 +294,16 @@ def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode())
     deterministic scan order (slot, then symbol, then subcarrier) and
     relabeled SIXG_CONTROL in a copy of the grid's lattice.
     """
+    cmap = MrssCategoryMap(grid)
     grow = control_mode.footprint_factor - 1
-    if grow:
-        lattice = grid.lattice
-        per_row = _counts_per_row(lattice)
-        footprint = sum(n[CAT_CONTROL] * m for n, m in zip(per_row, lattice.multiplicity()))
-        extra = int(footprint * grow)
-        if extra > 0:
-            labels = lattice.copy()
-            _grow_control(labels, [per_row[r][CAT_SHARED] for r in lattice.slot_rows], extra)
-            grid = ResourceGrid(grid.config, labels)
-    return MrssCategoryMap(grid)
+    if grow and (extra := int(cmap.control_region_size * grow)) > 0:
+        labels = grid.lattice.copy()
+        _grow_control(labels, cmap.shared_cells_per_slot(), extra)
+        cmap = MrssCategoryMap(ResourceGrid(grid.config, labels))
+    return cmap
 
 
-def _grow_control(lattice: Lattice, shared: List[int], extra: int) -> None:
+def _grow_control(lattice: Lattice, shared: Sequence[int], extra: int) -> None:
     """Relabel the first `extra` shared-pool cells of a writable lattice, in
     scan order, as SIXG_CONTROL; `shared` counts each slot's shared-pool cells."""
     reach = list(itertools.accumulate(shared))
@@ -330,17 +313,16 @@ def _grow_control(lattice: Lattice, shared: List[int], extra: int) -> None:
         )
     # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
     whole = bisect.bisect_right(reach, extra)
-    for r in lattice.own([s for s in range(whole) if shared[s]]):
-        lattice.rows[r] = lattice.rows[r].translate(_SHARED_TO_CONTROL)
+    lattice.rewrite([s for s in range(whole) if shared[s]],
+                    lambda row: row.translate(_SHARED_TO_CONTROL))
     rest = extra - (reach[whole - 1] if whole else 0)
     if rest:
-        (r,) = lattice.own((whole,))
-        row = lattice.rows[r]
+        row = lattice.slots[whole]
         categories = row.translate(_CATEGORY_OF_LABEL)
         # The cells up to the rest-th shared one.
         end = 1 + bisect.bisect_left(range(len(row)), rest,
                                      key=lambda i: categories.count(CAT_SHARED, 0, i + 1))
-        lattice.rows[r] = row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
+        lattice.slots[whole] = row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -386,19 +368,22 @@ def reserve_iot(
     window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT),
                     range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
     lattice = cmap.grid.lattice.copy()
-    for slot, r in lattice.first_slots(slot_list):
-        cells = window.read(lattice.rows[r]).translate(_CATEGORY_OF_LABEL)
+    for row, (slot, *_) in lattice.by_row(slot_list).items():
+        cells = window.read(row).translate(_CATEGORY_OF_LABEL)
         if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
             bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
             symbol, sc = window.cell(bad)
             raise ConflictError(
                 f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool"
             )
-    for r in lattice.own(slot_list):
-        row = bytearray(lattice.rows[r])
+
+    def relabel(row: bytes) -> bytes:
+        row = bytearray(row)
         for part, _ in window.parts:
             row[part] = row[part].translate(_SHARED_TO_IOT)
-        lattice.rows[r] = bytes(row)
+        return bytes(row)
+
+    lattice.rewrite(slot_list, relabel)
     return MrssCategoryMap(ResourceGrid(cfg, lattice))
 
 
@@ -422,7 +407,7 @@ def place_6g_ssb(
     for slot, symbol, prb in occasions:
         check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
         block = (range(symbol, symbol + symbols), range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
-        if any_label(Window(cfg.n_subcarriers, *block).read(lattice.row(slot))):
+        if any_label(Window(cfg.n_subcarriers, *block).read(lattice.slots[slot])):
             raise PlacementError(
                 f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
                 "collides with a 5G footprint or leaves the shared pool"

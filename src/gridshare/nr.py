@@ -22,7 +22,7 @@ NR rate-matches around an incumbent LTE cell, lives in `budget`.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import ConfigError, PlacementError
 from .grid import (
@@ -153,11 +153,21 @@ class NrOverlaySet:
         if self.period_ms < 1:
             raise ConfigError("period_ms must be >= 1")
 
-    def check_fits(self, carrier: CarrierConfig) -> None:
+    def misfits(self, carrier: CarrierConfig) -> Iterator[Tuple[str, str]]:
+        """(dotted key, message) of each way the overlay does not fit the carrier,
+        in key order: a period other than the carrier's span, a signal wider than it."""
+        if self.period_ms != carrier.span_ms:
+            yield "period_ms", f"overlay period {self.period_ms} ms != carrier span {carrier.span_ms} ms"
         for signal in SIGNALS:
             spec = signal.spec(self)
             if spec and spec.prbs > carrier.n_prb:
-                raise ConfigError(f"{signal.name} spans {spec.prbs} PRBs > carrier {carrier.n_prb}")
+                yield (f"{signal.field}.prbs",
+                       f"{signal.name} spans {spec.prbs} PRBs > carrier {carrier.n_prb}")
+
+    def check_fits(self, carrier: CarrierConfig) -> None:
+        """ConfigError for the overlay's first misfit on the carrier, if any."""
+        for _, message in self.misfits(carrier):
+            raise ConfigError(message)
 
     def signal_counts(self, carrier: CarrierConfig) -> Dict[str, int]:
         """Closed-form RE count per signal over one period, in report order."""
@@ -223,16 +233,16 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
                               _CORESET1.label)])
     groups: Dict[tuple, List[int]] = {}
     for slot, unit in units:
-        groups.setdefault((*unit, labels.slot_rows[slot]), []).append(slot)
+        groups.setdefault((*unit, labels.slots[slot]), []).append(slot)
     placements = []
     try:
-        for (signal, kind, prbs, amount, base, dl_syms, r), slots in groups.items():
+        for (signal, kind, prbs, amount, base, dl_syms, row), slots in groups.items():
             subcarriers = range(prbs * SC_PER_PRB)
             if kind == "block":
                 symbols, footprint = range(base, base + amount), signal.label
             else:
                 symbols = range(base, dl_syms)
-                cells = Window(carrier.n_subcarriers, symbols, subcarriers).read(labels.rows[r])
+                cells = Window(carrier.n_subcarriers, symbols, subcarriers).read(row)
                 footprint = _first_free_per_prb(
                     cells, len(subcarriers), amount, f"{signal.name}: collision in slot {slots[0]}",
                     signal.label)
@@ -247,10 +257,6 @@ def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], L
     """The overlay checked against the carrier, with every check that needs
     no lattice: (CORESET1 monitored slots, units), each unit (slot, (signal,
     kind, PRBs, amount, first symbol, DL symbols of the slot)), in slot order."""
-    if overlay.period_ms != carrier.span_ms:
-        raise ConfigError(
-            f"overlay period {overlay.period_ms} ms != carrier span {carrier.span_ms} ms"
-        )
     overlay.check_fits(carrier)
 
     dl_slots = list(carrier.dl_bearing_slots())

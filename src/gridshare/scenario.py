@@ -317,7 +317,8 @@ SCENARIO = Section(Scenario, [
     ("sweep", Section(SweepSpec, [
         ("command", Leaf(lambda v: v in SWEEP_COMMANDS, "unknown sweep command {!r}"), REQUIRED),
         ("parameters", Many(Section(SweepParameter, [
-            ("path", Leaf(lambda v: v and isinstance(v, str), "must be a non-empty dotted path"),
+            ("path", Leaf(lambda v: isinstance(v, str) and all(v.split(".")),
+                          "must be a non-empty dotted path"),
              REQUIRED),
             ("values", Leaf(lambda v: v and isinstance(v, list), "must be a non-empty list", tuple),
              REQUIRED),
@@ -342,15 +343,28 @@ def _check_mrss(carrier: CarrierConfig, mrss: MrssSpec) -> None:
 
 
 def check_scenario(scenario: Scenario) -> Scenario:
-    """The scenario, after the checks that relate its sections to the carrier."""
+    """The scenario, after the checks that relate its sections to the
+    carrier and its sweep paths to each other."""
     if scenario.lte is not None:
         if scenario.carrier.scs_khz != 15:
             raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
         _call("lte.mbsfn_subframes", check_mbsfn, scenario.carrier, scenario.lte)
         for i, cell in enumerate(scenario.lte.neighbors):
             _call(f"lte.neighbors[{i}].mbsfn_subframes", check_mbsfn, scenario.carrier, cell)
+    if scenario.nr is not None:
+        for key, message in scenario.nr.misfits(scenario.carrier):
+            raise ScenarioError(message, f"nr.{key}")
     if scenario.mrss is not None:
         _check_mrss(scenario.carrier, scenario.mrss)
+    if scenario.sweep is not None:
+        # Paths overlap, so a point would set one value over the other, when
+        # one of them with a "." appended starts the other with one appended.
+        paths = [p.path + "." for p in scenario.sweep.parameters]
+        for j, path in enumerate(paths):
+            for i, other in enumerate(paths[:j]):
+                if path.startswith(other) or other.startswith(path):
+                    raise ScenarioError(f"{path[:-1]!r} overlaps {other[:-1]!r} of sweep.parameters[{i}]",
+                                        f"sweep.parameters[{j}].path")
     return scenario
 
 

@@ -38,12 +38,12 @@ CATEGORY_OF_LABEL = np.frombuffer(_CATEGORY_OF_LABEL, dtype=np.uint8)[:len(ReLab
 
 def lattice_of(arr):
     """The lattice of a dense array: each slot's labels copied into a read-only row."""
-    return Lattice([slot.tobytes() for slot in arr], list(range(len(arr))))
+    return Lattice([slot.tobytes() for slot in arr])
 
 
 def gather(lattice):
     """The dense array of a lattice: a read-only uint8 array of its shape."""
-    cells = b"".join([lattice.rows[r] for r in lattice.slot_rows])
+    cells = b"".join(lattice.slots)
     return np.frombuffer(cells, dtype=np.uint8).reshape(lattice.shape)
 
 

@@ -273,8 +273,9 @@ class TestSweepCommand:
         assert lines[0].startswith("point,traffic.demand_6g,policy,")
 
     def test_object_value_not_written_by_a_later_path(self, capsys, tmp_path):
-        # Each point sets a copy of the value at `traffic`, so `traffic.seed`
-        # below it leaves the sweep's value, and each point's column, as written.
+        # `traffic.seed` below a swept `traffic` would set a value inside the
+        # swept object, and the point's `traffic` column would not show the
+        # traffic it ran: the later path is rejected, in every format.
         traffic = {"demand_5g": 1, "demand_6g": 2}
         doc = {
             "carrier": {"scs_khz": 15, "n_prb": 1, "duplex": "FDD", "span_ms": 1},
@@ -285,13 +286,11 @@ class TestSweepCommand:
                 {"path": "traffic.seed", "values": [3, 4]},
             ]},
         }
-        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
-        assert (code, err) == (0, "")
-        records = json.loads(out)
-        assert [r["traffic"] for r in records] == [traffic, traffic]
-        assert [(r["traffic.seed"], r["summary.seed"]) for r in records] == [(3, 3), (4, 4)]
-        code, out, _ = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "csv")
-        assert out.splitlines()[1].startswith('0,"{""demand_5g"": 1, ""demand_6g"": 2}",3,')
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", fmt)
+            assert (code, out) == (1, "")
+            assert err == ("error: sweep.parameters[1].path: 'traffic.seed' overlaps "
+                           "'traffic' of sweep.parameters[0]\n")
 
     def test_swept_null_is_written_as_json_null(self, capsys, tmp_path):
         # A swept null is `null` in every format: not Python's `None` in md,
@@ -316,12 +315,12 @@ class TestSweepCommand:
         assert [r["mrss.sixg_ssb"] for r in json.loads(out)] == [None, block]
 
     def test_points_write_into_neither_the_base_nor_the_swept_values(self, monkeypatch):
-        # An object, then a path below it; two paths into one section.
+        # An object value; two paths into one section.
         doc = json.loads((SCENARIOS / "mrss_staged.json").read_text())
         doc["sweep"] = {"command": "simulate", "parameters": [
             {"path": "traffic", "values": [{"demand_5g": 900, "demand_6g": [0, 800]},
                                            doc["traffic"]]},
-            {"path": "traffic.seed", "values": [5, 6]},
+            {"path": "policy", "values": ["Priority5G", "Priority6G"]},
             {"path": "mrss.shared_fraction", "values": [0.5]},
             {"path": "mrss.iot_reservations", "values": [[], [{"prb_start": 22, "prb_stop": 24, "slots": [5]}]]},
         ]}
@@ -456,18 +455,20 @@ class TestErrors:
         assert "carrier.scs_khz" in err
 
     def test_computation_error_exit_2(self, capsys, tmp_path):
-        # Valid scenario whose overlay cannot be placed on the carrier.
+        # Valid scenario whose overlay only placement rejects: 40 monitored
+        # slots on a carrier with 32 DL-bearing slots.
         doc = {
             "carrier": {"scs_khz": 30, "n_prb": 100, "duplex": "TDD",
                         "span_ms": 20,
                         "tdd_pattern": {"cycle": "DDDSU", "special_split": [6, 4, 4]}},
-            "nr": {"period_ms": 20, "coreset1": {"prbs": 270, "symbols": 2}},
+            "nr": {"period_ms": 20, "coreset1": {"prbs": 10, "symbols": 2, "slots": 40}},
         }
-        path = tmp_path / "wide.json"
+        path = tmp_path / "many.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "overhead", "-s", str(path))
         assert code == 2
         assert "CORESET 1" in err
+        assert err == "error: CORESET 1: 40 monitored slots > 32 DL-bearing slots\n"
 
     def test_lte_on_30khz_carrier_rejected(self, capsys, tmp_path):
         doc = {
@@ -620,6 +621,84 @@ def mrss_sweep_doc():
     return json.loads((SCENARIOS / "mrss_sweep.json").read_text())
 
 
+class TestNrFitsAtParseTime:
+    """An NR overlay whose period is not the carrier's span, or with a
+    signal wider than the carrier, exits 1 at its dotted path instead of
+    exit 2 from the placement; in a sweep, at the point that makes it."""
+
+    def test_coreset1_wider_than_the_carrier(self, capsys, tmp_path):
+        doc = {
+            "carrier": {"scs_khz": 30, "n_prb": 100, "duplex": "TDD",
+                        "span_ms": 20,
+                        "tdd_pattern": {"cycle": "DDDSU", "special_split": [6, 4, 4]}},
+            "nr": {"period_ms": 20, "coreset1": {"prbs": 270, "symbols": 2}},
+        }
+        code, out, err = run(capsys, "overhead", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == "error: nr.coreset1.prbs: CORESET 1 spans 270 PRBs > carrier 100\n"
+
+    def test_csi_rs_wider_than_the_carrier(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["carrier"]["n_prb"] = 270
+        code, out, err = run(capsys, "classify", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == "error: nr.csi_rs.prbs: CSI-RS spans 272 PRBs > carrier 270\n"
+
+    def test_period_other_than_the_span(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "table3.json").read_text())
+        doc["nr"]["period_ms"] = 10
+        code, out, err = run(capsys, "overhead", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == "error: nr.period_ms: overlay period 10 ms != carrier span 20 ms\n"
+
+    def test_sweep_over_the_carrier_width(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["sweep"] = {"command": "classify",
+                        "parameters": [{"path": "carrier.n_prb", "values": [273, 270]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == ("error: sweep point 1 (carrier.n_prb=270): nr.csi_rs.prbs: "
+                       "CSI-RS spans 272 PRBs > carrier 270\n")
+
+
+class TestOverlappingSweepPaths:
+    """Two sweep paths that are equal, or where one lies below the other,
+    exit 1 at the later one's path: a point would set one value over the
+    other, and the record would show a value the point did not use."""
+
+    def sweep(self, capsys, tmp_path, *paths):
+        doc = mrss_sweep_doc()
+        doc["sweep"] = {"command": "overhead",
+                        "parameters": [{"path": path, "values": [value]} for path, value in paths]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "csv")
+        assert (code, out) == (1, "")
+        return err
+
+    def test_a_path_swept_twice(self, capsys, tmp_path):
+        # The 4 beams were lost: one nr.ssb.beams column read 1.
+        err = self.sweep(capsys, tmp_path, ("nr.ssb.beams", 4), ("nr.ssb.beams", 1))
+        assert err == ("error: sweep.parameters[1].path: 'nr.ssb.beams' overlaps "
+                       "'nr.ssb.beams' of sweep.parameters[0]\n")
+
+    def test_a_path_below_a_later_one(self, capsys, tmp_path):
+        # The record read nr.ssb.beams 1 while the SSB row counted 4 beams.
+        err = self.sweep(capsys, tmp_path, ("nr.ssb.beams", 1), ("nr", mrss_sweep_doc()["nr"]))
+        assert err == "error: sweep.parameters[1].path: 'nr' overlaps 'nr.ssb.beams' of sweep.parameters[0]\n"
+
+    def test_a_path_with_an_empty_key(self, capsys, tmp_path):
+        err = self.sweep(capsys, tmp_path, ("policy", "Priority5G"), ("nr..beams", 1))
+        assert err == "error: sweep.parameters[1].path: must be a non-empty dotted path\n"
+
+    def test_sibling_paths_are_swept(self, capsys, tmp_path):
+        doc = mrss_sweep_doc()
+        doc["sweep"] = {"command": "overhead", "parameters": [
+            {"path": "nr.ssb.beams", "values": [1, 2]}, {"path": "nr.ssb.prbs", "values": [10]}]}
+        code, out, err = run(capsys, "sweep", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+        assert [(r["nr.ssb.beams"], r["rows[0].re_count"]) for r in json.loads(out)] == [
+            (1, 480), (2, 960)]
+
+
 class TestSweepMapCache:
     def test_grid_and_traffic_sweep_matches_standalone_runs(self, capsys, tmp_path):
         doc = mrss_sweep_doc()
@@ -679,7 +758,7 @@ class TestSweepMapCache:
         assert len(maps) == 18
         assert all(cmap is maps[0] for cmap in maps)
         with pytest.raises(TypeError):
-            maps[0].grid.lattice.rows[0][0] = 0
+            maps[0].grid.lattice.slots[0][0] = 0
 
 
 class TestSeedOverride:
@@ -1287,7 +1366,7 @@ class TestBuildGridOneLattice:
         assert grid.config == s.carrier
         assert np.array_equal(ref.gather(grid.lattice), ref.gather(expected.lattice))
         with pytest.raises(TypeError):
-            grid.lattice.rows[0][0] = 0
+            grid.lattice.slots[0][0] = 0
         labels = set(np.unique(ref.gather(grid.lattice)).tolist())
         assert {gridshare.ReLabel.NR_CSI_RS, gridshare.ReLabel.NR_TRS} <= labels
         if s.lte is not None:

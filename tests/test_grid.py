@@ -105,7 +105,9 @@ class TestMakeGrid:
     def test_grid_is_immutable(self):
         grid = make_grid(fdd())
         with pytest.raises(TypeError):
-            grid.lattice.rows[0][0] = 5
+            grid.lattice.slots[0][0] = 5
+        with pytest.raises(TypeError):
+            grid.lattice.slots[0] = bytes(len(grid.lattice.slots[0]))
 
 
 def _reference_count_labels(grid):

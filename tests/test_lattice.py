@@ -7,6 +7,7 @@ that stores each distinct slot once must equal it.
 
 import json
 import operator
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from gridshare import cli
+from gridshare import grid as grid_module
+from gridshare import mrss as mrss_module
 from gridshare.errors import ConfigError, GridShareError
 from gridshare.grid import (
     CarrierConfig,
@@ -23,6 +26,8 @@ from gridshare.grid import (
     ResourceGrid,
     TddPattern,
     count_labels,
+    label_counts,
+    label_totals,
     make_grid,
     new_labels,
     place_slots,
@@ -45,6 +50,7 @@ from gridshare.mrss import (
 from gridshare.nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec, place_nr
 from gridshare.scenario import parse_scenario
 
+SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 CYCLES = ["D", "DS", "DSU", "SU", "DDDSU", "DSUDD"]
 
 
@@ -150,10 +156,14 @@ def build_shared(carrier, lte, nr):
     return ResourceGrid(carrier, labels)
 
 
+def distinct_rows(lattice):
+    """The number of row objects the lattice's slots hold."""
+    return len(set(map(id, lattice.slots)))
+
+
 def assert_stores_each_slot_once(lattice):
-    assert all(type(row) is bytes for row in lattice.rows)
-    assert len(set(lattice.rows)) == len(lattice.rows)
-    assert set(lattice.slot_rows) == set(range(len(lattice.rows)))
+    assert all(type(row) is bytes for row in lattice.slots)
+    assert distinct_rows(lattice) == len(set(lattice.slots))
 
 
 class _Pools:
@@ -237,30 +247,34 @@ class TestLattice:
         cell = LteCellConfig(crs_ports=4, mbsfn_subframes=range(1, 1000, 10))
         grid = apply_lte(make_grid(carrier), cell)
         # normal, MBSFN, subframe 0 and subframe 5 mod 10.
-        assert len(grid.lattice.rows) == 4
+        assert distinct_rows(grid.lattice) == 4
         assert grid.n_cells == 1000 * 14 * 1200
 
     def test_write_over_shared_slots_copies_the_row(self):
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
+        fresh = lattice.slots[0]
         place_slots(lattice, [((1, 3), range(1), range(2), ReLabel.NR_SSB)])
-        assert lattice.slot_rows == [0, 1, 0, 1]
-        assert not any(lattice.rows[0])
-        # Every slot of row 1 is written: the row is replaced, with no new row.
+        slots = lattice.slots
+        assert slots[0] is slots[2] is fresh and slots[1] is slots[3] is not fresh
+        assert not any(fresh)
+        # Every slot of the written row is written: one new row replaces it.
+        written = slots[1]
         place_slots(lattice, [((1, 3), range(1, 2), range(1), ReLabel.NR_SSB)])
-        assert len(lattice.rows) == 2
-        assert np.count_nonzero(np.frombuffer(lattice.rows[1], dtype=np.uint8)) == 3
+        assert distinct_rows(lattice) == 2
+        assert slots[0] is slots[2] is fresh and slots[1] is slots[3] is not written
+        assert np.count_nonzero(np.frombuffer(slots[1], dtype=np.uint8)) == 3
 
     def test_copy_of_a_writable_lattice_leaves_its_source_untouched(self):
         # copy() once turned every row of its source into bytes in place.
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         place_slots(lattice, [((1, 3), range(1), range(2), ReLabel.NR_SSB)])
-        rows, objects, slot_rows = lattice.rows, list(lattice.rows), lattice.slot_rows
+        slots, objects = lattice.slots, list(lattice.slots)
         before = ref.gather(lattice)
         copy = lattice.copy()
         place_slots(copy, [(range(4), range(1, 2), range(12), ReLabel.NR_CSI_RS)])
-        assert lattice.rows is rows and lattice.slot_rows is slot_rows
-        assert len(rows) == len(objects) and all(map(operator.is_, rows, objects))
-        assert slot_rows == [0, 1, 0, 1]
+        assert lattice.slots is slots
+        assert len(slots) == len(objects) and all(map(operator.is_, slots, objects))
+        assert slots[0] is slots[2] and slots[1] is slots[3] and distinct_rows(lattice) == 2
         assert np.array_equal(ref.gather(lattice), before)
         assert (ref.gather(copy)[:, 1] == ReLabel.NR_CSI_RS).all()
 
@@ -269,7 +283,7 @@ class TestLattice:
                                 tdd_pattern=TddPattern("DSUUD", (10, 2, 2)))
 
         def rows_are_bytes(lattice):
-            return all(type(row) is bytes for row in lattice.rows)
+            return all(type(row) is bytes for row in lattice.slots)
 
         lattice = new_labels(carrier)
         assert rows_are_bytes(lattice)
@@ -292,9 +306,10 @@ class TestLattice:
         grid = make_grid(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=3))
         before = ref.gather(grid.lattice)
         copy = grid.lattice.copy()
-        assert copy.rows[0] is grid.lattice.rows[0]
+        assert all(map(operator.is_, copy.slots, grid.lattice.slots))
         place_slots(copy, [(range(3), range(14), range(12), ReLabel.NR_CSI_RS)])
-        assert copy.rows[0] is not grid.lattice.rows[0]
+        assert not any(map(operator.is_, copy.slots, grid.lattice.slots))
+        assert distinct_rows(copy) == 1
         assert np.array_equal(ref.gather(grid.lattice), before)
         assert (ref.gather(copy) == ReLabel.NR_CSI_RS).all()
 
@@ -328,6 +343,137 @@ class TestLattice:
                                   ((0,), range(5, 6), range(12), ReLabel.NR_DMRS),
                                   ((3, 2), range(7, 8), range(12), ReLabel.NR_CSI_RS)])
         assert not ref.gather(lattice).any()
+
+
+PLACED_LABELS = [ReLabel.NR_SSB, ReLabel.NR_CSI_RS, ReLabel.NR_PDCCH_CORESET1, ReLabel.LTE_CRS_P0]
+
+
+@st.composite
+def placements(draw, carrier):
+    """One placement: 1-4 slots, a block of each, and an int label or the
+    block's bytes (that label on some cells, UNLABELED on the rest)."""
+    slots = draw(st.lists(st.integers(0, carrier.n_slots - 1), min_size=1, max_size=4))
+    s0 = draw(st.integers(0, 13))
+    symbols = range(s0, draw(st.integers(s0, 14)))
+    k0 = draw(st.integers(0, carrier.n_subcarriers - 1))
+    subcarriers = range(k0, draw(st.integers(k0, carrier.n_subcarriers)))
+    label = draw(st.sampled_from(PLACED_LABELS))
+    if draw(st.booleans()):
+        return slots, symbols, subcarriers, label
+    size = len(symbols) * len(subcarriers)
+    cells = draw(st.lists(st.sampled_from([0, label]), min_size=size, max_size=size))
+    return slots, symbols, subcarriers, bytes(cells)
+
+
+def place_dense(arr, carrier, slots, symbols, subcarriers, footprint, rate_match):
+    """`place_slots` of one placement on a copy of a dense array, slot by slot."""
+    arr = arr.copy()
+    if isinstance(footprint, bytes):
+        footprint = np.frombuffer(footprint, dtype=np.uint8).reshape(len(symbols), len(subcarriers))
+    for slot in sorted(set(slots)):
+        ref.place(arr, (slot, slice(symbols.start, symbols.stop),
+                        slice(subcarriers.start, subcarriers.stop)), footprint, rate_match)
+    return arr
+
+
+@st.composite
+def map_stages(draw, carrier):
+    """A control mode, an IoT reservation and 6G SSB occasions on the carrier."""
+    kind = draw(st.sampled_from(ControlModeKind))
+    mode = ControlMode(kind, 0.5 if kind is ControlModeKind.PARTIALLY_OVERLAPPING else None)
+    p0 = draw(st.integers(0, carrier.n_prb))
+    slots = draw(st.one_of(st.none(), st.lists(st.integers(0, carrier.n_slots - 1), max_size=3)))
+    prbs, symbols = draw(st.integers(1, carrier.n_prb)), draw(st.integers(1, 4))
+    occasions = [(draw(st.integers(0, carrier.n_slots - 1)), draw(st.integers(0, 14 - symbols)),
+                  draw(st.integers(0, carrier.n_prb - prbs))) for _ in range(draw(st.integers(0, 2)))]
+    return mode, ((p0, draw(st.integers(p0, carrier.n_prb))), slots), (occasions, prbs, symbols)
+
+
+def steps(carrier):
+    return st.one_of(st.tuples(st.just("place"), placements(carrier), st.booleans()),
+                     st.just(("copy",)), st.just(("freeze",)),
+                     st.tuples(st.just("map"), map_stages(carrier)))
+
+
+class TestLatticeOperations:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_writes_copies_freezes_and_map_stages_equal_the_dense_reference(self, data):
+        """After every step the lattice's slots equal the dense array and its
+        label totals the array's per-label counts; a frozen lattice holds
+        equal slots as one object; and no step changes a lattice left behind."""
+        carrier = data.draw(carriers(data.draw(st.sampled_from([15, 30]))))
+        lattice, arr = new_labels(carrier), ref.new_labels(carrier)
+        left = []  # (lattice, its labels) of every lattice a step left behind
+        for step in data.draw(st.lists(steps(carrier), max_size=8)):
+            if step[0] == "place":
+                (slots, symbols, subcarriers, footprint), rate_match = step[1:]
+                dense, error = outcome(place_dense, arr, carrier, slots, symbols, subcarriers,
+                                       footprint, rate_match)
+                _, got_error = outcome(place_slots, lattice,
+                                       [(slots, symbols, subcarriers, footprint)], rate_match)
+                assert got_error == error
+                arr = arr if error else dense
+            elif step[0] == "copy":
+                left.append((lattice, arr))
+                lattice = lattice.copy()
+            elif step[0] == "freeze":
+                assert lattice.freeze() is lattice
+                assert_stores_each_slot_once(lattice)
+                left.append((lattice, arr))
+                lattice = lattice.copy()
+            else:
+                mode, (window, slots), (occasions, prbs, symbols) = step[1]
+                grid = ResourceGrid(carrier, lattice)
+                assert_stores_each_slot_once(grid.lattice)
+                left.append((lattice, arr))
+                dense, error = outcome(ref.classify, arr, mode)
+                cmap, got_error = outcome(classify_mrss, grid, control_mode=mode)
+                assert got_error == error
+                if error is None:
+                    categories, labels = dense
+                    assert_map_equals(cmap, grid, categories, labels)
+                    for dense_stage, stage, args in (
+                            (ref.reserve_iot, reserve_iot, (window, slots)),
+                            (ref.place_6g_ssb, place_6g_ssb, (occasions, prbs, symbols))):
+                        dense, error = outcome(dense_stage, carrier, categories, labels, *args)
+                        staged, got_error = outcome(stage, cmap, *args)
+                        assert got_error == error
+                        if error is not None:
+                            break
+                        (categories, labels), cmap = dense, staged
+                        assert_map_equals(cmap, grid, categories, labels)
+                    # Writes go on over the map's labels, which assert_map_equals checked.
+                    lattice, arr = cmap.grid.lattice.copy(), ref.gather(cmap.grid.lattice).copy()
+                else:
+                    lattice = lattice.copy()
+            assert np.array_equal(ref.gather(lattice), arr)
+            totals = {ReLabel(v): c for v, c in enumerate(label_totals(lattice)) if c}
+            assert totals == ref.count_labels(arr)
+        for kept, labels in left:
+            assert np.array_equal(ref.gather(kept), labels)
+
+
+def test_building_a_staged_map_counts_each_distinct_row_once(monkeypatch):
+    """`build_map` and the pool read take every count of the grid and its map
+    stages through `label_counts`, and count each distinct row once: the
+    grown map's unchanged rows are not counted again."""
+    scenario = parse_scenario((SCENARIOS / "mrss_staged.json").read_text())
+    seen = []
+
+    def spy(row):
+        seen.append(row)
+        return label_counts(row)
+
+    monkeypatch.setattr(grid_module, "label_counts", spy)
+    monkeypatch.setattr(mrss_module, "label_counts", spy)
+    label_counts.cache_clear()
+    cmap = cli.build_map(scenario)
+    pool = cmap.shared_cells_per_slot()
+    grid = cli.build_grid(scenario)
+    assert pool.tolist() == ref.cells_per_slot(ref.categories(cmap.grid.lattice))[CAT_SHARED].tolist()
+    assert set(seen) == set(grid.lattice.slots) | set(cmap.grid.lattice.slots)
+    assert label_counts.cache_info().misses == len(set(seen)) < len(seen)
 
 
 def lte_stress_document(n_prb, n_subframes):

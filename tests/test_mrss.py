@@ -38,7 +38,7 @@ from gridshare import (
     simulate,
 )
 import dense_reference as ref
-from gridshare import mrss
+from gridshare.grid import label_counts
 from gridshare.mrss import (
     _NON_DL_LABELS,
     CAT_CONTROL,
@@ -519,22 +519,21 @@ class TestImmutableMap:
     def test_arrays_are_read_only(self):
         cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)], prbs=20, symbols=4)
         with pytest.raises(TypeError):
-            cmap.grid.lattice.rows[0][0] = 0
+            cmap.grid.lattice.slots[0][0] = 0
         # The pool is a fresh copy: writing it leaves the map's counts as they are.
         pool = cmap.shared_cells_per_slot()
         before = pool[0]
         pool[0] = 0
         assert cmap.shared_cells_per_slot()[0] == before > 0
 
-    def test_pool_counted_once(self, monkeypatch):
+    def test_pool_counted_once(self):
         cmap = fdd_map(n_prb=2, span_ms=3)
-        counted = []
-        count = mrss._counts_per_row
-        monkeypatch.setattr(mrss, "_counts_per_row", lambda lattice: counted.append(1) or count(lattice))
+        label_counts.cache_clear()
         assert cmap.shared_cells_per_slot() is not cmap.shared_cells_per_slot()
         assert cmap.shared_cells_per_slot().tolist() == [336, 336, 336]
         assert cmap.shared_pool_size == 1008
-        assert counted == [1]
+        # The map's one distinct row is counted once; every other read is a hit.
+        assert label_counts.cache_info().misses == 1
 
 
 class TestTrafficBounds:
@@ -687,7 +686,7 @@ def assert_map_matches(cmap, grid, reference, labels):
     assert (ref.CATEGORY_OF_LABEL[grid_labels[changed]] == CAT_SHARED).all()
     assert np.isin(mapped[changed], STAGE_LABELS).all()
     with pytest.raises(TypeError):
-        cmap.grid.lattice.rows[0][0] = 0
+        cmap.grid.lattice.slots[0][0] = 0
 
 
 def relabel_taken(before, after, labels, label):

@@ -357,6 +357,14 @@ GOLDEN = [
      "sweep.parameters[0].path: must be a non-empty dotted path"),
     ("sweep.parameters", [{"path": "policy", "values": []}],
      "sweep.parameters[0].values: must be a non-empty list"),
+    ("nr.period_ms", 10, "nr.period_ms: overlay period 10 ms != carrier span 20 ms"),
+    ("nr.csi_rs.prbs", 274, "nr.csi_rs.prbs: CSI-RS spans 274 PRBs > carrier 273"),
+    ("sweep.parameters", [{"path": "policy", "values": [1]}, {"path": "policy", "values": [2]}],
+     "sweep.parameters[1].path: 'policy' overlaps 'policy' of sweep.parameters[0]"),
+    ("sweep.parameters", [{"path": "nr.ssb.beams", "values": [1]}, {"path": "nr", "values": [{}]}],
+     "sweep.parameters[1].path: 'nr' overlaps 'nr.ssb.beams' of sweep.parameters[0]"),
+    ("sweep.parameters", [{"path": "nr..beams", "values": [1]}],
+     "sweep.parameters[0].path: must be a non-empty dotted path"),
 ]
 
 
@@ -463,15 +471,30 @@ def test_sweep_points_equal_full_parses_of_their_documents(base_doc, params):
 
 
 def test_a_point_writes_only_into_its_own_copies():
-    # Point 1's first path runs through the object the second path set in
-    # point 0; were that object the base document's, it would carry prbs 5.
+    # A path that runs through the object an earlier path set (here
+    # mrss.sixg_ssb.prbs after mrss.sixg_ssb) would write into the swept
+    # value itself; such overlapping paths are rejected at parse time.
+    params = [{"path": "mrss.sixg_ssb", "values": [{"occasions": []}]},
+              {"path": "mrss.sixg_ssb.prbs", "values": [4, 5]}]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(dict(BASE, sweep={"command": "classify", "parameters": params}))
+    assert err.value.path == "sweep.parameters[1].path"
+    # Sibling paths run through one object of the base document, which each
+    # point copies before it writes.
+    base = {"mrss": {"sixg_ssb": {"prbs": 20, "symbols": 4}}}
+    point = dict(base)
+    cli._set_path(point, "mrss.sixg_ssb.prbs", 4)
+    cli._set_path(point, "mrss.sixg_ssb.symbols", 2)
+    assert base == {"mrss": {"sixg_ssb": {"prbs": 20, "symbols": 4}}}
+    assert point == {"mrss": {"sixg_ssb": {"prbs": 4, "symbols": 2}}}
     params = [{"path": "mrss.sixg_ssb.prbs", "values": [4, 5]},
-              {"path": "mrss.sixg_ssb", "values": [{"occasions": []}]}]
+              {"path": "mrss.sixg_ssb.symbols", "values": [2, 3]}]
     doc = dict(BASE, sweep={"command": "classify", "parameters": params})
     want, want_error = full_parse_points(parse_scenario(copy.deepcopy(doc)))
     got = []
     with mock.patch.dict(cli.REPORTS, classify=spy_report(got)):
         cli.run_sweep(parse_scenario(copy.deepcopy(doc)), "json")
     assert want_error is None
-    assert [p.mrss.sixg_ssb.prbs for p in got] == [20, 20]
+    assert [(p.mrss.sixg_ssb.prbs, p.mrss.sixg_ssb.symbols) for p in got] == [
+        (4, 2), (4, 3), (5, 2), (5, 3)]
     assert got == want

@@ -15,13 +15,15 @@ built in one writable lattice: take a fresh one from `new_labels`, place
 each stage's footprints into it, and wrap it once in a `ResourceGrid`
 (`cli.build_grid` places LTE and then NR this way). The public stages
 `apply_lte` and `apply_nr` place into a copy of a finished grid's lattice,
-which shares its rows. Every footprint goes through `place_slots`, so no
-write relabels a cell or touches an uplink/guard cell; a write stores a new
-row in the slots it names, so no other slot or lattice sees it. A placement
+which shares its rows. `Lattice.rewrite` is the one write: it stores new
+rows once every change has returned, so a write is all or nothing and no
+other slot or lattice sees it. Every footprint goes through `place_slots`,
+so no write relabels a cell or touches an uplink/guard cell. A placement
 names its block of each slot by two ranges (symbols, subcarriers), as a
-`Window` does, and its footprint is an int label or the block's bytes in
-the order a `Window` reads them. An MRSS map (`mrss`) is a labeled grid
-too; its stages relabel shared-pool cells in a copy of its grid's lattice.
+`Window` does; its footprint is an int label, the block's bytes in the
+order a `Window` reads them, or a function of the block that gives them.
+An MRSS map (`mrss`) is a labeled grid too; its stages relabel shared-pool
+cells in a copy of its grid's lattice.
 """
 
 from __future__ import annotations
@@ -177,11 +179,11 @@ class Lattice:
     their rows are shared.
 
     Rows are immutable, so lattices and slots share them freely: a copy
-    shares every row, and a write (`rewrite`) groups its slots by the row
-    they hold and stores one new row per group in those slots alone, so no
-    other slot or lattice sees it. `freeze` merges equal rows into one
-    object, so a frozen lattice holds each distinct slot content once; its
-    slots become a tuple and it takes no further write.
+    shares every row, and `rewrite`, the one write, stores each new row in
+    the slots it names alone, so no other slot or lattice sees it. `freeze`
+    merges equal rows into one object, so a frozen lattice holds each
+    distinct slot content once; its slots become a tuple and it takes no
+    further write.
     """
 
     __slots__ = ("slots",)
@@ -205,27 +207,31 @@ class Lattice:
     def shape(self) -> Tuple[int, int, int]:
         return (len(self.slots), SYMBOLS_PER_SLOT, self.n_sc)
 
-    def slot_set(self, slots: Sequence[int]) -> List[int]:
-        """The named slots, sorted and distinct; IndexError for one out of range."""
-        named = sorted(set(slots))
-        if named and not 0 <= named[0] <= named[-1] < len(self.slots):
-            bad = named[0] if named[0] < 0 else named[-1]
-            raise IndexError(f"slot {bad} out of range for {len(self.slots)} slots")
-        return named
-
-    def by_row(self, slots: Sequence[int]) -> Dict[bytes, List[int]]:
-        """The named slots (`slot_set`) by the row they hold, groups in slot order."""
-        groups: Dict[bytes, List[int]] = {}
-        for s in self.slot_set(slots):
-            groups.setdefault(self.slots[s], []).append(s)
-        return groups
-
-    def rewrite(self, slots: Sequence[int], change: Callable[[bytes], bytes]) -> None:
-        """Store `change(row)` in the named slots, once per row they hold."""
-        for row, group in self.by_row(slots).items():
-            new = change(row)
+    def rewrite(self, writes: Sequence[Tuple[Sequence[int], Callable[[int, bytes], bytes]]]) -> None:
+        """Each write is (slots, change): `change(slot, row)` gives the new
+        content of each distinct row the named slots hold, `slot` being the
+        first that holds it, and only those slots take it. Writes name
+        disjoint slots in range (else ConfigError, IndexError). Changes run
+        in order of their first slot, and rows are stored once all have
+        returned: the lowest slot's error is raised, and nothing is written."""
+        named, changes = set(), []
+        for slots, change in writes:
+            slots = sorted(set(slots))
+            if slots and not 0 <= slots[0] <= slots[-1] < len(self.slots):
+                bad = slots[0] if slots[0] < 0 else slots[-1]
+                raise IndexError(f"slot {bad} out of range for {len(self.slots)} slots")
+            if shared := named.intersection(slots):
+                raise ConfigError(f"placements of one call share slot {min(shared)}")
+            named.update(slots)
+            groups: Dict[bytes, List[int]] = {}
+            for s in slots:
+                groups.setdefault(self.slots[s], []).append(s)
+            changes.extend((group, change, row) for row, group in groups.items())
+        rows = [(group, change(group[0], row))
+                for group, change, row in sorted(changes, key=lambda job: job[0][0])]
+        for group, row in rows:
             for s in group:
-                self.slots[s] = new
+                self.slots[s] = row
 
     def copy(self) -> "Lattice":
         """A writable lattice of the same slots that shares every row."""
@@ -334,103 +340,87 @@ def _window(symbols, subcarriers, n_sc: int) -> Window:
 
 def _footprint(footprint, size: int) -> bytes:
     """A footprint, an int label or bytes of one label per cell of a block of
-    `size` cells, as the block's bytes; any other footprint is a ConfigError."""
+    `size` cells, as the block's bytes; any other footprint, or a label that
+    marks no downlink cell (outside 0..RESERVED_IOT), is a ConfigError."""
     if isinstance(footprint, int):
-        return bytes((footprint,)) * size
-    if not isinstance(footprint, bytes) or len(footprint) != size:
+        outside = b"" if 0 <= footprint < ReLabel.GUARD_SYMBOL else [footprint]
+    elif isinstance(footprint, bytes) and len(footprint) == size:
+        outside = footprint.translate(None, _DL_LABELS)
+    else:
         got = f"{len(footprint)} bytes" if isinstance(footprint, bytes) else type(footprint).__name__
         raise ConfigError(
             f"a footprint is an int label or {size} bytes, one per cell of the block, got {got}")
-    return footprint
+    if outside:
+        raise ConfigError(f"footprint label {int(outside[0])} is no downlink label 0..{ReLabel.RESERVED_IOT:d}")
+    return bytes((footprint,)) * size if isinstance(footprint, int) else footprint
 
 
 Placement = Tuple[Sequence[int], range, range, object]
 
-# GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: cells at or above it are no downlink cells.
+# GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: a footprint writes only labels below it.
 _NON_DL = bytes((ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL))
+_DL_LABELS = bytes(range(ReLabel.GUARD_SYMBOL))
 
 
 def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: bool = False) -> None:
     """Write footprints into the named slots of a writable label lattice.
 
-    This is the one write path into a label lattice. Each placement is
-    (slots, symbols, subcarriers, footprint): the two ranges name a block
-    of each slot, and `footprint` is either one int label for every cell
-    of the block or bytes of exactly the block's cells in symbol-major
-    order (as `Window` reads them), with UNLABELED marking cells outside
-    the footprint. A range outside the slot and any other footprint are a
-    ConfigError; an empty range places nothing.
-    Placements name disjoint slots: a slot that two of them name is a
-    ConfigError, raised before anything is written.
+    Every footprint is written here, in one `Lattice.rewrite`. Each
+    placement is (slots, symbols, subcarriers, footprint): the two ranges
+    name a block of each slot, and `footprint` is one int label for every
+    cell of the block, bytes of exactly the block's cells in symbol-major
+    order (as `Window` reads them), UNLABELED marking cells outside the
+    footprint, or a function of (slot, the block's labels) giving those
+    bytes. A range outside the slot, any other footprint and a label
+    outside 0..RESERVED_IOT are a ConfigError; an empty range places
+    nothing. A slot that two placements name is a ConfigError.
     Only UNLABELED cells are written; uplink and guard cells never are.
     Strict placements need all their downlink cells free: otherwise
     ConflictError names the first taken cell (by slot, then symbol, then
-    subcarrier) before anything is written. With ``rate_match`` the free
-    cells are filled and the rest skipped. Each distinct row the slots hold
-    is checked once and merged once, into a new row that only those slots
-    hold (`Lattice.rewrite`): a block with no labeled cell takes the
-    footprint verbatim, and otherwise each symbol's slice merges on its own.
+    subcarrier) and nothing is written. With ``rate_match`` the free cells
+    are filled and the rest skipped. Each distinct row is merged once.
     """
-    jobs, named = [], set()
+    writes = []
     for slots, symbols, subcarriers, footprint in placements:
         window = _window(symbols, subcarriers, lattice.n_sc)
-        slots = lattice.slot_set(slots)
-        shared = named.intersection(slots)
-        if shared:
-            raise ConfigError(f"placements of one call share slot {min(shared)}")
-        named.update(slots)
-        jobs.append((slots, window, _footprint(footprint, len(symbols) * len(subcarriers))))
-    if not rate_match:
-        _check_free(lattice, jobs)
-    for slots, window, footprint in jobs:
-        lattice.rewrite(slots, functools.partial(_merge, window, footprint))
+        if not callable(footprint):
+            footprint = _footprint(footprint, len(symbols) * len(subcarriers))
+        writes.append((slots, functools.partial(_merge, window, footprint, not rate_match)))
+    lattice.rewrite(writes)
 
 
-def _merge(window: Window, footprint: bytes, row: bytes) -> bytes:
-    """The row with the footprint written on the block's UNLABELED cells."""
+def _merge(window: Window, footprint, strict: bool, slot: int, row: bytes) -> bytes:
+    """The row with the footprint (first called on the block's labels, if
+    it reads them) on the block's UNLABELED cells; strict, ConflictError
+    names the first taken downlink cell under it, by symbol, then subcarrier."""
+    if callable(footprint):
+        footprint = _footprint(footprint(slot, window.read(row)),
+                               len(window.symbols) * len(window.subcarriers))
     row = bytearray(row)
     if window.whole is not None and not any_label(row[window.whole]):
         row[window.whole] = footprint
-    else:
-        for part, fp in window.parts:
-            old = row[part]
-            if not any_label(old):
-                row[part] = footprint[fp]
-            elif 0 in old:
-                row[part] = bytes([o or f for o, f in zip(old, footprint[fp])])
+        return bytes(row)
+    for part, fp in window.parts:
+        old, new = row[part], footprint[fp]
+        if not any_label(old):
+            row[part] = new
+            continue
+        if strict and old.translate(None, _NON_DL):
+            taken = next((i for i, (o, f) in enumerate(zip(old, new))
+                          if f and o and o < ReLabel.GUARD_SYMBOL), None)
+            if taken is not None:
+                symbol, sc = window.cell(fp.start + taken)
+                raise ConflictError(
+                    f"conflict at cell {(slot, symbol, sc)}: existing "
+                    f"{ReLabel(old[taken]).name}, new {ReLabel(new[taken]).name}")
+        if 0 in old:
+            row[part] = bytes([o or f for o, f in zip(old, new)])
     return bytes(row)
 
 
 def any_label(cells) -> bool:
     """Whether any of the cells is labeled (UNLABELED is 0)."""
     return cells != bytes(len(cells))
-
-
-def _check_free(lattice: Lattice, jobs: List[tuple]) -> None:
-    """Raise ConflictError at the first taken downlink cell under the footprints."""
-    first = None
-    for slots, window, footprint in jobs:
-        for row, group in lattice.by_row(slots).items():
-            slot = group[0]
-            if (first is not None and slot > first[0]) or (
-                    window.whole is not None and not any_label(row[window.whole])):
-                continue
-            for part, fp in window.parts:
-                old = row[part]
-                if not any_label(old) or not old.translate(None, _NON_DL):
-                    continue
-                start = fp.start
-                taken = next((i for i, (o, f) in enumerate(zip(old, footprint[fp]))
-                              if f and o and o < ReLabel.GUARD_SYMBOL), None)
-                if taken is not None:
-                    first = (slot, window.cell(start + taken), old[taken], footprint[start + taken])
-                    break
-    if first is not None:
-        slot, (symbol, sc), old, new = first
-        raise ConflictError(
-            f"conflict at cell {(slot, symbol, sc)}: existing "
-            f"{ReLabel(old).name}, new {ReLabel(new).name}"
-        )
 
 
 # Rows whose counts `label_counts` keeps: more than a map and its stages hold.

@@ -91,12 +91,18 @@ class ControlModeKind(Enum):
     SEPARATE = "Separate"
 
 
+def _check_real(name: str, v: object) -> None:
+    if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise ConfigError(f"{name} must be a real number, got {v!r}")
+
+
 @value
 class ControlMode:
     kind: ControlModeKind = ControlModeKind.FULLY_OVERLAPPING
     shared_fraction: Optional[float] = None
 
     def __post_init__(self):
+        _check_real("shared_fraction", self.shared_fraction)
         if self.kind is ControlModeKind.PARTIALLY_OVERLAPPING:
             if self.shared_fraction is None or not 0.0 <= self.shared_fraction <= 1.0:
                 raise ConfigError("PartiallyOverlapping needs shared_fraction in [0, 1]")
@@ -138,8 +144,7 @@ class Mitigation:
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown mitigation {self.kind!r}")
         eff = self.effectiveness
-        if eff is not None and (isinstance(eff, bool) or not isinstance(eff, numbers.Real)):
-            raise ConfigError(f"effectiveness must be a real number, got {eff!r}")
+        _check_real("effectiveness", eff)
         if self.kind == "ReceiverCancellation":
             if eff is None or not 0.0 <= eff <= 1.0:
                 raise ConfigError("ReceiverCancellation needs effectiveness in [0, 1]")
@@ -305,7 +310,8 @@ def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode())
 
 def _grow_control(lattice: Lattice, shared: Sequence[int], extra: int) -> None:
     """Relabel the first `extra` shared-pool cells of a writable lattice, in
-    scan order, as SIXG_CONTROL; `shared` counts each slot's shared-pool cells."""
+    scan order, as SIXG_CONTROL, in one `Lattice.rewrite`; `shared` counts
+    each slot's shared-pool cells."""
     reach = list(itertools.accumulate(shared))
     if extra > reach[-1]:
         raise PlacementError(
@@ -313,16 +319,18 @@ def _grow_control(lattice: Lattice, shared: Sequence[int], extra: int) -> None:
         )
     # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
     whole = bisect.bisect_right(reach, extra)
-    lattice.rewrite([s for s in range(whole) if shared[s]],
-                    lambda row: row.translate(_SHARED_TO_CONTROL))
     rest = extra - (reach[whole - 1] if whole else 0)
-    if rest:
-        row = lattice.slots[whole]
+
+    def turn_rest(slot: int, row: bytes) -> bytes:
         categories = row.translate(_CATEGORY_OF_LABEL)
         # The cells up to the rest-th shared one.
         end = 1 + bisect.bisect_left(range(len(row)), rest,
                                      key=lambda i: categories.count(CAT_SHARED, 0, i + 1))
-        lattice.slots[whole] = row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
+        return row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
+
+    lattice.rewrite([([s for s in range(whole) if shared[s]],
+                      lambda slot, row: row.translate(_SHARED_TO_CONTROL)),
+                     ([whole] if rest else [], turn_rest)])
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -355,20 +363,21 @@ def reserve_iot(
 ) -> MrssCategoryMap:
     """Semi-static IoT reservation: relabel shared-pool cells RESERVED_IOT.
 
-    Applies to the downlink-capable cells of the named PRBs/slots; any cell
-    there that is not currently in the shared pool is an error. The new map
-    relabels a copy of the map's grid; the map is left as it is.
+    Applies to the downlink-capable cells of the named PRBs/slots; the
+    first cell there (by slot) that is not in the shared pool is a
+    ConflictError. The new map relabels a copy of the map's grid in one
+    `Lattice.rewrite`; the map is left as it is.
     """
     cfg = cmap.grid.config
     p0, p1 = prb_range
     check_prb_range(cfg, p0, p1)
-    slot_list = list(range(cfg.n_slots)) if slots is None else sorted(set(slots))
+    slot_list = range(cfg.n_slots) if slots is None else list(slots)
     check_slots(cfg, slot_list)
 
     window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT),
                     range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
-    lattice = cmap.grid.lattice.copy()
-    for row, (slot, *_) in lattice.by_row(slot_list).items():
+
+    def relabel(slot: int, row: bytes) -> bytes:
         cells = window.read(row).translate(_CATEGORY_OF_LABEL)
         if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
             bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
@@ -376,14 +385,13 @@ def reserve_iot(
             raise ConflictError(
                 f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool"
             )
-
-    def relabel(row: bytes) -> bytes:
         row = bytearray(row)
         for part, _ in window.parts:
             row[part] = row[part].translate(_SHARED_TO_IOT)
         return bytes(row)
 
-    lattice.rewrite(slot_list, relabel)
+    lattice = cmap.grid.lattice.copy()
+    lattice.rewrite([(slot_list, relabel)])
     return MrssCategoryMap(ResourceGrid(cfg, lattice))
 
 

@@ -13,6 +13,9 @@ each PRB. A new signal is a spec class, an `NrOverlaySet` field, a
 `SIGNALS` row and, if it is placed in units, a place in `UNIT_ORDER` (and
 its entry in the scenario format).
 
+`place_nr` writes CORESET1, then every unit in one all-or-nothing write;
+an "re" unit's footprint is a function of its block's labels.
+
 `nr_plan` makes every check of an overlay against its carrier that needs no
 lattice; `place_nr` and `budget.nr_overhead` both run it, so the overhead
 table reports no overlay the grid rejects. The per-slot DSS layout, where
@@ -21,6 +24,7 @@ NR rate-matches around an incumbent LTE cell, lives in `budget`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -31,7 +35,6 @@ from .grid import (
     Lattice,
     ReLabel,
     ResourceGrid,
-    Window,
     place_slots,
 )
 from .value import value
@@ -220,11 +223,10 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     occasion) gets its own downlink slot starting at the lowest PRBs just
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme. The
-    checked plan (`nr_plan`) is placed as CORESET1, then all units in one
-    placement: no unit writes another's slot, so a pick reads its slot's row
-    after CORESET1, and units of one footprint over one row are placed as
-    one. A unit whose pick collides places the units before it first, so an
-    earlier unit's conflict is still the error raised.
+    checked plan (`nr_plan`) is placed as CORESET1, then every unit in one
+    `place_slots` call, equal units as one placement: all units or none are
+    written, and the error raised is the lowest slot's, as if each were
+    placed in turn. An "re" unit picks its cells once per distinct row.
     """
     monitored, units = nr_plan(carrier, overlay)
     if monitored:
@@ -233,24 +235,21 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
                               _CORESET1.label)])
     groups: Dict[tuple, List[int]] = {}
     for slot, unit in units:
-        groups.setdefault((*unit, labels.slots[slot]), []).append(slot)
+        groups.setdefault(unit, []).append(slot)
     placements = []
-    try:
-        for (signal, kind, prbs, amount, base, dl_syms, row), slots in groups.items():
-            subcarriers = range(prbs * SC_PER_PRB)
-            if kind == "block":
-                symbols, footprint = range(base, base + amount), signal.label
-            else:
-                symbols = range(base, dl_syms)
-                cells = Window(carrier.n_subcarriers, symbols, subcarriers).read(row)
-                footprint = _first_free_per_prb(
-                    cells, len(subcarriers), amount, f"{signal.name}: collision in slot {slots[0]}",
-                    signal.label)
-            placements.append((slots, symbols, subcarriers, footprint))
-    except PlacementError:
-        place_slots(labels, placements)
-        raise
+    for (signal, kind, prbs, amount, base, dl_syms), slots in groups.items():
+        width = prbs * SC_PER_PRB
+        if kind == "block":
+            symbols, footprint = range(base, base + amount), signal.label
+        else:
+            symbols, footprint = range(base, dl_syms), functools.partial(_pick, signal, width, amount)
+        placements.append((slots, symbols, range(width), footprint))
     place_slots(labels, placements)
+
+
+def _pick(signal: Signal, width: int, amount: int, slot: int, cells: bytes) -> bytes:
+    """An "re" unit's footprint on a block of its slot (`_first_free_per_prb`)."""
+    return _first_free_per_prb(cells, width, amount, f"{signal.name}: collision in slot {slot}", signal.label)
 
 
 def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:

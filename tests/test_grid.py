@@ -299,7 +299,7 @@ class TestPlaceReference:
             expected_error = None
         except ConflictError as exc:
             # The reference wrote the slots before the conflict; place_slots
-            # checks every slot first and writes none.
+            # stores no row of a call that fails.
             expected, expected_error = arr.copy(), str(exc)
         try:
             if not isinstance(footprint, int):
@@ -345,3 +345,53 @@ def test_footprint_of_another_shape_is_rejected(footprint):
     with pytest.raises(ConfigError, match=r"int label or 168 bytes, one per cell of the block, got "):
         place_into(arr, [((0, 1), range(14), range(12), footprint)])
     assert not arr.any()
+
+
+@pytest.mark.parametrize("footprint, shown", [
+    (bytes([200]), 200),
+    (25, 25),
+    (300, 300),
+    (-1, -1),
+    (ReLabel.UPLINK_SYMBOL, 19),
+], ids=["bytes-200", "int-25", "int-300", "int-minus-1", "uplink-symbol"])
+def test_footprint_label_outside_the_downlink_alphabet_is_rejected(footprint, shown):
+    """A footprint writes downlink labels only, 0..RESERVED_IOT: any other
+    label, as an int or in bytes, is a ConfigError before anything is written."""
+    arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
+    for rate_match in (False, True):
+        with pytest.raises(ConfigError, match=f"^footprint label {shown} is no downlink label 0..17$"):
+            place_into(arr, [((0,), range(1), range(1), ReLabel.NR_SSB),
+                             ((1,), range(1), range(1), footprint)], rate_match)
+    assert not arr.any()
+
+
+class TestFootprintThatReadsItsBlock:
+    """A footprint may be a function of (slot, the block's labels) giving
+    the block's bytes: it is called once per distinct row, with the first
+    slot that holds the row, and its bytes are checked as any footprint's."""
+
+    def test_called_once_per_distinct_row_with_its_first_slot(self):
+        arr = ref.new_labels(fdd(n_prb=1, span_ms=6))
+        arr[3, 0, 0] = ReLabel.NR_SSB
+        calls = []
+
+        def pick(slot, cells):
+            calls.append((slot, cells))
+            return bytes(ReLabel.NR_TRS if i == cells.index(0) else 0 for i in range(len(cells)))
+
+        place_into(arr, [((5, 1, 3, 4), range(1), range(2), pick)])
+        assert calls == [(1, bytes(2)), (3, bytes([ReLabel.NR_SSB, 0]))]
+        assert arr[[1, 4, 5], 0, :2].tolist() == [[ReLabel.NR_TRS, 0]] * 3
+        assert arr[3, 0, :2].tolist() == [ReLabel.NR_SSB, ReLabel.NR_TRS]
+
+    @pytest.mark.parametrize("result, message", [
+        (bytes(3), "int label or 2 bytes, one per cell of the block, got 3 bytes"),
+        (None, "int label or 2 bytes, one per cell of the block, got NoneType"),
+        (bytes([ReLabel.GUARD_SYMBOL] * 2), "footprint label 18 is no downlink label"),
+    ])
+    def test_its_bytes_are_checked_before_anything_is_written(self, result, message):
+        arr = ref.new_labels(fdd(n_prb=1, span_ms=3))
+        with pytest.raises(ConfigError, match=message):
+            place_into(arr, [((0,), range(1), range(1), ReLabel.NR_SSB),
+                             ((2,), range(1), range(2), lambda slot, cells: result)])
+        assert not arr.any()

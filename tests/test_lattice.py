@@ -264,6 +264,28 @@ class TestLattice:
         assert slots[0] is slots[2] is fresh and slots[1] is slots[3] is not written
         assert np.count_nonzero(np.frombuffer(slots[1], dtype=np.uint8)) == 3
 
+    def test_rewrite_changes_rows_in_slot_order_and_stores_all_or_nothing(self):
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
+        before, calls = list(lattice.slots), []
+
+        def change(label, fails=False):
+            def run(slot, row):
+                calls.append((label, slot))
+                if fails:
+                    raise GridShareError(f"{label} fails in slot {slot}")
+                return bytes((label,)) * len(row)
+            return run
+
+        # Each write's slots hold one row, so each change runs once, at its
+        # first slot, and every change runs in slot order over all writes.
+        with pytest.raises(GridShareError, match="^3 fails in slot 2$"):
+            lattice.rewrite([((3, 1), change(1)), ((2,), change(3, fails=True)), ((0,), change(2))])
+        assert calls == [(2, 0), (1, 1), (3, 2)]
+        assert lattice.slots == before
+        lattice.rewrite([((3, 1), change(1)), ((0,), change(2))])
+        assert [row[0] for row in lattice.slots] == [2, 1, 0, 1]
+        assert lattice.slots[1] is lattice.slots[3] and lattice.slots[2] is before[2]
+
     def test_copy_of_a_writable_lattice_leaves_its_source_untouched(self):
         # copy() once turned every row of its source into bytes in place.
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))

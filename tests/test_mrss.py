@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from gridshare import (
     simulate,
 )
 import dense_reference as ref
+from gridshare.budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_per_prb
 from gridshare.grid import label_counts
 from gridshare.mrss import (
     _NON_DL_LABELS,
@@ -141,6 +143,12 @@ class TestClassify:
             ControlMode(ControlModeKind.PARTIALLY_OVERLAPPING)
         with pytest.raises(ConfigError):
             ControlMode(ControlModeKind.SEPARATE, shared_fraction=0.5)
+
+    @pytest.mark.parametrize("fraction", [True, "0.5"])
+    def test_shared_fraction_must_be_real(self, fraction):
+        # Once accepted (True) and failing later in `footprint_factor`, or a TypeError ("0.5").
+        with pytest.raises(ConfigError, match="^shared_fraction must be a real number, got "):
+            ControlMode(ControlModeKind.PARTIALLY_OVERLAPPING, fraction)
 
     def test_separate_exhausting_shared_pool(self):
         carrier = CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=1)
@@ -391,6 +399,35 @@ class TestNeighborInterference:
     def test_cancellation_effectiveness_must_be_real(self, eff):
         with pytest.raises(ConfigError):
             Mitigation("ReceiverCancellation", eff)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ports=st.sampled_from([1, 2, 4]),
+        cell_id=st.integers(0, 11),
+        neighbors=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([1, 2, 4])), max_size=3),
+        lte_pdcch=st.integers(0, 3),
+        nr_pdcch=st.integers(0, 12),
+        dmrs_count=st.integers(0, 4),
+        kind=st.sampled_from(Mitigation.KINDS),
+    )
+    def test_pool_is_the_dss_slot_pool(self, ports, cell_id, neighbors, lte_pdcch, nr_pdcch,
+                                       dmrs_count, kind):
+        """The report's per-PRB pool, derived from (symbol, subcarrier) sets,
+        is `budget.dss_pool_per_prb` of the serving ports and the layout (README
+        "One DSS slot"); a layout the DSS slot rejects is rejected alike."""
+        serving = LteCellConfig(cell_id=cell_id, crs_ports=ports)
+        cells = [LteCellConfig(cell_id=i, crs_ports=p) for i, p in neighbors]
+        layout = DssLayout(lte_pdcch, nr_pdcch, dmrs_count)
+        mitigation = Mitigation(kind, 0.5 if kind == "ReceiverCancellation" else None)
+        try:
+            dmrs = default_dmrs_symbols(ports, layout.control_end, dmrs_count)
+            check_control_fits(lte_pdcch, nr_pdcch)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                neighbor_interference(serving, cells, mitigation, layout)
+            return
+        report = neighbor_interference(serving, cells, mitigation, layout)
+        assert report.pool_re == dss_pool_per_prb(ports, lte_pdcch, nr_pdcch, dmrs)
 
 
 def _reference_grant_slot(pool, d5, d6, policy):

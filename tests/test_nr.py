@@ -24,7 +24,8 @@ from gridshare import (
     make_grid,
 )
 from gridshare.budget import dss_pool_by_grid
-from gridshare.nr import _first_free_per_prb
+from gridshare import nr
+from gridshare.nr import _first_free_per_prb, nr_plan, place_nr
 
 import dense_reference as ref
 from gridshare.value import replace
@@ -257,3 +258,38 @@ class TestUnitsPlacedTogether:
         (_, error), (_, want_error) = placed_and_dense(
             self.CARRIER, LteCellConfig(crs_ports=2, pdcch_symbols=1), overlay)
         assert error == want_error == (PlacementError, "TRS: needs 200 RE/PRB in slot 1")
+
+    def test_a_later_units_failure_leaves_the_lattice_unchanged(self):
+        # The TRS in slot 0 fits; the CSI-RS in slot 1 needs 150 cells per
+        # PRB, where LTE control and 2-port CRS leave 144. The TRS was once
+        # written all the same.
+        overlay = NrOverlaySet(period_ms=10, trs=TrsSpec(6, 1, 3, 1, 1),
+                               csi_rs=CsiRsSpec(10, 15, 6, 1))
+        cell = LteCellConfig(crs_ports=2, pdcch_symbols=1)
+        (_, error), (_, want_error) = placed_and_dense(self.CARRIER, cell, overlay)
+        assert error == want_error == (PlacementError, "CSI-RS: collision in slot 1, PRB 0")
+        lattice = apply_lte(make_grid(self.CARRIER), cell).lattice.copy()
+        before = list(lattice.slots)
+        with pytest.raises(PlacementError):
+            place_nr(lattice, self.CARRIER, overlay)
+        assert lattice.slots == before
+
+    def test_each_pick_runs_once_per_distinct_unit_and_row(self, monkeypatch):
+        # 100 subframes of LTE hold three distinct rows (subframes 0, 5 and
+        # the rest); 90 "re" units over them need at most 2 x 3 picks.
+        carrier = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=100)
+        grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=2, pdcch_symbols=1))
+        overlay = NrOverlaySet(period_ms=100, csi_rs=CsiRsSpec(4, 1, 6, 50),
+                               trs=TrsSpec(6, 1, 3, 2, 20))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _first_free_per_prb(*args, **kwargs)
+
+        monkeypatch.setattr(nr, "_first_free_per_prb", counted)
+        placed = apply_nr(grid, overlay)
+        _, units = nr_plan(carrier, overlay)
+        pairs = {(unit, grid.lattice.slots[slot]) for slot, unit in units}
+        assert len(units) == 90 and len(calls) == len(pairs) == 6
+        assert count_labels(placed)[ReLabel.NR_CSI_RS] == 4 * 6 * 50

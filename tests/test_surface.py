@@ -117,3 +117,38 @@ def test_constant_finder_sees_each_form():
     found = unreferenced({"defining.py": defining, "reading.py": reading}, [],
                          constant_definitions)
     assert found == ["defining.py:2: UNREAD", "defining.py:4: _B", "defining.py:10: IN_DOCSTRING"]
+
+
+def slot_item_stores(tree: ast.Module):
+    """The enclosing `Class.function` path of each store into, or delete of,
+    an item or slice of a `.slots` attribute."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Subscript) and isinstance(child.ctx, (ast.Store, ast.Del))
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "slots"):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_lattice_rewrite_stores_a_slot():
+    """Every write into a lattice is one `Lattice.rewrite`, all or nothing."""
+    modules, _ = src_and_bench()
+    stores = [f"{name}:{where}" for name, tree in modules.items() for where in slot_item_stores(tree)]
+    assert stores == ["grid.py:Lattice.rewrite"]
+
+
+def test_slot_store_finder_sees_each_form():
+    tree = ast.parse(
+        "x.slots[0] = 1\nclass L:\n    def w(self):\n        self.slots[1:] = ()\n"
+        "        for self.slots[2] in (): pass\n"
+        "def f(lat):\n    lat.slots[0] += b''\n    del lat.slots[0]\n    return lat.slots[0]\n"
+        "def g(rows):\n    rows[0] = 1\n")
+    assert slot_item_stores(tree) == ["", "L.w", "L.w", "f", "f"]

@@ -4,9 +4,10 @@ Every number is produced twice: by closed form and, where requested, by
 building the actual labeled grid and counting. The two routes must agree
 cell-for-cell; tests rely on that duality.
 
-The DSS slot lives here alone: `dss_pool_per_prb` is its one per-PRB closed
-form and `dss_pool_by_grid` its one validated placement, for the DSS slot
-and for the pure LTE and pure NR slots that `dss_table` compares it with.
+The DSS slot lives here alone: `dss_pool_mask` is its one per-PRB pool,
+which `dss_pool_per_prb` counts and `mrss.neighbor_interference` classifies,
+and `dss_pool_by_grid` its one validated placement, for the DSS slot and
+for the pure LTE and pure NR slots that `dss_table` compares it with.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .grid import (
     new_labels,
     place_slots,
 )
-from .lte import LteCellConfig, crs_bearing_symbols, crs_re_per_symbol, place_lte
+from .lte import LteCellConfig, crs_bearing_symbols, crs_mask, place_lte
 from .nr import SIGNALS, NrOverlaySet, nr_plan, place_nr
 from .rounding import pct
 from .value import value
@@ -102,24 +103,26 @@ def default_dmrs_symbols(crs_ports: int, control_end: int, dmrs_count: int) -> T
     return tuple(sorted(chosen[:dmrs_count]))
 
 
-def dss_pool_per_prb(
-    crs_ports: int,
-    lte_pdcch: int,
-    nr_pdcch: int,
-    dmrs_symbols: Sequence[int],
-) -> int:
-    """Closed-form schedulable NR data REs per PRB in a DSS slot.
+def dss_pool_mask(crs_ports: int, v_shift: int, control_end: int, dmrs_symbols: Sequence[int]) -> bytes:
+    """One PRB of the DSS slot: 14 x 12 bytes, symbol-major, 0 on each NR data-pool cell.
+
+    Non-zero on the CRS of `lte.crs_mask`, on every symbol before
+    `control_end` and on every DMRS symbol; a DMRS symbol outside the slot
+    marks nothing.
+    """
+    crs, dmrs = crs_mask(crs_ports, v_shift), set(dmrs_symbols)
+    return b"".join(b"\xff" * SC_PER_PRB if s < control_end or s in dmrs
+                    else crs[s * SC_PER_PRB : (s + 1) * SC_PER_PRB] for s in range(SYMBOLS_PER_SLOT))
+
+
+def dss_pool_per_prb(crs_ports: int, lte_pdcch: int, nr_pdcch: int, dmrs_symbols: Sequence[int]) -> int:
+    """Closed-form schedulable NR data REs per PRB in a DSS slot: the
+    zeros of its `dss_pool_mask`, which no CRS shift changes.
 
     crs_ports 0 with lte_pdcch 0 is a pure NR slot; nr_pdcch 0 with no DMRS
     is the LTE data region of a pure LTE subframe.
     """
-    crs = crs_re_per_symbol(crs_ports)
-    dmrs = set(dmrs_symbols)
-    return sum(
-        SC_PER_PRB - crs[s]
-        for s in range(lte_pdcch + nr_pdcch, SYMBOLS_PER_SLOT)
-        if s not in dmrs
-    )
+    return dss_pool_mask(crs_ports, 0, lte_pdcch + nr_pdcch, dmrs_symbols).count(0)
 
 
 def check_ports(ports: Sequence[int], lte_pdcch: int) -> None:
@@ -176,8 +179,7 @@ def dss_pool_by_grid(
     blocks = [(range(lte_pdcch, control_end), ReLabel.NR_PDCCH_CORESET1)]
     for symbols, label in blocks + [(range(s, s + 1), ReLabel.NR_DMRS) for s in dmrs_symbols]:
         place_slots(labels, [((0,), symbols, range(carrier.n_subcarriers), label)], rate_match=True)
-    counts = count_labels(ResourceGrid(carrier, labels))
-    return counts.get(ReLabel.UNLABELED, 0) // n_prb
+    return labels.slots[0].count(ReLabel.UNLABELED) // n_prb
 
 
 def _checked_pool(crs_ports: int, lte_pdcch: int, nr_pdcch: int, dmrs_symbols: Sequence[int]) -> int:
@@ -232,16 +234,15 @@ def downlink_re(carrier: CarrierConfig) -> int:
 
 
 def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport:
-    """Overhead breakdown over one period of a TDD NR carrier.
+    """Overhead breakdown over one period of an NR carrier.
 
     The overlay is first checked against the carrier as `place_nr` checks
     it before it writes (`nr_plan`), so no overlay the grid rejects is
     reported. Rows are counted independently and summed without overlap
     deduction; the placement in place_nr keeps them disjoint, so grid
-    verification agrees with the arithmetic sum.
+    verification agrees with the arithmetic sum. The total row's summary
+    is the TDD pattern, or FDD.
     """
-    if carrier.duplex != "TDD":
-        raise ConfigError("overhead accounting expects a TDD carrier")
     nr_plan(carrier, overlay)
     counts = overlay.signal_counts(carrier)
     total_re = carrier.n_slots * SYMBOLS_PER_SLOT * carrier.n_subcarriers
@@ -256,8 +257,8 @@ def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport
         for signal in SIGNALS
     )
     pattern = carrier.tdd_pattern
-    summary = pattern.cycle_str
-    if SlotKind.SPECIAL in pattern.cycle:
+    summary = pattern.cycle_str if pattern else "FDD"
+    if pattern and SlotKind.SPECIAL in pattern.cycle:
         dl, guard, ul = pattern.special_split
         summary += (f"; S slot with {dl} downlink symbols, {guard} guard symbols, "
                     f"and {ul} uplink symbols")

@@ -1,17 +1,17 @@
 """LTE incumbent footprints: CRS combs, PDCCH region, sync/PBCH, MBSFN.
 
 `crs_mask` is the single source of the CRS rule (TS 36.211 §6.10.1.2,
-normal CP). Every other CRS fact is derived from it: the cell sets of
-`crs_cells`, which `mrss.neighbor_interference` classifies its pool by, the
-per-symbol counts behind the closed forms in `budget`, the DMRS check of
-`budget.dss_pool_by_grid`, and the subframe templates that `place_lte`
-places on the grid.
+normal CP). Every other CRS fact is derived from it: the DSS pool mask of
+`budget.dss_pool_mask`, which the closed form counts and
+`mrss.neighbor_interference` classifies against neighbor masks, the
+CRS-bearing symbols that `budget` keeps DMRS off, and the subframe
+templates that `place_lte` places on the grid.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Set, Tuple
+from typing import FrozenSet, Tuple
 
 from .errors import ConfigError
 from .grid import (
@@ -115,13 +115,6 @@ def crs_mask(crs_ports: int, v_shift: int = 0) -> bytes:
     return bytes(mask)
 
 
-@lru_cache(maxsize=None)
-def crs_re_per_symbol(crs_ports: int) -> Tuple[int, ...]:
-    """CRS cells per PRB on each subframe symbol (independent of v_shift)."""
-    mask = crs_mask(crs_ports)
-    return tuple(SC_PER_PRB - row.count(0) for row in _symbols(mask, SC_PER_PRB))
-
-
 def _symbols(row: bytes, n_sc: int) -> Tuple[bytes, ...]:
     """A 14 x n_sc row's symbols."""
     return tuple(row[s * n_sc : (s + 1) * n_sc] for s in range(SYMBOLS_PER_SLOT))
@@ -129,19 +122,7 @@ def _symbols(row: bytes, n_sc: int) -> Tuple[bytes, ...]:
 
 def crs_bearing_symbols(crs_ports: int) -> FrozenSet[int]:
     """Subframe symbols that carry CRS for a port count (0: none)."""
-    return frozenset(s for s, n in enumerate(crs_re_per_symbol(crs_ports)) if n)
-
-
-def crs_cells(cfg: LteCellConfig, n_prb: int) -> Set[Tuple[int, int, int]]:
-    """CRS cell set as (symbol, subcarrier, port) tuples for one subframe.
-
-    The pattern repeats every subframe; 8/16/24 cells per PRB for 1/2/4 ports.
-    """
-    mask = crs_mask(cfg.crs_ports, cfg.v_shift)
-    return {(s, m * SC_PER_PRB + k, port - 1)
-            for s, row in enumerate(_symbols(mask, SC_PER_PRB))
-            for k, port in enumerate(row) if port
-            for m in range(n_prb)}
+    return frozenset(s for s, row in enumerate(_symbols(crs_mask(crs_ports), SC_PER_PRB)) if any(row))
 
 
 # Port + 1 -> CRS label; 0 stays UNLABELED.

@@ -24,7 +24,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .budget import DssLayout, check_control_fits, default_dmrs_symbols
+from .budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_mask
 from .errors import ConfigError, ConflictError, PlacementError
 from .grid import (
     SC_PER_PRB,
@@ -39,7 +39,7 @@ from .grid import (
     label_totals,
     place_slots,
 )
-from .lte import LteCellConfig, crs_cells
+from .lte import LteCellConfig, crs_mask
 from .pcg64 import Pcg64
 from .value import value
 
@@ -495,20 +495,24 @@ def neighbor_interference(
 ) -> InterferenceReport:
     """Classify the serving cell's per-PRB NR data pool against neighbor CRS.
 
-    A pool cell is dirty if any neighbor's CRS occupies it. Mitigations
-    trade dirty cells against sacrificed pool cells; clean + sacrificed +
-    dirty always equals the original pool size.
+    The pool is the zero cells of the serving cell's `budget.dss_pool_mask`
+    (its CRS and the layout's control and DMRS symbols), the one pool
+    `budget.dss_pool_per_prb` counts. A pool cell is dirty if any
+    neighbor's `lte.crs_mask` marks it. Mitigations trade dirty cells
+    against sacrificed pool cells; clean + sacrificed + dirty always equals
+    the original pool size.
     """
     dmrs = default_dmrs_symbols(serving.crs_ports, layout.control_end, layout.dmrs_count)
     check_control_fits(layout.lte_pdcch, layout.nr_pdcch)
-    # Cells of one PRB over one subframe, as (symbol, subcarrier).
-    serving_crs = {(s, k) for s, k, _ in crs_cells(serving, 1)}
-    pool = {(s, k) for s in range(layout.control_end, SYMBOLS_PER_SLOT) if s not in dmrs
-            for k in range(SC_PER_PRB)} - serving_crs
-    neighbor_crs = {(s, k) for cell in neighbors for s, k, _ in crs_cells(cell, 1)}
+    # One PRB over one subframe, 14 x 12 bytes: `pool` is 0 on the pool's
+    # cells, `neighbor_crs` 1 on those some neighbor's CRS marks (crs_mask(0)
+    # marks none).
+    pool = dss_pool_mask(serving.crs_ports, serving.v_shift, layout.control_end, dmrs)
+    masks = [crs_mask(cell.crs_ports, cell.v_shift) for cell in neighbors]
+    neighbor_crs = bytes(map(any, zip(crs_mask(0), *masks)))
 
-    pool_n = len(pool)
-    dirty = len(pool & neighbor_crs)
+    pool_n = pool.count(0)
+    dirty = sum(1 for p, n in zip(pool, neighbor_crs) if n and not p)
     if mitigation.kind == "ServingOnlyRateMatch":
         return InterferenceReport(pool_n, pool_n - dirty, 0, dirty)
     if mitigation.kind == "NeighborAwareRateMatch":
@@ -516,8 +520,8 @@ def neighbor_interference(
     if mitigation.kind == "SymbolLevelMute":
         # Broad avoidance: any symbol carrying any neighbor CRS is muted,
         # whether or not its cells collide with the serving pattern.
-        muted = {s for s, _ in neighbor_crs}
-        sacrificed = sum(1 for s, _ in pool if s in muted)
+        sacrificed = sum(pool.count(0, i, i + SC_PER_PRB) for i in range(0, len(pool), SC_PER_PRB)
+                         if any(neighbor_crs[i : i + SC_PER_PRB]))
         return InterferenceReport(pool_n, pool_n - sacrificed, sacrificed, 0)
     # ReceiverCancellation: a deterministic count-level fraction of dirty
     # cells becomes clean (exact floor; effectiveness is read as its decimal

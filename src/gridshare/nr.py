@@ -13,8 +13,9 @@ each PRB. A new signal is a spec class, an `NrOverlaySet` field, a
 `SIGNALS` row and, if it is placed in units, a place in `UNIT_ORDER` (and
 its entry in the scenario format).
 
-`place_nr` writes CORESET1, then every unit in one all-or-nothing write;
-an "re" unit's footprint is a function of its block's labels.
+`place_nr` places CORESET1, then every unit, into a copy of its lattice
+and stores the changed rows in one all-or-nothing write; an "re" unit's
+footprint is a function of its block's labels.
 
 `nr_plan` makes every check of an overlay against its carrier that needs no
 lattice; `place_nr` and `budget.nr_overhead` both run it, so the overhead
@@ -223,15 +224,18 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     occasion) gets its own downlink slot starting at the lowest PRBs just
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme. The
-    checked plan (`nr_plan`) is placed as CORESET1, then every unit in one
-    `place_slots` call, equal units as one placement: all units or none are
-    written, and the error raised is the lowest slot's, as if each were
+    checked plan (`nr_plan`) is placed into a copy of the lattice as
+    CORESET1, then every unit in one `place_slots` call, equal units as one
+    placement; the error raised is the lowest slot's, as if each were
     placed in turn. An "re" unit picks its cells once per distinct row.
+    The changed rows are then stored in one `Lattice.rewrite`: all of the
+    overlay or none of it is written.
     """
     monitored, units = nr_plan(carrier, overlay)
+    staged = labels.copy()
     if monitored:
         coreset1 = overlay.coreset1
-        place_slots(labels, [(monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
+        place_slots(staged, [(monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
                               _CORESET1.label)])
     groups: Dict[tuple, List[int]] = {}
     for slot, unit in units:
@@ -244,7 +248,12 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
         else:
             symbols, footprint = range(base, dl_syms), functools.partial(_pick, signal, width, amount)
         placements.append((slots, symbols, range(width), footprint))
-    place_slots(labels, placements)
+    place_slots(staged, placements)
+    changed: Dict[bytes, List[int]] = {}
+    for slot, (old, new) in enumerate(zip(labels.slots, staged.slots)):
+        if old is not new:
+            changed.setdefault(new, []).append(slot)
+    labels.rewrite([(slots, lambda slot, row, new=new: new) for new, slots in changed.items()])
 
 
 def _pick(signal: Signal, width: int, amount: int, slot: int, cells: bytes) -> bytes:

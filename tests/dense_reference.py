@@ -12,13 +12,23 @@ once did, and write a stage's label only on UNLABELED cells.
 `grid.Lattice`, `categories` reads a map's label lattice through the
 table, and `dominance_share` is the overhead share the paper reports, read
 from an `OverheadReport`.
+
+The CRS of TS 36.211 §6.10.1.2 is written out here as its spec tables
+(`SPEC_SYMBOLS`, `SPEC_V`): `spec_crs` places one cell's CRS from them
+alone, and `interference` classifies the DSS slot's NR data pool against
+neighbor CRS cell by cell, as sets of (symbol, subcarrier), with neither
+`lte.crs_mask` nor `budget`. `crs_cells` reads `lte.crs_mask` back as
+(symbol, subcarrier, port) tuples, the form the CRS tests state their
+properties in.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
 from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, Lattice, ReLabel, SlotKind
-from gridshare.lte import _subframe_templates
+from gridshare.lte import _subframe_templates, crs_mask
 from gridshare.mrss import (
     CAT_CONTROL,
     CAT_NON_DL,
@@ -208,3 +218,75 @@ def cells_per_slot(categories):
     """Per category code, the cells of each slot."""
     return [np.count_nonzero(categories == cat, axis=(1, 2))
             for cat in (CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL)]
+
+
+# TS 36.211 §6.10.1.2 (normal CP): CRS symbol l within each slot, and v, per
+# port, as functions of l and the slot parity n_s mod 2.
+SPEC_SYMBOLS = {0: (0, 4), 1: (0, 4), 2: (1,), 3: (1,)}
+SPEC_V = {
+    0: lambda l, ns: 0 if l == 0 else 3,
+    1: lambda l, ns: 3 if l == 0 else 0,
+    2: lambda l, ns: 3 * ns,
+    3: lambda l, ns: 3 + 3 * ns,
+}
+
+
+def spec_crs(ports, v_shift):
+    """{(symbol, subcarrier): port} of one PRB over one subframe, from the
+    spec tables; no two ports share a cell."""
+    cells = {}
+    for port in range(ports):
+        for ns in (0, 1):
+            for l in SPEC_SYMBOLS[port]:
+                for m in range(2):
+                    cell = (7 * ns + l, 6 * m + (SPEC_V[port](l, ns) + v_shift) % 6)
+                    assert cell not in cells
+                    cells[cell] = port
+    return cells
+
+
+def crs_cells(cfg, n_prb):
+    """The CRS of `lte.crs_mask` over one subframe of n_prb PRBs, as
+    (symbol, subcarrier, port) tuples."""
+    mask = crs_mask(cfg.crs_ports, cfg.v_shift)
+    return {(i // SC_PER_PRB, m * SC_PER_PRB + i % SC_PER_PRB, port - 1)
+            for i, port in enumerate(mask) if port for m in range(n_prb)}
+
+
+def interference(serving, neighbors, mitigation, layout):
+    """(pool, clean, sacrificed, dirty) of one PRB of the serving cell's DSS
+    slot, cell by cell: the pool is every cell from the end of LTE + NR
+    control on, off the DMRS symbols and the serving CRS; a pool cell is
+    dirty when a neighbor's CRS is on it. DMRS takes symbol 12, when control
+    ends by then, and the earliest other symbols after control that carry
+    no serving CRS. ConfigError as `neighbor_interference` raises it."""
+    serving_crs = spec_crs(serving.crs_ports, serving.cell_id % 6)
+    control_end = layout.lte_pdcch + layout.nr_pdcch
+    bearing = {s for s, _ in serving_crs}
+    free = [s for s in range(control_end, SYMBOLS_PER_SLOT) if s not in bearing]
+    if 12 in free:
+        free.remove(12)
+        free.insert(0, 12)
+    if len(free) < layout.dmrs_count:
+        raise ConfigError(
+            f"cannot place {layout.dmrs_count} DMRS symbols outside CRS and control regions")
+    if control_end > SYMBOLS_PER_SLOT:
+        raise ConfigError(f"LTE and NR control take {control_end} symbols, more than the "
+                          f"{SYMBOLS_PER_SLOT} of a slot")
+    dmrs = free[:layout.dmrs_count]
+    pool = {(s, k) for s in range(control_end, SYMBOLS_PER_SLOT) if s not in dmrs
+            for k in range(SC_PER_PRB) if (s, k) not in serving_crs}
+    hit = {cell for n in neighbors for cell in spec_crs(n.crs_ports, n.cell_id % 6)}
+    dirty = len(pool & hit)
+    if mitigation.kind == "ServingOnlyRateMatch":
+        return len(pool), len(pool) - dirty, 0, dirty
+    if mitigation.kind == "NeighborAwareRateMatch":
+        return len(pool), len(pool) - dirty, dirty, 0
+    if mitigation.kind == "SymbolLevelMute":
+        muted = {s for s, _ in hit}
+        sacrificed = sum(1 for s, _ in pool if s in muted)
+        return len(pool), len(pool) - sacrificed, sacrificed, 0
+    # ReceiverCancellation: the exact floor of effectiveness, read as its
+    # decimal text, times dirty is reclaimed.
+    reclaimed = Fraction(str(mitigation.effectiveness)) * dirty // 1
+    return len(pool), len(pool) - dirty + reclaimed, 0, dirty - reclaimed

@@ -158,6 +158,25 @@ class TestDualRoute:
         counted = dss_pool_by_grid(ports, lte_pdcch, nr_pdcch, dmrs, n_prb=n_prb)
         assert closed == counted
 
+    @pytest.mark.parametrize("args,pool", [
+        ((1, 1, 1, (-1,)), 138),
+        ((1, 1, 1, (14,)), 138),
+        ((4, 2, 1, (-1, 14)), 116),
+        ((4, 2, 1, (12, 14)), 104),
+        ((2, 3, 0, (-2,)), 120),
+        ((0, 0, 14, ()), 0),
+        ((0, 0, 15, ()), 0),
+        ((4, 3, 12, (12,)), 0),
+    ])
+    def test_closed_form_ignores_dmrs_outside_the_slot_and_control_past_it(self, args, pool):
+        # The grid route rejects these; the closed form marks no symbol
+        # for a DMRS symbol outside 0..13 and all 14 for control past them.
+        assert dss_pool_per_prb(*args) == pool
+
+    def test_negative_control_marks_no_symbol(self):
+        # A pool counts at most the 168 cells of a PRB, as the grid route does.
+        assert dss_pool_per_prb(0, 0, -1, ()) == dss_pool_by_grid(0, 0, -1, ()) == 168
+
 
 class TestOverhead:
     def test_full_overlay_golden(self):
@@ -207,10 +226,16 @@ class TestOverhead:
         for row in report.rows + (report.total_row,):
             assert row.pct_of_downlink >= row.pct_of_total
 
-    def test_fdd_rejected(self):
-        carrier = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=1)
-        with pytest.raises(ConfigError):
-            nr_overhead(carrier, NrOverlaySet(period_ms=1))
+    def test_fdd_carrier_is_modeled(self):
+        # Every slot is downlink: CORESET 1 monitors all 40 slots, the
+        # downlink denominator is the total, and the total row reads FDD.
+        carrier = CarrierConfig(30, n_prb=273, duplex="FDD", span_ms=20)
+        report = nr_overhead(carrier, full_overlay())
+        counts = {row.signal_name: row.re_count for row in report.rows}
+        assert counts == verify_overhead_by_grid(carrier, full_overlay())
+        assert counts["CORESET 1"] == 270 * 12 * 2 * 40
+        assert report.downlink_re == report.total_re == 1_834_560
+        assert (report.total_row.config_summary, report.total_row.re_count) == ("FDD", 285_952)
 
     def test_period_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -219,16 +244,19 @@ class TestOverhead:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_closed_form_and_grid_agree_or_fail_alike(self, data):
-        """On any small TDD carrier, the table and its grid route report the
-        same counts, or reject the overlay with the same error."""
+        """On any small TDD or FDD carrier, the table and its grid route
+        report the same counts, or reject the overlay with the same error."""
         draw = data.draw
-        cycle = draw(st.sampled_from(["D", "DU", "DSU", "SU", "DDDSU"]))
-        dl = draw(st.integers(0, 14))
-        guard = draw(st.integers(0, 14 - dl))
-        carrier = CarrierConfig(
-            draw(st.sampled_from([15, 30])), n_prb=draw(st.integers(1, 4)),
-            duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 2)),
-            tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)))
+        cycle = draw(st.sampled_from(["D", "DU", "DSU", "SU", "DDDSU", None]))
+        scs, n_prb = draw(st.sampled_from([15, 30])), draw(st.integers(1, 4))
+        if cycle is None:
+            carrier = CarrierConfig(scs, n_prb=n_prb, duplex="FDD", span_ms=draw(st.integers(1, 5)))
+        else:
+            dl = draw(st.integers(0, 14))
+            guard = draw(st.integers(0, 14 - dl))
+            carrier = CarrierConfig(
+                scs, n_prb=n_prb, duplex="TDD", span_ms=len(cycle) * draw(st.integers(1, 2)),
+                tdd_pattern=TddPattern(cycle, (dl, guard, 14 - dl - guard)))
         count, prbs = st.integers(0, 4), st.integers(0, 3)
 
         def maybe(strategy):

@@ -188,6 +188,17 @@ class TestOverheadCommand:
         (line,) = [line for line in out.splitlines() if line.startswith("| Total |")]
         assert line.startswith(total)
 
+    def test_fdd_carrier_is_modeled(self, capsys, tmp_path):
+        # table3.json on FDD: every slot is downlink, so CORESET 1 monitors
+        # all 40 and the total row names the duplex.
+        doc = json.loads((SCENARIOS / "table3.json").read_text())
+        doc["carrier"]["duplex"] = "FDD"
+        del doc["carrier"]["tdd_pattern"]
+        code, out, err = run(capsys, "overhead", "-s", write_doc(tmp_path, doc), "-f", "md")
+        assert (code, err) == (0, "")
+        (line,) = [line for line in out.splitlines() if line.startswith("| Total |")]
+        assert line == "| Total | FDD | 285,952 | 15.59% | 15.59% |"
+
 
 class TestClassifyCommand:
     def test_partition(self, capsys, table3):

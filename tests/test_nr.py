@@ -274,6 +274,20 @@ class TestUnitsPlacedTogether:
             place_nr(lattice, self.CARRIER, overlay)
         assert lattice.slots == before
 
+    def test_a_units_failure_leaves_coreset1_unwritten(self):
+        # Slot 0 holds RESERVED_IOT on symbols 4-13: CORESET1 takes symbols
+        # 0-1 of both slots, and the CSI-RS in slot 0 finds 24 of its 28
+        # cells free. CORESET1 was once written all the same.
+        carrier = CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=2)
+        arr = ref.new_labels(carrier)
+        arr[0, 4:] = ReLabel.RESERVED_IOT
+        lattice = ref.lattice_of(arr)
+        before = list(lattice.slots)
+        overlay = NrOverlaySet(period_ms=2, coreset1=Coreset1Spec(1, 2), csi_rs=CsiRsSpec(4, 7, 1, 1))
+        with pytest.raises(PlacementError, match="^CSI-RS: collision in slot 0, PRB 0$"):
+            place_nr(lattice, carrier, overlay)
+        assert lattice.slots == before
+
     def test_each_pick_runs_once_per_distinct_unit_and_row(self, monkeypatch):
         # 100 subframes of LTE hold three distinct rows (subframes 0, 5 and
         # the rest); 90 "re" units over them need at most 2 x 3 picks.

@@ -175,10 +175,10 @@ def dss_pool_by_grid(
     if crs_ports > 0:
         cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
         place_lte(labels, carrier, cfg, include_sync=False)
-    # NR control, then each DMRS symbol, rate-matched around CRS.
-    blocks = [(range(lte_pdcch, control_end), ReLabel.NR_PDCCH_CORESET1)]
-    for symbols, label in blocks + [(range(s, s + 1), ReLabel.NR_DMRS) for s in dmrs_symbols]:
-        place_slots(labels, [((0,), symbols, range(carrier.n_subcarriers), label)], rate_match=True)
+    # NR control, then each DMRS symbol, rate-matched around CRS, in one call.
+    width = range(carrier.n_subcarriers)
+    place_slots(labels, [((0,), range(lte_pdcch, control_end), width, ReLabel.NR_PDCCH_CORESET1)]
+                + [((0,), range(s, s + 1), width, ReLabel.NR_DMRS) for s in dmrs_symbols], rate_match=True)
     return labels.slots[0].count(ReLabel.UNLABELED) // n_prb
 
 
@@ -230,7 +230,7 @@ def dss_table(
 
 def downlink_re(carrier: CarrierConfig) -> int:
     """Downlink-capable REs over the carrier window."""
-    return sum(carrier.dl_symbols_in_slot(s) for s in range(carrier.n_slots)) * carrier.n_subcarriers
+    return sum(carrier._dl_symbols) * carrier.n_subcarriers
 
 
 def nr_overhead(carrier: CarrierConfig, overlay: NrOverlaySet) -> OverheadReport:

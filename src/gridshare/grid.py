@@ -15,20 +15,22 @@ built in one writable lattice: take a fresh one from `new_labels`, place
 each stage's footprints into it, and wrap it once in a `ResourceGrid`
 (`cli.build_grid` places LTE and then NR this way). The public stages
 `apply_lte` and `apply_nr` place into a copy of a finished grid's lattice,
-which shares its rows. `Lattice.rewrite` is the one write: it stores new
-rows once every change has returned, so a write is all or nothing and no
-other slot or lattice sees it. Every footprint goes through `place_slots`,
-so no write relabels a cell or touches an uplink/guard cell. A placement
-names its block of each slot by two ranges (symbols, subcarriers), as a
-`Window` does; its footprint is an int label, the block's bytes in the
-order a `Window` reads them, or a function of the block that gives them.
-An MRSS map (`mrss`) is a labeled grid too; its stages relabel shared-pool
-cells in a copy of its grid's lattice.
+which shares its rows. `Lattice.rewrite` is the one write: a slot takes its
+writes in call order, and new rows are stored once every change has
+returned, so a write is all or nothing and no other slot or lattice sees
+it. Every footprint goes through `place_slots`, so no write relabels a
+cell or touches an uplink/guard cell. A placement names its block of each
+slot by two ranges (symbols, subcarriers), as a `Window` does; its
+footprint is an int label, the block's bytes in the order a `Window` reads
+them, or a function of the block that gives them. An MRSS map (`mrss`) is
+a labeled grid too; its stages relabel shared-pool cells in a copy of its
+grid's lattice.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from enum import Enum, IntEnum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -166,8 +168,14 @@ class CarrierConfig:
             return self.tdd_pattern.special_split[0]
         return 0
 
+    @functools.cached_property
+    def _dl_symbols(self) -> Tuple[int, ...]:
+        """`dl_symbols_in_slot` of each slot, taken once per cycle position."""
+        period = len(self.tdd_pattern.cycle) if self.tdd_pattern else 1
+        return tuple(map(self.dl_symbols_in_slot, range(period))) * (self.n_slots // period)
+
     def dl_bearing_slots(self) -> Tuple[int, ...]:
-        return tuple(s for s in range(self.n_slots) if self.dl_symbols_in_slot(s) > 0)
+        return tuple(itertools.compress(range(self.n_slots), self._dl_symbols))
 
 
 class Lattice:
@@ -208,27 +216,38 @@ class Lattice:
         return (len(self.slots), SYMBOLS_PER_SLOT, self.n_sc)
 
     def rewrite(self, writes: Sequence[Tuple[Sequence[int], Callable[[int, bytes], bytes]]]) -> None:
-        """Each write is (slots, change): `change(slot, row)` gives the new
-        content of each distinct row the named slots hold, `slot` being the
-        first that holds it, and only those slots take it. Writes name
-        disjoint slots in range (else ConfigError, IndexError). Changes run
-        in order of their first slot, and rows are stored once all have
-        returned: the lowest slot's error is raised, and nothing is written."""
-        named, changes = set(), []
+        """Each write is (slots, change), its slots in range (else IndexError).
+        A slot takes its writes in call order: `change(slot, row)` gives the
+        new content of each distinct row, as the earlier writes left it, among
+        the slots that take the same writes, `slot` being the first of them.
+        Changes run in order of their first slot, and rows are stored once all
+        have returned: the lowest slot's error (in it, the earliest write's)
+        is raised, and nothing is written."""
+        # Regions: the slots that take the same writes, with their changes.
+        regions: List[Tuple[set, tuple]] = []
         for slots, change in writes:
-            slots = sorted(set(slots))
-            if slots and not 0 <= slots[0] <= slots[-1] < len(self.slots):
-                bad = slots[0] if slots[0] < 0 else slots[-1]
+            new = set(slots)
+            if new and not 0 <= min(new) <= max(new) < len(self.slots):
+                bad = min(new) if min(new) < 0 else max(new)
                 raise IndexError(f"slot {bad} out of range for {len(self.slots)} slots")
-            if shared := named.intersection(slots):
-                raise ConfigError(f"placements of one call share slot {min(shared)}")
-            named.update(slots)
+            split = []
+            for named, changes in regions:
+                both = named & new
+                named -= both
+                new -= both
+                split += [(named, changes), (both, changes + (change,))]
+            regions = [region for region in split + [(new, (change,))] if region[0]]
+        jobs = []
+        for named, changes in regions:
             groups: Dict[bytes, List[int]] = {}
-            for s in slots:
+            for s in sorted(named):
                 groups.setdefault(self.slots[s], []).append(s)
-            changes.extend((group, change, row) for row, group in groups.items())
-        rows = [(group, change(group[0], row))
-                for group, change, row in sorted(changes, key=lambda job: job[0][0])]
+            jobs.extend((group, changes, row) for row, group in groups.items())
+        rows = []
+        for group, changes, row in sorted(jobs, key=lambda job: job[0][0]):
+            for change in changes:
+                row = change(group[0], row)
+            rows.append((group, row))
         for group, row in rows:
             for s in group:
                 self.slots[s] = row
@@ -273,17 +292,11 @@ def new_labels(config: CarrierConfig) -> Lattice:
     """A fresh writable label lattice, one row per slot kind of the carrier;
     TDD uplink/guard symbols are pre-labeled."""
     cycle = config.tdd_pattern.cycle if config.duplex == "TDD" else (SlotKind.DOWNLINK,)
-    n_sc = config.n_subcarriers
-    rows = {}
-    for kind in set(cycle):
-        if kind is SlotKind.UPLINK:
-            dl, guard = 0, 0
-        elif kind is SlotKind.SPECIAL:
-            dl, guard, _ul = config.tdd_pattern.special_split
-        else:
-            dl, guard = SYMBOLS_PER_SLOT, 0
-        rows[kind] = (bytes(dl * n_sc)
-                      + bytes((ReLabel.GUARD_SYMBOL,)) * (guard * n_sc)
+    n_sc, rows = config.n_subcarriers, {}
+    for position, kind in enumerate(cycle):
+        dl = config._dl_symbols[position]
+        guard = config.tdd_pattern.special_split[1] if kind is SlotKind.SPECIAL else 0
+        rows[kind] = (bytes(dl * n_sc) + bytes((ReLabel.GUARD_SYMBOL,)) * (guard * n_sc)
                       + bytes((ReLabel.UPLINK_SYMBOL,)) * ((SYMBOLS_PER_SLOT - dl - guard) * n_sc))
     return Lattice([rows[kind] for kind in cycle] * (config.n_slots // len(cycle)))
 
@@ -373,12 +386,13 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     footprint, or a function of (slot, the block's labels) giving those
     bytes. A range outside the slot, any other footprint and a label
     outside 0..RESERVED_IOT are a ConfigError; an empty range places
-    nothing. A slot that two placements name is a ConfigError.
-    Only UNLABELED cells are written; uplink and guard cells never are.
-    Strict placements need all their downlink cells free: otherwise
-    ConflictError names the first taken cell (by slot, then symbol, then
-    subcarrier) and nothing is written. With ``rate_match`` the free cells
-    are filled and the rest skipped. Each distinct row is merged once.
+    nothing. A slot takes its placements in call order. Only UNLABELED
+    cells are written; uplink and guard cells never are. Strict placements
+    need all their downlink cells free, earlier placements' included:
+    otherwise ConflictError names the first taken cell (by slot, placement,
+    symbol, subcarrier) and nothing is written. With ``rate_match`` the
+    free cells are filled and the rest skipped. Each distinct row is merged
+    once per sequence of placements that name its slots.
     """
     writes = []
     for slots, symbols, subcarriers, footprint in placements:

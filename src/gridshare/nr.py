@@ -13,8 +13,8 @@ each PRB. A new signal is a spec class, an `NrOverlaySet` field, a
 `SIGNALS` row and, if it is placed in units, a place in `UNIT_ORDER` (and
 its entry in the scenario format).
 
-`place_nr` places CORESET1, then every unit, into a copy of its lattice
-and stores the changed rows in one all-or-nothing write; an "re" unit's
+`place_nr` places CORESET1, then every unit, in one all-or-nothing
+`place_slots` call, a slot taking CORESET1 before its unit; an "re" unit's
 footprint is a function of its block's labels.
 
 `nr_plan` makes every check of an overlay against its carrier that needs no
@@ -224,36 +224,30 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     occasion) gets its own downlink slot starting at the lowest PRBs just
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme. The
-    checked plan (`nr_plan`) is placed into a copy of the lattice as
-    CORESET1, then every unit in one `place_slots` call, equal units as one
-    placement; the error raised is the lowest slot's, as if each were
-    placed in turn. An "re" unit picks its cells once per distinct row.
-    The changed rows are then stored in one `Lattice.rewrite`: all of the
-    overlay or none of it is written.
+    checked plan (`nr_plan`) is placed in one `place_slots` call: CORESET1,
+    then every unit, equal units as one placement. A slot takes CORESET1
+    before its unit, the error raised is the lowest slot's, and all of the
+    overlay or none of it is written. An "re" unit picks its cells once per
+    distinct row.
     """
     monitored, units = nr_plan(carrier, overlay)
-    staged = labels.copy()
+    placements = []
     if monitored:
         coreset1 = overlay.coreset1
-        place_slots(staged, [(monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
-                              _CORESET1.label)])
-    groups: Dict[tuple, List[int]] = {}
+        placements.append((monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
+                           _CORESET1.label))
+    # Equal units are one placement, keyed on the signal's name: a Signal hashes slowly.
+    groups: Dict[tuple, Tuple[tuple, List[int]]] = {}
     for slot, unit in units:
-        groups.setdefault(unit, []).append(slot)
-    placements = []
-    for (signal, kind, prbs, amount, base, dl_syms), slots in groups.items():
+        groups.setdefault((unit[0].name, unit[4], unit[5]), (unit, []))[1].append(slot)
+    for (signal, kind, prbs, amount, base, dl_syms), slots in groups.values():
         width = prbs * SC_PER_PRB
         if kind == "block":
             symbols, footprint = range(base, base + amount), signal.label
         else:
             symbols, footprint = range(base, dl_syms), functools.partial(_pick, signal, width, amount)
         placements.append((slots, symbols, range(width), footprint))
-    place_slots(staged, placements)
-    changed: Dict[bytes, List[int]] = {}
-    for slot, (old, new) in enumerate(zip(labels.slots, staged.slots)):
-        if old is not new:
-            changed.setdefault(new, []).append(slot)
-    labels.rewrite([(slots, lambda slot, row, new=new: new) for new, slots in changed.items()])
+    place_slots(labels, placements)
 
 
 def _pick(signal: Signal, width: int, amount: int, slot: int, cells: bytes) -> bytes:
@@ -261,28 +255,22 @@ def _pick(signal: Signal, width: int, amount: int, slot: int, cells: bytes) -> b
     return _first_free_per_prb(cells, width, amount, f"{signal.name}: collision in slot {slot}", signal.label)
 
 
-def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], List[tuple]]:
+def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[Tuple[int, ...], List[tuple]]:
     """The overlay checked against the carrier, with every check that needs
     no lattice: (CORESET1 monitored slots, units), each unit (slot, (signal,
     kind, PRBs, amount, first symbol, DL symbols of the slot)), in slot order."""
     overlay.check_fits(carrier)
 
-    dl_slots = list(carrier.dl_bearing_slots())
+    dl_symbols = carrier._dl_symbols
+    dl_slots = carrier.dl_bearing_slots()
 
-    monitored: List[int] = []
     coreset1 = overlay.coreset1
-    if coreset1 and coreset1.re_count(carrier) > 0:
-        n_mon = coreset1.monitored_count(carrier)
-        if n_mon > len(dl_slots):
-            raise PlacementError(
-                f"{_CORESET1.name}: {n_mon} monitored slots > {len(dl_slots)} DL-bearing slots"
-            )
-        monitored = dl_slots[:n_mon]
-        for slot in monitored:
-            if coreset1.symbols > carrier.dl_symbols_in_slot(slot):
-                raise PlacementError(
-                    f"{_CORESET1.name}: {coreset1.symbols} symbols do not fit slot {slot}"
-                )
+    n_mon = coreset1.monitored_count(carrier) if coreset1 and coreset1.re_count(carrier) > 0 else 0
+    if n_mon > len(dl_slots):
+        raise PlacementError(f"{_CORESET1.name}: {n_mon} monitored slots > {len(dl_slots)} DL-bearing slots")
+    monitored = dl_slots[:n_mon]
+    for slot in (s for s in monitored if dl_symbols[s] < coreset1.symbols):
+        raise PlacementError(f"{_CORESET1.name}: {coreset1.symbols} symbols do not fit slot {slot}")
 
     # The unit count is checked before any unit is listed, so an oversized
     # count costs no memory.
@@ -290,17 +278,14 @@ def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[List[int], L
               if (spec := signal.spec(overlay)) and spec.re_count(carrier) > 0]
     n_units = sum(unit[-1] for _, unit in groups)
     if n_units > len(dl_slots):
-        raise PlacementError(
-            f"{n_units} occasion units need distinct DL slots but only "
-            f"{len(dl_slots)} are available"
-        )
-    monitored_set = set(monitored)
+        raise PlacementError(f"{n_units} occasion units need distinct DL slots but only "
+                             f"{len(dl_slots)} are available")
     units = []
-    slots = iter(dl_slots)
+    slots = enumerate(dl_slots)  # the first n_mon DL slots are CORESET1's
     for signal, (kind, prbs, amount, count) in groups:
-        for slot in itertools.islice(slots, count):
-            base = coreset1.symbols if slot in monitored_set else 0
-            dl_syms = carrier.dl_symbols_in_slot(slot)
+        for i, slot in itertools.islice(slots, count):
+            base = coreset1.symbols if i < n_mon else 0
+            dl_syms = dl_symbols[slot]
             if kind == "block" and base + amount > dl_syms:
                 raise PlacementError(f"{signal.name}: {amount} symbols do not fit slot {slot}")
             if kind == "re" and amount > (dl_syms - base) * SC_PER_PRB:

@@ -125,14 +125,19 @@ def place_lte(arr, carrier, cfg, include_sync=True):
 
 
 def place_nr(arr, carrier, overlay):
+    """The overlay slot by slot: CORESET1, if the slot is monitored, then the slot's unit."""
     monitored, units = nr_plan(carrier, overlay)
-    for slot in monitored:
-        place(
-            arr,
-            (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
-            ReLabel.NR_PDCCH_CORESET1,
-        )
-    for slot, (signal, kind, prbs, amount, base, dl_syms) in units:
+    monitored, unit_of = set(monitored), dict(units)
+    for slot in sorted(monitored | unit_of.keys()):
+        if slot in monitored:
+            place(
+                arr,
+                (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
+                ReLabel.NR_PDCCH_CORESET1,
+            )
+        if slot not in unit_of:
+            continue
+        signal, kind, prbs, amount, base, dl_syms = unit_of[slot]
         if kind == "block":
             place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), signal.label)
         else:

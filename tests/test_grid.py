@@ -15,7 +15,10 @@ from gridshare import (
     count_labels,
     make_grid,
 )
+from gridshare import cli
+from gridshare.budget import downlink_re, nr_overhead
 from gridshare.grid import place_slots
+from gridshare.scenario import parse_scenario
 
 import dense_reference as ref
 
@@ -81,6 +84,63 @@ class TestConfigValidation:
     def test_fractional_slot_count_rejected(self):
         with pytest.raises(ConfigError):
             CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=0.5)
+
+
+SFN_CYCLE_DOCS = {
+    "dss": {
+        "carrier": {"scs_khz": 15, "n_prb": 100, "duplex": "FDD", "span_ms": 10240},
+        "lte": {"cell_id": 201, "crs_ports": 4, "pdcch_symbols": 2},
+        "nr": {"period_ms": 10240,
+               "csi_rs": {"ports": 4, "density_re_per_port_per_prb": 1, "prbs": 100,
+                          "occasions_per_period": 5000},
+               "trs": {"prbs": 52, "slots_per_occasion": 2, "re_per_prb_per_slot": 3,
+                       "beams": 4, "occasions_per_period": 500}},
+    },
+    "tdd": {
+        "carrier": {"scs_khz": 30, "n_prb": 275, "duplex": "TDD", "span_ms": 10240,
+                    "tdd_pattern": {"cycle": "DDDSU", "special_split": [6, 4, 4]}},
+        "nr": {"period_ms": 10240, "ssb": {"beams": 4, "prbs": 20, "symbols": 4},
+               "coreset1": {"prbs": 270, "symbols": 2},
+               "trs": {"prbs": 52, "slots_per_occasion": 2, "re_per_prb_per_slot": 6,
+                       "beams": 4, "occasions_per_period": 2}},
+    },
+}
+
+
+class TestPerSlotCarrierFacts:
+    @pytest.mark.parametrize("name", sorted(SFN_CYCLE_DOCS))
+    def test_an_sfn_cycle_reads_each_cycle_positions_dl_symbols_once(self, monkeypatch, name):
+        """`build_grid` and the overhead table of one SFN cycle find the
+        downlink symbols of each position of the TDD cycle once, not of
+        each slot."""
+        calls = []
+        dl_symbols_in_slot = CarrierConfig.dl_symbols_in_slot
+
+        def counted(carrier, slot):
+            calls.append(slot)
+            return dl_symbols_in_slot(carrier, slot)
+
+        monkeypatch.setattr(CarrierConfig, "dl_symbols_in_slot", counted)
+        scenario = parse_scenario(SFN_CYCLE_DOCS[name])
+        carrier = scenario.carrier
+        grid = cli.build_grid(scenario)
+        report = nr_overhead(carrier, scenario.nr)
+        period = len(carrier.tdd_pattern.cycle) if carrier.tdd_pattern else 1
+        assert len(calls) == len({slot % period for slot in calls}) <= period
+        counts = count_labels(grid)
+        not_dl = counts.get(ReLabel.GUARD_SYMBOL, 0) + counts.get(ReLabel.UPLINK_SYMBOL, 0)
+        assert report.downlink_re == grid.n_cells - not_dl
+
+    @pytest.mark.parametrize("carrier", [
+        fdd(span_ms=3),
+        CarrierConfig(30, n_prb=2, duplex="TDD", span_ms=5, tdd_pattern=TddPattern("DDDSU", (6, 4, 4))),
+        CarrierConfig(15, n_prb=1, duplex="TDD", span_ms=10, tdd_pattern=TddPattern("DSUUD", (0, 2, 12))),
+        CarrierConfig(15, n_prb=1, duplex="TDD", span_ms=4, tdd_pattern=TddPattern("SU", (14, 0, 0))),
+    ])
+    def test_dl_bearing_slots_and_downlink_cells_follow_each_slot(self, carrier):
+        per_slot = [carrier.dl_symbols_in_slot(s) for s in range(carrier.n_slots)]
+        assert carrier.dl_bearing_slots() == tuple(s for s, n in enumerate(per_slot) if n)
+        assert downlink_re(carrier) == sum(per_slot) * carrier.n_subcarriers
 
 
 class TestMakeGrid:

@@ -5,6 +5,7 @@ and counts slot by slot. Every grid, count, map and error of the lattice
 that stores each distinct slot once must equal it.
 """
 
+import functools
 import json
 import operator
 import pathlib
@@ -19,9 +20,10 @@ import dense_reference as ref
 from gridshare import cli
 from gridshare import grid as grid_module
 from gridshare import mrss as mrss_module
-from gridshare.errors import ConfigError, GridShareError
+from gridshare.errors import ConfigError, ConflictError, GridShareError, PlacementError
 from gridshare.grid import (
     CarrierConfig,
+    Lattice,
     ReLabel,
     ResourceGrid,
     TddPattern,
@@ -354,17 +356,39 @@ class TestLattice:
                                   ((0, 2), range(14), range(12), ReLabel.NR_CSI_RS)])
         assert np.array_equal(ref.gather(lattice), before)
 
-    def test_placements_that_share_a_slot_are_rejected_before_any_write(self):
-        # The second placement of slot 0 was once dropped without a word.
+    def test_slots_that_several_writes_name_take_them_in_call_order(self):
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
-        with pytest.raises(ConfigError, match="share slot 0"):
+        before, calls = list(lattice.slots), []
+
+        def change(label):
+            def run(slot, row):
+                calls.append((label, slot))
+                return row[:label] + bytes((label,)) + row[label + 1:]
+            return run
+
+        # All four slots hold one row: slots 0 and 2 take write 1 alone, and
+        # slots 1 and 3 take write 1 then write 2, each change once per
+        # group, at its first slot, the groups in slot order.
+        lattice.rewrite([(range(4), change(1)), ((3, 1), change(2))])
+        assert calls == [(1, 0), (1, 1), (2, 1)]
+        assert lattice.slots[0] is lattice.slots[2] and lattice.slots[1] is lattice.slots[3]
+        assert lattice.slots[0] == bytes((0, 1)) + before[0][2:]
+        assert lattice.slots[1] == bytes((0, 1, 2)) + before[0][3:]
+
+    def test_a_strict_placement_conflicts_with_an_earlier_one_in_its_slot(self):
+        # Placements of one call that share slot 0 were once rejected as a
+        # ConfigError; the second now meets the cells the first placed.
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
+        with pytest.raises(ConflictError, match=r"^conflict at cell \(0, 0, 0\): existing NR_SSB, new NR_CSI_RS$"):
             place_slots(lattice, [((0,), range(14), range(12), ReLabel.NR_SSB),
                                   ((0,), range(14), range(12), ReLabel.NR_CSI_RS)])
-        with pytest.raises(ConfigError, match="share slot 2"):
-            place_slots(lattice, [((1, 2), range(1), range(12), ReLabel.NR_SSB),
-                                  ((0,), range(5, 6), range(12), ReLabel.NR_DMRS),
-                                  ((3, 2), range(7, 8), range(12), ReLabel.NR_CSI_RS)])
         assert not ref.gather(lattice).any()
+        place_slots(lattice, [((1, 2), range(1), range(12), ReLabel.NR_SSB),
+                              ((0,), range(5, 6), range(12), ReLabel.NR_DMRS),
+                              ((3, 2), range(7, 8), range(12), ReLabel.NR_CSI_RS)])
+        dense = ref.gather(lattice)
+        assert (dense[2, 0] == ReLabel.NR_SSB).all() and (dense[2, 7] == ReLabel.NR_CSI_RS).all()
+        assert np.count_nonzero(dense) == 5 * 12
 
 
 PLACED_LABELS = [ReLabel.NR_SSB, ReLabel.NR_CSI_RS, ReLabel.NR_PDCCH_CORESET1, ReLabel.LTE_CRS_P0]
@@ -396,6 +420,43 @@ def place_dense(arr, carrier, slots, symbols, subcarriers, footprint, rate_match
         ref.place(arr, (slot, slice(symbols.start, symbols.stop),
                         slice(subcarriers.start, subcarriers.stop)), footprint, rate_match)
     return arr
+
+
+def fill_free(label, count, slot, cells):
+    """A function footprint: `label` on the block's first `count` free
+    cells; PlacementError, naming the slot, if it has fewer."""
+    free = [i for i, cell in enumerate(cells) if not cell][:count]
+    if len(free) < count:
+        raise PlacementError(f"{count} free cells wanted in slot {slot}, {len(free)} left")
+    picked = bytearray(len(cells))
+    for i in free:
+        picked[i] = label
+    return bytes(picked)
+
+
+@st.composite
+def sharing_placements(draw, carrier):
+    """1-4 placements over the first three slots, so that some share a slot;
+    each footprint an int label, the block's bytes or `fill_free`."""
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        _, symbols, subcarriers, footprint = draw(placements(carrier))
+        slots = draw(st.lists(st.integers(0, min(carrier.n_slots, 3) - 1), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            size = len(symbols) * len(subcarriers)
+            footprint = functools.partial(fill_free, draw(st.sampled_from(PLACED_LABELS)),
+                                          draw(st.integers(0, size)))
+        batch.append((slots, symbols, subcarriers, footprint))
+    return batch
+
+
+def place_in_turn(lattice, batch, rate_match):
+    """Each slot in turn, and in it each placement that names it, one
+    `place_slots` call each."""
+    for slot in sorted({s for slots, *_ in batch for s in slots}):
+        for slots, *block in batch:
+            if slot in slots:
+                place_slots(lattice, [((slot,), *block)], rate_match)
 
 
 @st.composite
@@ -474,6 +535,31 @@ class TestLatticeOperations:
             assert totals == ref.count_labels(arr)
         for kept, labels in left:
             assert np.array_equal(ref.gather(kept), labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_placements_that_share_a_slot_equal_placing_them_in_turn(self, data):
+        """One `place_slots` call gives the labels, or the error class and
+        message, of placing its placements in turn (`place_in_turn`), one
+        call each, strict and rate-matched; a failed call writes nothing.
+        Placed whole, one call per placement in call order, they give the
+        same labels, or fail too."""
+        carrier = data.draw(carriers(15))
+        lattice = new_labels(carrier)
+        for slots, *block in data.draw(st.lists(placements(carrier), max_size=2)):
+            place_slots(lattice, [(slots, *block)], rate_match=True)
+        batch, rate_match = data.draw(sharing_placements(carrier)), data.draw(st.booleans())
+        before = list(lattice.slots)
+        in_turn, whole = Lattice(list(before)), Lattice(list(before))
+        _, error = outcome(place_slots, lattice, batch, rate_match)
+        _, want = outcome(place_in_turn, in_turn, batch, rate_match)
+        _, whole_error = outcome(lambda: [place_slots(whole, [p], rate_match) for p in batch])
+        assert error == want
+        assert (whole_error is None) == (error is None)
+        if error is None:
+            assert lattice == in_turn == whole
+        else:
+            assert all(map(operator.is_, lattice.slots, before))
 
 
 def test_building_a_staged_map_counts_each_distinct_row_once(monkeypatch):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridshare import (
@@ -39,7 +39,7 @@ from gridshare import (
     simulate,
 )
 import dense_reference as ref
-from gridshare.budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_per_prb
+from gridshare.budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_by_grid
 from gridshare.grid import label_counts
 from gridshare.mrss import (
     _NON_DL_LABELS,
@@ -405,7 +405,7 @@ class TestNeighborInterference:
         ports=st.sampled_from([1, 2, 4]),
         cell_id=st.integers(0, 11),
         neighbors=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([1, 2, 4])), max_size=3),
-        lte_pdcch=st.integers(0, 3),
+        lte_pdcch=st.integers(1, 3),
         nr_pdcch=st.integers(0, 12),
         dmrs_count=st.integers(0, 4),
         kind=st.sampled_from(Mitigation.KINDS),
@@ -413,9 +413,12 @@ class TestNeighborInterference:
     def test_pool_is_the_dss_slot_pool(self, ports, cell_id, neighbors, lte_pdcch, nr_pdcch,
                                        dmrs_count, kind):
         """The report's per-PRB pool, the zeros of the serving cell's
-        `budget.dss_pool_mask`, is `budget.dss_pool_per_prb` of the serving
-        ports and the layout (README "One DSS slot"); a layout the DSS slot
-        rejects is rejected alike."""
+        `budget.dss_pool_mask`, is the pool counted on the labeled DSS slot
+        (`budget.dss_pool_by_grid`, which places the LTE cell, NR control
+        and DMRS and reads no mask), for each layout the slot takes (README
+        "One DSS slot"). Rejected layouts, and `lte_pdcch` 0 under an
+        incumbent, which the grid route does not build, are checked by
+        `test_matches_the_cell_by_cell_reference`."""
         serving = LteCellConfig(cell_id=cell_id, crs_ports=ports)
         cells = [LteCellConfig(cell_id=i, crs_ports=p) for i, p in neighbors]
         layout = DssLayout(lte_pdcch, nr_pdcch, dmrs_count)
@@ -423,12 +426,10 @@ class TestNeighborInterference:
         try:
             dmrs = default_dmrs_symbols(ports, layout.control_end, dmrs_count)
             check_control_fits(lte_pdcch, nr_pdcch)
-        except ConfigError as exc:
-            with pytest.raises(ConfigError, match=re.escape(str(exc))):
-                neighbor_interference(serving, cells, mitigation, layout)
-            return
+        except ConfigError:
+            assume(False)
         report = neighbor_interference(serving, cells, mitigation, layout)
-        assert report.pool_re == dss_pool_per_prb(ports, lte_pdcch, nr_pdcch, dmrs)
+        assert report.pool_re == dss_pool_by_grid(ports, lte_pdcch, nr_pdcch, dmrs)
 
     @settings(max_examples=300, deadline=None)
     @given(

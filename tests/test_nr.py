@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from gridshare import (
     make_grid,
 )
 from gridshare.budget import dss_pool_by_grid
+from gridshare.grid import Lattice, new_labels
 from gridshare import nr
 from gridshare.nr import _first_free_per_prb, nr_plan, place_nr
 
@@ -221,9 +223,10 @@ def placed_and_dense(carrier, cell, overlay):
 
 
 class TestUnitsPlacedTogether:
-    """`place_nr` places all units in one placement, each pick read from its
-    slot's row after CORESET1; the result and the first error are those of
-    placing the units one by one in slot order."""
+    """`place_nr` places CORESET1 and all units in one `place_slots` call,
+    each pick read from its slot's row after CORESET1; the result and the
+    first error are those of placing them slot by slot, CORESET1 before a
+    slot's unit."""
 
     CARRIER = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=10)
 
@@ -287,6 +290,45 @@ class TestUnitsPlacedTogether:
         with pytest.raises(PlacementError, match="^CSI-RS: collision in slot 0, PRB 0$"):
             place_nr(lattice, carrier, overlay)
         assert lattice.slots == before
+
+    def test_the_lowest_slots_error_comes_first_from_coreset1_or_a_unit(self):
+        # The CSI-RS in slot 0 finds 24 of its 28 cells free; CORESET1 meets
+        # RESERVED_IOT in slot 1. CORESET1 was once placed over every slot
+        # before any unit, and its conflict raised instead.
+        carrier = CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=2)
+        arr = ref.new_labels(carrier)
+        arr[0, 4:] = arr[1, 1] = ReLabel.RESERVED_IOT
+        overlay = NrOverlaySet(period_ms=2, coreset1=Coreset1Spec(1, 2), csi_rs=CsiRsSpec(4, 7, 1, 1))
+        with pytest.raises(PlacementError, match="^CSI-RS: collision in slot 0, PRB 0$"):
+            ref.place_nr(arr.copy(), carrier, overlay)
+        lattice = ref.lattice_of(arr)
+        before = list(lattice.slots)
+        with pytest.raises(PlacementError, match="^CSI-RS: collision in slot 0, PRB 0$"):
+            place_nr(lattice, carrier, overlay)
+        assert lattice.slots == before
+        arr[0, 4:] = ReLabel.UNLABELED
+        with pytest.raises(ConflictError, match=r"^conflict at cell \(1, 1, 0\): existing RESERVED_IOT"):
+            place_nr(ref.lattice_of(arr), carrier, overlay)
+
+    def test_one_place_slots_call_and_no_copy(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(nr, "place_slots", counted("place_slots", nr.place_slots))
+        monkeypatch.setattr(Lattice, "copy", counted("copy", Lattice.copy))
+        monkeypatch.setattr(Lattice, "rewrite", counted("rewrite", Lattice.rewrite))
+        carrier, overlay = wideband_tdd_carrier(), full_overlay()
+        lattice = new_labels(carrier)
+        place_nr(lattice, carrier, overlay)
+        assert calls == {"place_slots": 1, "rewrite": 1}
+        arr = ref.new_labels(carrier)
+        ref.place_nr(arr, carrier, overlay)
+        np.testing.assert_array_equal(ref.gather(lattice), arr)
 
     def test_each_pick_runs_once_per_distinct_unit_and_row(self, monkeypatch):
         # 100 subframes of LTE hold three distinct rows (subframes 0, 5 and

@@ -13,6 +13,10 @@ the table of `Column`s under which `render_table` writes the record's rows
 as md or csv. `run_<command>` runs the row. A sweep flattens each point's
 record into one row.
 
+A grid and its MRSS map fold `STAGES`, one `Stage` row per stage:
+`build_grid` the rows through NR into a fresh lattice, `build_map` the rest
+into a copy of that grid's.
+
 `run` is the process entry (the `gridshare` script, `python -m
 gridshare.cli`); `main` is the in-process one.
 """
@@ -29,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from .budget import check_ports, dss_table, nr_overhead
 from .errors import ConfigError, GridShareError, ScenarioError
-from .grid import ResourceGrid, new_labels
+from .grid import CarrierConfig, Lattice, ResourceGrid, new_labels
 from .lte import place_lte
 from .mrss import (
     MrssCategoryMap,
@@ -45,7 +49,6 @@ from .scenario import Scenario, emit_scenario, parse_scenario, read_point
 from .value import asdict, replace
 
 FORMATS = ("md", "csv", "json")
-MAP_SECTIONS = ("carrier", "lte", "nr", "mrss")  # the sections `build_map` reads
 
 
 class Column(NamedTuple):
@@ -88,31 +91,60 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-MapBuilder = Callable[[Scenario], MrssCategoryMap]
+class Stage(NamedTuple):
+    """A build stage: its name, the scenario section it reads (the row runs
+    when it is present), and `write(labels, carrier, section)`, which writes
+    the stage into a writable lattice in one all-or-nothing call."""
+
+    name: str
+    section: str
+    write: Callable[[Lattice, CarrierConfig, object], None]
+
+
+# In build order. Each write calls its writer by its module-level name, as
+# `main` calls `run_<command>`, so a wrapper set on that name sees the call.
+STAGES: Tuple[Stage, ...] = (
+    Stage("lte", "lte", lambda labels, carrier, lte: place_lte(labels, carrier, lte)),
+    Stage("nr", "nr", lambda labels, carrier, nr: place_nr(labels, carrier, nr)),
+    Stage("control", "mrss", lambda labels, carrier, mrss: classify_mrss(labels, mrss.control_mode)),
+    Stage("iot", "mrss", lambda labels, carrier, mrss: reserve_iot(
+        labels, carrier, [(r.prb_start, r.prb_stop, r.slots) for r in mrss.iot_reservations])),
+    Stage("6g_ssb", "mrss", lambda labels, carrier, mrss: mrss.sixg_ssb and place_6g_ssb(
+        labels, carrier, mrss.sixg_ssb.occasions, mrss.sixg_ssb.prbs, mrss.sixg_ssb.symbols)),
+)
+
+
+def _fold(labels: Lattice, scenario: Scenario, grid: bool) -> bool:
+    """Write the grid's rows of `STAGES` (through "nr"), or the map's, into
+    `labels`; whether any row ran."""
+    end = 1 + [stage.name for stage in STAGES].index("nr")
+    ran = False
+    for stage in STAGES[:end] if grid else STAGES[end:]:
+        spec = getattr(scenario, stage.section)
+        if spec is not None:
+            stage.write(labels, scenario.carrier, spec)
+            ran = True
+    return ran
 
 
 def build_grid(scenario: Scenario) -> ResourceGrid:
-    """The scenario's grid, built in one label lattice: LTE, then NR."""
-    carrier = scenario.carrier
-    labels = new_labels(carrier)
-    if scenario.lte is not None:
-        place_lte(labels, carrier, scenario.lte)
-    if scenario.nr is not None:
-        place_nr(labels, carrier, scenario.nr)
-    return ResourceGrid(carrier, labels)
+    """The scenario's grid: the grid's stages folded into one fresh lattice."""
+    labels = new_labels(scenario.carrier)
+    _fold(labels, scenario, grid=True)
+    return ResourceGrid(scenario.carrier, labels)
 
 
 def build_map(scenario: Scenario) -> MrssCategoryMap:
+    """The scenario's MRSS map: the map's stages folded into one copy of its
+    grid's lattice, or the grid itself when no map stage runs."""
     grid = build_grid(scenario)
-    mode = scenario.mrss.control_mode if scenario.mrss else None
-    cmap = classify_mrss(grid, control_mode=mode) if mode else classify_mrss(grid)
-    if scenario.mrss is not None:
-        for r in scenario.mrss.iot_reservations:
-            cmap = reserve_iot(cmap, (r.prb_start, r.prb_stop), r.slots)
-        if scenario.mrss.sixg_ssb is not None:
-            s = scenario.mrss.sixg_ssb
-            cmap = place_6g_ssb(cmap, s.occasions, prbs=s.prbs, symbols=s.symbols)
-    return cmap
+    labels = grid.lattice.copy()
+    if _fold(labels, scenario, grid=False):
+        grid = ResourceGrid(scenario.carrier, labels)
+    return MrssCategoryMap(grid)
+
+
+MapBuilder = Callable[[Scenario], MrssCategoryMap]
 
 
 def budget_record(scenario: Scenario, maps: MapBuilder = build_map) -> List[Dict[str, object]]:
@@ -348,11 +380,12 @@ def run_sweep(scenario: Scenario, fmt: str) -> str:
     # A point is the base document with its swept values set (`_set_path`);
     # only the swept top-level sections are read again (`read_point`).
     swept = tuple(dict.fromkeys(p.path.split(".")[0] for p in params))
-    # The last map built, keyed by the swept ones among MAP_SECTIONS, the
-    # LTE cell without its neighbors: a map is a read-only value, so points
-    # with equal inputs share it, and a sweep over those inputs holds one
-    # map at a time.
-    map_keys = [key for key in MAP_SECTIONS if key in swept]
+    # The last map built, keyed by the swept ones among the sections a map
+    # reads (the carrier and each row's of `STAGES`), the LTE cell without
+    # its neighbors: a map is a read-only value, so points with equal inputs
+    # share it, and a sweep over those inputs holds one map at a time.
+    map_keys = [key for key in dict.fromkeys(("carrier", *(stage.section for stage in STAGES)))
+                if key in swept]
     last_map: Dict[tuple, MrssCategoryMap] = {}
 
     def maps(point: Scenario) -> MrssCategoryMap:

@@ -13,18 +13,17 @@ are a function of the row (`label_counts`), taken once per distinct row.
 A `ResourceGrid` is an immutable value: its lattice is read-only. A grid is
 built in one writable lattice: take a fresh one from `new_labels`, place
 each stage's footprints into it, and wrap it once in a `ResourceGrid`
-(`cli.build_grid` places LTE and then NR this way). The public stages
-`apply_lte` and `apply_nr` place into a copy of a finished grid's lattice,
-which shares its rows. `Lattice.rewrite` is the one write: a slot takes its
-writes in call order, and new rows are stored once every change has
-returned, so a write is all or nothing and no other slot or lattice sees
-it. Every footprint goes through `place_slots`, so no write relabels a
-cell or touches an uplink/guard cell. A placement names its block of each
-slot by two ranges (symbols, subcarriers), as a `Window` does; its
-footprint is an int label, the block's bytes in the order a `Window` reads
-them, or a function of the block that gives them. An MRSS map (`mrss`) is
-a labeled grid too; its stages relabel shared-pool cells in a copy of its
-grid's lattice.
+(`cli.build_grid` folds its stages this way; `cli.build_map` folds the MRSS
+map's into one copy of the grid's lattice, which shares its rows, as
+`apply_lte` and `apply_nr` do). `Lattice.rewrite` is the one write: a slot
+takes its writes in call order, and new rows are stored once every change
+has returned, so a write is all or nothing and no other slot or lattice
+sees it. Every footprint goes through `place_slots`, so no placement
+relabels a cell or touches an uplink/guard cell; the MRSS stages that
+relabel shared-pool cells (`mrss`) rewrite directly. A placement names its
+block of each slot by two ranges (symbols, subcarriers), as a `Window`
+does; its footprint is an int label, the block's bytes in the order a
+`Window` reads them, or a function of the block that gives them.
 """
 
 from __future__ import annotations
@@ -371,8 +370,9 @@ def _footprint(footprint, size: int) -> bytes:
 Placement = Tuple[Sequence[int], range, range, object]
 
 # GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: a footprint writes only labels below it.
-_NON_DL = bytes((ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL))
 _DL_LABELS = bytes(range(ReLabel.GUARD_SYMBOL))
+# The byte table that turns each downlink label but UNLABELED into 0xFF, and the rest into 0.
+_TAKEN = bytes(0xFF if 0 < label < ReLabel.GUARD_SYMBOL else 0 for label in range(256))
 
 
 def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: bool = False) -> None:
@@ -419,14 +419,14 @@ def _merge(window: Window, footprint, strict: bool, slot: int, row: bytes) -> by
         if not any_label(old):
             row[part] = new
             continue
-        if strict and old.translate(None, _NON_DL):
-            taken = next((i for i, (o, f) in enumerate(zip(old, new))
-                          if f and o and o < ReLabel.GUARD_SYMBOL), None)
-            if taken is not None:
-                symbol, sc = window.cell(fp.start + taken)
-                raise ConflictError(
-                    f"conflict at cell {(slot, symbol, sc)}: existing "
-                    f"{ReLabel(old[taken]).name}, new {ReLabel(new[taken]).name}")
+        # A cell is taken where both a downlink label and the footprint mark it.
+        if strict and int.from_bytes(old.translate(_TAKEN), "big") & int.from_bytes(new, "big"):
+            taken = next(i for i, (o, f) in enumerate(zip(old, new))
+                         if f and o and o < ReLabel.GUARD_SYMBOL)
+            symbol, sc = window.cell(fp.start + taken)
+            raise ConflictError(
+                f"conflict at cell {(slot, symbol, sc)}: existing "
+                f"{ReLabel(old[taken]).name}, new {ReLabel(new[taken]).name}")
         if 0 in old:
             row[part] = bytes([o or f for o, f in zip(old, new)])
     return bytes(row)

@@ -4,24 +4,23 @@ Covers the three-category MRSS resource model with a slot-level scheduler,
 and neighbor-cell CRS interference with its mitigation strategies. The DSS
 slot itself (NR rate-matched around LTE CRS) is budgeted in `budget`.
 
-An MRSS map is one labeled grid (`grid.ResourceGrid`): it starts as the
-grid it partitions, and each map stage relabels only shared-pool cells,
-with a label of its own (6G control growth SIXG_CONTROL, `reserve_iot`
-RESERVED_IOT, `place_6g_ssb` SIXG_SSB). A cell's category is always its
-label's, read through `_CATEGORY_OF_LABEL` from the grid's label counts
-(`grid.label_counts`, once per distinct row), so `grid.count_labels` counts
-a map's stage labels too. A stage writes a copy of its map's grid, which
-shares every row it does not replace: a new map counts only those rows.
+An MRSS map is one labeled grid, `MrssCategoryMap(grid)`. Its stages write
+a writable lattice, as `place_lte` and `place_nr` do, in one all-or-nothing
+call each, and relabel only shared-pool cells, with a label of their own
+(control growth SIXG_CONTROL, `reserve_iot` RESERVED_IOT, `place_6g_ssb`
+SIXG_SSB). A cell's category is always its label's, read through
+`_CATEGORY_OF_LABEL` from the grid's label counts (`grid.label_counts`,
+once per distinct row), so `grid.count_labels` counts stage labels too.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import numbers
 from array import array
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_mask
@@ -215,12 +214,9 @@ class MrssCategoryMap:
     """Partition of the downlink-capable cells into shared/reserved/control.
 
     An immutable value, its own labeled `grid`, so one map can serve many
-    `simulate` calls. The grid holds the partitioned grid's labels, except
-    on the shared-pool cells that map stages relabeled; each cell's category
-    is its label's, and its sizes and per-slot pool read the grid's label
-    counts through `_CATEGORY_OF_LABEL`. Control growth, `reserve_iot` and
-    `place_6g_ssb` return new maps whose grids share every row they do not
-    replace. Anything but a `ResourceGrid` is a ConfigError.
+    `simulate` calls. Each cell's category is its label's, and its sizes
+    and per-slot pool read the grid's label counts through
+    `_CATEGORY_OF_LABEL`. Anything but a `ResourceGrid` is a ConfigError.
     """
 
     grid: ResourceGrid
@@ -245,7 +241,7 @@ class MrssCategoryMap:
     def downlink_size(self) -> int:
         return self.grid.n_cells - self._sizes[CAT_NON_DL]
 
-    @cached_property
+    @functools.cached_property
     def _sizes(self) -> List[int]:
         """Cells of each category: the grid's label totals, by category."""
         sizes = [0, 0, 0, 0]
@@ -254,10 +250,15 @@ class MrssCategoryMap:
         return sizes
 
     def shared_cells_per_slot(self) -> array:
-        """Shared-pool cells of each slot from its row's label counts, a fresh int64 array."""
-        slots = self.grid.lattice.slots
-        shared = {row: sum(itertools.compress(label_counts(row), _IS_SHARED)) for row in set(slots)}
-        return array("q", map(shared.__getitem__, slots))
+        """Shared-pool cells of each slot, a fresh int64 array (`_shared_cells`)."""
+        return array("q", _shared_cells(self.grid.lattice))
+
+
+def _shared_cells(lattice: Lattice) -> List[int]:
+    """Shared-pool cells of each slot of a lattice, from its row's label counts."""
+    slots = lattice.slots
+    shared = {row: sum(itertools.compress(label_counts(row), _IS_SHARED)) for row in set(slots)}
+    return list(map(shared.__getitem__, slots))
 
 
 @value
@@ -289,34 +290,28 @@ class InterferenceReport:
     dirty_re: int
 
 
-def classify_mrss(grid: ResourceGrid, control_mode: ControlMode = ControlMode()) -> MrssCategoryMap:
-    """Partition downlink-capable cells into shared pool, reserved, control.
+def classify_mrss(labels: Lattice, control_mode: ControlMode = ControlMode()) -> None:
+    """Grow the control region of a writable lattice, the one write of the
+    shared/reserved/control partition (`MrssCategoryMap`).
 
-    The map is the grid itself unless control grows. The 5G control
-    footprint (CORESET1 cells) anchors the control region;
+    The 5G control footprint (CORESET1 cells) anchors the control region;
     partially-overlapping and separate 6G control grow it by
     footprint x (factor - 1) additional cells taken from the shared pool in
     deterministic scan order (slot, then symbol, then subcarrier) and
-    relabeled SIXG_CONTROL in a copy of the grid's lattice.
+    relabeled SIXG_CONTROL in one `Lattice.rewrite`. Fully-overlapping
+    control writes nothing; more cells than the pool holds is a
+    PlacementError, with nothing written.
     """
-    cmap = MrssCategoryMap(grid)
     grow = control_mode.footprint_factor - 1
-    if grow and (extra := int(cmap.control_region_size * grow)) > 0:
-        labels = grid.lattice.copy()
-        _grow_control(labels, cmap.shared_cells_per_slot(), extra)
-        cmap = MrssCategoryMap(ResourceGrid(grid.config, labels))
-    return cmap
-
-
-def _grow_control(lattice: Lattice, shared: Sequence[int], extra: int) -> None:
-    """Relabel the first `extra` shared-pool cells of a writable lattice, in
-    scan order, as SIXG_CONTROL, in one `Lattice.rewrite`; `shared` counts
-    each slot's shared-pool cells."""
+    if not grow:
+        return
+    extra = int(grow * sum(n for label, n in enumerate(label_totals(labels)) if label in CONTROL_LABELS))
+    if extra <= 0:
+        return
+    shared = _shared_cells(labels)
     reach = list(itertools.accumulate(shared))
     if extra > reach[-1]:
-        raise PlacementError(
-            f"separate control needs {extra} cells but only {reach[-1]} are shared"
-        )
+        raise PlacementError(f"separate control needs {extra} cells but only {reach[-1]} are shared")
     # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
     whole = bisect.bisect_right(reach, extra)
     rest = extra - (reach[whole - 1] if whole else 0)
@@ -328,9 +323,9 @@ def _grow_control(lattice: Lattice, shared: Sequence[int], extra: int) -> None:
                                      key=lambda i: categories.count(CAT_SHARED, 0, i + 1))
         return row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
 
-    lattice.rewrite([([s for s in range(whole) if shared[s]],
-                      lambda slot, row: row.translate(_SHARED_TO_CONTROL)),
-                     ([whole] if rest else [], turn_rest)])
+    labels.rewrite([([s for s in range(whole) if shared[s]],
+                     lambda slot, row: row.translate(_SHARED_TO_CONTROL)),
+                    ([whole] if rest else [], turn_rest)])
 
 
 # Placement ranges: the scenario parser checks them against the document's
@@ -356,72 +351,67 @@ def check_ssb_occasion(cfg: CarrierConfig, occasion: Sequence[int], prbs: int, s
         )
 
 
-def reserve_iot(
-    cmap: MrssCategoryMap,
-    prb_range: Tuple[int, int],
-    slots: Optional[Iterable[int]] = None,
-) -> MrssCategoryMap:
-    """Semi-static IoT reservation: relabel shared-pool cells RESERVED_IOT.
-
-    Applies to the downlink-capable cells of the named PRBs/slots; the
-    first cell there (by slot) that is not in the shared pool is a
-    ConflictError. The new map relabels a copy of the map's grid in one
-    `Lattice.rewrite`; the map is left as it is.
+def reserve_iot(labels: Lattice, carrier: CarrierConfig,
+                reservations: Iterable[Tuple[int, int, Optional[Iterable[int]]]]) -> None:
+    """Semi-static IoT reservations: relabel shared-pool cells of a writable
+    lattice RESERVED_IOT, each reservation (prb_start, prb_stop, slots) on
+    the downlink-capable cells of its PRBs in its slots (every slot when
+    None). All are written in one `Lattice.rewrite`, a slot taking them in
+    order: a cell there outside the shared pool, an earlier reservation's
+    included, is a ConflictError (the lowest slot's), and nothing is written.
     """
-    cfg = cmap.grid.config
-    p0, p1 = prb_range
-    check_prb_range(cfg, p0, p1)
-    slot_list = range(cfg.n_slots) if slots is None else list(slots)
-    check_slots(cfg, slot_list)
-
-    window = Window(cfg.n_subcarriers, range(SYMBOLS_PER_SLOT),
-                    range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
-
-    def relabel(slot: int, row: bytes) -> bytes:
-        cells = window.read(row).translate(_CATEGORY_OF_LABEL)
-        if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
-            bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
-            symbol, sc = window.cell(bad)
-            raise ConflictError(
-                f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool"
-            )
-        row = bytearray(row)
-        for part, _ in window.parts:
-            row[part] = row[part].translate(_SHARED_TO_IOT)
-        return bytes(row)
-
-    lattice = cmap.grid.lattice.copy()
-    lattice.rewrite([(slot_list, relabel)])
-    return MrssCategoryMap(ResourceGrid(cfg, lattice))
+    writes = []
+    for p0, p1, slots in reservations:
+        check_prb_range(carrier, p0, p1)
+        slot_list = range(carrier.n_slots) if slots is None else list(slots)
+        check_slots(carrier, slot_list)
+        window = Window(carrier.n_subcarriers, range(SYMBOLS_PER_SLOT),
+                        range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
+        writes.append((slot_list, functools.partial(_reserve_shared, window)))
+    labels.rewrite(writes)
 
 
-def place_6g_ssb(
-    cmap: MrssCategoryMap,
-    occasions: Sequence[Tuple[int, int, int]],
-    prbs: int,
-    symbols: int,
-) -> MrssCategoryMap:
+def _reserve_shared(window: Window, slot: int, row: bytes) -> bytes:
+    """The row with the window's shared-pool cells turned RESERVED_IOT;
+    ConflictError at its first cell outside the pool and the non-downlink cells."""
+    cells = window.read(row).translate(_CATEGORY_OF_LABEL)
+    if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
+        bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
+        symbol, sc = window.cell(bad)
+        raise ConflictError(f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool")
+    row = bytearray(row)
+    for part, _ in window.parts:
+        row[part] = row[part].translate(_SHARED_TO_IOT)
+    return bytes(row)
+
+
+def place_6g_ssb(labels: Lattice, carrier: CarrierConfig,
+                 occasions: Sequence[Tuple[int, int, int]], prbs: int, symbols: int) -> None:
     """Reserve 6G SSB beam blocks of `prbs` x `symbols` at (slot,
-    first_symbol, first_prb) anchors.
+    first_symbol, first_prb) anchors of a writable lattice.
 
-    The hidden-from-5G constraint is structural: every targeted cell of the
-    map must be UNLABELED, so a collision with any 5G footprint (SSB,
-    control, ...) is rejected as "not hidden", as is one with grown 6G
-    control, an IoT reservation or an earlier occasion. The blocks are
-    labeled SIXG_SSB in a copy of the map's grid.
+    The hidden-from-5G constraint is structural: every targeted cell must
+    be UNLABELED, so a collision with any 5G footprint (SSB, control, ...)
+    is rejected as "not hidden", as is one with grown 6G control, an IoT
+    reservation or an earlier occasion. The blocks are labeled SIXG_SSB in
+    one `place_slots` call, a slot taking its occasions in order: the
+    lowest slot's error is raised, and nothing is written.
     """
-    cfg = cmap.grid.config
-    lattice = cmap.grid.lattice.copy()
+    placements = []
     for slot, symbol, prb in occasions:
-        check_ssb_occasion(cfg, (slot, symbol, prb), prbs, symbols)
-        block = (range(symbol, symbol + symbols), range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB))
-        if any_label(Window(cfg.n_subcarriers, *block).read(lattice.slots[slot])):
-            raise PlacementError(
-                f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
-                "collides with a 5G footprint or leaves the shared pool"
-            )
-        place_slots(lattice, [((slot,), *block, ReLabel.SIXG_SSB)])
-    return MrssCategoryMap(ResourceGrid(cfg, lattice))
+        check_ssb_occasion(carrier, (slot, symbol, prb), prbs, symbols)
+        placements.append(((slot,), range(symbol, symbol + symbols),
+                           range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB),
+                           functools.partial(_hidden_ssb, (slot, symbol, prb))))
+    place_slots(labels, placements)
+
+
+def _hidden_ssb(occasion: Tuple[int, int, int], slot: int, cells: bytes) -> int:
+    """A 6G SSB block's footprint, SIXG_SSB on every cell, if none is labeled."""
+    if any_label(cells):
+        raise PlacementError(f"6G SSB occasion {occasion} is not hidden: "
+                             "collides with a 5G footprint or leaves the shared pool")
+    return ReLabel.SIXG_SSB
 
 
 def _grants(

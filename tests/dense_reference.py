@@ -180,32 +180,43 @@ def classify(labels, control_mode):
     return categories, labels
 
 
-def reserve_iot(config, categories, labels, prb_range, slots=None):
-    """New (categories, labels) with the reservation, or the stage's error."""
-    p0, p1 = prb_range
-    check_prb_range(config, p0, p1)
-    slot_list = list(range(config.n_slots)) if slots is None else sorted(set(slots))
-    check_slots(config, slot_list)
+def reserve_iot(config, categories, labels, reservations):
+    """New (categories, labels) with the reservations, each (prb_start,
+    prb_stop, slots or None), or the stage's error: every range is checked
+    first, then each slot in turn takes the reservations that name it, in
+    the order given."""
+    named = []
+    for p0, p1, slots in reservations:
+        check_prb_range(config, p0, p1)
+        slot_list = list(range(config.n_slots)) if slots is None else sorted(set(slots))
+        check_slots(config, slot_list)
+        named.append((slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB), set(slot_list)))
     categories, labels = categories.copy(), labels.copy()
-    prbs = slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB)
-    for s in slot_list:
-        window = categories[s, :, prbs]
-        dl = window != CAT_NON_DL
-        if np.any(window[dl] != CAT_SHARED):
-            bad = np.argwhere(dl & (window != CAT_SHARED))[0]
-            raise ConflictError(
-                f"cell (slot {s}, symbol {int(bad[0])}, sc {p0 * SC_PER_PRB + int(bad[1])}) "
-                "is not in the shared pool"
-            )
-        window[dl] = CAT_RESERVED
-        place(labels, (s, slice(None), prbs), ReLabel.RESERVED_IOT, rate_match=True)
+    for s in range(config.n_slots):
+        for prbs, slots in named:
+            if s not in slots:
+                continue
+            window = categories[s, :, prbs]
+            dl = window != CAT_NON_DL
+            if np.any(window[dl] != CAT_SHARED):
+                bad = np.argwhere(dl & (window != CAT_SHARED))[0]
+                raise ConflictError(
+                    f"cell (slot {s}, symbol {int(bad[0])}, sc {prbs.start + int(bad[1])}) "
+                    "is not in the shared pool"
+                )
+            window[dl] = CAT_RESERVED
+            place(labels, (s, slice(None), prbs), ReLabel.RESERVED_IOT, rate_match=True)
     return categories, labels
 
 
 def place_6g_ssb(config, categories, labels, occasions, prbs, symbols):
+    """New (categories, labels) with the blocks, or the stage's error: every
+    occasion's range is checked first, then the blocks are placed slot by
+    slot, a slot's in the order given."""
+    for occasion in occasions:
+        check_ssb_occasion(config, occasion, prbs, symbols)
     categories, labels = categories.copy(), labels.copy()
-    for slot, symbol, prb in occasions:
-        check_ssb_occasion(config, (slot, symbol, prb), prbs, symbols)
+    for slot, symbol, prb in sorted(occasions, key=lambda occasion: occasion[0]):
         sl = slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB)
         where = (slot, slice(symbol, symbol + symbols), sl)
         cat = categories[where]

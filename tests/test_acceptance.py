@@ -13,9 +13,9 @@ from gridshare import (
     CarrierConfig,
     LteCellConfig,
     Mitigation,
+    MrssCategoryMap,
     SchedPolicy,
     TrafficModel,
-    classify_mrss,
     dss_pool_by_grid,
     dss_pool_per_prb,
     dss_table,
@@ -28,10 +28,11 @@ from gridshare import (
     verify_overhead_by_grid,
 )
 from gridshare.budget import crs_bearing_symbols
-from gridshare.cli import build_grid
+from gridshare.cli import build_grid, build_map
 from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED
 
 from dense_reference import categories, dominance_share
+from staged import staged
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -137,9 +138,9 @@ def test_6_scheduler_properties():
             span = rng.randint(1, 20)
             carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD",
                                     span_ms=span)
-            cmap = classify_mrss(make_grid(carrier))
+            cmap = MrssCategoryMap(make_grid(carrier))
             if n_prb > 1 and rng.random() < 0.3:
-                cmap = reserve_iot(cmap, (0, 1))
+                cmap = staged(cmap, reserve_iot, carrier, [(0, 1, None)])
             hi = n_prb * 180
             traffic = TrafficModel(
                 (rng.randint(0, hi), hi + rng.randint(0, hi)),
@@ -208,8 +209,7 @@ def test_8_partition_invariant():
         for path in sorted(SCENARIOS.glob("*.json")):
             scenario = parse_scenario(path.read_text())
             grid = build_grid(scenario)
-            mode = scenario.mrss.control_mode if scenario.mrss else None
-            cmap = classify_mrss(grid, control_mode=mode) if mode else classify_mrss(grid)
+            cmap = build_map(scenario)
             assert (cmap.shared_pool_size + cmap.reserved_size
                     + cmap.control_region_size == cmap.downlink_size)
             non_dl = categories(cmap.grid.lattice).tobytes().count(CAT_NON_DL)
@@ -218,8 +218,7 @@ def test_8_partition_invariant():
         # array cell by cell gives each category's size, and the three cover
         # exactly the downlink cells.
         carrier = CarrierConfig(15, n_prb=2, duplex="FDD", span_ms=2)
-        cmap = classify_mrss(make_grid(carrier))
-        cmap = reserve_iot(cmap, (0, 1), slots=[0])
+        cmap = staged(make_grid(carrier), reserve_iot, carrier, [(0, 1, [0])])
         cats = categories(cmap.grid.lattice).tobytes()
         sizes = {CAT_SHARED: cmap.shared_pool_size, CAT_RESERVED: cmap.reserved_size,
                  CAT_CONTROL: cmap.control_region_size}

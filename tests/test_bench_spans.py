@@ -51,3 +51,18 @@ def test_every_wrapped_name_resolves_and_every_command_is_recorded():
         assert result["names"].count(f"cli.run_{command}") == 1, command
     assert result["names"].count("cli.main") == len(requests)
     assert "cli.build_grid" in result["names"]
+
+
+def test_a_staged_classify_records_the_grid_and_every_map_stage():
+    """`cli.STAGES` calls each stage writer by its module-level name, so the
+    tracer's wrappers see the grid build and every map stage."""
+    requests = [("classify", str(SCENARIOS / "mrss_staged.json"))]
+    src = pathlib.Path(gridshare.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "bench"), json.dumps(requests)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == {"classify": 0}
+    for name in ("cli.build_grid", "mrss.classify_mrss", "mrss.reserve_iot", "mrss.place_6g_ssb"):
+        assert name in result["names"], name

@@ -3,6 +3,7 @@ import gc
 import io
 import itertools
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -15,8 +16,12 @@ import gridshare
 from gridshare import ScenarioError, cli, emit_scenario, parse_scenario
 from gridshare import scenario as scenario_module
 from gridshare.cli import build_grid, main
-from gridshare.mrss import simulate
-from gridshare.scenario import SWEEP_COMMANDS
+from gridshare.errors import ConflictError, PlacementError
+from gridshare.grid import CarrierConfig, ReLabel, new_labels, place_slots
+from gridshare.lte import LteCellConfig
+from gridshare.mrss import ControlMode, ControlModeKind, simulate
+from gridshare.nr import Coreset1Spec, NrOverlaySet
+from gridshare.scenario import SWEEP_COMMANDS, IotReservation, MrssSpec, SixgSsbSpec
 
 import dense_reference as ref
 
@@ -1037,6 +1042,82 @@ class TestReportTable:
         del doc["traffic"]
         assert run(capsys, "toy", "-s", write_doc(tmp_path, doc)) == (
             1, "", "error: traffic: toy command requires a 'traffic' section\n")
+
+
+def toy_stage(labels, carrier, traffic):
+    """A toy map stage: RESERVED_IOT on the free cells of PRB 0 in slot `traffic.seed`."""
+    place_slots(labels, [((traffic.seed,), range(14), range(12), ReLabel.RESERVED_IOT)],
+                rate_match=True)
+
+
+# Per row of `cli.STAGES`, a spec whose write fails on `failing_stage_lattice`
+# in slot 1, and the error: a write that was not all or nothing would have
+# written slot 0 by then.
+FAILING_STAGES = {
+    "lte": (LteCellConfig(), ConflictError),
+    "nr": (NrOverlaySet(period_ms=3, coreset1=Coreset1Spec(6, 1)), ConflictError),
+    "control": (MrssSpec(control_mode=ControlMode(ControlModeKind.SEPARATE)), PlacementError),
+    "iot": (MrssSpec(iot_reservations=(IotReservation(0, 1, (0,)), IotReservation(0, 1, (1,)))),
+            ConflictError),
+    "6g_ssb": (MrssSpec(sixg_ssb=SixgSsbSpec(((0, 0, 0), (1, 0, 0)), prbs=1, symbols=1)),
+               PlacementError),
+}
+
+
+def failing_stage_lattice():
+    """A 6-PRB FDD carrier of three subframes and its lattice: slot 0 free,
+    slots 1 and 2 all CORESET1, more control than separate control can
+    double."""
+    carrier = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=3)
+    labels = new_labels(carrier)
+    place_slots(labels, [((1, 2), range(14), range(72), ReLabel.NR_PDCCH_CORESET1)])
+    return carrier, labels
+
+
+class TestStageTable:
+    def test_a_toy_stage_is_one_row(self, capsys, monkeypatch, tmp_path):
+        doc = mrss_sweep_doc()
+        scenario = parse_scenario(doc)
+        plain = cli.classify_record(scenario)
+        cells = ref.gather(cli.build_map(scenario).grid.lattice)
+        seeds = (0, 7, 8)
+        free = {seed: int(np.count_nonzero(cells[seed, :, :12] == 0)) for seed in seeds}
+        assert len(set(free.values())) == len(seeds) and min(free.values()) > 0
+
+        def record(seed):
+            return dict(plain, shared_pool=plain["shared_pool"] - free[seed],
+                        reserved=plain["reserved"] + free[seed])
+
+        builds = []
+        build_map = cli.build_map
+        monkeypatch.setattr(cli, "build_map", lambda s: builds.append(s) or build_map(s))
+        sweep = write_doc(tmp_path, dict(doc, sweep={"command": "classify", "parameters": [
+            {"path": "traffic.seed", "values": list(seeds)}]}), "sweep.json")
+        # No map reads the traffic section yet: the sweep shares one map.
+        assert run(capsys, "sweep", "-s", sweep, "-f", "json")[0] == 0
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "STAGES", cli.STAGES + (cli.Stage("toy", "traffic", toy_stage),))
+        code, out, err = run(capsys, "classify", "-s", write_doc(tmp_path, doc), "-f", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == record(7)
+        # The toy reads the swept section, so each point builds its own map.
+        builds.clear()
+        code, out, err = run(capsys, "sweep", "-s", sweep, "-f", "json")
+        assert (code, err) == (0, "")
+        assert len(builds) == len(seeds)
+        assert json.loads(out) == [dict(point=i, **{"traffic.seed": seed}, **record(seed))
+                                   for i, seed in enumerate(seeds)]
+
+    @pytest.mark.parametrize("name", FAILING_STAGES)
+    def test_a_failing_stage_leaves_its_lattice_unchanged(self, name):
+        assert list(FAILING_STAGES) == [stage.name for stage in cli.STAGES]
+        (stage,) = [stage for stage in cli.STAGES if stage.name == name]
+        spec, error = FAILING_STAGES[name]
+        carrier, labels = failing_stage_lattice()
+        before = list(labels.slots)
+        with pytest.raises(error):
+            stage.write(labels, carrier, spec)
+        assert all(map(operator.is_, labels.slots, before))
 
 
 class TestSweepRecords:

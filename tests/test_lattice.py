@@ -5,6 +5,7 @@ and counts slot by slot. Every grid, count, map and error of the lattice
 that stores each distinct slot once must equal it.
 """
 
+import collections
 import functools
 import json
 import operator
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from staged import staged
 from gridshare import cli
 from gridshare import grid as grid_module
 from gridshare import mrss as mrss_module
@@ -122,7 +124,7 @@ def cases(draw):
     for _ in range(draw(st.integers(0, 2))):
         p0 = draw(st.integers(0, n_prb))
         slots = draw(st.one_of(st.none(), st.lists(st.integers(0, n_slots - 1), max_size=4)))
-        iot.append(((p0, draw(st.integers(p0, n_prb))), slots))
+        iot.append((p0, draw(st.integers(p0, n_prb)), slots))
     prbs, symbols = draw(st.integers(1, n_prb)), draw(st.integers(1, 4))
     occasions = [(draw(st.integers(0, n_slots - 1)), draw(st.integers(0, 14 - symbols)),
                   draw(st.integers(0, n_prb - prbs))) for _ in range(draw(st.integers(0, 3)))]
@@ -214,29 +216,26 @@ class TestAgainstDenseReference:
             mode = ControlMode(kind, fraction if kind is ControlModeKind.PARTIALLY_OVERLAPPING
                                else None)
             dense, error = outcome(ref.classify, arr, mode)
-            cmap, shared_error = outcome(classify_mrss, grid, control_mode=mode)
+            cmap, shared_error = outcome(staged, grid, classify_mrss, mode)
             assert shared_error == error
             if error is not None:
                 continue
             categories, labels = dense
             assert_map_equals(cmap, grid, categories, labels)
             if kind is ControlModeKind.FULLY_OVERLAPPING:
-                assert cmap.grid is grid
-            stages = [(ref.reserve_iot, reserve_iot, (window, slots), {})
-                      for window, slots in iot]
-            occasions, prbs, symbols = ssb
-            stages.append((ref.place_6g_ssb, place_6g_ssb, (occasions,),
-                           {"prbs": prbs, "symbols": symbols}))
-            for dense_stage, stage, args, kwargs in stages:
-                dense, error = outcome(dense_stage, carrier, categories, labels, *args,
-                                       *kwargs.values())
+                assert all(map(operator.is_, cmap.grid.lattice.slots, grid.lattice.slots))
+            # The map stages as `cli.STAGES` writes them: every reservation
+            # in one call, then every 6G SSB occasion in one call.
+            for dense_stage, stage, args in ((ref.reserve_iot, reserve_iot, (iot,)),
+                                             (ref.place_6g_ssb, place_6g_ssb, ssb)):
+                dense, error = outcome(dense_stage, carrier, categories, labels, *args)
                 before = ref.gather(cmap.grid.lattice)
-                staged, shared_error = outcome(stage, cmap, *args, **kwargs)
+                written, shared_error = outcome(staged, cmap, stage, carrier, *args)
                 assert shared_error == error
                 assert np.array_equal(ref.gather(cmap.grid.lattice), before)
                 if error is not None:
                     break
-                (categories, labels), cmap = dense, staged
+                (categories, labels), cmap = dense, written
                 assert_map_equals(cmap, grid, categories, labels)
             pool = ref.cells_per_slot(categories)[CAT_SHARED]
             for policy in SchedPolicy:
@@ -319,10 +318,10 @@ class TestLattice:
         assert rows_are_bytes(lattice)
         assert rows_are_bytes(lattice.freeze())
         grid = ResourceGrid(carrier, lattice)
-        cmap = classify_mrss(grid, ControlMode(ControlModeKind.SEPARATE))
+        cmap = staged(grid, classify_mrss, ControlMode(ControlModeKind.SEPARATE))
         assert cmap.control_region_size == 24
-        for cmap in (cmap, reserve_iot(cmap, (1, 2), slots=[5]),
-                     place_6g_ssb(cmap, [(5, 9, 2)], prbs=2, symbols=2)):
+        for cmap in (cmap, staged(cmap, reserve_iot, carrier, [(1, 2, [5])]),
+                     staged(cmap, place_6g_ssb, carrier, [(5, 9, 2)], 2, 2)):
             assert cmap.grid is not grid
             assert rows_are_bytes(cmap.grid.lattice)
 
@@ -389,6 +388,25 @@ class TestLattice:
         dense = ref.gather(lattice)
         assert (dense[2, 0] == ReLabel.NR_SSB).all() and (dense[2, 7] == ReLabel.NR_CSI_RS).all()
         assert np.count_nonzero(dense) == 5 * 12
+
+
+    @pytest.mark.parametrize("label", list(ReLabel)[1:])
+    def test_a_strict_placement_conflicts_with_every_downlink_label_alone(self, label):
+        # One cell of a symbol's slice holds `label`; a footprint over the
+        # whole slice conflicts there unless the label marks no downlink cell.
+        lattice = ref.lattice_of(np.zeros((1, 14, 12), dtype=np.uint8))
+        lattice.slots[0] = bytes(29) + bytes((label,)) + bytes(138)
+        before = list(lattice.slots)
+        placement = [((0,), range(2, 3), range(12), ReLabel.NR_CSI_RS)]
+        if label >= ReLabel.GUARD_SYMBOL:
+            place_slots(lattice, placement)
+            csi = [ReLabel.NR_CSI_RS]
+            assert lattice.slots[0][24:36] == bytes(csi * 5 + [label] + csi * 6)
+            return
+        message = rf"^conflict at cell \(0, 2, 5\): existing {label.name}, new NR_CSI_RS$"
+        with pytest.raises(ConflictError, match=message):
+            place_slots(lattice, placement)
+        assert all(map(operator.is_, lattice.slots, before))
 
 
 PLACED_LABELS = [ReLabel.NR_SSB, ReLabel.NR_CSI_RS, ReLabel.NR_PDCCH_CORESET1, ReLabel.LTE_CRS_P0]
@@ -461,7 +479,8 @@ def place_in_turn(lattice, batch, rate_match):
 
 @st.composite
 def map_stages(draw, carrier):
-    """A control mode, an IoT reservation and 6G SSB occasions on the carrier."""
+    """A control mode, an IoT reservation ([(prb_start, prb_stop, slots)]) and
+    6G SSB occasions ((occasions, prbs, symbols)) on the carrier."""
     kind = draw(st.sampled_from(ControlModeKind))
     mode = ControlMode(kind, 0.5 if kind is ControlModeKind.PARTIALLY_OVERLAPPING else None)
     p0 = draw(st.integers(0, carrier.n_prb))
@@ -469,7 +488,7 @@ def map_stages(draw, carrier):
     prbs, symbols = draw(st.integers(1, carrier.n_prb)), draw(st.integers(1, 4))
     occasions = [(draw(st.integers(0, carrier.n_slots - 1)), draw(st.integers(0, 14 - symbols)),
                   draw(st.integers(0, carrier.n_prb - prbs))) for _ in range(draw(st.integers(0, 2)))]
-    return mode, ((p0, draw(st.integers(p0, carrier.n_prb))), slots), (occasions, prbs, symbols)
+    return mode, [(p0, draw(st.integers(p0, carrier.n_prb)), slots)], (occasions, prbs, symbols)
 
 
 def steps(carrier):
@@ -506,25 +525,24 @@ class TestLatticeOperations:
                 left.append((lattice, arr))
                 lattice = lattice.copy()
             else:
-                mode, (window, slots), (occasions, prbs, symbols) = step[1]
+                mode, reservations, ssb = step[1]
                 grid = ResourceGrid(carrier, lattice)
                 assert_stores_each_slot_once(grid.lattice)
                 left.append((lattice, arr))
                 dense, error = outcome(ref.classify, arr, mode)
-                cmap, got_error = outcome(classify_mrss, grid, control_mode=mode)
+                cmap, got_error = outcome(staged, grid, classify_mrss, mode)
                 assert got_error == error
                 if error is None:
                     categories, labels = dense
                     assert_map_equals(cmap, grid, categories, labels)
-                    for dense_stage, stage, args in (
-                            (ref.reserve_iot, reserve_iot, (window, slots)),
-                            (ref.place_6g_ssb, place_6g_ssb, (occasions, prbs, symbols))):
+                    for dense_stage, stage, args in ((ref.reserve_iot, reserve_iot, (reservations,)),
+                                                     (ref.place_6g_ssb, place_6g_ssb, ssb)):
                         dense, error = outcome(dense_stage, carrier, categories, labels, *args)
-                        staged, got_error = outcome(stage, cmap, *args)
+                        written, got_error = outcome(staged, cmap, stage, carrier, *args)
                         assert got_error == error
                         if error is not None:
                             break
-                        (categories, labels), cmap = dense, staged
+                        (categories, labels), cmap = dense, written
                         assert_map_equals(cmap, grid, categories, labels)
                     # Writes go on over the map's labels, which assert_map_equals checked.
                     lattice, arr = cmap.grid.lattice.copy(), ref.gather(cmap.grid.lattice).copy()
@@ -582,6 +600,36 @@ def test_building_a_staged_map_counts_each_distinct_row_once(monkeypatch):
     assert pool.tolist() == ref.cells_per_slot(ref.categories(cmap.grid.lattice))[CAT_SHARED].tolist()
     assert set(seen) == set(grid.lattice.slots) | set(cmap.grid.lattice.slots)
     assert label_counts.cache_info().misses == len(set(seen)) < len(seen)
+
+
+def test_building_a_staged_map_copies_one_lattice(monkeypatch):
+    """`build_map` folds the map stages into one copy of its grid's lattice,
+    each stage one `Lattice.rewrite`, and freezes it once: the grid's
+    freeze and the map's. The map equals the dense reference's."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("copy", "rewrite", "freeze"):
+        monkeypatch.setattr(Lattice, name, counted(name, getattr(Lattice, name)))
+    scenario = parse_scenario((SCENARIOS / "mrss_staged.json").read_text())
+    cmap = cli.build_map(scenario)
+    # NR, control growth, the IoT reservations and the 6G SSB occasions.
+    assert calls == {"copy": 1, "rewrite": 4, "freeze": 2}
+    carrier, mrss = scenario.carrier, scenario.mrss
+    arr = ref.new_labels(carrier)
+    ref.place_nr(arr, carrier, scenario.nr)
+    categories, labels = ref.classify(arr, mrss.control_mode)
+    categories, labels = ref.reserve_iot(carrier, categories, labels, [
+        (r.prb_start, r.prb_stop, r.slots) for r in mrss.iot_reservations])
+    categories, labels = ref.place_6g_ssb(carrier, categories, labels, mrss.sixg_ssb.occasions,
+                                          mrss.sixg_ssb.prbs, mrss.sixg_ssb.symbols)
+    monkeypatch.undo()
+    assert_map_equals(cmap, cli.build_grid(scenario), categories, labels)
 
 
 def lte_stress_document(n_prb, n_subframes):

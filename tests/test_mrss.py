@@ -1,3 +1,4 @@
+import operator
 import re
 import tracemalloc
 
@@ -39,8 +40,9 @@ from gridshare import (
     simulate,
 )
 import dense_reference as ref
+from staged import staged
 from gridshare.budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_by_grid
-from gridshare.grid import label_counts
+from gridshare.grid import label_counts, new_labels
 from gridshare.mrss import (
     _NON_DL_LABELS,
     CAT_CONTROL,
@@ -74,13 +76,13 @@ def full_overlay():
 
 def wideband_map(control_mode=ControlMode()):
     grid = apply_nr(make_grid(wideband_tdd_carrier()), full_overlay())
-    return classify_mrss(grid, control_mode=control_mode)
+    return staged(grid, classify_mrss, control_mode)
 
 
 def fdd_map(n_prb=1, span_ms=1):
     carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD",
                             span_ms=span_ms)
-    return classify_mrss(make_grid(carrier))
+    return staged(make_grid(carrier), classify_mrss)
 
 
 class TestClassify:
@@ -120,19 +122,27 @@ class TestClassify:
 
     def test_no_overlay_all_shared(self):
         grid = make_grid(wideband_tdd_carrier())
-        cmap = classify_mrss(grid)
+        cmap = staged(grid, classify_mrss)
         assert cmap.shared_pool_size == cmap.downlink_size == 1_257_984
         assert cmap.reserved_size == 0
         assert cmap.control_region_size == 0
 
     def test_map_is_the_grid_unless_control_grows(self):
+        # Control growth is classify's only write: otherwise every slot of
+        # the lattice holds the row it held.
         grid = apply_nr(make_grid(wideband_tdd_carrier()), full_overlay())
-        assert classify_mrss(grid).grid is grid
+        labels = grid.lattice.copy()
+        classify_mrss(labels)
+        assert all(map(operator.is_, labels.slots, grid.lattice.slots))
         # Separate control with no CORESET1 footprint grows by nothing.
-        empty = make_grid(wideband_tdd_carrier())
-        assert classify_mrss(empty, ControlMode(ControlModeKind.SEPARATE)).grid is empty
-        grown = classify_mrss(grid, ControlMode(ControlModeKind.SEPARATE))
-        assert grown.grid is not grid and grown.grid.config is grid.config
+        empty = new_labels(wideband_tdd_carrier())
+        before = list(empty.slots)
+        classify_mrss(empty, ControlMode(ControlModeKind.SEPARATE))
+        assert all(map(operator.is_, empty.slots, before))
+        classify_mrss(labels, ControlMode(ControlModeKind.SEPARATE))
+        assert not all(map(operator.is_, labels.slots, grid.lattice.slots))
+        grown = MrssCategoryMap(ResourceGrid(grid.config, labels))
+        assert grown.control_region_size == 2 * MrssCategoryMap(grid).control_region_size
 
     def test_fdd_grid_fully_shared(self):
         cmap = fdd_map()
@@ -157,67 +167,70 @@ class TestClassify:
         from gridshare import ReLabel, ResourceGrid
 
         arr[:, :13, :] = ReLabel.NR_PDCCH_CORESET1
-        big = ResourceGrid(carrier, ref.lattice_of(arr))
+        big = ref.lattice_of(arr)
+        before = list(big.slots)
         with pytest.raises(PlacementError):
-            classify_mrss(big, control_mode=ControlMode(ControlModeKind.SEPARATE))
+            classify_mrss(big, ControlMode(ControlModeKind.SEPARATE))
+        assert all(map(operator.is_, big.slots, before))
 
 
 class TestReserveIot:
     def test_reservation_shrinks_shared_pool(self):
         cmap = fdd_map(n_prb=4)
-        out = reserve_iot(cmap, (0, 1))
+        out = staged(cmap, reserve_iot, cmap.grid.config, [(0, 1, None)])
         assert out.reserved_size == 168
         assert out.shared_pool_size == cmap.shared_pool_size - 168
         assert cmap.reserved_size == 0  # input map untouched
 
     def test_empty_range_is_identity(self):
         cmap = fdd_map(n_prb=4)
-        out = reserve_iot(cmap, (2, 2))
+        out = staged(cmap, reserve_iot, cmap.grid.config, [(2, 2, None)])
         assert out.reserved_size == 0
         assert np.array_equal(ref.gather(out.grid.lattice), ref.gather(cmap.grid.lattice))
 
     def test_skips_non_downlink_cells(self):
         grid = make_grid(wideband_tdd_carrier())
-        out = reserve_iot(classify_mrss(grid), (0, 1), slots=[4])
+        out = staged(grid, reserve_iot, grid.config, [(0, 1, [4])])
         # Slot 4 is uplink: nothing there is downlink-capable.
         assert out.reserved_size == 0
 
     def test_overlap_with_existing_footprint_rejected(self):
-        cmap = wideband_map()
+        labels = wideband_map().grid.lattice.copy()
         with pytest.raises(ConflictError, match="shared pool"):
-            reserve_iot(cmap, (0, 273), slots=[0])
+            reserve_iot(labels, wideband_tdd_carrier(), [(0, 273, [0])])
 
     def test_range_validation(self):
         cmap = fdd_map(n_prb=4)
+        labels, carrier = cmap.grid.lattice.copy(), cmap.grid.config
         with pytest.raises(ConfigError):
-            reserve_iot(cmap, (3, 5))
+            reserve_iot(labels, carrier, [(3, 5, None)])
         with pytest.raises(ConfigError):
-            reserve_iot(cmap, (0, 1), slots=[9])
+            reserve_iot(labels, carrier, [(0, 1, [9])])
 
 
 class TestPlace6gSsb:
     def test_four_beams_reserve_3840(self):
         cmap = wideband_map()
         occasions = [(10, 2, 100), (10, 8, 100), (11, 2, 100), (11, 8, 100)]
-        out = place_6g_ssb(cmap, occasions, prbs=20, symbols=4)
+        out = staged(cmap, place_6g_ssb, cmap.grid.config, occasions, 20, 4)
         assert out.reserved_size == cmap.reserved_size + 3840
         assert out.shared_pool_size == cmap.shared_pool_size - 3840
 
     def test_zero_occasions_identity(self):
         cmap = wideband_map()
-        out = place_6g_ssb(cmap, [], prbs=20, symbols=4)
+        out = staged(cmap, place_6g_ssb, cmap.grid.config, [], 20, 4)
         assert np.array_equal(ref.gather(out.grid.lattice), ref.gather(cmap.grid.lattice))
 
     def test_collision_with_5g_footprint(self):
-        cmap = wideband_map()
+        labels = wideband_map().grid.lattice.copy()
         # Symbol 0 of a downlink slot carries CORESET 1 on PRBs 0..269.
         with pytest.raises(PlacementError, match="not hidden"):
-            place_6g_ssb(cmap, [(0, 0, 0)], prbs=20, symbols=4)
+            place_6g_ssb(labels, wideband_tdd_carrier(), [(0, 0, 0)], 20, 4)
 
     def test_out_of_range_occasion(self):
-        cmap = wideband_map()
-        with pytest.raises(ConfigError):
-            place_6g_ssb(cmap, [(0, 11, 0)], prbs=20, symbols=4)  # symbols 11..14 overflow
+        labels = wideband_map().grid.lattice.copy()
+        with pytest.raises(ConfigError):  # symbols 11..14 overflow
+            place_6g_ssb(labels, wideband_tdd_carrier(), [(0, 11, 0)], 20, 4)
 
 
 class TestSimulate:
@@ -583,7 +596,9 @@ class TestVectorizedScheduler:
 
 class TestImmutableMap:
     def test_arrays_are_read_only(self):
-        cmap = place_6g_ssb(reserve_iot(wideband_map(), (272, 273)), [(0, 2, 100)], prbs=20, symbols=4)
+        carrier = wideband_tdd_carrier()
+        cmap = staged(staged(wideband_map(), reserve_iot, carrier, [(272, 273, None)]),
+                      place_6g_ssb, carrier, [(0, 2, 100)], 20, 4)
         with pytest.raises(TypeError):
             cmap.grid.lattice.slots[0][0] = 0
         # The pool is a fresh copy: writing it leaves the map's counts as they are.
@@ -673,10 +688,10 @@ class TestClassifyReference:
             expected, per_slot = _reference_classify(grid, mode)
         except PlacementError as exc:
             with pytest.raises(PlacementError) as err:
-                classify_mrss(grid, control_mode=mode)
+                classify_mrss(grid.lattice.copy(), mode)
             assert str(err.value) == str(exc)
             return
-        cmap = classify_mrss(grid, control_mode=mode)
+        cmap = staged(grid, classify_mrss, mode)
         assert np.array_equal(ref.categories(cmap.grid.lattice), expected)
         assert np.array_equal(cmap.shared_cells_per_slot(), per_slot)
 
@@ -687,7 +702,7 @@ class TestClassifyReference:
         grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
         tracemalloc.start()
         try:
-            cmap = classify_mrss(grid)
+            cmap = staged(grid, classify_mrss)
             cmap.shared_cells_per_slot()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -701,7 +716,7 @@ class TestClassifyReference:
         if case == "lte_with_iot":
             carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=100)
             grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
-            cmap = reserve_iot(classify_mrss(grid), (0, 6), slots=range(0, 100, 7))
+            cmap = staged(grid, reserve_iot, carrier, [(0, 6, range(0, 100, 7))])
         else:
             cmap = wideband_map()
         tracemalloc.start()
@@ -769,8 +784,9 @@ SHARED_LABELS = np.flatnonzero(ref.CATEGORY_OF_LABEL == CAT_SHARED).tolist()
 @st.composite
 def staged_lattices(draw):
     """(grid, control mode, stages): several map stages in a drawn order, each
-    an IoT reservation ("iot", (PRB range, slots or None)) or 6G SSB
-    occasions ("ssb", (occasions, prbs, symbols)).
+    an IoT reservation ("iot", ([(prb_start, prb_stop, slots or None)],)) or
+    6G SSB occasions ("ssb", (occasions, prbs, symbols)): a stage's
+    arguments after the carrier.
 
     Each slot draws from the whole alphabet, from the shared labels only,
     from the LTE-only labels, or from the labels up to a drawn largest one;
@@ -808,7 +824,7 @@ def staged_lattices(draw):
                 window = labels[rows, :, p0 * 12:p1 * 12]
                 labels[rows, :, p0 * 12:p1 * 12] = rng.choice(
                     LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL], size=window.shape)
-            stages.append(("iot", ((p0, p1), slots)))
+            stages.append(("iot", ([(p0, p1, slots)],)))
         else:
             prbs, symbols = draw(st.integers(1, n_prb)), draw(st.integers(1, 14))
             occasions = []
@@ -837,16 +853,16 @@ class TestMapsWithoutStoredCategories:
             reference, labels = ref.classify(grid_labels, mode)
         except PlacementError as exc:
             with pytest.raises(PlacementError) as err:
-                classify_mrss(grid, control_mode=mode)
+                classify_mrss(grid.lattice.copy(), mode)
             assert str(err.value) == str(exc)
             return
-        cmap = classify_mrss(grid, control_mode=mode)
+        cmap = staged(grid, classify_mrss, mode)
         assert_map_matches(cmap, grid, reference, labels)
         # The staged map's labels: the grid's, each shared-pool cell that a
         # stage took from the reference's pool relabeled with that stage's label.
-        staged = relabel_taken(ref.CATEGORY_OF_LABEL[grid_labels], reference, grid_labels,
-                               ReLabel.SIXG_CONTROL)
-        assert count_labels(cmap.grid) == ref.count_labels(staged)
+        expected = relabel_taken(ref.CATEGORY_OF_LABEL[grid_labels], reference, grid_labels,
+                                 ReLabel.SIXG_CONTROL)
+        assert count_labels(cmap.grid) == ref.count_labels(expected)
 
         for kind, args in stages:
             dense_stage, stage = ((ref.reserve_iot, reserve_iot) if kind == "iot"
@@ -854,18 +870,20 @@ class TestMapsWithoutStoredCategories:
             try:
                 reference, labels = dense_stage(grid.config, reference, labels, *args)
             except GridShareError as exc:
+                written = cmap.grid.lattice.copy()
                 with pytest.raises(type(exc)) as err:
-                    stage(cmap, *args)
+                    stage(written, grid.config, *args)
                 assert str(err.value) == str(exc)
+                assert all(map(operator.is_, written.slots, cmap.grid.lattice.slots))
                 return
             before = ref.gather(cmap.grid.lattice)
-            staged = relabel_taken(ref.categories(cmap.grid.lattice), reference, staged,
-                                   ReLabel.RESERVED_IOT if kind == "iot" else ReLabel.SIXG_SSB)
-            prev, cmap = cmap, stage(cmap, *args)
+            expected = relabel_taken(ref.categories(cmap.grid.lattice), reference, expected,
+                                     ReLabel.RESERVED_IOT if kind == "iot" else ReLabel.SIXG_SSB)
+            prev, cmap = cmap, staged(cmap, stage, grid.config, *args)
             assert np.array_equal(ref.gather(prev.grid.lattice), before)
             assert np.array_equal(ref.gather(grid.lattice), grid_labels)
             assert_map_matches(cmap, grid, reference, labels)
-            assert count_labels(cmap.grid) == ref.count_labels(staged)
+            assert count_labels(cmap.grid) == ref.count_labels(expected)
 
     def test_lte_only_map_holds_no_category_lattice(self):
         # The map stored a gathered category lattice: the classify-to-simulate
@@ -877,7 +895,7 @@ class TestMapsWithoutStoredCategories:
         simulate(fdd_map(), traffic, policy)  # warms one-time imports before tracing
         tracemalloc.start()
         try:
-            cmap = classify_mrss(grid)
+            cmap = staged(grid, classify_mrss)
             pool = cmap.shared_cells_per_slot()
             sizes = (cmap.reserved_size, cmap.control_region_size, cmap.downlink_size)
             result = simulate(cmap, traffic, policy)
@@ -890,10 +908,11 @@ class TestMapsWithoutStoredCategories:
         assert result.shared_pool_size == grid.n_cells
 
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
-        cmap = classify_mrss(apply_lte(make_grid(CarrierConfig(15, n_prb=25,
-                                                               span_ms=2)), LteCellConfig()))
+        carrier = CarrierConfig(15, n_prb=25, span_ms=2)
+        cmap = staged(apply_lte(make_grid(carrier), LteCellConfig()), classify_mrss)
         grid, before = cmap.grid, ref.gather(cmap.grid.lattice)
-        out = place_6g_ssb(reserve_iot(cmap, (0, 2)), [(1, 12, 5)], prbs=4, symbols=2)
+        out = staged(staged(cmap, reserve_iot, carrier, [(0, 2, None)]),
+                     place_6g_ssb, carrier, [(1, 12, 5)], 4, 2)
         assert cmap.grid is grid
         assert np.array_equal(ref.gather(cmap.grid.lattice), before)
         assert cmap.reserved_size == 0

@@ -22,7 +22,6 @@ from gridshare.mrss import (
     MrssCategoryMap,
     SimResult,
     TrafficModel,
-    classify_mrss,
 )
 from gridshare.nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, Signal, TrsSpec
 from gridshare.scenario import (
@@ -40,7 +39,7 @@ import dense_reference as ref
 
 CARRIER = CarrierConfig(15, n_prb=2)
 GRID = make_grid(CARRIER)
-CMAP = classify_mrss(GRID)
+CMAP = MrssCategoryMap(GRID)
 ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
 
 # Class -> (the arguments its fields have no default for, a change its
@@ -247,8 +246,8 @@ def test_equal_slots_make_equal_grids_and_maps():
     assert per_slot == grid.lattice and hash(per_slot) == hash(grid.lattice)
     again = ResourceGrid(carrier, per_slot)
     assert again == grid and hash(again) == hash(grid)
-    assert classify_mrss(again) == classify_mrss(grid)
-    assert hash(classify_mrss(again)) == hash(classify_mrss(grid))
+    assert MrssCategoryMap(again) == MrssCategoryMap(grid)
+    assert hash(MrssCategoryMap(again)) == hash(MrssCategoryMap(grid))
     changed = dense.copy()
     changed[2, 0, 0] = 1
     assert ref.lattice_of(changed) != grid.lattice

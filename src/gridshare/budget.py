@@ -155,9 +155,10 @@ def dss_pool_by_grid(
 ) -> int:
     """Brute-force route: build the labeled slot and count the data pool.
 
-    crs_ports 0 is a pure NR slot: no LTE overlay, and lte_pdcch must be 0.
-    Each DMRS symbol lies after the control region and off the CRS-bearing
-    symbols (no puncturing is modeled).
+    The slot is subframe 1 of a 2-subframe FDD carrier, a normal subframe
+    with no sync or PBCH. crs_ports 0 is a pure NR slot: no LTE overlay,
+    and lte_pdcch must be 0. Each DMRS symbol lies after the control region
+    and off the CRS-bearing symbols (no puncturing is modeled).
     """
     check_ports((crs_ports,), lte_pdcch)
     check_control_fits(lte_pdcch, nr_pdcch)
@@ -170,16 +171,20 @@ def dss_pool_by_grid(
             raise ConfigError(f"DMRS symbol {s} collides with a CRS-bearing symbol")
         if s < control_end:
             raise ConfigError(f"DMRS symbol {s} collides with the control region")
-    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=1)
+    carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=2)
     labels = new_labels(carrier)
     if crs_ports > 0:
-        cfg = LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch)
-        place_lte(labels, carrier, cfg, include_sync=False)
-    # NR control, then each DMRS symbol, rate-matched around CRS, in one call.
+        place_lte(labels, carrier, LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch))
+    # NR control, then each DMRS symbol, on the free cells (rate-matched around CRS), in one call.
     width = range(carrier.n_subcarriers)
-    place_slots(labels, [((0,), range(lte_pdcch, control_end), width, ReLabel.NR_PDCCH_CORESET1)]
-                + [((0,), range(s, s + 1), width, ReLabel.NR_DMRS) for s in dmrs_symbols], rate_match=True)
-    return labels.slots[0].count(ReLabel.UNLABELED) // n_prb
+    place_slots(labels, [((1,), range(lte_pdcch, control_end), width, _free_cells(ReLabel.NR_PDCCH_CORESET1))]
+                + [((1,), range(s, s + 1), width, _free_cells(ReLabel.NR_DMRS)) for s in dmrs_symbols])
+    return labels.slots[1].count(ReLabel.UNLABELED) // n_prb
+
+
+def _free_cells(label: ReLabel):
+    """A footprint function: `label` on the block's UNLABELED cells, no other."""
+    return lambda slot, cells: cells.translate(bytes((label,)) + bytes(255))
 
 
 def _checked_pool(crs_ports: int, lte_pdcch: int, nr_pdcch: int, dmrs_symbols: Sequence[int]) -> int:

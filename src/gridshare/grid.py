@@ -6,8 +6,9 @@ each slot's labels are one row, an immutable `bytes` of 14 x n_sc labels in
 symbol-major order, and equal slots share one row object. An LTE carrier
 repeats a few subframe structures, so a 1000-subframe grid holds four
 rows. Every read and write works on byte strings, with the standard library
-only: a block of a slot is one slice of its row per symbol (`Window`), a
-free check compares a slice with zero bytes, and a row's per-label counts
+only: a block of a slot is one slice of its row per symbol, or one in all
+(`Window`), a free check compares a slice with zero bytes, a merge ORs the
+footprint into a slice's free cells as one int, and a row's per-label counts
 are a function of the row (`label_counts`), taken once per distinct row.
 
 A `ResourceGrid` is an immutable value: its lattice is read-only. A grid is
@@ -306,48 +307,41 @@ def make_grid(config: CarrierConfig) -> ResourceGrid:
 
 
 class Window:
-    """A block of a slot, symbols x subcarriers (two step-1 ranges), as slices of its row.
+    """A block of a slot, symbols x subcarriers, as slices of its row.
 
-    `parts` pairs each symbol's slice of the row with the matching slice of
-    the block's own symbol-major bytes; `whole` is the one row slice of a
-    block that is contiguous in the row (all subcarriers, or one symbol),
-    else None.
+    The two ranges are step-1 and within the slot, else ConfigError; an
+    empty range names no cell, wherever it is. `parts` pairs each slice of
+    the row the block covers with the matching slice of the block's own
+    symbol-major bytes: one per symbol, or one in all for a block that is
+    contiguous in the row (all subcarriers, or one symbol).
     """
 
-    __slots__ = ("symbols", "subcarriers", "parts", "whole")
+    __slots__ = ("symbols", "subcarriers", "parts")
 
     def __init__(self, n_sc: int, symbols: range, subcarriers: range):
+        for axis, size, name in ((symbols, SYMBOLS_PER_SLOT, "symbols"),
+                                 (subcarriers, n_sc, "subcarriers")):
+            if (not isinstance(axis, range) or axis.step != 1
+                    or (axis and not 0 <= axis.start < axis.stop <= size)):
+                raise ConfigError(
+                    f"placement {name} must be a step-1 range within the slot's {size}, got {axis!r}")
         self.symbols, self.subcarriers = symbols, subcarriers
         width, first, last = len(subcarriers), subcarriers.start, subcarriers.stop
-        self.parts = [(slice(s * n_sc + first, s * n_sc + last),
-                       slice(i * width, (i + 1) * width)) for i, s in enumerate(symbols)]
-        self.whole = None
         if width == n_sc or len(symbols) == 1:
             start = symbols.start * n_sc + first
-            self.whole = slice(start, start + len(symbols) * width)
+            self.parts = [(slice(start, start + len(symbols) * width), slice(0, len(symbols) * width))]
+        else:
+            self.parts = [(slice(s * n_sc + first, s * n_sc + last),
+                           slice(i * width, (i + 1) * width)) for i, s in enumerate(symbols)]
 
     def read(self, row) -> bytes:
         """The block's labels, symbol-major."""
-        if self.whole is not None:
-            return bytes(row[self.whole])
         return b"".join([row[part] for part, _ in self.parts])
 
     def cell(self, i: int) -> Tuple[int, int]:
         """(symbol, subcarrier) of the block's i-th cell."""
         symbol, k = divmod(i, len(self.subcarriers))
         return self.symbols[symbol], self.subcarriers[k]
-
-
-def _window(symbols, subcarriers, n_sc: int) -> Window:
-    """The block of a slot that two ranges name; anything but step-1 ranges
-    within the slot is a ConfigError. An empty range names no cell, wherever it is."""
-    for axis, size, name in ((symbols, SYMBOLS_PER_SLOT, "symbols"),
-                             (subcarriers, n_sc, "subcarriers")):
-        if (not isinstance(axis, range) or axis.step != 1
-                or (axis and not 0 <= axis.start < axis.stop <= size)):
-            raise ConfigError(
-                f"placement {name} must be a step-1 range within the slot's {size}, got {axis!r}")
-    return Window(n_sc, symbols, subcarriers)
 
 
 def _footprint(footprint, size: int) -> bytes:
@@ -371,11 +365,13 @@ Placement = Tuple[Sequence[int], range, range, object]
 
 # GUARD_SYMBOL and UPLINK_SYMBOL close the alphabet: a footprint writes only labels below it.
 _DL_LABELS = bytes(range(ReLabel.GUARD_SYMBOL))
-# The byte table that turns each downlink label but UNLABELED into 0xFF, and the rest into 0.
+# Byte tables that turn each downlink label but UNLABELED (_TAKEN), or UNLABELED alone
+# (_FREE), into 0xFF, and the rest into 0.
 _TAKEN = bytes(0xFF if 0 < label < ReLabel.GUARD_SYMBOL else 0 for label in range(256))
+_FREE = b"\xff" + bytes(255)
 
 
-def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: bool = False) -> None:
+def place_slots(lattice: Lattice, placements: Sequence[Placement]) -> None:
     """Write footprints into the named slots of a writable label lattice.
 
     Every footprint is written here, in one `Lattice.rewrite`. Each
@@ -387,48 +383,46 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement], rate_match: b
     bytes. A range outside the slot, any other footprint and a label
     outside 0..RESERVED_IOT are a ConfigError; an empty range places
     nothing. A slot takes its placements in call order. Only UNLABELED
-    cells are written; uplink and guard cells never are. Strict placements
-    need all their downlink cells free, earlier placements' included:
-    otherwise ConflictError names the first taken cell (by slot, placement,
-    symbol, subcarrier) and nothing is written. With ``rate_match`` the
-    free cells are filled and the rest skipped. Each distinct row is merged
-    once per sequence of placements that name its slots.
+    cells are written; uplink and guard cells never are. A footprint needs
+    all its downlink cells free, earlier placements' included: otherwise
+    ConflictError names the first taken cell (by slot, placement, symbol,
+    subcarrier) and nothing is written; a rate-matched one is a function
+    that marks free cells only. Each distinct row is merged once per
+    sequence of placements that name its slots.
     """
     writes = []
     for slots, symbols, subcarriers, footprint in placements:
-        window = _window(symbols, subcarriers, lattice.n_sc)
+        window = Window(lattice.n_sc, symbols, subcarriers)
         if not callable(footprint):
             footprint = _footprint(footprint, len(symbols) * len(subcarriers))
-        writes.append((slots, functools.partial(_merge, window, footprint, not rate_match)))
+        writes.append((slots, functools.partial(_merge, window, footprint)))
     lattice.rewrite(writes)
 
 
-def _merge(window: Window, footprint, strict: bool, slot: int, row: bytes) -> bytes:
+def _merge(window: Window, footprint, slot: int, row: bytes) -> bytes:
     """The row with the footprint (first called on the block's labels, if
-    it reads them) on the block's UNLABELED cells; strict, ConflictError
-    names the first taken downlink cell under it, by symbol, then subcarrier."""
+    it reads them) on the block's UNLABELED cells; ConflictError names the
+    first taken downlink cell under it, by symbol, then subcarrier."""
     if callable(footprint):
         footprint = _footprint(footprint(slot, window.read(row)),
                                len(window.symbols) * len(window.subcarriers))
     row = bytearray(row)
-    if window.whole is not None and not any_label(row[window.whole]):
-        row[window.whole] = footprint
-        return bytes(row)
     for part, fp in window.parts:
         old, new = row[part], footprint[fp]
         if not any_label(old):
             row[part] = new
             continue
         # A cell is taken where both a downlink label and the footprint mark it.
-        if strict and int.from_bytes(old.translate(_TAKEN), "big") & int.from_bytes(new, "big"):
-            taken = next(i for i, (o, f) in enumerate(zip(old, new))
-                         if f and o and o < ReLabel.GUARD_SYMBOL)
-            symbol, sc = window.cell(fp.start + taken)
+        wanted = int.from_bytes(new, "big")
+        taken = int.from_bytes(old.translate(_TAKEN), "big") & wanted
+        if taken:
+            first = len(old) - (taken.bit_length() + 7) // 8  # the most significant nonzero byte
+            symbol, sc = window.cell(fp.start + first)
             raise ConflictError(
                 f"conflict at cell {(slot, symbol, sc)}: existing "
-                f"{ReLabel(old[taken]).name}, new {ReLabel(new[taken]).name}")
-        if 0 in old:
-            row[part] = bytes([o or f for o, f in zip(old, new)])
+                f"{ReLabel(old[first]).name}, new {ReLabel(new[first]).name}")
+        free = int.from_bytes(old.translate(_FREE), "big")
+        row[part] = (int.from_bytes(old, "big") | wanted & free).to_bytes(len(old), "big")
     return bytes(row)
 
 

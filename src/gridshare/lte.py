@@ -136,11 +136,9 @@ def _fill(template: bytearray, n_sc: int, symbols: range, subcarriers: slice, la
         template[block] = template[block].replace(b"\0", bytes((label,)))
 
 
-def _subframe_templates(
-    cfg: LteCellConfig, n_prb: int, sync: bool
-) -> Tuple[bytes, bytes, bytes, bytes]:
+def _subframe_templates(cfg: LteCellConfig, n_prb: int) -> Tuple[bytes, bytes, bytes, bytes]:
     """14 x n_sc label templates in symbol-major order: (normal, MBSFN,
-    subframe 0, subframe 5) mod 10.
+    subframe 0, subframe 5) mod 10; below 6 PRBs, subframes 0 and 5 are normal.
 
     CRS takes precedence inside the control region so control-region CRS
     stays countable; PBCH is rate-matched around CRS.
@@ -159,7 +157,7 @@ def _subframe_templates(
     _fill(mbsfn, n_sc, range(region), every, ReLabel.LTE_PDCCH)
 
     templates = [normal, mbsfn, normal, normal]
-    if sync:
+    if n_prb >= 6:
         lo = (n_sc - SYNC_SUBCARRIERS) // 2
         center = slice(lo, lo + SYNC_SUBCARRIERS)
         sf5 = bytearray(normal)
@@ -170,33 +168,29 @@ def _subframe_templates(
     return tuple(map(bytes, templates))
 
 
-def apply_lte(grid: ResourceGrid, cfg: LteCellConfig, include_sync: bool = True) -> ResourceGrid:
+def apply_lte(grid: ResourceGrid, cfg: LteCellConfig) -> ResourceGrid:
     """The grid with one LTE cell placed on a copy of its lattice (`place_lte`)."""
     lattice = grid.lattice.copy()
-    place_lte(lattice, grid.config, cfg, include_sync)
+    place_lte(lattice, grid.config, cfg)
     return ResourceGrid(grid.config, lattice)
 
 
-def place_lte(
-    labels: Lattice, carrier: CarrierConfig, cfg: LteCellConfig, include_sync: bool = True
-) -> None:
+def place_lte(labels: Lattice, carrier: CarrierConfig, cfg: LteCellConfig) -> None:
     """Place one LTE cell's downlink structure on every subframe of a 15 kHz
     carrier's writable label lattice.
 
     In MBSFN subframes the control region is non_mbsfn_region_len symbols
     and everything after it is muted, with no CRS beyond the non-MBSFN
     region. PSS/SSS sit in subframes 0 and 5 mod 10 and PBCH in subframe 0
-    mod 10, on the center 72 subcarriers (requires n_prb >= 6; skipped when
-    include_sync is False). Each subframe template is placed strictly, once
-    over its set of subframes, so an already-labeled downlink cell raises
+    mod 10, on the center 72 subcarriers of a carrier of at least 6 PRBs (a
+    narrower one carries none). Each subframe template is placed once over
+    its set of subframes, so an already-labeled downlink cell raises
     ConflictError naming the first such cell; TDD uplink and guard cells
     are left as they are.
     """
     if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
-    normal, mbsfn, sf0, sf5 = _subframe_templates(
-        cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
-    )
+    normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
     every, mbsfn_sf = range(carrier.n_slots), cfg.mbsfn_subframes
     block = (range(SYMBOLS_PER_SLOT), range(carrier.n_subcarriers))
     place_slots(labels, [

@@ -249,9 +249,13 @@ class MrssCategoryMap:
             sizes[_CATEGORY_OF_LABEL[label]] += n
         return sizes
 
+    @functools.cached_property
+    def _pool(self) -> List[int]:
+        return _shared_cells(self.grid.lattice)
+
     def shared_cells_per_slot(self) -> array:
-        """Shared-pool cells of each slot, a fresh int64 array (`_shared_cells`)."""
-        return array("q", _shared_cells(self.grid.lattice))
+        """Shared-pool cells of each slot (`_shared_cells`, kept as `_sizes` is), a fresh int64 array."""
+        return array("q", self._pool)
 
 
 def _shared_cells(lattice: Lattice) -> List[int]:
@@ -349,6 +353,9 @@ def check_ssb_occasion(cfg: CarrierConfig, occasion: Sequence[int], prbs: int, s
             f"6G SSB occasion {(slot, symbol, prb)} out of range: a {prbs}-PRB, "
             f"{symbols}-symbol block on a {cfg.n_slots}-slot, {cfg.n_prb}-PRB carrier"
         )
+    if symbol + symbols > cfg._dl_symbols[slot]:
+        raise ConfigError(f"6G SSB occasion {(slot, symbol, prb)} is not in downlink: its symbols end at "
+                          f"{symbol + symbols}, slot {slot} has {cfg._dl_symbols[slot]} downlink symbols")
 
 
 def reserve_iot(labels: Lattice, carrier: CarrierConfig,

@@ -11,7 +11,9 @@ once did, and write a stage's label only on UNLABELED cells.
 `lattice_of` and `gather` convert between such an array and a
 `grid.Lattice`, `categories` reads a map's label lattice through the
 table, and `dominance_share` is the overhead share the paper reports, read
-from an `OverheadReport`.
+from an `OverheadReport`. `place` with `rate_match` is the reference of
+`free_cells`, the footprint function that rate-matches a `place_slots`
+placement.
 
 The CRS of TS 36.211 §6.10.1.2 is written out here as its spec tables
 (`SPEC_SYMBOLS`, `SPEC_V`): `spec_crs` places one cell's CRS from them
@@ -90,6 +92,13 @@ def _grid_cell(where, local):
     return tuple(cell) + tuple(int(i) for i in rest)
 
 
+def free_cells(label):
+    """A `place_slots` footprint function: `label` on the block's UNLABELED
+    cells only, so the placement is rate-matched around every other label."""
+    table = bytes((label,)) + bytes(255)
+    return lambda slot, cells: cells.translate(table)
+
+
 def place(arr, where, footprint, rate_match=False):
     view = arr[(*where, ...)]
     footprint = np.broadcast_to(np.asarray(footprint, dtype=arr.dtype), view.shape)
@@ -109,9 +118,9 @@ def place(arr, where, footprint, rate_match=False):
 def place_lte(arr, carrier, cfg, include_sync=True):
     if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
-    normal, mbsfn, sf0, sf5 = _subframe_templates(
-        cfg, carrier.n_prb, include_sync and carrier.n_prb >= 6
-    )
+    normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
+    if not include_sync:
+        sf0 = sf5 = normal
     normal, mbsfn, sf0, sf5 = (np.frombuffer(t, dtype=np.uint8).reshape(SYMBOLS_PER_SLOT, -1)
                                for t in (normal, mbsfn, sf0, sf5))
     for sf in range(carrier.n_slots):

@@ -632,6 +632,17 @@ class TestMrssRangesAtParseTime:
         assert err == (f"error: mrss.sixg_ssb.occasions[1]: 6G SSB occasion {tuple(occasion)} "
                        "out of range: a 20-PRB, 4-symbol block on a 1-slot, 52-PRB carrier\n")
 
+    @pytest.mark.parametrize("occasion, end, dl", [([4, 2, 100], 6, 0), ([3, 5, 100], 9, 6)])
+    def test_sixg_ssb_occasion_outside_downlink(self, capsys, tmp_path, occasion, end, dl):
+        # Slot 4 of the DDDSU cycle is uplink; slot 3 is special, 6 downlink symbols.
+        doc = mrss_sweep_doc()
+        doc["mrss"]["sixg_ssb"] = {"occasions": [[3, 2, 100], occasion]}
+        code, out, err = run(capsys, "classify", "-s", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == (f"error: mrss.sixg_ssb.occasions[1]: 6G SSB occasion {tuple(occasion)} is not "
+                       f"in downlink: its symbols end at {end}, slot {occasion[0]} has {dl} "
+                       "downlink symbols\n")
+
 
 def mrss_sweep_doc():
     return json.loads((SCENARIOS / "mrss_sweep.json").read_text())
@@ -1046,8 +1057,7 @@ class TestReportTable:
 
 def toy_stage(labels, carrier, traffic):
     """A toy map stage: RESERVED_IOT on the free cells of PRB 0 in slot `traffic.seed`."""
-    place_slots(labels, [((traffic.seed,), range(14), range(12), ReLabel.RESERVED_IOT)],
-                rate_match=True)
+    place_slots(labels, [((traffic.seed,), range(14), range(12), ref.free_cells(ReLabel.RESERVED_IOT))])
 
 
 # Per row of `cli.STAGES`, a spec whose write fails on `failing_stage_lattice`

@@ -199,13 +199,13 @@ class TestCountLabelsReference:
         assert all(type(k) is ReLabel and type(v) is int and v > 0 for k, v in got.items())
 
 
-def place_into(arr, placements, rate_match=False):
+def place_into(arr, placements):
     """`place_slots` on the lattice of a dense array, its equal slots sharing
     a row, read back into the array (also when it raises, so a test sees that
     nothing was written)."""
     lattice = ref.lattice_of(arr).freeze().copy()
     try:
-        place_slots(lattice, placements, rate_match)
+        place_slots(lattice, placements)
     finally:
         arr[...] = ref.gather(lattice)
 
@@ -235,9 +235,13 @@ class TestPlace:
     def test_rate_match_fills_free_cells_only(self):
         arr = self.tdd_arr()
         arr[0, 2, ::6] = ReLabel.LTE_CRS_P0
-        place_into(arr, [((0,), range(2, 3), range(24), ReLabel.NR_PDCCH_CORESET1)], rate_match=True)
+        before = arr.copy()
+        place_into(arr, [((0,), range(2, 3), range(24), ref.free_cells(ReLabel.NR_PDCCH_CORESET1)),
+                         ((1,), range(4, 14), range(24), ref.free_cells(ReLabel.NR_CSI_RS))])
         assert (arr[0, 2, ::6] == ReLabel.LTE_CRS_P0).all()
         assert np.count_nonzero(arr[0, 2] == ReLabel.NR_PDCCH_CORESET1) == 24 - 4
+        assert (arr[1, 4:6] == ReLabel.NR_CSI_RS).all()
+        assert np.array_equal(arr[1, 6:], before[1, 6:])  # guard and uplink
 
     def test_template_footprint_leaves_unlabeled_cells_out(self):
         arr = self.tdd_arr()
@@ -257,7 +261,7 @@ class TestPlace:
         before = arr.copy()
         with pytest.raises(ConflictError, match=r"at cell \(0, 4, 15\): existing NR_SSB, new NR_CSI_RS"):
             place_into(arr, [((0,), *cell, ReLabel.NR_CSI_RS)])
-        place_into(arr, [((0,), *cell, ReLabel.NR_CSI_RS)], rate_match=True)
+        place_into(arr, [((0,), *cell, ref.free_cells(ReLabel.NR_CSI_RS))])
         place_into(arr, [((1,), range(13, 14), range(1), ReLabel.NR_CSI_RS)])  # uplink: left as it is
         assert np.array_equal(arr, before)
 
@@ -287,9 +291,8 @@ class TestPlace:
         arr = self.tdd_arr()
         arr[0, 3, 5] = ReLabel.NR_SSB
         before = arr.copy()
-        for rate_match in (False, True):
-            place_into(arr, [((0, 1), symbols, subcarriers, ReLabel.NR_CSI_RS)], rate_match)
-            place_into(arr, [((0, 1), symbols, subcarriers, b"")], rate_match)
+        for footprint in (ReLabel.NR_CSI_RS, b"", ref.free_cells(ReLabel.NR_CSI_RS)):
+            place_into(arr, [((0, 1), symbols, subcarriers, footprint)])
         assert np.array_equal(arr, before)
 
 
@@ -314,12 +317,19 @@ def _axis(draw, size):
     return range(start, start if kind == "empty" else draw(st.integers(start + 1, size)))
 
 
+# The labels that mark no downlink cell.
+NON_DOWNLINK_LABELS = [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL]
+
+
 @st.composite
 def placements(draw):
-    """(label array, slots, (symbols, subcarriers), footprint, rate_match)
-    over FDD and TDD grids whose downlink cells are all free, partly taken or
-    all taken: one footprint, an int label or an array of the block's shape,
-    for a set of slots and a block (two ranges) of each."""
+    """(label array, slots, (symbols, subcarriers), footprint, form) over
+    FDD and TDD grids whose downlink cells are all free, partly taken or all
+    taken, and whose slots may hold guard and uplink labels on any cell, so
+    one symbol's slice mixes free, taken, guard and uplink cells. One
+    footprint for a set of slots and a block (two ranges) of each, by
+    `form`: "label" an int label, "cells" an array of the block's shape,
+    "free" an int label that `ref.free_cells` places on the free cells."""
     cycle = draw(st.sampled_from(["FDD", "D", "DS", "DSU", "SU", "DDDSU"]))
     n_prb = draw(st.integers(1, 2))
     if cycle == "FDD":
@@ -335,36 +345,44 @@ def placements(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     taken = _random_labels(rng, arr.shape, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
     arr = np.where(arr == ReLabel.UNLABELED, taken, arr)
+    scattered = rng.random(arr.shape) < draw(st.sampled_from([0.0, 0.0, 0.1, 0.4]))
+    arr = np.where(scattered, rng.choice(NON_DOWNLINK_LABELS, size=arr.shape), arr).astype(np.uint8)
 
     slots = sorted(draw(st.sets(st.integers(0, len(arr) - 1))))
     block = tuple(_axis(draw, size) for size in arr.shape[1:])
-    if draw(st.booleans()):
-        footprint = draw(st.sampled_from(DOWNLINK_LABELS.tolist()))
-    else:
+    form = draw(st.sampled_from(["label", "cells", "free"]))
+    if form == "cells":
         shape = tuple(map(len, block))
         footprint = _random_labels(rng, shape, draw(st.sampled_from([0.0, 0.3, 1.0])))
-    return arr, slots, block, footprint, draw(st.booleans())
+    else:
+        footprint = draw(st.sampled_from(DOWNLINK_LABELS.tolist()))
+    return arr, slots, block, footprint, form
 
 
 class TestPlaceReference:
     @settings(max_examples=400, deadline=None)
     @given(placements())
     def test_place_matches_the_masked_write(self, case):
-        arr, slots, block, footprint, rate_match = case
+        """Each footprint form writes what the dense reference's masked
+        write does, a free-cells function its rate-matched one, or fails
+        with its message and writes nothing."""
+        arr, slots, block, footprint, form = case
         where = tuple(slice(axis.start, axis.stop) for axis in block)
         expected, actual = arr.copy(), arr.copy()
         try:
             for slot in slots:
-                ref.place(expected, (slot, *where), footprint, rate_match)
+                ref.place(expected, (slot, *where), footprint, rate_match=form == "free")
             expected_error = None
         except ConflictError as exc:
             # The reference wrote the slots before the conflict; place_slots
             # stores no row of a call that fails.
             expected, expected_error = arr.copy(), str(exc)
+        if form == "cells":
+            footprint = footprint.tobytes()
+        elif form == "free":
+            footprint = ref.free_cells(footprint)
         try:
-            if not isinstance(footprint, int):
-                footprint = footprint.tobytes()
-            place_into(actual, [(slots, *block, footprint)], rate_match)
+            place_into(actual, [(slots, *block, footprint)])
             error = None
         except ConflictError as exc:
             error = str(exc)
@@ -384,9 +402,9 @@ def test_footprint_of_the_view_shape_in_another_dtype(dtype):
     if footprint.itemsize > 1:
         rejected.append((footprint.tobytes(), f"{footprint.nbytes} bytes"))
     for fp, got in rejected:
-        for rate_match in (False, True):
+        for given in (fp, lambda slot, cells: fp):
             with pytest.raises(ConfigError, match=f"int label or 168 bytes, one per cell of the block, got {got}"):
-                place_into(arr, [((1,), range(14), range(12), fp)], rate_match)
+                place_into(arr, [((1,), range(14), range(12), given)])
     assert not arr.any()
 
 
@@ -418,10 +436,10 @@ def test_footprint_label_outside_the_downlink_alphabet_is_rejected(footprint, sh
     """A footprint writes downlink labels only, 0..RESERVED_IOT: any other
     label, as an int or in bytes, is a ConfigError before anything is written."""
     arr = ref.new_labels(fdd(n_prb=1, span_ms=2))
-    for rate_match in (False, True):
+    for given in (footprint, lambda slot, cells: footprint):
         with pytest.raises(ConfigError, match=f"^footprint label {shown} is no downlink label 0..17$"):
             place_into(arr, [((0,), range(1), range(1), ReLabel.NR_SSB),
-                             ((1,), range(1), range(1), footprint)], rate_match)
+                             ((1,), range(1), range(1), given)])
     assert not arr.any()
 
 

@@ -79,12 +79,11 @@ def lte_cells(draw, carrier):
                   if sf % 10 in MBSFN_ALLOWED[carrier.duplex]
                   and carrier.dl_symbols_in_slot(sf) == 14]
     mbsfn = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
-    cell = LteCellConfig(
+    return LteCellConfig(
         cell_id=draw(st.integers(0, 503)), crs_ports=draw(st.sampled_from([1, 2, 4])),
         pdcch_symbols=draw(st.integers(1, 3)), mbsfn_subframes=mbsfn,
         non_mbsfn_region_len=draw(st.integers(1, 2)),
     )
-    return cell, draw(st.booleans())
 
 
 @st.composite
@@ -144,8 +143,8 @@ def outcome(fn, *args, **kwargs):
 
 def build_dense(carrier, lte, nr):
     arr = ref.new_labels(carrier)
-    for cell, sync in lte:
-        ref.place_lte(arr, carrier, cell, sync)
+    for cell in lte:
+        ref.place_lte(arr, carrier, cell)
     if nr is not None:
         ref.place_nr(arr, carrier, nr)
     return arr
@@ -153,8 +152,8 @@ def build_dense(carrier, lte, nr):
 
 def build_shared(carrier, lte, nr):
     labels = new_labels(carrier)
-    for cell, sync in lte:
-        place_lte(labels, carrier, cell, sync)
+    for cell in lte:
+        place_lte(labels, carrier, cell)
     if nr is not None:
         place_nr(labels, carrier, nr)
     return ResourceGrid(carrier, labels)
@@ -312,9 +311,8 @@ class TestLattice:
         assert rows_are_bytes(lattice)
         place_lte(lattice, carrier, LteCellConfig(crs_ports=4, mbsfn_subframes={4, 9}))
         assert rows_are_bytes(lattice)
-        place_slots(lattice, [((0, 1), range(14), range(72), ReLabel.NR_CSI_RS),
-                              ((5,), range(2, 3), range(12), ReLabel.NR_PDCCH_CORESET1)],
-                    rate_match=True)
+        place_slots(lattice, [((0, 1), range(14), range(72), ref.free_cells(ReLabel.NR_CSI_RS)),
+                              ((5,), range(2, 3), range(12), ref.free_cells(ReLabel.NR_PDCCH_CORESET1))])
         assert rows_are_bytes(lattice)
         assert rows_are_bytes(lattice.freeze())
         grid = ResourceGrid(carrier, lattice)
@@ -413,30 +411,33 @@ PLACED_LABELS = [ReLabel.NR_SSB, ReLabel.NR_CSI_RS, ReLabel.NR_PDCCH_CORESET1, R
 
 
 @st.composite
-def placements(draw, carrier):
-    """One placement: 1-4 slots, a block of each, and an int label or the
-    block's bytes (that label on some cells, UNLABELED on the rest)."""
+def placements(draw, carrier, forms=("label", "cells", "free")):
+    """One placement: 1-4 slots, a block of each, and a footprint of one of
+    `forms`: an int label, the block's bytes (that label on some cells,
+    UNLABELED on the rest) or `ref.free_cells` of the label."""
     slots = draw(st.lists(st.integers(0, carrier.n_slots - 1), min_size=1, max_size=4))
     s0 = draw(st.integers(0, 13))
     symbols = range(s0, draw(st.integers(s0, 14)))
     k0 = draw(st.integers(0, carrier.n_subcarriers - 1))
     subcarriers = range(k0, draw(st.integers(k0, carrier.n_subcarriers)))
-    label = draw(st.sampled_from(PLACED_LABELS))
-    if draw(st.booleans()):
-        return slots, symbols, subcarriers, label
+    label, form = draw(st.sampled_from(PLACED_LABELS)), draw(st.sampled_from(forms))
+    if form != "cells":
+        return slots, symbols, subcarriers, label if form == "label" else ref.free_cells(label)
     size = len(symbols) * len(subcarriers)
     cells = draw(st.lists(st.sampled_from([0, label]), min_size=size, max_size=size))
     return slots, symbols, subcarriers, bytes(cells)
 
 
-def place_dense(arr, carrier, slots, symbols, subcarriers, footprint, rate_match):
-    """`place_slots` of one placement on a copy of a dense array, slot by slot."""
+def place_dense(arr, carrier, slots, symbols, subcarriers, footprint):
+    """`place_slots` of one placement on a copy of a dense array, slot by
+    slot; a footprint function is called on each slot's block."""
     arr = arr.copy()
-    if isinstance(footprint, bytes):
-        footprint = np.frombuffer(footprint, dtype=np.uint8).reshape(len(symbols), len(subcarriers))
+    where = (slice(symbols.start, symbols.stop), slice(subcarriers.start, subcarriers.stop))
     for slot in sorted(set(slots)):
-        ref.place(arr, (slot, slice(symbols.start, symbols.stop),
-                        slice(subcarriers.start, subcarriers.stop)), footprint, rate_match)
+        fp = footprint(slot, arr[(slot, *where)].tobytes()) if callable(footprint) else footprint
+        if isinstance(fp, bytes):
+            fp = np.frombuffer(fp, dtype=np.uint8).reshape(len(symbols), len(subcarriers))
+        ref.place(arr, (slot, *where), fp)
     return arr
 
 
@@ -455,7 +456,8 @@ def fill_free(label, count, slot, cells):
 @st.composite
 def sharing_placements(draw, carrier):
     """1-4 placements over the first three slots, so that some share a slot;
-    each footprint an int label, the block's bytes or `fill_free`."""
+    each footprint an int label, the block's bytes, `ref.free_cells` or
+    `fill_free`."""
     batch = []
     for _ in range(draw(st.integers(1, 4))):
         _, symbols, subcarriers, footprint = draw(placements(carrier))
@@ -468,13 +470,13 @@ def sharing_placements(draw, carrier):
     return batch
 
 
-def place_in_turn(lattice, batch, rate_match):
+def place_in_turn(lattice, batch):
     """Each slot in turn, and in it each placement that names it, one
     `place_slots` call each."""
     for slot in sorted({s for slots, *_ in batch for s in slots}):
         for slots, *block in batch:
             if slot in slots:
-                place_slots(lattice, [((slot,), *block)], rate_match)
+                place_slots(lattice, [((slot,), *block)])
 
 
 @st.composite
@@ -492,7 +494,7 @@ def map_stages(draw, carrier):
 
 
 def steps(carrier):
-    return st.one_of(st.tuples(st.just("place"), placements(carrier), st.booleans()),
+    return st.one_of(st.tuples(st.just("place"), placements(carrier)),
                      st.just(("copy",)), st.just(("freeze",)),
                      st.tuples(st.just("map"), map_stages(carrier)))
 
@@ -509,11 +511,11 @@ class TestLatticeOperations:
         left = []  # (lattice, its labels) of every lattice a step left behind
         for step in data.draw(st.lists(steps(carrier), max_size=8)):
             if step[0] == "place":
-                (slots, symbols, subcarriers, footprint), rate_match = step[1:]
+                slots, symbols, subcarriers, footprint = step[1]
                 dense, error = outcome(place_dense, arr, carrier, slots, symbols, subcarriers,
-                                       footprint, rate_match)
+                                       footprint)
                 _, got_error = outcome(place_slots, lattice,
-                                       [(slots, symbols, subcarriers, footprint)], rate_match)
+                                       [(slots, symbols, subcarriers, footprint)])
                 assert got_error == error
                 arr = arr if error else dense
             elif step[0] == "copy":
@@ -559,19 +561,19 @@ class TestLatticeOperations:
     def test_placements_that_share_a_slot_equal_placing_them_in_turn(self, data):
         """One `place_slots` call gives the labels, or the error class and
         message, of placing its placements in turn (`place_in_turn`), one
-        call each, strict and rate-matched; a failed call writes nothing.
-        Placed whole, one call per placement in call order, they give the
-        same labels, or fail too."""
+        call each, whatever their footprint forms; a failed call writes
+        nothing. Placed whole, one call per placement in call order, they
+        give the same labels, or fail too."""
         carrier = data.draw(carriers(15))
         lattice = new_labels(carrier)
-        for slots, *block in data.draw(st.lists(placements(carrier), max_size=2)):
-            place_slots(lattice, [(slots, *block)], rate_match=True)
-        batch, rate_match = data.draw(sharing_placements(carrier)), data.draw(st.booleans())
+        for slots, *block in data.draw(st.lists(placements(carrier, ("free",)), max_size=2)):
+            place_slots(lattice, [(slots, *block)])
+        batch = data.draw(sharing_placements(carrier))
         before = list(lattice.slots)
         in_turn, whole = Lattice(list(before)), Lattice(list(before))
-        _, error = outcome(place_slots, lattice, batch, rate_match)
-        _, want = outcome(place_in_turn, in_turn, batch, rate_match)
-        _, whole_error = outcome(lambda: [place_slots(whole, [p], rate_match) for p in batch])
+        _, error = outcome(place_slots, lattice, batch)
+        _, want = outcome(place_in_turn, in_turn, batch)
+        _, whole_error = outcome(lambda: [place_slots(whole, [p]) for p in batch])
         assert error == want
         assert (whole_error is None) == (error is None)
         if error is None:

@@ -152,11 +152,6 @@ class TestApplyLte:
             present = (ref.gather(grid.lattice)[sf] == ReLabel.LTE_PSS_SSS_PBCH).any()
             assert present == (sf in (0, 5))
 
-    def test_include_sync_false(self):
-        cfg = LteCellConfig(crs_ports=1)
-        grid = apply_lte(make_grid(fdd15(n_prb=6)), cfg, include_sync=False)
-        assert ReLabel.LTE_PSS_SSS_PBCH not in count_labels(grid)
-
 
 class TestCrsMaskReference:
     @pytest.mark.parametrize("ports", [1, 2, 4])
@@ -201,13 +196,11 @@ class TestCrsCountProperty:
         pdcch=st.integers(1, 3),
         region=st.integers(1, 2),
         mbsfn=st.frozensets(st.integers(0, 14)),
-        include_sync=st.booleans(),
     )
-    def test_per_port_count_closed_form(self, carrier, ports, cell_id, pdcch, region, mbsfn,
-                                        include_sync):
+    def test_per_port_count_closed_form(self, carrier, ports, cell_id, pdcch, region, mbsfn):
         cfg = LteCellConfig(cell_id=cell_id, crs_ports=ports, pdcch_symbols=pdcch,
                             mbsfn_subframes=mbsfn, non_mbsfn_region_len=region)
-        counts = count_labels(apply_lte(make_grid(carrier), cfg, include_sync=include_sync))
+        counts = count_labels(apply_lte(make_grid(carrier), cfg))
         # Two cells per PRB on each CRS symbol of a port that is downlink and,
         # in an MBSFN subframe, inside the non-MBSFN region.
         for port in range(4):

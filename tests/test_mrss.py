@@ -232,6 +232,16 @@ class TestPlace6gSsb:
         with pytest.raises(ConfigError):  # symbols 11..14 overflow
             place_6g_ssb(labels, wideband_tdd_carrier(), [(0, 11, 0)], 20, 4)
 
+    @pytest.mark.parametrize("occasion", [(4, 2, 100), (3, 5, 100), (3, 3, 0)])
+    def test_occasion_outside_downlink_is_a_config_error(self, occasion):
+        # Slot 4 of the DDDSU cycle is uplink; slot 3 is special, with 6 downlink symbols.
+        labels = wideband_map().grid.lattice.copy()
+        before = list(labels.slots)
+        message = "^" + re.escape(f"6G SSB occasion {occasion} is not in downlink")
+        with pytest.raises(ConfigError, match=message):
+            place_6g_ssb(labels, wideband_tdd_carrier(), [(3, 2, 100), occasion], 20, 4)
+        assert labels.slots == before
+
 
 class TestSimulate:
     def test_under_load_everyone_served(self):

@@ -29,24 +29,16 @@ from .grid import (
 from .lte import LteCellConfig, crs_bearing_symbols, crs_mask, place_lte
 from .nr import SIGNALS, NrOverlaySet, nr_plan, place_nr
 from .rounding import pct
-from .value import value
+from .value import Int, value
 
 
-@value
+@value(lte_pdcch=Int(0, 3), nr_pdcch=Int(0), dmrs_count=Int(0))
 class DssLayout:
     """Per-slot DSS symbol budget: LTE control, NR control, NR DMRS count."""
 
     lte_pdcch: int = 2
     nr_pdcch: int = 1
     dmrs_count: int = 2
-
-    def __post_init__(self):
-        if not 0 <= self.lte_pdcch <= 3:
-            raise ConfigError(f"lte_pdcch must be 0..3, got {self.lte_pdcch}")
-        if self.nr_pdcch < 0:
-            raise ConfigError(f"nr_pdcch must be >= 0, got {self.nr_pdcch}")
-        if self.dmrs_count < 0:
-            raise ConfigError(f"dmrs_count must be >= 0, got {self.dmrs_count}")
 
     @property
     def control_end(self) -> int:

@@ -36,10 +36,11 @@ from enum import Enum, IntEnum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, ConflictError
-from .value import value
+from .value import Int, value
 
 SYMBOLS_PER_SLOT = 14
 SC_PER_PRB = 12
+MAX_N_PRB = 275  # NR's widest carrier, TS 38.211 §4.4.2
 
 
 class SlotKind(Enum):
@@ -110,7 +111,7 @@ class TddPattern:
         return "".join(k.value for k in self.cycle)
 
 
-@value
+@value(scs_khz=Int(choices=(15, 30)), n_prb=Int(1, MAX_N_PRB))
 class CarrierConfig:
     """Carrier-level parameters fixing the grid dimensions (normal cyclic prefix)."""
 
@@ -121,10 +122,6 @@ class CarrierConfig:
     tdd_pattern: Optional[TddPattern] = None
 
     def __post_init__(self):
-        if self.scs_khz not in (15, 30):
-            raise ConfigError(f"scs_khz must be 15 or 30, got {self.scs_khz}")
-        if self.n_prb < 1:
-            raise ConfigError(f"n_prb must be >= 1, got {self.n_prb}")
         if self.duplex not in ("FDD", "TDD"):
             raise ConfigError(f"duplex must be FDD or TDD, got {self.duplex!r}")
         if self.duplex == "TDD" and self.tdd_pattern is None:

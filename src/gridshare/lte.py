@@ -24,7 +24,7 @@ from .grid import (
     SlotKind,
     place_slots,
 )
-from .value import value
+from .value import Int, value
 
 SYNC_SUBCARRIERS = 72  # center 6 PRBs
 PSS_SSS_SYMBOLS = range(5, 7)  # last two symbols of slot 0
@@ -35,7 +35,8 @@ PBCH_SYMBOLS = range(7, 11)  # first four symbols of slot 1
 MBSFN_ALLOWED = {"FDD": frozenset({1, 2, 3, 6, 7, 8}), "TDD": frozenset({3, 4, 7, 8, 9})}
 
 
-@value
+@value(cell_id=Int(0), crs_ports=Int(choices=(1, 2, 4)), pdcch_symbols=Int(choices=(1, 2, 3)),
+       non_mbsfn_region_len=Int(choices=(1, 2)))
 class LteCellConfig:
     """One LTE cell; a serving cell also lists its `neighbors` (their CRS is interference)."""
 
@@ -52,16 +53,6 @@ class LteCellConfig:
         for cell in self.neighbors:
             if not isinstance(cell, LteCellConfig):
                 raise ConfigError(f"neighbors must be LteCellConfig values, got {cell!r}")
-        if self.cell_id < 0:
-            raise ConfigError(f"cell_id must be >= 0, got {self.cell_id}")
-        if self.crs_ports not in (1, 2, 4):
-            raise ConfigError(f"crs_ports must be 1, 2 or 4, got {self.crs_ports}")
-        if self.pdcch_symbols not in (1, 2, 3):
-            raise ConfigError(f"pdcch_symbols must be 1..3, got {self.pdcch_symbols}")
-        if self.non_mbsfn_region_len not in (1, 2):
-            raise ConfigError(
-                f"non_mbsfn_region_len must be 1 or 2, got {self.non_mbsfn_region_len}"
-            )
 
     @property
     def v_shift(self) -> int:

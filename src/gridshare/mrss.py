@@ -40,7 +40,7 @@ from .grid import (
 )
 from .lte import LteCellConfig, crs_mask
 from .pcg64 import Pcg64
-from .value import value
+from .value import Int, value
 
 # Category codes: the indices of a map's category sizes.
 CAT_NON_DL = 0
@@ -179,7 +179,7 @@ def check_demand(d: object) -> object:
     return d
 
 
-@value
+@value(seed=Int(0))
 class TrafficModel:
     """Per-RAT offered load in REs per slot; constant or seeded uniform."""
 
@@ -193,8 +193,6 @@ class TrafficModel:
                 object.__setattr__(self, name, check_demand(getattr(self, name)))
             except ConfigError as exc:
                 raise ConfigError(f"{name} {exc}") from None
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def demands(self, n_slots: int) -> Tuple[array, array]:
         """Per-slot demand sequences (int64 arrays), 5G then 6G from one seeded

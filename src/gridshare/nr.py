@@ -38,20 +38,16 @@ from .grid import (
     ResourceGrid,
     place_slots,
 )
-from .value import value
+from .value import Int, value
 
 
-@value
+@value(beams=Int(0), prbs=Int(0), symbols=Int(0))
 class BeamSignal:
     """A beam-repeated block footprint (SSB, CORESET0, SIB1): one block per beam."""
 
     beams: int
     prbs: int
     symbols: int
-
-    def __post_init__(self):
-        if min(self.beams, self.prbs, self.symbols) < 0:
-            raise ConfigError("beam signal counts must be >= 0")
 
     def re_count(self, carrier: CarrierConfig) -> int:
         return self.beams * self.prbs * SC_PER_PRB * self.symbols
@@ -63,19 +59,13 @@ class BeamSignal:
         return "block", self.prbs, self.symbols, self.beams
 
 
-@value
+@value(prbs=Int(0), symbols=Int(0), slots=Int(0))
 class Coreset1Spec:
     """Regular PDCCH region; slots=None monitors every DL-bearing slot."""
 
     prbs: int
     symbols: int
     slots: Optional[int] = None
-
-    def __post_init__(self):
-        if min(self.prbs, self.symbols) < 0:
-            raise ConfigError("coreset1 counts must be >= 0")
-        if self.slots is not None and self.slots < 0:
-            raise ConfigError("coreset1 slots must be >= 0")
 
     def monitored_count(self, carrier: CarrierConfig) -> int:
         return len(carrier.dl_bearing_slots()) if self.slots is None else self.slots
@@ -88,16 +78,12 @@ class Coreset1Spec:
                 f"{self.monitored_count(carrier)} DL-bearing slots")
 
 
-@value
+@value(ports=Int(0), density_re_per_port_per_prb=Int(0), prbs=Int(0), occasions_per_period=Int(0))
 class CsiRsSpec:
     ports: int
     density_re_per_port_per_prb: int
     prbs: int
     occasions_per_period: int
-
-    def __post_init__(self):
-        if min(self.ports, self.density_re_per_port_per_prb, self.prbs, self.occasions_per_period) < 0:
-            raise ConfigError("csi_rs counts must be >= 0")
 
     def re_count(self, carrier: CarrierConfig) -> int:
         return self.ports * self.density_re_per_port_per_prb * self.prbs * self.occasions_per_period
@@ -110,17 +96,14 @@ class CsiRsSpec:
         return "re", self.prbs, self.ports * self.density_re_per_port_per_prb, self.occasions_per_period
 
 
-@value
+@value(prbs=Int(0), slots_per_occasion=Int(0), re_per_prb_per_slot=Int(0), beams=Int(0),
+       occasions_per_period=Int(0))
 class TrsSpec:
     prbs: int
     slots_per_occasion: int
     re_per_prb_per_slot: int
     beams: int
     occasions_per_period: int
-
-    def __post_init__(self):
-        if min(self.prbs, self.slots_per_occasion, self.re_per_prb_per_slot, self.beams, self.occasions_per_period) < 0:
-            raise ConfigError("trs counts must be >= 0")
 
     def re_count(self, carrier: CarrierConfig) -> int:
         return (
@@ -141,7 +124,7 @@ class TrsSpec:
         return "re", self.prbs, self.re_per_prb_per_slot, visits
 
 
-@value
+@value(period_ms=Int(1))
 class NrOverlaySet:
     """Declarative description of the periodic NR footprints in one period."""
 
@@ -152,10 +135,6 @@ class NrOverlaySet:
     coreset1: Optional[Coreset1Spec] = None
     csi_rs: Optional[CsiRsSpec] = None
     trs: Optional[TrsSpec] = None
-
-    def __post_init__(self):
-        if self.period_ms < 1:
-            raise ConfigError("period_ms must be >= 1")
 
     def misfits(self, carrier: CarrierConfig) -> Iterator[Tuple[str, str]]:
         """(dotted key, message) of each way the overlay does not fit the carrier,

@@ -1,10 +1,11 @@
 """Scenario wire format: strict JSON parsing, validation, and re-emission.
 
-One table, `SCENARIO`, gives every key's JSON type, bounds and whether it is
+One table, `SCENARIO`, gives every key's JSON type and whether it is
 required; `parse_scenario` reads a document by it and `emit_scenario` writes
 one. Each section reads straight into one value whose fields are its keys,
 but for the `parts` of `budget` and `mrss`. A key left out is not passed on,
-so defaults live in the value classes.
+so defaults live in the value classes, and so do integer bounds: an `int`
+row is read against the bound its field's class declares.
 Unknown keys are rejected; every error carries a dotted path into the document.
 """
 
@@ -31,21 +32,20 @@ from .mrss import (
     check_ssb_occasion,
 )
 from .nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
-from .value import value
+from .value import Int, bound, value
 
-MAX_N_PRB = 275  # NR's widest carrier, TS 38.211 §4.4.2
 MAX_SPAN_MS = 10240  # 1024 radio frames: one SFN cycle
 SWEEP_COMMANDS = ("budget", "overhead", "classify", "simulate", "interference")
 
 
-@value
+@value(prb_start=Int(0), prb_stop=Int(0))
 class IotReservation:
     prb_start: int
     prb_stop: int
     slots: Optional[Tuple[int, ...]] = None
 
 
-@value
+@value(prbs=Int(1), symbols=Int(1))  # the block's upper bounds: _check_mrss
 class SixgSsbSpec:
     occasions: Tuple[Tuple[int, int, int], ...]
     prbs: int = 20
@@ -77,7 +77,7 @@ class SweepSpec:
     parameters: Tuple[SweepParameter, ...]
 
 
-@value
+@value(seed=Int())
 class Scenario:
     carrier: CarrierConfig
     lte: Optional[LteCellConfig] = None
@@ -132,38 +132,24 @@ class Leaf:
         return v if self.convert is None else _call(path, self.convert, v)
 
 
-class Int:
-    """A JSON integer, at least `minimum`, at most `maximum` and one of `choices` when given."""
-
-    write = staticmethod(_json)
-
-    def __init__(self, minimum=None, maximum=None, choices=None):
-        self.minimum, self.maximum, self.choices = minimum, maximum, choices
-
-    def read(self, v, path: str) -> int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ScenarioError(f"expected an integer, got {v!r}", path)
-        if self.minimum is not None and v < self.minimum:
-            raise ScenarioError(f"must be >= {self.minimum}, got {v}", path)
-        if self.maximum is not None and v > self.maximum:
-            raise ScenarioError(f"must be <= {self.maximum}, got {v}", path)
-        if self.choices is not None and v not in self.choices:
-            raise ScenarioError(f"must be one of {list(self.choices)}, got {v}", path)
-        return v
-
-
 class Section:
     """A JSON object read into `build(**arguments)`.
 
-    A row is (key, type, mode[, argument]) with an Int, Leaf, Section or Many
+    A row is (key, type, mode[, argument]) with an int, Leaf, Section or Many
     type; the argument (the key by default) is what the key fills, or
     "part.name" for `name` of the `parts[part]` value, whose ConfigError
-    names the key `part` if there is one, else the section."""
+    names the key `part` if there is one, else the section. An int key is
+    read against the `Int` bound of the field it fills, which `rows` holds."""
 
     def __init__(self, build, rows, parts=None):
         self.build, self.parts = build, parts or {}
-        self.rows = {key: (kind, mode, *(arg[0] if arg else key).rpartition(".")[::2])
-                     for key, kind, mode, *arg in rows}
+        self.rows = {}
+        for key, kind, mode, *arg in rows:
+            part, _, name = (arg[0] if arg else key).rpartition(".")
+            if kind is int:
+                kind = bound(self.parts[part] if part else build, name)
+            self.rows[key] = (kind, mode, part, name)
+        self.required = [key for key, (_, mode, _, _) in self.rows.items() if mode is REQUIRED]
 
     def read(self, obj, path: str, known=None):
         """`build` of the object; a key in `known` takes its value from there."""
@@ -172,8 +158,8 @@ class Section:
         for key in obj:
             if key not in self.rows:
                 raise ScenarioError(f"unknown key {key!r}", _at(path, key))
-        for key, (_, mode, _, _) in self.rows.items():
-            if mode is REQUIRED and key not in obj:
+        for key in self.required:
+            if key not in obj:
                 raise ScenarioError(f"missing required key {key!r}", path)
         args = {}
         for key, (kind, mode, part, name) in self.rows.items():
@@ -232,17 +218,13 @@ def _finite_span(span):
     return span
 
 
-def _counts(*keys: str) -> list:
-    return [(key, Int(0), REQUIRED) for key in keys]
-
-
 _CYCLE = Leaf(lambda v: v and isinstance(v, str) and set(v) <= set("DSU"),
               "cycle must be a non-empty string over D/S/U, got {!r}",
               write=lambda cycle: "".join(_json(cycle)))
 _TRIPLE = _int_list("special_split must be a list of three integers", length=3)
 CARRIER = Section(CarrierConfig, [
-    ("scs_khz", Int(choices=(15, 30)), REQUIRED),
-    ("n_prb", Int(1, MAX_N_PRB), REQUIRED),
+    ("scs_khz", int, REQUIRED),
+    ("n_prb", int, REQUIRED),
     ("duplex", Leaf(lambda v: v in ("FDD", "TDD"), "must be 'FDD' or 'TDD', got {!r}"), REQUIRED),
     ("span_ms", Leaf(_is_real, "expected a number, got {!r}", _finite_span), REQUIRED),
     ("tdd_pattern", Section(TddPattern, [
@@ -252,32 +234,33 @@ CARRIER = Section(CarrierConfig, [
 ])
 _SUBFRAMES = _int_list("must be a list of non-negative integers", minimum=0)
 _CELL = [
-    ("cell_id", Int(0), OPTIONAL),
-    ("crs_ports", Int(choices=(1, 2, 4)), OPTIONAL),
-    ("pdcch_symbols", Int(choices=(1, 2, 3)), OPTIONAL),
+    ("cell_id", int, OPTIONAL),
+    ("crs_ports", int, OPTIONAL),
+    ("pdcch_symbols", int, OPTIONAL),
     ("mbsfn_subframes", _SUBFRAMES, OPTIONAL),
-    ("non_mbsfn_region_len", Int(choices=(1, 2)), OPTIONAL),
+    ("non_mbsfn_region_len", int, OPTIONAL),
 ]
 # Only the serving cell lists neighbors.
 LTE = Section(LteCellConfig, _CELL + [
     ("neighbors", Many(Section(LteCellConfig, _CELL)), OPTIONAL),
 ])
-BEAM = Section(BeamSignal, _counts("beams", "prbs", "symbols"))
-CORESET1 = Section(Coreset1Spec, _counts("prbs", "symbols") + [("slots", Int(0), NULLABLE)])
+BEAM = Section(BeamSignal, [(key, int, REQUIRED) for key in ("beams", "prbs", "symbols")])
+CORESET1 = Section(Coreset1Spec, [("prbs", int, REQUIRED), ("symbols", int, REQUIRED),
+                                  ("slots", int, NULLABLE)])
 NR = Section(NrOverlaySet, [
-    ("period_ms", Int(1), REQUIRED),
+    ("period_ms", int, REQUIRED),
     ("ssb", BEAM, NULLABLE), ("coreset0", BEAM, NULLABLE), ("sib1", BEAM, NULLABLE),
     ("coreset1", CORESET1, NULLABLE),
-    ("csi_rs", Section(CsiRsSpec, _counts(
-        "ports", "density_re_per_port_per_prb", "prbs", "occasions_per_period")), NULLABLE),
-    ("trs", Section(TrsSpec, _counts(
-        "prbs", "slots_per_occasion", "re_per_prb_per_slot", "beams", "occasions_per_period")),
+    ("csi_rs", Section(CsiRsSpec, [(key, int, REQUIRED) for key in (
+        "ports", "density_re_per_port_per_prb", "prbs", "occasions_per_period")]), NULLABLE),
+    ("trs", Section(TrsSpec, [(key, int, REQUIRED) for key in (
+        "prbs", "slots_per_occasion", "re_per_prb_per_slot", "beams", "occasions_per_period")]),
      NULLABLE),
 ])
 BUDGET = Section(BudgetSpec, [
-    ("lte_pdcch", Int(0), OPTIONAL, "layout.lte_pdcch"),
-    ("nr_pdcch", Int(0), OPTIONAL, "layout.nr_pdcch"),
-    ("dmrs_count", Int(0), OPTIONAL, "layout.dmrs_count"),
+    ("lte_pdcch", int, OPTIONAL, "layout.lte_pdcch"),
+    ("nr_pdcch", int, OPTIONAL, "layout.nr_pdcch"),
+    ("dmrs_count", int, OPTIONAL, "layout.dmrs_count"),
     ("ports", _int_list("must be a list drawn from [0, 1, 2, 4]", choices=(0, 1, 2, 4)), OPTIONAL),
 ], parts={"layout": DssLayout})
 _FRACTION = Leaf(_is_real, "must be a number in [0, 1]")
@@ -287,14 +270,14 @@ MRSS = Section(MrssSpec, [
     ("control_mode", _enum(ControlModeKind), OPTIONAL, "control_mode.kind"),
     ("shared_fraction", _FRACTION, NULLABLE, "control_mode.shared_fraction"),
     ("iot_reservations", Many(Section(IotReservation, [
-        ("prb_start", Int(0), REQUIRED),
-        ("prb_stop", Int(0), REQUIRED),
+        ("prb_start", int, REQUIRED),
+        ("prb_stop", int, REQUIRED),
         ("slots", _SUBFRAMES, NULLABLE),
     ])), OPTIONAL),
     ("sixg_ssb", Section(SixgSsbSpec, [
         ("occasions", _OCCASIONS, REQUIRED),
-        ("prbs", Int(1), OPTIONAL),  # the block's upper bounds: _check_mrss
-        ("symbols", Int(1), OPTIONAL),
+        ("prbs", int, OPTIONAL),
+        ("symbols", int, OPTIONAL),
     ]), NULLABLE),
 ], parts={"control_mode": ControlMode})
 _DEMAND = Leaf(convert=check_demand)
@@ -309,11 +292,11 @@ SCENARIO = Section(Scenario, [
     ("traffic", Section(TrafficModel, [
         ("demand_5g", _DEMAND, REQUIRED),
         ("demand_6g", _DEMAND, REQUIRED),
-        ("seed", Int(0), OPTIONAL),
+        ("seed", int, OPTIONAL),
     ]), NULLABLE),
     ("policy", _enum(SchedPolicy), NULLABLE),
     ("mitigation", MITIGATION, NULLABLE),
-    ("seed", Int(), OPTIONAL),
+    ("seed", int, OPTIONAL),
     ("sweep", Section(SweepSpec, [
         ("command", Leaf(lambda v: v in SWEEP_COMMANDS, "unknown sweep command {!r}"), REQUIRED),
         ("parameters", Many(Section(SweepParameter, [

@@ -1,13 +1,23 @@
 """Immutable value classes without per-class generated code.
 
 `value` marks a class whose annotated names are its fields, in order; a
-class attribute of the same name is that field's default. Every marked class
-gets the same plain functions: an `__init__` taking the fields positionally
-or by keyword (then calling the class's `__post_init__`, if it has one),
-frozen `__setattr__`/`__delattr__`, `__eq__` and `__hash__` over the field
-tuple, and `__repr__`. Nothing is compiled per class, so the number of value
-classes adds nothing measurable to import time; `dataclasses.dataclass`
-compiles six functions for each frozen class.
+class attribute of the same name is that field's default, and an `Int`
+given to `value` under a field's name is that field's bound. Every marked
+class gets the same plain functions: an `__init__` taking the fields
+positionally or by keyword (then checking each bound and calling the
+class's `__post_init__`, if it has one), frozen `__setattr__`/`__delattr__`,
+`__eq__` and `__hash__` over the field tuple, and `__repr__`. Nothing is
+compiled per class, so the number of value classes adds nothing measurable
+to import time; `dataclasses.dataclass` compiles six functions for each
+frozen class.
+
+A bound is the one statement of an integer field's range. The constructor
+checks the value against it, not the value's type (a field whose default is
+None may also be None), and raises `ConfigError("<field> <message>")`; the
+scenario reader checks a document's integer against the same object and
+raises `ScenarioError("<path>: <message>")` with the same message.
+Relations between fields, or to a carrier, stay in `__post_init__` and the
+named checks.
 
 A default is one instance shared by every object, so it must be immutable.
 `__post_init__` normalizes a field with `object.__setattr__`.
@@ -15,19 +25,55 @@ A default is one instance shared by every object, so it must be immutable.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
+
+from .errors import ConfigError, ScenarioError
+
+
+class Int:
+    """An integer's bound: at least `minimum`, at most `maximum` and one of
+    `choices`, each when given."""
+
+    __slots__ = ("minimum", "maximum", "choices")
+
+    def __init__(self, minimum=None, maximum=None, choices=None):
+        self.minimum, self.maximum, self.choices = minimum, maximum, choices
+
+    def fault(self, v) -> str:
+        """Why `v` is outside the bound, or "" when it is inside."""
+        if self.minimum is not None and v < self.minimum:
+            return f"must be >= {self.minimum}, got {v}"
+        if self.maximum is not None and v > self.maximum:
+            return f"must be <= {self.maximum}, got {v}"
+        if self.choices is not None and v not in self.choices:
+            return f"must be one of {list(self.choices)}, got {v}"
+        return ""
+
+    def read(self, v, path: str) -> int:
+        """`v` of a JSON document, at `path`: an integer inside the bound."""
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ScenarioError(f"expected an integer, got {v!r}", path)
+        if message := self.fault(v):
+            raise ScenarioError(message, path)
+        return v
+
+    @staticmethod
+    def write(v):
+        return v
 
 
 class _Spec:
     """A marked class's fields, read by the shared methods."""
 
-    __slots__ = ("names", "known", "defaults", "shown", "post_init")
+    __slots__ = ("names", "known", "defaults", "shown", "bounds", "nullable", "post_init")
 
-    def __init__(self, cls: type, no_repr: Iterable[str]):
+    def __init__(self, cls: type, no_repr: Iterable[str], bounds: Dict[str, Int]):
         self.names: Tuple[str, ...] = tuple(cls.__annotations__)
         self.known = frozenset(self.names)
         self.defaults = {name: cls.__dict__[name] for name in self.names if name in cls.__dict__}
         self.shown = tuple(name for name in self.names if name not in no_repr)
+        self.bounds = bounds
+        self.nullable = frozenset(name for name, v in self.defaults.items() if v is None)
         self.post_init = getattr(cls, "__post_init__", None)
 
 
@@ -47,6 +93,10 @@ def _init(self, *args, **kwargs):
         fields.update(kwargs)
     if len(fields) < len(spec.names):
         _argument_error(self, args, kwargs)
+    for name, bound in spec.bounds.items():
+        v = fields[name]
+        if (v is not None or name not in spec.nullable) and (message := bound.fault(v)):
+            raise ConfigError(f"{name} {message}")
     if spec.post_init is not None:
         spec.post_init(self)
 
@@ -105,14 +155,15 @@ _METHODS = {
 }
 
 
-def value(cls=None, *, no_repr: Iterable[str] = ()):
-    """Mark `cls` as a value class; `no_repr` names fields `repr` leaves out.
+def value(cls=None, *, no_repr: Iterable[str] = (), **bounds: Int):
+    """Mark `cls` as a value class; `no_repr` names fields `repr` leaves out,
+    and each other keyword is the bound of the field it names.
 
-    Use as `@value` or `@value(no_repr=("lattice",))`.
+    Use as `@value`, `@value(no_repr=("lattice",))` or `@value(n_prb=Int(1, 275))`.
     """
 
     def mark(cls):
-        cls.__value_spec__ = _Spec(cls, no_repr)
+        cls.__value_spec__ = _Spec(cls, no_repr, bounds)
         for name, method in _METHODS.items():
             setattr(cls, name, method)
         return cls
@@ -125,8 +176,13 @@ def is_value(obj) -> bool:
     return hasattr(type(obj), "__value_spec__")
 
 
+def bound(cls: type, name: str) -> Int:
+    """The bound of the value class `cls`'s field `name`."""
+    return cls.__value_spec__.bounds[name]
+
+
 def replace(obj, **changes):
-    """A new value of `obj`'s class with `changes`; `__post_init__` checks it again."""
+    """A new value of `obj`'s class with `changes`, checked again like a new one."""
     fields = {name: getattr(obj, name) for name in type(obj).__value_spec__.names}
     fields.update(changes)
     return type(obj)(**fields)

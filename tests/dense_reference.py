@@ -115,12 +115,10 @@ def place(arr, where, footprint, rate_match=False):
     np.copyto(view, footprint, where=want & free)
 
 
-def place_lte(arr, carrier, cfg, include_sync=True):
+def place_lte(arr, carrier, cfg):
     if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
     normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
-    if not include_sync:
-        sf0 = sf5 = normal
     normal, mbsfn, sf0, sf5 = (np.frombuffer(t, dtype=np.uint8).reshape(SYMBOLS_PER_SLOT, -1)
                                for t in (normal, mbsfn, sf0, sf5))
     for sf in range(carrier.n_slots):

@@ -36,7 +36,7 @@ def wideband_tdd_carrier():
 
 class TestConfigValidation:
     def test_scs_must_be_15_or_30(self):
-        with pytest.raises(ConfigError, match="scs_khz must be 15 or 30, got 60"):
+        with pytest.raises(ConfigError, match=r"scs_khz must be one of \[15, 30\], got 60"):
             CarrierConfig(60, n_prb=1)
 
     def test_slots_per_ms(self):

@@ -42,7 +42,7 @@ from gridshare import (
 import dense_reference as ref
 from staged import staged
 from gridshare.budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_by_grid
-from gridshare.grid import label_counts, new_labels
+from gridshare.grid import MAX_N_PRB, label_counts, new_labels
 from gridshare.mrss import (
     _NON_DL_LABELS,
     CAT_CONTROL,
@@ -52,6 +52,7 @@ from gridshare.mrss import (
     CONTROL_LABELS,
     DEFAULT_RESERVED_LABELS,
     MAX_DEMAND,
+    _grants,
 )
 
 
@@ -595,13 +596,20 @@ class TestVectorizedScheduler:
             assert all(type(g) is int for g in got.grants_5g + got.dropped_6g)
 
     def test_pool_beyond_int64_products_stays_exact(self):
-        # 400 PRB: 67,200 shared cells a slot, and 67,200 x 2**47 > 2**63.
-        pools = [12 * 14 * 400, 12 * 14 * 400 - 1]
-        cmap = map_with_pools(pools, 400)
         d5s, d6s = [MAX_DEMAND, MAX_DEMAND - 3], [MAX_DEMAND - 1, 7]
+        # 275 PRB, the widest carrier: 46,200 shared cells a slot, and
+        # 46,200 x 2**47 > 2**62, far past a float's exact integers.
+        pools = [12 * 14 * MAX_N_PRB, 12 * 14 * MAX_N_PRB - 1]
+        cmap = map_with_pools(pools, MAX_N_PRB)
         for policy in SchedPolicy:
             got = simulate(cmap, FixedDemands(d5s, d6s), policy)
             assert got == _reference_simulate(pools, d5s, d6s, policy), policy
+        # 400 PRB worth of pool, 67,200 cells, and 67,200 x 2**47 > 2**63: no
+        # carrier is that wide, so the slot scheduler takes the pools directly.
+        pools = [12 * 14 * 400, 12 * 14 * 400 - 1]
+        for policy in SchedPolicy:
+            want = [_reference_grant_slot(*load, policy) for load in zip(pools, d5s, d6s)]
+            assert list(zip(*_grants(pools, d5s, d6s, policy))) == want, policy
 
 
 class TestImmutableMap:

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from gridshare import (
     BeamSignal,
     CarrierConfig,
+    ConfigError,
     NrOverlaySet,
     PlacementError,
     ScenarioError,
@@ -34,8 +36,10 @@ from gridshare import (
     make_grid,
     parse_scenario,
 )
+from gridshare import budget, grid, lte, mrss, nr, scenario
 from gridshare.mrss import ControlModeKind, Mitigation, SchedPolicy
-from gridshare.scenario import NULLABLE, REQUIRED, SCENARIO, SWEEP_COMMANDS, Int, Many, Section
+from gridshare.scenario import NULLABLE, REQUIRED, SCENARIO, SWEEP_COMMANDS, Many, Section
+from gridshare.value import Int, bound, replace
 
 MAX_TEST_PRB = 8
 MAX_COUNT = 2**31
@@ -67,7 +71,7 @@ LEAVES = {
 
 # Upper bounds for Int keys beyond the table's own: the carrier stays small.
 INT_CAPS = {"n_prb": MAX_TEST_PRB, "prbs": MAX_TEST_PRB + 1, "prb_start": MAX_TEST_PRB + 1,
-            "prb_stop": MAX_TEST_PRB + 1, "lte_pdcch": 4}
+            "prb_stop": MAX_TEST_PRB + 1}
 
 # One single fault: a value of the wrong type, null, or out of every range.
 # None of them is a valid large carrier, so a mutated document stays small.
@@ -316,7 +320,7 @@ GOLDEN = [
     ("lte.neighbors", [{"neighbors": []}], "lte.neighbors[0].neighbors: unknown key 'neighbors'"),
     ("nr.ssb.beams", DELETE, "nr.ssb: missing required key 'beams'"),
     ("budget.ports", [3], "budget.ports: must be a list drawn from [0, 1, 2, 4]"),
-    ("budget.lte_pdcch", 4, "budget: lte_pdcch must be 0..3, got 4"),
+    ("budget.lte_pdcch", 4, "budget.lte_pdcch: must be <= 3, got 4"),
     ("mrss.control_mode", "Shared",
      "mrss.control_mode: must be one of ['FullyOverlapping', 'PartiallyOverlapping', "
      "'Separate'], got 'Shared'"),
@@ -391,6 +395,66 @@ def test_single_fault_message(path, value, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(with_fault(path, value))
     assert str(err.value) == message
+
+
+def int_keys(sec: Section, path: str = "", attrs: tuple = ()):
+    """(document path, attributes of its owner in the parsed scenario, owner
+    class, field, bound) of every Int key the table reaches from `sec`; the
+    first object of a list stands for all of them."""
+    for key, (kind, _, part, name) in sec.rows.items():
+        at = f"{path}.{key}" if path else key
+        if isinstance(kind, Many):
+            yield from int_keys(kind.section, f"{at}[0]", attrs + (name, 0))
+        elif isinstance(kind, Section):
+            yield from int_keys(kind, at, attrs + (name,))
+        elif isinstance(kind, Int):
+            yield at, attrs + (part,) if part else attrs, sec.parts.get(part, sec.build), name, kind
+
+
+def outside(leaf: Int):
+    """Integers just outside the bound: below, above and between its choices."""
+    if leaf.minimum is not None:
+        yield leaf.minimum - 1
+    if leaf.maximum is not None:
+        yield leaf.maximum + 1
+    if leaf.choices is not None:
+        yield from {min(leaf.choices) - 1, max(leaf.choices) + 1,
+                    *(set(range(min(leaf.choices), max(leaf.choices))) - set(leaf.choices))}
+
+
+def test_every_int_key_reads_the_bound_its_class_declares():
+    """The table names no integer bound of its own: each Int key holds its
+    field's bound object, and every bound a value class declares is read."""
+    keys = list(int_keys(SCENARIO))
+    for path, _, cls, name, leaf in keys:
+        assert leaf is bound(cls, name), path
+    classes = [obj for module in (grid, lte, nr, budget, mrss, scenario) for obj in vars(module).values()
+               if isinstance(obj, type) and "__value_spec__" in vars(obj)]
+    declared = {(cls, name) for cls in classes for name in cls.__value_spec__.bounds}
+    assert {(cls, name) for _, _, cls, name, _ in keys} == declared
+
+
+def test_a_bound_gives_one_message_to_the_constructor_and_the_reader():
+    """For every Int key of BASE, a value just outside its field's bound fails
+    the constructor with "<field> <message>" and the parse with "<path>: <message>"."""
+    base = parse_scenario(BASE)
+    tried = set()
+    for path, attrs, cls, name, _ in int_keys(SCENARIO):
+        owner = functools.reduce(lambda o, a: o[a] if isinstance(a, int) else getattr(o, a), attrs, base)
+        assert type(owner) is cls, path
+        *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", path)]
+        for v in outside(bound(cls, name)):
+            tried.add(path)
+            with pytest.raises(ConfigError) as made:
+                replace(owner, **{name: v})
+            field, _, message = str(made.value).partition(" ")
+            assert field == name and message, (path, v)
+            doc = copy.deepcopy(BASE)
+            functools.reduce(lambda n, p: n[p], parents, doc)[last] = v
+            with pytest.raises(ScenarioError) as read:
+                parse_scenario(doc)
+            assert (read.value.path, str(read.value)) == (path, f"{path}: {message}")
+    assert {path for path, *_ in int_keys(SCENARIO)} - tried == {"seed"}  # any integer is a seed
 
 
 def table_paths(sec: Section, prefix: str = ""):

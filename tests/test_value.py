@@ -33,7 +33,7 @@ from gridshare.scenario import (
     SweepParameter,
     SweepSpec,
 )
-from gridshare.value import asdict, is_value, replace, value
+from gridshare.value import Int, asdict, is_value, replace, value
 
 import dense_reference as ref
 
@@ -43,9 +43,9 @@ CMAP = MrssCategoryMap(GRID)
 ROW = OverheadRow("SSB", "4 beams", 960, 1.5, 2.0)
 
 # Class -> (the arguments its fields have no default for, a change its
-# __post_init__ rejects or None). A grid holds a frozen lattice, which
-# compares and hashes by the labels of each slot, and a map holds a grid; a
-# dense array is neither.
+# __post_init__ or a field's bound rejects, or None). A grid holds a frozen
+# lattice, which compares and hashes by the labels of each slot, and a map
+# holds a grid; a dense array is neither.
 EXAMPLES = {
     TddPattern: ({"cycle": "DDDSU"}, {"special_split": (6, 4, 5)}),
     CarrierConfig: ({"scs_khz": 15, "n_prb": 2}, {"n_prb": 0}),
@@ -76,8 +76,8 @@ EXAMPLES = {
                  "unused_shared": 0, "pure_5g": 1, "pure_6g": 2}, None),
     InterferenceReport: ({"pool_re": 102, "clean_re": 90, "sacrificed_re": 12,
                           "dirty_re": 0}, None),
-    IotReservation: ({"prb_start": 0, "prb_stop": 1}, None),
-    SixgSsbSpec: ({"occasions": ((0, 0, 0),)}, None),
+    IotReservation: ({"prb_start": 0, "prb_stop": 1}, {"prb_start": -1}),
+    SixgSsbSpec: ({"occasions": ((0, 0, 0),)}, {"prbs": 0}),
     MrssSpec: ({}, None),
     BudgetSpec: ({}, None),
     SweepParameter: ({"path": "policy", "values": ("Priority5G",)}, None),
@@ -187,6 +187,7 @@ class TestValueContract:
         assert replace(obj) == obj
         if bad is None:
             assert cls.__value_spec__.post_init is None
+            assert not cls.__value_spec__.bounds or cls is Scenario  # any integer is a seed
             return
         with pytest.raises(ConfigError):
             cls(**{**required, **bad})
@@ -260,10 +261,38 @@ def test_replace_changes_only_the_named_fields():
     assert CARRIER.n_prb == 2
     with pytest.raises(ConfigError):
         replace(CARRIER, n_prb=0)
-    with pytest.raises(ConfigError, match="scs_khz must be 15 or 30, got 20"):
+    with pytest.raises(ConfigError, match=r"scs_khz must be one of \[15, 30\], got 20"):
         replace(CARRIER, scs_khz=20)
+    with pytest.raises(ConfigError, match="n_prb must be <= 275, got 276"):
+        replace(CARRIER, n_prb=276)
     with pytest.raises(TypeError):
         replace(CARRIER, bogus=1)
+
+
+def test_a_bound_is_checked_before_post_init_and_names_its_field():
+    seen = []
+
+    @value(n=Int(0, 3), k=Int(choices=(1, 2)))
+    class Toy:
+        n: int
+        k: object = None
+
+        def __post_init__(self):
+            seen.append(self.n)
+
+    with pytest.raises(ConfigError, match=r"^n must be <= 3, got 4$"):
+        Toy(4)
+    with pytest.raises(ConfigError, match=r"^k must be one of \[1, 2\], got 3$"):
+        Toy(1, 3)
+    with pytest.raises(ConfigError, match=r"^n must be >= 0, got -1$"):
+        replace(Toy(1), n=-1)
+    assert seen == [1]
+    # The bound, not the type: 2.0 lies inside it, and None is k's default.
+    assert Toy(2.0).n == 2.0 and Toy(0).k is None
+    assert seen == [1, 2.0, 0]
+    # None is no value for a field whose default is not None.
+    with pytest.raises(TypeError):
+        Toy(None)
 
 
 def test_asdict_of_nested_values():

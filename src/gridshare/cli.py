@@ -37,6 +37,7 @@ from .grid import CarrierConfig, Lattice, ResourceGrid, new_labels
 from .lte import place_lte
 from .mrss import (
     MrssCategoryMap,
+    TrafficModel,
     classify_mrss,
     neighbor_interference,
     place_6g_ssb,
@@ -46,7 +47,7 @@ from .mrss import (
 from .nr import place_nr
 from .rounding import round_half_up
 from .scenario import Scenario, emit_scenario, parse_scenario, read_point
-from .value import asdict, replace
+from .value import asdict, bound, replace
 
 FORMATS = ("md", "csv", "json")
 
@@ -449,8 +450,7 @@ def _with_seed(scenario: Scenario, seed: int, sweep: bool) -> Scenario:
     `traffic`, or any `traffic.*` path when the scenario has no traffic
     section, since the sweep then builds the section with its default seed.
     """
-    if seed < 0:
-        raise ScenarioError(f"must be >= 0, got {seed}", "--seed")
+    bound(TrafficModel, "seed").read(seed, "--seed")
     if sweep and scenario.sweep is not None:
         for i, p in enumerate(scenario.sweep.parameters):
             if p.path in ("traffic", "traffic.seed") or (

@@ -65,7 +65,7 @@ def check_mbsfn(carrier: CarrierConfig, cell: LteCellConfig) -> None:
     n_subframes = carrier.n_slots // carrier.slots_per_ms
     allowed_sf = MBSFN_ALLOWED[carrier.duplex]
     for sf in sorted(cell.mbsfn_subframes):
-        if sf >= n_subframes:
+        if not 0 <= sf < n_subframes:
             raise ConfigError(f"subframe {sf} is beyond the {n_subframes}-subframe carrier span")
         if sf % 10 not in allowed_sf:
             raise ConfigError(
@@ -177,10 +177,12 @@ def place_lte(labels: Lattice, carrier: CarrierConfig, cfg: LteCellConfig) -> No
     narrower one carries none). Each subframe template is placed once over
     its set of subframes, so an already-labeled downlink cell raises
     ConflictError naming the first such cell; TDD uplink and guard cells
-    are left as they are.
+    are left as they are. An MBSFN subframe the carrier cannot hold
+    (`check_mbsfn`) is a ConfigError.
     """
     if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
+    check_mbsfn(carrier, cfg)
     normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
     every, mbsfn_sf = range(carrier.n_slots), cfg.mbsfn_subframes
     block = (range(SYMBOLS_PER_SLOT), range(carrier.n_subcarriers))

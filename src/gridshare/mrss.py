@@ -8,9 +8,10 @@ An MRSS map is one labeled grid, `MrssCategoryMap(grid)`. Its stages write
 a writable lattice, as `place_lte` and `place_nr` do, in one all-or-nothing
 call each, and relabel only shared-pool cells, with a label of their own
 (control growth SIXG_CONTROL, `reserve_iot` RESERVED_IOT, `place_6g_ssb`
-SIXG_SSB). A cell's category is always its label's, read through
-`_CATEGORY_OF_LABEL` from the grid's label counts (`grid.label_counts`,
-once per distinct row), so `grid.count_labels` counts stage labels too.
+SIXG_SSB, a plain `place_slots` placement on free cells). A cell's category
+is always its label's, read through `_CATEGORY_OF_LABEL` from the grid's
+label counts (`grid.label_counts`, once per distinct row), so
+`grid.count_labels` counts stage labels too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .grid import (
     ReLabel,
     ResourceGrid,
     Window,
-    any_label,
     label_counts,
     label_totals,
     place_slots,
@@ -395,28 +395,20 @@ def place_6g_ssb(labels: Lattice, carrier: CarrierConfig,
     """Reserve 6G SSB beam blocks of `prbs` x `symbols` at (slot,
     first_symbol, first_prb) anchors of a writable lattice.
 
-    The hidden-from-5G constraint is structural: every targeted cell must
-    be UNLABELED, so a collision with any 5G footprint (SSB, control, ...)
-    is rejected as "not hidden", as is one with grown 6G control, an IoT
-    reservation or an earlier occasion. The blocks are labeled SIXG_SSB in
-    one `place_slots` call, a slot taking its occasions in order: the
-    lowest slot's error is raised, and nothing is written.
+    The hidden-from-5G constraint is structural: a block lies in its slot's
+    downlink symbols (`check_ssb_occasion`) and is labeled SIXG_SSB in one
+    `place_slots` call, which needs every cell free. So a collision with
+    any 5G footprint (SSB, control, ...), grown 6G control, an IoT
+    reservation or an earlier occasion is a ConflictError. A slot takes its
+    occasions in order: the lowest slot's error is raised, and nothing is
+    written.
     """
     placements = []
     for slot, symbol, prb in occasions:
         check_ssb_occasion(carrier, (slot, symbol, prb), prbs, symbols)
         placements.append(((slot,), range(symbol, symbol + symbols),
-                           range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB),
-                           functools.partial(_hidden_ssb, (slot, symbol, prb))))
+                           range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB), ReLabel.SIXG_SSB))
     place_slots(labels, placements)
-
-
-def _hidden_ssb(occasion: Tuple[int, int, int], slot: int, cells: bytes) -> int:
-    """A 6G SSB block's footprint, SIXG_SSB on every cell, if none is labeled."""
-    if any_label(cells):
-        raise PlacementError(f"6G SSB occasion {occasion} is not hidden: "
-                             "collides with a 5G footprint or leaves the shared pool")
-    return ReLabel.SIXG_SSB
 
 
 def _grants(

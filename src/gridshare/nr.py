@@ -13,20 +13,22 @@ each PRB. A new signal is a spec class, an `NrOverlaySet` field, a
 `SIGNALS` row and, if it is placed in units, a place in `UNIT_ORDER` (and
 its entry in the scenario format).
 
-`place_nr` places CORESET1, then every unit, in one all-or-nothing
-`place_slots` call, a slot taking CORESET1 before its unit; an "re" unit's
-footprint is a function of its block's labels.
-
-`nr_plan` makes every check of an overlay against its carrier that needs no
-lattice; `place_nr` and `budget.nr_overhead` both run it, so the overhead
-table reports no overlay the grid rejects. The per-slot DSS layout, where
-NR rate-matches around an incumbent LTE cell, lives in `budget`.
+`nr_plan` is the overlay's `place_slots` placements, made with every check
+of the overlay against its carrier that needs no lattice: CORESET1's, then
+one per group of a signal's unit slots that share a first symbol and a
+downlink length. It decides what to place from the units' geometry, never
+from `re_count`, so the grid route checks the closed form instead of
+reading it. `place_nr` writes the plan in one all-or-nothing call, a slot
+taking CORESET1 before its unit; an "re" unit's footprint is a function of
+its block's labels. `budget.nr_overhead` runs the plan too, so the
+overhead table reports no overlay the grid rejects. The per-slot DSS
+layout, where NR rate-matches around an incumbent LTE cell, lives in
+`budget`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import ConfigError, PlacementError
@@ -34,6 +36,7 @@ from .grid import (
     SC_PER_PRB,
     CarrierConfig,
     Lattice,
+    Placement,
     ReLabel,
     ResourceGrid,
     place_slots,
@@ -203,30 +206,12 @@ def place_nr(labels: Lattice, carrier: CarrierConfig, overlay: NrOverlaySet) -> 
     occasion) gets its own downlink slot starting at the lowest PRBs just
     after the CORESET1 symbols. The accounting (signal_counts) is
     placement-invariant; only disjointness depends on this scheme. The
-    checked plan (`nr_plan`) is placed in one `place_slots` call: CORESET1,
-    then every unit, equal units as one placement. A slot takes CORESET1
-    before its unit, the error raised is the lowest slot's, and all of the
-    overlay or none of it is written. An "re" unit picks its cells once per
-    distinct row.
+    checked plan (`nr_plan`) is placed in one `place_slots` call: a slot
+    takes CORESET1 before its unit, the error raised is the lowest slot's,
+    and all of the overlay or none of it is written. An "re" unit picks its
+    cells once per distinct row.
     """
-    monitored, units = nr_plan(carrier, overlay)
-    placements = []
-    if monitored:
-        coreset1 = overlay.coreset1
-        placements.append((monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
-                           _CORESET1.label))
-    # Equal units are one placement, keyed on the signal's name: a Signal hashes slowly.
-    groups: Dict[tuple, Tuple[tuple, List[int]]] = {}
-    for slot, unit in units:
-        groups.setdefault((unit[0].name, unit[4], unit[5]), (unit, []))[1].append(slot)
-    for (signal, kind, prbs, amount, base, dl_syms), slots in groups.values():
-        width = prbs * SC_PER_PRB
-        if kind == "block":
-            symbols, footprint = range(base, base + amount), signal.label
-        else:
-            symbols, footprint = range(base, dl_syms), functools.partial(_pick, signal, width, amount)
-        placements.append((slots, symbols, range(width), footprint))
-    place_slots(labels, placements)
+    place_slots(labels, nr_plan(carrier, overlay))
 
 
 def _pick(signal: Signal, width: int, amount: int, slot: int, cells: bytes) -> bytes:
@@ -234,43 +219,56 @@ def _pick(signal: Signal, width: int, amount: int, slot: int, cells: bytes) -> b
     return _first_free_per_prb(cells, width, amount, f"{signal.name}: collision in slot {slot}", signal.label)
 
 
-def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> Tuple[Tuple[int, ...], List[tuple]]:
-    """The overlay checked against the carrier, with every check that needs
-    no lattice: (CORESET1 monitored slots, units), each unit (slot, (signal,
-    kind, PRBs, amount, first symbol, DL symbols of the slot)), in slot order."""
+def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> List[Placement]:
+    """The overlay's `place_slots` placements on the carrier, checked with
+    every check that needs no lattice: CORESET1's, then, for each signal in
+    `UNIT_ORDER`, one per (first symbol, DL symbols of the slot) group of
+    its units' slots, in order of the group's first slot. A "block" unit
+    carries its label, an "re" unit its `_pick`. A signal is placed when
+    every number of its geometry is non-zero, whatever its closed form
+    reads. A check names its group's first slot."""
     overlay.check_fits(carrier)
 
     dl_symbols = carrier._dl_symbols
     dl_slots = carrier.dl_bearing_slots()
 
     coreset1 = overlay.coreset1
-    n_mon = coreset1.monitored_count(carrier) if coreset1 and coreset1.re_count(carrier) > 0 else 0
+    n_mon = coreset1.monitored_count(carrier) if coreset1 and coreset1.prbs and coreset1.symbols else 0
     if n_mon > len(dl_slots):
         raise PlacementError(f"{_CORESET1.name}: {n_mon} monitored slots > {len(dl_slots)} DL-bearing slots")
-    monitored = dl_slots[:n_mon]
-    for slot in (s for s in monitored if dl_symbols[s] < coreset1.symbols):
-        raise PlacementError(f"{_CORESET1.name}: {coreset1.symbols} symbols do not fit slot {slot}")
+    placements = []
+    if n_mon:
+        monitored = dl_slots[:n_mon]
+        for slot in (s for s in monitored if dl_symbols[s] < coreset1.symbols):
+            raise PlacementError(f"{_CORESET1.name}: {coreset1.symbols} symbols do not fit slot {slot}")
+        placements.append((monitored, range(coreset1.symbols), range(coreset1.prbs * SC_PER_PRB),
+                           _CORESET1.label))
 
-    # The unit count is checked before any unit is listed, so an oversized
+    # The unit count is checked before any slot is listed, so an oversized
     # count costs no memory.
-    groups = [(signal, spec.unit()) for signal in UNIT_ORDER
-              if (spec := signal.spec(overlay)) and spec.re_count(carrier) > 0]
-    n_units = sum(unit[-1] for _, unit in groups)
-    if n_units > len(dl_slots):
+    units = [(signal, unit) for signal in UNIT_ORDER
+             if (spec := signal.spec(overlay)) and all((unit := spec.unit())[1:])]
+    if (n_units := sum(unit[-1] for _, unit in units)) > len(dl_slots):
         raise PlacementError(f"{n_units} occasion units need distinct DL slots but only "
                              f"{len(dl_slots)} are available")
-    units = []
-    slots = enumerate(dl_slots)  # the first n_mon DL slots are CORESET1's
-    for signal, (kind, prbs, amount, count) in groups:
-        for i, slot in itertools.islice(slots, count):
-            base = coreset1.symbols if i < n_mon else 0
-            dl_syms = dl_symbols[slot]
-            if kind == "block" and base + amount > dl_syms:
-                raise PlacementError(f"{signal.name}: {amount} symbols do not fit slot {slot}")
-            if kind == "re" and amount > (dl_syms - base) * SC_PER_PRB:
-                raise PlacementError(f"{signal.name}: needs {amount} RE/PRB in slot {slot}")
-            units.append((slot, (signal, kind, prbs, amount, base, dl_syms)))
-    return monitored, units
+    first = 0  # the first n_mon DL slots are CORESET1's
+    for signal, (kind, prbs, amount, count) in units:
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for i, slot in enumerate(dl_slots[first:first + count], first):
+            groups.setdefault((coreset1.symbols if i < n_mon else 0, dl_symbols[slot]), []).append(slot)
+        first += count
+        width = prbs * SC_PER_PRB
+        for (base, dl_syms), slots in groups.items():
+            if kind == "block":
+                if base + amount > dl_syms:
+                    raise PlacementError(f"{signal.name}: {amount} symbols do not fit slot {slots[0]}")
+                symbols, footprint = range(base, base + amount), signal.label
+            else:
+                if amount > (dl_syms - base) * SC_PER_PRB:
+                    raise PlacementError(f"{signal.name}: needs {amount} RE/PRB in slot {slots[0]}")
+                symbols, footprint = range(base, dl_syms), functools.partial(_pick, signal, width, amount)
+            placements.append((slots, symbols, range(width), footprint))
+    return placements
 
 
 def _first_free_per_prb(cells: bytes, width: int, amount: int, what: str, mark: int = 1) -> bytes:

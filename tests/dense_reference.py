@@ -4,8 +4,8 @@ slot-shared lattice.
 Every function here stores one byte per resource element, in an array
 shaped (n_slots, 14, n_sc), and places or checks slot by slot in slot
 order, as gridshare did before a lattice stored each distinct slot once.
-The footprint rules they place (subframe templates, the NR unit plan, the
-first free cells per PRB, the label -> category table) are gridshare's own.
+The footprint rules they place (subframe templates, the NR plan's
+placements, the label -> category table) are gridshare's own.
 The MRSS stages keep a category array beside the labels, as gridshare's map
 once did, and write a stage's label only on UNLABELED cells.
 `lattice_of` and `gather` convert between such an array and a
@@ -30,7 +30,7 @@ import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
 from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, Lattice, ReLabel, SlotKind
-from gridshare.lte import _subframe_templates, crs_mask
+from gridshare.lte import _subframe_templates, check_mbsfn, crs_mask
 from gridshare.mrss import (
     CAT_CONTROL,
     CAT_NON_DL,
@@ -41,7 +41,7 @@ from gridshare.mrss import (
     check_slots,
     check_ssb_occasion,
 )
-from gridshare.nr import _first_free_per_prb, nr_plan
+from gridshare.nr import nr_plan
 from gridshare.rounding import round_half_up
 
 # The label -> category table as an array, one entry per label.
@@ -118,6 +118,7 @@ def place(arr, where, footprint, rate_match=False):
 def place_lte(arr, carrier, cfg):
     if carrier.scs_khz != 15:
         raise ConfigError("LTE requires 15 kHz")
+    check_mbsfn(carrier, cfg)
     normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
     normal, mbsfn, sf0, sf5 = (np.frombuffer(t, dtype=np.uint8).reshape(SYMBOLS_PER_SLOT, -1)
                                for t in (normal, mbsfn, sf0, sf5))
@@ -132,27 +133,20 @@ def place_lte(arr, carrier, cfg):
 
 
 def place_nr(arr, carrier, overlay):
-    """The overlay slot by slot: CORESET1, if the slot is monitored, then the slot's unit."""
-    monitored, units = nr_plan(carrier, overlay)
-    monitored, unit_of = set(monitored), dict(units)
-    for slot in sorted(monitored | unit_of.keys()):
-        if slot in monitored:
-            place(
-                arr,
-                (slot, slice(0, overlay.coreset1.symbols), slice(0, overlay.coreset1.prbs * SC_PER_PRB)),
-                ReLabel.NR_PDCCH_CORESET1,
-            )
-        if slot not in unit_of:
-            continue
-        signal, kind, prbs, amount, base, dl_syms = unit_of[slot]
-        if kind == "block":
-            place(arr, (slot, slice(base, base + amount), slice(0, prbs * SC_PER_PRB)), signal.label)
-        else:
-            where = (slot, slice(base, dl_syms), slice(0, prbs * SC_PER_PRB))
-            pick = _first_free_per_prb(arr[where].tobytes(), prbs * SC_PER_PRB, amount,
-                                       f"{signal.name}: collision in slot {slot}")
-            pick = np.frombuffer(pick, dtype=np.uint8).reshape(arr[where].shape)
-            place(arr, where, np.where(pick, signal.label, ReLabel.UNLABELED))
+    """The overlay's plan (`nr_plan`) slot by slot: a slot takes the
+    placements that name it in call order, a footprint function read from
+    the slot's labels as the earlier placements left them."""
+    by_slot = {}
+    for placement in nr_plan(carrier, overlay):
+        for slot in placement[0]:
+            by_slot.setdefault(slot, []).append(placement)
+    for slot in sorted(by_slot):
+        for _, symbols, subcarriers, footprint in by_slot[slot]:
+            where = (slot, slice(symbols.start, symbols.stop), slice(subcarriers.start, subcarriers.stop))
+            if callable(footprint):
+                footprint = np.frombuffer(footprint(slot, arr[where].tobytes()),
+                                          dtype=np.uint8).reshape(arr[where].shape)
+            place(arr, where, footprint)
 
 
 def count_labels(arr):
@@ -219,21 +213,22 @@ def reserve_iot(config, categories, labels, reservations):
 def place_6g_ssb(config, categories, labels, occasions, prbs, symbols):
     """New (categories, labels) with the blocks, or the stage's error: every
     occasion's range is checked first, then the blocks are placed slot by
-    slot, a slot's in the order given."""
+    slot, a slot's in the order given, each on free cells alone. A block
+    conflicts with the label the map holds, which for a cell an earlier
+    stage took from the shared pool is that stage's label."""
     for occasion in occasions:
         check_ssb_occasion(config, occasion, prbs, symbols)
     categories, labels = categories.copy(), labels.copy()
+    held = labels.copy()
+    taken = CATEGORY_OF_LABEL[labels] != categories
+    held[taken] = np.where(categories[taken] == CAT_CONTROL, ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT)
     for slot, symbol, prb in sorted(occasions, key=lambda occasion: occasion[0]):
         sl = slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB)
         where = (slot, slice(symbol, symbol + symbols), sl)
-        cat = categories[where]
-        if np.any(cat != CAT_SHARED) or np.any(labels[where] != ReLabel.UNLABELED):
-            raise PlacementError(
-                f"6G SSB occasion {(slot, symbol, prb)} is not hidden: "
-                "collides with a 5G footprint or leaves the shared pool"
-            )
-        cat[:] = CAT_RESERVED
-        place(labels, where, ReLabel.SIXG_SSB)
+        free = held[where] == ReLabel.UNLABELED
+        place(held, where, ReLabel.SIXG_SSB)
+        labels[where][free] = ReLabel.SIXG_SSB
+        categories[where][free] = CAT_RESERVED
     return categories, labels
 
 

@@ -1070,7 +1070,7 @@ FAILING_STAGES = {
     "iot": (MrssSpec(iot_reservations=(IotReservation(0, 1, (0,)), IotReservation(0, 1, (1,)))),
             ConflictError),
     "6g_ssb": (MrssSpec(sixg_ssb=SixgSsbSpec(((0, 0, 0), (1, 0, 0)), prbs=1, symbols=1)),
-               PlacementError),
+               ConflictError),
 }
 
 

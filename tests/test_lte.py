@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from gridshare import (
     ConflictError,
     LteCellConfig,
     ReLabel,
+    SlotKind,
     TddPattern,
     apply_lte,
     count_labels,
     make_grid,
 )
-from gridshare.lte import crs_mask
+from gridshare.lte import MBSFN_ALLOWED, crs_mask
 
 import dense_reference as ref
 from dense_reference import crs_cells
@@ -126,15 +129,33 @@ class TestApplyLte:
         assert count_labels(grid)[ReLabel.UNLABELED] == 138
 
     def test_mbsfn_subframe_muting(self):
-        cfg = LteCellConfig(crs_ports=1, pdcch_symbols=2, mbsfn_subframes={0},
+        cfg = LteCellConfig(crs_ports=1, pdcch_symbols=2, mbsfn_subframes={1},
                             non_mbsfn_region_len=2)
-        grid = apply_lte(make_grid(fdd15()), cfg)
+        grid = apply_lte(make_grid(fdd15(span_ms=2)), cfg)
         counts = count_labels(grid)
-        # CRS only at symbols 0..1 (symbol 0 for 1 port), control as normal,
-        # everything after symbol 1 muted with no CRS inside.
+        # In subframe 1: CRS only at symbols 0..1 (symbol 0 for 1 port),
+        # control as normal, everything after symbol 1 muted with no CRS
+        # inside. Subframe 0 is a normal subframe of 8 CRS cells.
         assert counts[ReLabel.LTE_MBSFN_MUTED] == 144
-        assert crs_total(counts) == 2
-        assert (ref.gather(grid.lattice)[0, 2:, :] == ReLabel.LTE_MBSFN_MUTED).all()
+        assert crs_total(counts) == 8 + 2
+        assert (ref.gather(grid.lattice)[1, 2:, :] == ReLabel.LTE_MBSFN_MUTED).all()
+
+    @pytest.mark.parametrize("carrier, mbsfn, message", [
+        (fdd15(n_prb=6, span_ms=10), {0, 12}, "subframe 0 cannot carry MBSFN on FDD"),
+        (fdd15(n_prb=6, span_ms=20), {1, 12, 25}, "subframe 25 is beyond the 20-subframe carrier span"),
+        (CarrierConfig(15, n_prb=6, duplex="TDD", span_ms=10, tdd_pattern=TddPattern("DSUUD", (10, 2, 2))),
+         {-1}, "subframe -1 is beyond the 10-subframe carrier span"),
+        (CarrierConfig(15, n_prb=6, duplex="TDD", span_ms=10, tdd_pattern=TddPattern("DSUUD", (10, 2, 2))),
+         {3}, "subframe 3 cannot carry MBSFN: the TDD pattern makes it uplink"),
+    ])
+    def test_mbsfn_subframes_the_carrier_cannot_hold_are_rejected(self, carrier, mbsfn, message):
+        # Subframe 0 was once muted, losing its PBCH/PSS/SSS, subframe 12 of
+        # a 10-subframe carrier ignored, and subframe -1 taken as 9.
+        cell = LteCellConfig(mbsfn_subframes=mbsfn)
+        for place in (lambda: apply_lte(make_grid(carrier), cell),
+                      lambda: ref.place_lte(ref.new_labels(carrier), carrier, cell)):
+            with pytest.raises(ConfigError, match="^" + re.escape(message)):
+                place()
 
     def test_sync_and_pbch_footprint(self):
         # Subframe 0: PSS/SSS on symbols 5-6 and PBCH on 7-10, center 72 sc,
@@ -174,6 +195,15 @@ def dl_symbols(carrier, sf):
 
 
 @st.composite
+def mbsfn_sets(draw, carrier):
+    """Subframes of the carrier that may carry MBSFN: in its span, allowed
+    on its duplex and downlink."""
+    candidates = [sf for sf in range(carrier.n_slots)
+                  if sf % 10 in MBSFN_ALLOWED[carrier.duplex] and carrier.slot_kind(sf) is SlotKind.DOWNLINK]
+    return draw(st.frozensets(st.sampled_from(candidates))) if candidates else frozenset()
+
+
+@st.composite
 def lte_carriers(draw):
     n_prb = draw(st.integers(1, 8))
     if draw(st.booleans()):
@@ -195,9 +225,10 @@ class TestCrsCountProperty:
         cell_id=st.integers(0, 503),
         pdcch=st.integers(1, 3),
         region=st.integers(1, 2),
-        mbsfn=st.frozensets(st.integers(0, 14)),
+        data=st.data(),
     )
-    def test_per_port_count_closed_form(self, carrier, ports, cell_id, pdcch, region, mbsfn):
+    def test_per_port_count_closed_form(self, carrier, ports, cell_id, pdcch, region, data):
+        mbsfn = data.draw(mbsfn_sets(carrier))
         cfg = LteCellConfig(cell_id=cell_id, crs_ports=ports, pdcch_symbols=pdcch,
                             mbsfn_subframes=mbsfn, non_mbsfn_region_len=region)
         counts = count_labels(apply_lte(make_grid(carrier), cfg))

@@ -225,7 +225,8 @@ class TestPlace6gSsb:
     def test_collision_with_5g_footprint(self):
         labels = wideband_map().grid.lattice.copy()
         # Symbol 0 of a downlink slot carries CORESET 1 on PRBs 0..269.
-        with pytest.raises(PlacementError, match="not hidden"):
+        with pytest.raises(ConflictError, match=re.escape(
+                "conflict at cell (0, 0, 0): existing NR_PDCCH_CORESET1, new SIXG_SSB")):
             place_6g_ssb(labels, wideband_tdd_carrier(), [(0, 0, 0)], 20, 4)
 
     def test_out_of_range_occasion(self):

@@ -24,8 +24,8 @@ from gridshare import (
     count_labels,
     make_grid,
 )
-from gridshare.budget import dss_pool_by_grid
-from gridshare.grid import Lattice, new_labels
+from gridshare.budget import dss_pool_by_grid, verify_overhead_by_grid
+from gridshare.grid import Lattice, ResourceGrid, new_labels
 from gridshare import nr
 from gridshare.nr import _first_free_per_prb, nr_plan, place_nr
 
@@ -345,7 +345,38 @@ class TestUnitsPlacedTogether:
 
         monkeypatch.setattr(nr, "_first_free_per_prb", counted)
         placed = apply_nr(grid, overlay)
-        _, units = nr_plan(carrier, overlay)
-        pairs = {(unit, grid.lattice.slots[slot]) for slot, unit in units}
-        assert len(units) == 90 and len(calls) == len(pairs) == 6
+        placements = nr_plan(carrier, overlay)
+        pairs = {(i, grid.lattice.slots[slot]) for i, (slots, *_) in enumerate(placements) for slot in slots}
+        assert sum(len(slots) for slots, *_ in placements) == 90 and len(calls) == len(pairs) == 6
         assert count_labels(placed)[ReLabel.NR_CSI_RS] == 4 * 6 * 50
+
+
+class TestPlanIsPlacements:
+    """`nr_plan` returns the placements `place_nr` writes, one per group of a
+    signal's slots that share a first symbol and a downlink length, and
+    decides what to place from the units' geometry, not the closed form."""
+
+    @pytest.mark.parametrize("spec_class", [BeamSignal, Coreset1Spec, CsiRsSpec, TrsSpec])
+    def test_the_grid_route_reads_no_closed_form(self, monkeypatch, spec_class):
+        # With the closed form read as 0, the grid still counts every placed
+        # cell, so the two routes disagree. The plan once skipped a signal
+        # whose closed form read 0, and both routes read 0.
+        carrier, overlay = wideband_tdd_carrier(), full_overlay()
+        want = overlay.signal_counts(carrier)
+        monkeypatch.setattr(spec_class, "re_count", lambda self, carrier: 0)
+        closed = overlay.signal_counts(carrier)
+        assert verify_overhead_by_grid(carrier, overlay) == want != closed
+
+    def test_thousands_of_units_are_one_placement_per_signal(self):
+        carrier = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=3000)
+        overlay = NrOverlaySet(period_ms=3000, csi_rs=CsiRsSpec(4, 1, 6, 2000),
+                               trs=TrsSpec(6, 2, 3, 2, 250))
+        placements = nr_plan(carrier, overlay)
+        # TRS before CSI-RS (`UNIT_ORDER`), each over its own distinct slots.
+        assert [(slots[0], len(slots)) for slots, *_ in placements] == [(0, 1000), (1000, 2000)]
+        (got, error), (want, want_error) = placed_and_dense(
+            carrier, LteCellConfig(crs_ports=2, pdcch_symbols=1), overlay)
+        assert error is None and want_error is None
+        np.testing.assert_array_equal(got, want)
+        counts = count_labels(ResourceGrid(carrier, ref.lattice_of(got)))
+        assert counts[ReLabel.NR_TRS] == 6 * 3 * 1000 and counts[ReLabel.NR_CSI_RS] == 6 * 4 * 2000

@@ -171,7 +171,9 @@ class CarrierConfig:
         period = len(self.tdd_pattern.cycle) if self.tdd_pattern else 1
         return tuple(map(self.dl_symbols_in_slot, range(period))) * (self.n_slots // period)
 
+    @functools.cached_property
     def dl_bearing_slots(self) -> Tuple[int, ...]:
+        """The slots with a downlink symbol, listed once per carrier."""
         return tuple(itertools.compress(range(self.n_slots), self._dl_symbols))
 
 

@@ -11,7 +11,7 @@ templates that `place_lte` places on the grid.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Iterator, Tuple
 
 from .errors import ConfigError
 from .grid import (
@@ -58,25 +58,34 @@ class LteCellConfig:
     def v_shift(self) -> int:
         return self.cell_id % 6
 
+    def misfits(self, carrier: CarrierConfig) -> Iterator[Tuple[str, str]]:
+        """(dotted key, message) of each way the cell does not fit the carrier, in key
+        order: a carrier other than 15 kHz, then each cell's `mbsfn_fault`."""
+        if carrier.scs_khz != 15:
+            yield "", "an LTE cell needs a 15 kHz carrier"
+        if message := mbsfn_fault(carrier, self):
+            yield "mbsfn_subframes", message
+        for i, cell in enumerate(self.neighbors):
+            if message := mbsfn_fault(carrier, cell):
+                yield f"neighbors[{i}].mbsfn_subframes", message
 
-def check_mbsfn(carrier: CarrierConfig, cell: LteCellConfig) -> None:
-    """Each MBSFN subframe lies in the carrier span, may carry MBSFN on the
-    carrier's duplex (MBSFN_ALLOWED), and is a TDD downlink subframe."""
+
+def mbsfn_fault(carrier: CarrierConfig, cell: LteCellConfig) -> str:
+    """The message for the cell's first MBSFN subframe that the carrier cannot
+    hold, or "": one outside the carrier span, one that cannot carry MBSFN on
+    the carrier's duplex (MBSFN_ALLOWED) or one that is no TDD downlink subframe."""
     n_subframes = carrier.n_slots // carrier.slots_per_ms
     allowed_sf = MBSFN_ALLOWED[carrier.duplex]
     for sf in sorted(cell.mbsfn_subframes):
         if not 0 <= sf < n_subframes:
-            raise ConfigError(f"subframe {sf} is beyond the {n_subframes}-subframe carrier span")
+            return f"subframe {sf} is outside the {n_subframes}-subframe carrier span"
         if sf % 10 not in allowed_sf:
-            raise ConfigError(
-                f"subframe {sf} cannot carry MBSFN on {carrier.duplex}: "
-                f"only subframes {sorted(allowed_sf)} mod 10 can (TS 36.331)"
-            )
+            return (f"subframe {sf} cannot carry MBSFN on {carrier.duplex}: "
+                    f"only subframes {sorted(allowed_sf)} mod 10 can (TS 36.331)")
         kind = carrier.slot_kind(sf * carrier.slots_per_ms)
         if kind is not SlotKind.DOWNLINK:
-            raise ConfigError(
-                f"subframe {sf} cannot carry MBSFN: the TDD pattern makes it {kind.name.lower()}"
-            )
+            return f"subframe {sf} cannot carry MBSFN: the TDD pattern makes it {kind.name.lower()}"
+    return ""
 
 
 # v (mod 6) per port, indexed by l != 0 for ports 0/1 and by n_s mod 2 for ports 2/3.
@@ -177,12 +186,11 @@ def place_lte(labels: Lattice, carrier: CarrierConfig, cfg: LteCellConfig) -> No
     narrower one carries none). Each subframe template is placed once over
     its set of subframes, so an already-labeled downlink cell raises
     ConflictError naming the first such cell; TDD uplink and guard cells
-    are left as they are. An MBSFN subframe the carrier cannot hold
-    (`check_mbsfn`) is a ConfigError.
+    are left as they are. A cell or neighbor that does not fit the carrier
+    is a ConfigError with its first misfit's message (`misfits`).
     """
-    if carrier.scs_khz != 15:
-        raise ConfigError("LTE requires 15 kHz")
-    check_mbsfn(carrier, cfg)
+    for _, message in cfg.misfits(carrier):
+        raise ConfigError(message)
     normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
     every, mbsfn_sf = range(carrier.n_slots), cfg.mbsfn_subframes
     block = (range(SYMBOLS_PER_SLOT), range(carrier.n_subcarriers))

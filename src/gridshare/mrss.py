@@ -330,30 +330,33 @@ def classify_mrss(labels: Lattice, control_mode: ControlMode = ControlMode()) ->
                     ([whole] if rest else [], turn_rest)])
 
 
-# Placement ranges: the scenario parser checks them against the document's
-# carrier, and reserve_iot and place_6g_ssb again for library callers.
-def check_prb_range(cfg: CarrierConfig, p0: int, p1: int) -> None:
-    if not 0 <= p0 <= p1 <= cfg.n_prb:
-        raise ConfigError(f"PRB range ({p0}, {p1}) out of bounds for a {cfg.n_prb}-PRB carrier")
+# Placement ranges, one fault function (the message, or "") per rule: the
+# scenario's `MrssSpec.misfits` reports them, reserve_iot and place_6g_ssb raise them.
+def prb_range_fault(carrier: CarrierConfig, p0: int, p1: int) -> str:
+    if not 0 <= p0 <= p1 <= carrier.n_prb:
+        return f"PRB range ({p0}, {p1}) out of bounds for a {carrier.n_prb}-PRB carrier"
+    return ""
 
 
-def check_slots(cfg: CarrierConfig, slots: Iterable[int]) -> None:
-    for s in slots:
-        if not 0 <= s < cfg.n_slots:
-            raise ConfigError(f"slot {s} out of range for a {cfg.n_slots}-slot carrier")
+def slots_fault(carrier: CarrierConfig, slots: Optional[Iterable[int]]) -> str:
+    """The message for the first of `slots` off the carrier, or "" (None, every slot, fits)."""
+    n_slots = carrier.n_slots
+    for s in slots or ():
+        if not 0 <= s < n_slots:
+            return f"slot {s} out of range for a {n_slots}-slot carrier"
+    return ""
 
 
-def check_ssb_occasion(cfg: CarrierConfig, occasion: Sequence[int], prbs: int, symbols: int) -> None:
+def ssb_occasion_fault(carrier: CarrierConfig, occasion: Sequence[int], prbs: int, symbols: int) -> str:
     slot, symbol, prb = occasion
-    if not (0 <= slot < cfg.n_slots and 0 <= symbol <= SYMBOLS_PER_SLOT - symbols
-            and 0 <= prb <= cfg.n_prb - prbs):
-        raise ConfigError(
-            f"6G SSB occasion {(slot, symbol, prb)} out of range: a {prbs}-PRB, "
-            f"{symbols}-symbol block on a {cfg.n_slots}-slot, {cfg.n_prb}-PRB carrier"
-        )
-    if symbol + symbols > cfg._dl_symbols[slot]:
-        raise ConfigError(f"6G SSB occasion {(slot, symbol, prb)} is not in downlink: its symbols end at "
-                          f"{symbol + symbols}, slot {slot} has {cfg._dl_symbols[slot]} downlink symbols")
+    if not (0 <= slot < carrier.n_slots and 0 <= symbol <= SYMBOLS_PER_SLOT - symbols
+            and 0 <= prb <= carrier.n_prb - prbs):
+        return (f"6G SSB occasion {(slot, symbol, prb)} out of range: a {prbs}-PRB, "
+                f"{symbols}-symbol block on a {carrier.n_slots}-slot, {carrier.n_prb}-PRB carrier")
+    if symbol + symbols > carrier._dl_symbols[slot]:
+        return (f"6G SSB occasion {(slot, symbol, prb)} is not in downlink: its symbols end at "
+                f"{symbol + symbols}, slot {slot} has {carrier._dl_symbols[slot]} downlink symbols")
+    return ""
 
 
 def reserve_iot(labels: Lattice, carrier: CarrierConfig,
@@ -367,12 +370,13 @@ def reserve_iot(labels: Lattice, carrier: CarrierConfig,
     """
     writes = []
     for p0, p1, slots in reservations:
-        check_prb_range(carrier, p0, p1)
-        slot_list = range(carrier.n_slots) if slots is None else list(slots)
-        check_slots(carrier, slot_list)
+        slots = None if slots is None else list(slots)
+        if message := prb_range_fault(carrier, p0, p1) or slots_fault(carrier, slots):
+            raise ConfigError(message)
         window = Window(carrier.n_subcarriers, range(SYMBOLS_PER_SLOT),
                         range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
-        writes.append((slot_list, functools.partial(_reserve_shared, window)))
+        writes.append((range(carrier.n_slots) if slots is None else slots,
+                       functools.partial(_reserve_shared, window)))
     labels.rewrite(writes)
 
 
@@ -396,7 +400,7 @@ def place_6g_ssb(labels: Lattice, carrier: CarrierConfig,
     first_symbol, first_prb) anchors of a writable lattice.
 
     The hidden-from-5G constraint is structural: a block lies in its slot's
-    downlink symbols (`check_ssb_occasion`) and is labeled SIXG_SSB in one
+    downlink symbols (`ssb_occasion_fault`) and is labeled SIXG_SSB in one
     `place_slots` call, which needs every cell free. So a collision with
     any 5G footprint (SSB, control, ...), grown 6G control, an IoT
     reservation or an earlier occasion is a ConflictError. A slot takes its
@@ -405,7 +409,8 @@ def place_6g_ssb(labels: Lattice, carrier: CarrierConfig,
     """
     placements = []
     for slot, symbol, prb in occasions:
-        check_ssb_occasion(carrier, (slot, symbol, prb), prbs, symbols)
+        if message := ssb_occasion_fault(carrier, (slot, symbol, prb), prbs, symbols):
+            raise ConfigError(message)
         placements.append(((slot,), range(symbol, symbol + symbols),
                            range(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB), ReLabel.SIXG_SSB))
     place_slots(labels, placements)

@@ -71,7 +71,7 @@ class Coreset1Spec:
     slots: Optional[int] = None
 
     def monitored_count(self, carrier: CarrierConfig) -> int:
-        return len(carrier.dl_bearing_slots()) if self.slots is None else self.slots
+        return len(carrier.dl_bearing_slots) if self.slots is None else self.slots
 
     def re_count(self, carrier: CarrierConfig) -> int:
         return self.prbs * SC_PER_PRB * self.symbols * self.monitored_count(carrier)
@@ -150,14 +150,11 @@ class NrOverlaySet:
                 yield (f"{signal.field}.prbs",
                        f"{signal.name} spans {spec.prbs} PRBs > carrier {carrier.n_prb}")
 
-    def check_fits(self, carrier: CarrierConfig) -> None:
-        """ConfigError for the overlay's first misfit on the carrier, if any."""
+    def signal_counts(self, carrier: CarrierConfig) -> Dict[str, int]:
+        """Closed-form RE count per signal over one period, in report order;
+        ConfigError for the overlay's first misfit on the carrier."""
         for _, message in self.misfits(carrier):
             raise ConfigError(message)
-
-    def signal_counts(self, carrier: CarrierConfig) -> Dict[str, int]:
-        """Closed-form RE count per signal over one period, in report order."""
-        self.check_fits(carrier)
         return {signal.name: spec.re_count(carrier) if (spec := signal.spec(self)) else 0
                 for signal in SIGNALS}
 
@@ -227,10 +224,11 @@ def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> List[Placement]:
     carries its label, an "re" unit its `_pick`. A signal is placed when
     every number of its geometry is non-zero, whatever its closed form
     reads. A check names its group's first slot."""
-    overlay.check_fits(carrier)
+    for _, message in overlay.misfits(carrier):
+        raise ConfigError(message)
 
     dl_symbols = carrier._dl_symbols
-    dl_slots = carrier.dl_bearing_slots()
+    dl_slots = carrier.dl_bearing_slots
 
     coreset1 = overlay.coreset1
     n_mon = coreset1.monitored_count(carrier) if coreset1 and coreset1.prbs and coreset1.symbols else 0

@@ -7,6 +7,9 @@ but for the `parts` of `budget` and `mrss`. A key left out is not passed on,
 so defaults live in the value classes, and so do integer bounds: an `int`
 row is read against the bound its field's class declares.
 Unknown keys are rejected; every error carries a dotted path into the document.
+Each section that must fit the carrier (`FITTED`) has one `misfits(carrier)`:
+`check_scenario` reports its first fault at `<section>.<key>`, and the
+section's writers raise the same message as a ConfigError.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .budget import DssLayout
 from .errors import ConfigError, ScenarioError
 from .grid import SYMBOLS_PER_SLOT, CarrierConfig, TddPattern
-from .lte import LteCellConfig, check_mbsfn
+from .lte import LteCellConfig
 from .mrss import (
     ControlMode,
     ControlModeKind,
@@ -27,9 +30,9 @@ from .mrss import (
     SchedPolicy,
     TrafficModel,
     check_demand,
-    check_prb_range,
-    check_slots,
-    check_ssb_occasion,
+    prb_range_fault,
+    slots_fault,
+    ssb_occasion_fault,
 )
 from .nr import BeamSignal, Coreset1Spec, CsiRsSpec, NrOverlaySet, TrsSpec
 from .value import Int, bound, value
@@ -45,7 +48,7 @@ class IotReservation:
     slots: Optional[Tuple[int, ...]] = None
 
 
-@value(prbs=Int(1), symbols=Int(1))  # the block's upper bounds: _check_mrss
+@value(prbs=Int(1), symbols=Int(1))  # the block's upper bounds: MrssSpec.misfits
 class SixgSsbSpec:
     occasions: Tuple[Tuple[int, int, int], ...]
     prbs: int = 20
@@ -57,6 +60,21 @@ class MrssSpec:
     control_mode: ControlMode = ControlMode()
     iot_reservations: Tuple[IotReservation, ...] = ()
     sixg_ssb: Optional[SixgSsbSpec] = None
+
+    def misfits(self, carrier: CarrierConfig) -> Iterator[Tuple[str, str]]:
+        """(dotted key, message) of each IoT reservation and 6G SSB block off the carrier, in key order."""
+        for i, r in enumerate(self.iot_reservations):
+            if message := prb_range_fault(carrier, r.prb_start, r.prb_stop):
+                yield f"iot_reservations[{i}]", message
+            if message := slots_fault(carrier, r.slots):
+                yield f"iot_reservations[{i}].slots", message
+        if (ssb := self.sixg_ssb) is not None:
+            for key, top in (("prbs", carrier.n_prb), ("symbols", SYMBOLS_PER_SLOT)):
+                if message := Int(maximum=top).fault(getattr(ssb, key)):
+                    yield f"sixg_ssb.{key}", message
+            for j, occasion in enumerate(ssb.occasions):
+                if message := ssb_occasion_fault(carrier, occasion, ssb.prbs, ssb.symbols):
+                    yield f"sixg_ssb.occasions[{j}]", message
 
 
 @value
@@ -310,35 +328,17 @@ SCENARIO = Section(Scenario, [
 ])
 
 
-def _check_mrss(carrier: CarrierConfig, mrss: MrssSpec) -> None:
-    """IoT reservations and 6G SSB blocks lie on the carrier."""
-    for i, r in enumerate(mrss.iot_reservations):
-        path = f"mrss.iot_reservations[{i}]"
-        _call(path, check_prb_range, carrier, r.prb_start, r.prb_stop)
-        _call(f"{path}.slots", check_slots, carrier, r.slots or ())
-    ssb = mrss.sixg_ssb
-    if ssb is not None:
-        Int(maximum=carrier.n_prb).read(ssb.prbs, "mrss.sixg_ssb.prbs")
-        Int(maximum=SYMBOLS_PER_SLOT).read(ssb.symbols, "mrss.sixg_ssb.symbols")
-        for j, occasion in enumerate(ssb.occasions):
-            path = f"mrss.sixg_ssb.occasions[{j}]"
-            _call(path, check_ssb_occasion, carrier, occasion, ssb.prbs, ssb.symbols)
+FITTED = ("lte", "nr", "mrss")
 
 
-def check_scenario(scenario: Scenario) -> Scenario:
-    """The scenario, after the checks that relate its sections to the
-    carrier and its sweep paths to each other."""
-    if scenario.lte is not None:
-        if scenario.carrier.scs_khz != 15:
-            raise ScenarioError("an LTE cell needs a 15 kHz carrier", "lte")
-        _call("lte.mbsfn_subframes", check_mbsfn, scenario.carrier, scenario.lte)
-        for i, cell in enumerate(scenario.lte.neighbors):
-            _call(f"lte.neighbors[{i}].mbsfn_subframes", check_mbsfn, scenario.carrier, cell)
-    if scenario.nr is not None:
-        for key, message in scenario.nr.misfits(scenario.carrier):
-            raise ScenarioError(message, f"nr.{key}")
-    if scenario.mrss is not None:
-        _check_mrss(scenario.carrier, scenario.mrss)
+def check_scenario(scenario: Scenario, sections=FITTED) -> Scenario:
+    """The scenario, after the checks that relate its sections (those of
+    `sections`) to the carrier and its sweep paths to each other."""
+    for section in sections:
+        spec = getattr(scenario, section)
+        if spec is not None:
+            for key, message in spec.misfits(scenario.carrier):
+                raise ScenarioError(message, _at(section, key) if key else section)
     if scenario.sweep is not None:
         # Paths overlap, so a point would set one value over the other, when
         # one of them with a "." appended starts the other with one appended.
@@ -366,10 +366,12 @@ def parse_scenario(document: Union[str, dict]) -> Scenario:
 def read_point(base: Scenario, document: dict, swept) -> Scenario:
     """`parse_scenario(document)` for a document that is `emit_scenario(base)`
     with values set under the top-level keys `swept` (a sweep point): only
-    those keys are read, the others keep base's values, and every check of a
-    full parse runs in the same order, so errors are the same too."""
+    those keys are read, the others keep base's values, and only the swept
+    sections are fitted to the carrier, all of them when the carrier is
+    swept. The others fit it in base, so errors are those of a full parse."""
     known = {key: getattr(base, key) for key in SCENARIO.rows if key not in swept}
-    return check_scenario(SCENARIO.read(document, "", known))
+    sections = FITTED if "carrier" in swept else [s for s in FITTED if s in swept]
+    return check_scenario(SCENARIO.read(document, "", known), sections)
 
 
 def emit_scenario(scenario: Scenario) -> dict:

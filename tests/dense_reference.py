@@ -5,7 +5,10 @@ Every function here stores one byte per resource element, in an array
 shaped (n_slots, 14, n_sc), and places or checks slot by slot in slot
 order, as gridshare did before a lattice stored each distinct slot once.
 The footprint rules they place (subframe templates, the NR plan's
-placements, the label -> category table) are gridshare's own.
+placements, the label -> category table) are gridshare's own; their checks
+of a placement against its carrier are the reference's own conditions,
+which raise `misfit`, so the tests compare such an error with gridshare's
+by class and the slot it names (`verdict`), not by its text.
 The MRSS stages keep a category array beside the labels, as gridshare's map
 once did, and write a stage's label only on UNLABELED cells.
 `lattice_of` and `gather` convert between such an array and a
@@ -24,28 +27,43 @@ neighbor CRS cell by cell, as sets of (symbol, subcarrier), with neither
 properties in.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
 from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, Lattice, ReLabel, SlotKind
-from gridshare.lte import _subframe_templates, check_mbsfn, crs_mask
-from gridshare.mrss import (
-    CAT_CONTROL,
-    CAT_NON_DL,
-    CAT_RESERVED,
-    CAT_SHARED,
-    _CATEGORY_OF_LABEL,
-    check_prb_range,
-    check_slots,
-    check_ssb_occasion,
-)
+from gridshare.lte import _subframe_templates, crs_mask
+from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED, _CATEGORY_OF_LABEL
 from gridshare.nr import nr_plan
 from gridshare.rounding import round_half_up
 
 # The label -> category table as an array, one entry per label.
 CATEGORY_OF_LABEL = np.frombuffer(_CATEGORY_OF_LABEL, dtype=np.uint8)[:len(ReLabel)]
+
+# Subframes (mod 10) that may carry MBSFN, per duplex: TS 36.331
+# MBSFN-SubframeConfig, FDD keeping 0, 4, 5 and 9 for sync and paging.
+MBSFN_SUBFRAMES = {"FDD": {1, 2, 3, 6, 7, 8}, "TDD": {3, 4, 7, 8, 9}}
+
+
+def misfit(slot=None):
+    """The reference's error for a placement off its carrier: a ConfigError
+    that names the slot (or subframe) that does not fit, if one does."""
+    return ConfigError("does not fit the carrier" if slot is None else f"slot {slot} does not fit the carrier")
+
+
+def named_slot(message):
+    """The slot or subframe a range error's message names first, or None."""
+    found = re.search(r"(?:slot|subframe|occasion \() ?(-?\d+)", message)
+    return None if found is None else int(found.group(1))
+
+
+def verdict(exc):
+    """What two routes' errors are compared by: the class, and for a
+    ConfigError the slot it names (`named_slot`), not its text, since the
+    reference states its range checks in words of its own (`misfit`)."""
+    return type(exc), named_slot(str(exc)) if isinstance(exc, ConfigError) else str(exc)
 
 
 def lattice_of(arr):
@@ -85,6 +103,18 @@ def new_labels(config):
     return arr
 
 
+def cycle_entry(config, slot):
+    """The slot's letter of its carrier's TDD cycle, "D" on FDD."""
+    cycle = config.tdd_pattern.cycle_str if config.tdd_pattern else "D"
+    return cycle[slot % len(cycle)]
+
+
+def dl_symbols(config, slot):
+    """The slot's leading downlink symbols, by its letter of the cycle."""
+    entry = cycle_entry(config, slot)
+    return SYMBOLS_PER_SLOT if entry == "D" else config.tdd_pattern.special_split[0] if entry == "S" else 0
+
+
 def _grid_cell(where, local):
     """Grid index of a cell given as an index into the view arr[where]."""
     rest = iter(local)
@@ -116,9 +146,17 @@ def place(arr, where, footprint, rate_match=False):
 
 
 def place_lte(arr, carrier, cfg):
+    """The cell's subframe templates, subframe by subframe, after its
+    checks: a 15 kHz carrier, and each MBSFN subframe of the cell, then of
+    each neighbor, in the span, allowed on the duplex and a downlink
+    subframe (else `misfit`)."""
     if carrier.scs_khz != 15:
-        raise ConfigError("LTE requires 15 kHz")
-    check_mbsfn(carrier, cfg)
+        raise misfit()
+    for cell in (cfg, *cfg.neighbors):
+        for sf in sorted(cell.mbsfn_subframes):
+            if not (0 <= sf < carrier.n_slots and sf % 10 in MBSFN_SUBFRAMES[carrier.duplex]
+                    and cycle_entry(carrier, sf) == "D"):
+                raise misfit(sf)
     normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
     normal, mbsfn, sf0, sf5 = (np.frombuffer(t, dtype=np.uint8).reshape(SYMBOLS_PER_SLOT, -1)
                                for t in (normal, mbsfn, sf0, sf5))
@@ -188,9 +226,12 @@ def reserve_iot(config, categories, labels, reservations):
     the order given."""
     named = []
     for p0, p1, slots in reservations:
-        check_prb_range(config, p0, p1)
-        slot_list = list(range(config.n_slots)) if slots is None else sorted(set(slots))
-        check_slots(config, slot_list)
+        if not 0 <= p0 <= p1 <= config.n_prb:
+            raise misfit()
+        slot_list = list(range(config.n_slots)) if slots is None else list(slots)
+        for s in slot_list:
+            if not 0 <= s < config.n_slots:
+                raise misfit(s)
         named.append((slice(p0 * SC_PER_PRB, p1 * SC_PER_PRB), set(slot_list)))
     categories, labels = categories.copy(), labels.copy()
     for s in range(config.n_slots):
@@ -216,8 +257,11 @@ def place_6g_ssb(config, categories, labels, occasions, prbs, symbols):
     slot, a slot's in the order given, each on free cells alone. A block
     conflicts with the label the map holds, which for a cell an earlier
     stage took from the shared pool is that stage's label."""
-    for occasion in occasions:
-        check_ssb_occasion(config, occasion, prbs, symbols)
+    for slot, symbol, prb in occasions:
+        # The block's symbols end within its slot's leading downlink symbols.
+        if not (0 <= slot < config.n_slots and 0 <= prb <= config.n_prb - prbs and 0 <= symbol
+                and symbol + symbols <= dl_symbols(config, slot)):
+            raise misfit(slot)
     categories, labels = categories.copy(), labels.copy()
     held = labels.copy()
     taken = CATEGORY_OF_LABEL[labels] != categories

@@ -18,6 +18,7 @@ from gridshare import (
 from gridshare import cli
 from gridshare.budget import downlink_re, nr_overhead
 from gridshare.grid import place_slots
+from gridshare.nr import nr_plan
 from gridshare.scenario import parse_scenario
 
 import dense_reference as ref
@@ -131,6 +132,20 @@ class TestPerSlotCarrierFacts:
         not_dl = counts.get(ReLabel.GUARD_SYMBOL, 0) + counts.get(ReLabel.UPLINK_SYMBOL, 0)
         assert report.downlink_re == grid.n_cells - not_dl
 
+    def test_an_sfn_cycle_lists_its_dl_bearing_slots_once(self, monkeypatch):
+        """The carrier lists its DL-bearing slots once: after the first read,
+        the NR plan and CORESET1's monitored count, RE count and summary
+        read that list and do no per-slot work (never read the slot count)."""
+        scenario = parse_scenario(SFN_CYCLE_DOCS["tdd"])
+        carrier, coreset1 = scenario.carrier, scenario.nr.coreset1
+        slots = carrier.dl_bearing_slots
+        monkeypatch.setattr(CarrierConfig, "n_slots", property(lambda self: pytest.fail("per-slot work")))
+        assert carrier.dl_bearing_slots is slots
+        assert nr_plan(carrier, scenario.nr)[0][0] == slots
+        assert coreset1.monitored_count(carrier) == len(slots) == 16384
+        assert coreset1.re_count(carrier) == 270 * 12 * 2 * len(slots)
+        assert coreset1.summary(carrier, 10240).endswith(f", {len(slots)} DL-bearing slots")
+
     @pytest.mark.parametrize("carrier", [
         fdd(span_ms=3),
         CarrierConfig(30, n_prb=2, duplex="TDD", span_ms=5, tdd_pattern=TddPattern("DDDSU", (6, 4, 4))),
@@ -139,7 +154,7 @@ class TestPerSlotCarrierFacts:
     ])
     def test_dl_bearing_slots_and_downlink_cells_follow_each_slot(self, carrier):
         per_slot = [carrier.dl_symbols_in_slot(s) for s in range(carrier.n_slots)]
-        assert carrier.dl_bearing_slots() == tuple(s for s, n in enumerate(per_slot) if n)
+        assert carrier.dl_bearing_slots == tuple(s for s, n in enumerate(per_slot) if n)
         assert downlink_re(carrier) == sum(per_slot) * carrier.n_subcarriers
 
 

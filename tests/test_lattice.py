@@ -134,11 +134,11 @@ def cases(draw):
 
 
 def outcome(fn, *args, **kwargs):
-    """(result, None), or (None, (error class, message)) for a gridshare error."""
+    """(result, None), or (None, `ref.verdict`) for a gridshare error."""
     try:
         return fn(*args, **kwargs), None
     except GridShareError as exc:
-        return None, (type(exc), str(exc))
+        return None, ref.verdict(exc)
 
 
 def build_dense(carrier, lte, nr):
@@ -239,6 +239,25 @@ class TestAgainstDenseReference:
             pool = ref.cells_per_slot(categories)[CAT_SHARED]
             for policy in SchedPolicy:
                 assert simulate(cmap, traffic, policy) == simulate(_Pools(pool), traffic, policy)
+
+
+    # A 5-slot DDDSU carrier of 4 PRBs: slot 3 has 6 downlink symbols.
+    @pytest.mark.parametrize("stage, args, slot", [
+        ("iot", ([(0, 5, None)],), None),
+        ("iot", ([(0, 1, [0, 5])],), 5),
+        ("iot", ([(0, 1, [2]), (1, 2, [-1])],), -1),
+        ("ssb", ([(5, 0, 0)], 1, 1), 5),
+        ("ssb", ([(0, 0, 3)], 2, 1), 0),
+        ("ssb", ([(3, 4, 0)], 1, 4), 3),
+    ])
+    def test_a_placement_off_the_carrier_names_the_slot_the_reference_names(self, stage, args, slot):
+        carrier = CarrierConfig(15, n_prb=4, duplex="TDD", span_ms=5, tdd_pattern=TddPattern("DDDSU"))
+        categories, labels = ref.classify(ref.new_labels(carrier), ControlMode())
+        dense_stage, shared_stage = {"iot": (ref.reserve_iot, reserve_iot),
+                                     "ssb": (ref.place_6g_ssb, place_6g_ssb)}[stage]
+        _, error = outcome(dense_stage, carrier, categories, labels, *args)
+        _, shared_error = outcome(shared_stage, new_labels(carrier), carrier, *args)
+        assert shared_error == error == (ConfigError, slot)
 
 
 class TestLattice:

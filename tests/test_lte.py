@@ -102,11 +102,26 @@ class TestConfigValidation:
 
 class TestApplyLte:
     def test_requires_15khz(self):
+        # The scenario reader's message for an `lte` section on this carrier.
         carrier = CarrierConfig(
             30, n_prb=1, duplex="FDD", span_ms=1
         )
-        with pytest.raises(ConfigError, match="15 kHz"):
+        with pytest.raises(ConfigError, match="^an LTE cell needs a 15 kHz carrier$"):
             apply_lte(make_grid(carrier), LteCellConfig())
+
+    def test_a_neighbor_whose_mbsfn_subframe_misfits_is_rejected(self):
+        # A neighbor's MBSFN subframes must fit the carrier as the serving
+        # cell's do; `place_lte` once checked the serving cell alone.
+        carrier = fdd15(span_ms=10)
+        cell = LteCellConfig(neighbors=[LteCellConfig(cell_id=1, mbsfn_subframes={1}),
+                                        LteCellConfig(cell_id=2, mbsfn_subframes={12})])
+        message = "subframe 12 is outside the 10-subframe carrier span"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            apply_lte(make_grid(carrier), cell)
+        assert list(cell.misfits(carrier)) == [("neighbors[1].mbsfn_subframes", message)]
+        with pytest.raises(ConfigError) as err:
+            ref.place_lte(ref.new_labels(carrier), carrier, cell)
+        assert ref.named_slot(str(err.value)) == 12
 
     def test_four_ports_shared_slot_arithmetic(self):
         # Per PRB: 24 CRS (8 in control), 16 PDCCH, 128 data-region Unlabeled.
@@ -142,20 +157,22 @@ class TestApplyLte:
 
     @pytest.mark.parametrize("carrier, mbsfn, message", [
         (fdd15(n_prb=6, span_ms=10), {0, 12}, "subframe 0 cannot carry MBSFN on FDD"),
-        (fdd15(n_prb=6, span_ms=20), {1, 12, 25}, "subframe 25 is beyond the 20-subframe carrier span"),
+        (fdd15(n_prb=6, span_ms=20), {1, 12, 25}, "subframe 25 is outside the 20-subframe carrier span"),
         (CarrierConfig(15, n_prb=6, duplex="TDD", span_ms=10, tdd_pattern=TddPattern("DSUUD", (10, 2, 2))),
-         {-1}, "subframe -1 is beyond the 10-subframe carrier span"),
+         {-1}, "subframe -1 is outside the 10-subframe carrier span"),
         (CarrierConfig(15, n_prb=6, duplex="TDD", span_ms=10, tdd_pattern=TddPattern("DSUUD", (10, 2, 2))),
          {3}, "subframe 3 cannot carry MBSFN: the TDD pattern makes it uplink"),
     ])
     def test_mbsfn_subframes_the_carrier_cannot_hold_are_rejected(self, carrier, mbsfn, message):
         # Subframe 0 was once muted, losing its PBCH/PSS/SSS, subframe 12 of
         # a 10-subframe carrier ignored, and subframe -1 taken as 9.
+        # The reference names the same subframe in words of its own.
         cell = LteCellConfig(mbsfn_subframes=mbsfn)
-        for place in (lambda: apply_lte(make_grid(carrier), cell),
-                      lambda: ref.place_lte(ref.new_labels(carrier), carrier, cell)):
-            with pytest.raises(ConfigError, match="^" + re.escape(message)):
-                place()
+        with pytest.raises(ConfigError, match="^" + re.escape(message)) as err:
+            apply_lte(make_grid(carrier), cell)
+        with pytest.raises(ConfigError) as ref_err:
+            ref.place_lte(ref.new_labels(carrier), carrier, cell)
+        assert ref.verdict(ref_err.value) == ref.verdict(err.value)
 
     def test_sync_and_pbch_footprint(self):
         # Subframe 0: PSS/SSS on symbols 5-6 and PBCH on 7-10, center 72 sc,

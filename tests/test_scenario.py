@@ -203,7 +203,7 @@ class TestMbsfnSubframes:
 
     @pytest.mark.parametrize("mbsfn", [[12], [10], [3, 100]])
     def test_subframe_beyond_span_rejected(self, mbsfn):
-        with pytest.raises(ScenarioError, match="beyond the 10-subframe") as err:
+        with pytest.raises(ScenarioError, match="outside the 10-subframe") as err:
             parse_scenario(lte_doc(mbsfn))
         assert err.value.path == "lte.mbsfn_subframes"
 

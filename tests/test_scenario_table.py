@@ -309,7 +309,7 @@ GOLDEN = [
     ("lte.crs_ports", 3, "lte.crs_ports: must be one of [1, 2, 4], got 3"),
     ("lte.mbsfn_subframes", [1, -1], "lte.mbsfn_subframes: must be a list of non-negative integers"),
     ("lte.mbsfn_subframes", [30],
-     "lte.mbsfn_subframes: subframe 30 is beyond the 20-subframe carrier span"),
+     "lte.mbsfn_subframes: subframe 30 is outside the 20-subframe carrier span"),
     ("lte.mbsfn_subframes", [10],
      "lte.mbsfn_subframes: subframe 10 cannot carry MBSFN on TDD: only subframes "
      "[3, 4, 7, 8, 9] mod 10 can (TS 36.331)"),
@@ -395,6 +395,41 @@ def test_single_fault_message(path, value, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(with_fault(path, value))
     assert str(err.value) == message
+
+
+def table_reads(doc) -> bool:
+    """Whether the table reads the document (`check_scenario` aside)."""
+    try:
+        SCENARIO.read(doc, "")
+    except ScenarioError:
+        return False
+    return True
+
+
+# The rows whose fault is a section that does not fit the carrier: the
+# table reads the document, and the section's `misfits` rejects it.
+CARRIER_FIT_PATHS = ("lte.mbsfn_subframes", "nr.period_ms", "nr.csi_rs.prbs", "mrss.iot_reservations[0]",
+                     "mrss.iot_reservations[0].slots", "mrss.sixg_ssb.occasions[0]")
+CARRIER_FIT = [(path, value, message) for path, value, message in GOLDEN
+               if message.partition(": ")[0] in CARRIER_FIT_PATHS and table_reads(with_fault(path, value))]
+
+
+@pytest.mark.parametrize("path, value, message", CARRIER_FIT,
+                         ids=[f"{i}-{path}" for i, (path, _, _) in enumerate(CARRIER_FIT)])
+def test_a_writer_raises_what_the_reader_reports(path, value, message):
+    """The `cli.STAGES` rows of the faulty section, run on the section as
+    the table reads it, raise the text the CLI prints after `<path>: ` as a
+    ConfigError."""
+    assert {m.partition(": ")[0] for _, _, m in CARRIER_FIT} == set(CARRIER_FIT_PATHS)
+    at, _, text = message.partition(": ")
+    section = at.split(".")[0]
+    read = SCENARIO.read(with_fault(path, value), "")
+    labels = grid.new_labels(read.carrier)
+    with pytest.raises(ConfigError) as err:
+        for stage in cli.STAGES:
+            if stage.section == section:
+                stage.write(labels, read.carrier, getattr(read, section))
+    assert type(err.value) is ConfigError and str(err.value) == text
 
 
 def int_keys(sec: Section, path: str = "", attrs: tuple = ()):

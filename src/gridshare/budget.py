@@ -23,10 +23,11 @@ from .grid import (
     ResourceGrid,
     SlotKind,
     count_labels,
+    free_cells,
     new_labels,
     place_slots,
 )
-from .lte import LteCellConfig, crs_bearing_symbols, crs_mask, place_lte
+from .lte import CRS_PORT_COUNTS, LteCellConfig, crs_bearing_symbols, crs_mask, place_lte
 from .nr import SIGNALS, NrOverlaySet, nr_plan, place_nr
 from .rounding import pct
 from .value import Int, value
@@ -121,7 +122,7 @@ def check_ports(ports: Sequence[int], lte_pdcch: int) -> None:
     """Each CRS port count is 0, 1, 2 or 4 and fits the LTE control region:
     an incumbent (ports > 0) needs lte_pdcch > 0, and none (ports 0) needs 0."""
     for p in ports:
-        if p not in (0, 1, 2, 4):
+        if p not in CRS_PORT_COUNTS:
             raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {p}")
         if p == 0 and lte_pdcch != 0:
             raise ConfigError(f"crs_ports=0 (no incumbent) requires lte_pdcch=0, got {lte_pdcch}")
@@ -169,14 +170,9 @@ def dss_pool_by_grid(
         place_lte(labels, carrier, LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch))
     # NR control, then each DMRS symbol, on the free cells (rate-matched around CRS), in one call.
     width = range(carrier.n_subcarriers)
-    place_slots(labels, [((1,), range(lte_pdcch, control_end), width, _free_cells(ReLabel.NR_PDCCH_CORESET1))]
-                + [((1,), range(s, s + 1), width, _free_cells(ReLabel.NR_DMRS)) for s in dmrs_symbols])
+    place_slots(labels, [((1,), range(lte_pdcch, control_end), width, free_cells(ReLabel.NR_PDCCH_CORESET1))]
+                + [((1,), range(s, s + 1), width, free_cells(ReLabel.NR_DMRS)) for s in dmrs_symbols])
     return labels.slots[1].count(ReLabel.UNLABELED) // n_prb
-
-
-def _free_cells(label: ReLabel):
-    """A footprint function: `label` on the block's UNLABELED cells, no other."""
-    return lambda slot, cells: cells.translate(bytes((label,)) + bytes(255))
 
 
 def _checked_pool(crs_ports: int, lte_pdcch: int, nr_pdcch: int, dmrs_symbols: Sequence[int]) -> int:

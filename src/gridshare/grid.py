@@ -19,12 +19,12 @@ map's into one copy of the grid's lattice, which shares its rows, as
 `apply_lte` and `apply_nr` do). `Lattice.rewrite` is the one write: a slot
 takes its writes in call order, and new rows are stored once every change
 has returned, so a write is all or nothing and no other slot or lattice
-sees it. Every footprint goes through `place_slots`, so no placement
-relabels a cell or touches an uplink/guard cell; the MRSS stages that
-relabel shared-pool cells (`mrss`) rewrite directly. A placement names its
-block of each slot by two ranges (symbols, subcarriers), as a `Window`
-does; its footprint is an int label, the block's bytes in the order a
-`Window` reads them, or a function of the block that gives them.
+sees it. Every footprint goes through `place_slots`, the MRSS map
+stages' (`mrss`) included, so no placement relabels a cell or touches an
+uplink/guard cell. A placement names its block of each slot by two ranges
+(symbols, subcarriers), as a `Window` does; its footprint is an int label,
+the block's bytes in the order a `Window` reads them, or a function of the
+block that gives them, such as `free_cells`.
 """
 
 from __future__ import annotations
@@ -396,6 +396,11 @@ def place_slots(lattice: Lattice, placements: Sequence[Placement]) -> None:
             footprint = _footprint(footprint, len(symbols) * len(subcarriers))
         writes.append((slots, functools.partial(_merge, window, footprint)))
     lattice.rewrite(writes)
+
+
+def free_cells(label: ReLabel):
+    """A footprint function: `label` on the block's UNLABELED cells, no other."""
+    return lambda slot, cells: cells.translate(bytes((label,)) + bytes(255))
 
 
 def _merge(window: Window, footprint, slot: int, row: bytes) -> bytes:

@@ -34,8 +34,11 @@ PBCH_SYMBOLS = range(7, 11)  # first four symbols of slot 1
 # MBSFN-SubframeConfig): FDD keeps 0, 4, 5 and 9 for sync and paging.
 MBSFN_ALLOWED = {"FDD": frozenset({1, 2, 3, 6, 7, 8}), "TDD": frozenset({3, 4, 7, 8, 9})}
 
+# The CRS port counts an LTE cell can have; 0 is no incumbent.
+CRS_PORT_COUNTS = (0, 1, 2, 4)
 
-@value(cell_id=Int(0), crs_ports=Int(choices=(1, 2, 4)), pdcch_symbols=Int(choices=(1, 2, 3)),
+
+@value(cell_id=Int(0), crs_ports=Int(choices=CRS_PORT_COUNTS[1:]), pdcch_symbols=Int(choices=(1, 2, 3)),
        non_mbsfn_region_len=Int(choices=(1, 2)))
 class LteCellConfig:
     """One LTE cell; a serving cell also lists its `neighbors` (their CRS is interference)."""
@@ -102,7 +105,7 @@ def crs_mask(crs_ports: int, v_shift: int = 0) -> bytes:
     3 (n_s mod 2) (port 2) and 3 + 3 (n_s mod 2) (port 3). crs_ports 0
     (no incumbent) gives an empty mask.
     """
-    if crs_ports not in (0, 1, 2, 4):
+    if crs_ports not in CRS_PORT_COUNTS:
         raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {crs_ports}")
     mask = bytearray(SYMBOLS_PER_SLOT * SC_PER_PRB)
     half = SYMBOLS_PER_SLOT // 2

@@ -5,13 +5,14 @@ and neighbor-cell CRS interference with its mitigation strategies. The DSS
 slot itself (NR rate-matched around LTE CRS) is budgeted in `budget`.
 
 An MRSS map is one labeled grid, `MrssCategoryMap(grid)`. Its stages write
-a writable lattice, as `place_lte` and `place_nr` do, in one all-or-nothing
-call each, and relabel only shared-pool cells, with a label of their own
-(control growth SIXG_CONTROL, `reserve_iot` RESERVED_IOT, `place_6g_ssb`
-SIXG_SSB, a plain `place_slots` placement on free cells). A cell's category
-is always its label's, read through `_CATEGORY_OF_LABEL` from the grid's
-label counts (`grid.label_counts`, once per distinct row), so
-`grid.count_labels` counts stage labels too.
+a writable lattice, as `place_lte` and `place_nr` do, in one `place_slots`
+call each, and label only free (UNLABELED) cells, with a label of their
+own: control growth SIXG_CONTROL on the first free cells, `reserve_iot`
+RESERVED_IOT and `place_6g_ssb` SIXG_SSB as plain placements, which need
+every downlink cell of their blocks free. A cell's category is always its
+label's, read through `_CATEGORY_OF_LABEL` from the grid's label counts
+(`grid.label_counts`, once per distinct row), so `grid.count_labels`
+counts stage labels too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .budget import DssLayout, check_control_fits, default_dmrs_symbols, dss_pool_mask
-from .errors import ConfigError, ConflictError, PlacementError
+from .errors import ConfigError, PlacementError
 from .grid import (
     SC_PER_PRB,
     SYMBOLS_PER_SLOT,
@@ -33,7 +34,7 @@ from .grid import (
     Lattice,
     ReLabel,
     ResourceGrid,
-    Window,
+    free_cells,
     label_counts,
     label_totals,
     place_slots,
@@ -72,13 +73,6 @@ _CATEGORY_OF_LABEL = bytes(
     else CAT_CONTROL if label in CONTROL_LABELS else CAT_SHARED
     for label in ReLabel
 ).ljust(256, bytes((CAT_NON_DL,)))
-
-# The byte tables by which control growth and `reserve_iot` turn every
-# shared-pool label into their own and keep the rest.
-_SHARED_TO_CONTROL, _SHARED_TO_IOT = (
-    bytes(label if code == CAT_SHARED else old for old, code in enumerate(_CATEGORY_OF_LABEL))
-    for label in (ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT)
-)
 
 # Per label value, whether the label is the shared pool's.
 _IS_SHARED = [code == CAT_SHARED for code in _CATEGORY_OF_LABEL[:len(ReLabel)]]
@@ -298,11 +292,11 @@ def classify_mrss(labels: Lattice, control_mode: ControlMode = ControlMode()) ->
 
     The 5G control footprint (CORESET1 cells) anchors the control region;
     partially-overlapping and separate 6G control grow it by
-    footprint x (factor - 1) additional cells taken from the shared pool in
-    deterministic scan order (slot, then symbol, then subcarrier) and
-    relabeled SIXG_CONTROL in one `Lattice.rewrite`. Fully-overlapping
-    control writes nothing; more cells than the pool holds is a
-    PlacementError, with nothing written.
+    footprint x (factor - 1) additional cells: the first free (UNLABELED)
+    cells in scan order (slot, then symbol, then subcarrier), labeled
+    SIXG_CONTROL in one `place_slots` call. Fully-overlapping control
+    writes nothing; more cells than are free is a PlacementError, with
+    nothing written.
     """
     grow = control_mode.footprint_factor - 1
     if not grow:
@@ -310,24 +304,24 @@ def classify_mrss(labels: Lattice, control_mode: ControlMode = ControlMode()) ->
     extra = int(grow * sum(n for label, n in enumerate(label_totals(labels)) if label in CONTROL_LABELS))
     if extra <= 0:
         return
-    shared = _shared_cells(labels)
-    reach = list(itertools.accumulate(shared))
+    per_row = {row: label_counts(row)[ReLabel.UNLABELED] for row in set(labels.slots)}
+    free = list(map(per_row.__getitem__, labels.slots))
+    reach = list(itertools.accumulate(free))
     if extra > reach[-1]:
-        raise PlacementError(f"separate control needs {extra} cells but only {reach[-1]} are shared")
-    # Slots before `whole` turn all their shared cells; slot `whole` turns the rest.
+        raise PlacementError(f"separate control needs {extra} cells but only {reach[-1]} are free")
+    # Slots before `whole` take all their free cells; slot `whole` takes the first `rest`.
     whole = bisect.bisect_right(reach, extra)
     rest = extra - (reach[whole - 1] if whole else 0)
+    grown = free_cells(ReLabel.SIXG_CONTROL)
 
-    def turn_rest(slot: int, row: bytes) -> bytes:
-        categories = row.translate(_CATEGORY_OF_LABEL)
-        # The cells up to the rest-th shared one.
-        end = 1 + bisect.bisect_left(range(len(row)), rest,
-                                     key=lambda i: categories.count(CAT_SHARED, 0, i + 1))
-        return row[:end].translate(_SHARED_TO_CONTROL) + row[end:]
+    def first_rest(slot: int, cells: bytes) -> bytes:
+        # The cells up to the rest-th free one.
+        end = 1 + bisect.bisect_left(range(len(cells)), rest, key=lambda i: cells.count(0, 0, i + 1))
+        return grown(slot, cells[:end]).ljust(len(cells), b"\0")
 
-    labels.rewrite([([s for s in range(whole) if shared[s]],
-                     lambda slot, row: row.translate(_SHARED_TO_CONTROL)),
-                    ([whole] if rest else [], turn_rest)])
+    block = (range(SYMBOLS_PER_SLOT), range(labels.n_sc))
+    place_slots(labels, [([s for s in range(whole) if free[s]], *block, grown),
+                         ([whole] if rest else [], *block, first_rest)])
 
 
 # Placement ranges, one fault function (the message, or "") per rule: the
@@ -361,37 +355,22 @@ def ssb_occasion_fault(carrier: CarrierConfig, occasion: Sequence[int], prbs: in
 
 def reserve_iot(labels: Lattice, carrier: CarrierConfig,
                 reservations: Iterable[Tuple[int, int, Optional[Iterable[int]]]]) -> None:
-    """Semi-static IoT reservations: relabel shared-pool cells of a writable
-    lattice RESERVED_IOT, each reservation (prb_start, prb_stop, slots) on
-    the downlink-capable cells of its PRBs in its slots (every slot when
-    None). All are written in one `Lattice.rewrite`, a slot taking them in
-    order: a cell there outside the shared pool, an earlier reservation's
-    included, is a ConflictError (the lowest slot's), and nothing is written.
+    """Semi-static IoT reservations: label free cells of a writable lattice
+    RESERVED_IOT, each reservation (prb_start, prb_stop, slots) a plain
+    placement on the downlink-capable cells of its PRBs in its slots (every
+    slot when None). All are placed in one `place_slots` call, a slot taking
+    them in order: a taken downlink cell there, of any stage, an earlier
+    reservation's included, is a ConflictError (the lowest slot's), and
+    nothing is written.
     """
-    writes = []
+    placements = []
     for p0, p1, slots in reservations:
         slots = None if slots is None else list(slots)
         if message := prb_range_fault(carrier, p0, p1) or slots_fault(carrier, slots):
             raise ConfigError(message)
-        window = Window(carrier.n_subcarriers, range(SYMBOLS_PER_SLOT),
-                        range(p0 * SC_PER_PRB, p1 * SC_PER_PRB))
-        writes.append((range(carrier.n_slots) if slots is None else slots,
-                       functools.partial(_reserve_shared, window)))
-    labels.rewrite(writes)
-
-
-def _reserve_shared(window: Window, slot: int, row: bytes) -> bytes:
-    """The row with the window's shared-pool cells turned RESERVED_IOT;
-    ConflictError at its first cell outside the pool and the non-downlink cells."""
-    cells = window.read(row).translate(_CATEGORY_OF_LABEL)
-    if cells.translate(None, bytes((CAT_NON_DL, CAT_SHARED))):
-        bad = next(i for i, c in enumerate(cells) if c not in (CAT_NON_DL, CAT_SHARED))
-        symbol, sc = window.cell(bad)
-        raise ConflictError(f"cell (slot {slot}, symbol {symbol}, sc {sc}) is not in the shared pool")
-    row = bytearray(row)
-    for part, _ in window.parts:
-        row[part] = row[part].translate(_SHARED_TO_IOT)
-    return bytes(row)
+        placements.append((range(carrier.n_slots) if slots is None else slots, range(SYMBOLS_PER_SLOT),
+                           range(p0 * SC_PER_PRB, p1 * SC_PER_PRB), ReLabel.RESERVED_IOT))
+    place_slots(labels, placements)
 
 
 def place_6g_ssb(labels: Lattice, carrier: CarrierConfig,

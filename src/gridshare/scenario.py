@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Tuple, Union
 from .budget import DssLayout
 from .errors import ConfigError, ScenarioError
 from .grid import SYMBOLS_PER_SLOT, CarrierConfig, TddPattern
-from .lte import LteCellConfig
+from .lte import CRS_PORT_COUNTS, LteCellConfig
 from .mrss import (
     ControlMode,
     ControlModeKind,
@@ -279,7 +279,8 @@ BUDGET = Section(BudgetSpec, [
     ("lte_pdcch", int, OPTIONAL, "layout.lte_pdcch"),
     ("nr_pdcch", int, OPTIONAL, "layout.nr_pdcch"),
     ("dmrs_count", int, OPTIONAL, "layout.dmrs_count"),
-    ("ports", _int_list("must be a list drawn from [0, 1, 2, 4]", choices=(0, 1, 2, 4)), OPTIONAL),
+    ("ports", _int_list(f"must be a list drawn from {list(CRS_PORT_COUNTS)}", choices=CRS_PORT_COUNTS),
+     OPTIONAL),
 ], parts={"layout": DssLayout})
 _FRACTION = Leaf(_is_real, "must be a number in [0, 1]")
 _OCCASIONS = Leaf(lambda v: isinstance(v, list) and all(_TRIPLE.test(o) for o in v),

@@ -10,7 +10,9 @@ of a placement against its carrier are the reference's own conditions,
 which raise `misfit`, so the tests compare such an error with gridshare's
 by class and the slot it names (`verdict`), not by its text.
 The MRSS stages keep a category array beside the labels, as gridshare's map
-once did, and write a stage's label only on UNLABELED cells.
+once did, and take only free (UNLABELED) cells: control growth the first
+ones in scan order, an IoT reservation or a 6G SSB block every downlink
+cell of its block, else the block's first taken cell is a conflict.
 `lattice_of` and `gather` convert between such an array and a
 `grid.Lattice`, `categories` reads a map's label lattice through the
 table, and `dominance_share` is the overhead share the paper reports, read
@@ -196,7 +198,8 @@ def count_labels(arr):
 
 def classify(labels, control_mode):
     """(categories, labels): the table gathered slot by slot, then control
-    growth, which labels the grown cells that are UNLABELED SIXG_CONTROL."""
+    growth, which labels the first free (UNLABELED) cells in scan order
+    SIXG_CONTROL and makes them control."""
     categories = np.empty(labels.shape, dtype=np.uint8)
     labels = labels.copy()
     for s in range(labels.shape[0]):
@@ -206,16 +209,13 @@ def classify(labels, control_mode):
         footprint = int(np.count_nonzero(categories == CAT_CONTROL))
         extra = int(footprint * grow)
         if extra > 0:
-            flat = categories.reshape(-1)
-            shared_idx = np.flatnonzero(flat == CAT_SHARED)
-            if extra > shared_idx.size:
+            free_idx = np.flatnonzero(labels.reshape(-1) == ReLabel.UNLABELED)
+            if extra > free_idx.size:
                 raise PlacementError(
-                    f"separate control needs {extra} cells but only {shared_idx.size} are shared"
+                    f"separate control needs {extra} cells but only {free_idx.size} are free"
                 )
-            flat[shared_idx[:extra]] = CAT_CONTROL
-            grown = labels.reshape(-1)[shared_idx[:extra]]
-            labels.reshape(-1)[shared_idx[:extra]] = np.where(
-                grown == ReLabel.UNLABELED, ReLabel.SIXG_CONTROL, grown)
+            categories.reshape(-1)[free_idx[:extra]] = CAT_CONTROL
+            labels.reshape(-1)[free_idx[:extra]] = ReLabel.SIXG_CONTROL
     return categories, labels
 
 
@@ -223,7 +223,7 @@ def reserve_iot(config, categories, labels, reservations):
     """New (categories, labels) with the reservations, each (prb_start,
     prb_stop, slots or None), or the stage's error: every range is checked
     first, then each slot in turn takes the reservations that name it, in
-    the order given."""
+    the order given, each on free cells alone."""
     named = []
     for p0, p1, slots in reservations:
         if not 0 <= p0 <= p1 <= config.n_prb:
@@ -238,40 +238,28 @@ def reserve_iot(config, categories, labels, reservations):
         for prbs, slots in named:
             if s not in slots:
                 continue
-            window = categories[s, :, prbs]
-            dl = window != CAT_NON_DL
-            if np.any(window[dl] != CAT_SHARED):
-                bad = np.argwhere(dl & (window != CAT_SHARED))[0]
-                raise ConflictError(
-                    f"cell (slot {s}, symbol {int(bad[0])}, sc {prbs.start + int(bad[1])}) "
-                    "is not in the shared pool"
-                )
-            window[dl] = CAT_RESERVED
-            place(labels, (s, slice(None), prbs), ReLabel.RESERVED_IOT, rate_match=True)
+            where = (s, slice(None), prbs)
+            free = labels[where] == ReLabel.UNLABELED
+            place(labels, where, ReLabel.RESERVED_IOT)
+            categories[where][free] = CAT_RESERVED
     return categories, labels
 
 
 def place_6g_ssb(config, categories, labels, occasions, prbs, symbols):
     """New (categories, labels) with the blocks, or the stage's error: every
     occasion's range is checked first, then the blocks are placed slot by
-    slot, a slot's in the order given, each on free cells alone. A block
-    conflicts with the label the map holds, which for a cell an earlier
-    stage took from the shared pool is that stage's label."""
+    slot, a slot's in the order given, each on free cells alone."""
     for slot, symbol, prb in occasions:
         # The block's symbols end within its slot's leading downlink symbols.
         if not (0 <= slot < config.n_slots and 0 <= prb <= config.n_prb - prbs and 0 <= symbol
                 and symbol + symbols <= dl_symbols(config, slot)):
             raise misfit(slot)
     categories, labels = categories.copy(), labels.copy()
-    held = labels.copy()
-    taken = CATEGORY_OF_LABEL[labels] != categories
-    held[taken] = np.where(categories[taken] == CAT_CONTROL, ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT)
     for slot, symbol, prb in sorted(occasions, key=lambda occasion: occasion[0]):
         sl = slice(prb * SC_PER_PRB, (prb + prbs) * SC_PER_PRB)
         where = (slot, slice(symbol, symbol + symbols), sl)
-        free = held[where] == ReLabel.UNLABELED
-        place(held, where, ReLabel.SIXG_SSB)
-        labels[where][free] = ReLabel.SIXG_SSB
+        free = labels[where] == ReLabel.UNLABELED
+        place(labels, where, ReLabel.SIXG_SSB)
         categories[where][free] = CAT_RESERVED
     return categories, labels
 

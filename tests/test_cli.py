@@ -1315,7 +1315,7 @@ class TestSweepPointErrors:
         assert (code, out) == (2, "")
         assert err == ('error: sweep point 1 (mrss.control_mode="FullyOverlapping", '
                        'mrss.iot_reservations=[{"prb_start": 0, "prb_stop": 2}]): '
-                       "cell (slot 0, symbol 0, sc 0) is not in the shared pool\n")
+                       "conflict at cell (0, 0, 0): existing NR_PDCCH_CORESET1, new RESERVED_IOT\n")
 
     def test_error_keeps_its_class_and_path(self, tmp_path):
         doc = json.loads(carrier_text())

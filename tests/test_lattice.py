@@ -181,14 +181,13 @@ class _Pools:
 
 def assert_map_equals(cmap, grid, categories, labels):
     """The map of `grid` against the reference's categories and labels: a
-    map label differs from the grid's only on a shared-pool cell."""
+    map label differs from the grid's only on a cell the grid left UNLABELED."""
     per_slot = ref.cells_per_slot(categories)
     assert cmap.grid.config is grid.config
     assert np.array_equal(ref.categories(cmap.grid.lattice), categories)
     mapped, grid_labels = ref.gather(cmap.grid.lattice), ref.gather(grid.lattice)
-    free = grid_labels == ReLabel.UNLABELED
-    assert np.array_equal(mapped[free], labels[free])
-    assert (ref.CATEGORY_OF_LABEL[grid_labels[mapped != grid_labels]] == CAT_SHARED).all()
+    assert np.array_equal(mapped, labels)
+    assert (grid_labels[mapped != grid_labels] == ReLabel.UNLABELED).all()
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
     assert (cmap.shared_pool_size, cmap.reserved_size, cmap.control_region_size,
             cmap.downlink_size) == (
@@ -337,7 +336,8 @@ class TestLattice:
         grid = ResourceGrid(carrier, lattice)
         cmap = staged(grid, classify_mrss, ControlMode(ControlModeKind.SEPARATE))
         assert cmap.control_region_size == 24
-        for cmap in (cmap, staged(cmap, reserve_iot, carrier, [(1, 2, [5])]),
+        # An IoT reservation needs free cells, and the LTE cell's PDCCH takes every PRB.
+        for cmap in (cmap, staged(make_grid(carrier), reserve_iot, carrier, [(1, 2, [5])]),
                      staged(cmap, place_6g_ssb, carrier, [(5, 9, 2)], 2, 2)):
             assert cmap.grid is not grid
             assert rows_are_bytes(cmap.grid.lattice)

@@ -197,8 +197,19 @@ class TestReserveIot:
 
     def test_overlap_with_existing_footprint_rejected(self):
         labels = wideband_map().grid.lattice.copy()
-        with pytest.raises(ConflictError, match="shared pool"):
+        before = list(labels.slots)
+        with pytest.raises(ConflictError, match="^" + re.escape(
+                "conflict at cell (0, 0, 0): existing NR_PDCCH_CORESET1, new RESERVED_IOT")):
             reserve_iot(labels, wideband_tdd_carrier(), [(0, 273, [0])])
+        assert labels.slots == before
+
+    def test_lte_cells_are_not_free(self):
+        # A reservation used to relabel the LTE cells of its window RESERVED_IOT.
+        carrier = CarrierConfig(15, n_prb=6, duplex="FDD", span_ms=1)
+        labels = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=2)).lattice.copy()
+        with pytest.raises(ConflictError, match="^" + re.escape(
+                "conflict at cell (0, 0, 0): existing LTE_CRS_P0, new RESERVED_IOT")):
+            reserve_iot(labels, carrier, [(0, 1, None)])
 
     def test_range_validation(self):
         cmap = fdd_map(n_prb=4)
@@ -666,13 +677,12 @@ def _reference_classify(grid, control_mode):
     footprint = int(np.count_nonzero(control))
     extra = int(footprint * (control_mode.footprint_factor - 1))
     if extra > 0:
-        flat = categories.reshape(-1)
-        shared_idx = np.flatnonzero(flat == CAT_SHARED)
-        if extra > shared_idx.size:
+        free_idx = np.flatnonzero(labels.reshape(-1) == ReLabel.UNLABELED)
+        if extra > free_idx.size:
             raise PlacementError(
-                f"separate control needs {extra} cells but only {shared_idx.size} are shared"
+                f"separate control needs {extra} cells but only {free_idx.size} are free"
             )
-        flat[shared_idx[:extra]] = CAT_CONTROL
+        categories.reshape(-1)[free_idx[:extra]] = CAT_CONTROL
     return categories, np.count_nonzero(categories == CAT_SHARED, axis=(1, 2))
 
 
@@ -728,14 +738,15 @@ class TestClassifyReference:
             tracemalloc.stop()
         assert peak <= 2.5 * grid.n_cells
 
-    @pytest.mark.parametrize("case", ["lte_with_iot", "nr_wideband"])
+    @pytest.mark.parametrize("case", ["lte_with_6g_ssb", "nr_wideband"])
     def test_size_properties_count_slot_by_slot(self, case):
         # Each size property compared the whole lattice: reading all three
         # on the LTE grid peaked at 1.0x the label lattice.
-        if case == "lte_with_iot":
+        if case == "lte_with_6g_ssb":
+            # Symbols 2 and 3 carry no 4-port CRS and follow 2 PDCCH symbols.
             carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=100)
             grid = apply_lte(make_grid(carrier), LteCellConfig(crs_ports=4))
-            cmap = staged(grid, reserve_iot, carrier, [(0, 6, range(0, 100, 7))])
+            cmap = staged(grid, place_6g_ssb, carrier, [(s, 2, 0) for s in range(0, 100, 7)], 6, 2)
         else:
             cmap = wideband_map()
         tracemalloc.start()
@@ -767,10 +778,9 @@ STAGE_LABELS = [ReLabel.SIXG_CONTROL, ReLabel.RESERVED_IOT, ReLabel.SIXG_SSB]
 
 
 def assert_map_matches(cmap, grid, reference, labels):
-    """Every count of the map of `grid`, then its categories, equal the
-    reference's. On every cell the grid left UNLABELED the map's label equals
-    the reference's, and a map label differs from the grid's only where a
-    stage relabeled a shared-pool cell with its own label."""
+    """Every count of the map of `grid`, then its categories and labels,
+    equal the reference's, and a map label differs from the grid's only
+    where a stage labeled a cell the grid left UNLABELED with its own label."""
     per_slot = {cat: np.count_nonzero(reference == cat, axis=(1, 2))
                 for cat in (CAT_NON_DL, CAT_SHARED, CAT_RESERVED, CAT_CONTROL)}
     assert np.array_equal(cmap.shared_cells_per_slot(), per_slot[CAT_SHARED])
@@ -780,10 +790,9 @@ def assert_map_matches(cmap, grid, reference, labels):
         int(per_slot[CAT_CONTROL].sum()), reference.size - int(per_slot[CAT_NON_DL].sum()))
     assert np.array_equal(ref.categories(cmap.grid.lattice), reference)
     mapped, grid_labels = ref.gather(cmap.grid.lattice), ref.gather(grid.lattice)
-    free = grid_labels == ReLabel.UNLABELED
-    assert np.array_equal(mapped[free], labels[free])
+    assert np.array_equal(mapped, labels)
     changed = mapped != grid_labels
-    assert (ref.CATEGORY_OF_LABEL[grid_labels[changed]] == CAT_SHARED).all()
+    assert (grid_labels[changed] == ReLabel.UNLABELED).all()
     assert np.isin(mapped[changed], STAGE_LABELS).all()
     with pytest.raises(TypeError):
         cmap.grid.lattice.slots[0][0] = 0
@@ -808,9 +817,11 @@ def staged_lattices(draw):
     arguments after the carrier.
 
     Each slot draws from the whole alphabet, from the shared labels only,
-    from the LTE-only labels, or from the labels up to a drawn largest one;
-    a reservation window is sometimes relabeled with LTE-only, guard and
-    uplink labels and an SSB block cleared, so that the stage can succeed."""
+    from the LTE-only labels, or from the labels up to a drawn largest one.
+    A reservation window is sometimes relabeled with LTE-only, guard and
+    uplink labels, so that the stage meets an LTE cell (a ConflictError at
+    the first one), or with UNLABELED, guard and uplink labels, and an SSB
+    block sometimes cleared, so that the stage can succeed."""
     n_slots, n_prb = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=n_slots)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -838,11 +849,13 @@ def staged_lattices(draw):
             p0 = draw(st.integers(0, n_prb))
             p1 = draw(st.integers(p0, n_prb))
             slots = draw(st.one_of(st.none(), st.lists(st.integers(0, n_slots - 1), max_size=3)))
-            if draw(st.booleans()):
+            fill = draw(st.sampled_from([None, "lte", "free"]))
+            if fill:
                 rows = slice(None) if slots is None else sorted(set(slots))
                 window = labels[rows, :, p0 * 12:p1 * 12]
+                drawn = LTE_ONLY_LABELS if fill == "lte" else [ReLabel.UNLABELED]
                 labels[rows, :, p0 * 12:p1 * 12] = rng.choice(
-                    LTE_ONLY_LABELS + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL], size=window.shape)
+                    drawn + [ReLabel.GUARD_SYMBOL, ReLabel.UPLINK_SYMBOL], size=window.shape)
             stages.append(("iot", ([(p0, p1, slots)],)))
         else:
             prbs, symbols = draw(st.integers(1, n_prb)), draw(st.integers(1, 14))
@@ -877,8 +890,8 @@ class TestMapsWithoutStoredCategories:
             return
         cmap = staged(grid, classify_mrss, mode)
         assert_map_matches(cmap, grid, reference, labels)
-        # The staged map's labels: the grid's, each shared-pool cell that a
-        # stage took from the reference's pool relabeled with that stage's label.
+        # The staged map's labels: the grid's, each free cell that a stage
+        # took from the reference's shared pool labeled with that stage's label.
         expected = relabel_taken(ref.CATEGORY_OF_LABEL[grid_labels], reference, grid_labels,
                                  ReLabel.SIXG_CONTROL)
         assert count_labels(cmap.grid) == ref.count_labels(expected)
@@ -928,7 +941,7 @@ class TestMapsWithoutStoredCategories:
 
     def test_stages_from_a_derived_map_leave_it_unchanged(self):
         carrier = CarrierConfig(15, n_prb=25, span_ms=2)
-        cmap = staged(apply_lte(make_grid(carrier), LteCellConfig()), classify_mrss)
+        cmap = staged(make_grid(carrier), classify_mrss)
         grid, before = cmap.grid, ref.gather(cmap.grid.lattice)
         out = staged(staged(cmap, reserve_iot, carrier, [(0, 2, None)]),
                      place_6g_ssb, carrier, [(1, 12, 5)], 4, 2)

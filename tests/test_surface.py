@@ -119,9 +119,8 @@ def test_constant_finder_sees_each_form():
     assert found == ["defining.py:2: UNREAD", "defining.py:4: _B", "defining.py:10: IN_DOCSTRING"]
 
 
-def slot_item_stores(tree: ast.Module):
-    """The enclosing `Class.function` path of each store into, or delete of,
-    an item or slice of a `.slots` attribute."""
+def enclosing_paths(tree: ast.Module, matches):
+    """The enclosing `Class.function` path of each node of the tree that `matches`."""
     found = []
 
     def visit(node, where):
@@ -129,13 +128,27 @@ def slot_item_stores(tree: ast.Module):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{where}.{child.name}".lstrip("."))
                 continue
-            if (isinstance(child, ast.Subscript) and isinstance(child.ctx, (ast.Store, ast.Del))
-                    and isinstance(child.value, ast.Attribute) and child.value.attr == "slots"):
+            if matches(child):
                 found.append(where)
             visit(child, where)
 
     visit(tree, "")
     return found
+
+
+def slot_item_stores(tree: ast.Module):
+    """The enclosing `Class.function` path of each store into, or delete of,
+    an item or slice of a `.slots` attribute."""
+    return enclosing_paths(tree, lambda node: (
+        isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "slots"))
+
+
+def rewrite_reads(tree: ast.Module):
+    """The enclosing `Class.function` path of each read of a `.rewrite`
+    attribute: a call of it, or a bound method kept to call later."""
+    return enclosing_paths(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "rewrite" and isinstance(node.ctx, ast.Load)))
 
 
 def test_only_lattice_rewrite_stores_a_slot():
@@ -152,3 +165,20 @@ def test_slot_store_finder_sees_each_form():
         "def f(lat):\n    lat.slots[0] += b''\n    del lat.slots[0]\n    return lat.slots[0]\n"
         "def g(rows):\n    rows[0] = 1\n")
     assert slot_item_stores(tree) == ["", "L.w", "L.w", "f", "f"]
+
+
+def test_only_place_slots_calls_lattice_rewrite():
+    """Every footprint is written by `place_slots`, under its one rule: no
+    other code in `src/` calls `Lattice.rewrite`."""
+    modules, _ = src_and_bench()
+    readers = [f"{name}:{where}" for name, tree in modules.items() for where in rewrite_reads(tree)]
+    assert readers == ["grid.py:place_slots"]
+
+
+def test_rewrite_finder_sees_each_form():
+    tree = ast.parse(
+        "x.rewrite([])\nclass M:\n    def stage(self, lat):\n        lat.rewrite([(s, f)])\n"
+        "        return [lambda: lat.copy().rewrite([])]\n"
+        "def f(lat):\n    write = lat.rewrite\n    write([])\n    lat.rewrite = None\n"
+        "def g(lat):\n    rewrite([])\n    return lat.rewritten, 'rewrite'\n")
+    assert rewrite_reads(tree) == ["", "M.stage", "M.stage", "f"]

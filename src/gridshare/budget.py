@@ -27,7 +27,7 @@ from .grid import (
     new_labels,
     place_slots,
 )
-from .lte import CRS_PORT_COUNTS, LteCellConfig, crs_bearing_symbols, crs_mask, place_lte
+from .lte import LteCellConfig, crs_bearing_symbols, crs_mask, lte_plan
 from .nr import SIGNALS, NrOverlaySet, nr_plan, place_nr
 from .rounding import pct
 from .value import Int, value
@@ -122,8 +122,7 @@ def check_ports(ports: Sequence[int], lte_pdcch: int) -> None:
     """Each CRS port count is 0, 1, 2 or 4 and fits the LTE control region:
     an incumbent (ports > 0) needs lte_pdcch > 0, and none (ports 0) needs 0."""
     for p in ports:
-        if p not in CRS_PORT_COUNTS:
-            raise ConfigError(f"crs_ports must be 0, 1, 2 or 4, got {p}")
+        crs_mask(p)  # a ConfigError for a port count other than 0, 1, 2 or 4
         if p == 0 and lte_pdcch != 0:
             raise ConfigError(f"crs_ports=0 (no incumbent) requires lte_pdcch=0, got {lte_pdcch}")
         if p > 0 and lte_pdcch == 0:
@@ -166,12 +165,13 @@ def dss_pool_by_grid(
             raise ConfigError(f"DMRS symbol {s} collides with the control region")
     carrier = CarrierConfig(15, n_prb=n_prb, duplex="FDD", span_ms=2)
     labels = new_labels(carrier)
-    if crs_ports > 0:
-        place_lte(labels, carrier, LteCellConfig(cell_id=0, crs_ports=crs_ports, pdcch_symbols=lte_pdcch))
-    # NR control, then each DMRS symbol, on the free cells (rate-matched around CRS), in one call.
+    plan = lte_plan(carrier, LteCellConfig(crs_ports=crs_ports, pdcch_symbols=lte_pdcch)) if crs_ports else []
+    # The LTE cell, then NR control and each DMRS symbol on the free cells
+    # (rate-matched around CRS), in one call.
     width = range(carrier.n_subcarriers)
-    place_slots(labels, [((1,), range(lte_pdcch, control_end), width, free_cells(ReLabel.NR_PDCCH_CORESET1))]
-                + [((1,), range(s, s + 1), width, free_cells(ReLabel.NR_DMRS)) for s in dmrs_symbols])
+    plan += [((1,), range(lte_pdcch, control_end), width, free_cells(ReLabel.NR_PDCCH_CORESET1))]
+    plan += [((1,), range(s, s + 1), width, free_cells(ReLabel.NR_DMRS)) for s in dmrs_symbols]
+    place_slots(labels, plan)
     return labels.slots[1].count(ReLabel.UNLABELED) // n_prb
 
 

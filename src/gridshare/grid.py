@@ -221,10 +221,17 @@ class Lattice:
         the slots that take the same writes, `slot` being the first of them.
         Changes run in order of their first slot, and rows are stored once all
         have returned: the lowest slot's error (in it, the earliest write's)
-        is raised, and nothing is written."""
+        is raised, and nothing is written. Consecutive writes that name one
+        slots object are split into regions once."""
+        runs: List[Tuple[Sequence[int], tuple]] = []
+        for slots, change in writes:
+            if runs and runs[-1][0] is slots:
+                runs[-1] = (slots, runs[-1][1] + (change,))
+            else:
+                runs.append((slots, (change,)))
         # Regions: the slots that take the same writes, with their changes.
         regions: List[Tuple[set, tuple]] = []
-        for slots, change in writes:
+        for slots, run in runs:
             new = set(slots)
             if new and not 0 <= min(new) <= max(new) < len(self.slots):
                 bad = min(new) if min(new) < 0 else max(new)
@@ -234,8 +241,8 @@ class Lattice:
                 both = named & new
                 named -= both
                 new -= both
-                split += [(named, changes), (both, changes + (change,))]
-            regions = [region for region in split + [(new, (change,))] if region[0]]
+                split += [(named, changes), (both, changes + run)]
+            regions = [region for region in split + [(new, run)] if region[0]]
         jobs = []
         for named, changes in regions:
             groups: Dict[bytes, List[int]] = {}

@@ -4,14 +4,15 @@
 normal CP). Every other CRS fact is derived from it: the DSS pool mask of
 `budget.dss_pool_mask`, which the closed form counts and
 `mrss.neighbor_interference` classifies against neighbor masks, the
-CRS-bearing symbols that `budget` keeps DMRS off, and the subframe
-templates that `place_lte` places on the grid.
+CRS-bearing symbols that `budget` keeps DMRS off, and the placements of
+`lte_plan`: the comb itself, then the control region, PSS/SSS and PBCH
+around it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Iterator, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
 from .errors import ConfigError
 from .grid import (
@@ -19,6 +20,7 @@ from .grid import (
     SYMBOLS_PER_SLOT,
     CarrierConfig,
     Lattice,
+    Placement,
     ReLabel,
     ResourceGrid,
     SlotKind,
@@ -132,45 +134,6 @@ def crs_bearing_symbols(crs_ports: int) -> FrozenSet[int]:
 _CRS_LABEL = bytes([ReLabel.UNLABELED] + [ReLabel.lte_crs(p) for p in range(4)]).ljust(256, b"\0")
 
 
-def _fill(template: bytearray, n_sc: int, symbols: range, subcarriers: slice, label: ReLabel) -> None:
-    """Label the free cells of a block of a 14 x n_sc template."""
-    for s in symbols:
-        block = slice(s * n_sc + subcarriers.start, s * n_sc + subcarriers.stop)
-        template[block] = template[block].replace(b"\0", bytes((label,)))
-
-
-def _subframe_templates(cfg: LteCellConfig, n_prb: int) -> Tuple[bytes, bytes, bytes, bytes]:
-    """14 x n_sc label templates in symbol-major order: (normal, MBSFN,
-    subframe 0, subframe 5) mod 10; below 6 PRBs, subframes 0 and 5 are normal.
-
-    CRS takes precedence inside the control region so control-region CRS
-    stays countable; PBCH is rate-matched around CRS.
-    """
-    n_sc = n_prb * SC_PER_PRB
-    mask = crs_mask(cfg.crs_ports, cfg.v_shift)
-    crs = b"".join(row * n_prb for row in _symbols(mask, SC_PER_PRB)).translate(_CRS_LABEL)
-    every = slice(0, n_sc)
-
-    normal = bytearray(crs)
-    _fill(normal, n_sc, range(cfg.pdcch_symbols), every, ReLabel.LTE_PDCCH)
-
-    region = cfg.non_mbsfn_region_len
-    muted = bytes((ReLabel.LTE_MBSFN_MUTED,)) * ((SYMBOLS_PER_SLOT - region) * n_sc)
-    mbsfn = bytearray(crs[: region * n_sc]) + muted
-    _fill(mbsfn, n_sc, range(region), every, ReLabel.LTE_PDCCH)
-
-    templates = [normal, mbsfn, normal, normal]
-    if n_prb >= 6:
-        lo = (n_sc - SYNC_SUBCARRIERS) // 2
-        center = slice(lo, lo + SYNC_SUBCARRIERS)
-        sf5 = bytearray(normal)
-        _fill(sf5, n_sc, PSS_SSS_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH)
-        sf0 = bytearray(sf5)
-        _fill(sf0, n_sc, PBCH_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH)
-        templates[2:] = sf0, sf5
-    return tuple(map(bytes, templates))
-
-
 def apply_lte(grid: ResourceGrid, cfg: LteCellConfig) -> ResourceGrid:
     """The grid with one LTE cell placed on a copy of its lattice (`place_lte`)."""
     lattice = grid.lattice.copy()
@@ -179,27 +142,53 @@ def apply_lte(grid: ResourceGrid, cfg: LteCellConfig) -> ResourceGrid:
 
 
 def place_lte(labels: Lattice, carrier: CarrierConfig, cfg: LteCellConfig) -> None:
-    """Place one LTE cell's downlink structure on every subframe of a 15 kHz
-    carrier's writable label lattice.
+    """Place one LTE cell on every subframe of a 15 kHz carrier's writable
+    label lattice, in one `place_slots` call on `lte_plan`: a taken downlink
+    cell raises ConflictError naming the first one of the first rule, and
+    nothing is written; TDD uplink and guard cells are left as they are."""
+    place_slots(labels, lte_plan(carrier, cfg))
+
+
+def lte_plan(carrier: CarrierConfig, cfg: LteCellConfig) -> List[Placement]:
+    """The cell's `place_slots` placements, one per rule in precedence order:
+    CRS, the control region around the CRS, the MBSFN mute, then PSS/SSS and
+    PBCH around the CRS. A cell or neighbor that does not fit the carrier is
+    a ConfigError with its first misfit's message (`misfits`).
 
     In MBSFN subframes the control region is non_mbsfn_region_len symbols
     and everything after it is muted, with no CRS beyond the non-MBSFN
     region. PSS/SSS sit in subframes 0 and 5 mod 10 and PBCH in subframe 0
     mod 10, on the center 72 subcarriers of a carrier of at least 6 PRBs (a
-    narrower one carries none). Each subframe template is placed once over
-    its set of subframes, so an already-labeled downlink cell raises
-    ConflictError naming the first such cell; TDD uplink and guard cells
-    are left as they are. A cell or neighbor that does not fit the carrier
-    is a ConfigError with its first misfit's message (`misfits`).
+    narrower one carries none). Every footprint is bytes, 0 on the cells it
+    leaves to the CRS, so each rule is strict.
     """
     for _, message in cfg.misfits(carrier):
         raise ConfigError(message)
-    normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
-    every, mbsfn_sf = range(carrier.n_slots), cfg.mbsfn_subframes
-    block = (range(SYMBOLS_PER_SLOT), range(carrier.n_subcarriers))
-    place_slots(labels, [
-        ([sf for sf in every if sf % 5 and sf not in mbsfn_sf], *block, normal),
-        ([sf for sf in every if sf in mbsfn_sf], *block, mbsfn),
-        ([sf for sf in every[0::10] if sf not in mbsfn_sf], *block, sf0),
-        ([sf for sf in every[5::10] if sf not in mbsfn_sf], *block, sf5),
-    ])
+    n_sc = carrier.n_subcarriers
+    mask = crs_mask(cfg.crs_ports, cfg.v_shift)
+    crs = b"".join(row * carrier.n_prb for row in _symbols(mask, SC_PER_PRB)).translate(_CRS_LABEL)
+
+    def around(symbols: range, subcarriers: range, label: ReLabel) -> Tuple[range, range, bytes]:
+        """A block whose footprint is `label` off the CRS comb, 0 on it."""
+        cells = b"".join(crs[s * n_sc + subcarriers.start : s * n_sc + subcarriers.stop] for s in symbols)
+        return symbols, subcarriers, cells.translate(bytes((label,)) + bytes(255))
+
+    every, width = range(carrier.n_slots), range(n_sc)
+    mbsfn, region = sorted(cfg.mbsfn_subframes), cfg.non_mbsfn_region_len
+    normal = [sf for sf in every if sf not in cfg.mbsfn_subframes]
+    # Normal and MBSFN subframes are disjoint, so each takes its rules in
+    # order; one slots list per run of rules is split into regions once.
+    plan = [
+        (normal, range(SYMBOLS_PER_SLOT), width, crs),
+        (normal, *around(range(cfg.pdcch_symbols), width, ReLabel.LTE_PDCCH)),
+        (mbsfn, range(region), width, crs[: region * n_sc]),
+        (mbsfn, *around(range(region), width, ReLabel.LTE_PDCCH)),
+        (mbsfn, range(region, SYMBOLS_PER_SLOT), width, ReLabel.LTE_MBSFN_MUTED),
+    ]
+    if carrier.n_prb >= 6:
+        lo = (n_sc - SYNC_SUBCARRIERS) // 2
+        center = range(lo, lo + SYNC_SUBCARRIERS)
+        # No MBSFN subframe is 0 or 5 mod 10 (MBSFN_ALLOWED), so each of them carries sync.
+        plan += [(every[0::5], *around(PSS_SSS_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH)),
+                 (every[0::10], *around(PBCH_SYMBOLS, center, ReLabel.LTE_PSS_SSS_PBCH))]
+    return plan

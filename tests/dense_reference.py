@@ -4,11 +4,12 @@ slot-shared lattice.
 Every function here stores one byte per resource element, in an array
 shaped (n_slots, 14, n_sc), and places or checks slot by slot in slot
 order, as gridshare did before a lattice stored each distinct slot once.
-The footprint rules they place (subframe templates, the NR plan's
-placements, the label -> category table) are gridshare's own; their checks
-of a placement against its carrier are the reference's own conditions,
-which raise `misfit`, so the tests compare such an error with gridshare's
-by class and the slot it names (`verdict`), not by its text.
+An LTE cell is placed from TS 36.211 (`place_lte`); the other footprint
+rules (the NR plan's placements, the label -> category table) are
+gridshare's own. Their checks of a placement against its carrier are the
+reference's own conditions, which raise `misfit`, so the tests compare
+such an error with gridshare's by class and the slot it names
+(`verdict`), not by its text.
 The MRSS stages keep a category array beside the labels, as gridshare's map
 once did, and take only free (UNLABELED) cells: control growth the first
 ones in scan order, an IoT reservation or a 6G SSB block every downlink
@@ -22,9 +23,10 @@ placement.
 
 The CRS of TS 36.211 §6.10.1.2 is written out here as its spec tables
 (`SPEC_SYMBOLS`, `SPEC_V`): `spec_crs` places one cell's CRS from them
-alone, and `interference` classifies the DSS slot's NR data pool against
-neighbor CRS cell by cell, as sets of (symbol, subcarrier), with neither
-`lte.crs_mask` nor `budget`. `crs_cells` reads `lte.crs_mask` back as
+alone, `place_lte` builds each subframe on it, and `interference`
+classifies the DSS slot's NR data pool against neighbor CRS cell by cell,
+as sets of (symbol, subcarrier), with neither `lte.crs_mask` nor
+`budget`. `crs_cells` reads `lte.crs_mask` back as
 (symbol, subcarrier, port) tuples, the form the CRS tests state their
 properties in.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from gridshare.errors import ConfigError, ConflictError, PlacementError
 from gridshare.grid import SC_PER_PRB, SYMBOLS_PER_SLOT, Lattice, ReLabel, SlotKind
-from gridshare.lte import _subframe_templates, crs_mask
+from gridshare.lte import crs_mask
 from gridshare.mrss import CAT_CONTROL, CAT_NON_DL, CAT_RESERVED, CAT_SHARED, _CATEGORY_OF_LABEL
 from gridshare.nr import nr_plan
 from gridshare.rounding import round_half_up
@@ -148,10 +150,16 @@ def place(arr, where, footprint, rate_match=False):
 
 
 def place_lte(arr, carrier, cfg):
-    """The cell's subframe templates, subframe by subframe, after its
-    checks: a 15 kHz carrier, and each MBSFN subframe of the cell, then of
-    each neighbor, in the span, allowed on the duplex and a downlink
-    subframe (else `misfit`)."""
+    """The cell from TS 36.211, subframe by subframe, after its checks: a
+    15 kHz carrier, and each MBSFN subframe of the cell, then of each
+    neighbor, in the span, allowed on the duplex and a downlink subframe
+    (else `misfit`). Each subframe takes its rules in order: the CRS of
+    `spec_crs` (in an MBSFN subframe, on its non-MBSFN region alone), the
+    control region off the CRS (the non-MBSFN region in an MBSFN subframe),
+    the rest of an MBSFN subframe muted, then, on a carrier of 6 PRBs or
+    more, PSS/SSS on symbols 5-6 of subframes 0 and 5 mod 10 and PBCH on
+    symbols 7-10 of subframe 0 mod 10, each on the center 72 subcarriers
+    off the CRS."""
     if carrier.scs_khz != 15:
         raise misfit()
     for cell in (cfg, *cfg.neighbors):
@@ -159,17 +167,28 @@ def place_lte(arr, carrier, cfg):
             if not (0 <= sf < carrier.n_slots and sf % 10 in MBSFN_SUBFRAMES[carrier.duplex]
                     and cycle_entry(carrier, sf) == "D"):
                 raise misfit(sf)
-    normal, mbsfn, sf0, sf5 = _subframe_templates(cfg, carrier.n_prb)
-    normal, mbsfn, sf0, sf5 = (np.frombuffer(t, dtype=np.uint8).reshape(SYMBOLS_PER_SLOT, -1)
-                               for t in (normal, mbsfn, sf0, sf5))
+    crs = np.zeros((SYMBOLS_PER_SLOT, carrier.n_subcarriers), dtype=np.uint8)
+    for (s, k), port in spec_crs(cfg.crs_ports, cfg.cell_id % 6).items():
+        crs[s, k::SC_PER_PRB] = ReLabel.lte_crs(port)
+    lo = (carrier.n_subcarriers - 72) // 2
+    center = slice(lo, lo + 72)
+    # (symbols, subframe period): PSS/SSS, then PBCH.
+    sync = [(slice(5, 7), 5), (slice(7, 11), 10)] if carrier.n_prb >= 6 else []
+
+    def off_crs(symbols, subcarriers, label):
+        return np.where(crs[symbols, subcarriers] == 0, label, 0)
+
     for sf in range(carrier.n_slots):
-        if sf in cfg.mbsfn_subframes:
-            template = mbsfn
-        elif sf % 10 == 0:
-            template = sf0
-        else:
-            template = sf5 if sf % 5 == 0 else normal
-        place(arr, (sf,), template)
+        mbsfn = sf in cfg.mbsfn_subframes
+        n_crs = cfg.non_mbsfn_region_len if mbsfn else SYMBOLS_PER_SLOT
+        control = slice(0, cfg.non_mbsfn_region_len if mbsfn else cfg.pdcch_symbols)
+        place(arr, (sf, slice(0, n_crs)), crs[:n_crs])
+        place(arr, (sf, control), off_crs(control, slice(None), ReLabel.LTE_PDCCH))
+        if mbsfn:
+            place(arr, (sf, slice(n_crs, SYMBOLS_PER_SLOT)), ReLabel.LTE_MBSFN_MUTED)
+        for symbols, period in sync:
+            if sf % period == 0:
+                place(arr, (sf, symbols, center), off_crs(symbols, center, ReLabel.LTE_PSS_SSS_PBCH))
 
 
 def place_nr(arr, carrier, overlay):

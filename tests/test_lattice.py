@@ -260,7 +260,7 @@ class TestAgainstDenseReference:
 
 
 class TestLattice:
-    def test_lte_stores_its_subframe_templates_once(self):
+    def test_lte_stores_each_distinct_subframe_once(self):
         carrier = CarrierConfig(15, n_prb=100, duplex="FDD", span_ms=1000)
         cell = LteCellConfig(crs_ports=4, mbsfn_subframes=range(1, 1000, 10))
         grid = apply_lte(make_grid(carrier), cell)
@@ -390,6 +390,16 @@ class TestLattice:
         assert lattice.slots[0] is lattice.slots[2] and lattice.slots[1] is lattice.slots[3]
         assert lattice.slots[0] == bytes((0, 1)) + before[0][2:]
         assert lattice.slots[1] == bytes((0, 1, 2)) + before[0][3:]
+
+        # Writes that name one slots object in a row are one run of changes;
+        # the same object named again after another write starts a new run.
+        calls.clear()
+        odd = (3, 1)
+        lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
+        lattice.rewrite([(odd, change(1)), (odd, change(2)), (range(3), change(3)), (odd, change(4))])
+        assert calls == [(3, 0), (1, 1), (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)]
+        assert [row[:5] for row in lattice.slots] == [bytes((0, 0, 0, 3, 0)), bytes((0, 1, 2, 3, 4)),
+                                                      bytes((0, 0, 0, 3, 0)), bytes((0, 1, 2, 0, 4))]
 
     def test_a_strict_placement_conflicts_with_an_earlier_one_in_its_slot(self):
         # Placements of one call that share slot 0 were once rejected as a

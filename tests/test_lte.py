@@ -17,7 +17,10 @@ from gridshare import (
     count_labels,
     make_grid,
 )
+from gridshare import cli
+from gridshare import lte as lte_module
 from gridshare.lte import MBSFN_ALLOWED, crs_mask
+from gridshare.scenario import parse_scenario
 
 import dense_reference as ref
 from dense_reference import crs_cells
@@ -279,3 +282,28 @@ class TestPlacementInvariants:
         after = count_labels(apply_lte(make_grid(carrier), LteCellConfig(crs_ports=ports)))
         for label in (ReLabel.UPLINK_SYMBOL, ReLabel.GUARD_SYMBOL):
             assert after[label] == before[label]
+
+
+class TestSyncFromTheSpec:
+    """The reference places PSS/SSS and PBCH from TS 36.211's numbers, not
+    from `gridshare.lte`, so a gridshare rule one symbol off disagrees."""
+
+    def grids(self, ports):
+        scenario = parse_scenario({"carrier": {"scs_khz": 15, "n_prb": 6, "duplex": "FDD", "span_ms": 10},
+                                   "lte": {"crs_ports": ports, "mbsfn_subframes": [1, 6]}})
+        dense = ref.new_labels(scenario.carrier)
+        ref.place_lte(dense, scenario.carrier, scenario.lte)
+        return ref.gather(cli.build_grid(scenario).lattice), dense
+
+    @pytest.mark.parametrize("ports", [1, 2, 4])
+    def test_gridshare_and_the_reference_agree(self, ports):
+        shared, dense = self.grids(ports)
+        assert np.array_equal(shared, dense)
+
+    @pytest.mark.parametrize("ports", [1, 2, 4])
+    @pytest.mark.parametrize("name, symbols", [("PBCH_SYMBOLS", range(8, 12)), ("PSS_SSS_SYMBOLS", range(4, 6))],
+                             ids=["PBCH", "PSS_SSS"])
+    def test_a_sync_rule_one_symbol_off_disagrees(self, monkeypatch, name, symbols, ports):
+        monkeypatch.setattr(lte_module, name, symbols)
+        shared, dense = self.grids(ports)
+        assert not np.array_equal(shared, dense)

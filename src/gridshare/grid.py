@@ -16,15 +16,14 @@ built in one writable lattice: take a fresh one from `new_labels`, place
 each stage's footprints into it, and wrap it once in a `ResourceGrid`
 (`cli.build_grid` folds its stages this way; `cli.build_map` folds the MRSS
 map's into one copy of the grid's lattice, which shares its rows, as
-`apply_lte` and `apply_nr` do). `Lattice.rewrite` is the one write: a slot
-takes its writes in call order, and new rows are stored once every change
-has returned, so a write is all or nothing and no other slot or lattice
-sees it. Every footprint goes through `place_slots`, the MRSS map
-stages' (`mrss`) included, so no placement relabels a cell or touches an
-uplink/guard cell. A placement names its block of each slot by two ranges
-(symbols, subcarriers), as a `Window` does; its footprint is an int label,
-the block's bytes in the order a `Window` reads them, or a function of the
-block that gives them, such as `free_cells`.
+`apply_lte` and `apply_nr` do). `place_slots` is the one write, the MRSS
+map stages' (`mrss`) included: a slot takes its placements in call order,
+and new rows are stored once every merge has returned, so a write is all
+or nothing, no other slot or lattice sees it, and no placement relabels a
+cell or touches an uplink/guard cell. A placement names its block of each
+slot by two ranges (symbols, subcarriers), as a `Window` does; its
+footprint is an int label, the block's bytes in the order a `Window` reads
+them, or a function of the block that gives them, such as `free_cells`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import functools
 import itertools
 from collections import Counter
 from enum import Enum, IntEnum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, ConflictError
 from .value import Int, value
@@ -186,8 +185,8 @@ class Lattice:
     their rows are shared.
 
     Rows are immutable, so lattices and slots share them freely: a copy
-    shares every row, and `rewrite`, the one write, stores each new row in
-    the slots it names alone, so no other slot or lattice sees it. `freeze`
+    shares every row, and `place_slots`, the one write, stores each new row
+    in the slots it names alone, so no other slot or lattice sees it. `freeze`
     merges equal rows into one object, so a frozen lattice holds each
     distinct slot content once; its slots become a tuple and it takes no
     further write.
@@ -214,50 +213,6 @@ class Lattice:
     def shape(self) -> Tuple[int, int, int]:
         return (len(self.slots), SYMBOLS_PER_SLOT, self.n_sc)
 
-    def rewrite(self, writes: Sequence[Tuple[Sequence[int], Callable[[int, bytes], bytes]]]) -> None:
-        """Each write is (slots, change), its slots in range (else IndexError).
-        A slot takes its writes in call order: `change(slot, row)` gives the
-        new content of each distinct row, as the earlier writes left it, among
-        the slots that take the same writes, `slot` being the first of them.
-        Changes run in order of their first slot, and rows are stored once all
-        have returned: the lowest slot's error (in it, the earliest write's)
-        is raised, and nothing is written. Consecutive writes that name one
-        slots object are split into regions once."""
-        runs: List[Tuple[Sequence[int], tuple]] = []
-        for slots, change in writes:
-            if runs and runs[-1][0] is slots:
-                runs[-1] = (slots, runs[-1][1] + (change,))
-            else:
-                runs.append((slots, (change,)))
-        # Regions: the slots that take the same writes, with their changes.
-        regions: List[Tuple[set, tuple]] = []
-        for slots, run in runs:
-            new = set(slots)
-            if new and not 0 <= min(new) <= max(new) < len(self.slots):
-                bad = min(new) if min(new) < 0 else max(new)
-                raise IndexError(f"slot {bad} out of range for {len(self.slots)} slots")
-            split = []
-            for named, changes in regions:
-                both = named & new
-                named -= both
-                new -= both
-                split += [(named, changes), (both, changes + run)]
-            regions = [region for region in split + [(new, run)] if region[0]]
-        jobs = []
-        for named, changes in regions:
-            groups: Dict[bytes, List[int]] = {}
-            for s in sorted(named):
-                groups.setdefault(self.slots[s], []).append(s)
-            jobs.extend((group, changes, row) for row, group in groups.items())
-        rows = []
-        for group, changes, row in sorted(jobs, key=lambda job: job[0][0]):
-            for change in changes:
-                row = change(group[0], row)
-            rows.append((group, row))
-        for group, row in rows:
-            for s in group:
-                self.slots[s] = row
-
     def copy(self) -> "Lattice":
         """A writable lattice of the same slots that shares every row."""
         return Lattice(list(self.slots))
@@ -274,8 +229,9 @@ class Lattice:
 class ResourceGrid:
     """Read-only label lattice indexed (slot, symbol, subcarrier).
 
-    `lattice` is a `Lattice` of the carrier's shape, which the constructor
-    freezes; anything else is a ConfigError.
+    `lattice` is a `Lattice` of the carrier's shape, every row of it 14 x
+    n_subcarriers labels, which the constructor freezes; anything else is a
+    ConfigError.
     """
 
     config: CarrierConfig
@@ -287,7 +243,10 @@ class ResourceGrid:
         expected = (self.config.n_slots, SYMBOLS_PER_SLOT, self.config.n_subcarriers)
         if self.lattice.shape != expected:
             raise ConfigError(f"label lattice shape {self.lattice.shape} != {expected}")
-        self.lattice.freeze()
+        slots, width = self.lattice.freeze().slots, SYMBOLS_PER_SLOT * self.config.n_subcarriers
+        if any(len(row) != width for row in set(slots)):
+            slot = next(s for s, row in enumerate(slots) if len(row) != width)
+            raise ConfigError(f"slot {slot} holds {len(slots[slot])} labels, not {width}")
 
     @property
     def n_cells(self) -> int:
@@ -380,29 +339,67 @@ _FREE = b"\xff" + bytes(255)
 def place_slots(lattice: Lattice, placements: Sequence[Placement]) -> None:
     """Write footprints into the named slots of a writable label lattice.
 
-    Every footprint is written here, in one `Lattice.rewrite`. Each
-    placement is (slots, symbols, subcarriers, footprint): the two ranges
+    Every footprint is written here; a `Lattice` has no write of its own.
+    Each placement is (slots, symbols, subcarriers, footprint): the two ranges
     name a block of each slot, and `footprint` is one int label for every
     cell of the block, bytes of exactly the block's cells in symbol-major
     order (as `Window` reads them), UNLABELED marking cells outside the
     footprint, or a function of (slot, the block's labels) giving those
     bytes. A range outside the slot, any other footprint and a label
     outside 0..RESERVED_IOT are a ConfigError; an empty range places
-    nothing. A slot takes its placements in call order. Only UNLABELED
-    cells are written; uplink and guard cells never are. A footprint needs
-    all its downlink cells free, earlier placements' included: otherwise
-    ConflictError names the first taken cell (by slot, placement, symbol,
-    subcarrier) and nothing is written; a rate-matched one is a function
-    that marks free cells only. Each distinct row is merged once per
-    sequence of placements that name its slots.
+    nothing. Only UNLABELED cells are written; uplink and guard cells
+    never are. A footprint needs all its downlink cells free, earlier
+    placements' included: otherwise ConflictError names the first taken
+    cell (by slot, placement, symbol, subcarrier); a rate-matched one is a
+    function that marks free cells only.
+
+    A slot takes its placements in call order, each merged into the row as
+    the earlier ones left it, and a slot out of range is an IndexError.
+    The named slots split into regions, each the slots that take the same
+    placements (consecutive placements that name one slots object split
+    them once), and a region's slots group by the row they hold. Each
+    group's row is merged once, at the group's first slot, the groups in
+    order of their first slot; rows are stored once every merge has
+    returned. So the lowest slot's error (in it, the earliest placement's)
+    is raised and nothing is written.
     """
-    writes = []
+    runs: List[Tuple[Sequence[int], tuple]] = []
     for slots, symbols, subcarriers, footprint in placements:
         window = Window(lattice.n_sc, symbols, subcarriers)
         if not callable(footprint):
             footprint = _footprint(footprint, len(symbols) * len(subcarriers))
-        writes.append((slots, functools.partial(_merge, window, footprint)))
-    lattice.rewrite(writes)
+        if runs and runs[-1][0] is slots:
+            runs[-1] = (slots, runs[-1][1] + ((window, footprint),))
+        else:
+            runs.append((slots, ((window, footprint),)))
+    # Regions: the slots that take the same placements, with their merges.
+    regions: List[Tuple[set, tuple]] = []
+    for slots, run in runs:
+        new = set(slots)
+        if new and not 0 <= min(new) <= max(new) < len(lattice.slots):
+            bad = min(new) if min(new) < 0 else max(new)
+            raise IndexError(f"slot {bad} out of range for {len(lattice.slots)} slots")
+        split = []
+        for named, merges in regions:
+            both = named & new
+            named -= both
+            new -= both
+            split += [(named, merges), (both, merges + run)]
+        regions = [region for region in split + [(new, run)] if region[0]]
+    jobs = []
+    for named, merges in regions:
+        groups: Dict[bytes, List[int]] = {}
+        for s in sorted(named):
+            groups.setdefault(lattice.slots[s], []).append(s)
+        jobs.extend((group, merges, row) for row, group in groups.items())
+    rows = []
+    for group, merges, row in sorted(jobs, key=lambda job: job[0][0]):
+        for window, footprint in merges:
+            row = _merge(window, footprint, group[0], row)
+        rows.append((group, row))
+    for group, row in rows:
+        for s in group:
+            lattice.slots[s] = row
 
 
 def free_cells(label: ReLabel):
@@ -420,7 +417,7 @@ def _merge(window: Window, footprint, slot: int, row: bytes) -> bytes:
     row = bytearray(row)
     for part, fp in window.parts:
         old, new = row[part], footprint[fp]
-        if not any_label(old):
+        if old == bytes(len(old)):  # every cell UNLABELED
             row[part] = new
             continue
         # A cell is taken where both a downlink label and the footprint mark it.
@@ -435,11 +432,6 @@ def _merge(window: Window, footprint, slot: int, row: bytes) -> bytes:
         free = int.from_bytes(old.translate(_FREE), "big")
         row[part] = (int.from_bytes(old, "big") | wanted & free).to_bytes(len(old), "big")
     return bytes(row)
-
-
-def any_label(cells) -> bool:
-    """Whether any of the cells is labeled (UNLABELED is 0)."""
-    return cells != bytes(len(cells))
 
 
 # Rows whose counts `label_counts` keeps: more than a map and its stages hold.

@@ -269,7 +269,7 @@ def nr_plan(carrier: CarrierConfig, overlay: NrOverlaySet) -> List[Placement]:
     return placements
 
 
-def _first_free_per_prb(cells: bytes, width: int, amount: int, what: str, mark: int = 1) -> bytes:
+def _first_free_per_prb(cells: bytes, width: int, amount: int, what: str, mark: int) -> bytes:
     """`mark` on the first `amount` free cells of each PRB of a block of
     symbol-major cells `width` subcarriers wide, in symbol-major order, 0
     elsewhere: bytes of the block's size. PlacementError names the first

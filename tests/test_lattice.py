@@ -21,7 +21,9 @@ import dense_reference as ref
 from staged import staged
 from gridshare import cli
 from gridshare import grid as grid_module
+from gridshare import lte as lte_module
 from gridshare import mrss as mrss_module
+from gridshare import nr as nr_module
 from gridshare.errors import ConfigError, ConflictError, GridShareError, PlacementError
 from gridshare.grid import (
     CarrierConfig,
@@ -282,25 +284,27 @@ class TestLattice:
         assert slots[0] is slots[2] is fresh and slots[1] is slots[3] is not written
         assert np.count_nonzero(np.frombuffer(slots[1], dtype=np.uint8)) == 3
 
-    def test_rewrite_changes_rows_in_slot_order_and_stores_all_or_nothing(self):
+    def test_placements_merge_rows_in_slot_order_and_store_all_or_nothing(self):
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         before, calls = list(lattice.slots), []
 
-        def change(label, fails=False):
-            def run(slot, row):
+        def fill(slots, label, fails=False):
+            """A placement over the whole slot whose footprint records (label, slot)."""
+            def footprint(slot, cells):
                 calls.append((label, slot))
                 if fails:
                     raise GridShareError(f"{label} fails in slot {slot}")
-                return bytes((label,)) * len(row)
-            return run
+                return bytes((label,)) * len(cells)
+            return slots, range(14), range(12), footprint
 
-        # Each write's slots hold one row, so each change runs once, at its
-        # first slot, and every change runs in slot order over all writes.
+        # Each placement's slots hold one row, so each footprint runs once,
+        # at its first slot, and every footprint runs in slot order over all
+        # placements.
         with pytest.raises(GridShareError, match="^3 fails in slot 2$"):
-            lattice.rewrite([((3, 1), change(1)), ((2,), change(3, fails=True)), ((0,), change(2))])
+            place_slots(lattice, [fill((3, 1), 1), fill((2,), 3, fails=True), fill((0,), 2)])
         assert calls == [(2, 0), (1, 1), (3, 2)]
         assert lattice.slots == before
-        lattice.rewrite([((3, 1), change(1)), ((0,), change(2))])
+        place_slots(lattice, [fill((3, 1), 1), fill((0,), 2)])
         assert [row[0] for row in lattice.slots] == [2, 1, 0, 1]
         assert lattice.slots[1] is lattice.slots[3] and lattice.slots[2] is before[2]
 
@@ -376,27 +380,30 @@ class TestLattice:
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         before, calls = list(lattice.slots), []
 
-        def change(label):
-            def run(slot, row):
+        def mark(slots, label):
+            """A placement of `label` on cell `label` of symbol 0 whose
+            footprint records (label, slot)."""
+            def footprint(slot, cells):
                 calls.append((label, slot))
-                return row[:label] + bytes((label,)) + row[label + 1:]
-            return run
+                return bytes((label,))
+            return slots, range(1), range(label, label + 1), footprint
 
-        # All four slots hold one row: slots 0 and 2 take write 1 alone, and
-        # slots 1 and 3 take write 1 then write 2, each change once per
-        # group, at its first slot, the groups in slot order.
-        lattice.rewrite([(range(4), change(1)), ((3, 1), change(2))])
+        # All four slots hold one row: slots 0 and 2 take placement 1 alone,
+        # and slots 1 and 3 take placement 1 then placement 2, each footprint
+        # once per group, at its first slot, the groups in slot order.
+        place_slots(lattice, [mark(range(4), 1), mark((3, 1), 2)])
         assert calls == [(1, 0), (1, 1), (2, 1)]
         assert lattice.slots[0] is lattice.slots[2] and lattice.slots[1] is lattice.slots[3]
         assert lattice.slots[0] == bytes((0, 1)) + before[0][2:]
         assert lattice.slots[1] == bytes((0, 1, 2)) + before[0][3:]
 
-        # Writes that name one slots object in a row are one run of changes;
-        # the same object named again after another write starts a new run.
+        # Placements that name one slots object in a row are one run of
+        # merges; the same object named again after another placement starts
+        # a new run.
         calls.clear()
         odd = (3, 1)
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
-        lattice.rewrite([(odd, change(1)), (odd, change(2)), (range(3), change(3)), (odd, change(4))])
+        place_slots(lattice, [mark(odd, 1), mark(odd, 2), mark(range(3), 3), mark(odd, 4)])
         assert calls == [(3, 0), (1, 1), (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)]
         assert [row[:5] for row in lattice.slots] == [bytes((0, 0, 0, 3, 0)), bytes((0, 1, 2, 3, 4)),
                                                       bytes((0, 0, 0, 3, 0)), bytes((0, 1, 2, 0, 4))]
@@ -635,7 +642,7 @@ def test_building_a_staged_map_counts_each_distinct_row_once(monkeypatch):
 
 def test_building_a_staged_map_copies_one_lattice(monkeypatch):
     """`build_map` folds the map stages into one copy of its grid's lattice,
-    each stage one `Lattice.rewrite`, and freezes it once: the grid's
+    each stage one `place_slots` call, and freezes it once: the grid's
     freeze and the map's. The map equals the dense reference's."""
     calls = collections.Counter()
 
@@ -645,12 +652,14 @@ def test_building_a_staged_map_copies_one_lattice(monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    for name in ("copy", "rewrite", "freeze"):
+    for name in ("copy", "freeze"):
         monkeypatch.setattr(Lattice, name, counted(name, getattr(Lattice, name)))
+    for writer in (lte_module, nr_module, mrss_module):
+        monkeypatch.setattr(writer, "place_slots", counted("place_slots", writer.place_slots))
     scenario = parse_scenario((SCENARIOS / "mrss_staged.json").read_text())
     cmap = cli.build_map(scenario)
     # NR, control growth, the IoT reservations and the 6G SSB occasions.
-    assert calls == {"copy": 1, "rewrite": 4, "freeze": 2}
+    assert calls == {"copy": 1, "place_slots": 4, "freeze": 2}
     carrier, mrss = scenario.carrier, scenario.mrss
     arr = ref.new_labels(carrier)
     ref.place_nr(arr, carrier, scenario.nr)

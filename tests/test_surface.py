@@ -144,18 +144,12 @@ def slot_item_stores(tree: ast.Module):
         and isinstance(node.value, ast.Attribute) and node.value.attr == "slots"))
 
 
-def rewrite_reads(tree: ast.Module):
-    """The enclosing `Class.function` path of each read of a `.rewrite`
-    attribute: a call of it, or a bound method kept to call later."""
-    return enclosing_paths(tree, lambda node: (
-        isinstance(node, ast.Attribute) and node.attr == "rewrite" and isinstance(node.ctx, ast.Load)))
-
-
 def test_only_lattice_rewrite_stores_a_slot():
-    """Every write into a lattice is one `Lattice.rewrite`, all or nothing."""
+    """Every write into a lattice is one `place_slots`, all or nothing, under
+    the placement rules: a `Lattice` has no write of its own."""
     modules, _ = src_and_bench()
     stores = [f"{name}:{where}" for name, tree in modules.items() for where in slot_item_stores(tree)]
-    assert stores == ["grid.py:Lattice.rewrite"]
+    assert stores == ["grid.py:place_slots"]
 
 
 def test_slot_store_finder_sees_each_form():
@@ -165,20 +159,3 @@ def test_slot_store_finder_sees_each_form():
         "def f(lat):\n    lat.slots[0] += b''\n    del lat.slots[0]\n    return lat.slots[0]\n"
         "def g(rows):\n    rows[0] = 1\n")
     assert slot_item_stores(tree) == ["", "L.w", "L.w", "f", "f"]
-
-
-def test_only_place_slots_calls_lattice_rewrite():
-    """Every footprint is written by `place_slots`, under its one rule: no
-    other code in `src/` calls `Lattice.rewrite`."""
-    modules, _ = src_and_bench()
-    readers = [f"{name}:{where}" for name, tree in modules.items() for where in rewrite_reads(tree)]
-    assert readers == ["grid.py:place_slots"]
-
-
-def test_rewrite_finder_sees_each_form():
-    tree = ast.parse(
-        "x.rewrite([])\nclass M:\n    def stage(self, lat):\n        lat.rewrite([(s, f)])\n"
-        "        return [lambda: lat.copy().rewrite([])]\n"
-        "def f(lat):\n    write = lat.rewrite\n    write([])\n    lat.rewrite = None\n"
-        "def g(lat):\n    rewrite([])\n    return lat.rewritten, 'rewrite'\n")
-    assert rewrite_reads(tree) == ["", "M.stage", "M.stage", "f"]

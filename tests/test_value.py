@@ -13,7 +13,7 @@ import gridshare
 from gridshare import budget, grid, lte, mrss, nr, scenario
 from gridshare.budget import BudgetRow, DssLayout, OverheadReport, OverheadRow
 from gridshare.errors import ConfigError
-from gridshare.grid import CarrierConfig, ResourceGrid, TddPattern, make_grid
+from gridshare.grid import CarrierConfig, Lattice, ResourceGrid, TddPattern, count_labels, make_grid
 from gridshare.lte import LteCellConfig
 from gridshare.mrss import (
     ControlMode,
@@ -234,6 +234,22 @@ def test_grid_and_map_take_lattices_only():
         MrssCategoryMap(GRID.lattice)
     with pytest.raises(ConfigError, match=r"shape \(1, 14, 12\) != \(1, 14, 24\)"):
         ResourceGrid(CARRIER, ref.lattice_of(dense[:, :, :12]))
+
+
+def test_a_grid_measures_every_row():
+    """Every row of a grid's lattice holds 14 x n_subcarriers labels, not
+    slot 0's alone, so the grid's counts sum to its cells. The error names
+    the first slot whose row is off."""
+    carrier = CarrierConfig(15, n_prb=1, span_ms=4)
+    row = make_grid(carrier).lattice.slots[0]
+    for bad in ({3: b""}, {2: row[:-1], 3: b""}, {1: row + row, 2: b""}):
+        slots = [row] * 4
+        for slot, labels in bad.items():
+            slots[slot] = labels
+        first = min(bad)
+        with pytest.raises(ConfigError, match=f"^slot {first} holds {len(bad[first])} labels, not 168$"):
+            ResourceGrid(carrier, Lattice(slots))
+    assert sum(count_labels(ResourceGrid(carrier, Lattice([row] * 4))).values()) == 4 * 168
 
 
 def test_equal_slots_make_equal_grids_and_maps():

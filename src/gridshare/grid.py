@@ -207,7 +207,7 @@ class Lattice:
 
     @property
     def n_sc(self) -> int:
-        return len(self.slots[0]) // SYMBOLS_PER_SLOT
+        return len(self.slots[0]) // SYMBOLS_PER_SLOT if self.slots else 0
 
     @property
     def shape(self) -> Tuple[int, int, int]:

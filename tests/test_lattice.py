@@ -284,6 +284,21 @@ class TestLattice:
         assert slots[0] is slots[2] is fresh and slots[1] is slots[3] is not written
         assert np.count_nonzero(np.frombuffer(slots[1], dtype=np.uint8)) == 3
 
+    def test_no_write_labels_an_uplink_cell_or_empties_a_slot(self):
+        """A `Lattice` has no write method of its own, and `place_slots`
+        leaves uplink cells as they are and takes no footprint shorter than
+        its block, so a grid's counts sum to its cells."""
+        assert [name for name in dir(Lattice) if not name.startswith("_")] == [
+            "copy", "freeze", "n_sc", "shape", "slots"]
+        carrier = CarrierConfig(15, n_prb=1, duplex="TDD", span_ms=5, tdd_pattern=TddPattern("DSUUD"))
+        lattice = new_labels(carrier)
+        place_slots(lattice, [((2,), range(14), range(12), ReLabel.NR_SSB)])
+        assert lattice == new_labels(carrier)
+        with pytest.raises(ConfigError, match="got 0 bytes$"):
+            place_slots(lattice, [((3,), range(14), range(12), lambda slot, cells: b"")])
+        assert lattice == new_labels(carrier)
+        assert sum(count_labels(ResourceGrid(carrier, lattice)).values()) == 5 * 168
+
     def test_placements_merge_rows_in_slot_order_and_store_all_or_nothing(self):
         lattice = new_labels(CarrierConfig(15, n_prb=1, duplex="FDD", span_ms=4))
         before, calls = list(lattice.slots), []

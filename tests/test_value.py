@@ -252,6 +252,13 @@ def test_a_grid_measures_every_row():
     assert sum(count_labels(ResourceGrid(carrier, Lattice([row] * 4))).values()) == 4 * 168
 
 
+def test_an_empty_lattice_is_a_config_error():
+    """A lattice with no slot has the wrong shape for any carrier."""
+    assert Lattice([]).shape == (0, 14, 0)
+    with pytest.raises(ConfigError, match=r"shape \(0, 14, 0\) != \(1, 14, 12\)"):
+        ResourceGrid(CarrierConfig(15, n_prb=1), Lattice([]))
+
+
 def test_equal_slots_make_equal_grids_and_maps():
     """Lattices compare and hash by the labels of each slot, however their
     rows are shared, and so do the grids and maps that hold them."""
